@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from . import condensation
 from .condensation import (
-    KUO_PATTERNS,
+    KUO_SURPLUS,
     DefectConfiguration,
     check_face_alternating_identity,
     check_kuo_identity,
@@ -53,7 +53,6 @@ from .formulas import (
     count_aztec_diamond,
 )
 from .geometry import (
-    Cell,
     DefectSpec,
     Region,
     add_gamma_squares,
@@ -67,7 +66,7 @@ DEFAULT_CELL_LIMIT = 36
 
 
 class SpecError(ValueError):
-    """Parse or semantic error in a region spec; message names the token."""
+    """Parse or semantic error in a region spec or setting; message names the token."""
 
 
 def _int_value(token: str, key: str, index: int) -> int:
@@ -158,7 +157,7 @@ def _cell_limit() -> int:
     try:
         return int(raw) if raw else DEFAULT_CELL_LIMIT
     except ValueError:
-        return DEFAULT_CELL_LIMIT
+        raise SpecError(f"AZTEC_ORACLE_CELL_LIMIT={raw!r} is not an integer") from None
 
 
 class EngineInapplicable(Exception):
@@ -221,6 +220,7 @@ def _pfaffian_count(config: DefectConfiguration) -> int:
 def cmd_count(args: argparse.Namespace) -> int:
     try:
         config = parse_region_spec(args.spec)
+        limit = _cell_limit() if args.engine == "brute" else None
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -230,9 +230,9 @@ def cmd_count(args: argparse.Namespace) -> int:
             count = count_tilings_dp(_residual(config))
         elif args.engine == "brute":
             residual = _residual(config)
-            if len(residual) > _cell_limit():
+            if len(residual) > limit:
                 print(
-                    f"error: {len(residual)} cells exceeds the brute-force limit {_cell_limit()}",
+                    f"error: {len(residual)} cells exceeds the brute-force limit {limit}",
                     file=sys.stderr,
                 )
                 return 2
@@ -262,9 +262,7 @@ def _render(config: DefectConfiguration) -> list[str]:
     region = config.region
     removed_white = {boundary_cell(region, d) for d in config.betas}
     removed_black = {boundary_cell(region, d) for d in config.alphas}
-    gammas = {
-        Cell(2 * t - 2, 2 * region.meta.a + 1) for t in region.meta.gammas
-    }
+    gammas = {boundary_cell(region, DefectSpec("SE", t, "gamma")) for t in region.meta.gammas}
     canvas: dict[tuple[int, int], str] = {}
     for cell in region.cells:
         if cell in removed_white:
@@ -405,11 +403,11 @@ def _verify_kuo(suite: _Suite, max_a: int, trials: int, rng: random.Random) -> N
         quad = [cycle[i] for i in sorted(rng.sample(range(len(cycle)), 4))]
         first_white = is_white(quad[0])
         pattern = "".join("A" if is_white(c) == first_white else "B" for c in quad)
-        if pattern not in KUO_PATTERNS:
+        if pattern not in KUO_SURPLUS:
             continue
         n_a = sum(1 for c in region.cells if is_white(c) == first_white)
         n_b = len(region.cells) - n_a
-        if n_a != n_b + {"AABB": 0, "ABAB": 0, "AAAB": 1, "AAAA": 2}[pattern]:
+        if n_a != n_b + KUO_SURPLUS[pattern]:
             continue
         graph = build_dual(region)
         ok = check_kuo_identity(pattern, graph, *quad)
@@ -534,6 +532,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             _verify_ciucu(suite, args.max_a, args.trials, rng)
         else:
             _verify_mt(suite, args.max_a, args.max_b, args.trials, rng)
+    except SpecError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     finally:
         if restore is not None:
             condensation._three_sided_entry = restore

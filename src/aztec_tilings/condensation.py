@@ -7,14 +7,20 @@ a_1..a_2k in cyclic order on a face of a planar graph G with M(G) != 0,
 
 ``condensation_count_symdiff`` is the symmetric-difference generalization to
 an induced subgraph G of a host H (entries M(G + {a_i, a_j}) with + meaning
-toggle against H), and ``check_face_alternating_identity`` verifies the
-alternating-product identity that drives its induction.
+toggle against H; G = H gives ``condensation_count``), and
+``check_face_alternating_identity`` verifies the alternating-product identity
+that drives its induction.
 
 The three defect-counting routines specialize condensation to Aztec
 rectangles: the host is the gamma-augmented rectangle whose tiling count is
 the pure power of two, and every Pfaffian entry collapses to a closed form
 from the formulas module (entries can alternatively be sourced from the DP
-engine to separate formula bugs from condensation bugs).
+engine to separate formula bugs from condensation bugs).  Defects are put in
+boundary order by ``geometry.perimeter_index``.
+
+Every counter divides in ``_pfaffian_quotient``, which raises
+``InternalInconsistencyError`` unless a unit-weight quotient is a nonnegative
+integer; weighted quotients keep their sign.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .counting import CountValue, count_matchings_brute, count_tilings_dp
 from .dualgraph import (
@@ -52,14 +58,18 @@ from .geometry import (
     boundary_cell,
     is_white,
     make_aztec_rectangle,
+    perimeter_index,
     remove_defects,
 )
 
-KUO_PATTERNS = ("AABB", "AAAA", "ABAB", "AAAB")
+T = TypeVar("T")
+
+KUO_SURPLUS = {"AABB": 0, "AAAA": 2, "ABAB": 0, "AAAB": 1}  # #A - #B each pattern needs
+KUO_PATTERNS = tuple(KUO_SURPLUS)
 
 
 def _graph_count(graph: DualGraph) -> CountValue:
-    if graph.weights:
+    if graph.weights is not None:
         return count_matchings_brute(graph)
     return count_tilings_dp(Region.from_cells(graph.cells))
 
@@ -81,37 +91,35 @@ def _validate_cyclic(cycle: Sequence[Cell], chosen: Sequence[Cell]) -> None:
         raise InvalidOrderError(f"{chosen} is not in cyclic order on the outer face")
 
 
-def _pfaffian_of_counts(entries: list[list[CountValue]]) -> Fraction:
-    return abs(pfaffian(entries))
+def _pfaffian_quotient(
+    labels: Sequence[T], entry: Callable[[T, T], CountValue], divisor: CountValue,
+    power: int, what: str,
+) -> CountValue:
+    """Pf[(entry(x, y))] / divisor^power over labels in cyclic order.
 
-
-def _exact_quotient(pf: Fraction, divisor: CountValue, power: int, what: str) -> CountValue:
-    value = Fraction(pf) / Fraction(divisor) ** power
+    An int divisor means unit weights, so the quotient must be a nonnegative
+    integer; a Fraction divisor means edge weights, and the quotient keeps its sign.
+    """
+    m = len(labels)
+    matrix: list[list[CountValue]] = [[0] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            matrix[i][j] = entry(labels[i], labels[j])
+            matrix[j][i] = -matrix[i][j]
+    pf = pfaffian(matrix)
+    value = pf / Fraction(divisor) ** power
+    if isinstance(divisor, Fraction):
+        return value
     if value.denominator != 1:
         raise InternalInconsistencyError(f"{what}: Pfaffian {pf} not divisible by {divisor}^{power}")
+    if value < 0:
+        raise InternalInconsistencyError(f"{what}: negative Pfaffian {pf}")
     return int(value)
 
 
 def condensation_count(graph: DualGraph, face_vertices: Sequence[Cell]) -> CountValue:
     """Count M(G minus the 2k face vertices) through the Pfaffian quotient."""
-    if len(face_vertices) % 2 == 1:
-        raise InvalidOrderError("need an even number of face vertices")
-    _validate_cyclic(boundary_cycle(graph.cells), face_vertices)
-    base = _graph_count(graph)
-    if base == 0:
-        raise CondensationInapplicableError("M(G) = 0")
-    cells = set(graph.cells)
-    m = len(face_vertices)
-    entries: list[list[CountValue]] = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            sub = induced_subgraph(graph, cells - {face_vertices[i], face_vertices[j]})
-            entries[i][j] = _graph_count(sub)
-            entries[j][i] = -entries[i][j]
-    pf = _pfaffian_of_counts(entries)
-    if graph.weights:
-        return pf / Fraction(base) ** (m // 2 - 1)
-    return _exact_quotient(pf, base, m // 2 - 1, "condensation")
+    return condensation_count_symdiff(graph, graph.cells, face_vertices)
 
 
 def condensation_count_symdiff(
@@ -126,17 +134,13 @@ def condensation_count_symdiff(
     base_count = _graph_count(base_graph)
     if base_count == 0:
         raise CondensationInapplicableError("M(G) = 0")
-    m = len(face_vertices)
-    entries: list[list[CountValue]] = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            sub = symmetric_difference(host, base_set, {face_vertices[i], face_vertices[j]})
-            entries[i][j] = _graph_count(sub)
-            entries[j][i] = -entries[i][j]
-    pf = _pfaffian_of_counts(entries)
-    if host.weights:
-        return pf / Fraction(base_count) ** (m // 2 - 1)
-    return _exact_quotient(pf, base_count, m // 2 - 1, "symdiff condensation")
+    return _pfaffian_quotient(
+        face_vertices,
+        lambda x, y: _graph_count(symmetric_difference(host, base_set, {x, y})),
+        base_count,
+        len(face_vertices) // 2 - 1,
+        "condensation",
+    )
 
 
 def check_face_alternating_identity(
@@ -195,7 +199,7 @@ def check_kuo_identity(
         raise InvalidConfigurationError(f"cells have pattern {actual}, expected {pattern}")
     n_a = sum(1 for c in graph.cells if is_white(c) == a_class)
     n_b = len(graph.cells) - n_a
-    surplus = {"AABB": 0, "ABAB": 0, "AAAB": 1, "AAAA": 2}[pattern]
+    surplus = KUO_SURPLUS[pattern]
     if n_a != n_b + surplus:
         raise InvalidConfigurationError(
             f"pattern {pattern} needs #A = #B + {surplus}, graph has {n_a} and {n_b}"
@@ -285,34 +289,27 @@ def mirror_configuration(config: DefectConfiguration) -> DefectConfiguration:
     )
 
 
-def _gamma_cell(a: int, position: int) -> Cell:
-    return Cell(2 * position - 2, 2 * a + 1)
-
-
-def _three_sided_entry(
-    a: int, k: int, d1: tuple[str, str, int], d2: tuple[str, str, int]
-) -> int:
+def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
     """Closed-form count of the gamma-augmented rectangle minus two defect cells.
 
-    Defects are (class, side, position) with class beta/alpha/gamma; alphas sit
-    on the NE side.  Same-color pairs vanish; mixed pairs reduce, after the
-    forced staircase strips, to the two-defect diamond and one-defect
-    rectangle families.
+    Defects are beta, alpha or gamma addresses; alphas sit on the NE side.
+    Same-color pairs vanish; mixed pairs reduce, after the forced staircase
+    strips, to the two-defect diamond and one-defect rectangle families.
     """
     base = 2 ** (a * (a + 1) // 2)
-    if (d1[0] == "beta") == (d2[0] == "beta"):
+    if (d1.kind == "beta") == (d2.kind == "beta"):
         return 0
-    if d1[0] != "beta":
+    if d1.kind != "beta":
         d1, d2 = d2, d1
-    _, side, pos = d1
-    if d2[0] == "alpha":
-        j = d2[2]
+    side, pos = d1.side, d1.position
+    if d2.kind == "alpha":
+        j = d2.position
         if pos <= k:
             return 0
         if side == "SE":
             return count_ad_adjacent_defects(a, pos - k, j)
         return count_ad_adjacent_defects(a, pos - k, a - j + 1)
-    p = d2[2]
+    p = d2.position
     if pos < p:
         return 0
     if side == "SE":
@@ -324,34 +321,23 @@ def _three_sided_entry(
 
 def _three_sided_count(config: DefectConfiguration, entry_source: str) -> int:
     """Pfaffian count assuming alphas confined to the NE side."""
-    a, _, k = config.sizes()
-    n = len(config.alphas)
-    base_region = config.base_region()
-    host = add_gamma_squares(base_region, k, 1) if k else base_region
-    deltas = (
-        [("beta", d.side, d.position) for d in config.betas]
-        + [("alpha", "NE", d.position) for d in config.alphas]
-        + [("gamma", "SE", p) for p in range(1, k + 1)]
+    a, b, k = config.sizes()
+    gammas = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1))
+    deltas = sorted(
+        config.betas + config.alphas + gammas, key=lambda d: perimeter_index(a, b, d)
     )
-    cell_of = {
-        d: _gamma_cell(a, d[2]) if d[0] == "gamma" else boundary_cell(base_region, DefectSpec(d[1], d[2]))
-        for d in deltas
-    }
-    order = {c: i for i, c in enumerate(boundary_cycle(host))}
-    deltas.sort(key=lambda d: order[cell_of[d]])
-    m = len(deltas)
-    entries: list[list[int]] = [[0] * m for _ in range(m)]
-    host_cells = host.cells
-    for i in range(m):
-        for j in range(i + 1, m):
-            if entry_source == "engine":
-                residue = Region.from_cells(host_cells - {cell_of[deltas[i]], cell_of[deltas[j]]})
-                entries[i][j] = count_tilings_dp(residue)
-            else:
-                entries[i][j] = _three_sided_entry(a, k, deltas[i], deltas[j])
-            entries[j][i] = -entries[i][j]
-    pf = _pfaffian_of_counts(entries)
-    return _exact_quotient(pf, 2 ** (a * (a + 1) // 2), n + k - 1, "three-sided count")
+    if entry_source == "engine":
+        host = add_gamma_squares(config.base_region(), k, 1)
+        cell_of = {d: boundary_cell(host, d) for d in deltas}
+
+    def entry(x: DefectSpec, y: DefectSpec) -> int:
+        if entry_source == "engine":
+            return count_tilings_dp(Region.from_cells(host.cells - {cell_of[x], cell_of[y]}))
+        return _three_sided_entry(a, k, x, y)
+
+    return _pfaffian_quotient(
+        deltas, entry, 2 ** (a * (a + 1) // 2), len(config.alphas) + k - 1, "three-sided count"
+    )
 
 
 def count_defects_three_sided(
@@ -382,41 +368,37 @@ def count_defects_four_sided(
     by reflecting the configuration into the NE-canonical frame.
     """
     config.validate()
-    _, _, k = config.sizes()
-    n = len(config.alphas)
-    base_region = config.base_region()
-    cell_of = {d: boundary_cell(base_region, d) for d in config.betas + config.alphas}
-    order = {c: i for i, c in enumerate(boundary_cycle(base_region))}
-    betas_sorted = sorted(config.betas, key=lambda d: order[cell_of[d]])
+    a, b, k = config.sizes()
+
+    def order(d: DefectSpec) -> int:
+        return perimeter_index(a, b, d)
+
+    betas_sorted = sorted(config.betas, key=order)
 
     def three_sided(betas: tuple[DefectSpec, ...], alphas: tuple[DefectSpec, ...]) -> int:
-        sub = DefectConfiguration(base_region, betas, alphas)
+        sub = DefectConfiguration(config.region, betas, alphas)
         if any(d.side == "SW" for d in alphas):
             sub = mirror_configuration(sub)
         return _three_sided_count(sub, entry_source)
 
     chosen = None
     for s in itertools.combinations(betas_sorted, k):
-        m_g = three_sided(tuple(s), ())
+        m_g = three_sided(s, ())
         if m_g:
             chosen, m_base = s, m_g
             break
     if chosen is None:
         raise CondensationInapplicableError("every balanced beta subset has count 0")
     rest = [d for d in betas_sorted if d not in chosen]
-    outer = sorted(rest + list(config.alphas), key=lambda d: order[cell_of[d]])
-    m = len(outer)
-    entries: list[list[int]] = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            di, dj = outer[i], outer[j]
-            if (di.kind == "beta") != (dj.kind == "beta"):
-                extra_beta = di if di.kind == "beta" else dj
-                one_alpha = dj if di.kind == "beta" else di
-                entries[i][j] = three_sided(tuple(chosen) + (extra_beta,), (one_alpha,))
-            entries[j][i] = -entries[i][j]
-    pf = _pfaffian_of_counts(entries)
-    return _exact_quotient(pf, m_base, n - 1, "four-sided count")
+    outer = sorted(rest + list(config.alphas), key=order)
+
+    def entry(x: DefectSpec, y: DefectSpec) -> int:
+        if (x.kind == "beta") == (y.kind == "beta"):
+            return 0
+        beta, alpha = (x, y) if x.kind == "beta" else (y, x)
+        return three_sided(chosen + (beta,), (alpha,))
+
+    return _pfaffian_quotient(outer, entry, m_base, len(config.alphas) - 1, "four-sided count")
 
 
 def count_diamond_defects(
@@ -437,27 +419,20 @@ def count_diamond_defects(
     region = make_aztec_rectangle(a, a)
     config = DefectConfiguration(region, tuple(betas), tuple(alphas))
     config.validate()
-    n = len(betas)
-    cell_of = {d: boundary_cell(region, d) for d in config.betas + config.alphas}
-    order = {c: i for i, c in enumerate(boundary_cycle(region))}
-    deltas = sorted(config.betas + config.alphas, key=lambda d: order[cell_of[d]])
-    m = len(deltas)
-    entries: list[list[int]] = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            di, dj = deltas[i], deltas[j]
-            if di.kind != dj.kind:
-                white = cell_of[di] if di.kind == "beta" else cell_of[dj]
-                black = cell_of[dj] if di.kind == "beta" else cell_of[di]
-                if entry_source == "engine":
-                    residue = Region.from_cells(region.cells - {white, black})
-                    entries[i][j] = count_tilings_dp(residue)
-                else:
-                    se_pos, ne_pos = diamond_normal_form(a, white, black)
-                    entries[i][j] = count_ad_adjacent_defects(a, se_pos, ne_pos)
-            entries[j][i] = -entries[i][j]
-    pf = _pfaffian_of_counts(entries)
-    return _exact_quotient(pf, 2 ** (a * (a + 1) // 2), n - 1, "diamond count")
+    deltas = sorted(config.betas + config.alphas, key=lambda d: perimeter_index(a, a, d))
+    cell_of = {d: boundary_cell(region, d) for d in deltas}
+
+    def entry(x: DefectSpec, y: DefectSpec) -> int:
+        if x.kind == y.kind:
+            return 0
+        white, black = (cell_of[x], cell_of[y]) if x.kind == "beta" else (cell_of[y], cell_of[x])
+        if entry_source == "engine":
+            return count_tilings_dp(Region.from_cells(region.cells - {white, black}))
+        return count_ad_adjacent_defects(a, *diamond_normal_form(a, white, black))
+
+    return _pfaffian_quotient(
+        deltas, entry, 2 ** (a * (a + 1) // 2), len(betas) - 1, "diamond count"
+    )
 
 
 def diamond_normal_form(a: int, white: Cell, black: Cell) -> tuple[int, int]:

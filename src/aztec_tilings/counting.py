@@ -5,7 +5,9 @@ unmatched vertex, factor over connected components, memoize on the remaining
 vertex bitmask.  ``count_tilings_dp`` is the fast engine: every dual-graph
 edge joins cells in consecutive diagonal columns (constant u), so a sweep over
 columns with a bit profile of cells already matched from the left counts
-tilings of hundreds of cells in milliseconds.  Both use exact arithmetic only.
+tilings in time exponential only in the column length: about 0.5 s for AD(12)
+and 3 s for AD(14) (Python 3.11, one core), about 2.5x per further order.
+Both use exact arithmetic only.
 """
 
 from __future__ import annotations

@@ -101,7 +101,6 @@ def symmetric_difference(
 
 def induced_subgraph(host: DualGraph, keep: Iterable[Cell]) -> DualGraph:
     keep = set(keep)
-    index = host.index
     ordered = tuple(sorted(keep, key=lambda c: (c.v, c.u)))
     new_index = {c: i for i, c in enumerate(ordered)}
     edges = set()

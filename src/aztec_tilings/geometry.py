@@ -169,6 +169,25 @@ def boundary_cell(region: Region, spec: DefectSpec) -> Cell:
     return cell
 
 
+def perimeter_index(a: int, b: int, spec: DefectSpec) -> int:
+    """Counterclockwise rank of a boundary address on AR(a, b), from SW position a.
+
+    Sorting by it gives the order of ``boundary_cycle`` on AR(a, b) with or
+    without the gamma string 1..b-a: SW a..1, SE cells and gammas by increasing
+    u, NE a..1, NW b..1; gamma 1 hangs off the cut vertex SE 1, whose first
+    visit the walk keeps, so it comes right after SE 1.  Ranks may skip values.
+    """
+    side, pos = spec.side, spec.position
+    if side == "SW":
+        return a - pos
+    if side == "SE":
+        u = 2 * pos - 2 if spec.kind == "gamma" else 2 * pos - 1
+        return a + (2 * u if u else 3)
+    if side == "NE":
+        return 2 * a + 4 * b - pos
+    return 2 * a + 5 * b - pos
+
+
 def add_gamma_squares(region: Region, k: int, start: int = 1) -> Region:
     """Glue a string of k black cells under the SE side at positions start..start+k-1."""
     a, b = _require_canonical(region)

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, engines, rendering, verify suites."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -120,6 +121,14 @@ def test_brute_cell_limit_exit_2(capsys, monkeypatch):
     assert (code, out) == (0, "64\n")
 
 
+def test_malformed_cell_limit_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("AZTEC_ORACLE_CELL_LIMIT", "forty")
+    for argv in (("count", "AD n=3", "--engine", "brute"), ("verify", "formulas")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "AZTEC_ORACLE_CELL_LIMIT" in err
+
+
 def test_formula_unrecognized_exit_2(capsys):
     code, _, err = run_cli(capsys, "count", "AD n=3 remove=SE:1,SE:2,NE:1,NE:2", "--engine", "formula")
     assert code == 2
@@ -213,10 +222,12 @@ def test_applicable_engines_agree(capsys, spec, engines):
 
 
 def test_console_entry_point():
+    # the child imports the package this test imported, installed or not
     proc = subprocess.run(
         [sys.executable, "-m", "aztec_tilings.cli", "count", "AD n=2"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
     assert proc.returncode == 0
     assert proc.stdout == "8\n"

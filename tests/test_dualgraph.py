@@ -5,7 +5,10 @@ from hypothesis import given, strategies as st
 
 from aztec_tilings import (
     Cell,
+    DefectSpec,
     Region,
+    add_gamma_squares,
+    boundary_cell,
     boundary_cycle,
     build_dual,
     delete_vertices,
@@ -19,6 +22,7 @@ from aztec_tilings.errors import (
     InvalidParameterError,
     UnsupportedRegionError,
 )
+from aztec_tilings.geometry import perimeter_index
 
 
 def test_two_cell_domino():
@@ -78,6 +82,21 @@ def test_boundary_cycle_orders_side_cells():
     filtered = [c for c in cycle if c in set(ring)]
     doubled = ring + ring
     assert any(doubled[i : i + 8] == filtered for i in range(8))
+
+
+@pytest.mark.parametrize("a", range(1, 16))
+@pytest.mark.parametrize("k", range(6))
+def test_perimeter_index_matches_boundary_cycle(a, k):
+    """Sorting addresses by perimeter_index reproduces the outer-face walk order."""
+    b = a + k
+    plain = make_aztec_rectangle(a, b)
+    sides = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
+    sides += [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
+    gammas = [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
+    for host, specs in ((plain, sides), (add_gamma_squares(plain, k, 1), sides + gammas)):
+        rank = {c: i for i, c in enumerate(boundary_cycle(host))}
+        walked = sorted(specs, key=lambda d: rank[boundary_cell(host, d)])
+        assert sorted(specs, key=lambda d: perimeter_index(a, b, d)) == walked
 
 
 def test_boundary_cycle_rejects_disconnected():
