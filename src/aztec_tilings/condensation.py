@@ -268,7 +268,8 @@ class DefectConfiguration:
                 f"need #betas - #alphas = b - a = {k}, got "
                 f"{len(self.betas)} - {len(self.alphas)}"
             )
-        self.target_region()  # raises on duplicate or out-of-range defects
+        # Raises on duplicate or out-of-range defects; no side address names a gamma cell.
+        remove_defects(self.region, self.betas + self.alphas)
 
 
 def _mirror_spec(spec: DefectSpec, a: int, b: int) -> DefectSpec:

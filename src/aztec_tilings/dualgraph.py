@@ -30,10 +30,6 @@ class DualGraph:
     edges: frozenset[tuple[int, int]]
     weights: Mapping[tuple[int, int], Fraction] | None = None
 
-    @property
-    def index(self) -> dict[Cell, int]:
-        return {c: i for i, c in enumerate(self.cells)}
-
     def weight(self, i: int, j: int) -> Fraction:
         if self.weights is None:
             return Fraction(1)
@@ -63,7 +59,7 @@ def with_edge_weights(
     graph: DualGraph, weights: Mapping[frozenset[Cell], Fraction | int]
 ) -> DualGraph:
     """Attach exact rational weights to edges given as cell pairs."""
-    index = graph.index
+    index = {c: i for i, c in enumerate(graph.cells)}
     table: dict[tuple[int, int], Fraction] = {}
     for pair, w in weights.items():
         cells = tuple(pair)

@@ -1,16 +1,20 @@
 """Exact linear algebra over the rationals: Pfaffian and determinant.
 
-The Pfaffian is computed by skew-symmetric Gaussian elimination with pivot
-search, O(n^3) exact Fraction operations; a recursive first-row expansion is
-kept as a second, independently coded route for cross-checking.
+The Pfaffian is computed in exact ints: the matrix is scaled to integers by
+the lcm of its denominators and divided by the gcd of its entries, then
+reduced by fraction-free skew elimination with pivot search (the Pfaffian
+analogue of Bareiss's method), O(n^3) int operations whose every division is
+exact.  A memoized first-row expansion and Fraction-elimination determinant
+are kept as second, independently coded routes for cross-checking.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import InvalidMatrixError
+from .errors import InternalInconsistencyError, InvalidMatrixError
 
 Matrix = Sequence[Sequence[int | Fraction]]
 
@@ -29,19 +33,31 @@ def _check_skew(m: Matrix) -> None:
                 raise InvalidMatrixError(f"entries ({i},{j}) and ({j},{i}) are not opposite")
 
 
-def _as_skew(m: Matrix) -> list[list[Fraction]]:
-    _check_skew(m)
-    return [[Fraction(x) for x in row] for row in m]
-
-
 def pfaffian(m: Matrix) -> Fraction:
-    """Pfaffian of a skew-symmetric matrix; pfaffian(m)**2 == determinant(m)."""
-    a = _as_skew(m)
-    n = len(a)
+    """Pfaffian of a skew-symmetric matrix; pfaffian(m)**2 == determinant(m).
+
+    With M = (g / scale) A for an integer matrix A of content 1,
+    Pf(M) = (g / scale)^(n/2) Pf(A).  A is reduced fraction-free: after the
+    pivot pair (k, k+1) with pivot p, entry (i, j) becomes
+    (p a_ij - a_ki a_k+1,j + a_kj a_k+1,i) / p_prev, the Pfaffian minor on
+    the eliminated indices plus {i, j}, so the division is exact and the
+    last pivot is Pf(A).
+    """
+    _check_skew(m)
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    scale = math.lcm(*(x.denominator for row in m for x in row))
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
+    g = math.gcd(*(x for row in a for x in row))
+    if g == 0:
+        return Fraction(0)
+    a = [[x // g for x in row] for row in a]
     sign = 1
-    result = Fraction(1)
+    p_prev = 1
     for k in range(0, n, 2):
-        pivot_row = next((i for i in range(k + 1, n) if a[k][i] != 0), None)
+        rk = a[k]
+        pivot_row = next((i for i in range(k + 1, n) if rk[i]), None)
         if pivot_row is None:
             return Fraction(0)
         if pivot_row != k + 1:
@@ -49,24 +65,37 @@ def pfaffian(m: Matrix) -> Fraction:
             for row in a:
                 row[k + 1], row[pivot_row] = row[pivot_row], row[k + 1]
             sign = -sign
-        p = a[k][k + 1]
-        result *= p
+        rk1 = a[k + 1]
+        p = rk[k + 1]
         for i in range(k + 2, n):
+            row_i, aki, ak1i = a[i], rk[i], rk1[i]
             for j in range(i + 1, n):
-                delta = (a[k][i] * a[k + 1][j] - a[k][j] * a[k + 1][i]) / p
-                a[i][j] -= delta
-                a[j][i] += delta
-    return sign * result
+                q, r = divmod(p * row_i[j] - aki * rk1[j] + rk[j] * ak1i, p_prev)
+                if r:
+                    raise InternalInconsistencyError(
+                        f"fraction-free Pfaffian step {k // 2}: entry ({i}, {j}) "
+                        f"is not divisible by the previous pivot {p_prev}"
+                    )
+                row_i[j] = q
+                a[j][i] = -q
+        p_prev = p
+    half = n // 2
+    return Fraction(sign * p * g**half, scale**half)
 
 
 def pfaffian_expand_first_row(m: Matrix) -> Fraction:
-    """Pfaffian by the alternating first-row expansion; independent oracle."""
+    """Pfaffian by the alternating first-row expansion; independent oracle.
+
+    Each sub-Pfaffian is memoized on its tuple of remaining indices, so shared
+    subproblems of the expansion are evaluated once.
+    """
     _check_skew(m)
     a = m  # recursion stays in the entries' native arithmetic
+    memo: dict[tuple[int, ...], int | Fraction] = {(): 1}
 
     def expand(idx: tuple[int, ...]):
-        if not idx:
-            return 1
+        if idx in memo:
+            return memo[idx]
         first, rest = idx[0], idx[1:]
         total = 0
         sign = 1
@@ -74,6 +103,7 @@ def pfaffian_expand_first_row(m: Matrix) -> Fraction:
             if a[first][j]:
                 total += sign * a[first][j] * expand(rest[:pos] + rest[pos + 1 :])
             sign = -sign
+        memo[idx] = total
         return total
 
     return Fraction(expand(tuple(range(len(m)))))

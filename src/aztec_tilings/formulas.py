@@ -1,8 +1,9 @@
 """Exact evaluators for the closed-form tiling counts.
 
-Every public function returns a plain nonnegative int; the terminating
-hypergeometric sums are evaluated over Fractions and the final products are
-checked for integrality, so a convention bug cannot silently round.
+Every count function returns a plain nonnegative int.  The terminating
+hypergeometric sums are evaluated in exact ints by Horner's rule over the
+term ratios and returned as one Fraction; the final products are checked for
+integrality, so a convention bug cannot silently round.
 
 Region conventions (see geometry): AR(a, b) has white cells 1..b on the NW
 and SE sides and black cells 1..a on the NE and SW sides; gamma squares are
@@ -32,10 +33,6 @@ def binomial_ext(c: int, d: int) -> int:
     return num // math.factorial(d)
 
 
-def _pochhammer(x: int, k: int) -> int:
-    return math.prod(x + t for t in range(k))
-
-
 def hyp_terminating(
     numerator: Sequence[int], denominator: Sequence[int], z: int | Fraction
 ) -> Fraction:
@@ -43,7 +40,10 @@ def hyp_terminating(
 
     Truncates at K = min over nonpositive numerator parameters p of (-p) + 1;
     raises if no parameter terminates the series or if a denominator
-    Pochhammer vanishes before the truncation point.
+    Pochhammer vanishes before the truncation point.  The sum is taken by
+    Horner's rule from the last term back, 1 + r_0 (1 + r_1 (1 + ...)), with
+    term ratios r_k = z prod(p + k) / (prod(q + k) (k + 1)) kept as an int
+    numerator/denominator pair, so one Fraction is reduced at the end.
     """
     tops = [p for p in numerator if p <= 0]
     if not tops:
@@ -54,13 +54,15 @@ def hyp_terminating(
             raise SingularParametersError(
                 f"denominator parameter {q} vanishes at term {-q + 1} < {terms}"
             )
-    z = Fraction(z)
-    total = Fraction(0)
-    for k in range(terms):
-        num = math.prod(_pochhammer(p, k) for p in numerator)
-        den = math.prod(_pochhammer(q, k) for q in denominator) * math.factorial(k)
-        total += Fraction(num, den) * z**k
-    return total
+    zn, zd = Fraction(z).as_integer_ratio()
+    span = terms - 1  # ratios r_0 .. r_{K-2}
+    ratio_nums = map(math.prod, zip(*(range(p, p + span) for p in numerator)))
+    ratio_dens = map(math.prod, zip(range(1, terms), *(range(q, q + span) for q in denominator)))
+    num = den = 1
+    for rn, rd in reversed(list(zip(ratio_nums, ratio_dens))):
+        rd *= zd
+        num, den = rd * den + zn * rn * num, rd * den
+    return Fraction(num, den)
 
 
 def _as_count(value: Fraction | int, context: str) -> int:

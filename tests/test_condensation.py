@@ -36,6 +36,7 @@ from aztec_tilings.errors import (
     CondensationInapplicableError,
     InternalInconsistencyError,
     InvalidConfigurationError,
+    InvalidDefectError,
     InvalidOrderError,
     OutOfScopeConfigurationError,
 )
@@ -243,6 +244,22 @@ def test_three_sided_accepts_augmented_region():
         region, (DefectSpec("SE", 3), DefectSpec("NW", 2)), (DefectSpec("NE", 1),)
     )
     assert count_defects_three_sided(cfg) == count_tilings_dp(cfg.target_region())
+
+
+@pytest.mark.parametrize("gammas", [0, 2])
+def test_validate_rejects_duplicate_and_out_of_range_defects(gammas):
+    region = add_gamma_squares(make_aztec_rectangle(3, 5), gammas, 1)
+    DefectConfiguration(region, (DefectSpec("SE", 4), DefectSpec("NW", 2)), ()).validate()
+    for betas, alpha in [
+        ((("SE", 4), ("SE", 4), ("NW", 5)), ("NE", 1)),  # duplicate
+        ((("SE", 4), ("NW", 2), ("NW", 5)), ("NE", 4)),  # NE runs 1..a = 1..3
+        ((("SE", 4), ("NW", 2), ("NW", 6)), ("SW", 3)),  # NW runs 1..b = 1..5
+    ]:
+        config = DefectConfiguration(
+            region, tuple(DefectSpec(*d) for d in betas), (DefectSpec(*alpha),)
+        )
+        with pytest.raises(InvalidDefectError):
+            config.validate()
 
 
 def test_three_sided_rejects_sw_alpha():

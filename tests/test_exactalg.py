@@ -104,3 +104,51 @@ def test_random_six_by_six_agreement():
         upper = [rng.randint(-9, 9) for _ in range(15)]
         m = skew(upper)
         assert pfaffian(m) == pfaffian_expand_first_row(m)
+
+
+def test_huge_common_factor():
+    rng = random.Random(5)
+    for n in (4, 6, 8):
+        m = skew([2**800 * rng.randint(-9, 9) for _ in range(n * (n - 1) // 2)])
+        assert pfaffian(m) == pfaffian_expand_first_row(m)
+
+
+def test_mixed_denominators():
+    rng = random.Random(6)
+    for _ in range(20):
+        upper = [Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 5, 7, 12))) for _ in range(28)]
+        m = skew(upper)
+        assert pfaffian(m) == pfaffian_expand_first_row(m)
+
+
+def test_zero_pivot_after_first_step_needs_swap():
+    # a[0][1] != 0, but the leading 4 x 4 Pfaffian a01 a23 - a02 a13 + a03 a12
+    # vanishes, so the reduced (2, 3) entry is 0 and step 1 must swap columns.
+    m = skew([1, 1, 0, 4, 5, 0, 1, -2, 3, 1, 7, 2, 2, 6, -3])
+    assert m[0][1] != 0
+    assert pfaffian([row[:4] for row in m[:4]]) == 0
+    pf = pfaffian(m)
+    assert pf != 0
+    assert pf == pfaffian_expand_first_row(m)
+    assert pf**2 == determinant(m)
+
+
+def block_skew(b):
+    """[[0, B], [-B^T, 0]]: the bipartite pattern of a white-black adjacency."""
+    h = len(b)
+    m = [[0] * (2 * h) for _ in range(2 * h)]
+    for i in range(h):
+        for j in range(h):
+            m[i][h + j] = b[i][j]
+            m[h + j][i] = -b[i][j]
+    return m
+
+
+def test_large_entries_bipartite_pattern():
+    rng = random.Random(7)
+    h = 10
+    b = [[rng.choice((-1, 1)) * rng.getrandbits(800) for _ in range(h)] for _ in range(h)]
+    m = block_skew(b)  # every a[k][k+1] starts at 0, so every step swaps
+    pf = pfaffian(m)
+    assert pf**2 == determinant(m)
+    assert pf == (-1) ** (h * (h - 1) // 2) * determinant(b)

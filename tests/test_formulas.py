@@ -65,6 +65,47 @@ def test_hyp_terminating_errors():
         hyp_terminating((1, -3), (-1,), 1)
 
 
+def pochhammer_sum(numerator, denominator, z):
+    """The series term by term from rebuilt Pochhammer products, in Fractions."""
+    terms = min(-p for p in numerator if p <= 0) + 1
+    total = Fraction(0)
+    for k in range(terms):
+        num = den = 1
+        for t in range(k):
+            for p in numerator:
+                num *= p + t
+            for q in denominator:
+                den *= q + t
+            den *= t + 1
+        total += Fraction(num, den) * Fraction(z) ** k
+    return total
+
+
+@pytest.mark.parametrize("z", [2, Fraction(-3, 7)])
+def test_hyp_terminating_matches_pochhammer_sum_on_diamond_shapes(z):
+    for a in range(1, 13):
+        for i in range(1, a + 1):
+            for j in range(1, a + 1):
+                params = ((1, 1 - i, 1 - j), (1 - a, 1 - a))
+                assert hyp_terminating(*params, z) == pochhammer_sum(*params, z), (a, i, j)
+
+
+@pytest.mark.parametrize("z", [1, Fraction(5, 2)])
+def test_hyp_terminating_matches_pochhammer_sum_on_gamma_shapes(z):
+    for a in range(1, 9):
+        for k in range(1, 9):
+            for j in range(k + 1, a + k + 1):
+                params = ((1, 1 - j, 1 - k), (2 - j, 1 - a - k))
+                assert hyp_terminating(*params, z) == pochhammer_sum(*params, z), (a, k, j)
+
+
+def test_hyp_terminating_denominator_may_vanish_only_at_the_last_term():
+    # (-2)_k stops at k = 2; (q)_2 = q (q + 1) is nonzero for q = -2, zero for q = -1.
+    assert hyp_terminating((-2,), (-2,), 1) == pochhammer_sum((-2,), (-2,), 1) == Fraction(5, 2)
+    with pytest.raises(SingularParametersError):
+        hyp_terminating((-2,), (-1,), 1)
+
+
 def test_count_aztec_diamond():
     assert count_aztec_diamond(1) == 2
     assert count_aztec_diamond(3) == 64
