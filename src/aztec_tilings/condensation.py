@@ -11,12 +11,15 @@ toggle against H; G = H gives ``condensation_count``), and
 ``check_face_alternating_identity`` verifies the alternating-product identity
 that drives its induction.
 
-The three defect-counting routines specialize condensation to Aztec
-rectangles: the host is the gamma-augmented rectangle whose tiling count is
-the pure power of two, and every Pfaffian entry collapses to a closed form
-from the formulas module (entries can alternatively be sourced from the DP
-engine to separate formula bugs from condensation bugs).  Defects are put in
-boundary order by ``geometry.perimeter_index``.
+The defect counters specialize condensation to Aztec rectangles.  The
+three-sided count is one Pfaffian whose host is the gamma-augmented rectangle,
+with tiling count the pure power of two, and every entry collapses to a closed
+form from the formulas module (entries can alternatively be sourced from the
+DP engine to separate formula bugs from condensation bugs).  At k = b - a = 0
+the host is AD(a) itself and alphas may sit on both black sides, so the
+diamond counter is that count; the four-sided count nests three-sided counts
+as the entries of an outer Pfaffian.  Defects are put in boundary order by
+``geometry.perimeter_index``.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
 ``InternalInconsistencyError`` unless a unit-weight quotient is a nonnegative
@@ -293,9 +296,10 @@ def mirror_configuration(config: DefectConfiguration) -> DefectConfiguration:
 def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
     """Closed-form count of the gamma-augmented rectangle minus two defect cells.
 
-    Defects are beta, alpha or gamma addresses; alphas sit on the NE side.
-    Same-color pairs vanish; mixed pairs reduce, after the forced staircase
-    strips, to the two-defect diamond and one-defect rectangle families.
+    Defects are beta, alpha or gamma addresses; alphas sit on the NE side
+    unless k = 0.  Same-color pairs vanish; mixed pairs reduce, after the
+    forced staircase strips, to the two-defect diamond and one-defect
+    rectangle families.
     """
     base = 2 ** (a * (a + 1) // 2)
     if (d1.kind == "beta") == (d2.kind == "beta"):
@@ -304,12 +308,8 @@ def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
         d1, d2 = d2, d1
     side, pos = d1.side, d1.position
     if d2.kind == "alpha":
-        j = d2.position
-        if pos <= k:
-            return 0
-        if side == "SE":
-            return count_ad_adjacent_defects(a, pos - k, j)
-        return count_ad_adjacent_defects(a, pos - k, a - j + 1)
+        i, j = diamond_normal_form(a, d1, d2)
+        return count_ad_adjacent_defects(a, i - k, j) if i > k else 0
     p = d2.position
     if pos < p:
         return 0
@@ -321,7 +321,7 @@ def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
 
 
 def _three_sided_count(config: DefectConfiguration, entry_source: str) -> int:
-    """Pfaffian count assuming alphas confined to the NE side."""
+    """Pfaffian count assuming alphas confined to the NE side when k > 0."""
     a, b, k = config.sizes()
     gammas = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1))
     deltas = sorted(
@@ -344,17 +344,18 @@ def _three_sided_count(config: DefectConfiguration, entry_source: str) -> int:
 def count_defects_three_sided(
     config: DefectConfiguration, entry_source: str = "formula"
 ) -> int:
-    """Tilings of AR(a, b) minus its beta and alpha defects, no alpha on SW.
+    """Tilings of AR(a, b) minus its beta and alpha defects, no alpha on SW if a < b.
 
     Assembles the (2n+2k) x (2n+2k) Pfaffian over betas, alphas and the k
     gamma squares in boundary-cyclic order, with closed-form entries, and
-    divides by the augmented rectangle's count to the power n + k - 1.
+    divides by the augmented rectangle's count to the power n + k - 1.  At
+    k = 0 the host is AD(a) itself and alphas may sit on either black side.
     """
     if entry_source not in ("formula", "engine"):
         raise InvalidConfigurationError(f"unknown entry source {entry_source!r}")
     config.validate()
-    if any(d.side == "SW" for d in config.alphas):
-        raise OutOfScopeConfigurationError("alpha defects on the SW side are not supported")
+    if config.sizes()[2] and any(d.side == "SW" for d in config.alphas):
+        raise OutOfScopeConfigurationError("alpha defects on the SW side need a = b")
     return _three_sided_count(config, entry_source)
 
 
@@ -408,44 +409,25 @@ def count_diamond_defects(
 ) -> int:
     """Tilings of AD(a) minus n beta and n alpha boundary defects.
 
-    The 2n x 2n Pfaffian uses the adjacent-sides diamond formula for every
-    mixed pair (after rotating the pair into the SE/NE frame by the dihedral
-    symmetry that preserves colors) and 0 for same-color pairs, divided by
-    the defect-free diamond count to the power n - 1.
+    The k = 0 case of ``count_defects_three_sided``: a 2n x 2n Pfaffian with
+    the adjacent-sides diamond formula for every mixed pair and 0 for
+    same-color pairs, divided by the defect-free diamond count to the power
+    n - 1.
     """
-    if entry_source not in ("formula", "engine"):
-        raise InvalidConfigurationError(f"unknown entry source {entry_source!r}")
-    if len(betas) != len(alphas):
-        raise InvalidConfigurationError("need equally many beta and alpha defects")
-    region = make_aztec_rectangle(a, a)
-    config = DefectConfiguration(region, tuple(betas), tuple(alphas))
-    config.validate()
-    deltas = sorted(config.betas + config.alphas, key=lambda d: perimeter_index(a, a, d))
-    cell_of = {d: boundary_cell(region, d) for d in deltas}
-
-    def entry(x: DefectSpec, y: DefectSpec) -> int:
-        if x.kind == y.kind:
-            return 0
-        white, black = (cell_of[x], cell_of[y]) if x.kind == "beta" else (cell_of[y], cell_of[x])
-        if entry_source == "engine":
-            return count_tilings_dp(Region.from_cells(region.cells - {white, black}))
-        return count_ad_adjacent_defects(a, *diamond_normal_form(a, white, black))
-
-    return _pfaffian_quotient(
-        deltas, entry, 2 ** (a * (a + 1) // 2), len(betas) - 1, "diamond count"
-    )
+    config = DefectConfiguration(make_aztec_rectangle(a, a), tuple(betas), tuple(alphas))
+    return count_defects_three_sided(config, entry_source)
 
 
-def diamond_normal_form(a: int, white: Cell, black: Cell) -> tuple[int, int]:
-    """Positions after the color-preserving symmetry taking white to SE, black to NE."""
-    transforms = (
-        lambda c: c,
-        lambda c: Cell(c.u, 2 * a - c.v),
-        lambda c: Cell(2 * a - c.u, c.v),
-        lambda c: Cell(2 * a - c.u, 2 * a - c.v),
-    )
-    for f in transforms:
-        w, b = f(white), f(black)
-        if w.v == 2 * a and b.u == 2 * a:
-            return (w.u + 1) // 2, (b.v + 1) // 2
-    raise InternalInconsistencyError(f"no symmetry maps {white}, {black} to the SE/NE sides")
+def diamond_normal_form(a: int, beta: DefectSpec, alpha: DefectSpec) -> tuple[int, int]:
+    """(i, j) with AD(a) minus beta and alpha congruent to AD(a) minus SE i and NE j.
+
+    The color-preserving symmetry that takes the beta to SE and the alpha to NE
+    reverses positions along the beta's side when the alpha is on SW, and along
+    the alpha's side when exactly one of "beta on NW" and "alpha on SW" holds.
+    """
+    i, j = beta.position, alpha.position
+    if alpha.side == "SW":
+        i = a - i + 1
+    if (beta.side == "NW") != (alpha.side == "SW"):
+        j = a - j + 1
+    return i, j

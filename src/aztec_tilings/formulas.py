@@ -29,8 +29,9 @@ def binomial_ext(c: int, d: int) -> int:
     """Generalized binomial: c(c-1)...(c-d+1)/d! for d >= 0, else 0."""
     if d < 0:
         return 0
-    num = math.prod(c - t for t in range(d))
-    return num // math.factorial(d)
+    if c >= 0:
+        return math.comb(c, d)
+    return (-1) ** d * math.comb(d - c - 1, d)
 
 
 def hyp_terminating(

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from aztec_tilings import condensation
 from aztec_tilings.cli import main, parse_region_spec, SpecError
 
 
@@ -189,10 +190,33 @@ def test_verify_suites_pass(capsys, suite):
     assert "failures=0" in out
 
 
-def test_verify_fault_injection_detected(capsys):
-    code, out, _ = run_cli(capsys, "verify", "mt", "--trials", "5", "--seed", "1", "--inject-fault")
+def test_verify_fault_injection_detected(capsys, monkeypatch):
+    original = condensation._three_sided_entry
+
+    def off_by_one(a, k, d1, d2):
+        value = original(a, k, d1, d2)
+        return value + 1 if value else value
+
+    monkeypatch.setattr(condensation, "_three_sided_entry", off_by_one)
+    code, out, _ = run_cli(capsys, "verify", "mt", "--trials", "5", "--seed", "1")
     assert code == 3
     assert "first counterexample" in out
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("mt", "--max-a", "0"), "--max-a"),
+        (("formulas", "--max-a", "0"), "--max-a"),
+        (("mt", "--max-a", "3", "--max-b", "1"), "--max-b"),
+        (("kuo", "--trials", "0"), "--trials"),
+    ],
+)
+def test_verify_rejects_empty_ranges_exit_1(capsys, argv, flag):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
 
 
 def test_verify_transcript_deterministic(capsys):

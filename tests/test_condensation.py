@@ -18,6 +18,7 @@ from aztec_tilings import (
     condensation_count,
     condensation_count_symdiff,
     count_defects_four_sided,
+    count_ad_adjacent_defects,
     count_defects_three_sided,
     count_diamond_defects,
     count_matchings_brute,
@@ -31,7 +32,7 @@ from aztec_tilings import (
     symmetric_difference,
     with_edge_weights,
 )
-from aztec_tilings.condensation import _pfaffian_quotient
+from aztec_tilings.condensation import _pfaffian_quotient, diamond_normal_form
 from aztec_tilings.errors import (
     CondensationInapplicableError,
     InternalInconsistencyError,
@@ -273,18 +274,40 @@ def test_three_sided_rejects_unbalanced():
         count_defects_three_sided(_config(2, 3, [("SE", 1)], [("NE", 1)]))
 
 
+def _diamond_sides(a):
+    whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, a + 1)]
+    blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
+    return whites, blacks
+
+
 def test_three_sided_agrees_with_diamond_counter():
+    # at k = 0 the three-sided count takes alphas on both black sides
     rng = random.Random(31)
-    a = 3
-    for _ in range(10):
-        betas = [("SE", p) for p in rng.sample(range(1, a + 1), 2)]
-        alphas = [("NE", p) for p in rng.sample(range(1, a + 1), 2)]
-        cfg = _config(a, a, betas, alphas)
-        assert count_defects_three_sided(cfg) == count_diamond_defects(
-            a,
-            tuple(DefectSpec(s, p) for s, p in betas),
-            tuple(DefectSpec(s, p) for s, p in alphas),
-        )
+    for _ in range(30):
+        a = rng.randint(1, 4)
+        n = rng.randint(1, min(3, a))
+        whites, blacks = _diamond_sides(a)
+        betas, alphas = tuple(rng.sample(whites, n)), tuple(rng.sample(blacks, n))
+        cfg = DefectConfiguration(make_aztec_diamond(a), betas, alphas)
+        want = count_tilings_dp(cfg.target_region())
+        assert count_defects_three_sided(cfg) == count_diamond_defects(a, betas, alphas) == want
+
+
+def test_diamond_normal_form_exhaustive():
+    for a in range(1, 6):
+        whites, blacks = _diamond_sides(a)
+        for beta in whites:
+            for alpha in blacks:
+                want = count_tilings_dp(remove_defects(make_aztec_diamond(a), (beta, alpha)))
+                got = count_ad_adjacent_defects(a, *diamond_normal_form(a, beta, alpha))
+                assert got == want, (a, beta, alpha)
+
+
+def test_diamond_engine_entries_with_sw_alpha():
+    betas = (DefectSpec("SE", 1), DefectSpec("NW", 3))
+    alphas = (DefectSpec("SW", 2), DefectSpec("NE", 3))
+    want = count_tilings_dp(remove_defects(make_aztec_diamond(3), betas + alphas))
+    assert count_diamond_defects(3, betas, alphas, entry_source="engine") == want
 
 
 def test_four_sided_degenerate_equals_three_sided():
@@ -303,8 +326,6 @@ def test_four_sided_all_sides_anchor():
 
 
 def test_diamond_counter_single_pair_is_formula():
-    from aztec_tilings import count_ad_adjacent_defects
-
     got = count_diamond_defects(2, (DefectSpec("SE", 2),), (DefectSpec("NE", 2),))
     assert got == count_ad_adjacent_defects(2, 2, 2) == 6
 

@@ -1,5 +1,6 @@
 """Closed-form evaluators against frozen oracle values and engine counts."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,13 @@ def test_binomial_ext_values():
     assert binomial_ext(-2, 2) == 3
     assert binomial_ext(-1, 3) == -1
     assert binomial_ext(0, 0) == 1
+
+
+def test_binomial_ext_matches_product_definition():
+    for c in range(-10, 16):
+        for d in range(-2, 16):
+            want = Fraction(math.prod(c - t for t in range(d)), math.factorial(d)) if d >= 0 else 0
+            assert binomial_ext(c, d) == want, (c, d)
 
 
 def test_hyp_terminating_values():
