@@ -25,21 +25,21 @@ import time
 from typing import Callable, Sequence
 
 from .condensation import (
+    ENGINES,
     KUO_SURPLUS,
     DefectConfiguration,
     check_face_alternating_identity,
     check_kuo_identity,
     condensation_count,
     condensation_count_symdiff,
+    count_configuration,
     count_defects_four_sided,
     count_defects_three_sided,
     count_diamond_defects,
-    diamond_normal_form,
-    mirror_configuration,
 )
 from .counting import count_matchings_brute, count_tilings_dp
 from .dualgraph import boundary_cycle, build_dual
-from .errors import AztecError, CondensationInapplicableError
+from .errors import AztecError, CondensationInapplicableError, OutOfScopeConfigurationError
 from .formulas import (
     count_ad_adjacent_defects,
     count_ar_gamma_nw_defect,
@@ -147,72 +147,12 @@ def parse_region_spec(text: str) -> DefectConfiguration:
         raise SpecError(str(exc)) from None
 
 
-def _residual(config: DefectConfiguration) -> Region:
-    return remove_defects(config.region, config.betas + config.alphas)
-
-
-def _color_balanced(config: DefectConfiguration) -> bool:
-    """#white == #black: AR(a, b) has b - a more white cells, each gamma one more black."""
-    meta = config.region.meta
-    return len(config.betas) - len(config.alphas) == meta.b - meta.a - len(meta.gammas)
-
-
 def _cell_limit() -> int:
     raw = os.environ.get("AZTEC_ORACLE_CELL_LIMIT", "")
     try:
         return int(raw) if raw else DEFAULT_CELL_LIMIT
     except ValueError:
         raise SpecError(f"AZTEC_ORACLE_CELL_LIMIT={raw!r} is not an integer") from None
-
-
-class EngineInapplicable(Exception):
-    pass
-
-
-def _formula_count(config: DefectConfiguration) -> int:
-    """Closed-form count for the recognized region families."""
-    region = config.region
-    a, b = region.meta.a, region.meta.b
-    if not _color_balanced(config):
-        return 0  # checkerboard argument
-    removed = sorted(
-        (d.side, d.position) for d in config.betas + config.alphas
-    )
-    if region.meta.gammas:
-        if not removed and region.meta.gammas == tuple(range(1, b - a + 1)):
-            return count_aztec_diamond(a)
-        raise EngineInapplicable("no closed form for this augmented family")
-    if not removed:
-        return count_aztec_diamond(a) if a == b else 0
-    sides = {s for s, _ in removed}
-    if sides == {"SE"}:
-        # color balance already guarantees exactly a kept positions
-        kept = [p for p in range(1, b + 1) if ("SE", p) not in removed]
-        return count_ar_kept_se(a, b, kept)
-    if a == b and len(config.betas) == 1 and len(config.alphas) == 1:
-        i, j = diamond_normal_form(a, config.betas[0], config.alphas[0])
-        return count_ad_adjacent_defects(a, i, j)
-    if sides == {"SE", "NW"}:
-        se = sorted(p for s, p in removed if s == "SE")
-        nw = [p for s, p in removed if s == "NW"]
-        if b == a + 2 and len(se) == 1 and len(nw) == 1:
-            return count_ar_se_nw_defects(a, se[0], nw[0])
-        if len(nw) == 1 and se == list(range(2, b - a + 1)):
-            return count_ar_se_block_nw_defect(a, b - a, nw[0])
-    raise EngineInapplicable("no closed form for this family")
-
-
-def _pfaffian_count(config: DefectConfiguration) -> int:
-    if config.region.meta.gammas:
-        raise EngineInapplicable("pfaffian engine works on plain AD/AR specs")
-    if not _color_balanced(config):
-        return 0
-    alpha_sides = {d.side for d in config.alphas}
-    if config.region.meta.a == config.region.meta.b or alpha_sides <= {"NE"}:
-        return count_defects_three_sided(config)
-    if alpha_sides == {"SW"}:
-        return count_defects_three_sided(mirror_configuration(config))
-    return count_defects_four_sided(config)
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -222,24 +162,14 @@ def cmd_count(args: argparse.Namespace) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    cells = len(config.region) - len(config.betas) - len(config.alphas)
+    if limit is not None and cells > limit:
+        print(f"error: {cells} cells exceeds the brute-force limit {limit}", file=sys.stderr)
+        return 2
     start = time.monotonic()
     try:
-        if args.engine == "dp":
-            count = count_tilings_dp(_residual(config))
-        elif args.engine == "brute":
-            residual = _residual(config)
-            if len(residual) > limit:
-                print(
-                    f"error: {len(residual)} cells exceeds the brute-force limit {limit}",
-                    file=sys.stderr,
-                )
-                return 2
-            count = count_matchings_brute(build_dual(residual))
-        elif args.engine == "formula":
-            count = _formula_count(config)
-        else:
-            count = _pfaffian_count(config)
-    except (EngineInapplicable, CondensationInapplicableError) as exc:
+        count = count_configuration(config, args.engine)
+    except (OutOfScopeConfigurationError, CondensationInapplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     millis = int((time.monotonic() - start) * 1000)
@@ -510,7 +440,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         if args.max_a < 1:
             raise SpecError(f"--max-a {args.max_a}: need at least 1")
-        if args.max_b < args.max_a:
+        if args.suite in ("formulas", "mt") and args.max_b < args.max_a:
             raise SpecError(f"--max-b {args.max_b}: need at least --max-a {args.max_a}")
         if args.trials < 1:
             raise SpecError(f"--trials {args.trials}: need at least 1")
@@ -537,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count tilings of a region spec")
     p_count.add_argument("spec")
-    p_count.add_argument("--engine", choices=("dp", "brute", "formula", "pfaffian"), default="dp")
+    p_count.add_argument("--engine", choices=ENGINES, default="dp")
     p_count.add_argument("--format", choices=("dec", "json"), default="dec")
     p_count.set_defaults(func=cmd_count)
 

@@ -14,12 +14,14 @@ that drives its induction.
 The defect counters specialize condensation to Aztec rectangles.  The
 three-sided count is one Pfaffian whose host is the gamma-augmented rectangle,
 with tiling count the pure power of two, and every entry collapses to a closed
-form from the formulas module (entries can alternatively be sourced from the
-DP engine to separate formula bugs from condensation bugs).  At k = b - a = 0
-the host is AD(a) itself and alphas may sit on both black sides, so the
-diamond counter is that count; the four-sided count nests three-sided counts
-as the entries of an outer Pfaffian.  Defects are put in boundary order by
-``geometry.perimeter_index``.
+form from the formulas module.  Alphas sit on one black side, SW ones reflected
+onto NE; at k = b - a = 0 the host is AD(a) itself and alphas may sit on both
+black sides, so the diamond counter is that count.  The four-sided count nests
+three-sided counts as the entries of an outer Pfaffian.  Defects are put in
+boundary order by ``geometry.perimeter_index``.
+
+``count_configuration`` picks the counter for a configuration: the DP sweep,
+the brute-force oracle, a closed form, or the Pfaffian counters.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
 ``InternalInconsistencyError`` unless a unit-weight quotient is a nonnegative
@@ -37,6 +39,7 @@ from .counting import CountValue, count_matchings_brute, count_tilings_dp
 from .dualgraph import (
     DualGraph,
     boundary_cycle,
+    build_dual,
     induced_subgraph,
     symmetric_difference,
 )
@@ -45,6 +48,7 @@ from .errors import (
     InternalInconsistencyError,
     InvalidConfigurationError,
     InvalidOrderError,
+    InvalidParameterError,
     OutOfScopeConfigurationError,
 )
 from .exactalg import pfaffian
@@ -52,13 +56,15 @@ from .formulas import (
     count_ad_adjacent_defects,
     count_ar_gamma_nw_defect,
     count_ar_gamma_se_defect,
+    count_ar_kept_se,
+    count_ar_se_block_nw_defect,
+    count_ar_se_nw_defects,
+    count_aztec_diamond,
 )
 from .geometry import (
     Cell,
     DefectSpec,
     Region,
-    add_gamma_squares,
-    boundary_cell,
     is_white,
     make_aztec_rectangle,
     perimeter_index,
@@ -69,6 +75,7 @@ T = TypeVar("T")
 
 KUO_SURPLUS = {"AABB": 0, "AAAA": 2, "ABAB": 0, "AAAB": 1}  # #A - #B each pattern needs
 KUO_PATTERNS = tuple(KUO_SURPLUS)
+ENGINES = ("dp", "brute", "formula", "pfaffian")  # the counters count_configuration picks from
 
 
 def _graph_count(graph: DualGraph) -> CountValue:
@@ -320,54 +327,45 @@ def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
     return count_ar_gamma_nw_defect(a, k - p + 1, pos - p + 1)
 
 
-def _three_sided_count(config: DefectConfiguration, entry_source: str) -> int:
-    """Pfaffian count assuming alphas confined to the NE side when k > 0."""
+def _three_sided_count(config: DefectConfiguration) -> int:
+    """Pfaffian count assuming, when k > 0, alphas on one black side."""
     a, b, k = config.sizes()
+    if k and any(d.side == "SW" for d in config.alphas):
+        config = mirror_configuration(config)
     gammas = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1))
     deltas = sorted(
         config.betas + config.alphas + gammas, key=lambda d: perimeter_index(a, b, d)
     )
-    if entry_source == "engine":
-        host = add_gamma_squares(config.base_region(), k, 1)
-        cell_of = {d: boundary_cell(host, d) for d in deltas}
-
-    def entry(x: DefectSpec, y: DefectSpec) -> int:
-        if entry_source == "engine":
-            return count_tilings_dp(Region.from_cells(host.cells - {cell_of[x], cell_of[y]}))
-        return _three_sided_entry(a, k, x, y)
-
     return _pfaffian_quotient(
-        deltas, entry, 2 ** (a * (a + 1) // 2), len(config.alphas) + k - 1, "three-sided count"
+        deltas,
+        lambda x, y: _three_sided_entry(a, k, x, y),
+        2 ** (a * (a + 1) // 2),
+        len(config.alphas) + k - 1,
+        "three-sided count",
     )
 
 
-def count_defects_three_sided(
-    config: DefectConfiguration, entry_source: str = "formula"
-) -> int:
-    """Tilings of AR(a, b) minus its beta and alpha defects, no alpha on SW if a < b.
+def count_defects_three_sided(config: DefectConfiguration) -> int:
+    """Tilings of AR(a, b) minus its beta and alpha defects, alphas on one black side.
 
     Assembles the (2n+2k) x (2n+2k) Pfaffian over betas, alphas and the k
     gamma squares in boundary-cyclic order, with closed-form entries, and
-    divides by the augmented rectangle's count to the power n + k - 1.  At
-    k = 0 the host is AD(a) itself and alphas may sit on either black side.
+    divides by the augmented rectangle's count to the power n + k - 1.  SW
+    alphas are reflected onto the NE side; at k = 0 the host is AD(a) itself
+    and alphas may sit on both black sides.
     """
-    if entry_source not in ("formula", "engine"):
-        raise InvalidConfigurationError(f"unknown entry source {entry_source!r}")
     config.validate()
-    if config.sizes()[2] and any(d.side == "SW" for d in config.alphas):
-        raise OutOfScopeConfigurationError("alpha defects on the SW side need a = b")
-    return _three_sided_count(config, entry_source)
+    if config.sizes()[2] and {d.side for d in config.alphas} == {"NE", "SW"}:
+        raise OutOfScopeConfigurationError("alpha defects on both the NE and SW sides need a = b")
+    return _three_sided_count(config)
 
 
-def count_defects_four_sided(
-    config: DefectConfiguration, entry_source: str = "formula"
-) -> int:
+def count_defects_four_sided(config: DefectConfiguration) -> int:
     """Tilings of AR(a, b) minus defects on arbitrary sides (nested Pfaffians).
 
     Splits off k of the betas to form a balanced sub-rectangle G, then runs
     condensation over the remaining n betas and n alphas; every entry is
-    itself a three-sided Pfaffian count.  Alphas on the SW side are handled
-    by reflecting the configuration into the NE-canonical frame.
+    itself a three-sided Pfaffian count with at most one alpha.
     """
     config.validate()
     a, b, k = config.sizes()
@@ -378,10 +376,7 @@ def count_defects_four_sided(
     betas_sorted = sorted(config.betas, key=order)
 
     def three_sided(betas: tuple[DefectSpec, ...], alphas: tuple[DefectSpec, ...]) -> int:
-        sub = DefectConfiguration(config.region, betas, alphas)
-        if any(d.side == "SW" for d in alphas):
-            sub = mirror_configuration(sub)
-        return _three_sided_count(sub, entry_source)
+        return _three_sided_count(DefectConfiguration(config.region, betas, alphas))
 
     chosen = None
     for s in itertools.combinations(betas_sorted, k):
@@ -404,8 +399,7 @@ def count_defects_four_sided(
 
 
 def count_diamond_defects(
-    a: int, betas: Sequence[DefectSpec], alphas: Sequence[DefectSpec],
-    entry_source: str = "formula",
+    a: int, betas: Sequence[DefectSpec], alphas: Sequence[DefectSpec]
 ) -> int:
     """Tilings of AD(a) minus n beta and n alpha boundary defects.
 
@@ -415,7 +409,7 @@ def count_diamond_defects(
     n - 1.
     """
     config = DefectConfiguration(make_aztec_rectangle(a, a), tuple(betas), tuple(alphas))
-    return count_defects_three_sided(config, entry_source)
+    return count_defects_three_sided(config)
 
 
 def diamond_normal_form(a: int, beta: DefectSpec, alpha: DefectSpec) -> tuple[int, int]:
@@ -431,3 +425,62 @@ def diamond_normal_form(a: int, beta: DefectSpec, alpha: DefectSpec) -> tuple[in
     if (beta.side == "NW") != (alpha.side == "SW"):
         j = a - j + 1
     return i, j
+
+
+def _formula_count(config: DefectConfiguration) -> int:
+    """Closed-form count of a colour-balanced configuration in a recognized family."""
+    a, b, k = config.sizes()
+    gammas = config.region.meta.gammas
+    removed = sorted((d.side, d.position) for d in config.betas + config.alphas)
+    if gammas:
+        if not removed and gammas == tuple(range(1, k + 1)):
+            return count_aztec_diamond(a)
+        raise OutOfScopeConfigurationError("no closed form for this augmented family")
+    if not removed:
+        return count_aztec_diamond(a)  # balance forces a = b
+    sides = {s for s, _ in removed}
+    if sides == {"SE"}:
+        # colour balance guarantees exactly a kept positions
+        kept = [p for p in range(1, b + 1) if ("SE", p) not in removed]
+        return count_ar_kept_se(a, b, kept)
+    if k == 0 and len(config.betas) == 1 and len(config.alphas) == 1:
+        return count_ad_adjacent_defects(a, *diamond_normal_form(a, config.betas[0], config.alphas[0]))
+    if sides == {"SE", "NW"}:
+        se = sorted(p for s, p in removed if s == "SE")
+        nw = [p for s, p in removed if s == "NW"]
+        if k == 2 and len(se) == 1 and len(nw) == 1:
+            return count_ar_se_nw_defects(a, se[0], nw[0])
+        if len(nw) == 1 and se == list(range(2, k + 1)):
+            return count_ar_se_block_nw_defect(a, k, nw[0])
+    raise OutOfScopeConfigurationError("no closed form for this family")
+
+
+def count_configuration(config: DefectConfiguration, engine: str = "dp") -> int:
+    """Tilings of the configuration's region minus its defects, by one engine.
+
+    ``dp`` (the sweep) and ``brute`` (the matching oracle, exponential) count
+    any configuration.  ``formula`` covers the closed-form families and
+    ``pfaffian`` plain AD/AR regions, choosing the three- or four-sided count;
+    both give 0 when the colours do not balance and raise
+    ``OutOfScopeConfigurationError`` outside their families.  ``pfaffian``
+    raises ``CondensationInapplicableError`` when no balanced sub-rectangle has
+    a tiling.
+    """
+    if engine not in ENGINES:
+        raise InvalidParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    if engine in ("dp", "brute"):
+        residual = remove_defects(config.region, config.betas + config.alphas)
+        if engine == "dp":
+            return count_tilings_dp(residual)
+        return count_matchings_brute(build_dual(residual))
+    _, _, k = config.sizes()
+    if engine == "pfaffian" and config.region.meta.gammas:
+        raise OutOfScopeConfigurationError("pfaffian engine works on plain AD/AR specs")
+    # AR(a, b) has b - a more white cells than black, and each gamma square one more black
+    if len(config.betas) - len(config.alphas) != k - len(config.region.meta.gammas):
+        return 0
+    if engine == "formula":
+        return _formula_count(config)
+    if k == 0 or len({d.side for d in config.alphas}) < 2:
+        return count_defects_three_sided(config)
+    return count_defects_four_sided(config)

@@ -42,7 +42,7 @@ class InvalidConfigurationError(AztecError, ValueError):
 
 
 class OutOfScopeConfigurationError(AztecError, ValueError):
-    """The configuration lies outside the supported three-sided family."""
+    """The configuration lies outside the families an engine supports."""
 
 
 class InternalInconsistencyError(AztecError, AssertionError):

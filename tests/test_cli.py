@@ -133,6 +133,15 @@ def test_malformed_cell_limit_exit_1(capsys, monkeypatch):
 def test_formula_unrecognized_exit_2(capsys):
     code, _, err = run_cli(capsys, "count", "AD n=3 remove=SE:1,SE:2,NE:1,NE:2", "--engine", "formula")
     assert code == 2
+    for spec in (
+        "AR a=2 b=4 remove=SE:1,SE:3,NW:2,SW:2",  # SW-only alphas
+        "AR a=2 b=3 remove=SE:1,NW:2,SE:3,NE:1,SW:2",  # NE and SW alphas
+        "AD n=3 remove=SE:1,NW:3,SW:2,NE:3",  # diamond, two pairs, one alpha on SW
+        "AR a=2 b=4 gamma=2 remove=SE:3,NE:1",  # gamma host with defects
+    ):
+        code, out, err = run_cli(capsys, "count", spec, "--engine", "formula")
+        assert (code, out) == (2, ""), spec
+        assert err.startswith("error: no closed form"), spec
 
 
 def test_pfaffian_gamma_spec_exit_2(capsys):
@@ -140,6 +149,11 @@ def test_pfaffian_gamma_spec_exit_2(capsys):
         capsys, "count", "AR a=2 b=4 gamma=2 remove=SE:3,NE:1", "--engine", "pfaffian"
     )
     assert code == 2
+    # gammas are refused before the colour-balance zero
+    for spec in ("AR a=2 b=4 gamma=2", "AR a=2 b=4 gamma=1"):
+        code, out, err = run_cli(capsys, "count", spec, "--engine", "pfaffian")
+        assert (code, out) == (2, ""), spec
+        assert err == "error: pfaffian engine works on plain AD/AR specs\n"
 
 
 def test_render_diamond_order_one(capsys):
@@ -219,6 +233,14 @@ def test_verify_rejects_empty_ranges_exit_1(capsys, argv, flag):
     assert err.startswith("error: ") and flag in err
 
 
+@pytest.mark.parametrize("suite", ["kuo", "ciucu"])
+def test_verify_ignores_max_b_where_unused(capsys, suite):
+    # kuo and ciucu never read --max-b, so its default of 5 does not bound --max-a
+    code, out, err = run_cli(capsys, "verify", suite, "--max-a", "6", "--trials", "5")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"suite={suite} ") and "failures=0" in out
+
+
 def test_verify_transcript_deterministic(capsys):
     args = ("verify", "mt", "--trials", "15", "--seed", "9")
     first = run_cli(capsys, *args)
@@ -234,6 +256,11 @@ def test_verify_transcript_deterministic(capsys):
         ("AR a=2 b=4 remove=SE:2,SE:3,NW:1,NE:2", ("dp", "brute", "pfaffian")),
         ("AD n=2 remove=NW:1,SW:2", ("dp", "brute", "formula", "pfaffian")),
         ("AR a=2 b=3 remove=SE:1,NW:3,SW:1", ("dp", "brute", "pfaffian")),
+        ("AR a=2 b=4 remove=SE:1", ("dp", "brute", "formula", "pfaffian")),  # unbalanced: 0
+        ("AR a=2 b=4 gamma=2", ("dp", "brute", "formula")),
+        ("AR a=2 b=4 remove=SE:1,SE:3,NW:2,SW:2", ("dp", "brute", "pfaffian")),
+        ("AR a=2 b=3 remove=SE:1,NW:2,SE:3,NE:1,SW:2", ("dp", "brute", "pfaffian")),
+        ("AD n=3 remove=SE:1,NW:3,SW:2,NE:3", ("dp", "brute", "pfaffian")),
     ],
 )
 def test_applicable_engines_agree(capsys, spec, engines):

@@ -1,22 +1,27 @@
 """Condensation identities and the Pfaffian defect counters."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from aztec_tilings import (
+    ENGINES,
     Cell,
     DefectConfiguration,
     DefectSpec,
     Region,
     add_gamma_squares,
+    boundary_cell,
     boundary_cycle,
     build_dual,
     check_face_alternating_identity,
     check_kuo_identity,
     condensation_count,
     condensation_count_symdiff,
+    count_configuration,
     count_defects_four_sided,
     count_ad_adjacent_defects,
     count_defects_three_sided,
@@ -32,6 +37,7 @@ from aztec_tilings import (
     symmetric_difference,
     with_edge_weights,
 )
+from aztec_tilings import condensation
 from aztec_tilings.condensation import _pfaffian_quotient, diamond_normal_form
 from aztec_tilings.errors import (
     CondensationInapplicableError,
@@ -39,6 +45,7 @@ from aztec_tilings.errors import (
     InvalidConfigurationError,
     InvalidDefectError,
     InvalidOrderError,
+    InvalidParameterError,
     OutOfScopeConfigurationError,
 )
 
@@ -236,7 +243,6 @@ def test_three_sided_matches_engine_anchor():
     cfg = _config(2, 3, [("SE", 3), ("NW", 1)], [("NE", 2)])
     want = count_tilings_dp(cfg.target_region())
     assert count_defects_three_sided(cfg) == want
-    assert count_defects_three_sided(cfg, entry_source="engine") == want
 
 
 def test_three_sided_accepts_augmented_region():
@@ -264,9 +270,25 @@ def test_validate_rejects_duplicate_and_out_of_range_defects(gammas):
 
 
 def test_three_sided_rejects_sw_alpha():
+    # SW-only alphas are reflected onto NE; alphas on both black sides need a = b
     cfg = _config(2, 3, [("SE", 1), ("NW", 2)], [("SW", 1)])
+    assert count_defects_three_sided(cfg) == count_tilings_dp(cfg.target_region())
+    cfg = _config(2, 3, [("SE", 1), ("NW", 2), ("SE", 3)], [("NE", 1), ("SW", 2)])
     with pytest.raises(OutOfScopeConfigurationError):
         count_defects_three_sided(cfg)
+
+
+def test_three_sided_entries_match_engine():
+    # every Pfaffian entry is the engine count of the gamma host minus two cells
+    for a in range(1, 5):
+        for k in range(4):
+            host = add_gamma_squares(make_aztec_rectangle(a, a + k), k, 1)
+            deltas = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, a + k + 1)]
+            deltas += [DefectSpec(s, p) for s in ("NE", "SW")[: 1 if k else 2] for p in range(1, a + 1)]
+            deltas += [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
+            for x, y in itertools.combinations(deltas, 2):
+                want = direct_count(host, (boundary_cell(host, x), boundary_cell(host, y)))
+                assert condensation._three_sided_entry(a, k, x, y) == want, (a, k, x, y)
 
 
 def test_three_sided_rejects_unbalanced():
@@ -307,7 +329,7 @@ def test_diamond_engine_entries_with_sw_alpha():
     betas = (DefectSpec("SE", 1), DefectSpec("NW", 3))
     alphas = (DefectSpec("SW", 2), DefectSpec("NE", 3))
     want = count_tilings_dp(remove_defects(make_aztec_diamond(3), betas + alphas))
-    assert count_diamond_defects(3, betas, alphas, entry_source="engine") == want
+    assert count_diamond_defects(3, betas, alphas) == want
 
 
 def test_four_sided_degenerate_equals_three_sided():
@@ -358,3 +380,30 @@ def test_diamond_counter_rotation_invariance():
         bet = tuple(DefectSpec(*rot(d.side, d.position, mapping)) for d in betas)
         alp = tuple(DefectSpec(*rot(d.side, d.position, mapping)) for d in alphas)
         assert count_diamond_defects(a, bet, alp) == base
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 3), st.data())
+def test_count_configuration_engines_agree(a, k, data):
+    b = a + k
+    whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
+    blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
+    n = data.draw(st.integers(0, min(3, a)))
+    alphas = data.draw(st.lists(st.sampled_from(blacks), min_size=n, max_size=n, unique=True))
+    betas = data.draw(st.lists(st.sampled_from(whites), min_size=n + k, max_size=n + k, unique=True))
+    cfg = DefectConfiguration(make_aztec_rectangle(a, b), tuple(betas), tuple(alphas))
+    cells = len(cfg.region) - len(betas) - len(alphas)
+    counts = {}
+    for engine in ENGINES:
+        if engine == "brute" and cells > 30:
+            continue
+        try:
+            counts[engine] = count_configuration(cfg, engine)
+        except OutOfScopeConfigurationError:
+            assert engine == "formula"
+    assert len(set(counts.values())) == 1, counts
+
+
+def test_count_configuration_rejects_unknown_engine():
+    with pytest.raises(InvalidParameterError):
+        count_configuration(_config(1, 1, [], []), "kasteleyn")
