@@ -280,7 +280,7 @@ def test_three_sided_rejects_sw_alpha():
 
 def test_three_sided_entries_match_engine():
     # every Pfaffian entry is the engine count of the gamma host minus two cells
-    for a in range(1, 5):
+    for a in range(1, 6):
         for k in range(4):
             host = add_gamma_squares(make_aztec_rectangle(a, a + k), k, 1)
             deltas = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, a + k + 1)]
