@@ -15,14 +15,13 @@ from .condensation import (
     count_defects_three_sided,
     count_diamond_defects,
 )
-from .counting import CountValue, count_matchings_brute, count_matchings_weighted, count_tilings_dp
+from .counting import count_matchings_brute, count_tilings_dp
 from .dualgraph import (
     DualGraph,
     boundary_cycle,
     build_dual,
     delete_vertices,
     symmetric_difference,
-    with_edge_weights,
 )
 from .exactalg import determinant, pfaffian, pfaffian_expand_first_row
 from .formulas import (
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Cell",
-    "CountValue",
     "DefectConfiguration",
     "DefectSpec",
     "DualGraph",
@@ -85,7 +83,6 @@ __all__ = [
     "count_defects_three_sided",
     "count_diamond_defects",
     "count_matchings_brute",
-    "count_matchings_weighted",
     "count_tilings_dp",
     "delete_vertices",
     "determinant",
@@ -98,5 +95,4 @@ __all__ = [
     "pfaffian_expand_first_row",
     "remove_defects",
     "symmetric_difference",
-    "with_edge_weights",
 ]

@@ -150,9 +150,12 @@ def parse_region_spec(text: str) -> DefectConfiguration:
 def _cell_limit() -> int:
     raw = os.environ.get("AZTEC_ORACLE_CELL_LIMIT", "")
     try:
-        return int(raw) if raw else DEFAULT_CELL_LIMIT
+        limit = int(raw) if raw else DEFAULT_CELL_LIMIT
+        if limit < 0:
+            raise ValueError
     except ValueError:
-        raise SpecError(f"AZTEC_ORACLE_CELL_LIMIT={raw!r} is not an integer") from None
+        raise SpecError(f"AZTEC_ORACLE_CELL_LIMIT={raw!r} is not a nonnegative integer") from None
+    return limit
 
 
 def cmd_count(args: argparse.Namespace) -> int:

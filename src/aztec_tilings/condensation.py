@@ -24,8 +24,7 @@ boundary order by ``geometry.perimeter_index``.
 the brute-force oracle, a closed form, or the Pfaffian counters.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
-``InternalInconsistencyError`` unless a unit-weight quotient is a nonnegative
-integer; weighted quotients keep their sign.
+``InternalInconsistencyError`` unless the quotient is a nonnegative integer.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .counting import CountValue, count_matchings_brute, count_tilings_dp
+from .counting import count_matchings_brute, count_tilings_dp
 from .dualgraph import (
     DualGraph,
     boundary_cycle,
@@ -78,9 +77,7 @@ KUO_PATTERNS = tuple(KUO_SURPLUS)
 ENGINES = ("dp", "brute", "formula", "pfaffian")  # the counters count_configuration picks from
 
 
-def _graph_count(graph: DualGraph) -> CountValue:
-    if graph.weights is not None:
-        return count_matchings_brute(graph)
+def _graph_count(graph: DualGraph) -> int:
     return count_tilings_dp(Region.from_cells(graph.cells))
 
 
@@ -102,24 +99,20 @@ def _validate_cyclic(cycle: Sequence[Cell], chosen: Sequence[Cell]) -> None:
 
 
 def _pfaffian_quotient(
-    labels: Sequence[T], entry: Callable[[T, T], CountValue], divisor: CountValue,
-    power: int, what: str,
-) -> CountValue:
+    labels: Sequence[T], entry: Callable[[T, T], int], divisor: int, power: int, what: str
+) -> int:
     """Pf[(entry(x, y))] / divisor^power over labels in cyclic order.
 
-    An int divisor means unit weights, so the quotient must be a nonnegative
-    integer; a Fraction divisor means edge weights, and the quotient keeps its sign.
+    The quotient is a tiling count, so it must be a nonnegative integer.
     """
     m = len(labels)
-    matrix: list[list[CountValue]] = [[0] * m for _ in range(m)]
+    matrix = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
             matrix[i][j] = entry(labels[i], labels[j])
             matrix[j][i] = -matrix[i][j]
     pf = pfaffian(matrix)
     value = pf / Fraction(divisor) ** power
-    if isinstance(divisor, Fraction):
-        return value
     if value.denominator != 1:
         raise InternalInconsistencyError(f"{what}: Pfaffian {pf} not divisible by {divisor}^{power}")
     if value < 0:
@@ -127,14 +120,14 @@ def _pfaffian_quotient(
     return int(value)
 
 
-def condensation_count(graph: DualGraph, face_vertices: Sequence[Cell]) -> CountValue:
+def condensation_count(graph: DualGraph, face_vertices: Sequence[Cell]) -> int:
     """Count M(G minus the 2k face vertices) through the Pfaffian quotient."""
     return condensation_count_symdiff(graph, graph.cells, face_vertices)
 
 
 def condensation_count_symdiff(
     host: DualGraph, base_vertices: Iterable[Cell], face_vertices: Sequence[Cell]
-) -> CountValue:
+) -> int:
     """Count M(G + {a_1..a_2k}) where G is induced on base_vertices and + toggles."""
     if len(face_vertices) % 2 == 1:
         raise InvalidOrderError("need an even number of face vertices")
@@ -173,7 +166,7 @@ def check_face_alternating_identity(
     _validate_cyclic(boundary_cycle(host.cells), verts)
     all_set = set(verts)
 
-    def m_of(toggle: set[Cell]) -> CountValue:
+    def m_of(toggle: set[Cell]) -> int:
         return _graph_count(symmetric_difference(host, base_set, toggle))
 
     k = len(verts) // 2
@@ -181,7 +174,7 @@ def check_face_alternating_identity(
     for l in range(2, k + 1):
         pair = {verts[0], verts[2 * l - 2]}
         lhs += m_of(pair) * m_of(all_set - pair)
-    rhs: CountValue = 0
+    rhs = 0
     for l in range(1, k + 1):
         pair = {verts[0], verts[2 * l - 1]}
         rhs += m_of(pair) * m_of(all_set - pair)
@@ -216,7 +209,7 @@ def check_kuo_identity(
         )
     cells = set(graph.cells)
 
-    def m_minus(*gone: Cell) -> CountValue:
+    def m_minus(*gone: Cell) -> int:
         return _graph_count(induced_subgraph(graph, cells - set(gone)))
 
     if pattern == "AABB":
@@ -308,7 +301,6 @@ def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
     forced staircase strips, to the two-defect diamond and one-defect
     rectangle families.
     """
-    base = 2 ** (a * (a + 1) // 2)
     if (d1.kind == "beta") == (d2.kind == "beta"):
         return 0
     if d1.kind != "beta":
@@ -321,8 +313,6 @@ def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
     if pos < p:
         return 0
     if side == "SE":
-        if pos <= k:
-            return base
         return count_ar_gamma_se_defect(a, k - p + 1, pos - p + 1)
     return count_ar_gamma_nw_defect(a, k - p + 1, pos - p + 1)
 

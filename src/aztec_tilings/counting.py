@@ -12,32 +12,22 @@ Both use exact arithmetic only.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .dualgraph import DualGraph
-from .errors import InvalidParameterError
 from .geometry import Region
 
-CountValue = int | Fraction
 
-
-def count_matchings_brute(graph: DualGraph) -> CountValue:
-    """Sum over perfect matchings of the product of edge weights.
+def count_matchings_brute(graph: DualGraph) -> int:
+    """Number of perfect matchings of the graph.
 
     Returns 1 for the empty graph and 0 when no perfect matching exists
-    (in particular for odd vertex counts).  The value is an int for unit
-    weights and a Fraction otherwise.
+    (in particular for odd vertex counts).
     """
     n = len(graph.cells)
-    if n == 0:
-        return 1 if graph.weights is None else Fraction(1)
     adj_bits = [0] * n
     for i, j in graph.edges:
         adj_bits[i] |= 1 << j
         adj_bits[j] |= 1 << i
-    weighted = graph.weights is not None
-    one = Fraction(1) if weighted else 1
-    memo: dict[int, CountValue] = {0: one}
+    memo: dict[int, int] = {0: 1}
 
     def component(mask: int, seed: int) -> int:
         comp = 0
@@ -51,7 +41,7 @@ def count_matchings_brute(graph: DualGraph) -> CountValue:
             stack |= adj_bits[v.bit_length() - 1] & mask & ~comp
         return comp
 
-    def rec(mask: int) -> CountValue:
+    def rec(mask: int) -> int:
         cached = memo.get(mask)
         if cached is not None:
             return cached
@@ -64,36 +54,24 @@ def count_matchings_brute(graph: DualGraph) -> CountValue:
             total = rec(comp) * rec(mask ^ comp)
             memo[mask] = total
             return total
-        total: CountValue = 0
+        total = 0
         rest = mask & ~(1 << v)
         nbrs = adj_bits[v] & rest
         while nbrs:
             wbit = nbrs & -nbrs
             nbrs ^= wbit
-            w = wbit.bit_length() - 1
-            sub = rec(rest & ~wbit)
-            if sub:
-                total += graph.weight(v, w) * sub if weighted else sub
+            total += rec(rest & ~wbit)
         memo[mask] = total
         return total
 
     return rec((1 << n) - 1)
 
 
-def count_matchings_weighted(graph: DualGraph) -> CountValue:
-    """Weighted matching sum; weights must be positive exact rationals."""
-    if graph.weights is not None:
-        for w in graph.weights.values():
-            if w <= 0:
-                raise InvalidParameterError(f"edge weight {w} is not positive")
-    return count_matchings_brute(graph)
-
-
 def count_tilings_dp(region: Region) -> int:
     """Exact tiling count by a transfer-matrix sweep over diagonal columns.
 
     Handles arbitrary cell sets (holes, gamma bumps) by masking absent cells;
-    agrees with count_matchings_brute on the dual graph for unit weights.
+    agrees with count_matchings_brute on the dual graph.
     """
     cells = region.cells
     if not cells:

@@ -9,8 +9,7 @@ the obvious 4-neighbour embedding; the outer-face walk below relies on that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import (
     InvalidDefectError,
@@ -28,13 +27,6 @@ class DualGraph:
 
     cells: tuple[Cell, ...]
     edges: frozenset[tuple[int, int]]
-    weights: Mapping[tuple[int, int], Fraction] | None = None
-
-    def weight(self, i: int, j: int) -> Fraction:
-        if self.weights is None:
-            return Fraction(1)
-        key = (i, j) if i < j else (j, i)
-        return self.weights.get(key, Fraction(1))
 
 
 def _graph_from_cells(cells: Iterable[Cell]) -> DualGraph:
@@ -51,25 +43,8 @@ def _graph_from_cells(cells: Iterable[Cell]) -> DualGraph:
 
 
 def build_dual(region: Region) -> DualGraph:
-    """Dual graph of a region with unit weights."""
+    """Dual graph of a region."""
     return _graph_from_cells(region.cells)
-
-
-def with_edge_weights(
-    graph: DualGraph, weights: Mapping[frozenset[Cell], Fraction | int]
-) -> DualGraph:
-    """Attach exact rational weights to edges given as cell pairs."""
-    index = {c: i for i, c in enumerate(graph.cells)}
-    table: dict[tuple[int, int], Fraction] = {}
-    for pair, w in weights.items():
-        cells = tuple(pair)
-        if len(cells) != 2 or any(c not in index for c in cells):
-            raise InvalidParameterError(f"{pair} is not an edge of the graph")
-        i, j = sorted(index[c] for c in cells)
-        if (i, j) not in graph.edges:
-            raise InvalidParameterError(f"{pair} is not an edge of the graph")
-        table[(i, j)] = Fraction(w)
-    return DualGraph(graph.cells, graph.edges, table)
 
 
 def delete_vertices(graph: DualGraph, cells: Iterable[Cell]) -> DualGraph:
@@ -100,17 +75,12 @@ def induced_subgraph(host: DualGraph, keep: Iterable[Cell]) -> DualGraph:
     ordered = tuple(sorted(keep, key=lambda c: (c.v, c.u)))
     new_index = {c: i for i, c in enumerate(ordered)}
     edges = set()
-    weights: dict[tuple[int, int], Fraction] = {}
     for i, j in host.edges:
         ci, cj = host.cells[i], host.cells[j]
         if ci in keep and cj in keep:
             p, q = sorted((new_index[ci], new_index[cj]))
             edges.add((p, q))
-            if host.weights is not None:
-                w = host.weights.get((i, j) if i < j else (j, i))
-                if w is not None:
-                    weights[(p, q)] = w
-    return DualGraph(ordered, frozenset(edges), weights if host.weights is not None else None)
+    return DualGraph(ordered, frozenset(edges))
 
 
 def _center(cell: Cell) -> tuple[int, int]:

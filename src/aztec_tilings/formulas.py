@@ -117,9 +117,12 @@ def count_ar_gamma_se_defect(a: int, k: int, j: int) -> int:
 
     For j > k this is the product formula
     2^(a(a+1)/2) C(a+k-1, j-1) C(j-2, k-1) 3F2[1, 1-j, 1-k; 2-j, 1-a-k; 1];
-    for j <= k the defect sits against the gamma string, the whole string is
-    forced and the count collapses to 2^(a(a+1)/2) (oracle-calibrated zone
-    where the product formula does not apply).
+    for j <= k the product formula does not apply and the count is 2^(a(a+1)/2).
+    Gamma t touches only SE cells t-1 and t, so with SE j gone each gamma is
+    forced, working outward from j: onto SE t-1 for t <= j and onto SE t for
+    t > j.  That covers SE 1..k except the removed j, and what is left is
+    AR(a, a+k) minus SE 1..k, whose kept positions k+1..a+k are consecutive,
+    so ``count_ar_kept_se`` gives 2^(a(a+1)/2).
     """
     b = a + k
     if k < 1 or not 1 <= j <= b:

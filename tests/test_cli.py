@@ -123,11 +123,12 @@ def test_brute_cell_limit_exit_2(capsys, monkeypatch):
 
 
 def test_malformed_cell_limit_exit_1(capsys, monkeypatch):
-    monkeypatch.setenv("AZTEC_ORACLE_CELL_LIMIT", "forty")
-    for argv in (("count", "AD n=3", "--engine", "brute"), ("verify", "formulas")):
-        code, out, err = run_cli(capsys, *argv)
-        assert (code, out) == (1, "")
-        assert "AZTEC_ORACLE_CELL_LIMIT" in err
+    for raw in ("forty", "-1"):
+        monkeypatch.setenv("AZTEC_ORACLE_CELL_LIMIT", raw)
+        for argv in (("count", "AD n=3", "--engine", "brute"), ("verify", "formulas")):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (1, ""), (raw, argv)
+            assert "AZTEC_ORACLE_CELL_LIMIT" in err
 
 
 def test_formula_unrecognized_exit_2(capsys):

@@ -2,7 +2,6 @@
 
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,16 +25,11 @@ from aztec_tilings import (
     count_ad_adjacent_defects,
     count_defects_three_sided,
     count_diamond_defects,
-    count_matchings_brute,
-    count_matchings_weighted,
     count_tilings_dp,
-    delete_vertices,
     is_white,
     make_aztec_diamond,
     make_aztec_rectangle,
     remove_defects,
-    symmetric_difference,
-    with_edge_weights,
 )
 from aztec_tilings import condensation
 from aztec_tilings.condensation import _pfaffian_quotient, diamond_normal_form
@@ -96,37 +90,6 @@ def test_condensation_rejects_zero_base():
     cycle = boundary_cycle(region)
     with pytest.raises(CondensationInapplicableError):
         condensation_count(graph, [cycle[0], cycle[1]])
-
-
-def test_condensation_weighted_graph():
-    region = make_aztec_diamond(2)
-    graph = build_dual(region)
-    weights = {}
-    for i, j in sorted(graph.edges)[:5]:
-        weights[frozenset({graph.cells[i], graph.cells[j]})] = Fraction(2)
-    weighted = with_edge_weights(graph, weights)
-    cycle = boundary_cycle(region)
-    verts = [cycle[i] for i in (0, 2, 5, 9)]
-    direct = count_matchings_weighted(delete_vertices(weighted, verts))
-    assert condensation_count(weighted, verts) == direct
-
-
-def test_condensation_keeps_sign_of_weighted_count():
-    region = make_aztec_diamond(2)
-    graph = build_dual(region)
-    i, j = sorted(graph.edges)[0]
-    weighted = with_edge_weights(graph, {frozenset({graph.cells[i], graph.cells[j]}): -1})
-    cycle = boundary_cycle(region)
-    verts = [cycle[1], cycle[2]]
-    direct = count_matchings_brute(delete_vertices(weighted, verts))
-    assert direct == -2
-    assert condensation_count(weighted, verts) == direct
-    # a base without the weighted edge still counts as weighted
-    base = set(graph.cells) - {graph.cells[i], graph.cells[j]}
-    verts = [c for c in cycle if c in (graph.cells[i], graph.cells[j], Cell(1, 2), Cell(0, 3))]
-    direct = count_matchings_brute(symmetric_difference(weighted, base, verts))
-    assert direct == -2
-    assert condensation_count_symdiff(weighted, base, verts) == direct
 
 
 @pytest.mark.parametrize("entry,divisor", [(-1, 1), (1, 2)])

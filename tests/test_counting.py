@@ -1,25 +1,18 @@
 """Engine correctness: brute-force oracle vs transfer-matrix sweep."""
 
-from fractions import Fraction
-
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from aztec_tilings import (
     Cell,
     DefectSpec,
-    DualGraph,
     Region,
     build_dual,
     count_matchings_brute,
-    count_matchings_weighted,
     count_tilings_dp,
     make_aztec_diamond,
     make_aztec_rectangle,
     remove_defects,
-    with_edge_weights,
 )
-from aztec_tilings.errors import InvalidParameterError
 
 
 def test_empty_graph_counts_one():
@@ -29,6 +22,8 @@ def test_empty_graph_counts_one():
 
 def test_brute_diamond_of_order_two():
     assert count_matchings_brute(build_dual(make_aztec_diamond(2))) == 8
+    assert count_matchings_brute(build_dual(make_aztec_diamond(1))) == 2
+    assert count_matchings_brute(build_dual(Region.from_cells([Cell(0, 1), Cell(1, 2)]))) == 1
 
 
 def test_two_by_three_block():
@@ -85,31 +80,3 @@ def test_no_negative_counts_after_deletion(cells):
     assert value >= 0
     assert count_matchings_brute(build_dual(region)) == value
 
-
-def _cycle4() -> DualGraph:
-    return build_dual(make_aztec_diamond(1))
-
-
-def test_weighted_single_edge():
-    graph = build_dual(Region.from_cells([Cell(0, 1), Cell(1, 2)]))
-    weighted = with_edge_weights(graph, {frozenset({Cell(0, 1), Cell(1, 2)}): Fraction(3, 2)})
-    assert count_matchings_weighted(weighted) == Fraction(3, 2)
-
-
-def test_weighted_four_cycle():
-    graph = _cycle4()
-    assert count_matchings_weighted(graph) == 2
-    # weights 1,2,3,4 in cyclic order: the two matchings weigh 1*3 and 2*4
-    cyc = [Cell(0, 1), Cell(1, 2), Cell(2, 1), Cell(1, 0)]
-    weights = {
-        frozenset({cyc[i], cyc[(i + 1) % 4]}): Fraction(i + 1) for i in range(4)
-    }
-    weighted = with_edge_weights(graph, weights)
-    assert count_matchings_weighted(weighted) == 11
-
-
-def test_weighted_rejects_nonpositive():
-    graph = _cycle4()
-    weighted = with_edge_weights(graph, {frozenset({Cell(0, 1), Cell(1, 2)}): Fraction(-1)})
-    with pytest.raises(InvalidParameterError):
-        count_matchings_weighted(weighted)
