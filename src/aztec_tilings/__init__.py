@@ -4,7 +4,6 @@ independent counting engines that cross-validate every formula."""
 
 from .condensation import (
     ENGINES,
-    KUO_PATTERNS,
     DefectConfiguration,
     check_face_alternating_identity,
     check_kuo_identity,
@@ -16,13 +15,7 @@ from .condensation import (
     count_diamond_defects,
 )
 from .counting import count_matchings_brute, count_tilings_dp
-from .dualgraph import (
-    DualGraph,
-    boundary_cycle,
-    build_dual,
-    delete_vertices,
-    symmetric_difference,
-)
+from .dualgraph import boundary_cycle
 from .exactalg import determinant, pfaffian, pfaffian_expand_first_row
 from .formulas import (
     binomial_ext,
@@ -56,15 +49,12 @@ __all__ = [
     "Cell",
     "DefectConfiguration",
     "DefectSpec",
-    "DualGraph",
     "ENGINES",
-    "KUO_PATTERNS",
     "Region",
     "add_gamma_squares",
     "binomial_ext",
     "boundary_cell",
     "boundary_cycle",
-    "build_dual",
     "check_face_alternating_identity",
     "check_kuo_identity",
     "condensation_count",
@@ -84,7 +74,6 @@ __all__ = [
     "count_diamond_defects",
     "count_matchings_brute",
     "count_tilings_dp",
-    "delete_vertices",
     "determinant",
     "hyp_terminating",
     "is_black",
@@ -94,5 +83,4 @@ __all__ = [
     "pfaffian",
     "pfaffian_expand_first_row",
     "remove_defects",
-    "symmetric_difference",
 ]

@@ -1,15 +1,19 @@
 """Pfaffian graphical condensation and the boundary-defect counters.
 
-``condensation_count`` implements the classical identity: for vertices
-a_1..a_2k in cyclic order on a face of a planar graph G with M(G) != 0,
+A graph G here is a set of cells: its vertices are the cells and its edges
+the domino slots between them, and M(G) is its tiling count, taken by
+``count_tilings_dp``.  ``condensation_count`` implements the classical
+identity: for cells a_1..a_2k in cyclic order on the outer face of a region G
+with M(G) != 0,
 
     M(G - {a_1..a_2k}) = Pf[(M(G - {a_i, a_j}))] / M(G)^(k-1).
 
 ``condensation_count_symdiff`` is the symmetric-difference generalization to
-an induced subgraph G of a host H (entries M(G + {a_i, a_j}) with + meaning
-toggle against H; G = H gives ``condensation_count``), and
-``check_face_alternating_identity`` verifies the alternating-product identity
-that drives its induction.
+a base set G of a host region H, with the a_i on the outer face of H and
+entries M(G + {a_i, a_j}), + meaning toggle (G = H gives
+``condensation_count``); ``check_face_alternating_identity`` verifies the
+alternating-product identity that drives its induction, and
+``check_kuo_identity`` the four local three-product identities.
 
 The defect counters specialize condensation to Aztec rectangles.  The
 three-sided count is one Pfaffian whose host is the gamma-augmented rectangle,
@@ -35,13 +39,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .counting import count_matchings_brute, count_tilings_dp
-from .dualgraph import (
-    DualGraph,
-    boundary_cycle,
-    build_dual,
-    induced_subgraph,
-    symmetric_difference,
-)
+from .dualgraph import boundary_cycle
 from .errors import (
     CondensationInapplicableError,
     InternalInconsistencyError,
@@ -73,12 +71,18 @@ from .geometry import (
 T = TypeVar("T")
 
 KUO_SURPLUS = {"AABB": 0, "AAAA": 2, "ABAB": 0, "AAAB": 1}  # #A - #B each pattern needs
-KUO_PATTERNS = tuple(KUO_SURPLUS)
 ENGINES = ("dp", "brute", "formula", "pfaffian")  # the counters count_configuration picks from
 
 
-def _graph_count(graph: DualGraph) -> int:
-    return count_tilings_dp(Region.from_cells(graph.cells))
+def _cells_count(cells: Iterable[Cell]) -> int:
+    return count_tilings_dp(Region.from_cells(cells))
+
+
+def _base_in_host(host: Region, base_vertices: Iterable[Cell]) -> set[Cell]:
+    base = set(base_vertices)
+    if not base <= host.cells:
+        raise InvalidParameterError(f"cells not in host: {sorted(base - host.cells)}")
+    return base
 
 
 def _validate_cyclic(cycle: Sequence[Cell], chosen: Sequence[Cell]) -> None:
@@ -120,26 +124,28 @@ def _pfaffian_quotient(
     return int(value)
 
 
-def condensation_count(graph: DualGraph, face_vertices: Sequence[Cell]) -> int:
+def condensation_count(region: Region, face_vertices: Sequence[Cell]) -> int:
     """Count M(G minus the 2k face vertices) through the Pfaffian quotient."""
-    return condensation_count_symdiff(graph, graph.cells, face_vertices)
+    return condensation_count_symdiff(region, region.cells, face_vertices)
 
 
 def condensation_count_symdiff(
-    host: DualGraph, base_vertices: Iterable[Cell], face_vertices: Sequence[Cell]
+    host: Region, base_vertices: Iterable[Cell], face_vertices: Sequence[Cell]
 ) -> int:
-    """Count M(G + {a_1..a_2k}) where G is induced on base_vertices and + toggles."""
+    """Count M(G + {a_1..a_2k}) where G is the host's base_vertices and + toggles.
+
+    Raises ``InvalidParameterError`` when a base vertex lies outside the host.
+    """
     if len(face_vertices) % 2 == 1:
         raise InvalidOrderError("need an even number of face vertices")
-    base_set = set(base_vertices)
-    _validate_cyclic(boundary_cycle(host.cells), face_vertices)
-    base_graph = induced_subgraph(host, base_set)
-    base_count = _graph_count(base_graph)
+    base = _base_in_host(host, base_vertices)
+    _validate_cyclic(boundary_cycle(host), face_vertices)
+    base_count = _cells_count(base)
     if base_count == 0:
         raise CondensationInapplicableError("M(G) = 0")
     return _pfaffian_quotient(
         face_vertices,
-        lambda x, y: _graph_count(symmetric_difference(host, base_set, {x, y})),
+        lambda x, y: _cells_count(base ^ {x, y}),
         base_count,
         len(face_vertices) // 2 - 1,
         "condensation",
@@ -147,12 +153,12 @@ def condensation_count_symdiff(
 
 
 def check_face_alternating_identity(
-    host: DualGraph, base_vertices: Iterable[Cell], face_vertices: Sequence[Cell]
+    host: Region, base_vertices: Iterable[Cell], face_vertices: Sequence[Cell]
 ) -> bool:
     """Alternating-product identity behind the symdiff condensation induction.
 
-    With a_1..a_2k in cyclic order on a host face and G induced on
-    base_vertices, checks
+    With a_1..a_2k in cyclic order on the host's outer face and G the host's
+    base_vertices (``InvalidParameterError`` otherwise), checks
 
         M(G) M(G + all) + sum_{l=2..k} M(G + {a_1, a_{2l-1}}) M(G + rest)
             == sum_{l=1..k} M(G + {a_1, a_2l}) M(G + rest)
@@ -162,12 +168,12 @@ def check_face_alternating_identity(
     verts = list(face_vertices)
     if len(verts) % 2 == 1 or not verts:
         raise InvalidOrderError("need a nonempty even vertex list")
-    base_set = set(base_vertices)
-    _validate_cyclic(boundary_cycle(host.cells), verts)
+    base = _base_in_host(host, base_vertices)
+    _validate_cyclic(boundary_cycle(host), verts)
     all_set = set(verts)
 
     def m_of(toggle: set[Cell]) -> int:
-        return _graph_count(symmetric_difference(host, base_set, toggle))
+        return _cells_count(base ^ toggle)
 
     k = len(verts) // 2
     lhs = m_of(set()) * m_of(all_set)
@@ -182,35 +188,37 @@ def check_face_alternating_identity(
 
 
 def check_kuo_identity(
-    pattern: str, graph: DualGraph, w: Cell, x: Cell, y: Cell, z: Cell
+    pattern: str, region: Region, w: Cell, x: Cell, y: Cell, z: Cell
 ) -> bool:
     """Check one of the four local condensation identities on engine counts.
 
     ``pattern`` gives the color classes of (w, x, y, z) in cyclic face order,
     with A the class of w: "AABB", "AAAA" (needs #A = #B + 2), "ABAB", and
-    "AAAB" (needs #A = #B + 1).  The balanced patterns need #A = #B.
+    "AAAB" (needs #A = #B + 1).  The balanced patterns need #A = #B.  Raises
+    ``InvalidConfigurationError`` when the cells or the region miss the
+    pattern's hypotheses.
     """
-    if pattern not in KUO_PATTERNS:
+    if pattern not in KUO_SURPLUS:
         raise InvalidConfigurationError(f"unknown pattern {pattern!r}")
     quad = (w, x, y, z)
     if len(set(quad)) != 4:
         raise InvalidConfigurationError("w, x, y, z must be distinct")
-    _validate_cyclic(boundary_cycle(graph.cells), quad)
     a_class = is_white(w)
     actual = "".join("A" if is_white(c) == a_class else "B" for c in quad)
     if actual != pattern:
         raise InvalidConfigurationError(f"cells have pattern {actual}, expected {pattern}")
-    n_a = sum(1 for c in graph.cells if is_white(c) == a_class)
-    n_b = len(graph.cells) - n_a
+    cells = region.cells
+    n_a = sum(1 for c in cells if is_white(c) == a_class)
+    n_b = len(cells) - n_a
     surplus = KUO_SURPLUS[pattern]
     if n_a != n_b + surplus:
         raise InvalidConfigurationError(
-            f"pattern {pattern} needs #A = #B + {surplus}, graph has {n_a} and {n_b}"
+            f"pattern {pattern} needs #A = #B + {surplus}, region has {n_a} and {n_b}"
         )
-    cells = set(graph.cells)
+    _validate_cyclic(boundary_cycle(region), quad)
 
     def m_minus(*gone: Cell) -> int:
-        return _graph_count(induced_subgraph(graph, cells - set(gone)))
+        return _cells_count(cells - set(gone))
 
     if pattern == "AABB":
         return m_minus(w, z) * m_minus(x, y) == m_minus() * m_minus(w, x, y, z) + m_minus(
@@ -462,7 +470,7 @@ def count_configuration(config: DefectConfiguration, engine: str = "dp") -> int:
         residual = remove_defects(config.region, config.betas + config.alphas)
         if engine == "dp":
             return count_tilings_dp(residual)
-        return count_matchings_brute(build_dual(residual))
+        return count_matchings_brute(residual)
     _, _, k = config.sizes()
     if engine == "pfaffian" and config.region.meta.gammas:
         raise OutOfScopeConfigurationError("pfaffian engine works on plain AD/AR specs")

@@ -1,86 +1,22 @@
-"""Planar dual graph of a region: one vertex per cell, one edge per domino slot.
+"""The outer face of a region's planar dual graph.
 
-Cells (u, v) and (u', v') are adjacent exactly when |u - u'| = |v - v'| = 1,
-i.e. when the unit squares share a lattice edge.  In ordinary coordinates the
-cell centers differ by a unit step, so the dual graph is a plane graph with
-the obvious 4-neighbour embedding; the outer-face walk below relies on that.
+A region is its own dual graph: its cells are the vertices, and cells (u, v)
+and (u', v') are adjacent exactly when |u - u'| = |v - v'| = 1, i.e. when the
+unit squares share a lattice edge and a domino can cover both.  In ordinary
+coordinates the cell centers differ by a unit step, so the graph is a plane
+graph with the obvious 4-neighbour embedding.  ``boundary_cycle`` walks its
+outer face; the counters and condensation identities work on the cell sets
+directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    InvalidDefectError,
-    InvalidParameterError,
-    UnsupportedRegionError,
-)
+from .errors import UnsupportedRegionError
 from .geometry import Cell, Region
 
 _STEPS = ((1, 1), (1, -1), (-1, -1), (-1, 1))  # E, N, W, S in center coordinates
-
-
-@dataclass(frozen=True)
-class DualGraph:
-    """Immutable dual graph; vertices are cells sorted by (v, u)."""
-
-    cells: tuple[Cell, ...]
-    edges: frozenset[tuple[int, int]]
-
-
-def _graph_from_cells(cells: Iterable[Cell]) -> DualGraph:
-    ordered = tuple(sorted(set(cells), key=lambda c: (c.v, c.u)))
-    index = {c: i for i, c in enumerate(ordered)}
-    edges = set()
-    for c in ordered:
-        for du, dv in _STEPS:
-            other = Cell(c.u + du, c.v + dv)
-            j = index.get(other)
-            if j is not None and index[c] < j:
-                edges.add((index[c], j))
-    return DualGraph(ordered, frozenset(edges))
-
-
-def build_dual(region: Region) -> DualGraph:
-    """Dual graph of a region."""
-    return _graph_from_cells(region.cells)
-
-
-def delete_vertices(graph: DualGraph, cells: Iterable[Cell]) -> DualGraph:
-    """Induced subgraph on the complement of the given cells."""
-    doomed = set(cells)
-    missing = doomed - set(graph.cells)
-    if missing:
-        raise InvalidDefectError(f"cells not in graph: {sorted(missing)}")
-    return induced_subgraph(graph, set(graph.cells) - doomed)
-
-
-def symmetric_difference(
-    host: DualGraph, base_vertices: Iterable[Cell], w: Iterable[Cell]
-) -> DualGraph:
-    """Induced subgraph of the host on base_vertices symmetric-difference w."""
-    host_cells = set(host.cells)
-    base = set(base_vertices)
-    toggles = set(w)
-    if not toggles <= host_cells:
-        raise InvalidParameterError(f"cells not in host: {sorted(toggles - host_cells)}")
-    if not base <= host_cells:
-        raise InvalidParameterError(f"cells not in host: {sorted(base - host_cells)}")
-    return induced_subgraph(host, base ^ toggles)
-
-
-def induced_subgraph(host: DualGraph, keep: Iterable[Cell]) -> DualGraph:
-    keep = set(keep)
-    ordered = tuple(sorted(keep, key=lambda c: (c.v, c.u)))
-    new_index = {c: i for i, c in enumerate(ordered)}
-    edges = set()
-    for i, j in host.edges:
-        ci, cj = host.cells[i], host.cells[j]
-        if ci in keep and cj in keep:
-            p, q = sorted((new_index[ci], new_index[cj]))
-            edges.add((p, q))
-    return DualGraph(ordered, frozenset(edges))
 
 
 def _center(cell: Cell) -> tuple[int, int]:

@@ -15,7 +15,6 @@ from aztec_tilings import (
     add_gamma_squares,
     binomial_ext,
     boundary_cycle,
-    build_dual,
     check_face_alternating_identity,
     check_kuo_identity,
     condensation_count,
@@ -72,7 +71,7 @@ def test_criterion_2_product_formula_sweep():
                 expected = count_ar_kept_se(a, b, kept)
                 assert count_tilings_dp(residual) == expected, (a, b, kept)
                 if len(residual) <= 36:
-                    assert count_matchings_brute(build_dual(residual)) == expected, (a, b, kept)
+                    assert count_matchings_brute(residual) == expected, (a, b, kept)
                 checks += 1
     report("criterion 2 (product-formula sweep)", f"{checks} kept-position subsets, 0 mismatches")
 
@@ -129,12 +128,11 @@ def test_criterion_4_condensation_identities():
     while checks < 100:
         a = rng.randint(2, 4)
         region = make_aztec_diamond(a)
-        graph = build_dual(region)
         cycle = boundary_cycle(region)
         k = rng.randint(1, 3)
         verts = [cycle[i] for i in sorted(rng.sample(range(len(cycle)), 2 * k))]
         direct = count_tilings_dp(Region.from_cells(region.cells - set(verts)))
-        assert condensation_count(graph, verts) == direct, (a, verts)
+        assert condensation_count(region, verts) == direct, (a, verts)
         checks += 1
 
     sym_checks = alt_checks = 0
@@ -143,7 +141,6 @@ def test_criterion_4_condensation_identities():
         k = rng.randint(1, 2)
         base = make_aztec_rectangle(a, a + k)
         host = add_gamma_squares(base, k, 1)
-        hgraph = build_dual(host)
         cycle = boundary_cycle(host)
         kk = rng.randint(1, 3)
         if 2 * kk > len(cycle):
@@ -153,11 +150,11 @@ def test_criterion_4_condensation_identities():
         base_cells = set(host.cells)
         if drop_pair:
             base_cells -= {boundary_cycle(base)[0], boundary_cycle(base)[1]}
-        assert check_face_alternating_identity(hgraph, base_cells, verts), (a, k, verts)
+        assert check_face_alternating_identity(host, base_cells, verts), (a, k, verts)
         alt_checks += 1
         direct = count_tilings_dp(Region.from_cells(base_cells ^ set(verts)))
         try:
-            got = condensation_count_symdiff(hgraph, base_cells, verts)
+            got = condensation_count_symdiff(host, base_cells, verts)
         except CondensationInapplicableError:
             continue
         assert got == direct, (a, k, verts)
@@ -174,11 +171,11 @@ def test_criterion_4_condensation_identities():
         pools.setdefault("AAAA", []).append(
             Region.from_cells(diamond.cells - {blacks[0], blacks[-1]})
         )
-    graphs = {p: [(r, build_dual(r), boundary_cycle(r)) for r in rs] for p, rs in pools.items()}
+    cycles = {p: [(r, boundary_cycle(r)) for r in rs] for p, rs in pools.items()}
     surplus = {"AABB": 0, "ABAB": 0, "AAAB": 1, "AAAA": 2}
     while min(kuo_checks.values()) < 100:
         pattern = min(kuo_checks, key=kuo_checks.get)
-        region, graph, cycle = graphs[pattern][rng.randrange(len(graphs[pattern]))]
+        region, cycle = cycles[pattern][rng.randrange(len(cycles[pattern]))]
         quad = [cycle[i] for i in sorted(rng.sample(range(len(cycle)), 4))]
         first_white = is_white(quad[0])
         got = "".join("A" if is_white(c) == first_white else "B" for c in quad)
@@ -187,7 +184,7 @@ def test_criterion_4_condensation_identities():
         n_a = sum(1 for c in region.cells if is_white(c) == first_white)
         if n_a != len(region.cells) - n_a + surplus[pattern]:
             continue
-        assert check_kuo_identity(pattern, graph, *quad), (pattern, quad)
+        assert check_kuo_identity(pattern, region, *quad), (pattern, quad)
         kuo_checks[pattern] += 1
 
     elapsed = time.monotonic() - start

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +16,6 @@ from aztec_tilings import (
     add_gamma_squares,
     boundary_cell,
     boundary_cycle,
-    build_dual,
     check_face_alternating_identity,
     check_kuo_identity,
     condensation_count,
@@ -50,46 +50,41 @@ def direct_count(region, gone):
 
 def test_condensation_two_vertices_is_direct_count():
     region = make_aztec_diamond(2)
-    graph = build_dual(region)
     cycle = boundary_cycle(region)
     verts = [cycle[0], cycle[3]]
-    assert condensation_count(graph, verts) == direct_count(region, verts)
+    assert condensation_count(region, verts) == direct_count(region, verts)
 
 
 def test_condensation_four_vertices_diamond():
     region = make_aztec_diamond(2)
-    graph = build_dual(region)
     cycle = boundary_cycle(region)
     verts = [cycle[i] for i in (0, 2, 5, 9)]
-    assert condensation_count(graph, verts) == direct_count(region, verts)
+    assert condensation_count(region, verts) == direct_count(region, verts)
 
 
 def test_condensation_orientation_and_rotation_invariance():
     region = make_aztec_diamond(3)
-    graph = build_dual(region)
     cycle = boundary_cycle(region)
     verts = [cycle[i] for i in (1, 4, 8, 11)]
     want = direct_count(region, verts)
-    assert condensation_count(graph, verts) == want
-    assert condensation_count(graph, verts[2:] + verts[:2]) == want
-    assert condensation_count(graph, verts[::-1]) == want
+    assert condensation_count(region, verts) == want
+    assert condensation_count(region, verts[2:] + verts[:2]) == want
+    assert condensation_count(region, verts[::-1]) == want
 
 
 def test_condensation_rejects_bad_order():
     region = make_aztec_diamond(3)
-    graph = build_dual(region)
     cycle = boundary_cycle(region)
     verts = [cycle[i] for i in (0, 8, 4, 11)]
     with pytest.raises(InvalidOrderError):
-        condensation_count(graph, verts)
+        condensation_count(region, verts)
 
 
 def test_condensation_rejects_zero_base():
     region = make_aztec_rectangle(1, 2)  # unbalanced, M = 0
-    graph = build_dual(region)
     cycle = boundary_cycle(region)
     with pytest.raises(CondensationInapplicableError):
-        condensation_count(graph, [cycle[0], cycle[1]])
+        condensation_count(region, [cycle[0], cycle[1]])
 
 
 @pytest.mark.parametrize("entry,divisor", [(-1, 1), (1, 2)])
@@ -100,41 +95,53 @@ def test_pfaffian_quotient_rejects_impossible_tiling_count(entry, divisor):
 
 def test_symdiff_reduces_to_deletion():
     region = make_aztec_diamond(2)
-    graph = build_dual(region)
     cycle = boundary_cycle(region)
     verts = [cycle[i] for i in (0, 2, 5, 9)]
-    cells = set(graph.cells)
-    assert condensation_count_symdiff(graph, cells, verts) == condensation_count(graph, verts)
+    cells = set(region.cells)
+    assert condensation_count_symdiff(region, cells, verts) == condensation_count(region, verts)
 
 
 def test_symdiff_adds_gamma_cells_back():
     # base = host minus a forced domino; toggling that pair back restores the host
     host = add_gamma_squares(make_aztec_rectangle(2, 3), 1, 1)
-    hgraph = build_dual(host)
     gamma, se1 = Cell(0, 5), Cell(1, 4)
     base_cells = set(host.cells) - {gamma, se1}
     cycle = boundary_cycle(host)
     verts = [c for c in cycle if c in (gamma, se1)]
-    got = condensation_count_symdiff(hgraph, base_cells, verts)
+    got = condensation_count_symdiff(host, base_cells, verts)
     assert got == count_tilings_dp(host) == 8
     # and a mixed toggle: put the gamma pair back while deleting a white cell pair
     extra = [c for c in cycle if c in (Cell(5, 4), Cell(6, 3))]
     verts = [c for c in cycle if c in (gamma, se1, *extra)]
-    got = condensation_count_symdiff(hgraph, base_cells, verts)
+    got = condensation_count_symdiff(host, base_cells, verts)
     assert got == count_tilings_dp(Region.from_cells(base_cells ^ set(verts)))
+
+
+def test_base_outside_host_is_rejected():
+    # AD(1) plus a domino far away: the base is not part of the host
+    host = make_aztec_diamond(1)
+    stray = [Cell(10, 11), Cell(11, 12)]
+    base = host.cells | set(stray)
+    face = list(boundary_cycle(host)[:2])
+    for check, verts in (
+        (condensation_count_symdiff, []),
+        (condensation_count_symdiff, face),
+        (check_face_alternating_identity, face),
+    ):
+        with pytest.raises(InvalidParameterError, match=re.escape(f"cells not in host: {stray}")):
+            check(host, base, verts)
 
 
 def test_alternating_identity_trivial_and_random():
     region = make_aztec_diamond(2)
-    graph = build_dual(region)
     cycle = boundary_cycle(region)
-    assert check_face_alternating_identity(graph, set(graph.cells), [cycle[0], cycle[4]])
+    assert check_face_alternating_identity(region, set(region.cells), [cycle[0], cycle[4]])
     rng = random.Random(5)
     for _ in range(30):
         k = rng.randint(1, 3)
         verts = [cycle[i] for i in sorted(rng.sample(range(len(cycle)), 2 * k))]
         off = set(rng.sample(sorted(region.cells), rng.randint(0, 2)))
-        assert check_face_alternating_identity(graph, set(region.cells) - off, verts)
+        assert check_face_alternating_identity(region, set(region.cells) - off, verts)
 
 
 def _quad_of_pattern(region, pattern, rng):
@@ -157,11 +164,10 @@ def _quad_of_pattern(region, pattern, rng):
 def test_kuo_balanced_patterns(pattern):
     rng = random.Random(17)
     region = make_aztec_diamond(3)
-    graph = build_dual(region)
     for _ in range(25):
         quad = _quad_of_pattern(region, pattern, rng)
         assert quad is not None
-        assert check_kuo_identity(pattern, graph, *quad)
+        assert check_kuo_identity(pattern, region, *quad)
 
 
 def test_kuo_surplus_patterns():
@@ -171,22 +177,28 @@ def test_kuo_surplus_patterns():
     one_off = Region.from_cells(diamond.cells - {blacks[0]})
     two_off = Region.from_cells(diamond.cells - {blacks[0], blacks[-1]})
     for region, pattern in ((one_off, "AAAB"), (two_off, "AAAA")):
-        graph = build_dual(region)
         for _ in range(15):
             quad = _quad_of_pattern(region, pattern, rng)
             assert quad is not None
-            assert check_kuo_identity(pattern, graph, *quad)
+            assert check_kuo_identity(pattern, region, *quad)
 
 
 def test_kuo_rejects_wrong_hypotheses():
     region = make_aztec_diamond(2)
-    graph = build_dual(region)
     cycle = boundary_cycle(region)
     quad = [cycle[i] for i in (0, 1, 2, 3)]
     actual = "".join("A" if is_white(c) == is_white(quad[0]) else "B" for c in quad)
     wrong = next(p for p in ("AAAA", "AABB", "ABAB", "AAAB") if p != actual)
     with pytest.raises(InvalidConfigurationError):
-        check_kuo_identity(wrong, graph, *quad)
+        check_kuo_identity(wrong, region, *quad)
+    # the cells' own pattern, on a balanced region that misses its colour surplus
+    for pattern in ("AAAB", "AAAA"):
+        quad = next(
+            q for q in itertools.combinations(cycle, 4)
+            if "".join("A" if is_white(c) == is_white(q[0]) else "B" for c in q) == pattern
+        )
+        with pytest.raises(InvalidConfigurationError, match="needs #A = #B"):
+            check_kuo_identity(pattern, region, *quad)
 
 
 def _config(a, b, betas, alphas):

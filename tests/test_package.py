@@ -1,12 +1,17 @@
-"""The package's export list and the code-line counter in tools/."""
+"""The package's export list and the scripts in tools/."""
 
+import hashlib
+import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import aztec_tilings
+from aztec_tilings import ENGINES
 
-CODE_LINES = Path(__file__).resolve().parent.parent / "tools" / "code_lines.py"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
+CODE_LINES = TOOLS / "code_lines.py"
 
 
 def test_star_import_resolves_every_export():
@@ -39,3 +44,33 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
     counts = dict(line.split() for line in proc.stdout.splitlines())
     # import, def, the two lines of the string assigned to text, return
     assert counts == {"__init__.py": "0", "mod.py": "5", "total": "5"}
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_cli_transcripts_digest_every_engine_format_and_cell_limit(monkeypatch):
+    spec = importlib.util.spec_from_file_location("cli_transcripts", TOOLS / "cli_transcripts.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setenv("AZTEC_ORACLE_CELL_LIMIT", "7")
+    lines = list(tool.spec_lines(["AD n=3", "AD n=0"]))
+    assert os.environ["AZTEC_ORACLE_CELL_LIMIT"] == "7"  # restored after every run
+    assert len(lines) == 2 * len(ENGINES) * 2 * 2
+    runs = {}
+    for line in lines:
+        argv, setting, code, digest = line.split(" | ")
+        runs[argv, setting] = (code, digest)
+    unset, twenty = "AZTEC_ORACLE_CELL_LIMIT unset", "AZTEC_ORACLE_CELL_LIMIT=20"
+    for engine in ENGINES:
+        assert runs[f"count 'AD n=3' --engine {engine} --format dec", unset] == ("exit=0", _sha("64\n"))
+        json_run = runs[f"count 'AD n=3' --engine {engine} --format json", twenty]
+        if engine != "brute":
+            payload = f'{{"region": "AD n=3", "engine": "{engine}", "count": "64", "millis": 0}}\n'
+            assert json_run == ("exit=0", _sha(payload))
+        for fmt in ("dec", "json"):
+            for setting in (unset, twenty):
+                assert runs[f"count 'AD n=0' --engine {engine} --format {fmt}", setting][0] == "exit=1"
+    # AD(3) has 24 cells: over a limit of 20, under the default 36
+    assert runs["count 'AD n=3' --engine brute --format json", twenty][0] == "exit=2"
