@@ -16,6 +16,7 @@ brute-force engine.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -241,23 +242,32 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 class _Suite:
-    """Accumulates deterministic check results for one verification suite."""
+    """Accumulates deterministic check results for one verification suite.
+
+    Every check's description is folded into a sha256, so the report names
+    which samples were checked, not only how many.
+    """
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.checks = 0
         self.failures = 0
         self.first_failure = ""
+        self.samples = hashlib.sha256()
 
-    def record(self, ok: bool, describe: Callable[[], str]) -> None:
+    def record(self, ok: bool, description: str) -> None:
         self.checks += 1
+        self.samples.update(description.encode() + b"\n")
         if not ok:
             self.failures += 1
             if not self.first_failure:
-                self.first_failure = describe()
+                self.first_failure = description
 
     def report(self) -> int:
-        print(f"suite={self.name} checks={self.checks} failures={self.failures}")
+        print(
+            f"suite={self.name} checks={self.checks} failures={self.failures} "
+            f"samples={self.samples.hexdigest()[:12]}"
+        )
         if self.failures:
             print(f"first counterexample: {self.first_failure}")
             return 3
@@ -272,7 +282,7 @@ def _verify_formulas(suite: _Suite, max_a: int, max_b: int) -> None:
         ok = dp == expected
         if ok and len(region) <= brute_limit:
             ok = count_matchings_brute(region) == expected
-        suite.record(ok, lambda: f"{label}: formula={expected} dp={dp}")
+        suite.record(ok, f"{label}: formula={expected} dp={dp}")
 
     for n in range(1, max_a + 1):
         crosscheck(make_aztec_rectangle(n, n), count_aztec_diamond(n), f"diamond n={n}")
@@ -347,7 +357,7 @@ def _verify_kuo(suite: _Suite, max_a: int, trials: int, rng: random.Random) -> N
             ok = check_kuo_identity(pattern, region, *quad)
         except InvalidConfigurationError:
             continue  # no identity for this pattern, or the region's colours miss it
-        suite.record(ok, lambda: f"kuo {pattern} on {len(region)} cells at {quad}")
+        suite.record(ok, f"kuo {pattern} on {len(region)} cells at {quad}")
         done += 1
 
 
@@ -362,7 +372,7 @@ def _verify_ciucu(suite: _Suite, max_a: int, trials: int, rng: random.Random) ->
         verts = [cycle[i] for i in sorted(rng.sample(range(len(cycle)), 2 * k))]
         direct = count_tilings_dp(Region.from_cells(region.cells - set(verts)))
         got = condensation_count(region, verts)
-        suite.record(got == direct, lambda: f"condensation a={a} verts={verts} {got}!={direct}")
+        suite.record(got == direct, f"condensation a={a} verts={verts} {got}!={direct}")
 
         base = make_aztec_rectangle(a, a + 1)
         host = add_gamma_squares(base, 1, 1)
@@ -376,9 +386,9 @@ def _verify_ciucu(suite: _Suite, max_a: int, trials: int, rng: random.Random) ->
             ok = got == direct
         except CondensationInapplicableError:
             ok = True  # M(G) = 0 is outside the identity's hypothesis
-        suite.record(ok, lambda: f"symdiff a={a} verts={verts}")
+        suite.record(ok, f"symdiff a={a} verts={verts}")
         ok = check_face_alternating_identity(host, base_cells, verts)
-        suite.record(ok, lambda: f"alternating a={a} verts={verts}")
+        suite.record(ok, f"alternating a={a} verts={verts}")
 
 
 def _checked_count(suite: _Suite, label: str, want: int, counter: Callable[[], int]) -> None:
@@ -388,9 +398,9 @@ def _checked_count(suite: _Suite, label: str, want: int, counter: Callable[[], i
     except CondensationInapplicableError:
         return
     except AztecError as exc:
-        suite.record(False, lambda: f"{label}: {exc}")
+        suite.record(False, f"{label}: {exc}")
         return
-    suite.record(got == want, lambda: f"{label}: {got}!={want}")
+    suite.record(got == want, f"{label}: {got}!={want}")
 
 
 def _verify_mt(suite: _Suite, max_a: int, max_b: int, trials: int, rng: random.Random) -> None:

@@ -249,6 +249,16 @@ def test_verify_transcript_deterministic(capsys):
     assert first == second
 
 
+def test_verify_report_names_its_samples(capsys):
+    lines = []
+    for seed in ("11", "12"):
+        code, out, _ = run_cli(capsys, "verify", "kuo", "--max-a", "6", "--trials", "40", "--seed", seed)
+        assert code == 0
+        assert out.startswith("suite=kuo checks=40 failures=0 samples=")
+        lines.append(out)
+    assert lines[0] != lines[1]
+
+
 @pytest.mark.parametrize(
     "spec,engines",
     [
