@@ -57,12 +57,14 @@ def test_cli_transcripts_digest_every_engine_format_and_cell_limit(monkeypatch):
     monkeypatch.setenv("AZTEC_ORACLE_CELL_LIMIT", "7")
     lines = list(tool.spec_lines(["AD n=3", "AD n=0"]))
     assert os.environ["AZTEC_ORACLE_CELL_LIMIT"] == "7"  # restored after every run
-    assert len(lines) == 2 * len(ENGINES) * 2 * 2
+    assert len(lines) == 2 * (1 + len(ENGINES) * 2 * 2)
     runs = {}
     for line in lines:
         argv, setting, code, digest = line.split(" | ")
         runs[argv, setting] = (code, digest)
     unset, twenty = "AZTEC_ORACLE_CELL_LIMIT unset", "AZTEC_ORACLE_CELL_LIMIT=20"
+    diamond = "  .#\n .#.#\n.#.#.#\n#.#.#.\n #.#.\n  #.\n"
+    assert runs["render 'AD n=3'", unset] == ("exit=0", _sha(diamond))
     for engine in ENGINES:
         assert runs[f"count 'AD n=3' --engine {engine} --format dec", unset] == ("exit=0", _sha("64\n"))
         json_run = runs[f"count 'AD n=3' --engine {engine} --format json", twenty]

@@ -5,9 +5,9 @@
 Calls ``aztec_tilings.cli.main`` in-process, so the package that PYTHONPATH
 selects is the one exercised.  The runs are a fixed, seeded list of region
 specs (AD/AR with a <= 4 and b - a <= 3, some with gamma squares, some
-colour-unbalanced, a few malformed), each under every engine in ``ENGINES``,
-in ``dec`` and ``json`` format, with AZTEC_ORACLE_CELL_LIMIT unset and set to
-20; then the four verify suites.  Each line holds the argv, the cell-limit
+colour-unbalanced, a few malformed), each rendered once and counted under
+every engine in ``ENGINES``, in ``dec`` and ``json`` format, with
+AZTEC_ORACLE_CELL_LIMIT unset and set to 20; then the four verify suites.  Each line holds the argv, the cell-limit
 setting, the exit code and the sha256 of stdout followed by stderr, with the
 ``millis`` field of JSON output zeroed.  Diffing the output of two checkouts
 shows whether a change altered any transcript.  Stdlib only.
@@ -86,8 +86,10 @@ def run(argv: list[str], limit: str | None) -> str:
 
 
 def spec_lines(specs: Iterable[str]) -> Iterator[str]:
-    """Digest lines for every spec under every engine, format and cell limit."""
+    """Digest lines for every spec: one ``render``, then ``count`` under every
+    engine, format and cell limit."""
     for spec in specs:
+        yield run(["render", spec], None)
         for engine in ENGINES:
             for fmt in ("dec", "json"):
                 for limit in LIMITS:
