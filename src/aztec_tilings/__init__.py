@@ -4,7 +4,6 @@ independent counting engines that cross-validate every formula."""
 
 from .condensation import (
     ENGINES,
-    DefectConfiguration,
     check_face_alternating_identity,
     check_kuo_identity,
     condensation_count,
@@ -32,15 +31,14 @@ from .formulas import (
 )
 from .geometry import (
     Cell,
+    DefectConfiguration,
     DefectSpec,
     Region,
-    add_gamma_squares,
     boundary_cell,
     is_black,
     is_white,
     make_aztec_diamond,
     make_aztec_rectangle,
-    remove_defects,
 )
 
 __version__ = "0.1.0"
@@ -51,7 +49,6 @@ __all__ = [
     "DefectSpec",
     "ENGINES",
     "Region",
-    "add_gamma_squares",
     "binomial_ext",
     "boundary_cell",
     "boundary_cycle",
@@ -82,5 +79,4 @@ __all__ = [
     "make_aztec_rectangle",
     "pfaffian",
     "pfaffian_expand_first_row",
-    "remove_defects",
 ]

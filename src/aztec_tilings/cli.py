@@ -23,11 +23,10 @@ import os
 import random
 import sys
 import time
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .condensation import (
     ENGINES,
-    DefectConfiguration,
     check_face_alternating_identity,
     check_kuo_identity,
     condensation_count,
@@ -57,13 +56,12 @@ from .formulas import (
     count_aztec_diamond,
 )
 from .geometry import (
+    DefectConfiguration,
     DefectSpec,
     Region,
-    add_gamma_squares,
     boundary_cell,
     is_white,
     make_aztec_rectangle,
-    remove_defects,
 )
 
 DEFAULT_CELL_LIMIT = 36
@@ -84,7 +82,7 @@ def _int_value(token: str, key: str, index: int) -> int:
 
 
 def parse_region_spec(text: str) -> DefectConfiguration:
-    """Parse a region spec into a defect configuration (region + removals)."""
+    """Parse a region spec into a defect configuration; no cells are built."""
     tokens = text.split()
     if not tokens:
         raise SpecError("empty region spec")
@@ -97,7 +95,7 @@ def parse_region_spec(text: str) -> DefectConfiguration:
             n = _int_value(rest[0], "n", 1)
             if n < 1:
                 raise SpecError(f"token 1 {rest[0]!r}: need n >= 1")
-            region = make_aztec_rectangle(n, n)
+            a = b = n
             rest = rest[1:]
             index = 2
         elif head == "AR":
@@ -107,18 +105,19 @@ def parse_region_spec(text: str) -> DefectConfiguration:
             b = _int_value(rest[1], "b", 2)
             if not 1 <= a <= b:
                 raise SpecError(f"token 2 {rest[1]!r}: need 1 <= a <= b")
-            region = make_aztec_rectangle(a, b)
             rest = rest[2:]
             index = 3
         else:
             raise SpecError(f"token 0 {head!r}: expected AD or AR")
 
+        gammas: tuple[int, ...] = ()
         if rest and rest[0].startswith("gamma="):
             k = _int_value(rest[0], "gamma", index)
             if k < 0:
                 raise SpecError(f"token {index} {rest[0]!r}: need gamma >= 0")
+            gammas = tuple(range(1, k + 1))
             try:
-                region = add_gamma_squares(region, k, 1)
+                DefectConfiguration(a, b, gammas=gammas)
             except AztecError as exc:
                 raise SpecError(f"token {index} {rest[0]!r}: {exc}") from None
             rest = rest[1:]
@@ -137,7 +136,7 @@ def parse_region_spec(text: str) -> DefectConfiguration:
                     raise SpecError(f"token {index} {item!r}: {pos_text!r} is not an integer") from None
                 try:
                     spec = DefectSpec(side, pos)
-                    boundary_cell(region, spec)
+                    boundary_cell(a, b, spec)
                 except AztecError as exc:
                     raise SpecError(f"token {index} {item!r}: {exc}") from None
                 (betas if spec.kind == "beta" else alphas).append(spec)
@@ -145,9 +144,7 @@ def parse_region_spec(text: str) -> DefectConfiguration:
             index += 1
         if rest:
             raise SpecError(f"token {index} {rest[0]!r}: unexpected trailing token")
-        config = DefectConfiguration(region, tuple(betas), tuple(alphas))
-        remove_defects(region, config.betas + config.alphas)  # rejects duplicates
-        return config
+        return DefectConfiguration(a, b, tuple(betas), tuple(alphas), gammas)
     except AztecError as exc:
         raise SpecError(str(exc)) from None
 
@@ -170,7 +167,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    cells = len(config.region) - len(config.betas) - len(config.alphas)
+    cells = len(config)
     if limit is not None and cells > limit:
         print(f"error: {cells} cells exceeds the brute-force limit {limit}", file=sys.stderr)
         return 2
@@ -179,7 +176,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         if args.engine == "dp":
             # counted here so that patching cli.count_tilings_dp, as the benchmark's
             # fault-injection test does, reaches every dp count
-            count = count_tilings_dp(remove_defects(config.region, config.betas + config.alphas))
+            count = count_tilings_dp(config.region())
         else:
             count = count_configuration(config, args.engine)
     except (OutOfScopeConfigurationError, CondensationInapplicableError) as exc:
@@ -200,17 +197,14 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 
 def _render(config: DefectConfiguration) -> list[str]:
-    region = config.region
-    removed_white = {boundary_cell(region, d) for d in config.betas}
-    removed_black = {boundary_cell(region, d) for d in config.alphas}
-    gammas = {boundary_cell(region, DefectSpec("SE", t, "gamma")) for t in region.meta.gammas}
+    a, b = config.a, config.b
+    removed = {boundary_cell(a, b, d): "B" for d in config.betas}
+    removed.update((boundary_cell(a, b, d), "A") for d in config.alphas)
     canvas: dict[tuple[int, int], str] = {}
-    for cell in region.cells:
-        if cell in removed_white:
-            ch = "B"
-        elif cell in removed_black:
-            ch = "A"
-        elif cell in gammas:
+    for cell in itertools.chain(config.region().cells, removed):
+        if cell in removed:
+            ch = removed[cell]
+        elif cell.v > 2 * a:
             ch = "g"
         else:
             ch = "." if is_white(cell) else "#"
@@ -232,8 +226,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    a, b = config.region.meta.a, config.region.meta.b
-    if a + b > 200:
+    if config.a + config.b > 200:
         print("error: region exceeds the 200x200 rendering box", file=sys.stderr)
         return 1
     for line in _render(config):
@@ -277,61 +270,52 @@ class _Suite:
 def _verify_formulas(suite: _Suite, max_a: int, max_b: int) -> None:
     brute_limit = min(_cell_limit(), 30)
 
-    def crosscheck(region: Region, expected: int, label: str) -> None:
+    def crosscheck(config: DefectConfiguration, expected: int, label: str) -> None:
+        region = config.region()
         dp = count_tilings_dp(region)
         ok = dp == expected
         if ok and len(region) <= brute_limit:
             ok = count_matchings_brute(region) == expected
         suite.record(ok, f"{label}: formula={expected} dp={dp}")
 
+    def se(positions: Iterable[int]) -> tuple[DefectSpec, ...]:
+        return tuple(DefectSpec("SE", p) for p in positions)
+
     for n in range(1, max_a + 1):
-        crosscheck(make_aztec_rectangle(n, n), count_aztec_diamond(n), f"diamond n={n}")
+        crosscheck(DefectConfiguration(n, n), count_aztec_diamond(n), f"diamond n={n}")
     for a in range(1, max_a + 1):
         for b in range(a + 1, max_b + 1):
             for kept in itertools.combinations(range(1, b + 1), a):
-                removed = [DefectSpec("SE", p) for p in range(1, b + 1) if p not in kept]
-                region = remove_defects(make_aztec_rectangle(a, b), removed)
-                crosscheck(region, count_ar_kept_se(a, b, kept), f"kept-se a={a} b={b} s={kept}")
+                config = DefectConfiguration(a, b, se(p for p in range(1, b + 1) if p not in kept))
+                crosscheck(config, count_ar_kept_se(a, b, kept), f"kept-se a={a} b={b} s={kept}")
     for a in range(1, max_a + 1):
         for i in range(1, a + 2):
-            region = remove_defects(make_aztec_rectangle(a, a + 1), [DefectSpec("SE", i)])
-            crosscheck(region, count_ar_one_se_removed(a, i), f"one-se a={a} i={i}")
+            config = DefectConfiguration(a, a + 1, se([i]))
+            crosscheck(config, count_ar_one_se_removed(a, i), f"one-se a={a} i={i}")
         for b in range(a, max_b + 1):
-            removed = [DefectSpec("SE", p) for p in range(2, b - a + 2)]
-            region = remove_defects(make_aztec_rectangle(a, b), removed)
-            crosscheck(region, count_ar_se_block_removed(a, b), f"se-block a={a} b={b}")
+            config = DefectConfiguration(a, b, se(range(2, b - a + 2)))
+            crosscheck(config, count_ar_se_block_removed(a, b), f"se-block a={a} b={b}")
         for i in range(1, a + 1):
             for j in range(1, a + 1):
-                region = remove_defects(
-                    make_aztec_rectangle(a, a),
-                    [DefectSpec("SE", i), DefectSpec("NE", j)],
-                )
-                crosscheck(region, count_ad_adjacent_defects(a, i, j), f"ad-adjacent a={a} i={i} j={j}")
+                config = DefectConfiguration(a, a, se([i]), (DefectSpec("NE", j),))
+                crosscheck(config, count_ad_adjacent_defects(a, i, j), f"ad-adjacent a={a} i={i} j={j}")
         if a + 2 <= max_b:
             for i in range(1, a + 3):
                 for j in range(1, a + 3):
-                    region = remove_defects(
-                        make_aztec_rectangle(a, a + 2),
-                        [DefectSpec("SE", i), DefectSpec("NW", j)],
-                    )
-                    crosscheck(region, count_ar_se_nw_defects(a, i, j), f"se-nw a={a} i={i} j={j}")
+                    config = DefectConfiguration(a, a + 2, se([i]) + (DefectSpec("NW", j),))
+                    crosscheck(config, count_ar_se_nw_defects(a, i, j), f"se-nw a={a} i={i} j={j}")
         for k in range(1, max_b - a + 1):
             b = a + k
+            gammas = tuple(range(2, k + 1))
             for j in range(1, b + 1):
-                region = make_aztec_rectangle(a, b)
-                if k >= 2:
-                    region = add_gamma_squares(region, k - 1, start=2)
-                region = remove_defects(region, [DefectSpec("SE", j)])
-                crosscheck(region, count_ar_gamma_se_defect(a, k, j), f"gamma-se a={a} k={k} j={j}")
+                config = DefectConfiguration(a, b, se([j]), gammas=gammas)
+                crosscheck(config, count_ar_gamma_se_defect(a, k, j), f"gamma-se a={a} k={k} j={j}")
             for i in range(1, b + 1):
-                removed = [DefectSpec("SE", p) for p in range(2, k + 1)] + [DefectSpec("NW", i)]
-                region = remove_defects(make_aztec_rectangle(a, b), removed)
-                crosscheck(region, count_ar_se_block_nw_defect(a, k, i), f"se-block-nw a={a} k={k} i={i}")
-                region = make_aztec_rectangle(a, b)
-                if k >= 2:
-                    region = add_gamma_squares(region, k - 1, start=2)
-                region = remove_defects(region, [DefectSpec("NW", i)])
-                crosscheck(region, count_ar_gamma_nw_defect(a, k, i), f"gamma-nw a={a} k={k} i={i}")
+                nw = (DefectSpec("NW", i),)
+                config = DefectConfiguration(a, b, se(range(2, k + 1)) + nw)
+                crosscheck(config, count_ar_se_block_nw_defect(a, k, i), f"se-block-nw a={a} k={k} i={i}")
+                config = DefectConfiguration(a, b, nw, gammas=gammas)
+                crosscheck(config, count_ar_gamma_nw_defect(a, k, i), f"gamma-nw a={a} k={k} i={i}")
 
 
 def _verify_kuo(suite: _Suite, max_a: int, trials: int, rng: random.Random) -> None:
@@ -374,12 +358,11 @@ def _verify_ciucu(suite: _Suite, max_a: int, trials: int, rng: random.Random) ->
         got = condensation_count(region, verts)
         suite.record(got == direct, f"condensation a={a} verts={verts} {got}!={direct}")
 
-        base = make_aztec_rectangle(a, a + 1)
-        host = add_gamma_squares(base, 1, 1)
+        host = DefectConfiguration(a, a + 1, gammas=(1,)).region()
         hcycle = boundary_cycle(host)
         kk = rng.randint(1, 2)
         verts = [hcycle[i] for i in sorted(rng.sample(range(len(hcycle)), 2 * kk))]
-        base_cells = set(base.cells)
+        base_cells = set(make_aztec_rectangle(a, a + 1).cells)
         direct = count_tilings_dp(Region.from_cells(base_cells ^ set(verts)))
         try:
             got = condensation_count_symdiff(host, base_cells, verts)
@@ -413,40 +396,37 @@ def _verify_mt(suite: _Suite, max_a: int, max_b: int, trials: int, rng: random.R
         if n + k > len(whites) or n > a:
             continue
         betas = tuple(rng.sample(whites, n + k))
-        region = make_aztec_rectangle(a, b)
         config = DefectConfiguration(
-            region, betas, tuple(DefectSpec("NE", p) for p in rng.sample(range(1, a + 1), n))
+            a, b, betas, tuple(DefectSpec("NE", p) for p in rng.sample(range(1, a + 1), n))
         )
-        want = count_tilings_dp(config.target_region())
         _checked_count(
             suite,
             f"three-sided a={a} b={b} {config.betas}/{config.alphas}",
-            want,
-            lambda config=config: count_defects_three_sided(config),
+            count_tilings_dp(config.region()),
+            lambda: count_defects_three_sided(config),
         )
 
         blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
         nn = rng.randint(1, 2)
         if nn + k <= len(whites) and nn <= len(blacks):
             config = DefectConfiguration(
-                region, tuple(rng.sample(whites, nn + k)), tuple(rng.sample(blacks, nn))
+                a, b, tuple(rng.sample(whites, nn + k)), tuple(rng.sample(blacks, nn))
             )
-            want = count_tilings_dp(config.target_region())
             _checked_count(
                 suite,
                 f"four-sided a={a} b={b}",
-                want,
-                lambda config=config: count_defects_four_sided(config),
+                count_tilings_dp(config.region()),
+                lambda: count_defects_four_sided(config),
             )
 
         nd = rng.randint(1, min(3, a))
         wd = tuple(rng.sample([DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, a + 1)], nd))
         bd = tuple(rng.sample(blacks, nd))
-        diamond = make_aztec_rectangle(a, a)
-        want = count_tilings_dp(remove_defects(diamond, wd + bd))
         _checked_count(
-            suite, f"diamond a={a} {wd}/{bd}", want,
-            lambda a=a, wd=wd, bd=bd: count_diamond_defects(a, wd, bd),
+            suite,
+            f"diamond a={a} {wd}/{bd}",
+            count_tilings_dp(DefectConfiguration(a, a, wd, bd).region()),
+            lambda: count_diamond_defects(a, wd, bd),
         )
 
 

@@ -21,11 +21,14 @@ with tiling count the pure power of two, and every entry collapses to a closed
 form from the formulas module.  Alphas sit on one black side, SW ones reflected
 onto NE; at k = b - a = 0 the host is AD(a) itself and alphas may sit on both
 black sides, so the diamond counter is that count.  The four-sided count nests
-three-sided counts as the entries of an outer Pfaffian.  Defects are put in
-boundary order by ``geometry.perimeter_index``.
+three-sided counts as the entries of an outer Pfaffian.  Both read only the
+numbers of a ``DefectConfiguration`` and build no cells; defects are put in
+boundary order by ``geometry.perimeter_index``.  They refuse gamma squares
+with ``OutOfScopeConfigurationError``.
 
-``count_configuration`` picks the counter for a configuration: the DP sweep,
-the brute-force oracle, a closed form, or the Pfaffian counters.
+``count_configuration`` picks the counter for a configuration: the DP sweep
+or the brute-force oracle on ``config.region()``, a closed form, or the
+Pfaffian counters.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
 ``InternalInconsistencyError`` unless the quotient is a nonnegative integer.
@@ -34,8 +37,6 @@ Every counter divides in ``_pfaffian_quotient``, which raises
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .counting import count_matchings_brute, count_tilings_dp
@@ -58,15 +59,7 @@ from .formulas import (
     count_ar_se_nw_defects,
     count_aztec_diamond,
 )
-from .geometry import (
-    Cell,
-    DefectSpec,
-    Region,
-    is_white,
-    make_aztec_rectangle,
-    perimeter_index,
-    remove_defects,
-)
+from .geometry import Cell, DefectConfiguration, DefectSpec, Region, is_white, perimeter_index
 
 T = TypeVar("T")
 
@@ -116,12 +109,13 @@ def _pfaffian_quotient(
             matrix[i][j] = entry(labels[i], labels[j])
             matrix[j][i] = -matrix[i][j]
     pf = pfaffian(matrix)
-    value = pf / Fraction(divisor) ** power
-    if value.denominator != 1:
+    scale = divisor ** abs(power)  # power is -1 for an empty defect set
+    value, remainder = divmod(pf, scale) if power >= 0 else (pf * scale, 0)
+    if remainder:
         raise InternalInconsistencyError(f"{what}: Pfaffian {pf} not divisible by {divisor}^{power}")
     if value < 0:
         raise InternalInconsistencyError(f"{what}: negative Pfaffian {pf}")
-    return int(value)
+    return value
 
 
 def condensation_count(region: Region, face_vertices: Sequence[Cell]) -> int:
@@ -237,50 +231,20 @@ def check_kuo_identity(
     ) * m_minus(w, y, z) + m_minus(z) * m_minus(w, x, y)
 
 
-@dataclass(frozen=True)
-class DefectConfiguration:
-    """A rectangle (possibly gamma-augmented) with beta and alpha removals."""
+def _require_plain(config: DefectConfiguration) -> None:
+    if config.gammas:
+        raise OutOfScopeConfigurationError("pfaffian engine works on plain AD/AR specs")
 
-    region: Region
-    betas: tuple[DefectSpec, ...]
-    alphas: tuple[DefectSpec, ...]
 
-    def sizes(self) -> tuple[int, int, int]:
-        """Return (a, b, k)."""
-        meta = self.region.meta
-        if meta.kind not in ("AD", "AR") or meta.a is None or meta.b is None:
-            raise InvalidConfigurationError("configuration needs an AD/AR region")
-        return meta.a, meta.b, meta.b - meta.a
-
-    def base_region(self) -> Region:
-        """The canonical rectangle without gamma squares or removals."""
-        a, b, _ = self.sizes()
-        return make_aztec_rectangle(a, b)
-
-    def target_region(self) -> Region:
-        """The counted region: rectangle minus all beta and alpha cells."""
-        return remove_defects(self.base_region(), self.betas + self.alphas)
-
-    def validate(self) -> None:
-        a, b, k = self.sizes()
-        meta = self.region.meta
-        if meta.gammas and meta.gammas != tuple(range(1, k + 1)):
-            raise InvalidConfigurationError(
-                f"gamma squares must occupy positions 1..{k}, got {meta.gammas}"
-            )
-        if meta.removed:
-            raise InvalidConfigurationError("configuration region must carry no removals")
-        if any(d.kind != "beta" for d in self.betas):
-            raise InvalidConfigurationError("betas must be beta-class defects")
-        if any(d.kind != "alpha" for d in self.alphas):
-            raise InvalidConfigurationError("alphas must be alpha-class defects")
-        if len(self.betas) - len(self.alphas) != k:
-            raise InvalidConfigurationError(
-                f"need #betas - #alphas = b - a = {k}, got "
-                f"{len(self.betas)} - {len(self.alphas)}"
-            )
-        # Raises on duplicate or out-of-range defects; no side address names a gamma cell.
-        remove_defects(self.region, self.betas + self.alphas)
+def _require_balanced(config: DefectConfiguration) -> None:
+    """Refuse gamma squares, and any defect set but #betas - #alphas = b - a."""
+    _require_plain(config)
+    k = config.b - config.a
+    if len(config.betas) - len(config.alphas) != k:
+        raise InvalidConfigurationError(
+            f"need #betas - #alphas = b - a = {k}, got "
+            f"{len(config.betas)} - {len(config.alphas)}"
+        )
 
 
 def _mirror_spec(spec: DefectSpec, a: int, b: int) -> DefectSpec:
@@ -289,16 +253,6 @@ def _mirror_spec(spec: DefectSpec, a: int, b: int) -> DefectSpec:
         return DefectSpec(spec.side, b - spec.position + 1, spec.kind)
     side = "NE" if spec.side == "SW" else "SW"
     return DefectSpec(side, a - spec.position + 1, spec.kind)
-
-
-def mirror_configuration(config: DefectConfiguration) -> DefectConfiguration:
-    """The congruent configuration with the NE and SW sides exchanged."""
-    a, b, _ = config.sizes()
-    return DefectConfiguration(
-        config.region,
-        tuple(_mirror_spec(d, a, b) for d in config.betas),
-        tuple(_mirror_spec(d, a, b) for d in config.alphas),
-    )
 
 
 def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
@@ -325,20 +279,21 @@ def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
     return count_ar_gamma_nw_defect(a, k - p + 1, pos - p + 1)
 
 
-def _three_sided_count(config: DefectConfiguration) -> int:
+def _three_sided_count(
+    a: int, b: int, betas: tuple[DefectSpec, ...], alphas: tuple[DefectSpec, ...]
+) -> int:
     """Pfaffian count assuming, when k > 0, alphas on one black side."""
-    a, b, k = config.sizes()
-    if k and any(d.side == "SW" for d in config.alphas):
-        config = mirror_configuration(config)
+    k = b - a
+    if k and any(d.side == "SW" for d in alphas):
+        betas = tuple(_mirror_spec(d, a, b) for d in betas)
+        alphas = tuple(_mirror_spec(d, a, b) for d in alphas)
     gammas = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1))
-    deltas = sorted(
-        config.betas + config.alphas + gammas, key=lambda d: perimeter_index(a, b, d)
-    )
+    deltas = sorted(betas + alphas + gammas, key=lambda d: perimeter_index(a, b, d))
     return _pfaffian_quotient(
         deltas,
         lambda x, y: _three_sided_entry(a, k, x, y),
         2 ** (a * (a + 1) // 2),
-        len(config.alphas) + k - 1,
+        len(alphas) + k - 1,
         "three-sided count",
     )
 
@@ -350,12 +305,13 @@ def count_defects_three_sided(config: DefectConfiguration) -> int:
     gamma squares in boundary-cyclic order, with closed-form entries, and
     divides by the augmented rectangle's count to the power n + k - 1.  SW
     alphas are reflected onto the NE side; at k = 0 the host is AD(a) itself
-    and alphas may sit on both black sides.
+    and alphas may sit on both black sides.  Gamma squares are out of scope.
     """
-    config.validate()
-    if config.sizes()[2] and {d.side for d in config.alphas} == {"NE", "SW"}:
+    _require_balanced(config)
+    a, b = config.a, config.b
+    if a != b and {d.side for d in config.alphas} == {"NE", "SW"}:
         raise OutOfScopeConfigurationError("alpha defects on both the NE and SW sides need a = b")
-    return _three_sided_count(config)
+    return _three_sided_count(a, b, config.betas, config.alphas)
 
 
 def count_defects_four_sided(config: DefectConfiguration) -> int:
@@ -363,22 +319,19 @@ def count_defects_four_sided(config: DefectConfiguration) -> int:
 
     Splits off k of the betas to form a balanced sub-rectangle G, then runs
     condensation over the remaining n betas and n alphas; every entry is
-    itself a three-sided Pfaffian count with at most one alpha.
+    itself a three-sided Pfaffian count with at most one alpha.  Gamma
+    squares are out of scope.
     """
-    config.validate()
-    a, b, k = config.sizes()
+    _require_balanced(config)
+    a, b = config.a, config.b
 
     def order(d: DefectSpec) -> int:
         return perimeter_index(a, b, d)
 
     betas_sorted = sorted(config.betas, key=order)
-
-    def three_sided(betas: tuple[DefectSpec, ...], alphas: tuple[DefectSpec, ...]) -> int:
-        return _three_sided_count(DefectConfiguration(config.region, betas, alphas))
-
     chosen = None
-    for s in itertools.combinations(betas_sorted, k):
-        m_g = three_sided(s, ())
+    for s in itertools.combinations(betas_sorted, b - a):
+        m_g = _three_sided_count(a, b, s, ())
         if m_g:
             chosen, m_base = s, m_g
             break
@@ -391,7 +344,7 @@ def count_defects_four_sided(config: DefectConfiguration) -> int:
         if (x.kind == "beta") == (y.kind == "beta"):
             return 0
         beta, alpha = (x, y) if x.kind == "beta" else (y, x)
-        return three_sided(chosen + (beta,), (alpha,))
+        return _three_sided_count(a, b, chosen + (beta,), (alpha,))
 
     return _pfaffian_quotient(outer, entry, m_base, len(config.alphas) - 1, "four-sided count")
 
@@ -406,8 +359,7 @@ def count_diamond_defects(
     same-color pairs, divided by the defect-free diamond count to the power
     n - 1.
     """
-    config = DefectConfiguration(make_aztec_rectangle(a, a), tuple(betas), tuple(alphas))
-    return count_defects_three_sided(config)
+    return count_defects_three_sided(DefectConfiguration(a, a, tuple(betas), tuple(alphas)))
 
 
 def diamond_normal_form(a: int, beta: DefectSpec, alpha: DefectSpec) -> tuple[int, int]:
@@ -427,8 +379,8 @@ def diamond_normal_form(a: int, beta: DefectSpec, alpha: DefectSpec) -> tuple[in
 
 def _formula_count(config: DefectConfiguration) -> int:
     """Closed-form count of a colour-balanced configuration in a recognized family."""
-    a, b, k = config.sizes()
-    gammas = config.region.meta.gammas
+    a, b, gammas = config.a, config.b, config.gammas
+    k = b - a
     removed = sorted((d.side, d.position) for d in config.betas + config.alphas)
     if gammas:
         if not removed and gammas == tuple(range(1, k + 1)):
@@ -466,16 +418,15 @@ def count_configuration(config: DefectConfiguration, engine: str = "dp") -> int:
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    if engine in ("dp", "brute"):
-        residual = remove_defects(config.region, config.betas + config.alphas)
-        if engine == "dp":
-            return count_tilings_dp(residual)
-        return count_matchings_brute(residual)
-    _, _, k = config.sizes()
-    if engine == "pfaffian" and config.region.meta.gammas:
-        raise OutOfScopeConfigurationError("pfaffian engine works on plain AD/AR specs")
+    if engine == "dp":
+        return count_tilings_dp(config.region())
+    if engine == "brute":
+        return count_matchings_brute(config.region())
+    if engine == "pfaffian":
+        _require_plain(config)
     # AR(a, b) has b - a more white cells than black, and each gamma square one more black
-    if len(config.betas) - len(config.alphas) != k - len(config.region.meta.gammas):
+    k = config.b - config.a
+    if len(config.betas) - len(config.alphas) != k - len(config.gammas):
         return 0
     if engine == "formula":
         return _formula_count(config)

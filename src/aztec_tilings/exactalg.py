@@ -1,11 +1,11 @@
-"""Exact linear algebra over the rationals: Pfaffian and determinant.
+"""Exact linear algebra on integer matrices: Pfaffian and determinant.
 
-The Pfaffian is computed in exact ints: the matrix is scaled to integers by
-the lcm of its denominators and divided by the gcd of its entries, then
-reduced by fraction-free skew elimination with pivot search (the Pfaffian
-analogue of Bareiss's method), O(n^3) int operations whose every division is
-exact.  A memoized first-row expansion and Fraction-elimination determinant
-are kept as second, independently coded routes for cross-checking.
+The Pfaffian is computed in exact ints: the matrix is divided by the gcd of
+its entries, then reduced by fraction-free skew elimination with pivot search
+(the Pfaffian analogue of Bareiss's method), O(n^3) int operations whose
+every division is exact.  A memoized first-row expansion and a
+Fraction-elimination determinant are kept as second, independently coded
+routes for cross-checking.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .errors import InternalInconsistencyError, InvalidMatrixError
 
-Matrix = Sequence[Sequence[int | Fraction]]
+Matrix = Sequence[Sequence[int]]
 
 
 def _check_skew(m: Matrix) -> None:
@@ -33,33 +33,30 @@ def _check_skew(m: Matrix) -> None:
                 raise InvalidMatrixError(f"entries ({i},{j}) and ({j},{i}) are not opposite")
 
 
-def pfaffian(m: Matrix) -> Fraction:
-    """Pfaffian of a skew-symmetric matrix; pfaffian(m)**2 == determinant(m).
+def pfaffian(m: Matrix) -> int:
+    """Pfaffian of a skew-symmetric integer matrix; pfaffian(m)**2 == determinant(m).
 
-    With M = (g / scale) A for an integer matrix A of content 1,
-    Pf(M) = (g / scale)^(n/2) Pf(A).  A is reduced fraction-free: after the
-    pivot pair (k, k+1) with pivot p, entry (i, j) becomes
-    (p a_ij - a_ki a_k+1,j + a_kj a_k+1,i) / p_prev, the Pfaffian minor on
-    the eliminated indices plus {i, j}, so the division is exact and the
-    last pivot is Pf(A).
+    With M = g A for an integer matrix A of content 1, Pf(M) = g^(n/2) Pf(A).
+    A is reduced fraction-free: after the pivot pair (k, k+1) with pivot p,
+    entry (i, j) becomes (p a_ij - a_ki a_k+1,j + a_kj a_k+1,i) / p_prev, the
+    Pfaffian minor on the eliminated indices plus {i, j}, so the division is
+    exact and the last pivot is Pf(A).
     """
     _check_skew(m)
     n = len(m)
     if n == 0:
-        return Fraction(1)
-    scale = math.lcm(*(x.denominator for row in m for x in row))
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in m]
-    g = math.gcd(*(x for row in a for x in row))
+        return 1
+    g = math.gcd(*(x for row in m for x in row))
     if g == 0:
-        return Fraction(0)
-    a = [[x // g for x in row] for row in a]
+        return 0
+    a = [[x // g for x in row] for row in m]
     sign = 1
     p_prev = 1
     for k in range(0, n, 2):
         rk = a[k]
         pivot_row = next((i for i in range(k + 1, n) if rk[i]), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != k + 1:
             a[k + 1], a[pivot_row] = a[pivot_row], a[k + 1]
             for row in a:
@@ -79,34 +76,32 @@ def pfaffian(m: Matrix) -> Fraction:
                 row_i[j] = q
                 a[j][i] = -q
         p_prev = p
-    half = n // 2
-    return Fraction(sign * p * g**half, scale**half)
+    return sign * p * g ** (n // 2)
 
 
-def pfaffian_expand_first_row(m: Matrix) -> Fraction:
+def pfaffian_expand_first_row(m: Matrix) -> int:
     """Pfaffian by the alternating first-row expansion; independent oracle.
 
     Each sub-Pfaffian is memoized on its tuple of remaining indices, so shared
     subproblems of the expansion are evaluated once.
     """
     _check_skew(m)
-    a = m  # recursion stays in the entries' native arithmetic
-    memo: dict[tuple[int, ...], int | Fraction] = {(): 1}
+    memo: dict[tuple[int, ...], int] = {(): 1}
 
-    def expand(idx: tuple[int, ...]):
+    def expand(idx: tuple[int, ...]) -> int:
         if idx in memo:
             return memo[idx]
         first, rest = idx[0], idx[1:]
         total = 0
         sign = 1
         for pos, j in enumerate(rest):
-            if a[first][j]:
-                total += sign * a[first][j] * expand(rest[:pos] + rest[pos + 1 :])
+            if m[first][j]:
+                total += sign * m[first][j] * expand(rest[:pos] + rest[pos + 1 :])
             sign = -sign
         memo[idx] = total
         return total
 
-    return Fraction(expand(tuple(range(len(m)))))
+    return expand(tuple(range(len(m))))
 
 
 def determinant(m: Matrix) -> Fraction:

@@ -16,14 +16,20 @@ corner, SW from the south corner.  Gamma cells are the extra squares glued
 under the SE staircase; position 1 sits in the south-corner notch, so a string
 starting there forces the staircase reduction of the augmented rectangle down
 to a diamond.
+
+A configuration, AR(a, b) plus a gamma string minus beta and alpha defects,
+is described only by numbers: ``DefectConfiguration`` holds a, b, the defect
+addresses and the gamma positions, and checks them by arithmetic through
+``boundary_cell``.  A ``Region`` is only a cell set; ``make_aztec_rectangle``
+and ``DefectConfiguration.region`` build one for the code that needs cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
-from .errors import InvalidDefectError, InvalidParameterError, UnsupportedRegionError
+from .errors import InvalidConfigurationError, InvalidDefectError, InvalidParameterError
 
 SIDES = ("NW", "NE", "SE", "SW")
 WHITE_SIDES = ("NW", "SE")
@@ -77,22 +83,10 @@ class DefectSpec:
 
 
 @dataclass(frozen=True)
-class RegionMeta:
-    """Construction record: family kind, side lengths, augmentations, removals."""
-
-    kind: str  # "AD", "AR" or "custom"
-    a: int | None = None
-    b: int | None = None
-    gammas: tuple[int, ...] = ()
-    removed: tuple[DefectSpec, ...] = ()
-
-
-@dataclass(frozen=True)
 class Region:
-    """An immutable finite set of cells plus its construction record."""
+    """An immutable finite set of cells."""
 
     cells: frozenset[Cell]
-    meta: RegionMeta = field(default_factory=lambda: RegionMeta("custom"))
 
     @staticmethod
     def from_cells(cells: Iterable[Cell]) -> Region:
@@ -122,8 +116,7 @@ def make_aztec_rectangle(a: int, b: int) -> Region:
     cells = frozenset(
         Cell(u, v) for u in range(2 * b + 1) for v in range(2 * a + 1) if (u + v) % 2 == 1
     )
-    kind = "AD" if a == b else "AR"
-    return Region(cells, RegionMeta(kind, a, b))
+    return Region(cells)
 
 
 def make_aztec_diamond(n: int) -> Region:
@@ -133,40 +126,22 @@ def make_aztec_diamond(n: int) -> Region:
     return make_aztec_rectangle(n, n)
 
 
-def _require_canonical(region: Region) -> tuple[int, int]:
-    meta = region.meta
-    if meta.kind not in ("AD", "AR") or meta.a is None or meta.b is None:
-        raise UnsupportedRegionError("operation needs a region built by the AD/AR constructors")
-    return meta.a, meta.b
-
-
-def boundary_cell(region: Region, spec: DefectSpec) -> Cell:
-    """Resolve a defect address to the unique cell it names."""
-    a, b = _require_canonical(region)
+def boundary_cell(a: int, b: int, spec: DefectSpec) -> Cell:
+    """The cell of AR(a, b), or of its gamma string, that a defect address names."""
     side, pos = spec.side, spec.position
+    length = a if side in BLACK_SIDES else b
+    if not 1 <= pos <= length:
+        name = "gamma" if spec.kind == "gamma" else side
+        raise InvalidDefectError(f"{name} position {pos} out of range 1..{length}")
     if spec.kind == "gamma":
-        if not 1 <= pos <= b:
-            raise InvalidDefectError(f"gamma position {pos} out of range 1..{b}")
-        cell = Cell(2 * pos - 2, 2 * a + 1)
-    elif side == "NW":
-        if not 1 <= pos <= b:
-            raise InvalidDefectError(f"NW position {pos} out of range 1..{b}")
-        cell = Cell(2 * pos - 1, 0)
-    elif side == "SE":
-        if not 1 <= pos <= b:
-            raise InvalidDefectError(f"SE position {pos} out of range 1..{b}")
-        cell = Cell(2 * pos - 1, 2 * a)
-    elif side == "NE":
-        if not 1 <= pos <= a:
-            raise InvalidDefectError(f"NE position {pos} out of range 1..{a}")
-        cell = Cell(2 * b, 2 * pos - 1)
-    else:  # SW
-        if not 1 <= pos <= a:
-            raise InvalidDefectError(f"SW position {pos} out of range 1..{a}")
-        cell = Cell(0, 2 * a - 2 * pos + 1)
-    if cell not in region.cells:
-        raise InvalidDefectError(f"{spec} addresses {cell}, which is not in the region")
-    return cell
+        return Cell(2 * pos - 2, 2 * a + 1)
+    if side == "NW":
+        return Cell(2 * pos - 1, 0)
+    if side == "SE":
+        return Cell(2 * pos - 1, 2 * a)
+    if side == "NE":
+        return Cell(2 * b, 2 * pos - 1)
+    return Cell(0, 2 * a - 2 * pos + 1)
 
 
 def perimeter_index(a: int, b: int, spec: DefectSpec) -> int:
@@ -188,33 +163,53 @@ def perimeter_index(a: int, b: int, spec: DefectSpec) -> int:
     return 2 * a + 5 * b - pos
 
 
-def add_gamma_squares(region: Region, k: int, start: int = 1) -> Region:
-    """Glue a string of k black cells under the SE side at positions start..start+k-1."""
-    a, b = _require_canonical(region)
-    if region.meta.gammas or region.meta.removed:
-        raise InvalidParameterError("gamma squares must be added to a pristine rectangle")
-    if k < 0:
-        raise InvalidParameterError(f"need k >= 0, got {k}")
-    if k == 0:
-        return region
-    positions = range(start, start + k)
-    if start < 1 or positions[-1] > b:
-        raise InvalidParameterError(
-            f"gamma string {start}..{positions[-1]} does not fit along the SE side (1..{b})"
-        )
-    added = frozenset(Cell(2 * t - 2, 2 * a + 1) for t in positions)
-    meta = RegionMeta(region.meta.kind, a, b, tuple(positions), region.meta.removed)
-    return Region(region.cells | added, meta)
+@dataclass(frozen=True)
+class DefectConfiguration:
+    """AR(a, b) plus a string of gamma squares under the SE side, minus boundary defects.
 
+    ``betas`` are beta-class and ``alphas`` alpha-class ``DefectSpec``s,
+    distinct and in range; ``gammas`` are consecutive SE positions inside
+    1..b.  All of it is checked here by arithmetic; cells are built only by
+    ``region``.
+    """
 
-def remove_defects(region: Region, defects: Sequence[DefectSpec]) -> Region:
-    """Remove the addressed boundary cells; they must be present and distinct."""
-    cells = set()
-    for spec in defects:
-        cell = boundary_cell(region, spec)
-        if cell in cells:
-            raise InvalidDefectError(f"duplicate defect {spec}")
-        cells.add(cell)
-    meta = region.meta
-    new_meta = RegionMeta(meta.kind, meta.a, meta.b, meta.gammas, meta.removed + tuple(defects))
-    return Region(region.cells - cells, new_meta)
+    a: int
+    b: int
+    betas: tuple[DefectSpec, ...] = ()
+    alphas: tuple[DefectSpec, ...] = ()
+    gammas: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        a, b, gammas = self.a, self.b, self.gammas
+        if not 1 <= a <= b:
+            raise InvalidParameterError(f"need 1 <= a <= b, got a={a}, b={b}")
+        if gammas:
+            first, last = gammas[0], gammas[-1]
+            if first < 1 or last > b:
+                raise InvalidParameterError(
+                    f"gamma string {first}..{last} does not fit along the SE side (1..{b})"
+                )
+            if tuple(gammas) != tuple(range(first, last + 1)):
+                raise InvalidParameterError(f"gamma squares must form one string, got {gammas}")
+        if any(d.kind != "beta" for d in self.betas):
+            raise InvalidConfigurationError("betas must be beta-class defects")
+        if any(d.kind != "alpha" for d in self.alphas):
+            raise InvalidConfigurationError("alphas must be alpha-class defects")
+        seen: set[DefectSpec] = set()
+        for spec in self.betas + self.alphas:
+            boundary_cell(a, b, spec)
+            if spec in seen:
+                raise InvalidDefectError(f"duplicate defect {spec}")
+            seen.add(spec)
+
+    def __len__(self) -> int:
+        """The number of cells of ``region()``."""
+        a, b = self.a, self.b
+        return 2 * a * b + a + b + len(self.gammas) - len(self.betas) - len(self.alphas)
+
+    def region(self) -> Region:
+        """The counted cell set: AR(a, b) plus the gamma squares minus the defects."""
+        a, b = self.a, self.b
+        gammas = {boundary_cell(a, b, DefectSpec("SE", t, "gamma")) for t in self.gammas}
+        gone = {boundary_cell(a, b, d) for d in self.betas + self.alphas}
+        return Region((make_aztec_rectangle(a, b).cells | gammas) - gone)

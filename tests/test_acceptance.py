@@ -12,7 +12,6 @@ from aztec_tilings import (
     DefectConfiguration,
     DefectSpec,
     Region,
-    add_gamma_squares,
     binomial_ext,
     boundary_cycle,
     check_face_alternating_identity,
@@ -37,7 +36,6 @@ from aztec_tilings import (
     make_aztec_rectangle,
     pfaffian,
     pfaffian_expand_first_row,
-    remove_defects,
 )
 from aztec_tilings.cli import main
 from aztec_tilings.errors import CondensationInapplicableError
@@ -64,10 +62,9 @@ def test_criterion_2_product_formula_sweep():
     checks = 0
     for a in range(1, 6):
         for b in range(a + 1, 7):
-            region = make_aztec_rectangle(a, b)
             for kept in itertools.combinations(range(1, b + 1), a):
-                removed = [DefectSpec("SE", p) for p in range(1, b + 1) if p not in kept]
-                residual = remove_defects(region, removed)
+                removed = tuple(DefectSpec("SE", p) for p in range(1, b + 1) if p not in kept)
+                residual = DefectConfiguration(a, b, removed).region()
                 expected = count_ar_kept_se(a, b, kept)
                 assert count_tilings_dp(residual) == expected, (a, b, kept)
                 if len(residual) <= 36:
@@ -81,38 +78,33 @@ def test_criterion_3_closed_form_family_sweeps():
     for a in range(1, 6):
         for i in range(1, a + 1):
             for j in range(1, a + 1):
-                residual = remove_defects(
-                    make_aztec_diamond(a), [DefectSpec("SE", i), DefectSpec("NE", j)]
-                )
+                residual = DefectConfiguration(
+                    a, a, (DefectSpec("SE", i),), (DefectSpec("NE", j),)
+                ).region()
                 assert count_ad_adjacent_defects(a, i, j) == count_tilings_dp(residual)
                 checks += 1
     for a in range(1, 5):
         for i in range(1, a + 3):
             for j in range(1, a + 3):
-                residual = remove_defects(
-                    make_aztec_rectangle(a, a + 2), [DefectSpec("SE", i), DefectSpec("NW", j)]
-                )
+                residual = DefectConfiguration(
+                    a, a + 2, (DefectSpec("SE", i), DefectSpec("NW", j))
+                ).region()
                 assert count_ar_se_nw_defects(a, i, j) == count_tilings_dp(residual)
                 checks += 1
     for a in range(1, 4):
         for k in range(1, 4):
             b = a + k
+            gammas = tuple(range(2, k + 1))
             for j in range(1, b + 1):
-                region = make_aztec_rectangle(a, b)
-                if k >= 2:
-                    region = add_gamma_squares(region, k - 1, start=2)
-                residual = remove_defects(region, [DefectSpec("SE", j)])
+                residual = DefectConfiguration(a, b, (DefectSpec("SE", j),), gammas=gammas).region()
                 assert count_ar_gamma_se_defect(a, k, j) == count_tilings_dp(residual)
                 checks += 1
             for i in range(1, b + 1):
-                removed = [DefectSpec("SE", p) for p in range(2, k + 1)]
-                removed.append(DefectSpec("NW", i))
-                residual = remove_defects(make_aztec_rectangle(a, b), removed)
+                removed = tuple(DefectSpec("SE", p) for p in range(2, k + 1))
+                removed += (DefectSpec("NW", i),)
+                residual = DefectConfiguration(a, b, removed).region()
                 assert count_ar_se_block_nw_defect(a, k, i) == count_tilings_dp(residual)
-                region = make_aztec_rectangle(a, b)
-                if k >= 2:
-                    region = add_gamma_squares(region, k - 1, start=2)
-                residual = remove_defects(region, [DefectSpec("NW", i)])
+                residual = DefectConfiguration(a, b, (DefectSpec("NW", i),), gammas=gammas).region()
                 assert count_ar_gamma_nw_defect(a, k, i) == count_tilings_dp(residual)
                 checks += 2
     # the calibrated evaluators make the formulas verifier run clean
@@ -140,7 +132,7 @@ def test_criterion_4_condensation_identities():
         a = rng.randint(1, 3)
         k = rng.randint(1, 2)
         base = make_aztec_rectangle(a, a + k)
-        host = add_gamma_squares(base, k, 1)
+        host = DefectConfiguration(a, a + k, gammas=tuple(range(1, k + 1))).region()
         cycle = boundary_cycle(host)
         kk = rng.randint(1, 3)
         if 2 * kk > len(cycle):
@@ -208,7 +200,7 @@ def test_criterion_5_defect_counters_end_to_end():
         blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
         betas = tuple(rng.sample(whites, n))
         alphas = tuple(rng.sample(blacks, n))
-        residual = remove_defects(make_aztec_diamond(a), betas + alphas)
+        residual = DefectConfiguration(a, a, betas, alphas).region()
         assert count_diamond_defects(a, betas, alphas) == count_tilings_dp(residual)
         diamond_checks += 1
 
@@ -220,11 +212,12 @@ def test_criterion_5_defect_counters_end_to_end():
         n = rng.randint(0 if k else 1, min(2, a))
         whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
         config = DefectConfiguration(
-            make_aztec_rectangle(a, b),
+            a,
+            b,
             tuple(rng.sample(whites, n + k)),
             tuple(DefectSpec("NE", p) for p in rng.sample(range(1, a + 1), n)),
         )
-        want = count_tilings_dp(config.target_region())
+        want = count_tilings_dp(config.region())
         assert count_defects_three_sided(config) == want, config
         three_checks += 1
 
@@ -239,11 +232,9 @@ def test_criterion_5_defect_counters_end_to_end():
         if n + k > len(whites) or n > len(blacks):
             continue
         config = DefectConfiguration(
-            make_aztec_rectangle(a, b),
-            tuple(rng.sample(whites, n + k)),
-            tuple(rng.sample(blacks, n)),
+            a, b, tuple(rng.sample(whites, n + k)), tuple(rng.sample(blacks, n))
         )
-        want = count_tilings_dp(config.target_region())
+        want = count_tilings_dp(config.region())
         try:
             assert count_defects_four_sided(config) == want, config
         except CondensationInapplicableError:
@@ -261,10 +252,8 @@ def test_criterion_5_defect_counters_end_to_end():
 
 def test_criterion_6_peeling_recursion_and_recurrence():
     def bumped(a, k, j):
-        region = make_aztec_rectangle(a, a + k)
-        if k >= 2:
-            region = add_gamma_squares(region, k - 1, start=2)
-        return count_tilings_dp(remove_defects(region, [DefectSpec("SE", j)]))
+        config = DefectConfiguration(a, a + k, (DefectSpec("SE", j),), gammas=tuple(range(2, k + 1)))
+        return count_tilings_dp(config.region())
 
     checks = 0
     for a in range(1, 4):
@@ -273,8 +262,8 @@ def test_criterion_6_peeling_recursion_and_recurrence():
             for j in range(k + 1, b + 1):
                 lhs = bumped(a, k, j)
                 first = bumped(a, k - 1, j - 1)
-                removed = [DefectSpec("SE", p) for p in range(2, k + 1)] + [DefectSpec("SE", j)]
-                second = count_tilings_dp(remove_defects(make_aztec_rectangle(a, b), removed))
+                removed = tuple(DefectSpec("SE", p) for p in (*range(2, k + 1), j))
+                second = count_tilings_dp(DefectConfiguration(a, b, removed).region())
                 assert lhs == first + second, (a, k, j)
                 checks += 1
 
@@ -282,15 +271,12 @@ def test_criterion_6_peeling_recursion_and_recurrence():
         for i in range(2, a):
             for j in range(2, a):
                 big = count_tilings_dp(
-                    remove_defects(
-                        make_aztec_diamond(a), [DefectSpec("SE", i), DefectSpec("NE", j)]
-                    )
+                    DefectConfiguration(a, a, (DefectSpec("SE", i),), (DefectSpec("NE", j),)).region()
                 )
                 small = count_tilings_dp(
-                    remove_defects(
-                        make_aztec_diamond(a - 1),
-                        [DefectSpec("SE", i - 1), DefectSpec("NE", j - 1)],
-                    )
+                    DefectConfiguration(
+                        a - 1, a - 1, (DefectSpec("SE", i - 1),), (DefectSpec("NE", j - 1),)
+                    ).region()
                 )
                 rhs = 2 ** a * small + 2 ** (a * (a - 1) // 2) * binomial_ext(
                     a - 1, j - 1

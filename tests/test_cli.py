@@ -19,9 +19,8 @@ def run_cli(capsys, *argv):
 
 def test_parse_plain_diamond():
     config = parse_region_spec("AD n=3")
-    assert config.region.meta.kind == "AD"
-    assert (config.region.meta.a, config.region.meta.b) == (3, 3)
-    assert config.betas == () and config.alphas == ()
+    assert (config.a, config.b) == (3, 3)
+    assert config.betas == () and config.alphas == () and config.gammas == ()
 
 
 def test_parse_rectangle_with_removals():
@@ -32,7 +31,7 @@ def test_parse_rectangle_with_removals():
 
 def test_parse_gamma_augmented():
     config = parse_region_spec("AR a=4 b=9 gamma=5 remove=SE:3,NE:1")
-    assert config.region.meta.gammas == (1, 2, 3, 4, 5)
+    assert config.gammas == (1, 2, 3, 4, 5)
     assert len(config.betas) == 1 and len(config.alphas) == 1
 
 

@@ -13,7 +13,6 @@ from aztec_tilings import (
     DefectConfiguration,
     DefectSpec,
     Region,
-    add_gamma_squares,
     boundary_cell,
     boundary_cycle,
     check_face_alternating_identity,
@@ -29,7 +28,6 @@ from aztec_tilings import (
     is_white,
     make_aztec_diamond,
     make_aztec_rectangle,
-    remove_defects,
 )
 from aztec_tilings import condensation
 from aztec_tilings.condensation import _pfaffian_quotient, diamond_normal_form
@@ -103,7 +101,7 @@ def test_symdiff_reduces_to_deletion():
 
 def test_symdiff_adds_gamma_cells_back():
     # base = host minus a forced domino; toggling that pair back restores the host
-    host = add_gamma_squares(make_aztec_rectangle(2, 3), 1, 1)
+    host = DefectConfiguration(2, 3, gammas=(1,)).region()
     gamma, se1 = Cell(0, 5), Cell(1, 4)
     base_cells = set(host.cells) - {gamma, se1}
     cycle = boundary_cycle(host)
@@ -201,53 +199,56 @@ def test_kuo_rejects_wrong_hypotheses():
             check_kuo_identity(pattern, region, *quad)
 
 
-def _config(a, b, betas, alphas):
+def _config(a, b, betas, alphas, gammas=()):
     return DefectConfiguration(
-        make_aztec_rectangle(a, b),
+        a,
+        b,
         tuple(DefectSpec(s, p) for s, p in betas),
         tuple(DefectSpec(s, p) for s, p in alphas),
+        gammas,
     )
 
 
 def test_three_sided_no_defects_is_diamond_count():
     cfg = _config(3, 3, [], [])
-    assert count_defects_three_sided(cfg) == 64
+    count = count_defects_three_sided(cfg)
+    assert count == 64 and type(count) is int  # Pf of the empty matrix times M(AD(3))
 
 
 def test_three_sided_matches_engine_anchor():
     cfg = _config(2, 3, [("SE", 3), ("NW", 1)], [("NE", 2)])
-    want = count_tilings_dp(cfg.target_region())
+    want = count_tilings_dp(cfg.region())
     assert count_defects_three_sided(cfg) == want
 
 
-def test_three_sided_accepts_augmented_region():
-    region = add_gamma_squares(make_aztec_rectangle(2, 3), 1, 1)
-    cfg = DefectConfiguration(
-        region, (DefectSpec("SE", 3), DefectSpec("NW", 2)), (DefectSpec("NE", 1),)
-    )
-    assert count_defects_three_sided(cfg) == count_tilings_dp(cfg.target_region())
+def test_gamma_configuration_is_out_of_scope_for_the_pfaffian_counters():
+    # AR(2,3) + gamma 1 minus SE 3, NW 2, NE 1 has one white cell fewer than black
+    cfg = _config(2, 3, [("SE", 3), ("NW", 2)], [("NE", 1)], gammas=(1,))
+    for counter in (count_defects_three_sided, count_defects_four_sided):
+        with pytest.raises(OutOfScopeConfigurationError):
+            counter(cfg)
+    assert count_configuration(cfg, "dp") == count_configuration(cfg, "brute") == 0
 
 
 @pytest.mark.parametrize("gammas", [0, 2])
 def test_validate_rejects_duplicate_and_out_of_range_defects(gammas):
-    region = add_gamma_squares(make_aztec_rectangle(3, 5), gammas, 1)
-    DefectConfiguration(region, (DefectSpec("SE", 4), DefectSpec("NW", 2)), ()).validate()
+    string = tuple(range(1, gammas + 1))
+    DefectConfiguration(3, 5, (DefectSpec("SE", 4), DefectSpec("NW", 2)), (), string)
     for betas, alpha in [
         ((("SE", 4), ("SE", 4), ("NW", 5)), ("NE", 1)),  # duplicate
         ((("SE", 4), ("NW", 2), ("NW", 5)), ("NE", 4)),  # NE runs 1..a = 1..3
         ((("SE", 4), ("NW", 2), ("NW", 6)), ("SW", 3)),  # NW runs 1..b = 1..5
     ]:
-        config = DefectConfiguration(
-            region, tuple(DefectSpec(*d) for d in betas), (DefectSpec(*alpha),)
-        )
         with pytest.raises(InvalidDefectError):
-            config.validate()
+            DefectConfiguration(
+                3, 5, tuple(DefectSpec(*d) for d in betas), (DefectSpec(*alpha),), string
+            )
 
 
 def test_three_sided_rejects_sw_alpha():
     # SW-only alphas are reflected onto NE; alphas on both black sides need a = b
     cfg = _config(2, 3, [("SE", 1), ("NW", 2)], [("SW", 1)])
-    assert count_defects_three_sided(cfg) == count_tilings_dp(cfg.target_region())
+    assert count_defects_three_sided(cfg) == count_tilings_dp(cfg.region())
     cfg = _config(2, 3, [("SE", 1), ("NW", 2), ("SE", 3)], [("NE", 1), ("SW", 2)])
     with pytest.raises(OutOfScopeConfigurationError):
         count_defects_three_sided(cfg)
@@ -257,12 +258,12 @@ def test_three_sided_entries_match_engine():
     # every Pfaffian entry is the engine count of the gamma host minus two cells
     for a in range(1, 6):
         for k in range(4):
-            host = add_gamma_squares(make_aztec_rectangle(a, a + k), k, 1)
+            host = DefectConfiguration(a, a + k, gammas=tuple(range(1, k + 1))).region()
             deltas = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, a + k + 1)]
             deltas += [DefectSpec(s, p) for s in ("NE", "SW")[: 1 if k else 2] for p in range(1, a + 1)]
             deltas += [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
             for x, y in itertools.combinations(deltas, 2):
-                want = direct_count(host, (boundary_cell(host, x), boundary_cell(host, y)))
+                want = direct_count(host, (boundary_cell(a, a + k, x), boundary_cell(a, a + k, y)))
                 assert condensation._three_sided_entry(a, k, x, y) == want, (a, k, x, y)
 
 
@@ -285,8 +286,8 @@ def test_three_sided_agrees_with_diamond_counter():
         n = rng.randint(1, min(3, a))
         whites, blacks = _diamond_sides(a)
         betas, alphas = tuple(rng.sample(whites, n)), tuple(rng.sample(blacks, n))
-        cfg = DefectConfiguration(make_aztec_diamond(a), betas, alphas)
-        want = count_tilings_dp(cfg.target_region())
+        cfg = DefectConfiguration(a, a, betas, alphas)
+        want = count_tilings_dp(cfg.region())
         assert count_defects_three_sided(cfg) == count_diamond_defects(a, betas, alphas) == want
 
 
@@ -295,7 +296,7 @@ def test_diamond_normal_form_exhaustive():
         whites, blacks = _diamond_sides(a)
         for beta in whites:
             for alpha in blacks:
-                want = count_tilings_dp(remove_defects(make_aztec_diamond(a), (beta, alpha)))
+                want = count_tilings_dp(DefectConfiguration(a, a, (beta,), (alpha,)).region())
                 got = count_ad_adjacent_defects(a, *diamond_normal_form(a, beta, alpha))
                 assert got == want, (a, beta, alpha)
 
@@ -303,7 +304,7 @@ def test_diamond_normal_form_exhaustive():
 def test_diamond_engine_entries_with_sw_alpha():
     betas = (DefectSpec("SE", 1), DefectSpec("NW", 3))
     alphas = (DefectSpec("SW", 2), DefectSpec("NE", 3))
-    want = count_tilings_dp(remove_defects(make_aztec_diamond(3), betas + alphas))
+    want = count_tilings_dp(DefectConfiguration(3, 3, betas, alphas).region())
     assert count_diamond_defects(3, betas, alphas) == want
 
 
@@ -314,12 +315,12 @@ def test_four_sided_degenerate_equals_three_sided():
 
 def test_four_sided_single_alpha_outer_is_single_entry():
     cfg = _config(2, 3, [("SE", 2), ("NW", 3)], [("SW", 2)])
-    assert count_defects_four_sided(cfg) == count_tilings_dp(cfg.target_region())
+    assert count_defects_four_sided(cfg) == count_tilings_dp(cfg.region())
 
 
 def test_four_sided_all_sides_anchor():
     cfg = _config(2, 3, [("SE", 1), ("NW", 2), ("SE", 3)], [("NE", 1), ("SW", 2)])
-    assert count_defects_four_sided(cfg) == count_tilings_dp(cfg.target_region())
+    assert count_defects_four_sided(cfg) == count_tilings_dp(cfg.region())
 
 
 def test_diamond_counter_single_pair_is_formula():
@@ -332,7 +333,7 @@ def test_diamond_counter_same_type_pairs_vanish():
     betas = (DefectSpec("SE", 1), DefectSpec("SE", 2))
     alphas = (DefectSpec("NE", 1), DefectSpec("NE", 2))
     got = count_diamond_defects(3, betas, alphas)
-    region = remove_defects(make_aztec_diamond(3), betas + alphas)
+    region = DefectConfiguration(3, 3, betas, alphas).region()
     assert got == count_tilings_dp(region)
 
 
@@ -366,8 +367,8 @@ def test_count_configuration_engines_agree(a, k, data):
     n = data.draw(st.integers(0, min(3, a)))
     alphas = data.draw(st.lists(st.sampled_from(blacks), min_size=n, max_size=n, unique=True))
     betas = data.draw(st.lists(st.sampled_from(whites), min_size=n + k, max_size=n + k, unique=True))
-    cfg = DefectConfiguration(make_aztec_rectangle(a, b), tuple(betas), tuple(alphas))
-    cells = len(cfg.region) - len(betas) - len(alphas)
+    cfg = DefectConfiguration(a, b, tuple(betas), tuple(alphas))
+    cells = len(cfg)
     counts = {}
     for engine in ENGINES:
         if engine == "brute" and cells > 30:

@@ -4,13 +4,13 @@ from hypothesis import given, settings, strategies as st
 
 from aztec_tilings import (
     Cell,
+    DefectConfiguration,
     DefectSpec,
     Region,
     count_matchings_brute,
     count_tilings_dp,
     make_aztec_diamond,
     make_aztec_rectangle,
-    remove_defects,
 )
 
 
@@ -36,16 +36,14 @@ def test_two_by_three_block():
 
 def test_dp_anchors():
     assert count_tilings_dp(make_aztec_diamond(4)) == 1024
-    region = remove_defects(make_aztec_rectangle(2, 3), [DefectSpec("SE", 2)])
+    region = DefectConfiguration(2, 3, (DefectSpec("SE", 2),)).region()
     assert count_tilings_dp(region) == 16
-    region = remove_defects(make_aztec_rectangle(1, 2), [DefectSpec("SE", 2)])
+    region = DefectConfiguration(1, 2, (DefectSpec("SE", 2),)).region()
     assert count_tilings_dp(region) == 2
 
 
 def test_gamma_string_forces_diamond_count():
-    from aztec_tilings import add_gamma_squares
-
-    region = add_gamma_squares(make_aztec_rectangle(5, 10), 5, 1)
+    region = DefectConfiguration(5, 10, gammas=(1, 2, 3, 4, 5)).region()
     assert count_tilings_dp(region) == 2 ** 15
 
 

@@ -5,8 +5,8 @@ import pytest
 from aztec_tilings import (
     Cell,
     DefectSpec,
+    DefectConfiguration,
     Region,
-    add_gamma_squares,
     boundary_cell,
     boundary_cycle,
     make_aztec_diamond,
@@ -51,9 +51,10 @@ def test_perimeter_index_matches_boundary_cycle(a, k):
     sides = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
     sides += [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
     gammas = [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
-    for host, specs in ((plain, sides), (add_gamma_squares(plain, k, 1), sides + gammas)):
+    augmented = DefectConfiguration(a, b, gammas=tuple(range(1, k + 1))).region()
+    for host, specs in ((plain, sides), (augmented, sides + gammas)):
         rank = {c: i for i, c in enumerate(boundary_cycle(host))}
-        walked = sorted(specs, key=lambda d: rank[boundary_cell(host, d)])
+        walked = sorted(specs, key=lambda d: rank[boundary_cell(a, b, d)])
         assert sorted(specs, key=lambda d: perimeter_index(a, b, d)) == walked
 
 

@@ -1,7 +1,6 @@
-"""Pfaffian and determinant over exact rationals."""
+"""Pfaffian and determinant of integer matrices."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,7 +68,7 @@ def test_pfaffian_squares_to_determinant(half, data):
     n = 2 * half
     upper = data.draw(
         st.lists(
-            st.fractions(min_value=-5, max_value=5, max_denominator=4),
+            st.integers(-60, 60),
             min_size=n * (n - 1) // 2,
             max_size=n * (n - 1) // 2,
         )
@@ -110,14 +109,6 @@ def test_huge_common_factor():
     rng = random.Random(5)
     for n in (4, 6, 8):
         m = skew([2**800 * rng.randint(-9, 9) for _ in range(n * (n - 1) // 2)])
-        assert pfaffian(m) == pfaffian_expand_first_row(m)
-
-
-def test_mixed_denominators():
-    rng = random.Random(6)
-    for _ in range(20):
-        upper = [Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 5, 7, 12))) for _ in range(28)]
-        m = skew(upper)
         assert pfaffian(m) == pfaffian_expand_first_row(m)
 
 

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aztec_tilings import (
+    DefectConfiguration,
     DefectSpec,
-    add_gamma_squares,
     binomial_ext,
     count_ad_adjacent_defects,
     count_ar_gamma_nw_defect,
@@ -22,7 +22,6 @@ from aztec_tilings import (
     count_tilings_dp,
     hyp_terminating,
     make_aztec_rectangle,
-    remove_defects,
 )
 from aztec_tilings.errors import (
     InvalidParameterError,
@@ -32,17 +31,11 @@ from aztec_tilings.errors import (
 
 
 def gamma_se_region(a, k, j):
-    region = make_aztec_rectangle(a, a + k)
-    if k >= 2:
-        region = add_gamma_squares(region, k - 1, start=2)
-    return remove_defects(region, [DefectSpec("SE", j)])
+    return DefectConfiguration(a, a + k, (DefectSpec("SE", j),), gammas=tuple(range(2, k + 1))).region()
 
 
 def gamma_nw_region(a, k, i):
-    region = make_aztec_rectangle(a, a + k)
-    if k >= 2:
-        region = add_gamma_squares(region, k - 1, start=2)
-    return remove_defects(region, [DefectSpec("NW", i)])
+    return DefectConfiguration(a, a + k, (DefectSpec("NW", i),), gammas=tuple(range(2, k + 1))).region()
 
 
 def test_binomial_ext_values():
@@ -135,15 +128,15 @@ def test_count_ar_kept_se():
 def test_count_ar_one_se_removed():
     assert count_ar_one_se_removed(2, 1) == 8
     assert count_ar_one_se_removed(2, 2) == 16
-    region = remove_defects(make_aztec_rectangle(3, 4), [DefectSpec("SE", 3)])
+    region = DefectConfiguration(3, 4, (DefectSpec("SE", 3),)).region()
     assert count_ar_one_se_removed(3, 3) == 192 == count_tilings_dp(region)
 
 
 def test_count_ar_se_block_removed():
     assert count_ar_se_block_removed(3, 3) == 64
     assert count_ar_se_block_removed(2, 4) == 24
-    removed = [DefectSpec("SE", p) for p in (2, 3, 4)]
-    region = remove_defects(make_aztec_rectangle(2, 5), removed)
+    removed = tuple(DefectSpec("SE", p) for p in (2, 3, 4))
+    region = DefectConfiguration(2, 5, removed).region()
     assert count_ar_se_block_removed(2, 5) == 32 == count_tilings_dp(region)
 
 

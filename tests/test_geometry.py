@@ -1,20 +1,19 @@
-"""Region construction, addressing and defect removal."""
+"""Region construction, addressing and defect configurations."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from aztec_tilings import (
     Cell,
+    DefectConfiguration,
     DefectSpec,
-    add_gamma_squares,
     boundary_cell,
     is_black,
     is_white,
     make_aztec_diamond,
     make_aztec_rectangle,
-    remove_defects,
 )
-from aztec_tilings.errors import InvalidDefectError, InvalidParameterError
+from aztec_tilings.errors import InvalidConfigurationError, InvalidDefectError, InvalidParameterError
 
 
 def test_diamond_sizes():
@@ -56,28 +55,28 @@ def test_rectangle_counts_and_balance(a, extra):
 
 
 def test_boundary_cell_conventions():
-    region = make_aztec_rectangle(2, 3)
-    assert boundary_cell(region, DefectSpec("SE", 1)) == Cell(1, 4)
+    assert boundary_cell(2, 3, DefectSpec("SE", 1)) == Cell(1, 4)
     assert is_white(Cell(1, 4))
-    assert boundary_cell(region, DefectSpec("NE", 1)) == Cell(6, 1)
+    assert boundary_cell(2, 3, DefectSpec("NE", 1)) == Cell(6, 1)
     assert is_black(Cell(6, 1))
 
 
 def test_se_positions_are_the_v_2a_whites():
     region = make_aztec_rectangle(4, 10)
-    cells = [boundary_cell(region, DefectSpec("SE", s)) for s in range(1, 11)]
+    cells = [boundary_cell(4, 10, DefectSpec("SE", s)) for s in range(1, 11)]
     assert cells == sorted(c for c in region.cells if c.v == 8 and is_white(c))
 
 
 @pytest.mark.parametrize("side,count", [("NW", 10), ("SE", 10), ("NE", 4), ("SW", 4)])
 def test_boundary_cell_injective_with_stated_colors(side, count):
     region = make_aztec_rectangle(4, 10)
-    cells = [boundary_cell(region, DefectSpec(side, p)) for p in range(1, count + 1)]
+    cells = [boundary_cell(4, 10, DefectSpec(side, p)) for p in range(1, count + 1)]
     assert len(set(cells)) == count
+    assert set(cells) <= region.cells
     expected_white = side in ("NW", "SE")
     assert all(is_white(c) == expected_white for c in cells)
     with pytest.raises(InvalidDefectError):
-        boundary_cell(region, DefectSpec(side, count + 1))
+        boundary_cell(4, 10, DefectSpec(side, count + 1))
 
 
 def test_defect_spec_color_constraints():
@@ -89,53 +88,63 @@ def test_defect_spec_color_constraints():
         DefectSpec("NW", 1, "gamma")
 
 
-def test_add_gamma_squares_zero_is_identity():
-    region = make_aztec_rectangle(2, 4)
-    assert add_gamma_squares(region, 0).cells == region.cells
+def test_configuration_without_defects_is_the_rectangle():
+    config = DefectConfiguration(2, 4)
+    assert config.region().cells == make_aztec_rectangle(2, 4).cells
+    assert len(config) == len(config.region())
 
 
-def test_add_gamma_squares_cells_and_balance():
-    region = add_gamma_squares(make_aztec_rectangle(4, 9), 5, 1)
-    assert len(region) == 2 * 4 * 9 + 4 + 9 + 5
+def test_gamma_squares_cells_and_balance():
+    config = DefectConfiguration(4, 9, gammas=(1, 2, 3, 4, 5))
+    region = config.region()
+    assert len(region) == len(config) == 2 * 4 * 9 + 4 + 9 + 5
     assert region.is_color_balanced()
-    assert region.meta.gammas == (1, 2, 3, 4, 5)
+    gammas = {boundary_cell(4, 9, DefectSpec("SE", t, "gamma")) for t in range(1, 6)}
+    assert region.cells - make_aztec_rectangle(4, 9).cells == gammas
 
 
 @given(st.integers(1, 5), st.integers(1, 4))
 def test_gamma_string_balances_rectangle(a, k):
-    region = add_gamma_squares(make_aztec_rectangle(a, a + k), k, 1)
+    region = DefectConfiguration(a, a + k, gammas=tuple(range(1, k + 1))).region()
     assert region.is_color_balanced()
 
 
-def test_add_gamma_squares_rejects_overhang():
-    with pytest.raises(InvalidParameterError):
-        add_gamma_squares(make_aztec_rectangle(2, 3), 4, 1)
-    with pytest.raises(InvalidParameterError):
-        add_gamma_squares(make_aztec_rectangle(2, 3), 1, 0)
+def test_gamma_string_must_fit_and_be_one_string():
+    with pytest.raises(InvalidParameterError, match="does not fit"):
+        DefectConfiguration(2, 3, gammas=(1, 2, 3, 4))
+    with pytest.raises(InvalidParameterError, match="does not fit"):
+        DefectConfiguration(2, 3, gammas=(0,))
+    with pytest.raises(InvalidParameterError, match="one string"):
+        DefectConfiguration(2, 3, gammas=(1, 3))
 
 
-def test_remove_defects_identity_and_counts():
-    region = make_aztec_rectangle(2, 3)
-    assert remove_defects(region, []).cells == region.cells
-    smaller = remove_defects(region, [DefectSpec("SE", 1), DefectSpec("SE", 2)])
-    assert len(smaller) == 15
+def test_configuration_rejects_bad_sides_and_kinds():
+    with pytest.raises(InvalidParameterError):
+        DefectConfiguration(3, 2)
+    with pytest.raises(InvalidConfigurationError):
+        DefectConfiguration(2, 3, alphas=(DefectSpec("SE", 1),))
+    with pytest.raises(InvalidConfigurationError):
+        DefectConfiguration(2, 3, betas=(DefectSpec("NE", 1),))
+
+
+def test_configuration_region_removes_defects():
+    config = DefectConfiguration(2, 3, (DefectSpec("SE", 1), DefectSpec("SE", 2)))
+    smaller = config.region()
+    assert len(smaller) == len(config) == 15
     assert smaller.color_counts() == (7, 8)
-    balanced = remove_defects(region, [DefectSpec("SE", 1)])
-    assert balanced.is_color_balanced()
+    assert DefectConfiguration(2, 3, (DefectSpec("SE", 1),)).region().is_color_balanced()
 
 
-def test_remove_defects_named_region():
+def test_configuration_region_named_cells():
     region = make_aztec_rectangle(4, 7)
-    removed = remove_defects(region, [DefectSpec("SE", p) for p in (2, 4, 7)])
+    removed = DefectConfiguration(4, 7, tuple(DefectSpec("SE", p) for p in (2, 4, 7))).region()
     assert len(removed) == len(region) - 3
-    gone = {boundary_cell(region, DefectSpec("SE", p)) for p in (2, 4, 7)}
+    gone = {boundary_cell(4, 7, DefectSpec("SE", p)) for p in (2, 4, 7)}
     assert region.cells - removed.cells == gone
 
 
-def test_remove_defects_rejects_duplicates_and_absent():
-    region = make_aztec_rectangle(2, 3)
+def test_configuration_rejects_duplicates_and_out_of_range():
     with pytest.raises(InvalidDefectError):
-        remove_defects(region, [DefectSpec("SE", 1), DefectSpec("SE", 1)])
-    once = remove_defects(region, [DefectSpec("SE", 1)])
+        DefectConfiguration(2, 3, (DefectSpec("SE", 1), DefectSpec("SE", 1)))
     with pytest.raises(InvalidDefectError):
-        remove_defects(once, [DefectSpec("SE", 1)])
+        DefectConfiguration(2, 3, (DefectSpec("SE", 4),))
