@@ -117,7 +117,7 @@ def parse_region_spec(text: str) -> DefectConfiguration:
                 raise SpecError(f"token {index} {rest[0]!r}: need gamma >= 0")
             gammas = tuple(range(1, k + 1))
             try:
-                DefectConfiguration(a, b, gammas=gammas)
+                DefectConfiguration(a, b, gammas=gammas)  # checks the string fits, naming the token
             except AztecError as exc:
                 raise SpecError(f"token {index} {rest[0]!r}: {exc}") from None
             rest = rest[1:]
@@ -204,7 +204,7 @@ def _render(config: DefectConfiguration) -> list[str]:
     for cell in itertools.chain(config.region().cells, removed):
         if cell in removed:
             ch = removed[cell]
-        elif cell.v > 2 * a:
+        elif cell.v > 2 * a:  # the gamma row, v = 2a + 1
             ch = "g"
         else:
             ch = "." if is_white(cell) else "#"
