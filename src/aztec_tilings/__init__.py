@@ -11,7 +11,6 @@ from .condensation import (
     count_configuration,
     count_defects_four_sided,
     count_defects_three_sided,
-    count_diamond_defects,
 )
 from .counting import count_matchings_brute, count_tilings_dp
 from .dualgraph import boundary_cycle
@@ -35,9 +34,7 @@ from .geometry import (
     DefectSpec,
     Region,
     boundary_cell,
-    is_black,
     is_white,
-    make_aztec_diamond,
     make_aztec_rectangle,
 )
 
@@ -68,14 +65,11 @@ __all__ = [
     "count_configuration",
     "count_defects_four_sided",
     "count_defects_three_sided",
-    "count_diamond_defects",
     "count_matchings_brute",
     "count_tilings_dp",
     "determinant",
     "hyp_terminating",
-    "is_black",
     "is_white",
-    "make_aztec_diamond",
     "make_aztec_rectangle",
     "pfaffian",
     "pfaffian_expand_first_row",

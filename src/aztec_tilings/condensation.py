@@ -349,19 +349,6 @@ def count_defects_four_sided(config: DefectConfiguration) -> int:
     return _pfaffian_quotient(outer, entry, m_base, len(config.alphas) - 1, "four-sided count")
 
 
-def count_diamond_defects(
-    a: int, betas: Sequence[DefectSpec], alphas: Sequence[DefectSpec]
-) -> int:
-    """Tilings of AD(a) minus n beta and n alpha boundary defects.
-
-    The k = 0 case of ``count_defects_three_sided``: a 2n x 2n Pfaffian with
-    the adjacent-sides diamond formula for every mixed pair and 0 for
-    same-color pairs, divided by the defect-free diamond count to the power
-    n - 1.
-    """
-    return count_defects_three_sided(DefectConfiguration(a, a, tuple(betas), tuple(alphas)))
-
-
 def diamond_normal_form(a: int, beta: DefectSpec, alpha: DefectSpec) -> tuple[int, int]:
     """(i, j) with AD(a) minus beta and alpha congruent to AD(a) minus SE i and NE j.
 

@@ -16,7 +16,8 @@ from typing import Iterable
 from .errors import UnsupportedRegionError
 from .geometry import Cell, Region
 
-_STEPS = ((1, 1), (1, -1), (-1, -1), (-1, 1))  # E, N, W, S in center coordinates
+# E, N, W, S in center coordinates; heading h turns left to h + 1 and right to h - 1 (mod 4)
+_STEPS = ((1, 1), (1, -1), (-1, -1), (-1, 1))
 
 
 def _center(cell: Cell) -> tuple[int, int]:
@@ -57,43 +58,25 @@ def boundary_cycle(region: Region | Iterable[Cell]) -> tuple[Cell, ...]:
     if len(cells) == 1:
         return (next(iter(cells)),)
 
-    start = min(cells, key=_center)
-    dirs = {"E": (1, 1), "N": (1, -1), "W": (-1, -1), "S": (-1, 1)}
-    right_of = {"N": "E", "E": "S", "S": "W", "W": "N"}
-    left_of = {v: k for k, v in right_of.items()}
-
-    def step(cell: Cell, d: str) -> Cell:
-        du, dv = dirs[d]
-        return Cell(cell.u + du, cell.v + dv)
-
-    def next_direction(cell: Cell, heading: str) -> str:
+    def move(cell: Cell, heading: int) -> tuple[int, Cell]:
         # Right-hand rule: try right, straight, left, back in turn.
-        d = right_of[heading]
-        for _ in range(4):
-            if step(cell, d) in cells:
-                return d
-            d = left_of[d]
+        for h in range(heading - 1, heading + 3):
+            du, dv = _STEPS[h % 4]
+            nxt = Cell(cell.u + du, cell.v + dv)
+            if nxt in cells:
+                return h % 4, nxt
         raise UnsupportedRegionError("isolated cell inside a multi-cell region")
 
     walk: list[Cell] = []
-    heading = "N"  # leftmost-lowest start: only E or N edges exist
-    first_move: tuple[Cell, str] | None = None
-    cell = start
+    heading = 1  # N: from the leftmost-lowest start only E or N edges exist
+    first_move: tuple[Cell, int] | None = None
+    cell = min(cells, key=_center)
     while True:
-        heading = next_direction(cell, heading)
+        heading, nxt = move(cell, heading)
         if first_move is None:
             first_move = (cell, heading)
         elif (cell, heading) == first_move:
             break
         walk.append(cell)
-        cell = step(cell, heading)
-
-    seen: set[Cell] = set()
-    cycle: list[Cell] = []
-    for c in walk:
-        if c not in seen:
-            seen.add(c)
-            cycle.append(c)
-    return tuple(cycle)
-
-
+        cell = nxt
+    return tuple(dict.fromkeys(walk))  # first visits, in walk order

@@ -47,10 +47,6 @@ def is_white(cell: Cell) -> bool:
     return cell.u % 2 == 1
 
 
-def is_black(cell: Cell) -> bool:
-    return cell.u % 2 == 0
-
-
 @dataclass(frozen=True)
 class DefectSpec:
     """Address of a boundary defect: side, 1-based position, defect class.
@@ -104,10 +100,6 @@ class Region:
         white = sum(1 for c in self.cells if is_white(c))
         return white, len(self.cells) - white
 
-    def is_color_balanced(self) -> bool:
-        white, black = self.color_counts()
-        return white == black
-
 
 def make_aztec_rectangle(a: int, b: int) -> Region:
     """Canonical Aztec rectangle with a cells on the SW side and b on the NW."""
@@ -117,13 +109,6 @@ def make_aztec_rectangle(a: int, b: int) -> Region:
         Cell(u, v) for u in range(2 * b + 1) for v in range(2 * a + 1) if (u + v) % 2 == 1
     )
     return Region(cells)
-
-
-def make_aztec_diamond(n: int) -> Region:
-    """Aztec diamond of order n (the a = b = n rectangle)."""
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
-    return make_aztec_rectangle(n, n)
 
 
 def boundary_cell(a: int, b: int, spec: DefectSpec) -> Cell:

@@ -27,12 +27,10 @@ from aztec_tilings import (
     count_aztec_diamond,
     count_defects_four_sided,
     count_defects_three_sided,
-    count_diamond_defects,
     count_matchings_brute,
     count_tilings_dp,
     determinant,
     is_white,
-    make_aztec_diamond,
     make_aztec_rectangle,
     pfaffian,
     pfaffian_expand_first_row,
@@ -49,7 +47,7 @@ def report(criterion, detail, ok=True):
 def test_criterion_1_diamond_law():
     start = time.monotonic()
     for n in range(1, 13):
-        assert count_tilings_dp(make_aztec_diamond(n)) == count_aztec_diamond(n), n
+        assert count_tilings_dp(make_aztec_rectangle(n, n)) == count_aztec_diamond(n), n
     elapsed = time.monotonic() - start
     report(
         "criterion 1 (diamond law)",
@@ -119,7 +117,7 @@ def test_criterion_4_condensation_identities():
     checks = 0
     while checks < 100:
         a = rng.randint(2, 4)
-        region = make_aztec_diamond(a)
+        region = make_aztec_rectangle(a, a)
         cycle = boundary_cycle(region)
         k = rng.randint(1, 3)
         verts = [cycle[i] for i in sorted(rng.sample(range(len(cycle)), 2 * k))]
@@ -155,7 +153,7 @@ def test_criterion_4_condensation_identities():
     kuo_checks = {p: 0 for p in ("AABB", "ABAB", "AAAB", "AAAA")}
     pools = {}
     for a in (2, 3):
-        diamond = make_aztec_diamond(a)
+        diamond = make_aztec_rectangle(a, a)
         blacks = sorted(c for c in diamond.cells if not is_white(c))
         pools.setdefault("AABB", []).append(diamond)
         pools.setdefault("ABAB", []).append(diamond)
@@ -200,8 +198,8 @@ def test_criterion_5_defect_counters_end_to_end():
         blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
         betas = tuple(rng.sample(whites, n))
         alphas = tuple(rng.sample(blacks, n))
-        residual = DefectConfiguration(a, a, betas, alphas).region()
-        assert count_diamond_defects(a, betas, alphas) == count_tilings_dp(residual)
+        config = DefectConfiguration(a, a, betas, alphas)
+        assert count_defects_three_sided(config) == count_tilings_dp(config.region())
         diamond_checks += 1
 
     three_checks = 0

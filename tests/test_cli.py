@@ -56,6 +56,11 @@ def test_parse_rejects_bad_specs(text):
         parse_region_spec(text)
 
 
+def test_parse_duplicate_defect_names_its_token():
+    with pytest.raises(SpecError, match=r"^token 2 'SE:1': duplicate"):
+        parse_region_spec("AD n=2 remove=SE:1,SE:1")
+
+
 def test_count_dp_decimal(capsys):
     code, out, _ = run_cli(capsys, "count", "AD n=4")
     assert code == 0

@@ -9,7 +9,6 @@ from aztec_tilings import (
     Region,
     count_matchings_brute,
     count_tilings_dp,
-    make_aztec_diamond,
     make_aztec_rectangle,
 )
 
@@ -20,8 +19,8 @@ def test_empty_graph_counts_one():
 
 
 def test_brute_diamond_of_order_two():
-    assert count_matchings_brute(make_aztec_diamond(2)) == 8
-    assert count_matchings_brute(make_aztec_diamond(1)) == 2
+    assert count_matchings_brute(make_aztec_rectangle(2, 2)) == 8
+    assert count_matchings_brute(make_aztec_rectangle(1, 1)) == 2
     assert count_matchings_brute(Region.from_cells([Cell(0, 1), Cell(1, 2)])) == 1
 
 
@@ -35,7 +34,7 @@ def test_two_by_three_block():
 
 
 def test_dp_anchors():
-    assert count_tilings_dp(make_aztec_diamond(4)) == 1024
+    assert count_tilings_dp(make_aztec_rectangle(4, 4)) == 1024
     region = DefectConfiguration(2, 3, (DefectSpec("SE", 2),)).region()
     assert count_tilings_dp(region) == 16
     region = DefectConfiguration(1, 2, (DefectSpec("SE", 2),)).region()

@@ -8,29 +8,36 @@ from aztec_tilings import (
     DefectConfiguration,
     DefectSpec,
     boundary_cell,
-    is_black,
     is_white,
-    make_aztec_diamond,
     make_aztec_rectangle,
 )
 from aztec_tilings.errors import InvalidConfigurationError, InvalidDefectError, InvalidParameterError
 
 
 def test_diamond_sizes():
-    assert len(make_aztec_diamond(1)) == 4
-    assert len(make_aztec_diamond(3)) == 24
-    region = make_aztec_diamond(2)
+    assert len(make_aztec_rectangle(1, 1)) == 4
+    assert len(make_aztec_rectangle(3, 3)) == 24
+    region = make_aztec_rectangle(2, 2)
     assert len(region) == 12
     assert region.color_counts() == (6, 6)
 
 
 def test_diamond_rejects_nonpositive_order():
     with pytest.raises(InvalidParameterError):
-        make_aztec_diamond(0)
+        make_aztec_rectangle(0, 0)
 
 
 def test_rectangle_matches_diamond():
-    assert make_aztec_rectangle(2, 2).cells == make_aztec_diamond(2).cells
+    # AR(n, n) is the Aztec diamond of order n: the unit squares whose doubled
+    # centers (X, Y) = (u + v, u - v) satisfy |X - 2n| + |Y| <= 2n
+    for n in (1, 2, 3):
+        want = {
+            ((x + y) // 2, (x - y) // 2)
+            for x in range(1, 4 * n, 2)
+            for y in range(1 - 2 * n, 2 * n, 2)
+            if abs(x - 2 * n) + abs(y) <= 2 * n
+        }
+        assert make_aztec_rectangle(n, n).cells == want
 
 
 def test_rectangle_sizes():
@@ -58,7 +65,7 @@ def test_boundary_cell_conventions():
     assert boundary_cell(2, 3, DefectSpec("SE", 1)) == Cell(1, 4)
     assert is_white(Cell(1, 4))
     assert boundary_cell(2, 3, DefectSpec("NE", 1)) == Cell(6, 1)
-    assert is_black(Cell(6, 1))
+    assert not is_white(Cell(6, 1))
 
 
 def test_se_positions_are_the_v_2a_whites():
@@ -98,15 +105,16 @@ def test_gamma_squares_cells_and_balance():
     config = DefectConfiguration(4, 9, gammas=(1, 2, 3, 4, 5))
     region = config.region()
     assert len(region) == len(config) == 2 * 4 * 9 + 4 + 9 + 5
-    assert region.is_color_balanced()
+    assert region.color_counts() == (45, 45)
     gammas = {boundary_cell(4, 9, DefectSpec("SE", t, "gamma")) for t in range(1, 6)}
     assert region.cells - make_aztec_rectangle(4, 9).cells == gammas
 
 
 @given(st.integers(1, 5), st.integers(1, 4))
 def test_gamma_string_balances_rectangle(a, k):
-    region = DefectConfiguration(a, a + k, gammas=tuple(range(1, k + 1))).region()
-    assert region.is_color_balanced()
+    b = a + k
+    region = DefectConfiguration(a, b, gammas=tuple(range(1, k + 1))).region()
+    assert region.color_counts() == (a * b + b, a * b + b)
 
 
 def test_gamma_string_must_fit_and_be_one_string():
@@ -132,7 +140,7 @@ def test_configuration_region_removes_defects():
     smaller = config.region()
     assert len(smaller) == len(config) == 15
     assert smaller.color_counts() == (7, 8)
-    assert DefectConfiguration(2, 3, (DefectSpec("SE", 1),)).region().is_color_balanced()
+    assert DefectConfiguration(2, 3, (DefectSpec("SE", 1),)).region().color_counts() == (8, 8)
 
 
 def test_configuration_region_named_cells():

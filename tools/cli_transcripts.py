@@ -5,12 +5,13 @@
 Calls ``aztec_tilings.cli.main`` in-process, so the package that PYTHONPATH
 selects is the one exercised.  The runs are a fixed, seeded list of region
 specs (AD/AR with a <= 4 and b - a <= 3, some with gamma squares, some
-colour-unbalanced, a few malformed), each rendered once and counted under
-every engine in ``ENGINES``, in ``dec`` and ``json`` format, with
-AZTEC_ORACLE_CELL_LIMIT unset and set to 20; then the four verify suites.  Each line holds the argv, the cell-limit
-setting, the exit code and the sha256 of stdout followed by stderr, with the
-``millis`` field of JSON output zeroed.  Diffing the output of two checkouts
-shows whether a change altered any transcript.  Stdlib only.
+colour-unbalanced), then one malformed spec for every spec-parse message; each
+is rendered once and counted under every engine in ``ENGINES``, in ``dec`` and
+``json`` format, with AZTEC_ORACLE_CELL_LIMIT unset and set to 20.  Then the
+four verify suites run.  Each line holds the argv, the cell-limit setting, the
+exit code and the sha256 of stdout followed by stderr, with the ``millis``
+field of JSON output zeroed.  Diffing the output of two checkouts shows
+whether a change altered any transcript.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -29,8 +30,10 @@ from aztec_tilings.condensation import ENGINES
 
 LIMIT_VAR = "AZTEC_ORACLE_CELL_LIMIT"
 LIMITS = (None, "20")
-MALFORMED = ("", "AD", "AD n=0", "AR a=3 b=2", "AD n=2 remove=SE:9", "AD n=2 remove=XX:1",
-             "AR a=2 b=3 gamma=5", "AD n=2 remove=SE:1,SE:1", "AD n=2 trailing")
+MALFORMED = ("", "AD", "AX n=3", "AD x=3", "AD n=zero", "AD n=0", "AR a=3", "AR a=3 b=2",
+             "AD n=2 gamma=-1", "AR a=2 b=3 gamma=5", "AD n=2 remove=SE", "AD n=2 remove=SE:x",
+             "AD n=2 remove=SE:0", "AD n=2 remove=SE:9", "AD n=2 remove=XX:1",
+             "AD n=2 remove=SE:1,SE:1", "AD n=2 trailing")
 VERIFY = [["verify", "formulas"]] + [
     ["verify", suite, "--max-a", "6", "--max-b", "9", "--trials", "400", "--seed", "11"]
     for suite in ("kuo", "ciucu", "mt")
