@@ -1,5 +1,5 @@
 """Exact enumeration of domino tilings of Aztec diamonds and rectangles with
-boundary defects: closed-form counts, Pfaffian condensation, and two
+boundary defects: closed-form counts, Pfaffian condensation, and three
 independent counting engines that cross-validate every formula."""
 
 from .condensation import (
@@ -12,9 +12,9 @@ from .condensation import (
     count_defects_four_sided,
     count_defects_three_sided,
 )
-from .counting import count_matchings_brute, count_tilings_dp
+from .counting import count_matchings_brute, count_tilings_dp, count_tilings_kasteleyn
 from .dualgraph import boundary_cycle
-from .exactalg import determinant, pfaffian, pfaffian_expand_first_row
+from .exactalg import determinant, determinant_sparse, pfaffian, pfaffian_expand_first_row
 from .formulas import (
     binomial_ext,
     count_ad_adjacent_defects,
@@ -67,7 +67,9 @@ __all__ = [
     "count_defects_three_sided",
     "count_matchings_brute",
     "count_tilings_dp",
+    "count_tilings_kasteleyn",
     "determinant",
+    "determinant_sparse",
     "hyp_terminating",
     "is_white",
     "make_aztec_rectangle",

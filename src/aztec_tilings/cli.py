@@ -27,6 +27,7 @@ import itertools
 import json
 import os
 import random
+import re
 import sys
 import time
 from typing import Callable, Iterable, Iterator, Sequence
@@ -76,14 +77,18 @@ class SpecError(ValueError):
     """Parse or semantic error in a region spec or setting; message names the token."""
 
 
+def _int(text: str, index: int, item: str) -> int:
+    """The spec grammar's INT, ASCII -?[0-9]+; int() alone would also take '1_0', '+2' or '２'."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise SpecError(f"token {index} {item!r}: {text!r} is not an integer")
+    return int(text)
+
+
 def _int_value(tokens: list[str], index: int, key: str) -> int:
     token, prefix = tokens[index], key + "="
     if not token.startswith(prefix):
         raise SpecError(f"token {index} {token!r}: expected {prefix}INT")
-    try:
-        return int(token[len(prefix):])
-    except ValueError:
-        raise SpecError(f"token {index} {token!r}: {token[len(prefix):]!r} is not an integer") from None
+    return _int(token[len(prefix):], index, token)
 
 
 def parse_region_spec(text: str) -> DefectConfiguration:
@@ -130,10 +135,7 @@ def parse_region_spec(text: str) -> DefectConfiguration:
             side, _, pos_text = item.partition(":")
             if side not in ("NW", "NE", "SE", "SW") or not pos_text:
                 raise SpecError(f"token {index} {item!r}: expected SIDE:INT")
-            try:
-                pos = int(pos_text)
-            except ValueError:
-                raise SpecError(f"token {index} {item!r}: {pos_text!r} is not an integer") from None
+            pos = _int(pos_text, index, item)
             try:
                 spec = DefectSpec(side, pos)
                 boundary_cell(a, b, spec)
@@ -386,7 +388,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise SpecError(f"--max-a {args.max_a}: need at least 1")
     if args.suite in ("formulas", "mt") and args.max_b < args.max_a:
         raise SpecError(f"--max-b {args.max_b}: need at least --max-a {args.max_a}")
-    if args.trials < 1:
+    if args.suite in ("kuo", "ciucu", "mt") and args.trials < 1:
         raise SpecError(f"--trials {args.trials}: need at least 1")
     checks = failures = 0
     first_failure = ""
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count tilings of a region spec")
     p_count.add_argument("spec")
-    p_count.add_argument("--engine", choices=ENGINES, default="dp")
+    p_count.add_argument("--engine", choices=ENGINES, default="kasteleyn")
     p_count.add_argument("--format", choices=("dec", "json"), default="dec")
     p_count.set_defaults(func=cmd_count)
 

@@ -26,9 +26,9 @@ numbers of a ``DefectConfiguration`` and build no cells; defects are put in
 boundary order by ``geometry.perimeter_index``.  They refuse gamma squares
 with ``OutOfScopeConfigurationError``.
 
-``count_configuration`` picks the counter for a configuration: the DP sweep
-or the brute-force oracle on ``config.region()``, a closed form, or the
-Pfaffian counters.
+``count_configuration`` picks the counter for a configuration: the Kasteleyn
+determinant (the default), the DP sweep or the brute-force oracle on
+``config.region()``, a closed form, or the Pfaffian counters.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
 ``InternalInconsistencyError`` unless the quotient is a nonnegative integer.
@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .counting import count_matchings_brute, count_tilings_dp
+from .counting import count_matchings_brute, count_tilings_dp, count_tilings_kasteleyn
 from .dualgraph import boundary_cycle
 from .errors import (
     CondensationInapplicableError,
@@ -64,7 +64,8 @@ from .geometry import Cell, DefectConfiguration, DefectSpec, Region, is_white, p
 T = TypeVar("T")
 
 KUO_SURPLUS = {"AABB": 0, "AAAA": 2, "ABAB": 0, "AAAB": 1}  # #A - #B each pattern needs
-ENGINES = ("dp", "brute", "formula", "pfaffian")  # the counters count_configuration picks from
+# the counters count_configuration picks from; the first is the default
+ENGINES = ("kasteleyn", "dp", "brute", "formula", "pfaffian")
 
 
 def _cells_count(cells: Iterable[Cell]) -> int:
@@ -392,11 +393,13 @@ def _formula_count(config: DefectConfiguration) -> int:
     raise OutOfScopeConfigurationError("no closed form for this family")
 
 
-def count_configuration(config: DefectConfiguration, engine: str = "dp") -> int:
+def count_configuration(config: DefectConfiguration, engine: str = "kasteleyn") -> int:
     """Tilings of the configuration's region minus its defects, by one engine.
 
-    ``dp`` (the sweep) and ``brute`` (the matching oracle, exponential) count
-    any configuration.  ``formula`` covers the closed-form families and
+    ``kasteleyn`` (the determinant, polynomial), ``dp`` (the sweep,
+    exponential in the order) and ``brute`` (the matching oracle,
+    exponential) count any configuration, since every configuration's region
+    is hole-free.  ``formula`` covers the closed-form families and
     ``pfaffian`` plain AD/AR regions, choosing the three- or four-sided count;
     both give 0 when the colours do not balance and raise
     ``OutOfScopeConfigurationError`` outside their families.  ``pfaffian``
@@ -405,6 +408,8 @@ def count_configuration(config: DefectConfiguration, engine: str = "dp") -> int:
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    if engine == "kasteleyn":
+        return count_tilings_kasteleyn(config.region())
     if engine == "dp":
         return count_tilings_dp(config.region())
     if engine == "brute":

@@ -1,19 +1,25 @@
-"""Two independent exact counters of domino tilings of a cell set.
+"""Three independent exact counters of domino tilings of a cell set.
 
 A region is its own dual graph: cells are vertices, and two cells are adjacent
 (a domino covers both) when |du| = |dv| = 1.  ``count_matchings_brute`` is the
 auditable oracle: it counts perfect matchings of that graph, branching on the
 lowest unmatched cell in (v, u) order, factoring over connected components and
-memoizing on the remaining cell bitmask.  ``count_tilings_dp`` is the fast
-engine: every edge joins cells in consecutive diagonal columns (constant u),
-so a sweep over columns with a bit profile of cells already matched from the
-left counts tilings in time exponential only in the column length: about
-0.5 s for AD(12) and 3 s for AD(14) (Python 3.11, one core), about 2.5x per
-further order.  Both use exact arithmetic only.
+memoizing on the remaining cell bitmask.  ``count_tilings_dp`` is the sweep:
+every edge joins cells in consecutive diagonal columns (constant u), so a
+sweep over columns with a bit profile of cells already matched from the left
+counts tilings in time exponential only in the column length: about 0.5 s for
+AD(12) and 3 s for AD(14) (Python 3.11, one core), about 2.5x per further
+order.  ``count_tilings_kasteleyn`` is the fast engine for hole-free regions,
+which every Aztec configuration is: |det K| of the banded Kasteleyn matrix,
+O(a^4) operations for order a, about 0.03 s for AD(16) and under 1 s for
+AD(30) on the same machine.  All three use exact arithmetic only.
 """
 
 from __future__ import annotations
 
+from .dualgraph import component_count
+from .errors import OutOfScopeConfigurationError
+from .exactalg import determinant_sparse
 from .geometry import Cell, Region
 
 
@@ -120,3 +126,51 @@ def count_tilings_dp(region: Region) -> int:
         if not states:
             return 0
     return states.get(0, 0)
+
+
+def _require_hole_free(cells: frozenset[Cell], edges: int) -> None:
+    """Raise unless every bounded face of the region's dual graph is a unit square.
+
+    Euler's formula for a plane graph with V vertices, E edges and C
+    components gives E = V - C + (bounded faces).  Each lattice point whose
+    four cells are all present bounds one unit-square face, so with F such
+    points the region is hole-free iff E = V - C + F.
+    """
+    full = sum(
+        (u + 1, v - 1) in cells and (u + 1, v + 1) in cells and (u + 2, v) in cells for u, v in cells
+    )
+    if edges != len(cells) - component_count(cells) + full:
+        raise OutOfScopeConfigurationError(
+            "the kasteleyn engine counts hole-free regions; this region has a hole"
+        )
+
+
+def count_tilings_kasteleyn(region: Region) -> int:
+    """Exact tiling count of a hole-free region as |det K| of its Kasteleyn matrix.
+
+    K has a row per white and a column per black cell, both in (u, v) order,
+    so K is banded.  A horizontal domino slot (du == dv) has weight 1 and a
+    vertical one weight (-1)^x, x = (u + v - 1) // 2 the column of the white
+    cell; every unit-square face then has two vertical slots in adjacent
+    columns, so each face's weights multiply to -1, which is Kasteleyn's
+    condition for a face of four edges, and |det K| counts the tilings of a
+    region whose bounded faces are all unit squares (Kasteleyn, Physica 27,
+    1961; Kenyon, Lectures on dimers, arXiv:0910.3129).  Any other region
+    raises ``OutOfScopeConfigurationError``.
+    """
+    cells = region.cells
+    white = sorted(c for c in cells if c.u % 2 == 1)
+    if 2 * len(white) != len(cells):
+        return 0
+    column = {c: j for j, c in enumerate(sorted(c for c in cells if c.u % 2 == 0))}
+    rows = []
+    for u, v in white:
+        sign = -1 if (u + v - 1) // 2 % 2 else 1
+        row = {}
+        for du, dv in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
+            j = column.get((u + du, v + dv))
+            if j is not None:
+                row[j] = 1 if du == dv else sign
+        rows.append(row)
+    _require_hole_free(cells, sum(map(len, rows)))
+    return abs(determinant_sparse(rows))

@@ -5,8 +5,8 @@ and (u', v') are adjacent exactly when |u - u'| = |v - v'| = 1, i.e. when the
 unit squares share a lattice edge and a domino can cover both.  In ordinary
 coordinates the cell centers differ by a unit step, so the graph is a plane
 graph with the obvious 4-neighbour embedding.  ``boundary_cycle`` walks its
-outer face; the counters and condensation identities work on the cell sets
-directly.
+outer face and ``component_count`` counts its components; the counters and
+condensation identities work on the cell sets directly.
 """
 
 from __future__ import annotations
@@ -25,21 +25,20 @@ def _center(cell: Cell) -> tuple[int, int]:
     return (cell.u + cell.v, cell.u - cell.v)
 
 
-def _is_connected(cells: set[Cell]) -> bool:
-    if not cells:
-        return True
-    seen = set()
-    stack = [next(iter(cells))]
-    while stack:
-        c = stack.pop()
-        if c in seen:
-            continue
-        seen.add(c)
-        for du, dv in _STEPS:
-            n = Cell(c.u + du, c.v + dv)
-            if n in cells and n not in seen:
-                stack.append(n)
-    return seen == cells
+def component_count(cells: Iterable[Cell]) -> int:
+    """Number of connected components of the dual graph on these cells."""
+    components = 0
+    unseen = set(cells)
+    while unseen:
+        components += 1
+        stack = [unseen.pop()]
+        while stack:
+            u, v = stack.pop()
+            for du, dv in _STEPS:
+                if (nbr := (u + du, v + dv)) in unseen:
+                    unseen.remove(nbr)
+                    stack.append(nbr)
+    return components
 
 
 def boundary_cycle(region: Region | Iterable[Cell]) -> tuple[Cell, ...]:
@@ -51,7 +50,7 @@ def boundary_cycle(region: Region | Iterable[Cell]) -> tuple[Cell, ...]:
     every boundary cell appears exactly once.
     """
     cells = set(region.cells) if isinstance(region, Region) else set(region)
-    if not _is_connected(cells):
+    if component_count(cells) > 1:
         raise UnsupportedRegionError("boundary cycle needs a connected region")
     if not cells:
         return ()

@@ -56,6 +56,22 @@ def test_parse_rejects_bad_specs(text):
         parse_region_spec(text)
 
 
+@pytest.mark.parametrize(
+    "spec,token",
+    [
+        ("AD n=1_0", "token 1 'n=1_0'"),
+        ("AD n=+2 remove=SE:0_1", "token 1 'n=+2'"),
+        ("AD n=2 remove=SE:0_1", "token 2 'SE:0_1'"),
+        ("AD n=\uff12", "token 1 'n=\uff12'"),
+    ],
+)
+def test_spec_integers_are_ascii_digits(capsys, spec, token):
+    # int() would read these as 10, 2, 1 and 2
+    code, out, err = run_cli(capsys, "render", spec)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {token}: ") and err.endswith(" is not an integer\n")
+
+
 def test_parse_duplicate_defect_names_its_token():
     with pytest.raises(SpecError, match=r"^token 2 'SE:1': duplicate"):
         parse_region_spec("AD n=2 remove=SE:1,SE:1")
@@ -98,7 +114,7 @@ def test_count_json_schema(capsys):
     payload = json.loads(out)
     assert list(payload) == ["region", "engine", "count", "millis"]
     assert payload["region"] == "AD n=4"
-    assert payload["engine"] == "dp"
+    assert payload["engine"] == "kasteleyn"
     assert payload["count"] == "1024"
     assert isinstance(payload["millis"], int)
 
@@ -229,6 +245,8 @@ def test_verify_fault_injection_detected(capsys, monkeypatch):
         (("formulas", "--max-a", "0"), "--max-a"),
         (("mt", "--max-a", "3", "--max-b", "1"), "--max-b"),
         (("kuo", "--trials", "0"), "--trials"),
+        (("ciucu", "--trials", "0"), "--trials"),
+        (("mt", "--trials", "0"), "--trials"),
     ],
 )
 def test_verify_rejects_empty_ranges_exit_1(capsys, argv, flag):
@@ -236,6 +254,15 @@ def test_verify_rejects_empty_ranges_exit_1(capsys, argv, flag):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and flag in err
+
+
+def test_verify_formulas_ignores_trials(capsys):
+    # the formulas suite never reads --trials, so 0 is no error there
+    args = ("verify", "formulas", "--max-a", "2", "--max-b", "3", "--trials")
+    code, out, err = run_cli(capsys, *args, "0")
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run_cli(capsys, *args, "1")
+    assert out.startswith("suite=formulas ") and "failures=0" in out
 
 
 @pytest.mark.parametrize("suite", ["kuo", "ciucu"])

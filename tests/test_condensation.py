@@ -380,4 +380,33 @@ def test_count_configuration_engines_agree(a, k, data):
 
 def test_count_configuration_rejects_unknown_engine():
     with pytest.raises(InvalidParameterError):
-        count_configuration(_config(1, 1, [], []), "kasteleyn")
+        count_configuration(_config(1, 1, [], []), "permanent")
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 3), st.data())
+def test_kasteleyn_matches_pfaffian_four_sided(a, k, data):
+    # beyond the DP's reach; at least k betas on SE, as in the benchmark, so
+    # the four-sided Pfaffian has a balanced sub-rectangle with a tiling
+    b = a + k
+    ne = data.draw(st.integers(1, min(3, a)))
+    sw = data.draw(st.integers(1, min(3, a)))
+    n_betas = ne + sw + k
+    n_se = data.draw(st.integers(max(k, n_betas - b), min(n_betas, b)))
+    positions = st.integers(1, b)
+    se = data.draw(st.lists(positions, min_size=n_se, max_size=n_se, unique=True))
+    nw = data.draw(st.lists(positions, min_size=n_betas - n_se, max_size=n_betas - n_se, unique=True))
+    alphas = [("NE", p) for p in data.draw(st.lists(st.integers(1, a), min_size=ne, max_size=ne, unique=True))]
+    alphas += [("SW", p) for p in data.draw(st.lists(st.integers(1, a), min_size=sw, max_size=sw, unique=True))]
+    betas = [("SE", p) for p in se] + [("NW", p) for p in nw]
+    cfg = _config(a, b, betas, alphas)
+    assert count_configuration(cfg, "kasteleyn") == count_configuration(cfg, "pfaffian")
+
+
+def test_kasteleyn_matches_pfaffian_at_large_order():
+    for a, b, betas, alphas in (
+        (24, 24, [("SE", 3), ("NW", 8)], [("NE", 5), ("SW", 2)]),
+        (18, 21, [("SE", 1), ("SE", 5), ("SE", 9), ("NW", 2), ("NW", 7)], [("NE", 3), ("SW", 4)]),
+    ):
+        cfg = _config(a, b, betas, alphas)
+        assert count_configuration(cfg) == count_configuration(cfg, "pfaffian") > 0

@@ -1,5 +1,6 @@
-"""Engine correctness: brute-force oracle vs transfer-matrix sweep."""
+"""Engine correctness: brute-force oracle vs transfer-matrix sweep vs Kasteleyn determinant."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from aztec_tilings import (
@@ -9,13 +10,33 @@ from aztec_tilings import (
     Region,
     count_matchings_brute,
     count_tilings_dp,
+    count_tilings_kasteleyn,
     make_aztec_rectangle,
 )
+from aztec_tilings.errors import OutOfScopeConfigurationError
 
 
 def test_empty_graph_counts_one():
     assert count_matchings_brute(Region.from_cells([])) == 1
     assert count_tilings_dp(Region.from_cells([])) == 1
+    assert count_tilings_kasteleyn(Region.from_cells([])) == 1
+
+
+def test_kasteleyn_diamonds_and_rectangles():
+    for n in range(1, 11):
+        assert count_tilings_kasteleyn(make_aztec_rectangle(n, n)) == 2 ** (n * (n + 1) // 2)
+    # m x n boxes of ordinary squares, cells (x + y + 1, x - y); 4 x 5 has 95 tilings
+    for m, n, count in ((2, 3, 3), (4, 4, 36), (4, 5, 95), (6, 6, 6728), (3, 7, 0)):
+        region = Region.from_cells(Cell(x + y + 1, x - y) for x in range(m) for y in range(n))
+        assert count_tilings_kasteleyn(region) == count
+
+
+def test_kasteleyn_refuses_a_region_with_a_hole():
+    # AD(4) minus the domino slot (4, 3)-(3, 4) in its middle
+    region = Region.from_cells(make_aztec_rectangle(4, 4).cells - {Cell(4, 3), Cell(3, 4)})
+    assert count_tilings_dp(region) > 0
+    with pytest.raises(OutOfScopeConfigurationError, match="hole"):
+        count_tilings_kasteleyn(region)
 
 
 def test_brute_diamond_of_order_two():
@@ -76,3 +97,20 @@ def test_no_negative_counts_after_deletion(cells):
     assert value >= 0
     assert count_matchings_brute(region) == value
 
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 3), st.data())
+def test_kasteleyn_matches_dp_on_configurations(a, k, data):
+    # defects on all four sides, a gamma string anywhere along SE or none,
+    # colours balanced in most draws and off by one in the rest
+    b = a + k
+    g = data.draw(st.integers(0, k))
+    start = data.draw(st.integers(1, b - g + 1))
+    whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
+    blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
+    n = data.draw(st.integers(0, min(4, 2 * a)))
+    n_betas = min(2 * b, max(0, n + k - g + data.draw(st.sampled_from((0, 0, 0, 1, -1)))))
+    alphas = data.draw(st.lists(st.sampled_from(blacks), min_size=n, max_size=n, unique=True))
+    betas = data.draw(st.lists(st.sampled_from(whites), min_size=n_betas, max_size=n_betas, unique=True))
+    region = DefectConfiguration(a, b, tuple(betas), tuple(alphas), tuple(range(start, start + g))).region()
+    assert count_tilings_kasteleyn(region) == count_tilings_dp(region)

@@ -11,6 +11,7 @@ from aztec_tilings import (
     boundary_cycle,
     make_aztec_rectangle,
 )
+from aztec_tilings.dualgraph import component_count
 from aztec_tilings.errors import UnsupportedRegionError
 from aztec_tilings.geometry import perimeter_index
 
@@ -60,3 +61,14 @@ def test_perimeter_index_matches_boundary_cycle(a, k):
 def test_boundary_cycle_rejects_disconnected():
     with pytest.raises(UnsupportedRegionError):
         boundary_cycle(Region.from_cells([Cell(0, 1), Cell(4, 1)]))
+
+
+def test_component_count():
+    assert component_count([]) == 0
+    assert component_count(make_aztec_rectangle(3, 3).cells) == 1
+    # (0, 1) and (1, 2) share an edge; (4, 1) touches neither
+    assert component_count([Cell(0, 1), Cell(1, 2), Cell(4, 1)]) == 2
+    # SE 1 of AD(2), Cell(1, 4), has the two neighbours (0, 3) and (2, 3)
+    diamond = make_aztec_rectangle(2, 2).cells
+    assert component_count(diamond - {Cell(0, 3)}) == 1
+    assert component_count(diamond - {Cell(0, 3), Cell(2, 3)}) == 2

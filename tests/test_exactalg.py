@@ -5,8 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aztec_tilings import determinant, pfaffian, pfaffian_expand_first_row
+from aztec_tilings import determinant, determinant_sparse, pfaffian, pfaffian_expand_first_row
 from aztec_tilings.errors import InvalidMatrixError
+from aztec_tilings.exactalg import MERSENNE_EXPONENTS
 
 
 def skew(upper):
@@ -143,3 +144,58 @@ def test_large_entries_bipartite_pattern():
     pf = pfaffian(m)
     assert pf**2 == determinant(m)
     assert pf == (-1) ** (h * (h - 1) // 2) * determinant(b)
+
+
+def sparse(m):
+    return [{j: x for j, x in enumerate(row) if x} for row in m]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_sparse_determinant_matches_fraction_elimination(n, data):
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    m = [data.draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    assert determinant_sparse(sparse(m)) == determinant(m)
+
+
+def test_sparse_determinant_reaches_hadamards_bound():
+    # k copies of the 4x4 Hadamard matrix: rows of four entries +-1 and
+    # |det| = 2^n, the bound the prime is chosen above; a prime one table
+    # step smaller gets the residue, not the determinant
+    h4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
+    for k in range(1, 9):
+        n = 4 * k
+        m = [[0] * n for _ in range(n)]
+        for b in range(k):
+            for i in range(4):
+                m[4 * b + i][4 * b : 4 * b + 4] = h4[i]
+        assert determinant_sparse(sparse(m)) == 16**k
+
+
+def test_sparse_determinant_banded_and_singular():
+    # tridiagonal 2, -1: det = n + 1; a repeated row makes it singular
+    for n in range(1, 12):
+        m = [[2 if i == j else -1 if abs(i - j) == 1 else 0 for j in range(n)] for i in range(n)]
+        assert determinant_sparse(sparse(m)) == n + 1
+        if n > 1:
+            assert determinant_sparse(sparse(m[:-1] + [m[0]])) == 0
+    assert determinant_sparse([]) == 1
+    assert determinant_sparse([{0: 1}, {}]) == 0
+    with pytest.raises(InvalidMatrixError):
+        determinant_sparse([{0: 1, 2: 1}, {1: 1}])
+
+
+def test_mersenne_exponents_are_mersenne_primes():
+    # Lucas-Lehmer: for an odd prime e, 2^e - 1 is prime iff s_(e-2) = 0
+    # (mod 2^e - 1), with s_0 = 4 and s_(i+1) = s_i^2 - 2; x = (x & p) + (x >> e) mod p.
+    # Checked up to e = 4423 (dimension 4421, AD(65)); the larger entries would
+    # cost seconds, and a composite modulus could only make a pivot
+    # non-invertible, which pow() raises on, never a wrong determinant.
+    assert MERSENNE_EXPONENTS[0] == 2
+    for e in MERSENNE_EXPONENTS[1:20]:
+        p, s = (1 << e) - 1, 4
+        for _ in range(e - 2):
+            s = s * s - 2
+            s = (s & p) + (s >> e)
+            s = (s & p) + (s >> e)
+        assert s % p == 0, e
