@@ -14,7 +14,7 @@ from .condensation import (
 )
 from .counting import count_matchings_brute, count_tilings_dp, count_tilings_kasteleyn
 from .dualgraph import boundary_cycle
-from .exactalg import determinant, determinant_sparse, pfaffian, pfaffian_expand_first_row
+from .exactalg import determinant_sparse, pfaffian
 from .formulas import (
     binomial_ext,
     count_ad_adjacent_defects,
@@ -68,11 +68,9 @@ __all__ = [
     "count_matchings_brute",
     "count_tilings_dp",
     "count_tilings_kasteleyn",
-    "determinant",
     "determinant_sparse",
     "hyp_terminating",
     "is_white",
     "make_aztec_rectangle",
     "pfaffian",
-    "pfaffian_expand_first_row",
 ]

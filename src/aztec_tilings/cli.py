@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count tilings of a region spec")
     p_count.add_argument("spec")
-    p_count.add_argument("--engine", choices=ENGINES, default="kasteleyn")
+    p_count.add_argument("--engine", choices=ENGINES, default=ENGINES[0])
     p_count.add_argument("--format", choices=("dec", "json"), default="dec")
     p_count.set_defaults(func=cmd_count)
 

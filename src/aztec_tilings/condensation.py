@@ -27,8 +27,12 @@ boundary order by ``geometry.perimeter_index``.  They refuse gamma squares
 with ``OutOfScopeConfigurationError``.
 
 ``count_configuration`` picks the counter for a configuration: the Kasteleyn
-determinant (the default), the DP sweep or the brute-force oracle on
-``config.region()``, a closed form, or the Pfaffian counters.
+determinant, the DP sweep or the brute-force oracle on ``config.region()``, a
+closed form, or the Pfaffian counters.  The default, ``auto``, takes the
+Pfaffian counters, the paper's route, for a plain AD/AR spec and the Kasteleyn
+determinant for a spec with gamma squares; a plain spec the Pfaffian counters
+refuse (out of scope, or no balanced sub-rectangle with a tiling) falls back
+to the determinant.  ``InternalInconsistencyError`` is never caught.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
 ``InternalInconsistencyError`` unless the quotient is a nonnegative integer.
@@ -65,7 +69,7 @@ T = TypeVar("T")
 
 KUO_SURPLUS = {"AABB": 0, "AAAA": 2, "ABAB": 0, "AAAB": 1}  # #A - #B each pattern needs
 # the counters count_configuration picks from; the first is the default
-ENGINES = ("kasteleyn", "dp", "brute", "formula", "pfaffian")
+ENGINES = ("auto", "kasteleyn", "dp", "brute", "formula", "pfaffian")
 
 
 def _cells_count(cells: Iterable[Cell]) -> int:
@@ -393,9 +397,13 @@ def _formula_count(config: DefectConfiguration) -> int:
     raise OutOfScopeConfigurationError("no closed form for this family")
 
 
-def count_configuration(config: DefectConfiguration, engine: str = "kasteleyn") -> int:
+def count_configuration(config: DefectConfiguration, engine: str = "auto") -> int:
     """Tilings of the configuration's region minus its defects, by one engine.
 
+    ``auto`` (the default) counts a plain spec by ``pfaffian`` and a spec with
+    gamma squares by ``kasteleyn``; a plain spec on which ``pfaffian`` raises
+    ``OutOfScopeConfigurationError`` or ``CondensationInapplicableError`` is
+    counted by ``kasteleyn`` instead, and no other error is caught.
     ``kasteleyn`` (the determinant, polynomial), ``dp`` (the sweep,
     exponential in the order) and ``brute`` (the matching oracle,
     exponential) count any configuration, since every configuration's region
@@ -408,6 +416,13 @@ def count_configuration(config: DefectConfiguration, engine: str = "kasteleyn") 
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    if engine == "auto":
+        if not config.gammas:
+            try:
+                return count_configuration(config, "pfaffian")
+            except (OutOfScopeConfigurationError, CondensationInapplicableError):
+                pass
+        engine = "kasteleyn"
     if engine == "kasteleyn":
         return count_tilings_kasteleyn(config.region())
     if engine == "dp":

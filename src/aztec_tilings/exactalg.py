@@ -3,9 +3,7 @@
 The Pfaffian is computed in exact ints: the matrix is divided by the gcd of
 its entries, then reduced by fraction-free skew elimination with pivot search
 (the Pfaffian analogue of Bareiss's method), O(n^3) int operations whose
-every division is exact.  A memoized first-row expansion and a
-Fraction-elimination determinant are kept as second, independently coded
-routes for cross-checking.
+every division is exact.
 
 ``determinant_sparse`` takes a matrix as sparse rows and eliminates modulo
 one Mersenne prime chosen above Hadamard's bound, so its residue is the
@@ -17,7 +15,6 @@ an Aztec rectangle of order a is O(a^4).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 from .errors import InternalInconsistencyError, InvalidMatrixError
@@ -88,56 +85,6 @@ def pfaffian(m: Matrix) -> int:
                 a[j][i] = -q
         p_prev = p
     return sign * p * g ** (n // 2)
-
-
-def pfaffian_expand_first_row(m: Matrix) -> int:
-    """Pfaffian by the alternating first-row expansion; independent oracle.
-
-    Each sub-Pfaffian is memoized on its tuple of remaining indices, so shared
-    subproblems of the expansion are evaluated once.
-    """
-    _check_skew(m)
-    memo: dict[tuple[int, ...], int] = {(): 1}
-
-    def expand(idx: tuple[int, ...]) -> int:
-        if idx in memo:
-            return memo[idx]
-        first, rest = idx[0], idx[1:]
-        total = 0
-        sign = 1
-        for pos, j in enumerate(rest):
-            if m[first][j]:
-                total += sign * m[first][j] * expand(rest[:pos] + rest[pos + 1 :])
-            sign = -sign
-        memo[idx] = total
-        return total
-
-    return expand(tuple(range(len(m))))
-
-
-def determinant(m: Matrix) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination."""
-    n = len(m)
-    rows = [[Fraction(x) for x in row] for row in m]
-    if any(len(row) != n for row in rows):
-        raise InvalidMatrixError("matrix is not square")
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        inv = 1 / rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col] == 0:
-                continue
-            factor = rows[i][col] * inv
-            for j in range(col, n):
-                rows[i][j] -= factor * rows[col][j]
-    return det
 
 
 def determinant_sparse(rows: Sequence[dict[int, int]]) -> int:

@@ -114,7 +114,7 @@ def test_count_json_schema(capsys):
     payload = json.loads(out)
     assert list(payload) == ["region", "engine", "count", "millis"]
     assert payload["region"] == "AD n=4"
-    assert payload["engine"] == "kasteleyn"
+    assert payload["engine"] == "auto"
     assert payload["count"] == "1024"
     assert isinstance(payload["millis"], int)
 
@@ -175,6 +175,15 @@ def test_pfaffian_gamma_spec_exit_2(capsys):
         code, out, err = run_cli(capsys, "count", spec, "--engine", "pfaffian")
         assert (code, out) == (2, ""), spec
         assert err == "error: pfaffian engine works on plain AD/AR specs\n"
+
+
+def test_default_engine_falls_back_where_pfaffian_is_inapplicable(capsys):
+    # every balanced beta subset has count 0, so the four-sided Pfaffian refuses
+    spec = "AR a=1 b=5 remove=NW:1,NW:2,NW:3,SE:1,SE:2,SE:3,NE:1,SW:1"
+    code, out, err = run_cli(capsys, "count", spec, "--engine", "pfaffian")
+    assert (code, out, err) == (2, "", "error: every balanced beta subset has count 0\n")
+    kasteleyn = run_cli(capsys, "count", spec, "--engine", "kasteleyn")
+    assert run_cli(capsys, "count", spec) == kasteleyn == (0, "0\n", "")
 
 
 def test_render_diamond_order_one(capsys):

@@ -24,6 +24,7 @@ from aztec_tilings import (
     count_ad_adjacent_defects,
     count_defects_three_sided,
     count_tilings_dp,
+    count_tilings_kasteleyn,
     is_white,
     make_aztec_rectangle,
 )
@@ -265,6 +266,22 @@ def test_three_sided_entries_match_engine():
                 assert condensation._three_sided_entry(a, k, x, y) == want, (a, k, x, y)
 
 
+def test_three_sided_mixed_entries_match_kasteleyn_at_larger_order():
+    # past the DP's reach above: every beta against every alpha and gamma;
+    # k = 1 is left out to keep the test under a second
+    for a in (6, 7):
+        for k in (0, 2):
+            b = a + k
+            host = DefectConfiguration(a, b, gammas=tuple(range(1, k + 1))).region()
+            betas = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
+            others = [DefectSpec(s, p) for s in ("NE", "SW")[: 1 if k else 2] for p in range(1, a + 1)]
+            others += [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
+            for x, y in itertools.product(betas, others):
+                gone = {boundary_cell(a, b, x), boundary_cell(a, b, y)}
+                want = count_tilings_kasteleyn(Region.from_cells(host.cells - gone))
+                assert condensation._three_sided_entry(a, k, x, y) == want, (a, k, x, y)
+
+
 def test_three_sided_rejects_unbalanced():
     with pytest.raises(InvalidConfigurationError):
         count_defects_three_sided(_config(2, 3, [("SE", 1)], [("NE", 1)]))
@@ -409,4 +426,24 @@ def test_kasteleyn_matches_pfaffian_at_large_order():
         (18, 21, [("SE", 1), ("SE", 5), ("SE", 9), ("NW", 2), ("NW", 7)], [("NE", 3), ("SW", 4)]),
     ):
         cfg = _config(a, b, betas, alphas)
-        assert count_configuration(cfg) == count_configuration(cfg, "pfaffian") > 0
+        kasteleyn = count_configuration(cfg, "kasteleyn")
+        assert kasteleyn == count_configuration(cfg, "pfaffian") > 0
+        assert count_configuration(cfg) == kasteleyn
+
+
+def test_auto_counts_gamma_specs_by_kasteleyn():
+    cfg = _config(2, 4, [("SE", 3)], [("NE", 1)], (1, 2))
+    with pytest.raises(OutOfScopeConfigurationError):
+        count_configuration(cfg, "pfaffian")
+    assert count_configuration(cfg) == count_configuration(cfg, "kasteleyn") == 2
+
+
+def test_auto_does_not_mask_an_inconsistent_pfaffian(monkeypatch):
+    def inconsistent(*args):
+        raise InternalInconsistencyError("injected")
+
+    monkeypatch.setattr(condensation, "_pfaffian_quotient", inconsistent)
+    cfg = _config(3, 3, [("SE", 1)], [("NE", 2)])
+    assert count_configuration(cfg, "kasteleyn") == count_ad_adjacent_defects(3, 1, 2)
+    with pytest.raises(InternalInconsistencyError, match="injected"):
+        count_configuration(cfg)

@@ -50,10 +50,22 @@ def _sha(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_cli_transcripts_digest_every_engine_format_and_cell_limit(monkeypatch):
+def _cli_transcripts():
     spec = importlib.util.spec_from_file_location("cli_transcripts", TOOLS / "cli_transcripts.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_cli_transcripts_seeded_specs_are_distinct():
+    tool = _cli_transcripts()
+    specs = tool.seeded_specs()
+    assert len(specs) == 32 + len(tool.MALFORMED)  # two per (a, b), then the malformed ones
+    assert len(set(specs)) == len(specs)
+
+
+def test_cli_transcripts_digest_every_engine_format_and_cell_limit(monkeypatch):
+    tool = _cli_transcripts()
     monkeypatch.setenv("AZTEC_ORACLE_CELL_LIMIT", "7")
     lines = list(tool.spec_lines(["AD n=3", "AD n=0"]))
     assert os.environ["AZTEC_ORACLE_CELL_LIMIT"] == "7"  # restored after every run

@@ -42,27 +42,37 @@ VERIFY = [["verify", "formulas"]] + [
 _MILLIS = re.compile(r'"millis": \d+')
 
 
-def seeded_specs() -> list[str]:
-    """Two specs per (a, b) with a <= 4 and b - a <= 3, then the malformed ones.
+def _draw(rng: random.Random, a: int, b: int, skew: int) -> str:
+    """A spec on AD/AR(a, b) with #betas - #alphas = k - gamma + skew."""
+    k = b - a
+    whites = [f"{s}:{p}" for s in ("NW", "SE") for p in range(1, b + 1)]
+    blacks = [f"{s}:{p}" for s in ("NE", "SW") for p in range(1, a + 1)]
+    gamma = rng.randint(0, k)
+    n = rng.randint(0, min(2, a))
+    n_betas = max(0, n + k - gamma + skew)
+    removed = rng.sample(whites, n_betas) + rng.sample(blacks, n)
+    head = f"AD n={a}" if a == b else f"AR a={a} b={b}"
+    spec = head + (f" gamma={gamma}" if gamma else "")
+    return spec + (f" remove={','.join(removed)}" if removed else "")
 
-    The first spec of a pair is colour-balanced (#betas - #alphas = k - gamma),
-    the second is balanced or off by one cell, at random.
+
+def seeded_specs() -> list[str]:
+    """Two distinct specs per (a, b) with a <= 4 and b - a <= 3, then the malformed ones.
+
+    The first spec of a pair is colour-balanced, the second is balanced or off
+    by one cell, at random.  A second spec equal to the first is redrawn from
+    a separate stream, so the specs after it do not change.
     """
-    rng = random.Random(7)
+    rng, redraw = random.Random(7), random.Random(8)
     specs = []
     for a in range(1, 5):
         for b in range(a, a + 4):
-            k = b - a
-            whites = [f"{s}:{p}" for s in ("NW", "SE") for p in range(1, b + 1)]
-            blacks = [f"{s}:{p}" for s in ("NE", "SW") for p in range(1, a + 1)]
-            for skew in (0, rng.choice((-1, 0, 1))):
-                gamma = rng.randint(0, k)
-                n = rng.randint(0, min(2, a))
-                n_betas = max(0, n + k - gamma + skew)
-                removed = rng.sample(whites, n_betas) + rng.sample(blacks, n)
-                head = f"AD n={a}" if a == b else f"AR a={a} b={b}"
-                spec = head + (f" gamma={gamma}" if gamma else "")
-                specs.append(spec + (f" remove={','.join(removed)}" if removed else ""))
+            skew = rng.choice((-1, 0, 1))
+            first = _draw(rng, a, b, 0)
+            second = _draw(rng, a, b, skew)
+            while second == first:
+                second = _draw(redraw, a, b, skew)
+            specs += [first, second]
     return specs + list(MALFORMED)
 
 
