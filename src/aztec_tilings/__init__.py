@@ -26,7 +26,6 @@ from .formulas import (
     count_ar_se_block_removed,
     count_ar_se_nw_defects,
     count_aztec_diamond,
-    hyp_terminating,
 )
 from .geometry import (
     Cell,
@@ -69,7 +68,6 @@ __all__ = [
     "count_tilings_dp",
     "count_tilings_kasteleyn",
     "determinant_sparse",
-    "hyp_terminating",
     "is_white",
     "make_aztec_rectangle",
     "pfaffian",

@@ -9,8 +9,8 @@ sensitive), e.g. "AR a=4 b=7 remove=SE:2,SE:4,SE:7".  ``gamma=k`` glues the
 string of k extra squares under the SE side starting at the south corner.
 
 Exit codes: 0 success, 1 parse/semantic error, 2 engine inapplicable,
-3 verification failure.  AZTEC_ORACLE_CELL_LIMIT (default 36) bounds the
-brute-force engine.
+3 verification failure.  AZTEC_ORACLE_CELL_LIMIT (ASCII digits, default 36)
+bounds the brute-force engine.
 
 The commands only parse, call the library and print; they raise on error.
 ``main`` is the one place that turns an error into a message and an exit
@@ -154,13 +154,11 @@ def parse_region_spec(text: str) -> DefectConfiguration:
 
 def _cell_limit() -> int:
     raw = os.environ.get("AZTEC_ORACLE_CELL_LIMIT", "")
-    try:
-        limit = int(raw) if raw else DEFAULT_CELL_LIMIT
-        if limit < 0:
-            raise ValueError
-    except ValueError:
-        raise SpecError(f"AZTEC_ORACLE_CELL_LIMIT={raw!r} is not a nonnegative integer") from None
-    return limit
+    if not raw:
+        return DEFAULT_CELL_LIMIT
+    if not re.fullmatch(r"[0-9]+", raw):
+        raise SpecError(f"AZTEC_ORACLE_CELL_LIMIT={raw!r} is not a nonnegative integer")
+    return int(raw)
 
 
 def cmd_count(args: argparse.Namespace) -> int:

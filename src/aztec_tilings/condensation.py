@@ -319,13 +319,20 @@ def count_defects_three_sided(config: DefectConfiguration) -> int:
     return _three_sided_count(a, b, config.betas, config.alphas)
 
 
+def _cuts_balance(a: int, b: int, betas: Sequence[DefectSpec]) -> bool:
+    """False only if AR(a, b) minus the betas has no tiling, by counting cells at column cuts."""
+    # with r_j betas at positions <= j, a - j + r_j of black column 2j's a cells must pair east
+    return all(j - a <= sum(d.position <= j for d in betas) <= j for j in range(1, b))
+
+
 def count_defects_four_sided(config: DefectConfiguration) -> int:
     """Tilings of AR(a, b) minus defects on arbitrary sides (nested Pfaffians).
 
-    Splits off k of the betas to form a balanced sub-rectangle G, then runs
-    condensation over the remaining n betas and n alphas; every entry is
-    itself a three-sided Pfaffian count with at most one alpha.  Gamma
-    squares are out of scope.
+    Splits off k of the betas to form a balanced sub-rectangle G, the first
+    k-subset in boundary order whose G has a tiling (a subset failing
+    ``_cuts_balance`` is skipped unbuilt), then runs condensation over the
+    remaining n betas and n alphas; every entry is itself a three-sided
+    Pfaffian count with at most one alpha.  Gamma squares are out of scope.
     """
     _require_balanced(config)
     a, b = config.a, config.b
@@ -336,9 +343,8 @@ def count_defects_four_sided(config: DefectConfiguration) -> int:
     betas_sorted = sorted(config.betas, key=order)
     chosen = None
     for s in itertools.combinations(betas_sorted, b - a):
-        m_g = _three_sided_count(a, b, s, ())
-        if m_g:
-            chosen, m_base = s, m_g
+        if _cuts_balance(a, b, s) and (m_base := _three_sided_count(a, b, s, ())):
+            chosen = s
             break
     if chosen is None:
         raise CondensationInapplicableError("every balanced beta subset has count 0")

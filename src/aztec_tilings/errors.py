@@ -21,14 +21,6 @@ class InvalidMatrixError(AztecError, ValueError):
     """A matrix is not square, not skew-symmetric, or has odd dimension."""
 
 
-class NonterminatingSeriesError(AztecError, ValueError):
-    """No numerator parameter truncates the hypergeometric series."""
-
-
-class SingularParametersError(AztecError, ValueError):
-    """A denominator Pochhammer vanishes before the series truncates."""
-
-
 class CondensationInapplicableError(AztecError, ValueError):
     """The base graph has no perfect matching, so the quotient is undefined."""
 

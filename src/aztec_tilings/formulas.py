@@ -1,9 +1,11 @@
 """Exact evaluators for the closed-form tiling counts.
 
-Every count function returns a plain nonnegative int.  The terminating
-hypergeometric sums are evaluated in exact ints by Horner's rule over the
-term ratios and returned as one Fraction; the final products are checked for
-integrality, so a convention bug cannot silently round.
+Every count function returns a plain nonnegative int, computed in integer
+arithmetic only: powers of two, binomials, their sums and products.  The two
+counts the literature states with a terminating 3F2 are summed term by term,
+each term rewritten as a product of binomials, so no term is a fraction.  The
+one true division, in ``count_ar_kept_se``, is checked to be exact, so a
+convention bug cannot silently round.
 
 Region conventions (see geometry): AR(a, b) has white cells 1..b on the NW
 and SE sides and black cells 1..a on the NE and SW sides; gamma squares are
@@ -14,15 +16,9 @@ notch.  "AR(a, b) minus SE j" removes the SE cell at position j.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    InternalInconsistencyError,
-    InvalidParameterError,
-    NonterminatingSeriesError,
-    SingularParametersError,
-)
+from .errors import InternalInconsistencyError, InvalidParameterError
 
 
 def binomial_ext(c: int, d: int) -> int:
@@ -32,45 +28,6 @@ def binomial_ext(c: int, d: int) -> int:
     if c >= 0:
         return math.comb(c, d)
     return (-1) ** d * math.comb(d - c - 1, d)
-
-
-def hyp_terminating(
-    numerator: Sequence[int], denominator: Sequence[int], z: int | Fraction
-) -> Fraction:
-    """Terminating hypergeometric sum with integer parameters.
-
-    Truncates at K = min over nonpositive numerator parameters p of (-p) + 1;
-    raises if no parameter terminates the series or if a denominator
-    Pochhammer vanishes before the truncation point.  The sum is taken by
-    Horner's rule from the last term back, 1 + r_0 (1 + r_1 (1 + ...)), with
-    term ratios r_k = z prod(p + k) / (prod(q + k) (k + 1)) kept as an int
-    numerator/denominator pair, so one Fraction is reduced at the end.
-    """
-    tops = [p for p in numerator if p <= 0]
-    if not tops:
-        raise NonterminatingSeriesError(f"no nonpositive numerator parameter in {numerator}")
-    terms = min(-p for p in tops) + 1
-    for q in denominator:
-        if q <= 0 and -q + 1 <= terms - 1:
-            raise SingularParametersError(
-                f"denominator parameter {q} vanishes at term {-q + 1} < {terms}"
-            )
-    zn, zd = Fraction(z).as_integer_ratio()
-    span = terms - 1  # ratios r_0 .. r_{K-2}
-    ratio_nums = map(math.prod, zip(*(range(p, p + span) for p in numerator)))
-    ratio_dens = map(math.prod, zip(range(1, terms), *(range(q, q + span) for q in denominator)))
-    num = den = 1
-    for rn, rd in reversed(list(zip(ratio_nums, ratio_dens))):
-        rd *= zd
-        num, den = rd * den + zn * rn * num, rd * den
-    return Fraction(num, den)
-
-
-def _as_count(value: Fraction | int, context: str) -> int:
-    value = Fraction(value)
-    if value.denominator != 1 or value < 0:
-        raise InternalInconsistencyError(f"{context} evaluated to {value}, not a count")
-    return int(value)
 
 
 def count_aztec_diamond(n: int) -> int:
@@ -84,18 +41,23 @@ def count_ar_kept_se(a: int, b: int, kept: Sequence[int]) -> int:
     """Tilings of AR(a, b) with all SE cells removed except those in ``kept``.
 
     kept must be strictly increasing positions 1 <= s_1 < ... < s_a <= b; the
-    count is 2^(a(a+1)/2) * prod_{i<j} (s_j - s_i)/(j - i), always an integer.
+    count is 2^(a(a+1)/2) prod_{i<j} (s_j - s_i) / prod_{i<j} (j - i), whose
+    quotient is always an integer, so a remainder raises
+    ``InternalInconsistencyError``.
     """
     s = list(kept)
     if len(s) != a or any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
         raise InvalidParameterError(f"kept positions must be {a} strictly increasing values")
     if s and (s[0] < 1 or s[-1] > b):
         raise InvalidParameterError(f"kept positions must lie in 1..{b}")
-    value = Fraction(2 ** (a * (a + 1) // 2))
-    for i in range(a):
-        for j in range(i + 1, a):
-            value *= Fraction(s[j] - s[i], j - i)
-    return _as_count(value, f"count_ar_kept_se({a}, {b}, {s})")
+    num = math.prod(s[j] - s[i] for i in range(a) for j in range(i + 1, a))
+    den = math.prod(j - i for i in range(a) for j in range(i + 1, a))
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise InternalInconsistencyError(
+            f"count_ar_kept_se({a}, {b}, {s}): {num} not divisible by {den}"
+        )
+    return 2 ** (a * (a + 1) // 2) * quotient
 
 
 def count_ar_one_se_removed(a: int, i: int) -> int:
@@ -115,9 +77,13 @@ def count_ar_se_block_removed(a: int, b: int) -> int:
 def count_ar_gamma_se_defect(a: int, k: int, j: int) -> int:
     """Tilings of AR(a, a+k) with gamma squares at positions 2..k and SE cell j removed.
 
-    For j > k this is the product formula
-    2^(a(a+1)/2) C(a+k-1, j-1) C(j-2, k-1) 3F2[1, 1-j, 1-k; 2-j, 1-a-k; 1];
-    for j <= k the product formula does not apply and the count is 2^(a(a+1)/2).
+    For j > k the paper states the count as
+    2^(a(a+1)/2) C(a+k-1, j-1) C(j-2, k-1) 3F2[1, 1-j, 1-k; 2-j, 1-a-k; 1].
+    Its m-th term is (j-1)/(j-1-m) C(k-1, m) / C(a+k-1, m), and with
+    C(N, j-1) C(j-1, m) = C(N, m) C(N-m, j-1-m) the prefactor times that term
+    is C(a+k-1-m, j-1-m) C(j-2-m, k-1-m), so the count is
+    2^(a(a+1)/2) sum_{m<k} C(a+k-1-m, j-1-m) C(j-2-m, k-1-m).
+    For j <= k the formula does not apply and the count is 2^(a(a+1)/2).
     Gamma t touches only SE cells t-1 and t, so with SE j gone each gamma is
     forced, working outward from j: onto SE t-1 for t <= j and onto SE t for
     t > j.  That covers SE 1..k except the removed j, and what is left is
@@ -130,9 +96,9 @@ def count_ar_gamma_se_defect(a: int, k: int, j: int) -> int:
     base = 2 ** (a * (a + 1) // 2)
     if j <= k:
         return base
-    hyp = hyp_terminating((1, 1 - j, 1 - k), (2 - j, 1 - a - k), 1)
-    value = base * binomial_ext(a + k - 1, j - 1) * binomial_ext(j - 2, k - 1) * hyp
-    return _as_count(value, f"count_ar_gamma_se_defect({a}, {k}, {j})")
+    return base * sum(
+        math.comb(a + k - 1 - m, j - 1 - m) * math.comb(j - 2 - m, k - 1 - m) for m in range(k)
+    )
 
 
 def count_ar_se_nw_defects(a: int, i: int, j: int) -> int:
@@ -180,15 +146,15 @@ def count_ar_gamma_nw_defect(a: int, k: int, i: int) -> int:
 def count_ad_adjacent_defects(a: int, i: int, j: int) -> int:
     """Tilings of AD(a) minus SE cell i (from south) and NE cell j (from north).
 
+    Helfgott and Gessel state the count as
     2^(a(a-1)/2) C(a-1, i-1) C(a-1, j-1) 3F2[1, 1-i, 1-j; 1-a, 1-a; 2].
+    Its m-th term is 2^m C(i-1, m) C(j-1, m) / C(a-1, m)^2, and with
+    C(a-1, i-1) C(i-1, m) = C(a-1, m) C(a-1-m, i-1-m) the count is
+    2^(a(a-1)/2) sum_{m<min(i,j)} 2^m C(a-1-m, i-1-m) C(a-1-m, j-1-m).
     """
     if not (1 <= i <= a and 1 <= j <= a):
         raise InvalidParameterError(f"positions must lie in 1..{a}, got i={i}, j={j}")
-    hyp = hyp_terminating((1, 1 - i, 1 - j), (1 - a, 1 - a), 2)
-    value = (
-        2 ** (a * (a - 1) // 2)
-        * binomial_ext(a - 1, i - 1)
-        * binomial_ext(a - 1, j - 1)
-        * hyp
+    return 2 ** (a * (a - 1) // 2) * sum(
+        2**m * math.comb(a - 1 - m, i - 1 - m) * math.comb(a - 1 - m, j - 1 - m)
+        for m in range(min(i, j))
     )
-    return _as_count(value, f"count_ad_adjacent_defects({a}, {i}, {j})")

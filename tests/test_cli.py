@@ -143,7 +143,8 @@ def test_brute_cell_limit_exit_2(capsys, monkeypatch):
 
 
 def test_malformed_cell_limit_exit_1(capsys, monkeypatch):
-    for raw in ("forty", "-1"):
+    # only ASCII digits, as for a spec INT; int() alone would read "1_0" as 10
+    for raw in ("forty", "-1", "1_0", "+5", " 7", "\uff11\uff10"):
         monkeypatch.setenv("AZTEC_ORACLE_CELL_LIMIT", raw)
         for argv in (("count", "AD n=3", "--engine", "brute"), ("verify", "formulas")):
             code, out, err = run_cli(capsys, *argv)

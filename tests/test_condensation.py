@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,6 +337,31 @@ def test_four_sided_single_alpha_outer_is_single_entry():
 def test_four_sided_all_sides_anchor():
     cfg = _config(2, 3, [("SE", 1), ("NW", 2), ("SE", 3)], [("NE", 1), ("SW", 2)])
     assert count_defects_four_sided(cfg) == count_tilings_dp(cfg.region())
+
+
+def test_cut_rule_skips_only_beta_subsets_without_a_tiling():
+    skipped = 0
+    for a in range(1, 5):
+        for k in range(4):
+            b = a + k
+            cells = [DefectSpec(side, p) for side in ("NW", "SE") for p in range(1, b + 1)]
+            for s in itertools.combinations(cells, k):
+                if not condensation._cuts_balance(a, b, s):
+                    skipped += 1
+                    region = DefectConfiguration(a, b, s).region()
+                    assert count_tilings_kasteleyn(region) == 0, (a, b, s)
+    assert skipped > 0
+
+
+def test_auto_refuses_a_four_sided_spec_without_a_tiling_quickly():
+    # all C(16, 10) beta subsets fail the cut rule, so none builds a Pfaffian
+    nw_se = [(side, p) for side in ("NW", "SE") for p in range(1, 9)]
+    ne_sw = [(side, p) for side in ("NE", "SW") for p in range(1, 4)]
+    cfg = _config(6, 16, nw_se, ne_sw)
+    start = time.perf_counter()
+    count = count_configuration(cfg)
+    assert time.perf_counter() - start < 1.0
+    assert count == count_configuration(cfg, "kasteleyn") == 0
 
 
 def test_diamond_counter_single_pair_is_formula():

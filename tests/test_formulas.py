@@ -20,14 +20,9 @@ from aztec_tilings import (
     count_ar_se_nw_defects,
     count_aztec_diamond,
     count_tilings_dp,
-    hyp_terminating,
     make_aztec_rectangle,
 )
-from aztec_tilings.errors import (
-    InvalidParameterError,
-    NonterminatingSeriesError,
-    SingularParametersError,
-)
+from aztec_tilings.errors import InvalidParameterError
 
 
 def gamma_se_region(a, k, j):
@@ -53,19 +48,6 @@ def test_binomial_ext_matches_product_definition():
             assert binomial_ext(c, d) == want, (c, d)
 
 
-def test_hyp_terminating_values():
-    assert hyp_terminating((1, 0, -3), (2, 2), 1) == 1
-    assert hyp_terminating((1, -1, -2), (3, 4), 1) == Fraction(7, 6)
-    assert hyp_terminating((1, -2, -1), (-1, -3), 1) == Fraction(5, 3)
-
-
-def test_hyp_terminating_errors():
-    with pytest.raises(NonterminatingSeriesError):
-        hyp_terminating((1, 2), (3,), 1)
-    with pytest.raises(SingularParametersError):
-        hyp_terminating((1, -3), (-1,), 1)
-
-
 def pochhammer_sum(numerator, denominator, z):
     """The series term by term from rebuilt Pochhammer products, in Fractions."""
     terms = min(-p for p in numerator if p <= 0) + 1
@@ -82,29 +64,24 @@ def pochhammer_sum(numerator, denominator, z):
     return total
 
 
-@pytest.mark.parametrize("z", [2, Fraction(-3, 7)])
-def test_hyp_terminating_matches_pochhammer_sum_on_diamond_shapes(z):
+def test_ad_adjacent_defects_matches_its_3f2_statement():
     for a in range(1, 13):
         for i in range(1, a + 1):
             for j in range(1, a + 1):
-                params = ((1, 1 - i, 1 - j), (1 - a, 1 - a))
-                assert hyp_terminating(*params, z) == pochhammer_sum(*params, z), (a, i, j)
+                count = count_ad_adjacent_defects(a, i, j)
+                hyp = pochhammer_sum((1, 1 - i, 1 - j), (1 - a, 1 - a), 2)
+                stated = 2 ** (a * (a - 1) // 2) * math.comb(a - 1, i - 1) * math.comb(a - 1, j - 1) * hyp
+                assert type(count) is int and count == stated, (a, i, j)
 
 
-@pytest.mark.parametrize("z", [1, Fraction(5, 2)])
-def test_hyp_terminating_matches_pochhammer_sum_on_gamma_shapes(z):
+def test_gamma_se_defect_matches_its_3f2_statement():
     for a in range(1, 9):
         for k in range(1, 9):
             for j in range(k + 1, a + k + 1):
-                params = ((1, 1 - j, 1 - k), (2 - j, 1 - a - k))
-                assert hyp_terminating(*params, z) == pochhammer_sum(*params, z), (a, k, j)
-
-
-def test_hyp_terminating_denominator_may_vanish_only_at_the_last_term():
-    # (-2)_k stops at k = 2; (q)_2 = q (q + 1) is nonzero for q = -2, zero for q = -1.
-    assert hyp_terminating((-2,), (-2,), 1) == pochhammer_sum((-2,), (-2,), 1) == Fraction(5, 2)
-    with pytest.raises(SingularParametersError):
-        hyp_terminating((-2,), (-1,), 1)
+                count = count_ar_gamma_se_defect(a, k, j)
+                hyp = pochhammer_sum((1, 1 - j, 1 - k), (2 - j, 1 - a - k), 1)
+                stated = 2 ** (a * (a + 1) // 2) * math.comb(a + k - 1, j - 1) * math.comb(j - 2, k - 1) * hyp
+                assert type(count) is int and count == stated, (a, k, j)
 
 
 def test_count_aztec_diamond():

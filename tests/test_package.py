@@ -1,5 +1,6 @@
 """The package's export list and the scripts in tools/."""
 
+import ast
 import hashlib
 import importlib.util
 import os
@@ -19,6 +20,19 @@ def test_star_import_resolves_every_export():
     exec("from aztec_tilings import *", namespace)  # raises on a stale __all__ entry
     assert set(aztec_tilings.__all__) <= namespace.keys()
     assert len(set(aztec_tilings.__all__)) == len(aztec_tilings.__all__)
+
+
+def test_no_module_imports_fractions():
+    # every number the package computes is an int by construction
+    for path in sorted(Path(aztec_tilings.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(name.split(".")[0] == "fractions" for name in names), path.name
 
 
 def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
