@@ -12,8 +12,10 @@ with M(G) != 0,
 a base set G of a host region H, with the a_i on the outer face of H and
 entries M(G + {a_i, a_j}), + meaning toggle (G = H gives
 ``condensation_count``); ``check_face_alternating_identity`` verifies the
-alternating-product identity that drives its induction, and
-``check_kuo_identity`` the four local three-product identities.
+alternating-product identity that drives its induction.  Kuo's four local
+identities are its four-vertex case: ``check_kuo_identity`` checks a
+pattern's hypotheses on the region G, then checks the alternating identity
+on the four cells with base G, or with base G - w for the AAAB pattern.
 
 The defect counters specialize condensation to Aztec rectangles.  The
 three-sided count is one Pfaffian whose host is the gamma-augmented rectangle,
@@ -189,13 +191,22 @@ def check_face_alternating_identity(
 def check_kuo_identity(
     pattern: str, region: Region, w: Cell, x: Cell, y: Cell, z: Cell
 ) -> bool:
-    """Check one of the four local condensation identities on engine counts.
+    """Check one of Kuo's four local condensation identities on engine counts.
 
     ``pattern`` gives the color classes of (w, x, y, z) in cyclic face order,
     with A the class of w: "AABB", "AAAA" (needs #A = #B + 2), "ABAB", and
     "AAAB" (needs #A = #B + 1).  The balanced patterns need #A = #B.  Raises
     ``InvalidConfigurationError`` when the cells or the region miss the
     pattern's hypotheses.
+
+    Each identity is ``check_face_alternating_identity`` on the four
+    vertices, with host the region G and a base S:
+
+        M(S) M(S + wxyz) + M(S + wy) M(S + xz) == M(S + wx) M(S + yz) + M(S + wz) M(S + xy)
+
+    where + toggles cells.  S = G for AABB, AAAA and ABAB; the terms that
+    Kuo's identity lacks count regions whose colours do not balance, so they
+    are 0.  S = G - w for AAAB, which is Kuo's identity term for term.
     """
     if pattern not in KUO_SURPLUS:
         raise InvalidConfigurationError(f"unknown pattern {pattern!r}")
@@ -206,34 +217,15 @@ def check_kuo_identity(
     actual = "".join("A" if is_white(c) == a_class else "B" for c in quad)
     if actual != pattern:
         raise InvalidConfigurationError(f"cells have pattern {actual}, expected {pattern}")
-    cells = region.cells
-    n_a = sum(1 for c in cells if is_white(c) == a_class)
-    n_b = len(cells) - n_a
+    white, black = region.color_counts()
+    n_a, n_b = (white, black) if a_class else (black, white)
     surplus = KUO_SURPLUS[pattern]
     if n_a != n_b + surplus:
         raise InvalidConfigurationError(
             f"pattern {pattern} needs #A = #B + {surplus}, region has {n_a} and {n_b}"
         )
-    _validate_cyclic(boundary_cycle(region), quad)
-
-    def m_minus(*gone: Cell) -> int:
-        return _cells_count(cells - set(gone))
-
-    if pattern == "AABB":
-        return m_minus(w, z) * m_minus(x, y) == m_minus() * m_minus(w, x, y, z) + m_minus(
-            w, y
-        ) * m_minus(x, z)
-    if pattern == "AAAA":
-        return m_minus(w, y) * m_minus(x, z) == m_minus(w, x) * m_minus(y, z) + m_minus(
-            w, z
-        ) * m_minus(x, y)
-    if pattern == "ABAB":
-        return m_minus() * m_minus(w, x, y, z) == m_minus(w, x) * m_minus(y, z) + m_minus(
-            w, z
-        ) * m_minus(x, y)
-    return m_minus(w) * m_minus(x, y, z) + m_minus(y) * m_minus(w, x, z) == m_minus(
-        x
-    ) * m_minus(w, y, z) + m_minus(z) * m_minus(w, x, y)
+    base = region.cells - {w} if pattern == "AAAB" else region.cells
+    return check_face_alternating_identity(region, base, quad)
 
 
 def _require_plain(config: DefectConfiguration) -> None:

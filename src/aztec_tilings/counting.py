@@ -18,7 +18,7 @@ AD(30) on the same machine.  All three use exact arithmetic only.
 from __future__ import annotations
 
 from .dualgraph import component_count
-from .errors import OutOfScopeConfigurationError
+from .errors import InvalidMatrixError, OutOfScopeConfigurationError
 from .exactalg import determinant_sparse
 from .geometry import Cell, Region
 
@@ -156,7 +156,9 @@ def count_tilings_kasteleyn(region: Region) -> int:
     condition for a face of four edges, and |det K| counts the tilings of a
     region whose bounded faces are all unit squares (Kasteleyn, Physica 27,
     1961; Kenyon, Lectures on dimers, arXiv:0910.3129).  Any other region
-    raises ``OutOfScopeConfigurationError``.
+    raises ``OutOfScopeConfigurationError``, and so does a region whose
+    determinant bound exceeds ``determinant_sparse``'s prime table (from
+    about AD(211) on).
     """
     cells = region.cells
     white = sorted(c for c in cells if c.u % 2 == 1)
@@ -173,4 +175,9 @@ def count_tilings_kasteleyn(region: Region) -> int:
                 row[j] = 1 if du == dv else sign
         rows.append(row)
     _require_hole_free(cells, sum(map(len, rows)))
-    return abs(determinant_sparse(rows))
+    try:
+        return abs(determinant_sparse(rows))
+    except InvalidMatrixError as exc:  # K is square, so only the prime table can refuse it
+        raise OutOfScopeConfigurationError(
+            f"the kasteleyn engine cannot count a {len(cells)}-cell region: {exc}"
+        ) from None

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from aztec_tilings import condensation
+from aztec_tilings import condensation, exactalg
 from aztec_tilings.cli import main, parse_region_spec, SpecError
 
 
@@ -187,6 +187,15 @@ def test_default_engine_falls_back_where_pfaffian_is_inapplicable(capsys):
     assert run_cli(capsys, "count", spec) == kasteleyn == (0, "0\n", "")
 
 
+def test_kasteleyn_beyond_the_prime_table_exit_2(capsys, monkeypatch):
+    # AD(3)'s Hadamard bound needs a Mersenne exponent above 7
+    monkeypatch.setattr(exactalg, "MERSENNE_EXPONENTS", (2, 3, 5, 7))
+    code, out, err = run_cli(capsys, "count", "AD n=3", "--engine", "kasteleyn")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the kasteleyn engine cannot count a 24-cell region: ")
+    assert err.count("\n") == 1
+
+
 def test_render_diamond_order_one(capsys):
     code, out, _ = run_cli(capsys, "render", "AD n=1")
     assert code == 0
@@ -246,6 +255,14 @@ def test_verify_fault_injection_detected(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "mt", "--trials", "5", "--seed", "1")
     assert code == 3
     assert "first counterexample" in out
+
+
+def test_verify_kuo_fault_injection_detected(capsys, monkeypatch):
+    original = condensation._cells_count
+    monkeypatch.setattr(condensation, "_cells_count", lambda cells: original(cells) + 1)
+    code, out, _ = run_cli(capsys, "verify", "kuo", "--trials", "20", "--seed", "1")
+    assert code == 3
+    assert "first counterexample: kuo " in out
 
 
 @pytest.mark.parametrize(

@@ -181,6 +181,35 @@ def test_kuo_surplus_patterns():
             assert check_kuo_identity(pattern, region, *quad)
 
 
+# pattern -> (planted term, its partner in the same product), each named by the cells of
+# (w, x, y, z) that it removes from the region
+KUO_PLANTS = {"AABB": ("wz", "xy"), "AAAA": ("wy", "xz"), "ABAB": ("", "wxyz"), "AAAB": ("w", "xyz")}
+
+
+@pytest.mark.parametrize("pattern", sorted(KUO_PLANTS))
+def test_kuo_check_fails_on_a_planted_count(monkeypatch, pattern):
+    # one count off by 1, in a product whose other factor is nonzero, must break the identity
+    surplus = condensation.KUO_SURPLUS[pattern]
+    diamond = make_aztec_rectangle(3, 3)
+    blacks = sorted(c for c in diamond.cells if not is_white(c))
+    region = Region.from_cells(diamond.cells - set((blacks[0], blacks[-1])[:surplus]))
+    plant, partner = KUO_PLANTS[pattern]
+
+    def minus(quad, names):
+        return region.cells - {quad["wxyz".index(n)] for n in names}
+
+    quad = next(
+        q for q in itertools.combinations(boundary_cycle(region), 4)
+        if "".join("A" if is_white(c) == is_white(q[0]) else "B" for c in q) == pattern
+        and (surplus == 0 or is_white(q[0]))  # the surplus class, white here, is A
+        and count_tilings_dp(Region.from_cells(minus(q, partner)))
+    )
+    assert check_kuo_identity(pattern, region, *quad)
+    original, planted = condensation._cells_count, minus(quad, plant)
+    monkeypatch.setattr(condensation, "_cells_count", lambda cells: original(cells) + (cells == planted))
+    assert not check_kuo_identity(pattern, region, *quad)
+
+
 def test_kuo_rejects_wrong_hypotheses():
     region = make_aztec_rectangle(2, 2)
     cycle = boundary_cycle(region)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import aztec_tilings
 from aztec_tilings import ENGINES
+from aztec_tilings.cli import SUITES
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 CODE_LINES = TOOLS / "code_lines.py"
@@ -102,3 +103,8 @@ def test_cli_transcripts_digest_every_engine_format_and_cell_limit(monkeypatch):
                 assert runs[f"count 'AD n=0' --engine {engine} --format {fmt}", setting][0] == "exit=1"
     # AD(3) has 24 cells: over a limit of 20, under the default 36
     assert runs["count 'AD n=3' --engine brute --format json", twenty][0] == "exit=2"
+
+
+def test_cli_transcripts_run_every_verify_suite():
+    tool = _cli_transcripts()
+    assert [argv[:2] for argv in tool.VERIFY] == [["verify", suite] for suite in SUITES]

@@ -7,8 +7,9 @@ selects is the one exercised.  The runs are a fixed, seeded list of region
 specs (AD/AR with a <= 4 and b - a <= 3, some with gamma squares, some
 colour-unbalanced), then one malformed spec for every spec-parse message; each
 is rendered once and counted under every engine in ``ENGINES``, in ``dec`` and
-``json`` format, with AZTEC_ORACLE_CELL_LIMIT unset and set to 20.  Then the
-four verify suites run.  Each line holds the argv, the cell-limit setting, the
+``json`` format, with AZTEC_ORACLE_CELL_LIMIT unset and set to 20.  Then every
+suite in ``cli.SUITES`` runs: ``formulas`` with its defaults, the others with
+fixed seeded flags.  Each line holds the argv, the cell-limit setting, the
 exit code and the sha256 of stdout followed by stderr, with the ``millis``
 field of JSON output zeroed.  Diffing the output of two checkouts shows
 whether a change altered any transcript.  Stdlib only.
@@ -25,7 +26,7 @@ import re
 import shlex
 from typing import Iterable, Iterator
 
-from aztec_tilings.cli import main as cli_main
+from aztec_tilings.cli import SUITES, main as cli_main
 from aztec_tilings.condensation import ENGINES
 
 LIMIT_VAR = "AZTEC_ORACLE_CELL_LIMIT"
@@ -35,10 +36,8 @@ MALFORMED = ("", "AD", "AX n=3", "AD x=3", "AD n=zero", "AD n=0", "AR a=3", "AR 
              "AD n=2 remove=SE:0", "AD n=2 remove=SE:9", "AD n=2 remove=XX:1",
              "AD n=2 remove=SE:1,SE:1", "AD n=2 trailing", "AD n=1_0", "AD n=+2 remove=SE:0_1",
              "AD n=\uff12")
-VERIFY = [["verify", "formulas"]] + [
-    ["verify", suite, "--max-a", "6", "--max-b", "9", "--trials", "400", "--seed", "11"]
-    for suite in ("kuo", "ciucu", "mt")
-]
+SEEDED = ["--max-a", "6", "--max-b", "9", "--trials", "400", "--seed", "11"]
+VERIFY = [["verify", suite] + ([] if suite == "formulas" else SEEDED) for suite in SUITES]
 _MILLIS = re.compile(r'"millis": \d+')
 
 
