@@ -38,6 +38,13 @@ to the determinant.  ``InternalInconsistencyError`` is never caught.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
 ``InternalInconsistencyError`` unless the quotient is a nonnegative integer.
+Each caller splits its labels into two classes, and an entry within a class
+counts a colour-unbalanced region, so it is 0: betas against alphas and
+gammas in the defect counters, and in the symmetric-difference count the
+cells whose toggle gains a white against those whose toggle loses one.  The
+Pfaffian is then, up to a sign fixed by how the classes interleave, the
+determinant of the block of mixed entries, taken by ``exactalg.determinant``
+at half the dimension; only those entries are computed.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from .errors import (
     InvalidParameterError,
     OutOfScopeConfigurationError,
 )
-from .exactalg import pfaffian
+from .exactalg import determinant
 from .formulas import (
     count_ad_adjacent_defects,
     count_ar_gamma_nw_defect,
@@ -102,20 +109,49 @@ def _validate_cyclic(cycle: Sequence[Cell], chosen: Sequence[Cell]) -> None:
         raise InvalidOrderError(f"{chosen} is not in cyclic order on the outer face")
 
 
+def _bipartite_pfaffian(
+    labels: Sequence[T], in_rows: Callable[[T], bool], entry: Callable[[T, T], int]
+) -> int:
+    """Pf[(entry(x, y))] over labels in cyclic order, for a matrix that ``in_rows`` splits.
+
+    entry(x, y), x before y, must be 0 when ``in_rows`` puts x and y in the
+    same class; only the other entries are computed.  Listing the row class
+    first makes the matrix [[0, B], [-B^T, 0]] for an h x h block B, so
+    Pf = (-1)^(s + h(h-1)/2) det B, where s counts the pairs of a column
+    label followed by a row label, which the listing swaps.  Classes of
+    unequal size give 0.
+    """
+    rows: list[tuple[int, T]] = []
+    cols: list[tuple[int, T]] = []
+    swaps = 0
+    for pos, x in enumerate(labels):
+        if in_rows(x):
+            rows.append((pos, x))
+            swaps += len(cols)
+        else:
+            cols.append((pos, x))
+    h = len(rows)
+    if len(cols) != h:
+        return 0
+    block = [[entry(x, y) if i < j else -entry(y, x) for j, y in cols] for i, x in rows]
+    return (-1) ** (swaps + h * (h - 1) // 2) * determinant(block)
+
+
 def _pfaffian_quotient(
-    labels: Sequence[T], entry: Callable[[T, T], int], divisor: int, power: int, what: str
+    labels: Sequence[T],
+    in_rows: Callable[[T], bool],
+    entry: Callable[[T, T], int],
+    divisor: int,
+    power: int,
+    what: str,
 ) -> int:
     """Pf[(entry(x, y))] / divisor^power over labels in cyclic order.
 
-    The quotient is a tiling count, so it must be a nonnegative integer.
+    The Pfaffian is ``_bipartite_pfaffian``'s, so entries within a class of
+    ``in_rows`` must be 0.  The quotient is a tiling count, so it must be a
+    nonnegative integer.
     """
-    m = len(labels)
-    matrix = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            matrix[i][j] = entry(labels[i], labels[j])
-            matrix[j][i] = -matrix[i][j]
-    pf = pfaffian(matrix)
+    pf = _bipartite_pfaffian(labels, in_rows, entry)
     scale = divisor ** abs(power)  # power is -1 for an empty defect set
     value, remainder = divmod(pf, scale) if power >= 0 else (pf * scale, 0)
     if remainder:
@@ -144,8 +180,12 @@ def condensation_count_symdiff(
     base_count = _cells_count(base)
     if base_count == 0:
         raise CondensationInapplicableError("M(G) = 0")
+    # M(G) != 0 makes G colour-balanced.  Toggling a row-class cell (a white
+    # one added or a black one removed) raises #white - #black by 1 and toggling
+    # any other lowers it by 1, so within a class G + {x, y} is unbalanced: M = 0
     return _pfaffian_quotient(
         face_vertices,
+        lambda x: is_white(x) != (x in base),
         lambda x, y: _cells_count(base ^ {x, y}),
         base_count,
         len(face_vertices) // 2 - 1,
@@ -288,6 +328,7 @@ def _three_sided_count(
     deltas = sorted(betas + alphas + gammas, key=lambda d: perimeter_index(a, b, d))
     return _pfaffian_quotient(
         deltas,
+        lambda d: d.kind == "beta",
         lambda x, y: _three_sided_entry(a, k, x, y),
         2 ** (a * (a + 1) // 2),
         len(alphas) + k - 1,
@@ -298,11 +339,13 @@ def _three_sided_count(
 def count_defects_three_sided(config: DefectConfiguration) -> int:
     """Tilings of AR(a, b) minus its beta and alpha defects, alphas on one black side.
 
-    Assembles the (2n+2k) x (2n+2k) Pfaffian over betas, alphas and the k
-    gamma squares in boundary-cyclic order, with closed-form entries, and
-    divides by the augmented rectangle's count to the power n + k - 1.  SW
-    alphas are reflected onto the NE side; at k = 0 the host is AD(a) itself
-    and alphas may sit on both black sides.  Gamma squares are out of scope.
+    Takes the (2n+2k) x (2n+2k) Pfaffian over betas, alphas and the k
+    gamma squares in boundary-cyclic order, with closed-form entries, as the
+    determinant of its (n+k) x (n+k) block of betas against alphas and
+    gammas, and divides by the augmented rectangle's count to the power
+    n + k - 1.  SW alphas are reflected onto the NE side; at k = 0 the host
+    is AD(a) itself and alphas may sit on both black sides.  Gamma squares
+    are out of scope.
     """
     _require_balanced(config)
     a, b = config.a, config.b
@@ -344,12 +387,12 @@ def count_defects_four_sided(config: DefectConfiguration) -> int:
     outer = sorted(rest + list(config.alphas), key=order)
 
     def entry(x: DefectSpec, y: DefectSpec) -> int:
-        if (x.kind == "beta") == (y.kind == "beta"):
-            return 0
         beta, alpha = (x, y) if x.kind == "beta" else (y, x)
         return _three_sided_count(a, b, chosen + (beta,), (alpha,))
 
-    return _pfaffian_quotient(outer, entry, m_base, len(config.alphas) - 1, "four-sided count")
+    return _pfaffian_quotient(
+        outer, lambda d: d.kind == "beta", entry, m_base, len(config.alphas) - 1, "four-sided count"
+    )
 
 
 def diamond_normal_form(a: int, beta: DefectSpec, alpha: DefectSpec) -> tuple[int, int]:

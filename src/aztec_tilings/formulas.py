@@ -15,7 +15,9 @@ notch.  "AR(a, b) minus SE j" removes the SE cell at position j.
 
 from __future__ import annotations
 
+import functools
 import math
+from operator import mul
 from typing import Sequence
 
 from .errors import InternalInconsistencyError, InvalidParameterError
@@ -150,11 +152,16 @@ def count_ad_adjacent_defects(a: int, i: int, j: int) -> int:
     2^(a(a-1)/2) C(a-1, i-1) C(a-1, j-1) 3F2[1, 1-i, 1-j; 1-a, 1-a; 2].
     Its m-th term is 2^m C(i-1, m) C(j-1, m) / C(a-1, m)^2, and with
     C(a-1, i-1) C(i-1, m) = C(a-1, m) C(a-1-m, i-1-m) the count is
-    2^(a(a-1)/2) sum_{m<min(i,j)} 2^m C(a-1-m, i-1-m) C(a-1-m, j-1-m).
+    2^(a(a-1)/2) sum_{m<min(i,j)} 2^m C(a-1-m, i-1-m) C(a-1-m, j-1-m),
+    the dot product of the cached columns for x = i-1 (weighted by 2^m) and
+    x = j-1; the entries of one diamond Pfaffian share those columns.
     """
     if not (1 <= i <= a and 1 <= j <= a):
         raise InvalidParameterError(f"positions must lie in 1..{a}, got i={i}, j={j}")
-    return 2 ** (a * (a - 1) // 2) * sum(
-        2**m * math.comb(a - 1 - m, i - 1 - m) * math.comb(a - 1 - m, j - 1 - m)
-        for m in range(min(i, j))
-    )
+    return 2 ** (a * (a - 1) // 2) * sum(map(mul, _ad_column(a, i - 1, 2), _ad_column(a, j - 1, 1)))
+
+
+@functools.lru_cache(maxsize=512)
+def _ad_column(a: int, x: int, w: int) -> tuple[int, ...]:
+    """w^m C(a-1-m, x-m) for m = 0..x; a diamond count's entries share these columns."""
+    return tuple(w**m * math.comb(a - 1 - m, x - m) for m in range(x + 1))

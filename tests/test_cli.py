@@ -2,13 +2,14 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 from aztec_tilings import condensation, exactalg
-from aztec_tilings.cli import main, parse_region_spec, SpecError
+from aztec_tilings.cli import SUITES, main, parse_region_spec, SpecError
 
 
 def run_cli(capsys, *argv):
@@ -255,6 +256,15 @@ def test_verify_fault_injection_detected(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "verify", "mt", "--trials", "5", "--seed", "1")
     assert code == 3
     assert "first counterexample" in out
+
+
+def test_verify_ciucu_symdiff_fault_injection_detected(capsys, monkeypatch):
+    original = condensation._pfaffian_quotient
+    monkeypatch.setattr(condensation, "_pfaffian_quotient", lambda *args: original(*args) + 1)
+    code, out, _ = run_cli(capsys, "verify", "ciucu", "--trials", "20", "--seed", "1")
+    assert code == 3
+    checks = SUITES["ciucu"](3, 5, 20, random.Random(1))
+    assert any(not ok and text.startswith("symdiff") for ok, text in checks)
 
 
 def test_verify_kuo_fault_injection_detected(capsys, monkeypatch):

@@ -28,9 +28,10 @@ from aztec_tilings import (
     count_tilings_kasteleyn,
     is_white,
     make_aztec_rectangle,
+    pfaffian,
 )
 from aztec_tilings import condensation
-from aztec_tilings.condensation import _pfaffian_quotient, diamond_normal_form
+from aztec_tilings.condensation import _bipartite_pfaffian, _pfaffian_quotient, diamond_normal_form
 from aztec_tilings.errors import (
     CondensationInapplicableError,
     InternalInconsistencyError,
@@ -40,6 +41,7 @@ from aztec_tilings.errors import (
     InvalidParameterError,
     OutOfScopeConfigurationError,
 )
+from oracles import pfaffian_expand_first_row
 
 
 def direct_count(region, gone):
@@ -88,7 +90,33 @@ def test_condensation_rejects_zero_base():
 @pytest.mark.parametrize("entry,divisor", [(-1, 1), (1, 2)])
 def test_pfaffian_quotient_rejects_impossible_tiling_count(entry, divisor):
     with pytest.raises(InternalInconsistencyError):
-        _pfaffian_quotient("xy", lambda x, y: entry, divisor, 1, "test")
+        _pfaffian_quotient("xy", lambda x: x == "x", lambda x, y: entry, divisor, 1, "test")
+
+
+def test_bipartite_pfaffian_sign_rule():
+    # random interleavings of two classes, some of unequal sizes; entries are
+    # asked for only on mixed pairs, earlier label first
+    rng = random.Random(14)
+    for _ in range(300):
+        h = rng.randint(0, 5)
+        classes = [True] * h + [False] * h
+        if rng.random() < 0.2:
+            classes = [rng.random() < 0.5 for _ in classes]
+        rng.shuffle(classes)
+        m = len(classes)
+        matrix = [[0] * m for _ in range(m)]
+        for i, j in itertools.combinations(range(m), 2):
+            if classes[i] != classes[j]:
+                matrix[i][j] = rng.randint(-9, 9)
+                matrix[j][i] = -matrix[i][j]
+
+        def entry(x, y):
+            assert x < y and classes[x] != classes[y]
+            return matrix[x][y]
+
+        want = pfaffian(matrix)
+        assert want == pfaffian_expand_first_row(matrix)
+        assert _bipartite_pfaffian(range(m), classes.__getitem__, entry) == want, classes
 
 
 def test_symdiff_reduces_to_deletion():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aztec_tilings import determinant_sparse, pfaffian
+from aztec_tilings import determinant_sparse, exactalg, pfaffian
 from aztec_tilings.errors import InvalidMatrixError
 from aztec_tilings.exactalg import MERSENNE_EXPONENTS
 from oracles import determinant, pfaffian_expand_first_row
@@ -145,6 +145,41 @@ def test_large_entries_bipartite_pattern():
     pf = pfaffian(m)
     assert pf**2 == determinant(m)
     assert pf == (-1) ** (h * (h - 1) // 2) * determinant(b)
+
+
+def test_bareiss_determinant_matches_fraction_elimination():
+    rng = random.Random(11)
+    for _ in range(150):
+        n = rng.randint(1, 8)
+        values = rng.choice(((0, 0, 1, -1, 2), tuple(range(-40, 41))))
+        m = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        assert exactalg.determinant(m) == determinant(m), m
+
+
+def test_bareiss_determinant_zero_pivots_swap_rows():
+    for m in (
+        [[0, 1], [1, 0]],  # one swap: det -1
+        [[0, 1, 2], [3, 4, 5], [6, 7, 9]],  # a zero leading pivot
+        [[1, 2, 3], [2, 4, 5], [3, 5, 6]],  # a zero pivot after the first step
+    ):
+        assert exactalg.determinant(m) == determinant(m) != 0
+
+
+def test_bareiss_determinant_singular_and_empty():
+    assert exactalg.determinant([]) == 1
+    assert exactalg.determinant([[0, 0], [0, 0]]) == 0
+    assert exactalg.determinant([[1, 2, 3], [4, 5, 6], [7, 8, 9]]) == 0  # rank 2
+    assert exactalg.determinant([[0, 1, 2], [0, 3, 4], [0, 5, 6]]) == 0  # a zero column
+    with pytest.raises(InvalidMatrixError):
+        exactalg.determinant([[1, 2], [3]])
+
+
+def test_bareiss_determinant_huge_common_factor():
+    rng = random.Random(12)
+    for n in (1, 3, 6):
+        base = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        m = [[2**800 * x for x in row] for row in base]
+        assert exactalg.determinant(m) == determinant(m) == 2 ** (800 * n) * determinant(base)
 
 
 def sparse(m):
