@@ -14,7 +14,7 @@ from .condensation import (
 )
 from .counting import count_matchings_brute, count_tilings_dp, count_tilings_kasteleyn
 from .dualgraph import boundary_cycle
-from .exactalg import determinant_sparse, pfaffian
+from .exactalg import determinant_sparse
 from .formulas import (
     binomial_ext,
     count_ad_adjacent_defects,
@@ -70,5 +70,4 @@ __all__ = [
     "determinant_sparse",
     "is_white",
     "make_aztec_rectangle",
-    "pfaffian",
 ]

@@ -30,6 +30,7 @@ import random
 import re
 import sys
 import time
+from decimal import Decimal
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .condensation import (
@@ -81,7 +82,10 @@ def _int(text: str, index: int, item: str) -> int:
     """The spec grammar's INT, ASCII -?[0-9]+; int() alone would also take '1_0', '+2' or '２'."""
     if not re.fullmatch(r"-?[0-9]+", text):
         raise SpecError(f"token {index} {item!r}: {text!r} is not an integer")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise SpecError(f"token {index} {item!r}: too many digits for an integer") from None
 
 
 def _int_value(tokens: list[str], index: int, key: str) -> int:
@@ -173,16 +177,19 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         count = count_configuration(config, args.engine)
     millis = int((time.monotonic() - start) * 1000)
+    # str(count) refuses more digits than sys.get_int_max_str_digits(), 4,300 by
+    # default, which AD(169) exceeds; Decimal converts exactly and has no limit
+    digits = str(Decimal(count))
     if args.format == "json":
         payload = {
             "region": args.spec.strip(),
             "engine": args.engine,
-            "count": str(count),
+            "count": digits,
             "millis": millis,
         }
         print(json.dumps(payload))
     else:
-        print(count)
+        print(digits)
     return 0
 
 

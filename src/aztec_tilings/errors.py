@@ -18,7 +18,7 @@ class UnsupportedRegionError(AztecError, ValueError):
 
 
 class InvalidMatrixError(AztecError, ValueError):
-    """A matrix is not square, not skew-symmetric, or has odd dimension."""
+    """A matrix is not square, or a sparse row names a column outside it."""
 
 
 class CondensationInapplicableError(AztecError, ValueError):

@@ -31,11 +31,10 @@ from aztec_tilings import (
     count_tilings_dp,
     is_white,
     make_aztec_rectangle,
-    pfaffian,
 )
 from aztec_tilings.cli import main
 from aztec_tilings.errors import CondensationInapplicableError
-from oracles import determinant, pfaffian_expand_first_row
+from oracles import determinant, pfaffian, pfaffian_expand_first_row
 
 
 def report(criterion, detail, ok=True):

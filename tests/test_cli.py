@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from aztec_tilings import condensation, exactalg
+from aztec_tilings import condensation
 from aztec_tilings.cli import SUITES, main, parse_region_spec, SpecError
 
 
@@ -50,6 +50,7 @@ def test_parse_gamma_augmented():
         "AD n=2 remove=SE:1,SE:1",
         "AD n=2 extra=1",
         "ad n=2",
+        "AD n=" + "9" * 4400,  # past Python's int-from-str digit limit
     ],
 )
 def test_parse_rejects_bad_specs(text):
@@ -83,6 +84,22 @@ def test_count_dp_decimal(capsys):
     assert code == 0
     assert out == "1024\n"
     assert out.strip().isdigit()
+
+
+@pytest.mark.parametrize("fmt", ["dec", "json"])
+def test_count_past_the_int_str_digit_limit(capsys, fmt):
+    # 2^14365 has 4,325 digits, more than Python's default limit of 4,300
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(capsys, "count", "AD n=169", "--format", fmt)
+    assert sys.get_int_max_str_digits() == limit
+    assert (code, err) == (0, "")
+    digits = json.loads(out)["count"] if fmt == "json" else out.rstrip("\n")
+    assert len(digits) == 4325
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(digits) == 2 ** (169 * 170 // 2)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_count_brute(capsys):
@@ -186,15 +203,6 @@ def test_default_engine_falls_back_where_pfaffian_is_inapplicable(capsys):
     assert (code, out, err) == (2, "", "error: every balanced beta subset has count 0\n")
     kasteleyn = run_cli(capsys, "count", spec, "--engine", "kasteleyn")
     assert run_cli(capsys, "count", spec) == kasteleyn == (0, "0\n", "")
-
-
-def test_kasteleyn_beyond_the_prime_table_exit_2(capsys, monkeypatch):
-    # AD(3)'s Hadamard bound needs a Mersenne exponent above 7
-    monkeypatch.setattr(exactalg, "MERSENNE_EXPONENTS", (2, 3, 5, 7))
-    code, out, err = run_cli(capsys, "count", "AD n=3", "--engine", "kasteleyn")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: the kasteleyn engine cannot count a 24-cell region: ")
-    assert err.count("\n") == 1
 
 
 def test_render_diamond_order_one(capsys):

@@ -28,7 +28,6 @@ from aztec_tilings import (
     count_tilings_kasteleyn,
     is_white,
     make_aztec_rectangle,
-    pfaffian,
 )
 from aztec_tilings import condensation
 from aztec_tilings.condensation import _bipartite_pfaffian, _pfaffian_quotient, diamond_normal_form
@@ -41,7 +40,7 @@ from aztec_tilings.errors import (
     InvalidParameterError,
     OutOfScopeConfigurationError,
 )
-from oracles import pfaffian_expand_first_row
+from oracles import pfaffian, pfaffian_expand_first_row
 
 
 def direct_count(region, gone):

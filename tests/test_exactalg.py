@@ -1,14 +1,13 @@
-"""Pfaffian and determinant of integer matrices."""
+"""Determinants of integer matrices, and the reference Pfaffians they are checked with."""
 
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aztec_tilings import determinant_sparse, exactalg, pfaffian
+from aztec_tilings import determinant_sparse, exactalg
 from aztec_tilings.errors import InvalidMatrixError
-from aztec_tilings.exactalg import MERSENNE_EXPONENTS
-from oracles import determinant, pfaffian_expand_first_row
+from oracles import determinant, pfaffian, pfaffian_expand_first_row
 
 
 def skew(upper):
@@ -196,8 +195,7 @@ def test_sparse_determinant_matches_fraction_elimination(n, data):
 
 def test_sparse_determinant_reaches_hadamards_bound():
     # k copies of the 4x4 Hadamard matrix: rows of four entries +-1 and
-    # |det| = 2^n, the bound the prime is chosen above; a prime one table
-    # step smaller gets the residue, not the determinant
+    # |det| = 2^n, Hadamard's bound for such rows
     h4 = [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]
     for k in range(1, 9):
         n = 4 * k
@@ -221,17 +219,11 @@ def test_sparse_determinant_banded_and_singular():
         determinant_sparse([{0: 1, 2: 1}, {1: 1}])
 
 
-def test_mersenne_exponents_are_mersenne_primes():
-    # Lucas-Lehmer: for an odd prime e, 2^e - 1 is prime iff s_(e-2) = 0
-    # (mod 2^e - 1), with s_0 = 4 and s_(i+1) = s_i^2 - 2; x = (x & p) + (x >> e) mod p.
-    # Checked up to e = 4423 (dimension 4421, AD(65)); the larger entries would
-    # cost seconds, and a composite modulus could only make a pivot
-    # non-invertible, which pow() raises on, never a wrong determinant.
-    assert MERSENNE_EXPONENTS[0] == 2
-    for e in MERSENNE_EXPONENTS[1:20]:
-        p, s = (1 << e) - 1, 4
-        for _ in range(e - 2):
-            s = s * s - 2
-            s = (s & p) + (s >> e)
-            s = (s & p) + (s >> e)
-        assert s % p == 0, e
+def test_sparse_determinant_huge_common_factor():
+    # |det| is about 2^48000, far past any bound a fixed modulus could cover
+    rng = random.Random(12)
+    base = [[rng.randint(-9, 9) for _ in range(16)] for _ in range(16)]
+    m = [[2**3000 * x for x in row] for row in base]
+    assert determinant_sparse(sparse(m)) == determinant(m) == 2 ** (3000 * 16) * determinant(base)
+    assert determinant(base) != 0
+

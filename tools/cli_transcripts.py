@@ -35,7 +35,7 @@ MALFORMED = ("", "AD", "AX n=3", "AD x=3", "AD n=zero", "AD n=0", "AR a=3", "AR 
              "AD n=2 gamma=-1", "AR a=2 b=3 gamma=5", "AD n=2 remove=SE", "AD n=2 remove=SE:x",
              "AD n=2 remove=SE:0", "AD n=2 remove=SE:9", "AD n=2 remove=XX:1",
              "AD n=2 remove=SE:1,SE:1", "AD n=2 trailing", "AD n=1_0", "AD n=+2 remove=SE:0_1",
-             "AD n=\uff12")
+             "AD n=\uff12", "AD n=" + "9" * 4400)
 SEEDED = ["--max-a", "6", "--max-b", "9", "--trials", "400", "--seed", "11"]
 VERIFY = [["verify", suite] + ([] if suite == "formulas" else SEEDED) for suite in SUITES]
 _MILLIS = re.compile(r'"millis": \d+')
