@@ -8,15 +8,16 @@ with defect = SIDE ":" POSITION and SIDE one of NW, NE, SE, SW (case
 sensitive), e.g. "AR a=4 b=7 remove=SE:2,SE:4,SE:7".  ``gamma=k`` glues the
 string of k extra squares under the SE side starting at the south corner.
 
-Exit codes: 0 success, 1 parse/semantic error, 2 engine inapplicable,
-3 verification failure.  AZTEC_ORACLE_CELL_LIMIT (ASCII digits, default 36)
-bounds the brute-force engine.
+Exit codes: 0 success, 1 usage, parse or semantic error, 2 engine
+inapplicable, 3 verification failure.  AZTEC_ORACLE_CELL_LIMIT (ASCII
+digits, default 36) bounds the brute-force engine.
 
 The commands only parse, call the library and print; they raise on error.
 ``main`` is the one place that turns an error into a message and an exit
-code: ``SpecError`` exits 1, ``OutOfScopeConfigurationError`` and
-``CondensationInapplicableError`` exit 2.  A verify suite is a generator of
-``(ok, description)`` checks that ``cmd_verify`` folds into one report line.
+code: ``SpecError``, argparse's usage errors among them, exits 1,
+``OutOfScopeConfigurationError`` and ``CondensationInapplicableError`` exit
+2.  A verify suite is a generator of ``(ok, description)`` checks that
+``cmd_verify`` folds into one report line.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import re
 import sys
 import time
 from decimal import Decimal
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .condensation import (
     ENGINES,
@@ -415,8 +416,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ``SpecError`` rather than exit 2."""
+
+    def error(self, message: str) -> NoReturn:
+        raise SpecError(message)
+
+
+def integer(text: str) -> int:
+    """A flag's value as the spec grammar's INT; argparse names it in "invalid integer value"."""
+    return _int(text, 0, text)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="aztec-tilings",
         description="Exact domino-tiling counts for Aztec diamonds and rectangles with defects.",
     )
@@ -430,10 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run a cross-verification suite")
     p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--max-a", type=int, default=3, dest="max_a")
-    p_verify.add_argument("--max-b", type=int, default=5, dest="max_b")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--trials", type=int, default=100)
+    p_verify.add_argument("--max-a", type=integer, default=3, dest="max_a")
+    p_verify.add_argument("--max-b", type=integer, default=5, dest="max_b")
+    p_verify.add_argument("--seed", type=integer, default=0)
+    p_verify.add_argument("--trials", type=integer, default=100)
     p_verify.set_defaults(func=cmd_verify)
 
     p_render = sub.add_parser("render", help="ASCII checkerboard rendering of a region spec")
@@ -444,8 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; the only place where an error becomes a message and an exit code."""
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (SpecError, OutOfScopeConfigurationError, CondensationInapplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)

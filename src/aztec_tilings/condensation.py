@@ -18,23 +18,25 @@ pattern's hypotheses on the region G, then checks the alternating identity
 on the four cells with base G, or with base G - w for the AAAB pattern.
 
 The defect counters specialize condensation to Aztec rectangles.  The
-three-sided count is one Pfaffian whose host is the gamma-augmented rectangle,
-with tiling count the pure power of two, and every entry collapses to a closed
-form from the formulas module.  Alphas sit on one black side, SW ones reflected
-onto NE; at k = b - a = 0 the host is AD(a) itself and alphas may sit on both
+three-sided count is one Pfaffian whose host is the gamma-augmented rectangle
+AR(a, b) plus gammas 1..k, k = b - a, with tiling count the pure power of two,
+and every entry collapses to a closed form from the formulas module.  Its
+labels are the betas, the alphas and the gammas of 1..k the configuration does
+not keep.  Alphas sit on one black side, SW ones reflected onto NE when no
+gamma is kept; at k = 0 the host is AD(a) itself and alphas may sit on both
 black sides, so the diamond counter is that count.  The four-sided count nests
 three-sided counts as the entries of an outer Pfaffian.  Both read only the
 numbers of a ``DefectConfiguration`` and build no cells; defects are put in
-boundary order by ``geometry.perimeter_index``.  They refuse gamma squares
-with ``OutOfScopeConfigurationError``.
+boundary order by ``geometry.perimeter_index``.  Three gamma cases raise
+``OutOfScopeConfigurationError``: a gamma outside 1..k, SW alphas with gammas,
+and a four-sided configuration with gammas.
 
 ``count_configuration`` picks the counter for a configuration: the Kasteleyn
 determinant, the DP sweep or the brute-force oracle on ``config.region()``, a
 closed form, or the Pfaffian counters.  The default, ``auto``, takes the
-Pfaffian counters, the paper's route, for a plain AD/AR spec and the Kasteleyn
-determinant for a spec with gamma squares; a plain spec the Pfaffian counters
-refuse (out of scope, or no balanced sub-rectangle with a tiling) falls back
-to the determinant.  ``InternalInconsistencyError`` is never caught.
+Pfaffian counters, the paper's route, for every spec, and falls back to the
+determinant where they refuse (out of scope, or no balanced sub-rectangle with
+a tiling).  ``InternalInconsistencyError`` is never caught.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
 ``InternalInconsistencyError`` unless the quotient is a nonnegative integer.
@@ -142,18 +144,17 @@ def _pfaffian_quotient(
     in_rows: Callable[[T], bool],
     entry: Callable[[T, T], int],
     divisor: int,
-    power: int,
     what: str,
 ) -> int:
-    """Pf[(entry(x, y))] / divisor^power over labels in cyclic order.
+    """Pf[(entry(x, y))] / divisor^(k-1) over 2k labels in cyclic order.
 
     The Pfaffian is ``_bipartite_pfaffian``'s, so entries within a class of
     ``in_rows`` must be 0.  The quotient is a tiling count, so it must be a
     nonnegative integer.
     """
     pf = _bipartite_pfaffian(labels, in_rows, entry)
-    scale = divisor ** abs(power)  # power is -1 for an empty defect set
-    value, remainder = divmod(pf, scale) if power >= 0 else (pf * scale, 0)
+    power = len(labels) // 2 - 1  # -1 for no labels: the count is the divisor
+    value, remainder = divmod(pf, divisor**power) if power >= 0 else (pf * divisor, 0)
     if remainder:
         raise InternalInconsistencyError(f"{what}: Pfaffian {pf} not divisible by {divisor}^{power}")
     if value < 0:
@@ -188,7 +189,6 @@ def condensation_count_symdiff(
         lambda x: is_white(x) != (x in base),
         lambda x, y: _cells_count(base ^ {x, y}),
         base_count,
-        len(face_vertices) // 2 - 1,
         "condensation",
     )
 
@@ -268,18 +268,12 @@ def check_kuo_identity(
     return check_face_alternating_identity(region, base, quad)
 
 
-def _require_plain(config: DefectConfiguration) -> None:
-    if config.gammas:
-        raise OutOfScopeConfigurationError("pfaffian engine works on plain AD/AR specs")
-
-
 def _require_balanced(config: DefectConfiguration) -> None:
-    """Refuse gamma squares, and any defect set but #betas - #alphas = b - a."""
-    _require_plain(config)
-    k = config.b - config.a
+    """Refuse any defect set but #betas - #alphas = b - a - #gammas."""
+    k = config.b - config.a - len(config.gammas)
     if len(config.betas) - len(config.alphas) != k:
         raise InvalidConfigurationError(
-            f"need #betas - #alphas = b - a = {k}, got "
+            f"need #betas - #alphas = b - a - #gammas = {k}, got "
             f"{len(config.betas)} - {len(config.alphas)}"
         )
 
@@ -317,45 +311,56 @@ def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
 
 
 def _three_sided_count(
-    a: int, b: int, betas: tuple[DefectSpec, ...], alphas: tuple[DefectSpec, ...]
+    a: int,
+    b: int,
+    betas: tuple[DefectSpec, ...],
+    alphas: tuple[DefectSpec, ...],
+    gammas: tuple[int, ...] = (),
 ) -> int:
-    """Pfaffian count assuming, when k > 0, alphas on one black side."""
+    """Pfaffian count assuming, when k > 0, alphas on one black side, SW only if no gammas."""
     k = b - a
     if k and any(d.side == "SW" for d in alphas):
         betas = tuple(_mirror_spec(d, a, b) for d in betas)
         alphas = tuple(_mirror_spec(d, a, b) for d in alphas)
-    gammas = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1))
-    deltas = sorted(betas + alphas + gammas, key=lambda d: perimeter_index(a, b, d))
+    missing = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1) if t not in gammas)
+    deltas = sorted(betas + alphas + missing, key=lambda d: perimeter_index(a, b, d))
     return _pfaffian_quotient(
         deltas,
         lambda d: d.kind == "beta",
         lambda x, y: _three_sided_entry(a, k, x, y),
         2 ** (a * (a + 1) // 2),
-        len(alphas) + k - 1,
         "three-sided count",
     )
 
 
 def count_defects_three_sided(config: DefectConfiguration) -> int:
-    """Tilings of AR(a, b) minus its beta and alpha defects, alphas on one black side.
+    """Tilings of AR(a, b) plus its gammas minus its defects, alphas on one black side.
 
-    Takes the (2n+2k) x (2n+2k) Pfaffian over betas, alphas and the k
-    gamma squares in boundary-cyclic order, with closed-form entries, as the
-    determinant of its (n+k) x (n+k) block of betas against alphas and
-    gammas, and divides by the augmented rectangle's count to the power
-    n + k - 1.  SW alphas are reflected onto the NE side; at k = 0 the host
-    is AD(a) itself and alphas may sit on both black sides.  Gamma squares
-    are out of scope.
+    With k = b - a and m the gammas of 1..k the configuration does not keep,
+    takes the Pfaffian over the n + m betas, the n alphas and those m gammas
+    in boundary-cyclic order, with closed-form entries, as the determinant of
+    its (n+m) x (n+m) block of betas against alphas and gammas, and divides
+    by the augmented rectangle's count to the power n + m - 1.  SW alphas are
+    reflected onto the NE side; at k = 0 the host is AD(a) itself and alphas
+    may sit on both black sides.  A gamma outside 1..k, and SW alphas with
+    gammas, are out of scope.
     """
     _require_balanced(config)
-    a, b = config.a, config.b
-    if a != b and {d.side for d in config.alphas} == {"NE", "SW"}:
+    a, b, gammas = config.a, config.b, config.gammas
+    sides = {d.side for d in config.alphas}
+    if gammas and (gammas[-1] > b - a or "SW" in sides):
+        raise OutOfScopeConfigurationError("gamma squares need positions in 1..b-a and no SW alphas")
+    if a != b and sides == {"NE", "SW"}:
         raise OutOfScopeConfigurationError("alpha defects on both the NE and SW sides need a = b")
-    return _three_sided_count(a, b, config.betas, config.alphas)
+    return _three_sided_count(a, b, config.betas, config.alphas, gammas)
 
 
 def _cuts_balance(a: int, b: int, betas: Sequence[DefectSpec]) -> bool:
-    """False only if AR(a, b) minus the betas has no tiling, by counting cells at column cuts."""
+    """True exactly when AR(a, b) minus the b - a betas has a tiling, by cell counts at column cuts.
+
+    That the rule is exact was measured against the Kasteleyn count on every
+    k-subset of NW/SE betas for a <= 8, k <= 3, not proven.
+    """
     # with r_j betas at positions <= j, a - j + r_j of black column 2j's a cells must pair east
     return all(j - a <= sum(d.position <= j for d in betas) <= j for j in range(1, b))
 
@@ -364,25 +369,28 @@ def count_defects_four_sided(config: DefectConfiguration) -> int:
     """Tilings of AR(a, b) minus defects on arbitrary sides (nested Pfaffians).
 
     Splits off k of the betas to form a balanced sub-rectangle G, the first
-    k-subset in boundary order whose G has a tiling (a subset failing
-    ``_cuts_balance`` is skipped unbuilt), then runs condensation over the
-    remaining n betas and n alphas; every entry is itself a three-sided
-    Pfaffian count with at most one alpha.  Gamma squares are out of scope.
+    k-subset in boundary order that passes ``_cuts_balance``, then runs
+    condensation over the remaining n betas and n alphas; every entry is
+    itself a three-sided Pfaffian count with at most one alpha.  Raises
+    ``InternalInconsistencyError`` if that G counts 0.  Gamma squares are
+    out of scope.
     """
     _require_balanced(config)
     a, b = config.a, config.b
+    if config.gammas:
+        raise OutOfScopeConfigurationError("the four-sided count takes no gamma squares")
 
     def order(d: DefectSpec) -> int:
         return perimeter_index(a, b, d)
 
     betas_sorted = sorted(config.betas, key=order)
-    chosen = None
-    for s in itertools.combinations(betas_sorted, b - a):
-        if _cuts_balance(a, b, s) and (m_base := _three_sided_count(a, b, s, ())):
-            chosen = s
-            break
+    subsets = itertools.combinations(betas_sorted, b - a)
+    chosen = next((s for s in subsets if _cuts_balance(a, b, s)), None)
     if chosen is None:
         raise CondensationInapplicableError("every balanced beta subset has count 0")
+    m_base = _three_sided_count(a, b, chosen, ())
+    if m_base == 0:
+        raise InternalInconsistencyError(f"four-sided count: cut-rule base {chosen} counts 0")
     rest = [d for d in betas_sorted if d not in chosen]
     outer = sorted(rest + list(config.alphas), key=order)
 
@@ -390,9 +398,7 @@ def count_defects_four_sided(config: DefectConfiguration) -> int:
         beta, alpha = (x, y) if x.kind == "beta" else (y, x)
         return _three_sided_count(a, b, chosen + (beta,), (alpha,))
 
-    return _pfaffian_quotient(
-        outer, lambda d: d.kind == "beta", entry, m_base, len(config.alphas) - 1, "four-sided count"
-    )
+    return _pfaffian_quotient(outer, lambda d: d.kind == "beta", entry, m_base, "four-sided count")
 
 
 def diamond_normal_form(a: int, beta: DefectSpec, alpha: DefectSpec) -> tuple[int, int]:
@@ -441,37 +447,34 @@ def _formula_count(config: DefectConfiguration) -> int:
 def count_configuration(config: DefectConfiguration, engine: str = "auto") -> int:
     """Tilings of the configuration's region minus its defects, by one engine.
 
-    ``auto`` (the default) counts a plain spec by ``pfaffian`` and a spec with
-    gamma squares by ``kasteleyn``; a plain spec on which ``pfaffian`` raises
-    ``OutOfScopeConfigurationError`` or ``CondensationInapplicableError`` is
-    counted by ``kasteleyn`` instead, and no other error is caught.
+    ``auto`` (the default) counts by ``pfaffian``; a spec on which
+    ``pfaffian`` raises ``OutOfScopeConfigurationError`` or
+    ``CondensationInapplicableError`` is counted by ``kasteleyn`` instead, and
+    no other error is caught.
     ``kasteleyn`` (the determinant, polynomial), ``dp`` (the sweep,
     exponential in the order) and ``brute`` (the matching oracle,
     exponential) count any configuration, since every configuration's region
     is hole-free.  ``formula`` covers the closed-form families and
-    ``pfaffian`` plain AD/AR regions, choosing the three- or four-sided count;
+    ``pfaffian`` AD/AR regions, choosing the three- or four-sided count;
     both give 0 when the colours do not balance and raise
-    ``OutOfScopeConfigurationError`` outside their families.  ``pfaffian``
+    ``OutOfScopeConfigurationError`` outside their families, for
+    ``pfaffian`` the three gamma cases the module docstring names.  ``pfaffian``
     raises ``CondensationInapplicableError`` when no balanced sub-rectangle has
     a tiling.
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     if engine == "auto":
-        if not config.gammas:
-            try:
-                return count_configuration(config, "pfaffian")
-            except (OutOfScopeConfigurationError, CondensationInapplicableError):
-                pass
-        engine = "kasteleyn"
+        try:
+            return count_configuration(config, "pfaffian")
+        except (OutOfScopeConfigurationError, CondensationInapplicableError):
+            engine = "kasteleyn"
     if engine == "kasteleyn":
         return count_tilings_kasteleyn(config.region())
     if engine == "dp":
         return count_tilings_dp(config.region())
     if engine == "brute":
         return count_matchings_brute(config.region())
-    if engine == "pfaffian":
-        _require_plain(config)
     # AR(a, b) has b - a more white cells than black, and each gamma square one more black
     k = config.b - config.a
     if len(config.betas) - len(config.alphas) != k - len(config.gammas):

@@ -185,15 +185,50 @@ def test_formula_unrecognized_exit_2(capsys):
 
 
 def test_pfaffian_gamma_spec_exit_2(capsys):
-    code, _, err = run_cli(
-        capsys, "count", "AR a=2 b=4 gamma=2 remove=SE:3,NE:1", "--engine", "pfaffian"
-    )
-    assert code == 2
-    # gammas are refused before the colour-balance zero
-    for spec in ("AR a=2 b=4 gamma=2", "AR a=2 b=4 gamma=1"):
+    # the three gamma cases the Pfaffian counters refuse; auto counts them by kasteleyn
+    for spec in (
+        "AR a=2 b=3 gamma=2 remove=NE:1",  # gamma 2 outside 1..b-a
+        "AR a=2 b=4 gamma=1 remove=SE:2,SE:3,SW:1",  # SW alphas with gammas
+        "AR a=2 b=4 gamma=1 remove=SE:2,SE:3,SE:4,NE:1,SW:1",  # four-sided with gammas
+    ):
         code, out, err = run_cli(capsys, "count", spec, "--engine", "pfaffian")
         assert (code, out) == (2, ""), spec
-        assert err == "error: pfaffian engine works on plain AD/AR specs\n"
+        assert err.startswith("error: ") and "gamma" in err, spec
+        kasteleyn = run_cli(capsys, "count", spec, "--engine", "kasteleyn")
+        assert run_cli(capsys, "count", spec) == kasteleyn
+        assert kasteleyn[0] == 0 and kasteleyn[1] != "0\n", spec
+
+
+def test_pfaffian_counts_in_scope_gamma_specs(capsys):
+    # NE alphas and the gamma string inside 1..b-a; the last two do not balance, so 0
+    for spec in ("AR a=2 b=4 gamma=2 remove=SE:3,NE:1", "AR a=2 b=4 gamma=2", "AR a=2 b=4 gamma=1"):
+        kasteleyn = run_cli(capsys, "count", spec, "--engine", "kasteleyn")
+        assert run_cli(capsys, "count", spec, "--engine", "pfaffian") == kasteleyn, spec
+        assert kasteleyn[0] == 0, spec
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "formulas", "--max-a", "abc"),
+        ("verify", "formulas", "--max-a", "1_0"),  # the spec grammar's INT, so no "_" or "+"
+        ("verify", "mt", "--seed", "+2"),
+        ("count",),
+        ("count", "AD n=2", "--engine", "nope"),
+        ("frobnicate",),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["count", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: aztec-tilings count")
 
 
 def test_default_engine_falls_back_where_pfaffian_is_inapplicable(capsys):

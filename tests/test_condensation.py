@@ -88,8 +88,13 @@ def test_condensation_rejects_zero_base():
 
 @pytest.mark.parametrize("entry,divisor", [(-1, 1), (1, 2)])
 def test_pfaffian_quotient_rejects_impossible_tiling_count(entry, divisor):
+    # four labels, rows a and c: Pf = m_ab m_cd - m_ac m_bd + m_ad m_bc = entry,
+    # and the quotient is Pf / divisor^1
+    entries = {"ab": entry, "cd": 1}
     with pytest.raises(InternalInconsistencyError):
-        _pfaffian_quotient("xy", lambda x: x == "x", lambda x, y: entry, divisor, 1, "test")
+        _pfaffian_quotient(
+            "abcd", "ac".__contains__, lambda x, y: entries.get(x + y, 0), divisor, "test"
+        )
 
 
 def test_bipartite_pfaffian_sign_rule():
@@ -277,13 +282,50 @@ def test_three_sided_matches_engine_anchor():
     assert count_defects_three_sided(cfg) == want
 
 
+# the three gamma cases the Pfaffian counters refuse, each colour-balanced with tilings,
+# with the counter that refuses it
+GAMMAS_OUT_OF_SCOPE = (
+    # gamma 2 outside 1..b-a
+    (_config(2, 3, [("NW", 2)], [("NE", 1)], (2,)), count_defects_three_sided),
+    # SW alphas with gammas
+    (_config(2, 4, [("SE", 2), ("SE", 3)], [("SW", 1)], (1,)), count_defects_three_sided),
+    # four-sided with gammas
+    (_config(2, 4, [("SE", 2), ("SE", 3), ("SE", 4)], [("NE", 1), ("SW", 1)], (1,)), count_defects_four_sided),
+)
+
+
 def test_gamma_configuration_is_out_of_scope_for_the_pfaffian_counters():
+    for cfg, counter in GAMMAS_OUT_OF_SCOPE:
+        assert count_configuration(cfg, "kasteleyn") > 0, cfg
+        for count in (counter, lambda c: count_configuration(c, "pfaffian")):
+            with pytest.raises(OutOfScopeConfigurationError):
+                count(cfg)
     # AR(2,3) + gamma 1 minus SE 3, NW 2, NE 1 has one white cell fewer than black
     cfg = _config(2, 3, [("SE", 3), ("NW", 2)], [("NE", 1)], gammas=(1,))
-    for counter in (count_defects_three_sided, count_defects_four_sided):
-        with pytest.raises(OutOfScopeConfigurationError):
-            counter(cfg)
-    assert count_configuration(cfg, "dp") == count_configuration(cfg, "brute") == 0
+    with pytest.raises(InvalidConfigurationError):
+        count_defects_three_sided(cfg)
+    assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") == 0
+
+
+def test_pfaffian_counts_gamma_configurations_as_kasteleyn_does():
+    # AR(a, b) plus the gamma string, NE alphas: the three-sided Pfaffian over the
+    # host AR(a, b) + gammas 1..k with the missing gammas among its labels
+    rng = random.Random(16)
+    nonzero = 0
+    for _ in range(300):
+        a, k = rng.randint(1, 6), rng.randint(1, 3)
+        b = a + k
+        g = rng.randint(1, k)
+        first = rng.randint(1, k - g + 1)
+        n = rng.randint(0, min(2, a))
+        whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
+        alphas = tuple(DefectSpec("NE", p) for p in rng.sample(range(1, a + 1), n))
+        betas = tuple(rng.sample(whites, n + k - g))
+        cfg = DefectConfiguration(a, b, betas, alphas, tuple(range(first, first + g)))
+        want = count_tilings_kasteleyn(cfg.region())
+        assert count_defects_three_sided(cfg) == want, cfg
+        nonzero += want > 0
+    assert nonzero > 150
 
 
 @pytest.mark.parametrize("gammas", [0, 2])
@@ -396,17 +438,29 @@ def test_four_sided_all_sides_anchor():
 
 
 def test_cut_rule_skips_only_beta_subsets_without_a_tiling():
+    # both ways: a subset passes the rule exactly when its sub-rectangle has a tiling
     skipped = 0
     for a in range(1, 5):
         for k in range(4):
             b = a + k
             cells = [DefectSpec(side, p) for side in ("NW", "SE") for p in range(1, b + 1)]
             for s in itertools.combinations(cells, k):
+                count = count_tilings_kasteleyn(DefectConfiguration(a, b, s).region())
                 if not condensation._cuts_balance(a, b, s):
                     skipped += 1
-                    region = DefectConfiguration(a, b, s).region()
-                    assert count_tilings_kasteleyn(region) == 0, (a, b, s)
+                    assert count == 0, (a, b, s)
+                else:
+                    assert count > 0, (a, b, s)
     assert skipped > 0
+
+
+def test_four_sided_base_that_passes_the_cut_rule_must_have_a_tiling(monkeypatch):
+    # with the rule disabled the base is the first beta subset in boundary order,
+    # SE 1..3 and NW 3, which has no tiling
+    monkeypatch.setattr(condensation, "_cuts_balance", lambda a, b, betas: True)
+    nw_se = [(side, p) for side in ("NW", "SE") for p in (1, 2, 3)]
+    with pytest.raises(InternalInconsistencyError, match="cut-rule base"):
+        count_defects_four_sided(_config(1, 5, nw_se, [("NE", 1), ("SW", 1)]))
 
 
 def test_auto_refuses_a_four_sided_spec_without_a_tiling_quickly():
@@ -461,9 +515,13 @@ def test_count_configuration_engines_agree(a, k, data):
     whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
     blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
     n = data.draw(st.integers(0, min(3, a)))
+    g = data.draw(st.integers(0, k))  # a gamma string of g squares somewhere along SE 1..b
+    first = data.draw(st.integers(1, b - g + 1))
+    gammas = tuple(range(first, first + g))
     alphas = data.draw(st.lists(st.sampled_from(blacks), min_size=n, max_size=n, unique=True))
-    betas = data.draw(st.lists(st.sampled_from(whites), min_size=n + k, max_size=n + k, unique=True))
-    cfg = DefectConfiguration(a, b, tuple(betas), tuple(alphas))
+    nb = n + k - g
+    betas = data.draw(st.lists(st.sampled_from(whites), min_size=nb, max_size=nb, unique=True))
+    cfg = DefectConfiguration(a, b, tuple(betas), tuple(alphas), gammas)
     cells = len(cfg)
     counts = {}
     for engine in ENGINES:
@@ -472,7 +530,9 @@ def test_count_configuration_engines_agree(a, k, data):
         try:
             counts[engine] = count_configuration(cfg, engine)
         except OutOfScopeConfigurationError:
-            assert engine == "formula"
+            # pfaffian refuses only a gamma outside 1..k, and SW alphas with gammas
+            sw = any(d.side == "SW" for d in alphas)
+            assert engine == "formula" or engine == "pfaffian" and g and (gammas[-1] > k or sw)
     assert all(type(c) is int for c in counts.values()), counts
     assert len({(type(c), c) for c in counts.values()}) == 1, counts
 
@@ -513,11 +573,13 @@ def test_kasteleyn_matches_pfaffian_at_large_order():
         assert count_configuration(cfg) == kasteleyn
 
 
-def test_auto_counts_gamma_specs_by_kasteleyn():
+def test_auto_counts_gamma_specs_by_pfaffian_and_falls_back_to_kasteleyn(monkeypatch):
+    for cfg, _ in GAMMAS_OUT_OF_SCOPE:
+        assert count_configuration(cfg) == count_configuration(cfg, "kasteleyn") > 0, cfg
+    # an in-scope gamma spec never reaches the determinant
+    monkeypatch.setattr(condensation, "count_tilings_kasteleyn", None)
     cfg = _config(2, 4, [("SE", 3)], [("NE", 1)], (1, 2))
-    with pytest.raises(OutOfScopeConfigurationError):
-        count_configuration(cfg, "pfaffian")
-    assert count_configuration(cfg) == count_configuration(cfg, "kasteleyn") == 2
+    assert count_configuration(cfg) == count_configuration(cfg, "pfaffian") == 2
 
 
 def test_auto_does_not_mask_an_inconsistent_pfaffian(monkeypatch):
