@@ -31,7 +31,7 @@ import random
 import re
 import sys
 import time
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
 from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
 from .condensation import (
@@ -166,6 +166,34 @@ def _cell_limit() -> int:
     return int(raw)
 
 
+DIRECT_BITS = 4096  # Decimal(n), quadratic in the bits, is fast enough below this
+
+
+def decimal_digits(n: int) -> str:
+    """The decimal digits of n >= 0 in subquadratic time, past sys.get_int_max_str_digits() too.
+
+    str(n) refuses more digits than that limit (4,300 by default, which AD(169)
+    exceeds), and Decimal(n) converts exactly but in quadratic time.  Past
+    DIRECT_BITS, n = hi 2^w + lo with w half its bits, and the halves are
+    joined in exact Decimal arithmetic, whose large products are subquadratic.
+    """
+    if n.bit_length() <= DIRECT_BITS:
+        return str(Decimal(n))
+    powers: dict[int, Decimal] = {}
+
+    def convert(m: int, bits: int) -> Decimal:
+        if bits <= DIRECT_BITS:
+            return Decimal(m)
+        w = bits // 2
+        if w not in powers:
+            powers[w] = Decimal(2) ** w
+        hi = m >> w
+        return convert(hi, bits - w) * powers[w] + convert(m - (hi << w), w)
+
+    with localcontext(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact]):
+        return str(convert(n, n.bit_length()))
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     config = parse_region_spec(args.spec)
     if args.engine == "brute" and len(config) > (limit := _cell_limit()):
@@ -178,9 +206,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         count = count_configuration(config, args.engine)
     millis = int((time.monotonic() - start) * 1000)
-    # str(count) refuses more digits than sys.get_int_max_str_digits(), 4,300 by
-    # default, which AD(169) exceeds; Decimal converts exactly and has no limit
-    digits = str(Decimal(count))
+    digits = decimal_digits(count)
     if args.format == "json":
         payload = {
             "region": args.spec.strip(),
@@ -362,16 +388,15 @@ def _verify_mt(max_a: int, max_b: int, trials: int, rng: random.Random) -> Itera
         a = rng.randint(1, max_a)
         b = rng.randint(a, min(max_b, a + 2))
         k = b - a
-        n = rng.randint(0 if k else 1, 2)
         whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
-        if n + k > len(whites) or n > a:
-            continue
-        betas = tuple(rng.sample(whites, n + k))
-        config = DefectConfiguration(
-            a, b, betas, tuple(DefectSpec("NE", p) for p in rng.sample(range(1, a + 1), n))
-        )
-        label = f"three-sided a={a} b={b} {config.betas}/{config.alphas}"
-        yield from _compare(label, config, count_defects_three_sided)
+        # gamma=g keeps gammas 1..g, so #betas - #alphas = k - g; a draw with g > 0 takes the gamma route
+        for g in (0, rng.randint(1, k)) if k else (0,):
+            n = rng.randint(0 if k else 1, min(2, a))
+            betas = tuple(rng.sample(whites, n + k - g))
+            alphas = tuple(DefectSpec("NE", p) for p in rng.sample(range(1, a + 1), n))
+            config = DefectConfiguration(a, b, betas, alphas, tuple(range(1, g + 1)))
+            label = f"three-sided a={a} b={b} gamma={g} {betas}/{alphas}"
+            yield from _compare(label, config, count_defects_three_sided)
 
         blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
         nn = rng.randint(1, 2)

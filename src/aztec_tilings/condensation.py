@@ -20,7 +20,9 @@ on the four cells with base G, or with base G - w for the AAAB pattern.
 The defect counters specialize condensation to Aztec rectangles.  The
 three-sided count is one Pfaffian whose host is the gamma-augmented rectangle
 AR(a, b) plus gammas 1..k, k = b - a, with tiling count the pure power of two,
-and every entry collapses to a closed form from the formulas module.  Its
+and every entry collapses to a closed form from the formulas module.  The
+entries are taken as the closed forms' unscaled integer sums, and the power
+of two they share is applied once, in the quotient.  Its
 labels are the betas, the alphas and the gammas of 1..k the configuration does
 not keep.  Alphas sit on one black side, SW ones reflected onto NE when no
 gamma is kept; at k = 0 the host is AD(a) itself and alphas may sit on both
@@ -66,9 +68,10 @@ from .errors import (
 )
 from .exactalg import determinant
 from .formulas import (
+    ad_adjacent_sum,
+    ar_gamma_nw_sum,
+    ar_gamma_se_sum,
     count_ad_adjacent_defects,
-    count_ar_gamma_nw_defect,
-    count_ar_gamma_se_defect,
     count_ar_kept_se,
     count_ar_se_block_nw_defect,
     count_ar_se_nw_defects,
@@ -145,18 +148,22 @@ def _pfaffian_quotient(
     entry: Callable[[T, T], int],
     divisor: int,
     what: str,
+    scale: int = 1,
 ) -> int:
-    """Pf[(entry(x, y))] / divisor^(k-1) over 2k labels in cyclic order.
+    """scale Pf[(entry(x, y))] / divisor^(k-1) over 2k labels in cyclic order.
 
     The Pfaffian is ``_bipartite_pfaffian``'s, so entries within a class of
-    ``in_rows`` must be 0.  The quotient is a tiling count, so it must be a
-    nonnegative integer.
+    ``in_rows`` must be 0.  Entries that all share a factor s can be passed
+    divided by it: with scale = s and divisor D / s the quotient is
+    Pf[(s e)] / D^(k-1), the same rational, so the exactness check is the
+    same.  The quotient is a tiling count, so it must be a nonnegative
+    integer.
     """
-    pf = _bipartite_pfaffian(labels, in_rows, entry)
-    power = len(labels) // 2 - 1  # -1 for no labels: the count is the divisor
+    pf = scale * _bipartite_pfaffian(labels, in_rows, entry)
+    power = len(labels) // 2 - 1  # -1 for no labels: the count is scale * divisor
     value, remainder = divmod(pf, divisor**power) if power >= 0 else (pf * divisor, 0)
     if remainder:
-        raise InternalInconsistencyError(f"{what}: Pfaffian {pf} not divisible by {divisor}^{power}")
+        raise InternalInconsistencyError(f"{what}: {scale} Pf = {pf} not divisible by {divisor}^{power}")
     if value < 0:
         raise InternalInconsistencyError(f"{what}: negative Pfaffian {pf}")
     return value
@@ -287,12 +294,14 @@ def _mirror_spec(spec: DefectSpec, a: int, b: int) -> DefectSpec:
 
 
 def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
-    """Closed-form count of the gamma-augmented rectangle minus two defect cells.
+    """Closed-form count of the gamma-augmented rectangle minus two defect cells, / 2^(a(a-1)/2).
 
     Defects are beta, alpha or gamma addresses; alphas sit on the NE side
     unless k = 0.  Same-color pairs vanish; mixed pairs reduce, after the
     forced staircase strips, to the two-defect diamond and one-defect
-    rectangle families.
+    rectangle families, whose counts carry 2^(a(a-1)/2) and 2^(a(a+1)/2):
+    a (beta, alpha) entry is the diamond's unscaled sum and a (beta, gamma)
+    entry 2^a times the rectangle's.
     """
     if (d1.kind == "beta") == (d2.kind == "beta"):
         return 0
@@ -301,13 +310,12 @@ def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
     side, pos = d1.side, d1.position
     if d2.kind == "alpha":
         i, j = diamond_normal_form(a, d1, d2)
-        return count_ad_adjacent_defects(a, i - k, j) if i > k else 0
+        return ad_adjacent_sum(a, i - k, j) if i > k else 0
     p = d2.position
     if pos < p:
         return 0
-    if side == "SE":
-        return count_ar_gamma_se_defect(a, k - p + 1, pos - p + 1)
-    return count_ar_gamma_nw_defect(a, k - p + 1, pos - p + 1)
+    unscaled = ar_gamma_se_sum if side == "SE" else ar_gamma_nw_sum
+    return unscaled(a, k - p + 1, pos - p + 1) << a
 
 
 def _three_sided_count(
@@ -317,20 +325,24 @@ def _three_sided_count(
     alphas: tuple[DefectSpec, ...],
     gammas: tuple[int, ...] = (),
 ) -> int:
-    """Pfaffian count assuming, when k > 0, alphas on one black side, SW only if no gammas."""
+    """Pfaffian count assuming, when k > 0, alphas on one black side, SW only if no gammas.
+
+    The host's count is D = 2^(a(a+1)/2) = s 2^a with s = 2^(a(a-1)/2), and
+    every entry is s times ``_three_sided_entry``, so the quotient takes the
+    unscaled entries with divisor 2^a and scale s.
+    """
     k = b - a
     if k and any(d.side == "SW" for d in alphas):
         betas = tuple(_mirror_spec(d, a, b) for d in betas)
         alphas = tuple(_mirror_spec(d, a, b) for d in alphas)
     missing = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1) if t not in gammas)
     deltas = sorted(betas + alphas + missing, key=lambda d: perimeter_index(a, b, d))
-    return _pfaffian_quotient(
-        deltas,
-        lambda d: d.kind == "beta",
-        lambda x, y: _three_sided_entry(a, k, x, y),
-        2 ** (a * (a + 1) // 2),
-        "three-sided count",
-    )
+
+    def entry(x: DefectSpec, y: DefectSpec) -> int:
+        return _three_sided_entry(a, k, x, y)
+
+    s = 2 ** (a * (a - 1) // 2)
+    return _pfaffian_quotient(deltas, lambda d: d.kind == "beta", entry, 2**a, "three-sided count", s)
 
 
 def count_defects_three_sided(config: DefectConfiguration) -> int:

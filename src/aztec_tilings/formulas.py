@@ -7,6 +7,14 @@ each term rewritten as a product of binomials, so no term is a fraction.  The
 one true division, in ``count_ar_kept_se``, is checked to be exact, so a
 convention bug cannot silently round.
 
+Every count is a power of two times an integer.  The families the
+three-sided Pfaffian uses keep that integer in one unscaled helper
+(``ad_adjacent_sum``, ``ar_gamma_se_sum``, ``ar_se_block_nw_sum``,
+``ar_gamma_nw_sum``), which takes positions the caller has already checked;
+the public ``count_*`` validates, then multiplies the helper by its power, so
+the condensation module can build its entries without the power and apply it
+once, in the quotient.
+
 Region conventions (see geometry): AR(a, b) has white cells 1..b on the NW
 and SE sides and black cells 1..a on the NE and SW sides; gamma squares are
 the black cells glued under the SE side, position 1 in the south-corner
@@ -95,12 +103,14 @@ def count_ar_gamma_se_defect(a: int, k: int, j: int) -> int:
     b = a + k
     if k < 1 or not 1 <= j <= b:
         raise InvalidParameterError(f"need k >= 1 and 1 <= j <= {b}, got k={k}, j={j}")
-    base = 2 ** (a * (a + 1) // 2)
+    return 2 ** (a * (a + 1) // 2) * ar_gamma_se_sum(a, k, j)
+
+
+def ar_gamma_se_sum(a: int, k: int, j: int) -> int:
+    """``count_ar_gamma_se_defect(a, k, j)`` / 2^(a(a+1)/2), unchecked."""
     if j <= k:
-        return base
-    return base * sum(
-        math.comb(a + k - 1 - m, j - 1 - m) * math.comb(j - 2 - m, k - 1 - m) for m in range(k)
-    )
+        return 1
+    return sum(math.comb(a + k - 1 - m, j - 1 - m) * math.comb(j - 2 - m, k - 1 - m) for m in range(k))
 
 
 def count_ar_se_nw_defects(a: int, i: int, j: int) -> int:
@@ -124,10 +134,15 @@ def count_ar_se_block_nw_defect(a: int, k: int, i: int) -> int:
     b = a + k
     if k < 1 or not 1 <= i <= b:
         raise InvalidParameterError(f"need k >= 1 and 1 <= i <= {b}, got k={k}, i={i}")
+    return 2 ** (a * (a + 1) // 2) * ar_se_block_nw_sum(a, k, i)
+
+
+def ar_se_block_nw_sum(a: int, k: int, i: int) -> int:
+    """``count_ar_se_block_nw_defect(a, k, i)`` / 2^(a(a+1)/2), unchecked."""
     total = binomial_ext(a, i - 1)
     for m in range(1, min(k - 1, i - 1) + 1):
         total += binomial_ext(a, a + m + 1 - i) * binomial_ext(a + m - 1, a - 1)
-    return 2 ** (a * (a + 1) // 2) * total
+    return total
 
 
 def count_ar_gamma_nw_defect(a: int, k: int, i: int) -> int:
@@ -139,10 +154,12 @@ def count_ar_gamma_nw_defect(a: int, k: int, i: int) -> int:
     b = a + k
     if k < 1 or not 1 <= i <= b:
         raise InvalidParameterError(f"need k >= 1 and 1 <= i <= {b}, got k={k}, i={i}")
-    total = 0
-    for m in range(min(k - 1, i - 1) + 1):
-        total += count_ar_se_block_nw_defect(a, k - m, i - m)
-    return total
+    return 2 ** (a * (a + 1) // 2) * ar_gamma_nw_sum(a, k, i)
+
+
+def ar_gamma_nw_sum(a: int, k: int, i: int) -> int:
+    """``count_ar_gamma_nw_defect(a, k, i)`` / 2^(a(a+1)/2), unchecked."""
+    return sum(ar_se_block_nw_sum(a, k - m, i - m) for m in range(min(k - 1, i - 1) + 1))
 
 
 def count_ad_adjacent_defects(a: int, i: int, j: int) -> int:
@@ -158,7 +175,12 @@ def count_ad_adjacent_defects(a: int, i: int, j: int) -> int:
     """
     if not (1 <= i <= a and 1 <= j <= a):
         raise InvalidParameterError(f"positions must lie in 1..{a}, got i={i}, j={j}")
-    return 2 ** (a * (a - 1) // 2) * sum(map(mul, _ad_column(a, i - 1, 2), _ad_column(a, j - 1, 1)))
+    return 2 ** (a * (a - 1) // 2) * ad_adjacent_sum(a, i, j)
+
+
+def ad_adjacent_sum(a: int, i: int, j: int) -> int:
+    """``count_ad_adjacent_defects(a, i, j)`` / 2^(a(a-1)/2), unchecked."""
+    return sum(map(mul, _ad_column(a, i - 1, 2), _ad_column(a, j - 1, 1)))
 
 
 @functools.lru_cache(maxsize=512)

@@ -5,11 +5,12 @@ import os
 import random
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
 from aztec_tilings import condensation
-from aztec_tilings.cli import SUITES, main, parse_region_spec, SpecError
+from aztec_tilings.cli import DIRECT_BITS, SUITES, decimal_digits, main, parse_region_spec, SpecError
 
 
 def run_cli(capsys, *argv):
@@ -100,6 +101,13 @@ def test_count_past_the_int_str_digit_limit(capsys, fmt):
         assert int(digits) == 2 ** (169 * 170 // 2)
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_decimal_digits_split_matches_direct_conversion():
+    rng = random.Random(5)
+    for bits in (0, 1, DIRECT_BITS, DIRECT_BITS + 1, 2 * DIRECT_BITS + 1, 5 * DIRECT_BITS + 3):
+        for n in (2**bits, 2**bits - 1, rng.getrandbits(bits + 1) | 1):
+            assert decimal_digits(n) == str(Decimal(n)), (bits, n.bit_length())
 
 
 def test_count_brute(capsys):

@@ -97,6 +97,24 @@ def test_pfaffian_quotient_rejects_impossible_tiling_count(entry, divisor):
         )
 
 
+def test_pfaffian_quotient_scale_covers_only_its_own_factor():
+    # Pf = 1 over four labels, so the quotient is scale / divisor
+    entries = {"ab": 1, "cd": 1}
+
+    def quotient(divisor, scale):
+        return _pfaffian_quotient(
+            "abcd", "ac".__contains__, lambda x, y: entries.get(x + y, 0), divisor, "test", scale
+        )
+
+    with pytest.raises(InternalInconsistencyError):
+        quotient(4, 2)
+    with pytest.raises(InternalInconsistencyError):
+        quotient(2, 3)
+    assert quotient(2, 6) == 3
+    assert quotient(4, 4) == 1
+    assert _pfaffian_quotient("", bool, None, 4, "test", 8) == 32  # no labels: scale * divisor
+
+
 def test_bipartite_pfaffian_sign_rule():
     # random interleavings of two classes, some of unequal sizes; entries are
     # asked for only on mixed pairs, earlier label first
@@ -353,7 +371,8 @@ def test_three_sided_rejects_sw_alpha():
 
 
 def test_three_sided_entries_match_engine():
-    # every Pfaffian entry is the engine count of the gamma host minus two cells
+    # every Pfaffian entry, times 2^(a(a-1)/2), is the engine count of the
+    # gamma host minus two cells
     for a in range(1, 6):
         for k in range(4):
             host = DefectConfiguration(a, a + k, gammas=tuple(range(1, k + 1))).region()
@@ -362,7 +381,7 @@ def test_three_sided_entries_match_engine():
             deltas += [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
             for x, y in itertools.combinations(deltas, 2):
                 want = direct_count(host, (boundary_cell(a, a + k, x), boundary_cell(a, a + k, y)))
-                assert condensation._three_sided_entry(a, k, x, y) == want, (a, k, x, y)
+                assert condensation._three_sided_entry(a, k, x, y) << a * (a - 1) // 2 == want, (a, k, x, y)
 
 
 def test_three_sided_mixed_entries_match_kasteleyn_at_larger_order():
@@ -378,7 +397,7 @@ def test_three_sided_mixed_entries_match_kasteleyn_at_larger_order():
             for x, y in itertools.product(betas, others):
                 gone = {boundary_cell(a, b, x), boundary_cell(a, b, y)}
                 want = count_tilings_kasteleyn(Region.from_cells(host.cells - gone))
-                assert condensation._three_sided_entry(a, k, x, y) == want, (a, k, x, y)
+                assert condensation._three_sided_entry(a, k, x, y) << a * (a - 1) // 2 == want, (a, k, x, y)
 
 
 def test_three_sided_rejects_unbalanced():

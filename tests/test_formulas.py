@@ -23,6 +23,7 @@ from aztec_tilings import (
     make_aztec_rectangle,
 )
 from aztec_tilings.errors import InvalidParameterError
+from aztec_tilings.formulas import ad_adjacent_sum, ar_gamma_nw_sum, ar_gamma_se_sum, ar_se_block_nw_sum
 
 
 def gamma_se_region(a, k, j):
@@ -82,6 +83,21 @@ def test_gamma_se_defect_matches_its_3f2_statement():
                 hyp = pochhammer_sum((1, 1 - j, 1 - k), (2 - j, 1 - a - k), 1)
                 stated = 2 ** (a * (a + 1) // 2) * math.comb(a + k - 1, j - 1) * math.comb(j - 2, k - 1) * hyp
                 assert type(count) is int and count == stated, (a, k, j)
+
+
+def test_unscaled_sums_times_their_power_are_the_counts():
+    for a in range(1, 11):
+        for i in range(1, a + 1):
+            for j in range(1, a + 1):
+                assert ad_adjacent_sum(a, i, j) << a * (a - 1) // 2 == count_ad_adjacent_defects(a, i, j)
+        for k in range(1, 5):
+            for pos in range(1, a + k + 1):
+                for unscaled, count in (
+                    (ar_gamma_se_sum, count_ar_gamma_se_defect),
+                    (ar_se_block_nw_sum, count_ar_se_block_nw_defect),
+                    (ar_gamma_nw_sum, count_ar_gamma_nw_defect),
+                ):
+                    assert unscaled(a, k, pos) << a * (a + 1) // 2 == count(a, k, pos), (a, k, pos)
 
 
 def test_count_aztec_diamond():
