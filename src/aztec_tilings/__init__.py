@@ -9,8 +9,6 @@ from .condensation import (
     condensation_count,
     condensation_count_symdiff,
     count_configuration,
-    count_defects_four_sided,
-    count_defects_three_sided,
 )
 from .counting import count_matchings_brute, count_tilings_dp, count_tilings_kasteleyn
 from .dualgraph import boundary_cycle
@@ -62,8 +60,6 @@ __all__ = [
     "count_ar_se_nw_defects",
     "count_aztec_diamond",
     "count_configuration",
-    "count_defects_four_sided",
-    "count_defects_three_sided",
     "count_matchings_brute",
     "count_tilings_dp",
     "count_tilings_kasteleyn",

@@ -32,7 +32,7 @@ import re
 import sys
 import time
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 from .condensation import (
     ENGINES,
@@ -41,8 +41,6 @@ from .condensation import (
     condensation_count,
     condensation_count_symdiff,
     count_configuration,
-    count_defects_four_sided,
-    count_defects_three_sided,
 )
 from .counting import count_matchings_brute, count_tilings_dp
 from .dualgraph import boundary_cycle
@@ -309,7 +307,7 @@ def _verify_formulas(max_a: int, max_b: int, trials: int, rng: random.Random) ->
 
 def _verify_kuo(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iterator[Check]:
     pool: list[Region] = []
-    for a in range(2, max(3, max_a) + 1):
+    for a in range(2, max_a + 1):
         diamond = make_aztec_rectangle(a, a)
         pool.append(diamond)
         black = sorted(c for c in diamond.cells if not is_white(c))
@@ -336,7 +334,7 @@ def _verify_kuo(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iter
 
 def _verify_ciucu(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iterator[Check]:
     for _ in range(trials):
-        a = rng.randint(2, max(2, max_a))
+        a = rng.randint(2, max_a)
         region = make_aztec_rectangle(a, a)
         cycle = boundary_cycle(region)
         k = rng.randint(1, 3)
@@ -365,16 +363,14 @@ def _verify_ciucu(max_a: int, max_b: int, trials: int, rng: random.Random) -> It
         yield ok, f"alternating a={a} verts={verts}"
 
 
-def _compare(
-    label: str, config: DefectConfiguration, counter: Callable[[DefectConfiguration], int]
-) -> Iterator[Check]:
-    """A Pfaffian counter against the dp count.
+def _compare(label: str, config: DefectConfiguration) -> Iterator[Check]:
+    """The ``pfaffian`` count against the dp count.
 
     An exactness error fails the check; an inapplicable identity is no check.
     """
     want = count_tilings_dp(config.region())
     try:
-        got = counter(config)
+        got = count_configuration(config, "pfaffian")
     except CondensationInapplicableError:
         return
     except AztecError as exc:
@@ -396,20 +392,20 @@ def _verify_mt(max_a: int, max_b: int, trials: int, rng: random.Random) -> Itera
             alphas = tuple(DefectSpec("NE", p) for p in rng.sample(range(1, a + 1), n))
             config = DefectConfiguration(a, b, betas, alphas, tuple(range(1, g + 1)))
             label = f"three-sided a={a} b={b} gamma={g} {betas}/{alphas}"
-            yield from _compare(label, config, count_defects_three_sided)
+            yield from _compare(label, config)
 
         blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
-        nn = rng.randint(1, 2)
-        if nn + k <= len(whites) and nn <= len(blacks):
-            config = DefectConfiguration(
-                a, b, tuple(rng.sample(whites, nn + k)), tuple(rng.sample(blacks, nn))
-            )
-            yield from _compare(f"four-sided a={a} b={b}", config, count_defects_four_sided)
+        if k:  # alphas on both black sides of a rectangle: the nested four-sided route
+            alphas = (DefectSpec("NE", rng.randint(1, a)), DefectSpec("SW", rng.randint(1, a)))
+        else:
+            alphas = tuple(rng.sample(blacks, rng.randint(1, 2)))
+        config = DefectConfiguration(a, b, tuple(rng.sample(whites, len(alphas) + k)), alphas)
+        yield from _compare(f"four-sided a={a} b={b}", config)
 
         nd = rng.randint(1, min(3, a))
         wd = tuple(rng.sample([DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, a + 1)], nd))
         config = DefectConfiguration(a, a, wd, tuple(rng.sample(blacks, nd)))
-        yield from _compare(f"diamond a={a} {wd}/{config.alphas}", config, count_defects_three_sided)
+        yield from _compare(f"diamond a={a} {wd}/{config.alphas}", config)
 
 
 # each suite takes (max_a, max_b, trials, rng) and yields its checks in a fixed order
@@ -418,8 +414,9 @@ SUITES = {"formulas": _verify_formulas, "kuo": _verify_kuo, "ciucu": _verify_ciu
 
 def cmd_verify(args: argparse.Namespace) -> int:
     """Run one suite; the report names the checked samples by a sha256 of their descriptions."""
-    if args.max_a < 1:
-        raise SpecError(f"--max-a {args.max_a}: need at least 1")
+    least_a = 2 if args.suite in ("kuo", "ciucu") else 1  # the two suites build AD(2) and up
+    if args.max_a < least_a:
+        raise SpecError(f"--max-a {args.max_a}: need at least {least_a}")
     if args.suite in ("formulas", "mt") and args.max_b < args.max_a:
         raise SpecError(f"--max-b {args.max_b}: need at least --max-a {args.max_a}")
     if args.suite in ("kuo", "ciucu", "mt") and args.trials < 1:

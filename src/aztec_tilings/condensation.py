@@ -17,7 +17,11 @@ identities are its four-vertex case: ``check_kuo_identity`` checks a
 pattern's hypotheses on the region G, then checks the alternating identity
 on the four cells with base G, or with base G - w for the AAAB pattern.
 
-The defect counters specialize condensation to Aztec rectangles.  The
+The defect counters specialize condensation to Aztec rectangles, and
+``count_configuration``'s ``pfaffian`` engine is their one entry point: it
+returns 0 when the colours do not balance, and otherwise takes the
+three-sided count for a diamond or for alphas on one black side, the
+four-sided count for alphas on both black sides of a rectangle.  The
 three-sided count is one Pfaffian whose host is the gamma-augmented rectangle
 AR(a, b) plus gammas 1..k, k = b - a, with tiling count the pure power of two,
 and every entry collapses to a closed form from the formulas module.  The
@@ -26,17 +30,17 @@ of two they share is applied once, in the quotient.  Its
 labels are the betas, the alphas and the gammas of 1..k the configuration does
 not keep.  Alphas sit on one black side, SW ones reflected onto NE when no
 gamma is kept; at k = 0 the host is AD(a) itself and alphas may sit on both
-black sides, so the diamond counter is that count.  The four-sided count nests
-three-sided counts as the entries of an outer Pfaffian.  Both read only the
-numbers of a ``DefectConfiguration`` and build no cells; defects are put in
+black sides, so the diamond count is that count.  The four-sided count nests
+three-sided counts as the entries of an outer Pfaffian.  Both take only the
+numbers of a configuration and build no cells; defects are put in
 boundary order by ``geometry.perimeter_index``.  Three gamma cases raise
 ``OutOfScopeConfigurationError``: a gamma outside 1..k, SW alphas with gammas,
 and a four-sided configuration with gammas.
 
 ``count_configuration`` picks the counter for a configuration: the Kasteleyn
 determinant, the DP sweep or the brute-force oracle on ``config.region()``, a
-closed form, or the Pfaffian counters.  The default, ``auto``, takes the
-Pfaffian counters, the paper's route, for every spec, and falls back to the
+closed form, or the Pfaffian counts.  The default, ``auto``, takes the
+Pfaffian counts, the paper's route, for every spec, and falls back to the
 determinant where they refuse (out of scope, or no balanced sub-rectangle with
 a tiling).  ``InternalInconsistencyError`` is never caught.
 
@@ -275,16 +279,6 @@ def check_kuo_identity(
     return check_face_alternating_identity(region, base, quad)
 
 
-def _require_balanced(config: DefectConfiguration) -> None:
-    """Refuse any defect set but #betas - #alphas = b - a - #gammas."""
-    k = config.b - config.a - len(config.gammas)
-    if len(config.betas) - len(config.alphas) != k:
-        raise InvalidConfigurationError(
-            f"need #betas - #alphas = b - a - #gammas = {k}, got "
-            f"{len(config.betas)} - {len(config.alphas)}"
-        )
-
-
 def _mirror_spec(spec: DefectSpec, a: int, b: int) -> DefectSpec:
     """Reflect u -> 2b - u, swapping the NE and SW sides."""
     if spec.side in ("NW", "SE"):
@@ -345,28 +339,6 @@ def _three_sided_count(
     return _pfaffian_quotient(deltas, lambda d: d.kind == "beta", entry, 2**a, "three-sided count", s)
 
 
-def count_defects_three_sided(config: DefectConfiguration) -> int:
-    """Tilings of AR(a, b) plus its gammas minus its defects, alphas on one black side.
-
-    With k = b - a and m the gammas of 1..k the configuration does not keep,
-    takes the Pfaffian over the n + m betas, the n alphas and those m gammas
-    in boundary-cyclic order, with closed-form entries, as the determinant of
-    its (n+m) x (n+m) block of betas against alphas and gammas, and divides
-    by the augmented rectangle's count to the power n + m - 1.  SW alphas are
-    reflected onto the NE side; at k = 0 the host is AD(a) itself and alphas
-    may sit on both black sides.  A gamma outside 1..k, and SW alphas with
-    gammas, are out of scope.
-    """
-    _require_balanced(config)
-    a, b, gammas = config.a, config.b, config.gammas
-    sides = {d.side for d in config.alphas}
-    if gammas and (gammas[-1] > b - a or "SW" in sides):
-        raise OutOfScopeConfigurationError("gamma squares need positions in 1..b-a and no SW alphas")
-    if a != b and sides == {"NE", "SW"}:
-        raise OutOfScopeConfigurationError("alpha defects on both the NE and SW sides need a = b")
-    return _three_sided_count(a, b, config.betas, config.alphas, gammas)
-
-
 def _cuts_balance(a: int, b: int, betas: Sequence[DefectSpec]) -> bool:
     """True exactly when AR(a, b) minus the b - a betas has a tiling, by cell counts at column cuts.
 
@@ -377,25 +349,23 @@ def _cuts_balance(a: int, b: int, betas: Sequence[DefectSpec]) -> bool:
     return all(j - a <= sum(d.position <= j for d in betas) <= j for j in range(1, b))
 
 
-def count_defects_four_sided(config: DefectConfiguration) -> int:
-    """Tilings of AR(a, b) minus defects on arbitrary sides (nested Pfaffians).
+def _four_sided_count(
+    a: int, b: int, betas: tuple[DefectSpec, ...], alphas: tuple[DefectSpec, ...]
+) -> int:
+    """Tilings of AR(a, b) minus the betas and alphas, on any sides, by nested Pfaffians.
 
-    Splits off k of the betas to form a balanced sub-rectangle G, the first
-    k-subset in boundary order that passes ``_cuts_balance``, then runs
-    condensation over the remaining n betas and n alphas; every entry is
+    There are k = b - a more betas than alphas.  Splits off k of the betas
+    to form a balanced sub-rectangle G, the first k-subset in boundary order
+    that passes ``_cuts_balance``, then runs condensation over the
+    remaining n betas and n alphas; every entry is
     itself a three-sided Pfaffian count with at most one alpha.  Raises
-    ``InternalInconsistencyError`` if that G counts 0.  Gamma squares are
-    out of scope.
+    ``InternalInconsistencyError`` if that G counts 0.
     """
-    _require_balanced(config)
-    a, b = config.a, config.b
-    if config.gammas:
-        raise OutOfScopeConfigurationError("the four-sided count takes no gamma squares")
 
     def order(d: DefectSpec) -> int:
         return perimeter_index(a, b, d)
 
-    betas_sorted = sorted(config.betas, key=order)
+    betas_sorted = sorted(betas, key=order)
     subsets = itertools.combinations(betas_sorted, b - a)
     chosen = next((s for s in subsets if _cuts_balance(a, b, s)), None)
     if chosen is None:
@@ -404,13 +374,40 @@ def count_defects_four_sided(config: DefectConfiguration) -> int:
     if m_base == 0:
         raise InternalInconsistencyError(f"four-sided count: cut-rule base {chosen} counts 0")
     rest = [d for d in betas_sorted if d not in chosen]
-    outer = sorted(rest + list(config.alphas), key=order)
+    outer = sorted(rest + list(alphas), key=order)
 
     def entry(x: DefectSpec, y: DefectSpec) -> int:
         beta, alpha = (x, y) if x.kind == "beta" else (y, x)
         return _three_sided_count(a, b, chosen + (beta,), (alpha,))
 
     return _pfaffian_quotient(outer, lambda d: d.kind == "beta", entry, m_base, "four-sided count")
+
+
+def _balanced(config: DefectConfiguration) -> bool:
+    """Whether the colours balance; AR(a, b) has b - a more white cells than black, a gamma one more black."""
+    return len(config.betas) - len(config.alphas) == config.b - config.a - len(config.gammas)
+
+
+def _pfaffian_count(config: DefectConfiguration) -> int:
+    """The paper's count: 0 unless the colours balance, else the three- or four-sided Pfaffian.
+
+    Alphas on both black sides of a rectangle take the four-sided count, and
+    everything else the three-sided one.  Raises
+    ``OutOfScopeConfigurationError`` for the three gamma cases: a four-sided
+    configuration with gammas, and else a gamma outside 1..b-a or SW alphas
+    with gammas.
+    """
+    if not _balanced(config):
+        return 0
+    a, b, gammas = config.a, config.b, config.gammas
+    sides = {d.side for d in config.alphas}
+    if a != b and len(sides) == 2:
+        if gammas:
+            raise OutOfScopeConfigurationError("the four-sided count takes no gamma squares")
+        return _four_sided_count(a, b, config.betas, config.alphas)
+    if gammas and (gammas[-1] > b - a or "SW" in sides):
+        raise OutOfScopeConfigurationError("gamma squares need positions in 1..b-a and no SW alphas")
+    return _three_sided_count(a, b, config.betas, config.alphas, gammas)
 
 
 def diamond_normal_form(a: int, beta: DefectSpec, alpha: DefectSpec) -> tuple[int, int]:
@@ -467,7 +464,7 @@ def count_configuration(config: DefectConfiguration, engine: str = "auto") -> in
     exponential in the order) and ``brute`` (the matching oracle,
     exponential) count any configuration, since every configuration's region
     is hole-free.  ``formula`` covers the closed-form families and
-    ``pfaffian`` AD/AR regions, choosing the three- or four-sided count;
+    ``pfaffian`` AD/AR regions, by the three- or four-sided count;
     both give 0 when the colours do not balance and raise
     ``OutOfScopeConfigurationError`` outside their families, for
     ``pfaffian`` the three gamma cases the module docstring names.  ``pfaffian``
@@ -478,7 +475,7 @@ def count_configuration(config: DefectConfiguration, engine: str = "auto") -> in
         raise InvalidParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     if engine == "auto":
         try:
-            return count_configuration(config, "pfaffian")
+            return _pfaffian_count(config)
         except (OutOfScopeConfigurationError, CondensationInapplicableError):
             engine = "kasteleyn"
     if engine == "kasteleyn":
@@ -487,12 +484,6 @@ def count_configuration(config: DefectConfiguration, engine: str = "auto") -> in
         return count_tilings_dp(config.region())
     if engine == "brute":
         return count_matchings_brute(config.region())
-    # AR(a, b) has b - a more white cells than black, and each gamma square one more black
-    k = config.b - config.a
-    if len(config.betas) - len(config.alphas) != k - len(config.gammas):
-        return 0
-    if engine == "formula":
-        return _formula_count(config)
-    if k == 0 or len({d.side for d in config.alphas}) < 2:
-        return count_defects_three_sided(config)
-    return count_defects_four_sided(config)
+    if engine == "pfaffian":
+        return _pfaffian_count(config)
+    return _formula_count(config) if _balanced(config) else 0

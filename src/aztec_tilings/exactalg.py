@@ -4,9 +4,8 @@ Both routines compute in exact ints.  After pivot k the entry (i, j) becomes
 (p a_ij - a_ik a_kj) / p_prev, the minor on rows and columns 0..k plus i and
 j, so every division is exact and checked, and the last pivot is the
 determinant (Bareiss, Math. Comp. 22, 1968).  ``determinant`` takes a dense
-matrix, divides out the gcd of its entries and swaps in a row for a zero
-pivot; the condensation counters take every Pfaffian as the determinant of
-its half-size block.
+matrix and swaps in a row for a zero pivot; the condensation counters take
+every Pfaffian as the determinant of its half-size block.
 
 ``determinant_sparse`` takes a matrix as sparse rows.  On a banded matrix it
 touches only rows inside the band: O(n w^2) operations on minors for
@@ -17,7 +16,6 @@ core).
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .errors import InternalInconsistencyError, InvalidMatrixError
@@ -28,19 +26,16 @@ Matrix = Sequence[Sequence[int]]
 def determinant(m: Matrix) -> int:
     """Determinant of a square integer matrix by Bareiss's fraction-free elimination.
 
-    With M = g A for an integer matrix A of content 1, det(M) = g^n det(A).
-    A is reduced in place.  A zero pivot is replaced by the first row below
-    it with a nonzero entry in its column, and each such swap flips the sign.
+    A copy of the matrix is reduced in place.  A zero pivot is replaced by the
+    first row below it with a nonzero entry in its column, and each such swap
+    flips the sign.
     """
     n = len(m)
     if any(len(row) != n for row in m):
         raise InvalidMatrixError("matrix is not square")
     if n == 0:
         return 1
-    g = math.gcd(*(x for row in m for x in row))
-    if g == 0:
-        return 0
-    a = [[x // g for x in row] for row in m]
+    a = [list(row) for row in m]
     sign = 1
     p_prev = 1
     for k in range(n - 1):
@@ -64,7 +59,7 @@ def determinant(m: Matrix) -> int:
                     )
                 row_i[j] = q
         p_prev = p
-    return sign * a[-1][-1] * g**n
+    return sign * a[-1][-1]
 
 
 def determinant_sparse(rows: Sequence[dict[int, int]]) -> int:

@@ -25,13 +25,13 @@ from aztec_tilings import (
     count_ar_se_block_nw_defect,
     count_ar_se_nw_defects,
     count_aztec_diamond,
-    count_defects_four_sided,
-    count_defects_three_sided,
+    count_configuration,
     count_matchings_brute,
     count_tilings_dp,
     is_white,
     make_aztec_rectangle,
 )
+from aztec_tilings import condensation
 from aztec_tilings.cli import main
 from aztec_tilings.errors import CondensationInapplicableError
 from oracles import determinant, pfaffian, pfaffian_expand_first_row
@@ -197,7 +197,7 @@ def test_criterion_5_defect_counters_end_to_end():
         betas = tuple(rng.sample(whites, n))
         alphas = tuple(rng.sample(blacks, n))
         config = DefectConfiguration(a, a, betas, alphas)
-        assert count_defects_three_sided(config) == count_tilings_dp(config.region())
+        assert count_configuration(config, "pfaffian") == count_tilings_dp(config.region())
         diamond_checks += 1
 
     three_checks = 0
@@ -214,7 +214,7 @@ def test_criterion_5_defect_counters_end_to_end():
             tuple(DefectSpec("NE", p) for p in rng.sample(range(1, a + 1), n)),
         )
         want = count_tilings_dp(config.region())
-        assert count_defects_three_sided(config) == want, config
+        assert count_configuration(config, "pfaffian") == want, config
         three_checks += 1
 
     four_checks = 0
@@ -232,7 +232,8 @@ def test_criterion_5_defect_counters_end_to_end():
         )
         want = count_tilings_dp(config.region())
         try:
-            assert count_defects_four_sided(config) == want, config
+            # nested on purpose, one-side alphas too
+            assert condensation._four_sided_count(a, b, config.betas, config.alphas) == want, config
         except CondensationInapplicableError:
             continue
         four_checks += 1

@@ -9,7 +9,7 @@ from decimal import Decimal
 
 import pytest
 
-from aztec_tilings import condensation
+from aztec_tilings import cli, condensation, make_aztec_rectangle
 from aztec_tilings.cli import DIRECT_BITS, SUITES, decimal_digits, main, parse_region_spec, SpecError
 
 
@@ -85,6 +85,13 @@ def test_count_dp_decimal(capsys):
     assert code == 0
     assert out == "1024\n"
     assert out.strip().isdigit()
+
+
+def test_count_dp_goes_through_the_cli_binding(capsys, monkeypatch):
+    # the benchmark's fault injection patches cli.count_tilings_dp and needs
+    # every dp count to reach it
+    monkeypatch.setattr(cli, "count_tilings_dp", lambda region: 12345)
+    assert run_cli(capsys, "count", "AD n=4", "--engine", "dp") == (0, "12345\n", "")
 
 
 @pytest.mark.parametrize("fmt", ["dec", "json"])
@@ -342,6 +349,27 @@ def test_verify_rejects_empty_ranges_exit_1(capsys, argv, flag):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and flag in err
+
+
+@pytest.mark.parametrize("suite", ["kuo", "ciucu"])
+def test_verify_builds_diamonds_of_orders_2_to_max_a(capsys, monkeypatch, suite):
+    orders = []
+
+    def recording(a, b):
+        orders.append((a, b))
+        return make_aztec_rectangle(a, b)
+
+    monkeypatch.setattr(cli, "make_aztec_rectangle", recording)
+    code, out, err = run_cli(capsys, "verify", suite, "--max-a", "1", "--trials", "5")
+    assert (code, out, orders) == (1, "", [])
+    assert err.startswith("error: ") and "--max-a" in err
+    for max_a in (2, 3):
+        orders.clear()
+        argv = ("verify", suite, "--max-a", str(max_a), "--trials", "30", "--seed", "2")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and "failures=0" in out
+        assert {a for a, _ in orders} == set(range(2, max_a + 1))
+        assert all(a == b for a, b in orders)
 
 
 def test_verify_formulas_ignores_trials(capsys):

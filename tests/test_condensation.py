@@ -21,9 +21,7 @@ from aztec_tilings import (
     condensation_count,
     condensation_count_symdiff,
     count_configuration,
-    count_defects_four_sided,
     count_ad_adjacent_defects,
-    count_defects_three_sided,
     count_tilings_dp,
     count_tilings_kasteleyn,
     is_white,
@@ -290,38 +288,34 @@ def _config(a, b, betas, alphas, gammas=()):
 
 def test_three_sided_no_defects_is_diamond_count():
     cfg = _config(3, 3, [], [])
-    count = count_defects_three_sided(cfg)
+    count = count_configuration(cfg, "pfaffian")
     assert count == 64 and type(count) is int  # Pf of the empty matrix times M(AD(3))
 
 
 def test_three_sided_matches_engine_anchor():
     cfg = _config(2, 3, [("SE", 3), ("NW", 1)], [("NE", 2)])
     want = count_tilings_dp(cfg.region())
-    assert count_defects_three_sided(cfg) == want
+    assert count_configuration(cfg, "pfaffian") == want
 
 
-# the three gamma cases the Pfaffian counters refuse, each colour-balanced with tilings,
-# with the counter that refuses it
+# the three gamma cases the Pfaffian count refuses, each colour-balanced with tilings
 GAMMAS_OUT_OF_SCOPE = (
     # gamma 2 outside 1..b-a
-    (_config(2, 3, [("NW", 2)], [("NE", 1)], (2,)), count_defects_three_sided),
+    _config(2, 3, [("NW", 2)], [("NE", 1)], (2,)),
     # SW alphas with gammas
-    (_config(2, 4, [("SE", 2), ("SE", 3)], [("SW", 1)], (1,)), count_defects_three_sided),
+    _config(2, 4, [("SE", 2), ("SE", 3)], [("SW", 1)], (1,)),
     # four-sided with gammas
-    (_config(2, 4, [("SE", 2), ("SE", 3), ("SE", 4)], [("NE", 1), ("SW", 1)], (1,)), count_defects_four_sided),
+    _config(2, 4, [("SE", 2), ("SE", 3), ("SE", 4)], [("NE", 1), ("SW", 1)], (1,)),
 )
 
 
 def test_gamma_configuration_is_out_of_scope_for_the_pfaffian_counters():
-    for cfg, counter in GAMMAS_OUT_OF_SCOPE:
+    for cfg in GAMMAS_OUT_OF_SCOPE:
         assert count_configuration(cfg, "kasteleyn") > 0, cfg
-        for count in (counter, lambda c: count_configuration(c, "pfaffian")):
-            with pytest.raises(OutOfScopeConfigurationError):
-                count(cfg)
+        with pytest.raises(OutOfScopeConfigurationError):
+            count_configuration(cfg, "pfaffian")
     # AR(2,3) + gamma 1 minus SE 3, NW 2, NE 1 has one white cell fewer than black
     cfg = _config(2, 3, [("SE", 3), ("NW", 2)], [("NE", 1)], gammas=(1,))
-    with pytest.raises(InvalidConfigurationError):
-        count_defects_three_sided(cfg)
     assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") == 0
 
 
@@ -341,7 +335,7 @@ def test_pfaffian_counts_gamma_configurations_as_kasteleyn_does():
         betas = tuple(rng.sample(whites, n + k - g))
         cfg = DefectConfiguration(a, b, betas, alphas, tuple(range(first, first + g)))
         want = count_tilings_kasteleyn(cfg.region())
-        assert count_defects_three_sided(cfg) == want, cfg
+        assert count_configuration(cfg, "pfaffian") == want, cfg
         nonzero += want > 0
     assert nonzero > 150
 
@@ -361,13 +355,11 @@ def test_validate_rejects_duplicate_and_out_of_range_defects(gammas):
             )
 
 
-def test_three_sided_rejects_sw_alpha():
-    # SW-only alphas are reflected onto NE; alphas on both black sides need a = b
+def test_pfaffian_counts_sw_alphas():
+    # SW-only alphas are reflected onto NE; test_four_sided_all_sides_anchor
+    # counts the same rectangle with alphas on both black sides
     cfg = _config(2, 3, [("SE", 1), ("NW", 2)], [("SW", 1)])
-    assert count_defects_three_sided(cfg) == count_tilings_dp(cfg.region())
-    cfg = _config(2, 3, [("SE", 1), ("NW", 2), ("SE", 3)], [("NE", 1), ("SW", 2)])
-    with pytest.raises(OutOfScopeConfigurationError):
-        count_defects_three_sided(cfg)
+    assert count_configuration(cfg, "pfaffian") == count_tilings_dp(cfg.region())
 
 
 def test_three_sided_entries_match_engine():
@@ -400,9 +392,10 @@ def test_three_sided_mixed_entries_match_kasteleyn_at_larger_order():
                 assert condensation._three_sided_entry(a, k, x, y) << a * (a - 1) // 2 == want, (a, k, x, y)
 
 
-def test_three_sided_rejects_unbalanced():
-    with pytest.raises(InvalidConfigurationError):
-        count_defects_three_sided(_config(2, 3, [("SE", 1)], [("NE", 1)]))
+def test_pfaffian_counts_unbalanced_as_zero():
+    # one beta and one alpha on AR(2,3) leave one white cell too many
+    cfg = _config(2, 3, [("SE", 1)], [("NE", 1)])
+    assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") == 0
 
 
 def _diamond_sides(a):
@@ -421,7 +414,7 @@ def test_three_sided_agrees_with_diamond_counter():
         betas, alphas = tuple(rng.sample(whites, n)), tuple(rng.sample(blacks, n))
         cfg = DefectConfiguration(a, a, betas, alphas)
         want = count_tilings_dp(cfg.region())
-        assert count_defects_three_sided(cfg) == want
+        assert count_configuration(cfg, "pfaffian") == want
 
 
 def test_diamond_normal_form_exhaustive():
@@ -438,22 +431,50 @@ def test_diamond_engine_entries_with_sw_alpha():
     betas = (DefectSpec("SE", 1), DefectSpec("NW", 3))
     alphas = (DefectSpec("SW", 2), DefectSpec("NE", 3))
     cfg = DefectConfiguration(3, 3, betas, alphas)
-    assert count_defects_three_sided(cfg) == count_tilings_dp(cfg.region())
+    assert count_configuration(cfg, "pfaffian") == count_tilings_dp(cfg.region())
 
 
 def test_four_sided_degenerate_equals_three_sided():
+    # one-side alphas, nested on purpose: the pfaffian engine takes them three-sided
     cfg = _config(2, 3, [("SE", 3), ("NW", 1)], [("NE", 2)])
-    assert count_defects_four_sided(cfg) == count_defects_three_sided(cfg)
+    assert condensation._four_sided_count(2, 3, cfg.betas, cfg.alphas) == count_configuration(cfg, "pfaffian")
 
 
 def test_four_sided_single_alpha_outer_is_single_entry():
     cfg = _config(2, 3, [("SE", 2), ("NW", 3)], [("SW", 2)])
-    assert count_defects_four_sided(cfg) == count_tilings_dp(cfg.region())
+    assert condensation._four_sided_count(2, 3, cfg.betas, cfg.alphas) == count_tilings_dp(cfg.region())
 
 
 def test_four_sided_all_sides_anchor():
     cfg = _config(2, 3, [("SE", 1), ("NW", 2), ("SE", 3)], [("NE", 1), ("SW", 2)])
-    assert count_defects_four_sided(cfg) == count_tilings_dp(cfg.region())
+    assert count_configuration(cfg, "pfaffian") == count_tilings_dp(cfg.region())
+
+
+def test_pfaffian_nests_exactly_when_a_rectangle_has_alphas_on_both_sides(monkeypatch):
+    calls = []
+    original = condensation._four_sided_count
+    monkeypatch.setattr(
+        condensation, "_four_sided_count", lambda *args: calls.append(args) or original(*args)
+    )
+    rng = random.Random(18)
+    nested = 0
+    for _ in range(300):
+        a, k = rng.randint(1, 4), rng.randint(0, 2)
+        b = a + k
+        whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
+        blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
+        n = rng.randint(0, min(3, a))
+        cfg = DefectConfiguration(a, b, tuple(rng.sample(whites, n + k)), tuple(rng.sample(blacks, n)))
+        before = len(calls)
+        try:
+            count = count_configuration(cfg, "pfaffian")
+        except CondensationInapplicableError:
+            count = 0
+        both_sides = a < b and {d.side for d in cfg.alphas} == {"NE", "SW"}
+        assert len(calls) - before == both_sides, cfg
+        assert count == count_tilings_dp(cfg.region()), cfg
+        nested += both_sides
+    assert nested > 30
 
 
 def test_cut_rule_skips_only_beta_subsets_without_a_tiling():
@@ -479,7 +500,7 @@ def test_four_sided_base_that_passes_the_cut_rule_must_have_a_tiling(monkeypatch
     monkeypatch.setattr(condensation, "_cuts_balance", lambda a, b, betas: True)
     nw_se = [(side, p) for side in ("NW", "SE") for p in (1, 2, 3)]
     with pytest.raises(InternalInconsistencyError, match="cut-rule base"):
-        count_defects_four_sided(_config(1, 5, nw_se, [("NE", 1), ("SW", 1)]))
+        count_configuration(_config(1, 5, nw_se, [("NE", 1), ("SW", 1)]), "pfaffian")
 
 
 def test_auto_refuses_a_four_sided_spec_without_a_tiling_quickly():
@@ -494,7 +515,7 @@ def test_auto_refuses_a_four_sided_spec_without_a_tiling_quickly():
 
 
 def test_diamond_counter_single_pair_is_formula():
-    got = count_defects_three_sided(_config(2, 2, [("SE", 2)], [("NE", 2)]))
+    got = count_configuration(_config(2, 2, [("SE", 2)], [("NE", 2)]), "pfaffian")
     assert got == count_ad_adjacent_defects(2, 2, 2) == 6
 
 
@@ -503,7 +524,7 @@ def test_diamond_counter_same_type_pairs_vanish():
     betas = (DefectSpec("SE", 1), DefectSpec("SE", 2))
     alphas = (DefectSpec("NE", 1), DefectSpec("NE", 2))
     cfg = DefectConfiguration(3, 3, betas, alphas)
-    assert count_defects_three_sided(cfg) == count_tilings_dp(cfg.region())
+    assert count_configuration(cfg, "pfaffian") == count_tilings_dp(cfg.region())
 
 
 def test_diamond_counter_rotation_invariance():
@@ -520,11 +541,11 @@ def test_diamond_counter_rotation_invariance():
     m1 = {"NW": ("SE", False), "SE": ("NW", False), "NE": ("NE", True), "SW": ("SW", True)}
     # half turn
     m2 = {"NW": ("SE", True), "SE": ("NW", True), "NE": ("SW", False), "SW": ("NE", False)}
-    base = count_defects_three_sided(DefectConfiguration(a, a, betas, alphas))
+    base = count_configuration(DefectConfiguration(a, a, betas, alphas), "pfaffian")
     for mapping in (m1, m2):
         bet = tuple(DefectSpec(*rot(d.side, d.position, mapping)) for d in betas)
         alp = tuple(DefectSpec(*rot(d.side, d.position, mapping)) for d in alphas)
-        assert count_defects_three_sided(DefectConfiguration(a, a, bet, alp)) == base
+        assert count_configuration(DefectConfiguration(a, a, bet, alp), "pfaffian") == base
 
 
 @settings(max_examples=200, deadline=None)
@@ -593,7 +614,7 @@ def test_kasteleyn_matches_pfaffian_at_large_order():
 
 
 def test_auto_counts_gamma_specs_by_pfaffian_and_falls_back_to_kasteleyn(monkeypatch):
-    for cfg, _ in GAMMAS_OUT_OF_SCOPE:
+    for cfg in GAMMAS_OUT_OF_SCOPE:
         assert count_configuration(cfg) == count_configuration(cfg, "kasteleyn") > 0, cfg
     # an in-scope gamma spec never reaches the determinant
     monkeypatch.setattr(condensation, "count_tilings_kasteleyn", None)
