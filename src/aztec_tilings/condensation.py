@@ -94,10 +94,13 @@ def _cells_count(cells: Iterable[Cell]) -> int:
     return count_tilings_dp(Region.from_cells(cells))
 
 
-def _base_in_host(host: Region, base_vertices: Iterable[Cell]) -> set[Cell]:
+def _checked_base(host: Region, base_vertices: Iterable[Cell], face: Sequence[Cell]) -> set[Cell]:
+    """The base as a set, checked to lie in the host, with the face cells
+    checked to be in cyclic order on the host's outer face."""
     base = set(base_vertices)
     if not base <= host.cells:
         raise InvalidParameterError(f"cells not in host: {sorted(base - host.cells)}")
+    _validate_cyclic(boundary_cycle(host), face)
     return base
 
 
@@ -187,8 +190,7 @@ def condensation_count_symdiff(
     """
     if len(face_vertices) % 2 == 1:
         raise InvalidOrderError("need an even number of face vertices")
-    base = _base_in_host(host, base_vertices)
-    _validate_cyclic(boundary_cycle(host), face_vertices)
+    base = _checked_base(host, base_vertices, face_vertices)
     base_count = _cells_count(base)
     if base_count == 0:
         raise CondensationInapplicableError("M(G) = 0")
@@ -220,8 +222,7 @@ def check_face_alternating_identity(
     verts = list(face_vertices)
     if len(verts) % 2 == 1 or not verts:
         raise InvalidOrderError("need a nonempty even vertex list")
-    base = _base_in_host(host, base_vertices)
-    _validate_cyclic(boundary_cycle(host), verts)
+    base = _checked_base(host, base_vertices, verts)
     all_set = set(verts)
 
     def m_of(toggle: set[Cell]) -> int:

@@ -9,7 +9,7 @@ from decimal import Decimal
 
 import pytest
 
-from aztec_tilings import cli, condensation, make_aztec_rectangle
+from aztec_tilings import cli, condensation, make_aztec_rectangle, verify
 from aztec_tilings.cli import DIRECT_BITS, SUITES, decimal_digits, main, parse_region_spec, SpecError
 
 
@@ -359,7 +359,7 @@ def test_verify_builds_diamonds_of_orders_2_to_max_a(capsys, monkeypatch, suite)
         orders.append((a, b))
         return make_aztec_rectangle(a, b)
 
-    monkeypatch.setattr(cli, "make_aztec_rectangle", recording)
+    monkeypatch.setattr(verify, "make_aztec_rectangle", recording)
     code, out, err = run_cli(capsys, "verify", suite, "--max-a", "1", "--trials", "5")
     assert (code, out, orders) == (1, "", [])
     assert err.startswith("error: ") and "--max-a" in err

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import aztec_tilings
 from aztec_tilings import ENGINES
-from aztec_tilings.cli import SUITES
+from aztec_tilings.verify import SUITES
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 CODE_LINES = TOOLS / "code_lines.py"

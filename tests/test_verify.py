@@ -1,0 +1,37 @@
+"""The verify suites as a library: check generators that the CLI only folds and prints."""
+
+import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from aztec_tilings import cli, verify
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_suite_folds_to_the_report_main_prints(capsys, monkeypatch, suite):
+    monkeypatch.delenv("AZTEC_ORACLE_CELL_LIMIT", raising=False)  # main's bound: min(36, 30)
+    bound = {"brute_limit": 30} if suite == "formulas" else {}
+    checks = list(verify.SUITES[suite](3, 5, 20, random.Random(4), **bound))
+    samples = hashlib.sha256("".join(text + "\n" for _, text in checks).encode()).hexdigest()[:12]
+    assert checks and all(ok for ok, _ in checks)
+    argv = ["verify", suite, "--max-a", "3", "--max-b", "5", "--trials", "20", "--seed", "4"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == f"suite={suite} checks={len(checks)} failures=0 samples={samples}\n"
+
+
+def test_cli_reads_the_library_suite_table():
+    assert cli.SUITES is verify.SUITES
+
+
+def test_verify_does_not_import_cli():
+    code = "import sys, aztec_tilings.verify; print('aztec_tilings.cli' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr

@@ -8,11 +8,12 @@ specs (AD/AR with a <= 4 and b - a <= 3, some with gamma squares, some
 colour-unbalanced), then one malformed spec for every spec-parse message; each
 is rendered once and counted under every engine in ``ENGINES``, in ``dec`` and
 ``json`` format, with AZTEC_ORACLE_CELL_LIMIT unset and set to 20.  Then every
-suite in ``cli.SUITES`` runs: ``formulas`` with its defaults, the others with
-fixed seeded flags.  Each line holds the argv, the cell-limit setting, the
-exit code and the sha256 of stdout followed by stderr, with the ``millis``
-field of JSON output zeroed.  Diffing the output of two checkouts shows
-whether a change altered any transcript.  Stdlib only.
+suite in ``aztec_tilings.verify.SUITES``, the table the ``verify`` command
+reads, runs through ``cli.main``: ``formulas`` with its defaults, the others
+with fixed seeded flags.  Each line holds the argv, the cell-limit setting,
+the exit code and the sha256 of stdout followed by stderr, with the
+``millis`` field of JSON output zeroed.  Diffing the output of two checkouts
+shows whether a change altered any transcript.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import re
 import shlex
 from typing import Iterable, Iterator
 
-from aztec_tilings.cli import SUITES, main as cli_main
+from aztec_tilings.cli import main as cli_main
 from aztec_tilings.condensation import ENGINES
+from aztec_tilings.verify import SUITES
 
 LIMIT_VAR = "AZTEC_ORACLE_CELL_LIMIT"
 LIMITS = (None, "20")
