@@ -8,16 +8,17 @@ with defect = SIDE ":" POSITION and SIDE one of NW, NE, SE, SW (case
 sensitive), e.g. "AR a=4 b=7 remove=SE:2,SE:4,SE:7".  ``gamma=k`` glues the
 string of k extra squares under the SE side starting at the south corner.
 
-Exit codes: 0 success, 1 usage, parse or semantic error, 2 engine
-inapplicable, 3 verification failure.  AZTEC_ORACLE_CELL_LIMIT (ASCII
-digits, default 36) bounds the brute-force engine.
+Exit codes: 0 success, 1 usage, parse or semantic error, 2 spec outside the
+engine's scope (``formula`` off its families, ``brute`` past the cell limit,
+``pfaffian`` on its three gamma cases), 3 verification failure.
+AZTEC_ORACLE_CELL_LIMIT (ASCII digits, default 36) bounds the brute-force
+engine.
 
 The commands only parse, call the library and print; they raise on error.
 ``main`` is the one place that turns an error into a message and an exit
-code: ``SpecError``, argparse's usage errors among them, exits 1,
-``OutOfScopeConfigurationError`` and ``CondensationInapplicableError`` exit
-2.  ``cmd_verify`` folds the checks of a suite from ``verify.SUITES`` into
-one report line.
+code: ``SpecError``, argparse's usage errors among them, exits 1, and
+``OutOfScopeConfigurationError`` exits 2.  ``cmd_verify`` folds the checks
+of a suite from ``verify.SUITES`` into one report line.
 """
 
 from __future__ import annotations
@@ -31,12 +32,12 @@ import random
 import re
 import sys
 import time
-from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from typing import NoReturn, Sequence
 
 from .condensation import ENGINES, count_configuration
 from .counting import count_tilings_dp
-from .errors import AztecError, CondensationInapplicableError, OutOfScopeConfigurationError
+from .errors import AztecError, OutOfScopeConfigurationError
 from .geometry import DefectConfiguration, DefectSpec, boundary_cell, is_white
 from .verify import SUITES
 
@@ -158,7 +159,7 @@ def decimal_digits(n: int) -> str:
         hi = m >> w
         return convert(hi, bits - w) * powers[w] + convert(m - (hi << w), w)
 
-    with localcontext(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact]):
+    with localcontext(Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact])):
         return str(convert(n, n.bit_length()))
 
 
@@ -293,7 +294,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (SpecError, OutOfScopeConfigurationError, CondensationInapplicableError) as exc:
+    except (SpecError, OutOfScopeConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, SpecError) else 2
 

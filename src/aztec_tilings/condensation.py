@@ -33,16 +33,18 @@ gamma is kept; at k = 0 the host is AD(a) itself and alphas may sit on both
 black sides, so the diamond count is that count.  The four-sided count nests
 three-sided counts as the entries of an outer Pfaffian.  Both take only the
 numbers of a configuration and build no cells; defects are put in
-boundary order by ``geometry.perimeter_index``.  Three gamma cases raise
-``OutOfScopeConfigurationError``: a gamma outside 1..k, SW alphas with gammas,
-and a four-sided configuration with gammas.
+boundary order by ``geometry.perimeter_index``.  A four-sided configuration
+where no balanced sub-rectangle has a tiling counts 0, by the proof in
+``_four_sided_count``.  The Pfaffian counts refuse only three gamma cases,
+raising ``OutOfScopeConfigurationError``: a gamma outside 1..k, SW alphas with
+gammas, and a four-sided configuration with gammas.
 
 ``count_configuration`` picks the counter for a configuration: the Kasteleyn
 determinant, the DP sweep or the brute-force oracle on ``config.region()``, a
 closed form, or the Pfaffian counts.  The default, ``auto``, takes the
 Pfaffian counts, the paper's route, for every spec, and falls back to the
-determinant where they refuse (out of scope, or no balanced sub-rectangle with
-a tiling).  ``InternalInconsistencyError`` is never caught.
+determinant only on the three gamma cases they refuse.
+``InternalInconsistencyError`` is never caught.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
 ``InternalInconsistencyError`` unless the quotient is a nonnegative integer.
@@ -291,15 +293,14 @@ def _mirror_spec(spec: DefectSpec, a: int, b: int) -> DefectSpec:
 def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
     """Closed-form count of the gamma-augmented rectangle minus two defect cells, / 2^(a(a-1)/2).
 
-    Defects are beta, alpha or gamma addresses; alphas sit on the NE side
-    unless k = 0.  Same-color pairs vanish; mixed pairs reduce, after the
-    forced staircase strips, to the two-defect diamond and one-defect
+    d1 and d2 are a beta and an alpha or gamma, in either order: the only
+    pairs ``_bipartite_pfaffian`` asks for, since a same-colour pair's count
+    is 0.  Alphas sit on the NE side unless k = 0.  The pairs reduce, after
+    the forced staircase strips, to the two-defect diamond and one-defect
     rectangle families, whose counts carry 2^(a(a-1)/2) and 2^(a(a+1)/2):
     a (beta, alpha) entry is the diamond's unscaled sum and a (beta, gamma)
     entry 2^a times the rectangle's.
     """
-    if (d1.kind == "beta") == (d2.kind == "beta"):
-        return 0
     if d1.kind != "beta":
         d1, d2 = d2, d1
     side, pos = d1.side, d1.position
@@ -341,12 +342,17 @@ def _three_sided_count(
 
 
 def _cuts_balance(a: int, b: int, betas: Sequence[DefectSpec]) -> bool:
-    """True exactly when AR(a, b) minus the b - a betas has a tiling, by cell counts at column cuts.
+    """Whether the column cuts of AR(a, b) minus the b - a betas balance; they do if it has a tiling.
 
-    That the rule is exact was measured against the Kasteleyn count on every
-    k-subset of NW/SE betas for a <= 8, k <= 3, not proven.
+    The rule is necessary.  Black column u = 2j holds a cells and white
+    column 2j - 1 holds a + 1, less the betas at position j.  With r_j betas
+    at positions <= j, the cut after black column 2j leaves (j + 1) a blacks
+    against j (a + 1) - r_j whites to its west, and those whites pair only
+    with blacks there, so a - j + r_j dominoes cross from column 2j into
+    white column 2j + 1: a tiling needs 0 <= a - j + r_j <= a.  That the rule
+    is also sufficient is measured, not proven: it matched the Kasteleyn
+    count on every k-subset of NW/SE betas for a <= 8, k <= 3.
     """
-    # with r_j betas at positions <= j, a - j + r_j of black column 2j's a cells must pair east
     return all(j - a <= sum(d.position <= j for d in betas) <= j for j in range(1, b))
 
 
@@ -360,7 +366,17 @@ def _four_sided_count(
     that passes ``_cuts_balance``, then runs condensation over the
     remaining n betas and n alphas; every entry is
     itself a three-sided Pfaffian count with at most one alpha.  Raises
-    ``InternalInconsistencyError`` if that G counts 0.
+    ``InternalInconsistencyError`` if that G counts 0, since the rule's
+    sufficiency is only measured.
+
+    When no k-subset passes, the count is 0.  Let T tile AR(a, b) minus the
+    betas B and alphas A.  The cells T covers are independent in the
+    matching matroid of AR(a, b), whose independent sets are the cell sets
+    some matching covers.  AR(a, b) minus SE 1..k has a tiling, so its cells
+    are a basis, and the exchange axiom extends T's cells by some of them to
+    a basis covered by a matching.  That matching covers every black cell
+    and all whites but k, which lie in B: a k-subset S of B with
+    AR(a, b) - S tiled, so S passes the necessary rule.
     """
 
     def order(d: DefectSpec) -> int:
@@ -370,7 +386,7 @@ def _four_sided_count(
     subsets = itertools.combinations(betas_sorted, b - a)
     chosen = next((s for s in subsets if _cuts_balance(a, b, s)), None)
     if chosen is None:
-        raise CondensationInapplicableError("every balanced beta subset has count 0")
+        return 0
     m_base = _three_sided_count(a, b, chosen, ())
     if m_base == 0:
         raise InternalInconsistencyError(f"four-sided count: cut-rule base {chosen} counts 0")
@@ -444,7 +460,7 @@ def _formula_count(config: DefectConfiguration) -> int:
         return count_ar_kept_se(a, b, kept)
     if k == 0 and len(config.betas) == 1 and len(config.alphas) == 1:
         return count_ad_adjacent_defects(a, *diamond_normal_form(a, config.betas[0], config.alphas[0]))
-    if sides == {"SE", "NW"}:
+    if sides <= {"SE", "NW"}:
         se = sorted(p for s, p in removed if s == "SE")
         nw = [p for s, p in removed if s == "NW"]
         if k == 2 and len(se) == 1 and len(nw) == 1:
@@ -458,9 +474,8 @@ def count_configuration(config: DefectConfiguration, engine: str = "auto") -> in
     """Tilings of the configuration's region minus its defects, by one engine.
 
     ``auto`` (the default) counts by ``pfaffian``; a spec on which
-    ``pfaffian`` raises ``OutOfScopeConfigurationError`` or
-    ``CondensationInapplicableError`` is counted by ``kasteleyn`` instead, and
-    no other error is caught.
+    ``pfaffian`` raises ``OutOfScopeConfigurationError`` is counted by
+    ``kasteleyn`` instead, and no other error is caught.
     ``kasteleyn`` (the determinant, polynomial), ``dp`` (the sweep,
     exponential in the order) and ``brute`` (the matching oracle,
     exponential) count any configuration, since every configuration's region
@@ -468,16 +483,14 @@ def count_configuration(config: DefectConfiguration, engine: str = "auto") -> in
     ``pfaffian`` AD/AR regions, by the three- or four-sided count;
     both give 0 when the colours do not balance and raise
     ``OutOfScopeConfigurationError`` outside their families, for
-    ``pfaffian`` the three gamma cases the module docstring names.  ``pfaffian``
-    raises ``CondensationInapplicableError`` when no balanced sub-rectangle has
-    a tiling.
+    ``pfaffian`` only the three gamma cases the module docstring names.
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     if engine == "auto":
         try:
             return _pfaffian_count(config)
-        except (OutOfScopeConfigurationError, CondensationInapplicableError):
+        except OutOfScopeConfigurationError:
             engine = "kasteleyn"
     if engine == "kasteleyn":
         return count_tilings_kasteleyn(config.region())

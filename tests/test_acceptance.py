@@ -231,11 +231,8 @@ def test_criterion_5_defect_counters_end_to_end():
             a, b, tuple(rng.sample(whites, n + k)), tuple(rng.sample(blacks, n))
         )
         want = count_tilings_dp(config.region())
-        try:
-            # nested on purpose, one-side alphas too
-            assert condensation._four_sided_count(a, b, config.betas, config.alphas) == want, config
-        except CondensationInapplicableError:
-            continue
+        # nested on purpose, one-side alphas too
+        assert condensation._four_sided_count(a, b, config.betas, config.alphas) == want, config
         four_checks += 1
 
     elapsed = time.monotonic() - start

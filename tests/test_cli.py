@@ -246,13 +246,11 @@ def test_help_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: aztec-tilings count")
 
 
-def test_default_engine_falls_back_where_pfaffian_is_inapplicable(capsys):
-    # every balanced beta subset has count 0, so the four-sided Pfaffian refuses
+def test_four_sided_spec_without_a_tileable_base_counts_0(capsys):
+    # no 4-subset of the betas passes the cut rule, so the four-sided count is 0 by proof
     spec = "AR a=1 b=5 remove=NW:1,NW:2,NW:3,SE:1,SE:2,SE:3,NE:1,SW:1"
-    code, out, err = run_cli(capsys, "count", spec, "--engine", "pfaffian")
-    assert (code, out, err) == (2, "", "error: every balanced beta subset has count 0\n")
-    kasteleyn = run_cli(capsys, "count", spec, "--engine", "kasteleyn")
-    assert run_cli(capsys, "count", spec) == kasteleyn == (0, "0\n", "")
+    for engine in ("pfaffian", "auto", "kasteleyn"):
+        assert run_cli(capsys, "count", spec, "--engine", engine) == (0, "0\n", ""), engine
 
 
 def test_render_diamond_order_one(capsys):

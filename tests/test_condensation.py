@@ -363,8 +363,9 @@ def test_pfaffian_counts_sw_alphas():
 
 
 def test_three_sided_entries_match_engine():
-    # every Pfaffian entry, times 2^(a(a-1)/2), is the engine count of the
-    # gamma host minus two cells
+    # every mixed Pfaffian entry, times 2^(a(a-1)/2), is the engine count of the
+    # gamma host minus two cells; a same-class pair counts 0, which
+    # _bipartite_pfaffian relies on when it never asks for that entry
     for a in range(1, 6):
         for k in range(4):
             host = DefectConfiguration(a, a + k, gammas=tuple(range(1, k + 1))).region()
@@ -373,7 +374,10 @@ def test_three_sided_entries_match_engine():
             deltas += [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
             for x, y in itertools.combinations(deltas, 2):
                 want = direct_count(host, (boundary_cell(a, a + k, x), boundary_cell(a, a + k, y)))
-                assert condensation._three_sided_entry(a, k, x, y) << a * (a - 1) // 2 == want, (a, k, x, y)
+                if (x.kind == "beta") == (y.kind == "beta"):
+                    assert want == 0, (a, k, x, y)
+                else:
+                    assert condensation._three_sided_entry(a, k, x, y) << a * (a - 1) // 2 == want, (a, k, x, y)
 
 
 def test_three_sided_mixed_entries_match_kasteleyn_at_larger_order():
@@ -466,10 +470,7 @@ def test_pfaffian_nests_exactly_when_a_rectangle_has_alphas_on_both_sides(monkey
         n = rng.randint(0, min(3, a))
         cfg = DefectConfiguration(a, b, tuple(rng.sample(whites, n + k)), tuple(rng.sample(blacks, n)))
         before = len(calls)
-        try:
-            count = count_configuration(cfg, "pfaffian")
-        except CondensationInapplicableError:
-            count = 0
+        count = count_configuration(cfg, "pfaffian")
         both_sides = a < b and {d.side for d in cfg.alphas} == {"NE", "SW"}
         assert len(calls) - before == both_sides, cfg
         assert count == count_tilings_dp(cfg.region()), cfg
@@ -503,8 +504,8 @@ def test_four_sided_base_that_passes_the_cut_rule_must_have_a_tiling(monkeypatch
         count_configuration(_config(1, 5, nw_se, [("NE", 1), ("SW", 1)]), "pfaffian")
 
 
-def test_auto_refuses_a_four_sided_spec_without_a_tiling_quickly():
-    # all C(16, 10) beta subsets fail the cut rule, so none builds a Pfaffian
+def test_four_sided_spec_without_a_passing_subset_counts_0_quickly():
+    # all C(16, 10) beta subsets fail the cut rule, so the count is 0 and no Pfaffian is built
     nw_se = [(side, p) for side in ("NW", "SE") for p in range(1, 9)]
     ne_sw = [(side, p) for side in ("NE", "SW") for p in range(1, 4)]
     cfg = _config(6, 16, nw_se, ne_sw)
@@ -512,6 +513,28 @@ def test_auto_refuses_a_four_sided_spec_without_a_tiling_quickly():
     count = count_configuration(cfg)
     assert time.perf_counter() - start < 1.0
     assert count == count_configuration(cfg, "kasteleyn") == 0
+
+
+def test_four_sided_counts_every_beta_set_of_a_thin_rectangle():
+    # AR(1, 5) minus NE 1, SW 1 and 6 of its 10 whites: every beta set, those
+    # with no passing 4-subset among them, counts as the determinant does
+    alphas = [("NE", 1), ("SW", 1)]
+    whites = [(side, p) for side in ("NW", "SE") for p in range(1, 6)]
+    unpassed = 0
+    for betas in itertools.combinations(whites, 6):
+        cfg = _config(1, 5, betas, alphas)
+        subsets = itertools.combinations(cfg.betas, 4)
+        unpassed += not any(condensation._cuts_balance(1, 5, s) for s in subsets)
+        assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn"), betas
+    assert unpassed > 0
+
+
+def test_formula_counts_one_nw_defect_with_no_se_block():
+    # k = 1: the SE block 2..k of count_ar_se_block_nw_defect is empty
+    for a in range(1, 6):
+        for i in range(1, a + 2):
+            cfg = _config(a, a + 1, [("NW", i)], [])
+            assert count_configuration(cfg, "formula") == count_configuration(cfg, "kasteleyn"), (a, i)
 
 
 def test_diamond_counter_single_pair_is_formula():

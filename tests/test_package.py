@@ -14,6 +14,7 @@ from aztec_tilings.verify import SUITES
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 CODE_LINES = TOOLS / "code_lines.py"
+CODE_LINE_CEILING = 1171
 
 
 def test_star_import_resolves_every_export():
@@ -59,6 +60,14 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
     counts = dict(line.split() for line in proc.stdout.splitlines())
     # import, def, the two lines of the string assigned to text, return
     assert counts == {"__init__.py": "0", "mod.py": "5", "total": "5"}
+
+
+def test_package_stays_under_its_code_line_ceiling():
+    # ROADMAP's ceiling: a change that grows the package past it fails here
+    proc = subprocess.run([sys.executable, str(CODE_LINES)], capture_output=True, text=True)
+    assert proc.returncode == 0
+    total = int(proc.stdout.splitlines()[-1].split()[1])
+    assert total <= CODE_LINE_CEILING, total
 
 
 def _sha(text):
