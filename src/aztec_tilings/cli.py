@@ -10,7 +10,7 @@ string of k extra squares under the SE side starting at the south corner.
 
 Exit codes: 0 success, 1 usage, parse or semantic error, 2 spec outside the
 engine's scope (``formula`` off its families, ``brute`` past the cell limit,
-``pfaffian`` on its three gamma cases), 3 verification failure.
+``pfaffian`` on a gamma past b - a), 3 verification failure.
 AZTEC_ORACLE_CELL_LIMIT (ASCII digits, default 36) bounds the brute-force
 engine.
 

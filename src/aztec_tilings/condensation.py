@@ -19,31 +19,29 @@ on the four cells with base G, or with base G - w for the AAAB pattern.
 
 The defect counters specialize condensation to Aztec rectangles, and
 ``count_configuration``'s ``pfaffian`` engine is their one entry point: it
-returns 0 when the colours do not balance, and otherwise takes the
-three-sided count for a diamond or for alphas on one black side, the
-four-sided count for alphas on both black sides of a rectangle.  The
-three-sided count is one Pfaffian whose host is the gamma-augmented rectangle
-AR(a, b) plus gammas 1..k, k = b - a, with tiling count the pure power of two,
-and every entry collapses to a closed form from the formulas module.  The
-entries are taken as the closed forms' unscaled integer sums, and the power
-of two they share is applied once, in the quotient.  Its
-labels are the betas, the alphas and the gammas of 1..k the configuration does
-not keep.  Alphas sit on one black side, SW ones reflected onto NE when no
-gamma is kept; at k = 0 the host is AD(a) itself and alphas may sit on both
-black sides, so the diamond count is that count.  The four-sided count nests
-three-sided counts as the entries of an outer Pfaffian.  Both take only the
-numbers of a configuration and build no cells; defects are put in
-boundary order by ``geometry.perimeter_index``.  A four-sided configuration
-where no balanced sub-rectangle has a tiling counts 0, by the proof in
-``_four_sided_count``.  The Pfaffian counts refuse only three gamma cases,
-raising ``OutOfScopeConfigurationError``: a gamma outside 1..k, SW alphas with
-gammas, and a four-sided configuration with gammas.
+returns 0 when the colours do not balance, and otherwise counts the
+configuration as one Pfaffian whose host H is the gamma-augmented rectangle
+AR(a, b) plus gammas 1..k, k = b - a, with tiling count the pure power of
+two 2^(a(a+1)/2).  Its labels are the betas, the alphas on both black sides
+and the gammas of 1..k the configuration does not keep, all of them cells on
+H's outer face (Kuo, Applications of graphical condensation, 2004).  Every
+entry but one family collapses to a closed form from the formulas module;
+the entries are taken as the closed forms' unscaled integer sums, and the
+power of two they share is applied once, in the quotient.  The exception,
+a beta against an SW alpha when k > 0, is a gamma-free three-sided count by
+a forcing lemma, and it is taken as a bordered determinant over a block
+shared by every such entry (``_sw_entries``).  A gamma-free configuration
+whose alphas all sit on SW is reflected onto NE instead; at k = 0 the host
+is AD(a) itself and every entry is a closed form.  The count takes only the
+numbers of a configuration and builds no cells; defects are put in boundary
+order by ``geometry.perimeter_index``.  It refuses one gamma case, raising
+``OutOfScopeConfigurationError``: a gamma past b - a, which H does not hold.
 
 ``count_configuration`` picks the counter for a configuration: the Kasteleyn
 determinant, the DP sweep or the brute-force oracle on ``config.region()``, a
-closed form, or the Pfaffian counts.  The default, ``auto``, takes the
-Pfaffian counts, the paper's route, for every spec, and falls back to the
-determinant only on the three gamma cases they refuse.
+closed form, or the Pfaffian count.  The default, ``auto``, takes the
+Pfaffian count, the paper's route, for every spec, and falls back to the
+determinant only on the gamma case it refuses.
 ``InternalInconsistencyError`` is never caught.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
@@ -59,7 +57,8 @@ at half the dimension; only those entries are computed.
 
 from __future__ import annotations
 
-import itertools
+import functools
+from operator import mul
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .counting import count_matchings_brute, count_tilings_dp, count_tilings_kasteleyn
@@ -314,6 +313,81 @@ def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
     return unscaled(a, k - p + 1, pos - p + 1) << a
 
 
+@functools.lru_cache(maxsize=64)
+def _gamma_block(a: int, k: int) -> tuple[tuple[DefectSpec, ...], tuple[DefectSpec, ...], int, tuple]:
+    """The fixed betas SE a+1..a+k, gammas 1..k, +-det A and +-adj(A) for ``_sw_entries``' block A.
+
+    Each entry of A is negated, as the Pfaffian lists a gamma before a fixed
+    beta; a later gamma's entry is 0.  The sign is the part of the
+    Pfaffian's that depends only on (a, k): (-1)^(k(k+1)/2) times -1 for
+    each pair of a fixed beta and a gamma after it.  adj(A) is taken by
+    cofactors.
+    """
+    b = a + k
+    fixed = tuple(DefectSpec("SE", a + i) for i in range(1, k + 1))
+    gammas = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1))
+    block = [[-_three_sided_entry(a, k, f, g) for g in gammas] for f in fixed]
+    later = sum(perimeter_index(a, b, g) > perimeter_index(a, b, f) for f in fixed for g in gammas)
+    sign = (-1) ** (k * (k + 1) // 2 + later)
+
+    def cofactor(i: int, j: int) -> int:
+        return (-1) ** (i + j) * determinant([r[:j] + r[j + 1 :] for n, r in enumerate(block) if n != i])
+
+    adj = tuple(tuple(sign * cofactor(j, i) for j in range(k)) for i in range(k))
+    return fixed, gammas, sign * determinant(block), adj
+
+
+def _sw_entries(a: int, b: int) -> Callable[[DefectSpec, DefectSpec], int]:
+    """The (beta, SW alpha) entries of one count over the gamma host, k = b - a > 0, / 2^(a(a-1)/2).
+
+    Gamma 1's only neighbour is SE 1, so a tiling of the host minus a beta
+    and an alpha pairs gamma t with SE t, for t = 1..k in turn: the entry is
+    M(AR(a, b) - SE 1..k - beta - alpha), 0 when the beta is one of SE 1..k.
+    Mirrored by ``_mirror_spec``, that is a gamma-free three-sided count with
+    the fixed betas SE a+1..a+k, the beta and an NE alpha, and its Pfaffian
+    is +-det [[A, c], [r, e]] = +-(e det A - r adj(A) c), listing the beta's
+    row last.  A holds the fixed betas against gammas 1..k and depends only
+    on (a, k) (``_gamma_block``); r is the beta against the gammas, c the
+    fixed betas against the alpha and e the beta against the alpha.  This
+    is a Schur-complement step (Knuth, Overlapping Pfaffians, 1996).  A beta
+    in SE 1..k mirrors to a fixed beta, whose r is a row of A and whose e is
+    that row's entry of c, so the bordered determinant is 0.
+
+    Read from the alpha onward, the cyclic order has the gammas before an SE
+    beta between the alpha and the beta; each negates its r entry and the
+    sign.  Every entry of A and r carries 2^a, so the division by 2^(ak) is
+    exact.  r adj(A) is taken once per beta and c once per alpha.
+    """
+    k = b - a
+    fixed, gammas, det_a, adj = _gamma_block(a, k)
+
+    @functools.cache
+    def row(beta: DefectSpec) -> tuple[DefectSpec, int, list[int]]:
+        beta = _mirror_spec(beta, a, b)
+        # the gammas between the NE alpha and the beta: none for an NW beta
+        rank = perimeter_index(a, b, beta) if beta.side == "SE" else -1
+        signs = [-1 if perimeter_index(a, b, g) < rank else 1 for g in gammas]
+        r = [s * _three_sided_entry(a, k, beta, g) for s, g in zip(signs, gammas)]
+        sign = (-1) ** signs.count(-1)
+        return beta, sign, [sign * sum(map(mul, r, column)) for column in zip(*adj)]
+
+    @functools.cache
+    def col(alpha: DefectSpec) -> tuple[DefectSpec, list[int]]:
+        alpha = _mirror_spec(alpha, a, b)
+        return alpha, [_three_sided_entry(a, k, f, alpha) for f in fixed]
+
+    def entry(beta: DefectSpec, alpha: DefectSpec) -> int:
+        beta, sign, w = row(beta)
+        alpha, c = col(alpha)
+        bordered = sign * _three_sided_entry(a, k, beta, alpha) * det_a - sum(map(mul, w, c))
+        value, remainder = divmod(bordered, 1 << a * k)
+        if remainder:
+            raise InternalInconsistencyError(f"SW entry {beta}, {alpha}: not divisible by 2^{a * k}")
+        return value
+
+    return entry
+
+
 def _three_sided_count(
     a: int,
     b: int,
@@ -321,83 +395,30 @@ def _three_sided_count(
     alphas: tuple[DefectSpec, ...],
     gammas: tuple[int, ...] = (),
 ) -> int:
-    """Pfaffian count assuming, when k > 0, alphas on one black side, SW only if no gammas.
+    """The count of AR(a, b) plus gammas minus betas and alphas as one Pfaffian over the gamma host.
 
     The host's count is D = 2^(a(a+1)/2) = s 2^a with s = 2^(a(a-1)/2), and
-    every entry is s times ``_three_sided_entry``, so the quotient takes the
-    unscaled entries with divisor 2^a and scale s.
+    every entry is s times ``_three_sided_entry``, or ``_sw_entries`` for
+    an SW alpha when k > 0, so the quotient takes the unscaled entries with
+    divisor 2^a and scale s.  A gamma-free count whose alphas all sit on SW
+    is mirrored first, so that it takes no SW entry.
     """
     k = b - a
-    if k and any(d.side == "SW" for d in alphas):
+    if k and not gammas and {d.side for d in alphas} == {"SW"}:
         betas = tuple(_mirror_spec(d, a, b) for d in betas)
         alphas = tuple(_mirror_spec(d, a, b) for d in alphas)
     missing = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1) if t not in gammas)
     deltas = sorted(betas + alphas + missing, key=lambda d: perimeter_index(a, b, d))
+    sw_entry = _sw_entries(a, b) if k and any(d.side == "SW" for d in alphas) else None
 
     def entry(x: DefectSpec, y: DefectSpec) -> int:
-        return _three_sided_entry(a, k, x, y)
+        beta, other = (x, y) if x.kind == "beta" else (y, x)
+        if sw_entry and other.side == "SW":
+            return sw_entry(beta, other)
+        return _three_sided_entry(a, k, beta, other)
 
     s = 2 ** (a * (a - 1) // 2)
-    return _pfaffian_quotient(deltas, lambda d: d.kind == "beta", entry, 2**a, "three-sided count", s)
-
-
-def _cuts_balance(a: int, b: int, betas: Sequence[DefectSpec]) -> bool:
-    """Whether the column cuts of AR(a, b) minus the b - a betas balance; they do if it has a tiling.
-
-    The rule is necessary.  Black column u = 2j holds a cells and white
-    column 2j - 1 holds a + 1, less the betas at position j.  With r_j betas
-    at positions <= j, the cut after black column 2j leaves (j + 1) a blacks
-    against j (a + 1) - r_j whites to its west, and those whites pair only
-    with blacks there, so a - j + r_j dominoes cross from column 2j into
-    white column 2j + 1: a tiling needs 0 <= a - j + r_j <= a.  That the rule
-    is also sufficient is measured, not proven: it matched the Kasteleyn
-    count on every k-subset of NW/SE betas for a <= 8, k <= 3.
-    """
-    return all(j - a <= sum(d.position <= j for d in betas) <= j for j in range(1, b))
-
-
-def _four_sided_count(
-    a: int, b: int, betas: tuple[DefectSpec, ...], alphas: tuple[DefectSpec, ...]
-) -> int:
-    """Tilings of AR(a, b) minus the betas and alphas, on any sides, by nested Pfaffians.
-
-    There are k = b - a more betas than alphas.  Splits off k of the betas
-    to form a balanced sub-rectangle G, the first k-subset in boundary order
-    that passes ``_cuts_balance``, then runs condensation over the
-    remaining n betas and n alphas; every entry is
-    itself a three-sided Pfaffian count with at most one alpha.  Raises
-    ``InternalInconsistencyError`` if that G counts 0, since the rule's
-    sufficiency is only measured.
-
-    When no k-subset passes, the count is 0.  Let T tile AR(a, b) minus the
-    betas B and alphas A.  The cells T covers are independent in the
-    matching matroid of AR(a, b), whose independent sets are the cell sets
-    some matching covers.  AR(a, b) minus SE 1..k has a tiling, so its cells
-    are a basis, and the exchange axiom extends T's cells by some of them to
-    a basis covered by a matching.  That matching covers every black cell
-    and all whites but k, which lie in B: a k-subset S of B with
-    AR(a, b) - S tiled, so S passes the necessary rule.
-    """
-
-    def order(d: DefectSpec) -> int:
-        return perimeter_index(a, b, d)
-
-    betas_sorted = sorted(betas, key=order)
-    subsets = itertools.combinations(betas_sorted, b - a)
-    chosen = next((s for s in subsets if _cuts_balance(a, b, s)), None)
-    if chosen is None:
-        return 0
-    m_base = _three_sided_count(a, b, chosen, ())
-    if m_base == 0:
-        raise InternalInconsistencyError(f"four-sided count: cut-rule base {chosen} counts 0")
-    rest = [d for d in betas_sorted if d not in chosen]
-    outer = sorted(rest + list(alphas), key=order)
-
-    def entry(x: DefectSpec, y: DefectSpec) -> int:
-        beta, alpha = (x, y) if x.kind == "beta" else (y, x)
-        return _three_sided_count(a, b, chosen + (beta,), (alpha,))
-
-    return _pfaffian_quotient(outer, lambda d: d.kind == "beta", entry, m_base, "four-sided count")
+    return _pfaffian_quotient(deltas, lambda d: d.kind == "beta", entry, 2**a, "Pfaffian count", s)
 
 
 def _balanced(config: DefectConfiguration) -> bool:
@@ -406,24 +427,16 @@ def _balanced(config: DefectConfiguration) -> bool:
 
 
 def _pfaffian_count(config: DefectConfiguration) -> int:
-    """The paper's count: 0 unless the colours balance, else the three- or four-sided Pfaffian.
+    """The paper's count: 0 unless the colours balance, else one Pfaffian over the gamma host.
 
-    Alphas on both black sides of a rectangle take the four-sided count, and
-    everything else the three-sided one.  Raises
-    ``OutOfScopeConfigurationError`` for the three gamma cases: a four-sided
-    configuration with gammas, and else a gamma outside 1..b-a or SW alphas
-    with gammas.
+    Raises ``OutOfScopeConfigurationError`` only for a gamma past b - a,
+    which the host AR(a, b) plus gammas 1..b-a does not hold.
     """
     if not _balanced(config):
         return 0
     a, b, gammas = config.a, config.b, config.gammas
-    sides = {d.side for d in config.alphas}
-    if a != b and len(sides) == 2:
-        if gammas:
-            raise OutOfScopeConfigurationError("the four-sided count takes no gamma squares")
-        return _four_sided_count(a, b, config.betas, config.alphas)
-    if gammas and (gammas[-1] > b - a or "SW" in sides):
-        raise OutOfScopeConfigurationError("gamma squares need positions in 1..b-a and no SW alphas")
+    if gammas and gammas[-1] > b - a:
+        raise OutOfScopeConfigurationError("gamma squares need positions in 1..b-a")
     return _three_sided_count(a, b, config.betas, config.alphas, gammas)
 
 
@@ -480,10 +493,10 @@ def count_configuration(config: DefectConfiguration, engine: str = "auto") -> in
     exponential in the order) and ``brute`` (the matching oracle,
     exponential) count any configuration, since every configuration's region
     is hole-free.  ``formula`` covers the closed-form families and
-    ``pfaffian`` AD/AR regions, by the three- or four-sided count;
+    ``pfaffian`` AD/AR regions, by one Pfaffian over the gamma host;
     both give 0 when the colours do not balance and raise
     ``OutOfScopeConfigurationError`` outside their families, for
-    ``pfaffian`` only the three gamma cases the module docstring names.
+    ``pfaffian`` only a gamma past b - a.
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")

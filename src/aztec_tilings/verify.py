@@ -14,8 +14,9 @@ state of ``rng``; a failed check is yielded, never raised.
   generalization against the DP count, and the alternating identity behind
   them, on random face vertices of diamonds and gamma-augmented hosts.
 - ``mt``: ``count_configuration(config, "pfaffian")`` against the DP count
-  on three-sided draws (``gamma=k'`` ones among them), four-sided draws with
-  an alpha on each black side of a rectangle, and diamonds.
+  on three-sided draws with NE alphas, four-sided draws with an alpha on
+  each black side of a rectangle, draws with SW alphas, and diamonds; all
+  but the diamonds may keep a gamma string 1..g, and the SW draws always do.
 
 The module reads no environment variable and prints nothing.
 """
@@ -192,10 +193,13 @@ def _verify_mt(max_a: int, max_b: int, trials: int, rng: random.Random) -> Itera
             label = f"three-sided a={a} b={b} gamma={g} {betas}/{alphas}"
             yield _compare(label, config)
 
-        if k:  # an alpha on each black side of a rectangle: the nested four-sided route
-            alphas = (DefectSpec("NE", rng.randint(1, a)), DefectSpec("SW", rng.randint(1, a)))
-            config = DefectConfiguration(a, b, tuple(rng.sample(whites, 2 + k)), alphas)
-            yield _compare(f"four-sided a={a} b={b}", config)
+        # an alpha on each black side of a rectangle, then SW alphas only, keeping
+        # gammas 1..g: both take the (beta, SW alpha) entries of the one Pfaffian
+        for sides, g in ((("NE", "SW"), rng.randint(0, k)), (("SW",), rng.randint(1, k))) if k else ():
+            alphas = tuple(DefectSpec(side, rng.randint(1, a)) for side in sides)
+            betas = tuple(rng.sample(whites, len(sides) + k - g))
+            config = DefectConfiguration(a, b, betas, alphas, tuple(range(1, g + 1)))
+            yield _compare(f"{'+'.join(sides)} alphas a={a} b={b} gamma={g} {betas}/{alphas}", config)
 
         nd = rng.randint(1, min(3, a))
         blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]

@@ -31,7 +31,6 @@ from aztec_tilings import (
     is_white,
     make_aztec_rectangle,
 )
-from aztec_tilings import condensation
 from aztec_tilings.cli import main
 from aztec_tilings.errors import CondensationInapplicableError
 from oracles import determinant, pfaffian, pfaffian_expand_first_row
@@ -231,8 +230,8 @@ def test_criterion_5_defect_counters_end_to_end():
             a, b, tuple(rng.sample(whites, n + k)), tuple(rng.sample(blacks, n))
         )
         want = count_tilings_dp(config.region())
-        # nested on purpose, one-side alphas too
-        assert condensation._four_sided_count(a, b, config.betas, config.alphas) == want, config
+        # alphas on either black side or on both
+        assert count_configuration(config, "pfaffian") == want, config
         four_checks += 1
 
     elapsed = time.monotonic() - start

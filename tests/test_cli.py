@@ -200,17 +200,24 @@ def test_formula_unrecognized_exit_2(capsys):
 
 
 def test_pfaffian_gamma_spec_exit_2(capsys):
-    # the three gamma cases the Pfaffian counters refuse; auto counts them by kasteleyn
-    for spec in (
-        "AR a=2 b=3 gamma=2 remove=NE:1",  # gamma 2 outside 1..b-a
-        "AR a=2 b=4 gamma=1 remove=SE:2,SE:3,SW:1",  # SW alphas with gammas
-        "AR a=2 b=4 gamma=1 remove=SE:2,SE:3,SE:4,NE:1,SW:1",  # four-sided with gammas
-    ):
+    # the one gamma case the Pfaffian count refuses; auto counts it by kasteleyn
+    for spec in ("AR a=2 b=3 gamma=2 remove=NE:1",):  # gamma 2 outside 1..b-a
         code, out, err = run_cli(capsys, "count", spec, "--engine", "pfaffian")
         assert (code, out) == (2, ""), spec
         assert err.startswith("error: ") and "gamma" in err, spec
         kasteleyn = run_cli(capsys, "count", spec, "--engine", "kasteleyn")
         assert run_cli(capsys, "count", spec) == kasteleyn
+        assert kasteleyn[0] == 0 and kasteleyn[1] != "0\n", spec
+
+
+def test_pfaffian_counts_sw_alphas_with_gammas(capsys):
+    # once refused: SW alphas with gammas, and alphas on both black sides with gammas
+    for spec in (
+        "AR a=2 b=4 gamma=1 remove=SE:2,SE:3,SW:1",
+        "AR a=2 b=4 gamma=1 remove=SE:2,SE:3,SE:4,NE:1,SW:1",
+    ):
+        kasteleyn = run_cli(capsys, "count", spec, "--engine", "kasteleyn")
+        assert run_cli(capsys, "count", spec, "--engine", "pfaffian") == kasteleyn, spec
         assert kasteleyn[0] == 0 and kasteleyn[1] != "0\n", spec
 
 
@@ -247,7 +254,7 @@ def test_help_exits_0(capsys):
 
 
 def test_four_sided_spec_without_a_tileable_base_counts_0(capsys):
-    # no 4-subset of the betas passes the cut rule, so the four-sided count is 0 by proof
+    # no 4-subset of the betas leaves a tileable AR(1, 5), so the spec has no tiling
     spec = "AR a=1 b=5 remove=NW:1,NW:2,NW:3,SE:1,SE:2,SE:3,NE:1,SW:1"
     for engine in ("pfaffian", "auto", "kasteleyn"):
         assert run_cli(capsys, "count", spec, "--engine", engine) == (0, "0\n", ""), engine

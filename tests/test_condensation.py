@@ -298,14 +298,10 @@ def test_three_sided_matches_engine_anchor():
     assert count_configuration(cfg, "pfaffian") == want
 
 
-# the three gamma cases the Pfaffian count refuses, each colour-balanced with tilings
+# the one gamma case the Pfaffian count refuses, colour-balanced with tilings
 GAMMAS_OUT_OF_SCOPE = (
     # gamma 2 outside 1..b-a
     _config(2, 3, [("NW", 2)], [("NE", 1)], (2,)),
-    # SW alphas with gammas
-    _config(2, 4, [("SE", 2), ("SE", 3)], [("SW", 1)], (1,)),
-    # four-sided with gammas
-    _config(2, 4, [("SE", 2), ("SE", 3), ("SE", 4)], [("NE", 1), ("SW", 1)], (1,)),
 )
 
 
@@ -317,6 +313,15 @@ def test_gamma_configuration_is_out_of_scope_for_the_pfaffian_counters():
     # AR(2,3) + gamma 1 minus SE 3, NW 2, NE 1 has one white cell fewer than black
     cfg = _config(2, 3, [("SE", 3), ("NW", 2)], [("NE", 1)], gammas=(1,))
     assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") == 0
+
+
+def test_pfaffian_counts_sw_alphas_with_gammas_as_kasteleyn_does():
+    # once refused: SW alphas with gammas, and alphas on both black sides with gammas
+    for cfg in (
+        _config(2, 4, [("SE", 2), ("SE", 3)], [("SW", 1)], (1,)),
+        _config(2, 4, [("SE", 2), ("SE", 3), ("SE", 4)], [("NE", 1), ("SW", 1)], (1,)),
+    ):
+        assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") > 0, cfg
 
 
 def test_pfaffian_counts_gamma_configurations_as_kasteleyn_does():
@@ -380,6 +385,44 @@ def test_three_sided_entries_match_engine():
                     assert condensation._three_sided_entry(a, k, x, y) << a * (a - 1) // 2 == want, (a, k, x, y)
 
 
+def test_sw_entries_match_engine():
+    # every (beta, SW alpha) entry over the gamma host, times 2^(a(a-1)/2), is the
+    # engine count of the host minus the two cells: 0 for a beta in SE 1..k
+    for a in range(1, 5):
+        for k in range(1, 4):
+            b = a + k
+            host = DefectConfiguration(a, b, gammas=tuple(range(1, k + 1))).region()
+            entry = condensation._sw_entries(a, b)
+            for beta in [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]:
+                for alpha in [DefectSpec("SW", p) for p in range(1, a + 1)]:
+                    want = direct_count(host, (boundary_cell(a, b, beta), boundary_cell(a, b, alpha)))
+                    assert entry(beta, alpha) << a * (a - 1) // 2 == want, (a, k, beta, alpha)
+                    assert want == 0 or beta.side == "NW" or beta.position > k
+
+
+def test_pfaffian_matches_kasteleyn_on_seeded_draws():
+    # the routes through the (beta, SW alpha) entries: alphas on both black sides,
+    # SW alphas keeping gammas, and alphas on both sides keeping gammas
+    rng = random.Random(21)
+    nonzero = 0
+    for draw in range(300):
+        a, k = rng.randint(1, 6), rng.randint(1, 4)
+        b = a + k
+        sides = ("SW",) if draw % 3 == 1 else ("NE", "SW")
+        g = rng.randint(1, k) if draw % 3 else 0
+        first = rng.randint(1, k - g + 1)
+        whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
+        blacks = [DefectSpec(s, p) for s in sides for p in range(1, a + 1)]
+        n = rng.randint(len(sides) - 1, min(4, len(blacks)))
+        alphas = tuple(rng.sample(blacks, n))
+        betas = tuple(rng.sample(whites, n + k - g))
+        cfg = DefectConfiguration(a, b, betas, alphas, tuple(range(first, first + g)))
+        want = count_configuration(cfg, "kasteleyn")
+        assert count_configuration(cfg, "pfaffian") == want, cfg
+        nonzero += want > 0
+    assert nonzero > 200
+
+
 def test_three_sided_mixed_entries_match_kasteleyn_at_larger_order():
     # past the DP's reach above: every beta against every alpha and gamma;
     # k = 1 is left out to keep the test under a second
@@ -439,14 +482,19 @@ def test_diamond_engine_entries_with_sw_alpha():
 
 
 def test_four_sided_degenerate_equals_three_sided():
-    # one-side alphas, nested on purpose: the pfaffian engine takes them three-sided
+    # one-side alphas: the SW spec is reflected onto the NE one, and takes no SW entry
     cfg = _config(2, 3, [("SE", 3), ("NW", 1)], [("NE", 2)])
-    assert condensation._four_sided_count(2, 3, cfg.betas, cfg.alphas) == count_configuration(cfg, "pfaffian")
+    mirrored = _config(2, 3, [("SE", 1), ("NW", 3)], [("SW", 1)])
+    assert count_configuration(cfg, "pfaffian") == count_configuration(mirrored, "pfaffian")
+    assert count_configuration(mirrored, "pfaffian") == count_tilings_dp(mirrored.region())
 
 
 def test_four_sided_single_alpha_outer_is_single_entry():
     cfg = _config(2, 3, [("SE", 2), ("NW", 3)], [("SW", 2)])
-    assert condensation._four_sided_count(2, 3, cfg.betas, cfg.alphas) == count_tilings_dp(cfg.region())
+    assert count_configuration(cfg, "pfaffian") == count_tilings_dp(cfg.region())
+    # with gamma 1 kept, the Pfaffian is the one (beta, SW alpha) entry
+    cfg = _config(2, 3, [("NW", 3)], [("SW", 2)], (1,))
+    assert count_configuration(cfg, "pfaffian") == count_tilings_dp(cfg.region()) > 0
 
 
 def test_four_sided_all_sides_anchor():
@@ -454,14 +502,12 @@ def test_four_sided_all_sides_anchor():
     assert count_configuration(cfg, "pfaffian") == count_tilings_dp(cfg.region())
 
 
-def test_pfaffian_nests_exactly_when_a_rectangle_has_alphas_on_both_sides(monkeypatch):
+def test_pfaffian_takes_sw_entries_exactly_when_a_rectangle_has_alphas_on_both_sides(monkeypatch):
     calls = []
-    original = condensation._four_sided_count
-    monkeypatch.setattr(
-        condensation, "_four_sided_count", lambda *args: calls.append(args) or original(*args)
-    )
+    original = condensation._sw_entries
+    monkeypatch.setattr(condensation, "_sw_entries", lambda *args: calls.append(args) or original(*args))
     rng = random.Random(18)
-    nested = 0
+    bordered = 0
     for _ in range(300):
         a, k = rng.randint(1, 4), rng.randint(0, 2)
         b = a + k
@@ -474,38 +520,35 @@ def test_pfaffian_nests_exactly_when_a_rectangle_has_alphas_on_both_sides(monkey
         both_sides = a < b and {d.side for d in cfg.alphas} == {"NE", "SW"}
         assert len(calls) - before == both_sides, cfg
         assert count == count_tilings_dp(cfg.region()), cfg
-        nested += both_sides
-    assert nested > 30
+        bordered += both_sides
+    assert bordered > 30
 
 
-def test_cut_rule_skips_only_beta_subsets_without_a_tiling():
-    # both ways: a subset passes the rule exactly when its sub-rectangle has a tiling
-    skipped = 0
+def test_pfaffian_counts_every_beta_subset_of_small_rectangles():
+    # AR(a, b) minus k = b - a of its whites, tileable or not
+    zeros = 0
     for a in range(1, 5):
         for k in range(4):
             b = a + k
             cells = [DefectSpec(side, p) for side in ("NW", "SE") for p in range(1, b + 1)]
             for s in itertools.combinations(cells, k):
-                count = count_tilings_kasteleyn(DefectConfiguration(a, b, s).region())
-                if not condensation._cuts_balance(a, b, s):
-                    skipped += 1
-                    assert count == 0, (a, b, s)
-                else:
-                    assert count > 0, (a, b, s)
-    assert skipped > 0
+                cfg = DefectConfiguration(a, b, s)
+                count = count_configuration(cfg, "pfaffian")
+                assert count == count_tilings_kasteleyn(cfg.region()), (a, b, s)
+                zeros += count == 0
+    assert zeros > 0
 
 
-def test_four_sided_base_that_passes_the_cut_rule_must_have_a_tiling(monkeypatch):
-    # with the rule disabled the base is the first beta subset in boundary order,
-    # SE 1..3 and NW 3, which has no tiling
-    monkeypatch.setattr(condensation, "_cuts_balance", lambda a, b, betas: True)
+def test_four_sided_spec_with_no_tileable_sub_rectangle_counts_0():
+    # AR(1, 5) minus SE 1..3, NW 1..3, NE 1 and SW 1: no 4 of its betas leave a
+    # tileable AR(1, 5), so it has no tiling
     nw_se = [(side, p) for side in ("NW", "SE") for p in (1, 2, 3)]
-    with pytest.raises(InternalInconsistencyError, match="cut-rule base"):
-        count_configuration(_config(1, 5, nw_se, [("NE", 1), ("SW", 1)]), "pfaffian")
+    cfg = _config(1, 5, nw_se, [("NE", 1), ("SW", 1)])
+    assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") == 0
 
 
 def test_four_sided_spec_without_a_passing_subset_counts_0_quickly():
-    # all C(16, 10) beta subsets fail the cut rule, so the count is 0 and no Pfaffian is built
+    # no 10 of its betas leave a tileable AR(6, 16), so the count is 0
     nw_se = [(side, p) for side in ("NW", "SE") for p in range(1, 9)]
     ne_sw = [(side, p) for side in ("NE", "SW") for p in range(1, 4)]
     cfg = _config(6, 16, nw_se, ne_sw)
@@ -517,16 +560,16 @@ def test_four_sided_spec_without_a_passing_subset_counts_0_quickly():
 
 def test_four_sided_counts_every_beta_set_of_a_thin_rectangle():
     # AR(1, 5) minus NE 1, SW 1 and 6 of its 10 whites: every beta set, those
-    # with no passing 4-subset among them, counts as the determinant does
+    # without a tiling among them, counts as the determinant does
     alphas = [("NE", 1), ("SW", 1)]
     whites = [(side, p) for side in ("NW", "SE") for p in range(1, 6)]
-    unpassed = 0
+    zeros = 0
     for betas in itertools.combinations(whites, 6):
         cfg = _config(1, 5, betas, alphas)
-        subsets = itertools.combinations(cfg.betas, 4)
-        unpassed += not any(condensation._cuts_balance(1, 5, s) for s in subsets)
-        assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn"), betas
-    assert unpassed > 0
+        count = count_configuration(cfg, "pfaffian")
+        assert count == count_configuration(cfg, "kasteleyn"), betas
+        zeros += count == 0
+    assert zeros > 0
 
 
 def test_formula_counts_one_nw_defect_with_no_se_block():
@@ -593,9 +636,8 @@ def test_count_configuration_engines_agree(a, k, data):
         try:
             counts[engine] = count_configuration(cfg, engine)
         except OutOfScopeConfigurationError:
-            # pfaffian refuses only a gamma outside 1..k, and SW alphas with gammas
-            sw = any(d.side == "SW" for d in alphas)
-            assert engine == "formula" or engine == "pfaffian" and g and (gammas[-1] > k or sw)
+            # pfaffian refuses only a gamma outside 1..k
+            assert engine == "formula" or engine == "pfaffian" and g and gammas[-1] > k
     assert all(type(c) is int for c in counts.values()), counts
     assert len({(type(c), c) for c in counts.values()}) == 1, counts
 
