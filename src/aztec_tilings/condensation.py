@@ -30,9 +30,8 @@ the entries are taken as the closed forms' unscaled integer sums, and the
 power of two they share is applied once, in the quotient.  The exception,
 a beta against an SW alpha when k > 0, is a gamma-free three-sided count by
 a forcing lemma, and it is taken as a bordered determinant over a block
-shared by every such entry (``_sw_entries``).  A gamma-free configuration
-whose alphas all sit on SW is reflected onto NE instead; at k = 0 the host
-is AD(a) itself and every entry is a closed form.  The count takes only the
+shared by every such entry (``_sw_entries``).  At k = 0 the host is AD(a)
+itself and every entry is a closed form.  The count takes only the
 numbers of a configuration and builds no cells; defects are put in boundary
 order by ``geometry.perimeter_index``.  It refuses one gamma case, raising
 ``OutOfScopeConfigurationError``: a gamma past b - a, which H does not hold.
@@ -71,7 +70,7 @@ from .errors import (
     InvalidParameterError,
     OutOfScopeConfigurationError,
 )
-from .exactalg import determinant
+from .exactalg import adjugate, determinant
 from .formulas import (
     ad_adjacent_sum,
     ar_gamma_nw_sum,
@@ -313,30 +312,6 @@ def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
     return unscaled(a, k - p + 1, pos - p + 1) << a
 
 
-@functools.lru_cache(maxsize=64)
-def _gamma_block(a: int, k: int) -> tuple[tuple[DefectSpec, ...], tuple[DefectSpec, ...], int, tuple]:
-    """The fixed betas SE a+1..a+k, gammas 1..k, +-det A and +-adj(A) for ``_sw_entries``' block A.
-
-    Each entry of A is negated, as the Pfaffian lists a gamma before a fixed
-    beta; a later gamma's entry is 0.  The sign is the part of the
-    Pfaffian's that depends only on (a, k): (-1)^(k(k+1)/2) times -1 for
-    each pair of a fixed beta and a gamma after it.  adj(A) is taken by
-    cofactors.
-    """
-    b = a + k
-    fixed = tuple(DefectSpec("SE", a + i) for i in range(1, k + 1))
-    gammas = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1))
-    block = [[-_three_sided_entry(a, k, f, g) for g in gammas] for f in fixed]
-    later = sum(perimeter_index(a, b, g) > perimeter_index(a, b, f) for f in fixed for g in gammas)
-    sign = (-1) ** (k * (k + 1) // 2 + later)
-
-    def cofactor(i: int, j: int) -> int:
-        return (-1) ** (i + j) * determinant([r[:j] + r[j + 1 :] for n, r in enumerate(block) if n != i])
-
-    adj = tuple(tuple(sign * cofactor(j, i) for j in range(k)) for i in range(k))
-    return fixed, gammas, sign * determinant(block), adj
-
-
 def _sw_entries(a: int, b: int) -> Callable[[DefectSpec, DefectSpec], int]:
     """The (beta, SW alpha) entries of one count over the gamma host, k = b - a > 0, / 2^(a(a-1)/2).
 
@@ -346,20 +321,28 @@ def _sw_entries(a: int, b: int) -> Callable[[DefectSpec, DefectSpec], int]:
     Mirrored by ``_mirror_spec``, that is a gamma-free three-sided count with
     the fixed betas SE a+1..a+k, the beta and an NE alpha, and its Pfaffian
     is +-det [[A, c], [r, e]] = +-(e det A - r adj(A) c), listing the beta's
-    row last.  A holds the fixed betas against gammas 1..k and depends only
-    on (a, k) (``_gamma_block``); r is the beta against the gammas, c the
-    fixed betas against the alpha and e the beta against the alpha.  This
-    is a Schur-complement step (Knuth, Overlapping Pfaffians, 1996).  A beta
-    in SE 1..k mirrors to a fixed beta, whose r is a row of A and whose e is
+    row last.  A holds the fixed betas against gammas 1..k, each entry
+    negated as the Pfaffian lists a gamma before a fixed beta, and depends
+    only on (a, k); r is the beta against the gammas, c the fixed betas
+    against the alpha and e the beta against the alpha.  This is a
+    Schur-complement step (Knuth, Overlapping Pfaffians, 1996).  A beta in
+    SE 1..k mirrors to a fixed beta, whose r is a row of A and whose e is
     that row's entry of c, so the bordered determinant is 0.
 
-    Read from the alpha onward, the cyclic order has the gammas before an SE
-    beta between the alpha and the beta; each negates its r entry and the
-    sign.  Every entry of A and r carries 2^a, so the division by 2^(ak) is
-    exact.  r adj(A) is taken once per beta and c once per alpha.
+    det A and adj(A) are taken once per call by ``exactalg.adjugate``; A is
+    nonsingular, as det A counts AR(a, b) - SE a+1..b.  The sign is
+    (-1)^(k(k+1)/2), times -1 for each pair of a fixed beta and a gamma
+    after it, and, read from the alpha onward, times -1 for each gamma
+    before an SE beta between the alpha and the beta, which also negates
+    its r entry.  Every entry of A and r carries 2^a, so the division by
+    2^(ak) is exact.  r adj(A) is taken once per beta and c once per alpha.
     """
     k = b - a
-    fixed, gammas, det_a, adj = _gamma_block(a, k)
+    fixed = [DefectSpec("SE", a + i) for i in range(1, k + 1)]
+    gammas = [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
+    det_a, adj = adjugate([[-_three_sided_entry(a, k, f, g) for g in gammas] for f in fixed])
+    later = sum(perimeter_index(a, b, g) > perimeter_index(a, b, f) for f in fixed for g in gammas)
+    block_sign = (-1) ** (k * (k + 1) // 2 + later)
 
     @functools.cache
     def row(beta: DefectSpec) -> tuple[DefectSpec, int, list[int]]:
@@ -368,8 +351,7 @@ def _sw_entries(a: int, b: int) -> Callable[[DefectSpec, DefectSpec], int]:
         rank = perimeter_index(a, b, beta) if beta.side == "SE" else -1
         signs = [-1 if perimeter_index(a, b, g) < rank else 1 for g in gammas]
         r = [s * _three_sided_entry(a, k, beta, g) for s, g in zip(signs, gammas)]
-        sign = (-1) ** signs.count(-1)
-        return beta, sign, [sign * sum(map(mul, r, column)) for column in zip(*adj)]
+        return beta, block_sign * (-1) ** signs.count(-1), [sum(map(mul, r, column)) for column in zip(*adj)]
 
     @functools.cache
     def col(alpha: DefectSpec) -> tuple[DefectSpec, list[int]]:
@@ -379,7 +361,7 @@ def _sw_entries(a: int, b: int) -> Callable[[DefectSpec, DefectSpec], int]:
     def entry(beta: DefectSpec, alpha: DefectSpec) -> int:
         beta, sign, w = row(beta)
         alpha, c = col(alpha)
-        bordered = sign * _three_sided_entry(a, k, beta, alpha) * det_a - sum(map(mul, w, c))
+        bordered = sign * (_three_sided_entry(a, k, beta, alpha) * det_a - sum(map(mul, w, c)))
         value, remainder = divmod(bordered, 1 << a * k)
         if remainder:
             raise InternalInconsistencyError(f"SW entry {beta}, {alpha}: not divisible by 2^{a * k}")
@@ -400,13 +382,9 @@ def _three_sided_count(
     The host's count is D = 2^(a(a+1)/2) = s 2^a with s = 2^(a(a-1)/2), and
     every entry is s times ``_three_sided_entry``, or ``_sw_entries`` for
     an SW alpha when k > 0, so the quotient takes the unscaled entries with
-    divisor 2^a and scale s.  A gamma-free count whose alphas all sit on SW
-    is mirrored first, so that it takes no SW entry.
+    divisor 2^a and scale s.
     """
     k = b - a
-    if k and not gammas and {d.side for d in alphas} == {"SW"}:
-        betas = tuple(_mirror_spec(d, a, b) for d in betas)
-        alphas = tuple(_mirror_spec(d, a, b) for d in alphas)
     missing = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1) if t not in gammas)
     deltas = sorted(betas + alphas + missing, key=lambda d: perimeter_index(a, b, d))
     sw_entry = _sw_entries(a, b) if k and any(d.side == "SW" for d in alphas) else None

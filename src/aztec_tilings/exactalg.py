@@ -1,11 +1,13 @@
 """Exact determinants of integer matrices by Bareiss's fraction-free elimination.
 
-Both routines compute in exact ints.  After pivot k the entry (i, j) becomes
+Every routine computes in exact ints.  After pivot k the entry (i, j) becomes
 (p a_ij - a_ik a_kj) / p_prev, the minor on rows and columns 0..k plus i and
 j, so every division is exact and checked, and the last pivot is the
 determinant (Bareiss, Math. Comp. 22, 1968).  ``determinant`` takes a dense
 matrix and swaps in a row for a zero pivot; the condensation counters take
-every Pfaffian as the determinant of its half-size block.
+every Pfaffian as the determinant of its half-size block.  ``adjugate``
+continues the same elimination above each pivot (fraction-free Gauss-Jordan)
+to take a determinant and the adjugate together.
 
 ``determinant_sparse`` takes a matrix as sparse rows.  On a banded matrix it
 touches only rows inside the band: O(n w^2) operations on minors for
@@ -23,22 +25,20 @@ from .errors import InternalInconsistencyError, InvalidMatrixError
 Matrix = Sequence[Sequence[int]]
 
 
-def determinant(m: Matrix) -> int:
-    """Determinant of a square integer matrix by Bareiss's fraction-free elimination.
+def _bareiss(a: list[list[int]], jordan: bool) -> int:
+    """Reduce the rows of a, n of them and at least n wide, in place by Bareiss's steps.
 
-    A copy of the matrix is reduced in place.  A zero pivot is replaced by the
-    first row below it with a nonzero entry in its column, and each such swap
-    flips the sign.
+    Returns the sign of the row swaps, or 0 when a pivot column of the
+    leading n x n block has no nonzero entry left.  A zero pivot is replaced
+    by the first row below it with a nonzero entry in its column.  The plain
+    elimination takes pivots 0..n-2 and clears below each, so a[-1][n-1] ends
+    as the determinant up to that sign.  With ``jordan`` it takes every pivot
+    and clears above it too; only the columns right of the pivot are
+    updated, which is all a caller reads.
     """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise InvalidMatrixError("matrix is not square")
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    p_prev = 1
-    for k in range(n - 1):
+    n = len(a)
+    sign = p_prev = 1
+    for k in range(n if jordan else n - 1):
         pivot_row = next((i for i in range(k, n) if a[i][k]), None)
         if pivot_row is None:
             return 0
@@ -47,10 +47,12 @@ def determinant(m: Matrix) -> int:
             sign = -sign
         rk = a[k]
         p = rk[k]
-        for i in range(k + 1, n):
+        for i in range(0 if jordan else k + 1, n):
+            if i == k:
+                continue
             row_i = a[i]
             aik = row_i[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(rk)):
                 q, r = divmod(p * row_i[j] - aik * rk[j], p_prev)
                 if r:
                     raise InternalInconsistencyError(
@@ -59,7 +61,38 @@ def determinant(m: Matrix) -> int:
                     )
                 row_i[j] = q
         p_prev = p
-    return sign * a[-1][-1]
+    return sign
+
+
+def determinant(m: Matrix) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free elimination.
+
+    A copy of the matrix is reduced by ``_bareiss``.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise InvalidMatrixError("matrix is not square")
+    if n == 0:
+        return 1
+    a = [list(row) for row in m]
+    return _bareiss(a, False) * a[-1][-1]
+
+
+def adjugate(m: Matrix) -> tuple[int, list[list[int]]]:
+    """(det m, adj m) of a nonsingular square integer matrix, by fraction-free Gauss-Jordan.
+
+    ``_bareiss`` reduces [m | I] clearing every pivot's column above the
+    pivot as well as below, so the right half ends as adj(m) up to the sign
+    of the row swaps, and the last pivot as det(m): O(n^3) operations on
+    minors, against n^2 determinants of size n - 1 by cofactors.  Raises
+    ``InvalidMatrixError`` for a singular matrix.
+    """
+    n = len(m)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    sign = _bareiss(a, True)
+    if not sign:
+        raise InvalidMatrixError("matrix is singular")
+    return sign * a[-1][n - 1], [[sign * x for x in row[n:]] for row in a]
 
 
 def determinant_sparse(rows: Sequence[dict[int, int]]) -> int:

@@ -361,7 +361,7 @@ def test_validate_rejects_duplicate_and_out_of_range_defects(gammas):
 
 
 def test_pfaffian_counts_sw_alphas():
-    # SW-only alphas are reflected onto NE; test_four_sided_all_sides_anchor
+    # SW-only alphas take the (beta, SW alpha) entries; test_four_sided_all_sides_anchor
     # counts the same rectangle with alphas on both black sides
     cfg = _config(2, 3, [("SE", 1), ("NW", 2)], [("SW", 1)])
     assert count_configuration(cfg, "pfaffian") == count_tilings_dp(cfg.region())
@@ -482,7 +482,7 @@ def test_diamond_engine_entries_with_sw_alpha():
 
 
 def test_four_sided_degenerate_equals_three_sided():
-    # one-side alphas: the SW spec is reflected onto the NE one, and takes no SW entry
+    # one-side alphas: the SW spec, the NE one's mirror image, counts the same by its SW entries
     cfg = _config(2, 3, [("SE", 3), ("NW", 1)], [("NE", 2)])
     mirrored = _config(2, 3, [("SE", 1), ("NW", 3)], [("SW", 1)])
     assert count_configuration(cfg, "pfaffian") == count_configuration(mirrored, "pfaffian")
@@ -502,7 +502,7 @@ def test_four_sided_all_sides_anchor():
     assert count_configuration(cfg, "pfaffian") == count_tilings_dp(cfg.region())
 
 
-def test_pfaffian_takes_sw_entries_exactly_when_a_rectangle_has_alphas_on_both_sides(monkeypatch):
+def test_pfaffian_takes_sw_entries_exactly_when_a_rectangle_has_sw_alphas(monkeypatch):
     calls = []
     original = condensation._sw_entries
     monkeypatch.setattr(condensation, "_sw_entries", lambda *args: calls.append(args) or original(*args))
@@ -517,10 +517,10 @@ def test_pfaffian_takes_sw_entries_exactly_when_a_rectangle_has_alphas_on_both_s
         cfg = DefectConfiguration(a, b, tuple(rng.sample(whites, n + k)), tuple(rng.sample(blacks, n)))
         before = len(calls)
         count = count_configuration(cfg, "pfaffian")
-        both_sides = a < b and {d.side for d in cfg.alphas} == {"NE", "SW"}
-        assert len(calls) - before == both_sides, cfg
+        sw = a < b and any(d.side == "SW" for d in cfg.alphas)
+        assert len(calls) - before == sw, cfg
         assert count == count_tilings_dp(cfg.region()), cfg
-        bordered += both_sides
+        bordered += sw
     assert bordered > 30
 
 
@@ -537,14 +537,6 @@ def test_pfaffian_counts_every_beta_subset_of_small_rectangles():
                 assert count == count_tilings_kasteleyn(cfg.region()), (a, b, s)
                 zeros += count == 0
     assert zeros > 0
-
-
-def test_four_sided_spec_with_no_tileable_sub_rectangle_counts_0():
-    # AR(1, 5) minus SE 1..3, NW 1..3, NE 1 and SW 1: no 4 of its betas leave a
-    # tileable AR(1, 5), so it has no tiling
-    nw_se = [(side, p) for side in ("NW", "SE") for p in (1, 2, 3)]
-    cfg = _config(1, 5, nw_se, [("NE", 1), ("SW", 1)])
-    assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") == 0
 
 
 def test_four_sided_spec_without_a_passing_subset_counts_0_quickly():

@@ -181,6 +181,24 @@ def test_bareiss_determinant_huge_common_factor():
         assert exactalg.determinant(m) == determinant(m) == 2 ** (800 * n) * determinant(base)
 
 
+def test_adjugate_matches_cofactors():
+    # zero-heavy draws make some pivots zero, so rows are swapped
+    rng = random.Random(13)
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        values = rng.choice(((0, 0, 1, -1, 2), tuple(range(-40, 41))))
+        m = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        det = exactalg.determinant(m)
+        if det == 0:
+            with pytest.raises(InvalidMatrixError):
+                exactalg.adjugate(m)
+            continue
+        minor = lambda i, j: [r[:j] + r[j + 1 :] for s, r in enumerate(m) if s != i]
+        cofactors = [[(-1) ** (i + j) * determinant(minor(j, i)) for j in range(n)] for i in range(n)]
+        assert exactalg.adjugate(m) == (det, cofactors), m
+    assert exactalg.adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])  # one swap
+
+
 def sparse(m):
     return [{j: x for j, x in enumerate(row) if x} for row in m]
 
