@@ -30,7 +30,7 @@ the entries are taken as the closed forms' unscaled integer sums, and the
 power of two they share is applied once, in the quotient.  The exception,
 a beta against an SW alpha when k > 0, is a gamma-free three-sided count by
 a forcing lemma, and it is taken as a bordered determinant over a block
-shared by every such entry (``_sw_entries``).  At k = 0 the host is AD(a)
+built once per host (``_sw_entries``).  At k = 0 the host is AD(a)
 itself and every entry is a closed form.  The count takes only the
 numbers of a configuration and builds no cells; defects are put in boundary
 order by ``geometry.perimeter_index``.  It refuses one gamma case, raising
@@ -312,8 +312,9 @@ def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
     return unscaled(a, k - p + 1, pos - p + 1) << a
 
 
+@functools.lru_cache(maxsize=32)
 def _sw_entries(a: int, b: int) -> Callable[[DefectSpec, DefectSpec], int]:
-    """The (beta, SW alpha) entries of one count over the gamma host, k = b - a > 0, / 2^(a(a-1)/2).
+    """The (beta, SW alpha) entries of the counts over the gamma host, k = b - a > 0, / 2^(a(a-1)/2).
 
     Gamma 1's only neighbour is SE 1, so a tiling of the host minus a beta
     and an alpha pairs gamma t with SE t, for t = 1..k in turn: the entry is
@@ -329,13 +330,18 @@ def _sw_entries(a: int, b: int) -> Callable[[DefectSpec, DefectSpec], int]:
     SE 1..k mirrors to a fixed beta, whose r is a row of A and whose e is
     that row's entry of c, so the bordered determinant is 0.
 
-    det A and adj(A) are taken once per call by ``exactalg.adjugate``; A is
-    nonsingular, as det A counts AR(a, b) - SE a+1..b.  The sign is
+    det A and adj(A) are taken by ``exactalg.adjugate``; A is nonsingular,
+    as det A counts AR(a, b) - SE a+1..b.  The sign is
     (-1)^(k(k+1)/2), times -1 for each pair of a fixed beta and a gamma
     after it, and, read from the alpha onward, times -1 for each gamma
     before an SE beta between the alpha and the beta, which also negates
     its r entry.  Every entry of A and r carries 2^a, so the division by
     2^(ak) is exact.  r adj(A) is taken once per beta and c once per alpha.
+
+    The entries depend only on the host and the two positions, so they are
+    kept per host, for the 32 latest hosts: A, det A, adj(A) and the sign
+    are built once per host, and r adj(A) and c once per host and position,
+    at most 2b betas and a SW alphas.
     """
     k = b - a
     fixed = [DefectSpec("SE", a + i) for i in range(1, k + 1)]
@@ -344,7 +350,7 @@ def _sw_entries(a: int, b: int) -> Callable[[DefectSpec, DefectSpec], int]:
     later = sum(perimeter_index(a, b, g) > perimeter_index(a, b, f) for f in fixed for g in gammas)
     block_sign = (-1) ** (k * (k + 1) // 2 + later)
 
-    @functools.cache
+    @functools.lru_cache(maxsize=2 * b)
     def row(beta: DefectSpec) -> tuple[DefectSpec, int, list[int]]:
         beta = _mirror_spec(beta, a, b)
         # the gammas between the NE alpha and the beta: none for an NW beta
@@ -353,7 +359,7 @@ def _sw_entries(a: int, b: int) -> Callable[[DefectSpec, DefectSpec], int]:
         r = [s * _three_sided_entry(a, k, beta, g) for s, g in zip(signs, gammas)]
         return beta, block_sign * (-1) ** signs.count(-1), [sum(map(mul, r, column)) for column in zip(*adj)]
 
-    @functools.cache
+    @functools.lru_cache(maxsize=a)
     def col(alpha: DefectSpec) -> tuple[DefectSpec, list[int]]:
         alpha = _mirror_spec(alpha, a, b)
         return alpha, [_three_sided_entry(a, k, f, alpha) for f in fixed]
@@ -438,12 +444,10 @@ def _formula_count(config: DefectConfiguration) -> int:
     a, b, gammas = config.a, config.b, config.gammas
     k = b - a
     removed = sorted((d.side, d.position) for d in config.betas + config.alphas)
+    if not removed and gammas == tuple(range(1, k + 1)):
+        return count_aztec_diamond(a)  # AD(a) plus its gammas; balance forces k = 0 without them
     if gammas:
-        if not removed and gammas == tuple(range(1, k + 1)):
-            return count_aztec_diamond(a)
         raise OutOfScopeConfigurationError("no closed form for this augmented family")
-    if not removed:
-        return count_aztec_diamond(a)  # balance forces a = b
     sides = {s for s, _ in removed}
     if sides == {"SE"}:
         # colour balance guarantees exactly a kept positions

@@ -178,8 +178,14 @@ def count_ad_adjacent_defects(a: int, i: int, j: int) -> int:
     return 2 ** (a * (a - 1) // 2) * ad_adjacent_sum(a, i, j)
 
 
+@functools.lru_cache(maxsize=4096)
 def ad_adjacent_sum(a: int, i: int, j: int) -> int:
-    """``count_ad_adjacent_defects(a, i, j)`` / 2^(a(a-1)/2), unchecked."""
+    """``count_ad_adjacent_defects(a, i, j)`` / 2^(a(a-1)/2), unchecked.
+
+    Memoized: the counts over one host ask for the same (a, i, j) again, and
+    a miss still takes its two columns from ``_ad_column``'s cache, which
+    the entries of one cold count share.
+    """
     return sum(map(mul, _ad_column(a, i - 1, 2), _ad_column(a, j - 1, 1)))
 
 

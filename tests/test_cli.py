@@ -1,5 +1,6 @@
 """Command-line interface: parsing, engines, rendering, verify suites."""
 
+import functools
 import json
 import os
 import random
@@ -316,6 +317,9 @@ def test_verify_fault_injection_detected(capsys, monkeypatch):
         return value + 1 if value else value
 
     monkeypatch.setattr(condensation, "_three_sided_entry", off_by_one)
+    # a fresh memo, so the host entries built under the fault go with it
+    fresh = functools.lru_cache(maxsize=32)(condensation._sw_entries.__wrapped__)
+    monkeypatch.setattr(condensation, "_sw_entries", fresh)
     code, out, _ = run_cli(capsys, "verify", "mt", "--trials", "5", "--seed", "1")
     assert code == 3
     assert "first counterexample" in out

@@ -387,17 +387,48 @@ def test_three_sided_entries_match_engine():
 
 def test_sw_entries_match_engine():
     # every (beta, SW alpha) entry over the gamma host, times 2^(a(a-1)/2), is the
-    # engine count of the host minus the two cells: 0 for a beta in SE 1..k
+    # engine count of the host minus the two cells: 0 for a beta in SE 1..k.
+    # Each host is first used in a count, so the entries checked are the ones
+    # its memo serves to later counts
     for a in range(1, 5):
         for k in range(1, 4):
             b = a + k
-            host = DefectConfiguration(a, b, gammas=tuple(range(1, k + 1))).region()
+            cfg = _config(a, b, [("SE", p) for p in range(1, k + 2)], [("SW", a)])
+            assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn")
+            hits = condensation._sw_entries.cache_info().hits
             entry = condensation._sw_entries(a, b)
+            assert condensation._sw_entries.cache_info().hits == hits + 1
+            host = DefectConfiguration(a, b, gammas=tuple(range(1, k + 1))).region()
             for beta in [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]:
                 for alpha in [DefectSpec("SW", p) for p in range(1, a + 1)]:
                     want = direct_count(host, (boundary_cell(a, b, beta), boundary_cell(a, b, alpha)))
                     assert entry(beta, alpha) << a * (a - 1) // 2 == want, (a, k, beta, alpha)
                     assert want == 0 or beta.side == "NW" or beta.position > k
+
+
+def test_a_fault_planted_after_the_memos_are_warm_still_fails(monkeypatch):
+    # the _sw_entries memo sits above _three_sided_entry, so a fault planted
+    # there once AR(4, 6)'s entries are memoized must still change the counts
+    specs = [
+        _config(4, 6, [("SE", 1), ("SE", 4), ("NW", 3)], [("SW", 2)]),
+        _config(4, 6, [("SE", 3), ("SE", 5), ("NW", 2)], [("SW", 4)]),
+        _config(6, 6, [("SE", 2)], [("NE", 3)]),
+        _config(6, 6, [("SE", 2), ("NW", 4)], [("NE", 3), ("SW", 5)]),
+        _config(6, 6, [("SE", 1), ("SE", 5), ("NW", 3)], [("NE", 2), ("SW", 1), ("SW", 6)]),
+    ]
+    want = [count_configuration(cfg, "kasteleyn") for cfg in specs]
+    assert [count_configuration(cfg, "pfaffian") for cfg in specs] == want
+    original = condensation._three_sided_entry
+
+    def off_by_one(a, k, d1, d2):
+        value = original(a, k, d1, d2)
+        return value + 1 if value else value
+
+    monkeypatch.setattr(condensation, "_three_sided_entry", off_by_one)
+    misses = condensation._sw_entries.cache_info().misses
+    for cfg, count in zip(specs, want):
+        assert count_configuration(cfg, "pfaffian") != count, cfg
+    assert condensation._sw_entries.cache_info().misses == misses  # served warm
 
 
 def test_pfaffian_matches_kasteleyn_on_seeded_draws():

@@ -2,8 +2,10 @@
 
 import ast
 import hashlib
+import importlib
 import importlib.util
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -35,6 +37,18 @@ def test_no_module_imports_fractions():
             else:
                 continue
             assert not any(name.split(".")[0] == "fractions" for name in names), path.name
+
+
+def test_every_module_level_cache_is_bounded():
+    # a cache kept across counts must not grow with the number of counts
+    caches = {}
+    for info in pkgutil.iter_modules(aztec_tilings.__path__):
+        module = importlib.import_module(f"aztec_tilings.{info.name}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and value.__module__ == module.__name__:
+                caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
+    assert {"formulas.ad_adjacent_sum", "formulas._ad_column", "condensation._sw_entries"} <= caches.keys()
+    assert all(maxsize is not None for maxsize in caches.values()), caches
 
 
 def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path):
