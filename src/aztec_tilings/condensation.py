@@ -69,6 +69,7 @@ from .errors import (
     InvalidOrderError,
     InvalidParameterError,
     OutOfScopeConfigurationError,
+    exact_quotient,
 )
 from .exactalg import adjugate, determinant
 from .formulas import (
@@ -168,9 +169,7 @@ def _pfaffian_quotient(
     """
     pf = scale * _bipartite_pfaffian(labels, in_rows, entry)
     power = len(labels) // 2 - 1  # -1 for no labels: the count is scale * divisor
-    value, remainder = divmod(pf, divisor**power) if power >= 0 else (pf * divisor, 0)
-    if remainder:
-        raise InternalInconsistencyError(f"{what}: {scale} Pf = {pf} not divisible by {divisor}^{power}")
+    value = exact_quotient(pf, divisor**power, what) if power >= 0 else pf * divisor
     if value < 0:
         raise InternalInconsistencyError(f"{what}: negative Pfaffian {pf}")
     return value
@@ -368,10 +367,7 @@ def _sw_entries(a: int, b: int) -> Callable[[DefectSpec, DefectSpec], int]:
         beta, sign, w = row(beta)
         alpha, c = col(alpha)
         bordered = sign * (_three_sided_entry(a, k, beta, alpha) * det_a - sum(map(mul, w, c)))
-        value, remainder = divmod(bordered, 1 << a * k)
-        if remainder:
-            raise InternalInconsistencyError(f"SW entry {beta}, {alpha}: not divisible by 2^{a * k}")
-        return value
+        return exact_quotient(bordered, 1 << a * k, "SW entry")
 
     return entry
 

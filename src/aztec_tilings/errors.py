@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one checked exact division."""
 
 
 class AztecError(Exception):
@@ -39,3 +39,15 @@ class OutOfScopeConfigurationError(AztecError, ValueError):
 
 class InternalInconsistencyError(AztecError, AssertionError):
     """An exactness invariant failed; indicates a convention or dispatch bug."""
+
+
+def exact_quotient(x: int, d: int, what: str) -> int:
+    """x / d, which must be exact; a remainder raises ``InternalInconsistencyError`` naming what.
+
+    The operands are printed in hex, which has no digit limit, so a huge
+    value cannot turn the error into a ``ValueError`` from ``str``.
+    """
+    q, r = divmod(x, d)
+    if r:
+        raise InternalInconsistencyError(f"{what}: {x:#x} is not divisible by {d:#x}")
+    return q

@@ -28,7 +28,7 @@ import math
 from operator import mul
 from typing import Sequence
 
-from .errors import InternalInconsistencyError, InvalidParameterError
+from .errors import InvalidParameterError, exact_quotient
 
 
 def binomial_ext(c: int, d: int) -> int:
@@ -62,12 +62,7 @@ def count_ar_kept_se(a: int, b: int, kept: Sequence[int]) -> int:
         raise InvalidParameterError(f"kept positions must lie in 1..{b}")
     num = math.prod(s[j] - s[i] for i in range(a) for j in range(i + 1, a))
     den = math.prod(j - i for i in range(a) for j in range(i + 1, a))
-    quotient, remainder = divmod(num, den)
-    if remainder:
-        raise InternalInconsistencyError(
-            f"count_ar_kept_se({a}, {b}, {s}): {num} not divisible by {den}"
-        )
-    return 2 ** (a * (a + 1) // 2) * quotient
+    return 2 ** (a * (a + 1) // 2) * exact_quotient(num, den, f"count_ar_kept_se({a}, {b}, {s})")
 
 
 def count_ar_one_se_removed(a: int, i: int) -> int:

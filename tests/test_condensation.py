@@ -27,7 +27,7 @@ from aztec_tilings import (
     is_white,
     make_aztec_rectangle,
 )
-from aztec_tilings import condensation
+from aztec_tilings import condensation, exactalg
 from aztec_tilings.condensation import _bipartite_pfaffian, _pfaffian_quotient, diamond_normal_form
 from aztec_tilings.errors import (
     CondensationInapplicableError,
@@ -38,7 +38,7 @@ from aztec_tilings.errors import (
     InvalidParameterError,
     OutOfScopeConfigurationError,
 )
-from oracles import pfaffian, pfaffian_expand_first_row
+from oracles import determinant, pfaffian, pfaffian_expand_first_row
 
 
 def direct_count(region, gone):
@@ -690,15 +690,33 @@ def test_kasteleyn_matches_pfaffian_four_sided(a, k, data):
     assert count_configuration(cfg, "kasteleyn") == count_configuration(cfg, "pfaffian")
 
 
+def _seeded_diamond(rng, a, per_side):
+    """AD(a) minus per_side NE and per_side SW alphas and 2 per_side betas on SE and NW."""
+    betas = rng.sample([(side, p) for side in ("SE", "NW") for p in range(1, a + 1)], 2 * per_side)
+    alphas = [(side, p) for side in ("NE", "SW") for p in rng.sample(range(1, a + 1), per_side)]
+    return _config(a, a, betas, alphas)
+
+
 def test_kasteleyn_matches_pfaffian_at_large_order():
-    for a, b, betas, alphas in (
-        (24, 24, [("SE", 3), ("NW", 8)], [("NE", 5), ("SW", 2)]),
-        (18, 21, [("SE", 1), ("SE", 5), ("SE", 9), ("NW", 2), ("NW", 7)], [("NE", 3), ("SW", 4)]),
+    for cfg in (
+        _config(24, 24, [("SE", 3), ("NW", 8)], [("NE", 5), ("SW", 2)]),
+        _config(18, 21, [("SE", 1), ("SE", 5), ("SE", 9), ("NW", 2), ("NW", 7)], [("NE", 3), ("SW", 4)]),
+        _seeded_diamond(random.Random(16), 16, 4),  # an 8 x 8 block
     ):
-        cfg = _config(a, b, betas, alphas)
         kasteleyn = count_configuration(cfg, "kasteleyn")
         assert kasteleyn == count_configuration(cfg, "pfaffian") > 0
         assert count_configuration(cfg) == kasteleyn
+
+
+def test_pfaffian_block_at_benchmark_size_matches_fraction_elimination(monkeypatch):
+    # the largest block the Pfaffian counter eliminates in the benchmark: AD(40)
+    # minus 10 NE, 10 SW and 20 betas gives a 20 x 20 block of entries up to ~70 bits
+    blocks = []
+    monkeypatch.setattr(condensation, "determinant", lambda m: blocks.append(m) or exactalg.determinant(m))
+    count_configuration(_seeded_diamond(random.Random(40), 40, 10), "pfaffian")
+    [block] = blocks
+    assert len(block) == 20
+    assert exactalg.determinant(block) == determinant(block) != 0
 
 
 def test_auto_counts_gamma_specs_by_pfaffian_and_falls_back_to_kasteleyn(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aztec_tilings import determinant_sparse, exactalg
-from aztec_tilings.errors import InvalidMatrixError
+from aztec_tilings.errors import InvalidMatrixError, exact_quotient
 from oracles import determinant, pfaffian, pfaffian_expand_first_row
 
 
@@ -147,11 +147,15 @@ def test_large_entries_bipartite_pattern():
 
 
 def test_bareiss_determinant_matches_fraction_elimination():
+    # n up to 10 takes up to four two-steps; zero-heavy draws make singular
+    # pivot blocks (the one-step fallback) and zero pivots (row swaps)
     rng = random.Random(11)
-    for _ in range(150):
-        n = rng.randint(1, 8)
-        values = rng.choice(((0, 0, 1, -1, 2), tuple(range(-40, 41))))
+    for n in [1, 2, 3, 4] * 100 + [rng.randint(5, 10) for _ in range(200)]:
+        values = rng.choice(((0, 0, 0, 1, -1), (0, 0, 1, -1, 2), tuple(range(-40, 41))))
         m = [[rng.choice(values) for _ in range(n)] for _ in range(n)]
+        assert exactalg.determinant(m) == determinant(m), m
+    for n in range(2, 11):
+        m = [[rng.getrandbits(100) - 2**99 for _ in range(n)] for _ in range(n)]
         assert exactalg.determinant(m) == determinant(m), m
 
 
@@ -175,10 +179,51 @@ def test_bareiss_determinant_singular_and_empty():
 
 def test_bareiss_determinant_huge_common_factor():
     rng = random.Random(12)
-    for n in (1, 3, 6):
+    for n in (1, 3, 6, 9):
         base = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         m = [[2**800 * x for x in row] for row in base]
         assert exactalg.determinant(m) == determinant(m) == 2 ** (800 * n) * determinant(base)
+
+
+def _pivot_blocks(monkeypatch, m):
+    """exactalg.determinant(m), and the minor of every 2 x 2 pivot block it tried."""
+    blocks = []
+
+    def recorded(x, d, what):
+        q = exact_quotient(x, d, what)
+        if what == "Bareiss block":
+            blocks.append(q)
+        return q
+
+    monkeypatch.setattr(exactalg, "exact_quotient", recorded)
+    return exactalg.determinant(m), blocks
+
+
+def test_bareiss_singular_pivot_block_falls_back_to_one_step(monkeypatch):
+    # a_00 != 0 but the leading 2 x 2 block is singular, so column 0 is
+    # cleared alone; column 1 is then 0 in row 1, so its pivot row is found
+    # only below it, swapped in with a sign flip, and two-stepped from there
+    m = [[1, 2, 0, 1], [2, 4, 1, 0], [0, 1, 3, 1], [1, 0, 2, 5]]
+    assert _pivot_blocks(monkeypatch, m) == (determinant(m), [0, 1]) == (-22, [0, 1])
+    # the same at n = 5, where a two-step follows the fallback with a row below
+    m = [[2, 1, 0, 1, 3], [4, 2, 1, 0, 1], [0, 1, 3, 1, 2], [1, 0, 2, 5, 1], [3, 1, 1, 2, 2]]
+    assert _pivot_blocks(monkeypatch, m) == (determinant(m), [0, 2]) == (-48, [0, 2])
+
+
+def test_bareiss_two_step_after_a_swap_and_a_zero_column_after_it(monkeypatch):
+    # column 0 has its first nonzero in row 2: swapped in, then a two-step
+    m = [[0, 1, 2, 3], [0, 2, 1, 1], [3, 1, 4, 1], [1, 5, 9, 2]]
+    assert _pivot_blocks(monkeypatch, m) == (determinant(m), [6]) == (86, [6])
+    # column 2 = column 0 + column 1: it is 0 below the first two-step
+    m = [[1, 2, 3, 4], [3, 4, 7, 1], [5, 6, 11, 2], [7, 1, 8, 3]]
+    assert _pivot_blocks(monkeypatch, m) == (0, [-2])
+
+
+def test_adjugate_rejects_non_square_and_takes_empty():
+    for m in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3]], [[1], [2]]):
+        with pytest.raises(InvalidMatrixError, match="matrix is not square"):
+            exactalg.adjugate(m)
+    assert exactalg.adjugate([]) == (1, [])
 
 
 def test_adjugate_matches_cofactors():
