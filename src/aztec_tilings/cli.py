@@ -37,8 +37,8 @@ from typing import NoReturn, Sequence
 
 from .condensation import ENGINES, count_configuration
 from .counting import count_tilings_dp
-from .errors import AztecError, OutOfScopeConfigurationError
-from .geometry import DefectConfiguration, DefectSpec, boundary_cell, is_white
+from .errors import AztecError, InvalidDefectError, OutOfScopeConfigurationError
+from .geometry import SIDES, DefectConfiguration, DefectSpec, boundary_cell, is_white
 from .verify import SUITES
 
 DEFAULT_CELL_LIMIT = 36
@@ -48,9 +48,12 @@ class SpecError(ValueError):
     """Parse or semantic error in a region spec or setting; message names the token."""
 
 
+INT = re.compile(r"-?[0-9]+")
+
+
 def _int(text: str, index: int, item: str) -> int:
     """The spec grammar's INT, ASCII -?[0-9]+; int() alone would also take '1_0', '+2' or '２'."""
-    if not re.fullmatch(r"-?[0-9]+", text):
+    if not INT.fullmatch(text):
         raise SpecError(f"token {index} {item!r}: {text!r} is not an integer")
     try:
         return int(text)
@@ -68,8 +71,11 @@ def _int_value(tokens: list[str], index: int, key: str) -> int:
 def parse_region_spec(text: str) -> DefectConfiguration:
     """Parse a region spec into a defect configuration; no cells are built.
 
-    Every number is checked once, here, and the message names its token, so
-    the final ``DefectConfiguration`` cannot fail.
+    Every token is read once, here, and every defect checked once, by
+    ``DefectSpec`` and then ``DefectConfiguration``; each message names the
+    token at fault.  A spec with several faults reports the first token that
+    does not parse, else the first defect the configuration rejects, betas
+    before alphas.
     """
     tokens = text.split()
     if not tokens:
@@ -103,27 +109,27 @@ def parse_region_spec(text: str) -> DefectConfiguration:
             raise SpecError(f"token {index} {tokens[index]!r}: {exc}") from None
         index += 1
 
-    defects: dict[DefectSpec, None] = {}  # ordered set
+    defects: list[tuple[DefectSpec, str]] = []  # each with its item of the remove= token
     if index < len(tokens) and tokens[index].startswith("remove="):
         for item in tokens[index][len("remove="):].split(","):
             side, _, pos_text = item.partition(":")
-            if side not in ("NW", "NE", "SE", "SW") or not pos_text:
+            if side not in SIDES or not pos_text:
                 raise SpecError(f"token {index} {item!r}: expected SIDE:INT")
-            pos = _int(pos_text, index, item)
             try:
-                spec = DefectSpec(side, pos)
-                boundary_cell(a, b, spec)
+                defects.append((DefectSpec(side, _int(pos_text, index, item)), item))
             except AztecError as exc:
                 raise SpecError(f"token {index} {item!r}: {exc}") from None
-            if spec in defects:
-                raise SpecError(f"token {index} {item!r}: duplicate defect")
-            defects[spec] = None
         index += 1
+    betas = tuple(d for d, _ in defects if d.kind == "beta")
+    alphas = tuple(d for d, _ in defects if d.kind == "alpha")
+    try:
+        config = DefectConfiguration(a, b, betas, alphas, gammas)
+    except InvalidDefectError as exc:  # a defect's, so the remove= token was the last one read
+        item = next(item for spec, item in defects if spec is exc.defect)
+        raise SpecError(f"token {index - 1} {item!r}: {exc}") from None
     if index < len(tokens):
         raise SpecError(f"token {index} {tokens[index]!r}: unexpected trailing token")
-    betas = tuple(d for d in defects if d.kind == "beta")
-    alphas = tuple(d for d in defects if d.kind == "alpha")
-    return DefectConfiguration(a, b, betas, alphas, gammas)
+    return config
 
 
 def _cell_limit() -> int:

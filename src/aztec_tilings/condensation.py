@@ -24,17 +24,20 @@ configuration as one Pfaffian whose host H is the gamma-augmented rectangle
 AR(a, b) plus gammas 1..k, k = b - a, with tiling count the pure power of
 two 2^(a(a+1)/2).  Its labels are the betas, the alphas on both black sides
 and the gammas of 1..k the configuration does not keep, all of them cells on
-H's outer face (Kuo, Applications of graphical condensation, 2004).  Every
-entry but one family collapses to a closed form from the formulas module;
-the entries are taken as the closed forms' unscaled integer sums, and the
-power of two they share is applied once, in the quotient.  The exception,
-a beta against an SW alpha when k > 0, is a gamma-free three-sided count by
-a forcing lemma, and it is taken as a bordered determinant over a block
-built once per host (``_sw_entries``).  At k = 0 the host is AD(a)
-itself and every entry is a closed form.  The count takes only the
-numbers of a configuration and builds no cells; defects are put in boundary
-order by ``geometry.perimeter_index``.  It refuses one gamma case, raising
-``OutOfScopeConfigurationError``: a gamma past b - a, which H does not hold.
+H's outer face (Kuo, Applications of graphical condensation, 2004).  The
+entries are defined in one place, ``_three_sided_row``, a beta's row at a
+time.  Every entry but one family collapses to a closed form from the
+formulas module; the entries are taken as the closed forms' unscaled integer
+sums, without the power of two they share, 2^(a(a-1)/2), or the further
+2^a of the gamma columns, and the product of those powers is applied once,
+in the quotient.  The exception, a beta against an SW alpha when k > 0, is a
+gamma-free three-sided count by a forcing lemma, and it is taken as a
+bordered determinant over a block built once per host (``_sw_entries``).
+At k = 0 the host is AD(a) itself and every entry is a closed form.  The
+count takes only the numbers of a configuration and builds no cells; defects
+are put in boundary order by ``geometry.perimeter_index``.  It refuses one
+gamma case, raising ``OutOfScopeConfigurationError``: a gamma past b - a,
+which H does not hold.
 
 ``count_configuration`` picks the counter for a configuration: the Kasteleyn
 determinant, the DP sweep or the brute-force oracle on ``config.region()``, a
@@ -51,7 +54,8 @@ gammas in the defect counters, and in the symmetric-difference count the
 cells whose toggle gains a white against those whose toggle loses one.  The
 Pfaffian is then, up to a sign fixed by how the classes interleave, the
 determinant of the block of mixed entries, taken by ``exactalg.determinant``
-at half the dimension; only those entries are computed.
+at half the dimension; only those entries are computed, by a row function
+that the caller passes, once per label of the row class.
 """
 
 from __future__ import annotations
@@ -76,7 +80,6 @@ from .formulas import (
     ad_adjacent_sum,
     ar_gamma_nw_sum,
     ar_gamma_se_sum,
-    count_ad_adjacent_defects,
     count_ar_kept_se,
     count_ar_se_block_nw_defect,
     count_ar_se_nw_defects,
@@ -123,51 +126,58 @@ def _validate_cyclic(cycle: Sequence[Cell], chosen: Sequence[Cell]) -> None:
 
 
 def _bipartite_pfaffian(
-    labels: Sequence[T], in_rows: Callable[[T], bool], entry: Callable[[T, T], int]
+    labels: Sequence[T], in_rows: Callable[[T], bool], row: Callable[[T, list[T]], list[int]]
 ) -> int:
-    """Pf[(entry(x, y))] over labels in cyclic order, for a matrix that ``in_rows`` splits.
+    """Pf[(m(x, y))] over labels in cyclic order, for a matrix that ``in_rows`` splits.
 
-    entry(x, y), x before y, must be 0 when ``in_rows`` puts x and y in the
-    same class; only the other entries are computed.  Listing the row class
-    first makes the matrix [[0, B], [-B^T, 0]] for an h x h block B, so
-    Pf = (-1)^(s + h(h-1)/2) det B, where s counts the pairs of a column
-    label followed by a row label, which the listing swaps.  Classes of
-    unequal size give 0.
+    m(x, y), x before y, must be 0 when ``in_rows`` puts x and y in the same
+    class; only the other entries are computed, one row label at a time:
+    row(x, cols) lists m of x and each column label, in cyclic order, as if
+    x came first.  Listing the row class first makes the matrix
+    [[0, B], [-B^T, 0]] for an h x h block B, whose entry (x, y) is m(x, y),
+    or -m(y, x) for a column y before x.  So Pf = (-1)^(s + h(h-1)/2) det B,
+    where s counts the pairs of a column label followed by a row label, which
+    the listing swaps.  Classes of unequal size give 0.
     """
-    rows: list[tuple[int, T]] = []
-    cols: list[tuple[int, T]] = []
+    rows: list[tuple[int, T]] = []  # a row label and the number of columns before it
+    cols: list[T] = []
     swaps = 0
-    for pos, x in enumerate(labels):
+    for x in labels:
         if in_rows(x):
-            rows.append((pos, x))
+            rows.append((len(cols), x))
             swaps += len(cols)
         else:
-            cols.append((pos, x))
+            cols.append(x)
     h = len(rows)
     if len(cols) != h:
         return 0
-    block = [[entry(x, y) if i < j else -entry(y, x) for j, y in cols] for i, x in rows]
+    block = []
+    for before, x in rows:
+        entries = row(x, cols)
+        block.append([-e for e in entries[:before]] + entries[before:])
     return (-1) ** (swaps + h * (h - 1) // 2) * determinant(block)
 
 
 def _pfaffian_quotient(
     labels: Sequence[T],
     in_rows: Callable[[T], bool],
-    entry: Callable[[T, T], int],
+    row: Callable[[T, list[T]], list[int]],
     divisor: int,
     what: str,
     scale: int = 1,
 ) -> int:
-    """scale Pf[(entry(x, y))] / divisor^(k-1) over 2k labels in cyclic order.
+    """scale Pf[(m(x, y))] / divisor^(k-1) over 2k labels in cyclic order.
 
-    The Pfaffian is ``_bipartite_pfaffian``'s, so entries within a class of
-    ``in_rows`` must be 0.  Entries that all share a factor s can be passed
-    divided by it: with scale = s and divisor D / s the quotient is
-    Pf[(s e)] / D^(k-1), the same rational, so the exactness check is the
-    same.  The quotient is a tiling count, so it must be a nonnegative
-    integer.
+    The Pfaffian is ``_bipartite_pfaffian``'s, with its rows from ``row``, so
+    entries within a class of ``in_rows`` must be 0.  Entries that all share
+    a factor s can be passed divided by it: with scale = s and divisor D / s
+    the quotient is Pf[(s m)] / D^(k-1), the same rational, so the exactness
+    check is the same.  The entries of one label, its row and its column,
+    can likewise be passed divided by a factor t, with t in scale, as the
+    Pfaffian is linear in them.  The quotient is a tiling count, so it must
+    be a nonnegative integer.
     """
-    pf = scale * _bipartite_pfaffian(labels, in_rows, entry)
+    pf = scale * _bipartite_pfaffian(labels, in_rows, row)
     power = len(labels) // 2 - 1  # -1 for no labels: the count is scale * divisor
     value = exact_quotient(pf, divisor**power, what) if power >= 0 else pf * divisor
     if value < 0:
@@ -199,7 +209,7 @@ def condensation_count_symdiff(
     return _pfaffian_quotient(
         face_vertices,
         lambda x: is_white(x) != (x in base),
-        lambda x, y: _cells_count(base ^ {x, y}),
+        lambda x, cols: [_cells_count(base ^ {x, y}) for y in cols],
         base_count,
         "condensation",
     )
@@ -279,46 +289,57 @@ def check_kuo_identity(
     return check_face_alternating_identity(region, base, quad)
 
 
-def _mirror_spec(spec: DefectSpec, a: int, b: int) -> DefectSpec:
-    """Reflect u -> 2b - u, swapping the NE and SW sides."""
-    if spec.side in ("NW", "SE"):
-        return DefectSpec(spec.side, b - spec.position + 1, spec.kind)
-    side = "NE" if spec.side == "SW" else "SW"
-    return DefectSpec(side, a - spec.position + 1, spec.kind)
+def _three_sided_row(
+    a: int,
+    b: int,
+    sw: Callable[[DefectSpec], tuple[int, ...]] | None,
+    beta: DefectSpec,
+    cols: Sequence[DefectSpec],
+) -> list[int]:
+    """The entries of a beta against alphas and gammas over the gamma host, / 2^(a(a-1)/2).
 
-
-def _three_sided_entry(a: int, k: int, d1: DefectSpec, d2: DefectSpec) -> int:
-    """Closed-form count of the gamma-augmented rectangle minus two defect cells, / 2^(a(a-1)/2).
-
-    d1 and d2 are a beta and an alpha or gamma, in either order: the only
-    pairs ``_bipartite_pfaffian`` asks for, since a same-colour pair's count
-    is 0.  Alphas sit on the NE side unless k = 0.  The pairs reduce, after
-    the forced staircase strips, to the two-defect diamond and one-defect
-    rectangle families, whose counts carry 2^(a(a-1)/2) and 2^(a(a+1)/2):
-    a (beta, alpha) entry is the diamond's unscaled sum and a (beta, gamma)
-    entry 2^a times the rectangle's.
+    Entry y is the count of the host minus the beta and y: the only pairs
+    ``_bipartite_pfaffian`` asks for, since a same-colour pair's count is 0.
+    A gamma's entry is also divided by 2^a.  Alphas sit on the NE side
+    unless k = b - a is 0; otherwise ``sw`` gives the beta's entries against
+    SW 1..a (``_sw_entries``).  The other pairs reduce, after the forced
+    staircase strips, to the two-defect diamond and one-defect rectangle
+    families, whose counts carry 2^(a(a-1)/2) and 2^(a(a+1)/2): a (beta,
+    alpha) entry is the diamond's unscaled sum, and a (beta, gamma) entry the
+    rectangle's.  The diamond is AD(a) minus SE i and NE j: the
+    colour-preserving symmetry that takes the beta to SE and the alpha to NE
+    reverses positions along the beta's side when the alpha is on SW, and
+    along the alpha's side when exactly one of "beta on NW" and "alpha on SW"
+    holds.
     """
-    if d1.kind != "beta":
-        d1, d2 = d2, d1
-    side, pos = d1.side, d1.position
-    if d2.kind == "alpha":
-        i, j = diamond_normal_form(a, d1, d2)
-        return ad_adjacent_sum(a, i - k, j) if i > k else 0
-    p = d2.position
-    if pos < p:
-        return 0
-    unscaled = ar_gamma_se_sum if side == "SE" else ar_gamma_nw_sum
-    return unscaled(a, k - p + 1, pos - p + 1) << a
+    k = b - a
+    pos, nw = beta.position, beta.side == "NW"
+    gamma_sum = ar_gamma_nw_sum if nw else ar_gamma_se_sum
+    sw_row = sw(beta) if sw else ()
+    entries = []
+    for y in cols:
+        p = y.position
+        if y.kind == "gamma":
+            entries.append(gamma_sum(a, k - p + 1, pos - p + 1) if p <= pos else 0)
+        elif y.side == "NE":
+            entries.append(ad_adjacent_sum(a, pos - k, a + 1 - p if nw else p) if pos > k else 0)
+        elif k:
+            entries.append(sw_row[p - 1])
+        else:
+            entries.append(ad_adjacent_sum(a, a + 1 - pos, p if nw else a + 1 - p))
+    return entries
 
 
 @functools.lru_cache(maxsize=32)
-def _sw_entries(a: int, b: int) -> Callable[[DefectSpec, DefectSpec], int]:
+def _sw_entries(a: int, b: int) -> Callable[[DefectSpec], tuple[int, ...]]:
     """The (beta, SW alpha) entries of the counts over the gamma host, k = b - a > 0, / 2^(a(a-1)/2).
 
+    Returns a function of the beta that lists its entries against SW 1..a.
     Gamma 1's only neighbour is SE 1, so a tiling of the host minus a beta
     and an alpha pairs gamma t with SE t, for t = 1..k in turn: the entry is
     M(AR(a, b) - SE 1..k - beta - alpha), 0 when the beta is one of SE 1..k.
-    Mirrored by ``_mirror_spec``, that is a gamma-free three-sided count with
+    The mirror u -> 2b - u reverses the positions along each side and swaps
+    the NE and SW sides; it makes that a gamma-free three-sided count with
     the fixed betas SE a+1..a+k, the beta and an NE alpha, and its Pfaffian
     is +-det [[A, c], [r, e]] = +-(e det A - r adj(A) c), listing the beta's
     row last.  A holds the fixed betas against gammas 1..k, each entry
@@ -334,71 +355,40 @@ def _sw_entries(a: int, b: int) -> Callable[[DefectSpec, DefectSpec], int]:
     (-1)^(k(k+1)/2), times -1 for each pair of a fixed beta and a gamma
     after it, and, read from the alpha onward, times -1 for each gamma
     before an SE beta between the alpha and the beta, which also negates
-    its r entry.  Every entry of A and r carries 2^a, so the division by
-    2^(ak) is exact.  r adj(A) is taken once per beta and c once per alpha.
+    its r entry.  The entries come from ``_three_sided_row``, so those of A
+    and r leave out the gammas' 2^a.  All k gammas are labels of the
+    mirrored count, so its scale 2^(a(a-1)/2 + ak) over its divisor
+    (2^a)^k leaves the 2^(a(a-1)/2) that the entries leave out: the
+    bordered determinant is the entry itself, with no division.
 
     The entries depend only on the host and the two positions, so they are
-    kept per host, for the 32 latest hosts: A, det A, adj(A) and the sign
-    are built once per host, and r adj(A) and c once per host and position,
-    at most 2b betas and a SW alphas.
+    kept per host, for the 32 latest hosts: A, c, det A, adj(A) and the sign
+    are built once per host, and a beta's entries once per host and beta,
+    for at most 2b betas.
     """
     k = b - a
     fixed = [DefectSpec("SE", a + i) for i in range(1, k + 1)]
     gammas = [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
-    det_a, adj = adjugate([[-_three_sided_entry(a, k, f, g) for g in gammas] for f in fixed])
+    cols = gammas + [DefectSpec("NE", a + 1 - p) for p in range(1, a + 1)]  # SW 1..a, mirrored
+    block = [_three_sided_row(a, b, None, f, cols) for f in fixed]
+    det_a, adj = adjugate([[-x for x in entries[:k]] for entries in block])
+    c = list(zip(*(entries[k:] for entries in block)))  # per SW alpha
     later = sum(perimeter_index(a, b, g) > perimeter_index(a, b, f) for f in fixed for g in gammas)
     block_sign = (-1) ** (k * (k + 1) // 2 + later)
 
     @functools.lru_cache(maxsize=2 * b)
-    def row(beta: DefectSpec) -> tuple[DefectSpec, int, list[int]]:
-        beta = _mirror_spec(beta, a, b)
+    def row(beta: DefectSpec) -> tuple[int, ...]:
+        beta = DefectSpec(beta.side, b + 1 - beta.position)  # mirrored
         # the gammas between the NE alpha and the beta: none for an NW beta
         rank = perimeter_index(a, b, beta) if beta.side == "SE" else -1
         signs = [-1 if perimeter_index(a, b, g) < rank else 1 for g in gammas]
-        r = [s * _three_sided_entry(a, k, beta, g) for s, g in zip(signs, gammas)]
-        return beta, block_sign * (-1) ** signs.count(-1), [sum(map(mul, r, column)) for column in zip(*adj)]
+        entries = _three_sided_row(a, b, None, beta, cols)
+        r = list(map(mul, signs, entries))  # the k gamma entries, signed
+        w = [sum(map(mul, r, column)) for column in zip(*adj)]
+        sign = block_sign * (-1) ** signs.count(-1)
+        return tuple(sign * (e * det_a - sum(map(mul, w, c_alpha))) for e, c_alpha in zip(entries[k:], c))
 
-    @functools.lru_cache(maxsize=a)
-    def col(alpha: DefectSpec) -> tuple[DefectSpec, list[int]]:
-        alpha = _mirror_spec(alpha, a, b)
-        return alpha, [_three_sided_entry(a, k, f, alpha) for f in fixed]
-
-    def entry(beta: DefectSpec, alpha: DefectSpec) -> int:
-        beta, sign, w = row(beta)
-        alpha, c = col(alpha)
-        bordered = sign * (_three_sided_entry(a, k, beta, alpha) * det_a - sum(map(mul, w, c)))
-        return exact_quotient(bordered, 1 << a * k, "SW entry")
-
-    return entry
-
-
-def _three_sided_count(
-    a: int,
-    b: int,
-    betas: tuple[DefectSpec, ...],
-    alphas: tuple[DefectSpec, ...],
-    gammas: tuple[int, ...] = (),
-) -> int:
-    """The count of AR(a, b) plus gammas minus betas and alphas as one Pfaffian over the gamma host.
-
-    The host's count is D = 2^(a(a+1)/2) = s 2^a with s = 2^(a(a-1)/2), and
-    every entry is s times ``_three_sided_entry``, or ``_sw_entries`` for
-    an SW alpha when k > 0, so the quotient takes the unscaled entries with
-    divisor 2^a and scale s.
-    """
-    k = b - a
-    missing = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1) if t not in gammas)
-    deltas = sorted(betas + alphas + missing, key=lambda d: perimeter_index(a, b, d))
-    sw_entry = _sw_entries(a, b) if k and any(d.side == "SW" for d in alphas) else None
-
-    def entry(x: DefectSpec, y: DefectSpec) -> int:
-        beta, other = (x, y) if x.kind == "beta" else (y, x)
-        if sw_entry and other.side == "SW":
-            return sw_entry(beta, other)
-        return _three_sided_entry(a, k, beta, other)
-
-    s = 2 ** (a * (a - 1) // 2)
-    return _pfaffian_quotient(deltas, lambda d: d.kind == "beta", entry, 2**a, "Pfaffian count", s)
+    return row
 
 
 def _balanced(config: DefectConfiguration) -> bool:
@@ -409,30 +399,25 @@ def _balanced(config: DefectConfiguration) -> bool:
 def _pfaffian_count(config: DefectConfiguration) -> int:
     """The paper's count: 0 unless the colours balance, else one Pfaffian over the gamma host.
 
-    Raises ``OutOfScopeConfigurationError`` only for a gamma past b - a,
-    which the host AR(a, b) plus gammas 1..b-a does not hold.
+    The host's count is D = 2^(a(a+1)/2) = s 2^a with s = 2^(a(a-1)/2).
+    Every entry is s times ``_three_sided_row``'s, and an entry of one of
+    the g missing gammas 2^a times more, so the quotient takes the rows with
+    divisor 2^a and scale s 2^(ag).  Raises ``OutOfScopeConfigurationError``
+    only for a gamma past b - a, which the host AR(a, b) plus gammas 1..b-a
+    does not hold.
     """
     if not _balanced(config):
         return 0
-    a, b, gammas = config.a, config.b, config.gammas
-    if gammas and gammas[-1] > b - a:
+    a, b, alphas, gammas = config.a, config.b, config.alphas, config.gammas
+    k = b - a
+    if gammas and gammas[-1] > k:
         raise OutOfScopeConfigurationError("gamma squares need positions in 1..b-a")
-    return _three_sided_count(a, b, config.betas, config.alphas, gammas)
-
-
-def diamond_normal_form(a: int, beta: DefectSpec, alpha: DefectSpec) -> tuple[int, int]:
-    """(i, j) with AD(a) minus beta and alpha congruent to AD(a) minus SE i and NE j.
-
-    The color-preserving symmetry that takes the beta to SE and the alpha to NE
-    reverses positions along the beta's side when the alpha is on SW, and along
-    the alpha's side when exactly one of "beta on NW" and "alpha on SW" holds.
-    """
-    i, j = beta.position, alpha.position
-    if alpha.side == "SW":
-        i = a - i + 1
-    if (beta.side == "NW") != (alpha.side == "SW"):
-        j = a - j + 1
-    return i, j
+    missing = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1) if t not in gammas)
+    labels = sorted(config.betas + alphas + missing, key=lambda d: perimeter_index(a, b, d))
+    sw = _sw_entries(a, b) if k and any(d.side == "SW" for d in alphas) else None
+    row = functools.partial(_three_sided_row, a, b, sw)
+    scale = 2 ** (a * (a - 1) // 2 + a * len(missing))
+    return _pfaffian_quotient(labels, lambda d: d.kind == "beta", row, 2**a, "Pfaffian count", scale)
 
 
 def _formula_count(config: DefectConfiguration) -> int:
@@ -450,7 +435,7 @@ def _formula_count(config: DefectConfiguration) -> int:
         kept = [p for p in range(1, b + 1) if ("SE", p) not in removed]
         return count_ar_kept_se(a, b, kept)
     if k == 0 and len(config.betas) == 1 and len(config.alphas) == 1:
-        return count_ad_adjacent_defects(a, *diamond_normal_form(a, config.betas[0], config.alphas[0]))
+        return _three_sided_row(a, a, None, config.betas[0], config.alphas)[0] << a * (a - 1) // 2
     if sides <= {"SE", "NW"}:
         se = sorted(p for s, p in removed if s == "SE")
         nw = [p for s, p in removed if s == "NW"]

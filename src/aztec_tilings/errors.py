@@ -10,7 +10,11 @@ class InvalidParameterError(AztecError, ValueError):
 
 
 class InvalidDefectError(AztecError, ValueError):
-    """A defect address is malformed, out of range, duplicated or absent."""
+    """A defect address is malformed, out of range, duplicated or absent; ``defect`` names it, if known."""
+
+    def __init__(self, message: str, defect: object = None) -> None:
+        super().__init__(message)
+        self.defect = defect
 
 
 class UnsupportedRegionError(AztecError, ValueError):

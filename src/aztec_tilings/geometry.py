@@ -19,9 +19,10 @@ to a diamond.
 
 A configuration, AR(a, b) plus a gamma string minus beta and alpha defects,
 is described only by numbers: ``DefectConfiguration`` holds a, b, the defect
-addresses and the gamma positions, and checks them by arithmetic through
-``boundary_cell``.  A ``Region`` is only a cell set; ``make_aztec_rectangle``
-and ``DefectConfiguration.region`` build one for the code that needs cells.
+addresses and the gamma positions, and checks each of them once, by
+arithmetic, building no cell.  A ``Region`` is only a cell set;
+``make_aztec_rectangle`` and ``DefectConfiguration.region`` build one for the
+code that needs cells.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ class DefectSpec:
     def __post_init__(self) -> None:
         if self.side not in SIDES:
             raise InvalidDefectError(f"unknown side {self.side!r}")
+        if type(self.position) is not int:  # a bool is not a position either
+            raise InvalidDefectError(f"position must be an int, got {self.position!r}")
         if self.position < 1:
             raise InvalidDefectError(f"position must be >= 1, got {self.position}")
         if not self.kind:
@@ -111,13 +114,18 @@ def make_aztec_rectangle(a: int, b: int) -> Region:
     return Region(cells)
 
 
+def _check_position(a: int, b: int, spec: DefectSpec) -> None:
+    """Raise ``InvalidDefectError`` unless the address is on AR(a, b), or on its gamma string."""
+    length = a if spec.side in BLACK_SIDES else b
+    if spec.position > length:
+        name = "gamma" if spec.kind == "gamma" else spec.side
+        raise InvalidDefectError(f"{name} position {spec.position} out of range 1..{length}", spec)
+
+
 def boundary_cell(a: int, b: int, spec: DefectSpec) -> Cell:
     """The cell of AR(a, b), or of its gamma string, that a defect address names."""
+    _check_position(a, b, spec)
     side, pos = spec.side, spec.position
-    length = a if side in BLACK_SIDES else b
-    if not 1 <= pos <= length:
-        name = "gamma" if spec.kind == "gamma" else side
-        raise InvalidDefectError(f"{name} position {pos} out of range 1..{length}")
     if spec.kind == "gamma":
         return Cell(2 * pos - 2, 2 * a + 1)
     if side == "NW":
@@ -154,8 +162,10 @@ class DefectConfiguration:
 
     ``betas`` are beta-class and ``alphas`` alpha-class ``DefectSpec``s,
     distinct and in range; ``gammas`` are consecutive SE positions inside
-    1..b.  All of it is checked here by arithmetic; cells are built only by
-    ``region``.
+    1..b.  The three are tuples, and a, b and the gammas ints.  All of it is
+    checked here, each defect once, by arithmetic; cells are built only by
+    ``region``.  An ``InvalidDefectError`` names the defect at fault in its
+    ``defect``.
     """
 
     a: int
@@ -166,6 +176,10 @@ class DefectConfiguration:
 
     def __post_init__(self) -> None:
         a, b, gammas = self.a, self.b, self.gammas
+        if not all(type(x) is tuple for x in (self.betas, self.alphas, gammas)):
+            raise InvalidConfigurationError("betas, alphas and gammas must be tuples")
+        if not all(type(x) is int for x in (a, b, *gammas)):
+            raise InvalidParameterError(f"a, b and the gammas must be ints, got {a!r}, {b!r}, {gammas!r}")
         if not 1 <= a <= b:
             raise InvalidParameterError(f"need 1 <= a <= b, got a={a}, b={b}")
         if gammas:
@@ -174,18 +188,18 @@ class DefectConfiguration:
                 raise InvalidParameterError(
                     f"gamma string {first}..{last} does not fit along the SE side (1..{b})"
                 )
-            if tuple(gammas) != tuple(range(first, last + 1)):
+            if gammas != tuple(range(first, last + 1)):
                 raise InvalidParameterError(f"gamma squares must form one string, got {gammas}")
         if any(d.kind != "beta" for d in self.betas):
             raise InvalidConfigurationError("betas must be beta-class defects")
         if any(d.kind != "alpha" for d in self.alphas):
             raise InvalidConfigurationError("alphas must be alpha-class defects")
-        seen: set[DefectSpec] = set()
+        seen: set[tuple[str, int]] = set()  # the side fixes the kind
         for spec in self.betas + self.alphas:
-            boundary_cell(a, b, spec)
-            if spec in seen:
-                raise InvalidDefectError(f"duplicate defect {spec}")
-            seen.add(spec)
+            _check_position(a, b, spec)
+            if (spec.side, spec.position) in seen:
+                raise InvalidDefectError("duplicate defect", spec)
+            seen.add((spec.side, spec.position))
 
     def __len__(self) -> int:
         """The number of cells of ``region()``."""

@@ -10,7 +10,7 @@ from decimal import Decimal
 
 import pytest
 
-from aztec_tilings import cli, condensation, make_aztec_rectangle, verify
+from aztec_tilings import cli, condensation, geometry, make_aztec_rectangle, verify
 from aztec_tilings.cli import DIRECT_BITS, SUITES, decimal_digits, main, parse_region_spec, SpecError
 
 
@@ -79,6 +79,21 @@ def test_spec_integers_are_ascii_digits(capsys, spec, token):
 def test_parse_duplicate_defect_names_its_token():
     with pytest.raises(SpecError, match=r"^token 2 'SE:1': duplicate"):
         parse_region_spec("AD n=2 remove=SE:1,SE:1")
+
+
+def test_parse_builds_no_cells(monkeypatch):
+    # each defect is checked once, by arithmetic: no boundary cell and no Cell at all
+    def no_cells(*args):
+        raise AssertionError("a cell was built")
+
+    monkeypatch.setattr(geometry, "boundary_cell", no_cells)
+    monkeypatch.setattr(geometry, "Cell", no_cells)
+    items = [f"{side}:{p}" for side in ("NW", "SE", "NE", "SW") for p in range(3, 40, 4)]
+    config = parse_region_spec("AD n=40 remove=" + ",".join(items))
+    assert len(config.betas) == len(config.alphas) == 20
+    assert [f"{d.side}:{d.position}" for d in config.betas + config.alphas] == items
+    with pytest.raises(SpecError, match=r"^token 2 'SW:41': SW position 41 out of range 1\.\.40$"):
+        parse_region_spec("AD n=40 remove=" + ",".join(items) + ",SW:41")
 
 
 def test_count_dp_decimal(capsys):
@@ -310,13 +325,12 @@ def test_verify_suites_pass(capsys, suite):
 
 
 def test_verify_fault_injection_detected(capsys, monkeypatch):
-    original = condensation._three_sided_entry
+    original = condensation._three_sided_row
 
-    def off_by_one(a, k, d1, d2):
-        value = original(a, k, d1, d2)
-        return value + 1 if value else value
+    def off_by_one(*args):
+        return [value + 1 if value else value for value in original(*args)]
 
-    monkeypatch.setattr(condensation, "_three_sided_entry", off_by_one)
+    monkeypatch.setattr(condensation, "_three_sided_row", off_by_one)
     # a fresh memo, so the host entries built under the fault go with it
     fresh = functools.lru_cache(maxsize=32)(condensation._sw_entries.__wrapped__)
     monkeypatch.setattr(condensation, "_sw_entries", fresh)

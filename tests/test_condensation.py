@@ -28,7 +28,7 @@ from aztec_tilings import (
     make_aztec_rectangle,
 )
 from aztec_tilings import condensation, exactalg
-from aztec_tilings.condensation import _bipartite_pfaffian, _pfaffian_quotient, diamond_normal_form
+from aztec_tilings.condensation import _bipartite_pfaffian, _pfaffian_quotient
 from aztec_tilings.errors import (
     CondensationInapplicableError,
     InternalInconsistencyError,
@@ -84,15 +84,18 @@ def test_condensation_rejects_zero_base():
         condensation_count(region, [cycle[0], cycle[1]])
 
 
+def _rows(entries):
+    """Row function of the labelled entries m(x, y) = entries[xy], x before y in the alphabet."""
+    return lambda x, cols: [entries.get(min(x, y) + max(x, y), 0) for y in cols]
+
+
 @pytest.mark.parametrize("entry,divisor", [(-1, 1), (1, 2)])
 def test_pfaffian_quotient_rejects_impossible_tiling_count(entry, divisor):
     # four labels, rows a and c: Pf = m_ab m_cd - m_ac m_bd + m_ad m_bc = entry,
     # and the quotient is Pf / divisor^1
     entries = {"ab": entry, "cd": 1}
     with pytest.raises(InternalInconsistencyError):
-        _pfaffian_quotient(
-            "abcd", "ac".__contains__, lambda x, y: entries.get(x + y, 0), divisor, "test"
-        )
+        _pfaffian_quotient("abcd", "ac".__contains__, _rows(entries), divisor, "test")
 
 
 def test_pfaffian_quotient_scale_covers_only_its_own_factor():
@@ -100,9 +103,7 @@ def test_pfaffian_quotient_scale_covers_only_its_own_factor():
     entries = {"ab": 1, "cd": 1}
 
     def quotient(divisor, scale):
-        return _pfaffian_quotient(
-            "abcd", "ac".__contains__, lambda x, y: entries.get(x + y, 0), divisor, "test", scale
-        )
+        return _pfaffian_quotient("abcd", "ac".__contains__, _rows(entries), divisor, "test", scale)
 
     with pytest.raises(InternalInconsistencyError):
         quotient(4, 2)
@@ -114,8 +115,9 @@ def test_pfaffian_quotient_scale_covers_only_its_own_factor():
 
 
 def test_bipartite_pfaffian_sign_rule():
-    # random interleavings of two classes, some of unequal sizes; entries are
-    # asked for only on mixed pairs, earlier label first
+    # random interleavings of two classes, some of unequal sizes; rows are
+    # asked for only against the other class, and each entry they hold is
+    # read on a mixed pair, earlier label first
     rng = random.Random(14)
     for _ in range(300):
         h = rng.randint(0, 5)
@@ -134,9 +136,12 @@ def test_bipartite_pfaffian_sign_rule():
             assert x < y and classes[x] != classes[y]
             return matrix[x][y]
 
+        def row(x, cols):
+            return [entry(min(x, y), max(x, y)) for y in cols]
+
         want = pfaffian(matrix)
         assert want == pfaffian_expand_first_row(matrix)
-        assert _bipartite_pfaffian(range(m), classes.__getitem__, entry) == want, classes
+        assert _bipartite_pfaffian(range(m), classes.__getitem__, row) == want, classes
 
 
 def test_symdiff_reduces_to_deletion():
@@ -367,10 +372,21 @@ def test_pfaffian_counts_sw_alphas():
     assert count_configuration(cfg, "pfaffian") == count_tilings_dp(cfg.region())
 
 
+def _row_entry(a, b, x, y):
+    """The count of the gamma host minus x and y, a beta and an alpha or gamma in either order.
+
+    It is the beta's row entry times 2^(a(a-1)/2), and a gamma's also times 2^a.
+    """
+    beta, other = (x, y) if x.kind == "beta" else (y, x)
+    entry = condensation._three_sided_row(a, b, None, beta, [other])[0]
+    return entry << a * (a - 1) // 2 + (a if other.kind == "gamma" else 0)
+
+
 def test_three_sided_entries_match_engine():
-    # every mixed Pfaffian entry, times 2^(a(a-1)/2), is the engine count of the
-    # gamma host minus two cells; a same-class pair counts 0, which
-    # _bipartite_pfaffian relies on when it never asks for that entry
+    # every mixed Pfaffian entry, times 2^(a(a-1)/2) and a gamma's also times
+    # 2^a, is the engine count of the gamma host minus two cells; a same-class
+    # pair counts 0, which _bipartite_pfaffian relies on when it never asks
+    # for that entry
     for a in range(1, 6):
         for k in range(4):
             host = DefectConfiguration(a, a + k, gammas=tuple(range(1, k + 1))).region()
@@ -382,7 +398,7 @@ def test_three_sided_entries_match_engine():
                 if (x.kind == "beta") == (y.kind == "beta"):
                     assert want == 0, (a, k, x, y)
                 else:
-                    assert condensation._three_sided_entry(a, k, x, y) << a * (a - 1) // 2 == want, (a, k, x, y)
+                    assert _row_entry(a, a + k, x, y) == want, (a, k, x, y)
 
 
 def test_sw_entries_match_engine():
@@ -396,18 +412,18 @@ def test_sw_entries_match_engine():
             cfg = _config(a, b, [("SE", p) for p in range(1, k + 2)], [("SW", a)])
             assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn")
             hits = condensation._sw_entries.cache_info().hits
-            entry = condensation._sw_entries(a, b)
+            row = condensation._sw_entries(a, b)
             assert condensation._sw_entries.cache_info().hits == hits + 1
             host = DefectConfiguration(a, b, gammas=tuple(range(1, k + 1))).region()
             for beta in [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]:
                 for alpha in [DefectSpec("SW", p) for p in range(1, a + 1)]:
                     want = direct_count(host, (boundary_cell(a, b, beta), boundary_cell(a, b, alpha)))
-                    assert entry(beta, alpha) << a * (a - 1) // 2 == want, (a, k, beta, alpha)
+                    assert row(beta)[alpha.position - 1] << a * (a - 1) // 2 == want, (a, k, beta, alpha)
                     assert want == 0 or beta.side == "NW" or beta.position > k
 
 
 def test_a_fault_planted_after_the_memos_are_warm_still_fails(monkeypatch):
-    # the _sw_entries memo sits above _three_sided_entry, so a fault planted
+    # the _sw_entries memo sits above _three_sided_row, so a fault planted
     # there once AR(4, 6)'s entries are memoized must still change the counts
     specs = [
         _config(4, 6, [("SE", 1), ("SE", 4), ("NW", 3)], [("SW", 2)]),
@@ -418,13 +434,12 @@ def test_a_fault_planted_after_the_memos_are_warm_still_fails(monkeypatch):
     ]
     want = [count_configuration(cfg, "kasteleyn") for cfg in specs]
     assert [count_configuration(cfg, "pfaffian") for cfg in specs] == want
-    original = condensation._three_sided_entry
+    original = condensation._three_sided_row
 
-    def off_by_one(a, k, d1, d2):
-        value = original(a, k, d1, d2)
-        return value + 1 if value else value
+    def off_by_one(*args):
+        return [value + 1 if value else value for value in original(*args)]
 
-    monkeypatch.setattr(condensation, "_three_sided_entry", off_by_one)
+    monkeypatch.setattr(condensation, "_three_sided_row", off_by_one)
     misses = condensation._sw_entries.cache_info().misses
     for cfg, count in zip(specs, want):
         assert count_configuration(cfg, "pfaffian") != count, cfg
@@ -467,7 +482,7 @@ def test_three_sided_mixed_entries_match_kasteleyn_at_larger_order():
             for x, y in itertools.product(betas, others):
                 gone = {boundary_cell(a, b, x), boundary_cell(a, b, y)}
                 want = count_tilings_kasteleyn(Region.from_cells(host.cells - gone))
-                assert condensation._three_sided_entry(a, k, x, y) << a * (a - 1) // 2 == want, (a, k, x, y)
+                assert _row_entry(a, b, x, y) == want, (a, k, x, y)
 
 
 def test_pfaffian_counts_unbalanced_as_zero():
@@ -501,7 +516,7 @@ def test_diamond_normal_form_exhaustive():
         for beta in whites:
             for alpha in blacks:
                 want = count_tilings_dp(DefectConfiguration(a, a, (beta,), (alpha,)).region())
-                got = count_ad_adjacent_defects(a, *diamond_normal_form(a, beta, alpha))
+                got = count_configuration(DefectConfiguration(a, a, (beta,), (alpha,)), "formula")
                 assert got == want, (a, beta, alpha)
 
 

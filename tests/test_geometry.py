@@ -156,3 +156,40 @@ def test_configuration_rejects_duplicates_and_out_of_range():
         DefectConfiguration(2, 3, (DefectSpec("SE", 1), DefectSpec("SE", 1)))
     with pytest.raises(InvalidDefectError):
         DefectConfiguration(2, 3, (DefectSpec("SE", 4),))
+
+
+def test_configuration_errors_name_the_defect_at_fault():
+    first, second = DefectSpec("SE", 1), DefectSpec("SE", 1)
+    with pytest.raises(InvalidDefectError, match="^duplicate defect$") as info:
+        DefectConfiguration(2, 3, (first, second))
+    assert info.value.defect is second
+    far = DefectSpec("NE", 3)
+    with pytest.raises(InvalidDefectError, match="^NE position 3 out of range 1..2$") as info:
+        DefectConfiguration(2, 3, (DefectSpec("SE", 1), DefectSpec("SE", 2)), (far,))
+    assert info.value.defect is far
+
+
+@pytest.mark.parametrize("defects", [[DefectSpec("SE", 1), DefectSpec("SE", 2)], {DefectSpec("SE", 1)}])
+def test_configuration_takes_only_tuples(defects):
+    # a list used to pass here, count by kasteleyn, dp and brute, and crash the pfaffian route
+    alphas = (DefectSpec("NE", 2),)
+    with pytest.raises(InvalidConfigurationError, match="tuples"):
+        DefectConfiguration(3, 4, defects, alphas)
+    with pytest.raises(InvalidConfigurationError, match="tuples"):
+        DefectConfiguration(3, 4, alphas=list(alphas))
+    with pytest.raises(InvalidConfigurationError, match="tuples"):
+        DefectConfiguration(3, 5, gammas=[1])
+    assert hash(DefectConfiguration(3, 4, tuple(defects), alphas))
+
+
+@pytest.mark.parametrize("position", [2.5, 2.0, True, False, "2", None])
+def test_defect_position_must_be_an_int(position):
+    # 2.5 used to pass and count 0 by kasteleyn, dp and brute; True counted as position 1
+    with pytest.raises(InvalidDefectError, match="must be an int"):
+        DefectSpec("SE", position)
+
+
+@pytest.mark.parametrize("a,b,gammas", [(2.0, 3, ()), (2, 3.5, ()), (True, 3, ()), (2, 4, (1.0,)), (2, 4, (True,))])
+def test_configuration_numbers_must_be_ints(a, b, gammas):
+    with pytest.raises(InvalidParameterError, match="must be ints"):
+        DefectConfiguration(a, b, gammas=gammas)
