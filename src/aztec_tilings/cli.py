@@ -9,8 +9,8 @@ sensitive), e.g. "AR a=4 b=7 remove=SE:2,SE:4,SE:7".  ``gamma=k`` glues the
 string of k extra squares under the SE side starting at the south corner.
 
 Exit codes: 0 success, 1 usage, parse or semantic error, 2 spec outside the
-engine's scope (``formula`` off its families, ``brute`` past the cell limit,
-``pfaffian`` on a gamma past b - a), 3 verification failure.
+engine's scope (``formula`` off its families, ``brute`` past the cell limit),
+3 verification failure.
 AZTEC_ORACLE_CELL_LIMIT (ASCII digits, default 36) bounds the brute-force
 engine.
 

@@ -22,11 +22,14 @@ The defect counters specialize condensation to Aztec rectangles, and
 returns 0 when the colours do not balance, and otherwise counts the
 configuration as one Pfaffian whose host H is the gamma-augmented rectangle
 AR(a, b) plus gammas 1..k, k = b - a, with tiling count the pure power of
-two 2^(a(a+1)/2).  Its labels are the betas, the alphas on both black sides
-and the gammas of 1..k the configuration does not keep, all of them cells on
-H's outer face (Kuo, Applications of graphical condensation, 2004).  The
-entries are defined in one place, ``_three_sided_row``, a beta's row at a
-time.  Every entry but one family collapses to a closed form from the
+two 2^(a(a+1)/2).  Its labels are the betas, the alphas on both black sides,
+the gammas of 1..k the configuration does not keep and the gammas past k it
+adds, all of them cells on the outer face of H with the added gammas glued
+on (Kuo, Applications of graphical condensation, 2004; Ciucu's
+symmetric-difference condensation, 2015, with base H).  The entries are
+defined in one place, ``_three_sided_row``, a row at a time: a beta's, or an
+added gamma's, which is the sum of two beta rows by the forcing lemma.
+Every entry but one family collapses to a closed form from the
 formulas module; the entries are taken as the closed forms' unscaled integer
 sums, without the power of two they share, 2^(a(a-1)/2), or the further
 2^a of the gamma columns, and the product of those powers is applied once,
@@ -35,27 +38,25 @@ gamma-free three-sided count by a forcing lemma, and it is taken as a
 bordered determinant over a block built once per host (``_sw_entries``).
 At k = 0 the host is AD(a) itself and every entry is a closed form.  The
 count takes only the numbers of a configuration and builds no cells; defects
-are put in boundary order by ``geometry.perimeter_index``.  It refuses one
-gamma case, raising ``OutOfScopeConfigurationError``: a gamma past b - a,
-which H does not hold.
+are put in boundary order by ``geometry.perimeter_index``.  It counts every
+``DefectConfiguration`` and refuses none.
 
 ``count_configuration`` picks the counter for a configuration: the Kasteleyn
 determinant, the DP sweep or the brute-force oracle on ``config.region()``, a
-closed form, or the Pfaffian count.  The default, ``auto``, takes the
-Pfaffian count, the paper's route, for every spec, and falls back to the
-determinant only on the gamma case it refuses.
-``InternalInconsistencyError`` is never caught.
+closed form, or the Pfaffian count.  The default, ``auto``, is another name
+for the Pfaffian count, the paper's route; no error is caught.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
 ``InternalInconsistencyError`` unless the quotient is a nonnegative integer.
 Each caller splits its labels into two classes, and an entry within a class
-counts a colour-unbalanced region, so it is 0: betas against alphas and
-gammas in the defect counters, and in the symmetric-difference count the
-cells whose toggle gains a white against those whose toggle loses one.  The
-Pfaffian is then, up to a sign fixed by how the classes interleave, the
-determinant of the block of mixed entries, taken by ``exactalg.determinant``
-at half the dimension; only those entries are computed, by a row function
-that the caller passes, once per label of the row class.
+counts a colour-unbalanced region, so it is 0: betas and added gammas
+against alphas and missing gammas in the defect counters, and in the
+symmetric-difference count the cells whose toggle gains a white against
+those whose toggle loses one.  The Pfaffian is then, up to a sign fixed by
+how the classes interleave, the determinant of the block of mixed entries,
+taken by ``exactalg.determinant`` at half the dimension; only those entries
+are computed, by a row function that the caller passes, once per label of
+the row class.
 """
 
 from __future__ import annotations
@@ -300,7 +301,10 @@ def _three_sided_row(
 
     Entry y is the count of the host minus the beta and y: the only pairs
     ``_bipartite_pfaffian`` asks for, since a same-colour pair's count is 0.
-    A gamma's entry is also divided by 2^a.  Alphas sit on the NE side
+    A gamma's entry is also divided by 2^a.  An added gamma t past k takes
+    the beta's place: the host plus gamma t minus y pairs gamma t with one
+    of its two neighbours, SE t - 1 (none when t = 1) and SE t, so its row
+    is the sum of those two betas' rows.  Alphas sit on the NE side
     unless k = b - a is 0; otherwise ``sw`` gives the beta's entries against
     SW 1..a (``_sw_entries``).  The other pairs reduce, after the forced
     staircase strips, to the two-defect diamond and one-defect rectangle
@@ -314,6 +318,9 @@ def _three_sided_row(
     """
     k = b - a
     pos, nw = beta.position, beta.side == "NW"
+    if beta.kind == "gamma":
+        rows = (_three_sided_row(a, b, sw, DefectSpec("SE", s), cols) for s in (pos - 1, pos) if s)
+        return list(map(sum, zip(*rows)))
     gamma_sum = ar_gamma_nw_sum if nw else ar_gamma_se_sum
     sw_row = sw(beta) if sw else ()
     entries = []
@@ -397,27 +404,29 @@ def _balanced(config: DefectConfiguration) -> bool:
 
 
 def _pfaffian_count(config: DefectConfiguration) -> int:
-    """The paper's count: 0 unless the colours balance, else one Pfaffian over the gamma host.
+    """The paper's count of a colour-balanced configuration: one Pfaffian over the gamma host.
 
-    The host's count is D = 2^(a(a+1)/2) = s 2^a with s = 2^(a(a-1)/2).
-    Every entry is s times ``_three_sided_row``'s, and an entry of one of
-    the g missing gammas 2^a times more, so the quotient takes the rows with
-    divisor 2^a and scale s 2^(ag).  Raises ``OutOfScopeConfigurationError``
-    only for a gamma past b - a, which the host AR(a, b) plus gammas 1..b-a
-    does not hold.
+    The gamma labels are the symmetric difference of the host's gammas
+    1..k and the configuration's: the g missing ones, removed black cells
+    that join the alphas' class, and the added ones past k, added black
+    cells that join the betas'.  The host's count is D = 2^(a(a+1)/2) = s 2^a
+    with s = 2^(a(a-1)/2).  Every entry is s times ``_three_sided_row``'s,
+    and an entry of a missing gamma 2^a times more, so the quotient takes
+    the rows with divisor 2^a and scale s 2^(ag).
     """
-    if not _balanced(config):
-        return 0
-    a, b, alphas, gammas = config.a, config.b, config.alphas, config.gammas
+    a, b, alphas = config.a, config.b, config.alphas
     k = b - a
-    if gammas and gammas[-1] > k:
-        raise OutOfScopeConfigurationError("gamma squares need positions in 1..b-a")
-    missing = tuple(DefectSpec("SE", t, "gamma") for t in range(1, k + 1) if t not in gammas)
-    labels = sorted(config.betas + alphas + missing, key=lambda d: perimeter_index(a, b, d))
+    # the gammas of 1..k the configuration does not keep, and those past k it adds
+    gammas = tuple(DefectSpec("SE", t, "gamma") for t in set(range(1, k + 1)) ^ set(config.gammas))
+    labels = sorted(config.betas + alphas + gammas, key=lambda d: perimeter_index(a, b, d))
     sw = _sw_entries(a, b) if k and any(d.side == "SW" for d in alphas) else None
     row = functools.partial(_three_sided_row, a, b, sw)
-    scale = 2 ** (a * (a - 1) // 2 + a * len(missing))
-    return _pfaffian_quotient(labels, lambda d: d.kind == "beta", row, 2**a, "Pfaffian count", scale)
+    scale = 2 ** (a * (a - 1) // 2 + a * sum(d.position <= k for d in gammas))
+
+    def in_rows(d: DefectSpec) -> bool:  # the betas and the added gammas
+        return d.kind == "beta" or d.kind == "gamma" and d.position > k
+
+    return _pfaffian_quotient(labels, in_rows, row, 2**a, "Pfaffian count", scale)
 
 
 def _formula_count(config: DefectConfiguration) -> int:
@@ -449,31 +458,23 @@ def _formula_count(config: DefectConfiguration) -> int:
 def count_configuration(config: DefectConfiguration, engine: str = "auto") -> int:
     """Tilings of the configuration's region minus its defects, by one engine.
 
-    ``auto`` (the default) counts by ``pfaffian``; a spec on which
-    ``pfaffian`` raises ``OutOfScopeConfigurationError`` is counted by
-    ``kasteleyn`` instead, and no other error is caught.
-    ``kasteleyn`` (the determinant, polynomial), ``dp`` (the sweep,
-    exponential in the order) and ``brute`` (the matching oracle,
-    exponential) count any configuration, since every configuration's region
-    is hole-free.  ``formula`` covers the closed-form families and
-    ``pfaffian`` AD/AR regions, by one Pfaffian over the gamma host;
-    both give 0 when the colours do not balance and raise
-    ``OutOfScopeConfigurationError`` outside their families, for
-    ``pfaffian`` only a gamma past b - a.
+    ``pfaffian`` and ``auto``, the default and another name for it, count
+    every configuration by one Pfaffian over the gamma host, 0 when the
+    colours do not balance.  ``kasteleyn`` (the determinant, polynomial),
+    ``dp`` (the sweep, exponential in the order) and ``brute`` (the matching
+    oracle, exponential) count any configuration, since every
+    configuration's region is hole-free.  ``formula`` covers the closed-form
+    families, gives 0 when the colours do not balance and raises
+    ``OutOfScopeConfigurationError`` outside its families.
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
-    if engine == "auto":
-        try:
-            return _pfaffian_count(config)
-        except OutOfScopeConfigurationError:
-            engine = "kasteleyn"
+    if engine in ("auto", "pfaffian"):
+        return _pfaffian_count(config) if _balanced(config) else 0
     if engine == "kasteleyn":
         return count_tilings_kasteleyn(config.region())
     if engine == "dp":
         return count_tilings_dp(config.region())
     if engine == "brute":
         return count_matchings_brute(config.region())
-    if engine == "pfaffian":
-        return _pfaffian_count(config)
     return _formula_count(config) if _balanced(config) else 0

@@ -141,9 +141,10 @@ def perimeter_index(a: int, b: int, spec: DefectSpec) -> int:
     """Counterclockwise rank of a boundary address on AR(a, b), from SW position a.
 
     Sorting by it gives the order of ``boundary_cycle`` on AR(a, b) with or
-    without the gamma string 1..b-a: SW a..1, SE cells and gammas by increasing
-    u, NE a..1, NW b..1; gamma 1 hangs off the cut vertex SE 1, whose first
-    visit the walk keeps, so it comes right after SE 1.  Ranks may skip values.
+    without a gamma string, which may run past b - a and start past 1: SW
+    a..1, SE cells and gammas by increasing u, NE a..1, NW b..1; gamma 1
+    hangs off the cut vertex SE 1, whose first visit the walk keeps, so it
+    comes right after SE 1.  Ranks may skip values.
     """
     side, pos = spec.side, spec.position
     if side == "SW":

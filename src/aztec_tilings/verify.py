@@ -15,8 +15,10 @@ state of ``rng``; a failed check is yielded, never raised.
   them, on random face vertices of diamonds and gamma-augmented hosts.
 - ``mt``: ``count_configuration(config, "pfaffian")`` against the DP count
   on three-sided draws with NE alphas, four-sided draws with an alpha on
-  each black side of a rectangle, draws with SW alphas, and diamonds; all
-  but the diamonds may keep a gamma string 1..g, and the SW draws always do.
+  each black side of a rectangle, draws with SW alphas, draws whose gamma
+  string ends past b - a and may start past 1, with alphas on either black
+  side, and diamonds; the first three may keep a gamma string 1..g, and
+  the SW draws always do.
 
 The module reads no environment variable and prints nothing.
 """
@@ -170,6 +172,7 @@ def _verify_ciucu(max_a: int, max_b: int, trials: int, rng: random.Random) -> It
 
 def _compare(label: str, config: DefectConfiguration) -> Check:
     """The ``pfaffian`` count against the dp count; an error from the package fails the check."""
+    label = f"{label} a={config.a} b={config.b} gammas={config.gammas} {config.betas}/{config.alphas}"
     want = count_tilings_dp(config.region())
     try:
         got = count_configuration(config, "pfaffian")
@@ -189,23 +192,28 @@ def _verify_mt(max_a: int, max_b: int, trials: int, rng: random.Random) -> Itera
             n = rng.randint(0 if k else 1, min(2, a))
             betas = tuple(rng.sample(whites, n + k - g))
             alphas = tuple(DefectSpec("NE", p) for p in rng.sample(range(1, a + 1), n))
-            config = DefectConfiguration(a, b, betas, alphas, tuple(range(1, g + 1)))
-            label = f"three-sided a={a} b={b} gamma={g} {betas}/{alphas}"
-            yield _compare(label, config)
+            yield _compare("three-sided", DefectConfiguration(a, b, betas, alphas, tuple(range(1, g + 1))))
 
         # an alpha on each black side of a rectangle, then SW alphas only, keeping
         # gammas 1..g: both take the (beta, SW alpha) entries of the one Pfaffian
         for sides, g in ((("NE", "SW"), rng.randint(0, k)), (("SW",), rng.randint(1, k))) if k else ():
             alphas = tuple(DefectSpec(side, rng.randint(1, a)) for side in sides)
             betas = tuple(rng.sample(whites, len(sides) + k - g))
-            config = DefectConfiguration(a, b, betas, alphas, tuple(range(1, g + 1)))
-            yield _compare(f"{'+'.join(sides)} alphas a={a} b={b} gamma={g} {betas}/{alphas}", config)
+            yield _compare("+".join(sides), DefectConfiguration(a, b, betas, alphas, tuple(range(1, g + 1))))
+
+        # a gamma string first..g past b - a, whose added gammas are row labels; only
+        # a string starting past 1 reads the SE t - 1 term of an added gamma t's row
+        g = rng.randint(k + 1, min(b, k + 2))
+        first = rng.randint(1, g)
+        surplus = g - first + 1 - k  # #alphas - #betas
+        blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
+        alphas = tuple(rng.sample(blacks, max(0, surplus) + rng.randint(0, min(2, 2 * a - surplus))))
+        betas = tuple(rng.sample(whites, len(alphas) - surplus))
+        yield _compare("past b - a", DefectConfiguration(a, b, betas, alphas, tuple(range(first, g + 1))))
 
         nd = rng.randint(1, min(3, a))
-        blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
         wd = tuple(rng.sample([DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, a + 1)], nd))
-        config = DefectConfiguration(a, a, wd, tuple(rng.sample(blacks, nd)))
-        yield _compare(f"diamond a={a} {wd}/{config.alphas}", config)
+        yield _compare("diamond", DefectConfiguration(a, a, wd, tuple(rng.sample(blacks, nd))))
 
 
 SUITES = {"formulas": _verify_formulas, "kuo": _verify_kuo, "ciucu": _verify_ciucu, "mt": _verify_mt}

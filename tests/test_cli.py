@@ -215,15 +215,16 @@ def test_formula_unrecognized_exit_2(capsys):
         assert err.startswith("error: no closed form"), spec
 
 
-def test_pfaffian_gamma_spec_exit_2(capsys):
-    # the one gamma case the Pfaffian count refuses; auto counts it by kasteleyn
-    for spec in ("AR a=2 b=3 gamma=2 remove=NE:1",):  # gamma 2 outside 1..b-a
-        code, out, err = run_cli(capsys, "count", spec, "--engine", "pfaffian")
-        assert (code, out) == (2, ""), spec
-        assert err.startswith("error: ") and "gamma" in err, spec
+def test_pfaffian_counts_gamma_specs_past_b_minus_a(capsys):
+    # once refused: a gamma string past SE position b - a, counted as kasteleyn does
+    for spec, count in (
+        ("AR a=2 b=3 gamma=2 remove=NE:1", "2\n"),  # gamma 2 past b - a = 1
+        ("AD n=3 gamma=1 remove=SW:2", "32\n"),  # gamma 1 on a diamond
+        ("AR a=2 b=4 gamma=4 remove=NE:1,NE:2", "1\n"),  # the string runs to b
+    ):
         kasteleyn = run_cli(capsys, "count", spec, "--engine", "kasteleyn")
+        assert run_cli(capsys, "count", spec, "--engine", "pfaffian") == kasteleyn == (0, count, ""), spec
         assert run_cli(capsys, "count", spec) == kasteleyn
-        assert kasteleyn[0] == 0 and kasteleyn[1] != "0\n", spec
 
 
 def test_pfaffian_counts_sw_alphas_with_gammas(capsys):

@@ -1,5 +1,6 @@
 """Condensation identities and the Pfaffian defect counters."""
 
+import collections
 import itertools
 import random
 import re
@@ -303,18 +304,20 @@ def test_three_sided_matches_engine_anchor():
     assert count_configuration(cfg, "pfaffian") == want
 
 
-# the one gamma case the Pfaffian count refuses, colour-balanced with tilings
-GAMMAS_OUT_OF_SCOPE = (
-    # gamma 2 outside 1..b-a
-    _config(2, 3, [("NW", 2)], [("NE", 1)], (2,)),
+# gamma strings past b - a or starting past 1, colour-balanced with tilings: each
+# added gamma past b - a is a row label beside the betas
+GAMMAS_PAST_K = (
+    _config(2, 3, [("NW", 2)], [("NE", 1)], (2,)),  # gamma 2 past b - a = 1, gamma 1 missing
+    _config(2, 3, [], [("NE", 1)], (1, 2)),  # the CLI's "AR a=2 b=3 gamma=2 remove=NE:1"
+    _config(3, 3, [], [("SW", 2)], (1,)),  # k = 0: gamma 1's only neighbour is SE 1
+    _config(2, 4, [("SE", 1)], [("NE", 2), ("SW", 1)], (2, 3, 4)),  # from past 1 up to b
+    _config(3, 4, [("NW", 2)], [("NE", 1), ("SW", 3)], (2, 3)),
 )
 
 
-def test_gamma_configuration_is_out_of_scope_for_the_pfaffian_counters():
-    for cfg in GAMMAS_OUT_OF_SCOPE:
-        assert count_configuration(cfg, "kasteleyn") > 0, cfg
-        with pytest.raises(OutOfScopeConfigurationError):
-            count_configuration(cfg, "pfaffian")
+def test_pfaffian_counts_gammas_past_b_minus_a_as_kasteleyn_does():
+    counts = [count_configuration(cfg, "pfaffian") for cfg in GAMMAS_PAST_K]
+    assert counts == [count_configuration(cfg, "kasteleyn") for cfg in GAMMAS_PAST_K] == [10, 2, 32, 8, 48]
     # AR(2,3) + gamma 1 minus SE 3, NW 2, NE 1 has one white cell fewer than black
     cfg = _config(2, 3, [("SE", 3), ("NW", 2)], [("NE", 1)], gammas=(1,))
     assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") == 0
@@ -348,6 +351,39 @@ def test_pfaffian_counts_gamma_configurations_as_kasteleyn_does():
         assert count_configuration(cfg, "pfaffian") == want, cfg
         nonzero += want > 0
     assert nonzero > 150
+
+
+def test_pfaffian_counts_gamma_strings_past_b_minus_a_as_kasteleyn_does():
+    # a string ending past b - a or starting past 1, with alphas on both black
+    # sides: the added gammas' rows are sums of two SE beta rows
+    rng = random.Random(25)
+    kinds = collections.Counter()
+    for _ in range(400):
+        a, k = rng.randint(1, 5), rng.randint(0, 3)
+        b = a + k
+        first = rng.randint(1, b)
+        last = rng.randint(first if first > 1 else k + 1, b)
+        surplus = last - first + 1 - k  # #alphas - #betas, for the colours to balance
+        whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
+        blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
+        alphas = tuple(rng.sample(blacks, rng.randint(max(0, surplus), 2 * a)))
+        betas = tuple(rng.sample(whites, len(alphas) - surplus))
+        cfg = DefectConfiguration(a, b, betas, alphas, tuple(range(first, last + 1)))
+        want = count_tilings_kasteleyn(cfg.region())
+        assert count_configuration(cfg, "pfaffian") == want, cfg
+        kinds.update({"nonzero": want > 0, "past b - a": last > k, "past 1": first > 1, "k = 0": k == 0})
+        kinds.update({side: any(d.side == side for d in alphas) for side in ("NE", "SW")})
+    assert min(kinds.values()) > 50, kinds
+
+
+def test_gamma_labels_take_one_pass_over_the_string():
+    # a short spec with a long kept string: AR(1, 20001) plus gammas 1..20000 is
+    # AD(1) after the forced dominoes; a scan of the string per position of 1..k
+    # took 0.6 s at k = 8,000 and grows as k^2
+    cfg = DefectConfiguration(1, 20001, gammas=tuple(range(1, 20001)))
+    start = time.perf_counter()
+    assert count_configuration(cfg, "pfaffian") == 2
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("gammas", [0, 2])
@@ -485,10 +521,13 @@ def test_three_sided_mixed_entries_match_kasteleyn_at_larger_order():
                 assert _row_entry(a, b, x, y) == want, (a, k, x, y)
 
 
-def test_pfaffian_counts_unbalanced_as_zero():
+def test_pfaffian_counts_unbalanced_as_zero(monkeypatch):
     # one beta and one alpha on AR(2,3) leave one white cell too many
     cfg = _config(2, 3, [("SE", 1)], [("NE", 1)])
     assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") == 0
+    # AR(1, 10^5) has 10^5 - 1 white cells too many: 0 before any of its labels is built
+    monkeypatch.setattr(condensation, "DefectSpec", None)
+    assert count_configuration(DefectConfiguration(1, 10**5), "pfaffian") == 0
 
 
 def _diamond_sides(a):
@@ -674,8 +713,7 @@ def test_count_configuration_engines_agree(a, k, data):
         try:
             counts[engine] = count_configuration(cfg, engine)
         except OutOfScopeConfigurationError:
-            # pfaffian refuses only a gamma outside 1..k
-            assert engine == "formula" or engine == "pfaffian" and g and gammas[-1] > k
+            assert engine == "formula"  # every other engine counts every configuration
     assert all(type(c) is int for c in counts.values()), counts
     assert len({(type(c), c) for c in counts.values()}) == 1, counts
 
@@ -734,11 +772,12 @@ def test_pfaffian_block_at_benchmark_size_matches_fraction_elimination(monkeypat
     assert exactalg.determinant(block) == determinant(block) != 0
 
 
-def test_auto_counts_gamma_specs_by_pfaffian_and_falls_back_to_kasteleyn(monkeypatch):
-    for cfg in GAMMAS_OUT_OF_SCOPE:
-        assert count_configuration(cfg) == count_configuration(cfg, "kasteleyn") > 0, cfg
-    # an in-scope gamma spec never reaches the determinant
+def test_auto_counts_gamma_specs_by_pfaffian_alone(monkeypatch):
+    # no gamma spec reaches the determinant, in 1..b-a or past it
+    want = [count_configuration(cfg, "kasteleyn") for cfg in GAMMAS_PAST_K]
     monkeypatch.setattr(condensation, "count_tilings_kasteleyn", None)
+    for cfg, count in zip(GAMMAS_PAST_K, want):
+        assert count_configuration(cfg) == count_configuration(cfg, "pfaffian") == count, cfg
     cfg = _config(2, 4, [("SE", 3)], [("NE", 1)], (1, 2))
     assert count_configuration(cfg) == count_configuration(cfg, "pfaffian") == 2
 

@@ -4,9 +4,10 @@
 
 Calls ``aztec_tilings.cli.main`` in-process, so the package that PYTHONPATH
 selects is the one exercised.  The runs are a fixed, seeded list of region
-specs (AD/AR with a <= 4 and b - a <= 3, some with gamma squares, some
-colour-unbalanced), then one malformed spec for every spec-parse message; each
-is rendered once and counted under every engine in ``ENGINES``, in ``dec`` and
+specs (AD/AR with a <= 4 and b - a <= 3, some with a gamma string of up to b
+squares, strings past SE position b - a among them, some
+colour-unbalanced), then one malformed spec for every spec-parse message;
+each is rendered once and counted under every engine in ``ENGINES``, in ``dec`` and
 ``json`` format, with AZTEC_ORACLE_CELL_LIMIT unset and set to 20.  Then every
 suite in ``aztec_tilings.verify.SUITES``, the table the ``verify`` command
 reads, runs through ``cli.main``: ``formulas`` with its defaults, the others
@@ -44,14 +45,14 @@ _MILLIS = re.compile(r'"millis": \d+')
 
 
 def _draw(rng: random.Random, a: int, b: int, skew: int) -> str:
-    """A spec on AD/AR(a, b) with #betas - #alphas = k - gamma + skew."""
+    """A spec on AD/AR(a, b) with gamma in 0..b and #betas - #alphas = k - gamma + skew."""
     k = b - a
     whites = [f"{s}:{p}" for s in ("NW", "SE") for p in range(1, b + 1)]
     blacks = [f"{s}:{p}" for s in ("NE", "SW") for p in range(1, a + 1)]
-    gamma = rng.randint(0, k)
+    gamma = rng.randint(0, b)
     n = rng.randint(0, min(2, a))
-    n_betas = max(0, n + k - gamma + skew)
-    removed = rng.sample(whites, n_betas) + rng.sample(blacks, n)
+    n_betas = n + k - gamma + skew  # when negative, that many more alphas instead
+    removed = rng.sample(whites, max(0, n_betas)) + rng.sample(blacks, n - min(0, n_betas))
     head = f"AD n={a}" if a == b else f"AR a={a} b={b}"
     spec = head + (f" gamma={gamma}" if gamma else "")
     return spec + (f" remove={','.join(removed)}" if removed else "")
