@@ -97,12 +97,12 @@ def parse_region_spec(text: str) -> DefectConfiguration:
     else:
         raise SpecError(f"token 0 {tokens[0]!r}: expected AD or AR")
 
-    gammas: tuple[int, ...] = ()
+    gammas = range(0)
     if index < len(tokens) and tokens[index].startswith("gamma="):
         k = _int_value(tokens, index, "gamma")
         if k < 0:
             raise SpecError(f"token {index} {tokens[index]!r}: need gamma >= 0")
-        gammas = tuple(range(1, k + 1))
+        gammas = range(1, k + 1)
         try:
             DefectConfiguration(a, b, gammas=gammas)  # checks the string fits
         except AztecError as exc:

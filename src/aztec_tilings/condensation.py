@@ -34,8 +34,8 @@ formulas module; the entries are taken as the closed forms' unscaled integer
 sums, without the power of two they share, 2^(a(a-1)/2), or the further
 2^a of the gamma columns, and the product of those powers is applied once,
 in the quotient.  The exception, a beta against an SW alpha when k > 0, is a
-gamma-free three-sided count by a forcing lemma, and it is taken as a
-bordered determinant over a block built once per host (``_sw_entries``).
+sum over the ways a peeling of the host's column pairs carries one white
+cell west (``_sw_row``), O(k a) additions for a beta's a entries.
 At k = 0 the host is AD(a) itself and every entry is a closed form.  The
 count takes only the numbers of a configuration and builds no cells; defects
 are put in boundary order by ``geometry.perimeter_index``.  It counts every
@@ -62,7 +62,8 @@ the row class.
 from __future__ import annotations
 
 import functools
-from operator import mul
+from itertools import accumulate
+from operator import add
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .counting import count_matchings_brute, count_tilings_dp, count_tilings_kasteleyn
@@ -76,7 +77,7 @@ from .errors import (
     OutOfScopeConfigurationError,
     exact_quotient,
 )
-from .exactalg import adjugate, determinant
+from .exactalg import determinant
 from .formulas import (
     ad_adjacent_sum,
     ar_gamma_nw_sum,
@@ -290,13 +291,7 @@ def check_kuo_identity(
     return check_face_alternating_identity(region, base, quad)
 
 
-def _three_sided_row(
-    a: int,
-    b: int,
-    sw: Callable[[DefectSpec], tuple[int, ...]] | None,
-    beta: DefectSpec,
-    cols: Sequence[DefectSpec],
-) -> list[int]:
+def _three_sided_row(a: int, b: int, beta: DefectSpec, cols: Sequence[DefectSpec]) -> list[int]:
     """The entries of a beta against alphas and gammas over the gamma host, / 2^(a(a-1)/2).
 
     Entry y is the count of the host minus the beta and y: the only pairs
@@ -304,25 +299,24 @@ def _three_sided_row(
     A gamma's entry is also divided by 2^a.  An added gamma t past k takes
     the beta's place: the host plus gamma t minus y pairs gamma t with one
     of its two neighbours, SE t - 1 (none when t = 1) and SE t, so its row
-    is the sum of those two betas' rows.  Alphas sit on the NE side
-    unless k = b - a is 0; otherwise ``sw`` gives the beta's entries against
-    SW 1..a (``_sw_entries``).  The other pairs reduce, after the forced
-    staircase strips, to the two-defect diamond and one-defect rectangle
-    families, whose counts carry 2^(a(a-1)/2) and 2^(a(a+1)/2): a (beta,
-    alpha) entry is the diamond's unscaled sum, and a (beta, gamma) entry the
-    rectangle's.  The diamond is AD(a) minus SE i and NE j: the
-    colour-preserving symmetry that takes the beta to SE and the alpha to NE
-    reverses positions along the beta's side when the alpha is on SW, and
-    along the alpha's side when exactly one of "beta on NW" and "alpha on SW"
-    holds.
+    is the sum of those two betas' rows.  Alphas sit on the NE side unless
+    k = b - a is 0; otherwise the beta's entries against SW 1..a come from
+    ``_sw_row``.  The other pairs reduce, after the forced staircase strips,
+    to the two-defect diamond and one-defect rectangle families, whose
+    counts carry 2^(a(a-1)/2) and 2^(a(a+1)/2): a (beta, alpha) entry is the
+    diamond's unscaled sum, and a (beta, gamma) entry the rectangle's.  The
+    diamond is AD(a) minus SE i and NE j: the colour-preserving symmetry
+    that takes the beta to SE and the alpha to NE reverses positions along
+    the beta's side when the alpha is on SW, and along the alpha's side when
+    exactly one of "beta on NW" and "alpha on SW" holds.
     """
     k = b - a
     pos, nw = beta.position, beta.side == "NW"
     if beta.kind == "gamma":
-        rows = (_three_sided_row(a, b, sw, DefectSpec("SE", s), cols) for s in (pos - 1, pos) if s)
+        rows = (_three_sided_row(a, b, DefectSpec("SE", s), cols) for s in (pos - 1, pos) if s)
         return list(map(sum, zip(*rows)))
     gamma_sum = ar_gamma_nw_sum if nw else ar_gamma_se_sum
-    sw_row = sw(beta) if sw else ()
+    sw_row = _sw_row(a, b, beta) if k and any(y.side == "SW" for y in cols) else ()
     entries = []
     for y in cols:
         p = y.position
@@ -337,91 +331,82 @@ def _three_sided_row(
     return entries
 
 
-@functools.lru_cache(maxsize=32)
-def _sw_entries(a: int, b: int) -> Callable[[DefectSpec], tuple[int, ...]]:
-    """The (beta, SW alpha) entries of the counts over the gamma host, k = b - a > 0, / 2^(a(a-1)/2).
+@functools.lru_cache(maxsize=1024)
+def _sw_row(a: int, b: int, beta: DefectSpec) -> tuple[int, ...]:
+    """The entries of a beta against SW 1..a over the gamma host, k = b - a > 0, / 2^(a(a-1)/2).
 
-    Returns a function of the beta that lists its entries against SW 1..a.
-    Gamma 1's only neighbour is SE 1, so a tiling of the host minus a beta
-    and an alpha pairs gamma t with SE t, for t = 1..k in turn: the entry is
-    M(AR(a, b) - SE 1..k - beta - alpha), 0 when the beta is one of SE 1..k.
-    The mirror u -> 2b - u reverses the positions along each side and swaps
-    the NE and SW sides; it makes that a gamma-free three-sided count with
-    the fixed betas SE a+1..a+k, the beta and an NE alpha, and its Pfaffian
-    is +-det [[A, c], [r, e]] = +-(e det A - r adj(A) c), listing the beta's
-    row last.  A holds the fixed betas against gammas 1..k, each entry
-    negated as the Pfaffian lists a gamma before a fixed beta, and depends
-    only on (a, k); r is the beta against the gammas, c the fixed betas
-    against the alpha and e the beta against the alpha.  This is a
-    Schur-complement step (Knuth, Overlapping Pfaffians, 1996).  A beta in
-    SE 1..k mirrors to a fixed beta, whose r is a row of A and whose e is
-    that row's entry of c, so the bordered determinant is 0.
+    Gamma t's only neighbours are SE t - 1 and SE t, so a tiling of the host
+    minus a beta and an SW alpha p pairs gamma t with SE t for t = 1..k in
+    turn: the entry counts AR(a, b) - SE 1..k - beta - SW p, 0 for a beta in
+    SE 1..k.  Turn that region by 180 degrees, which keeps colours and sends
+    SW p to NE p, SE s to NW b+1-s and NW i to SE b+1-i, and peel its column
+    pairs (2c, 2c - 1) for c = b down to a + 1.  Without the hole at NE p
+    each pair is forced whole.  With it, the first pair leaves one white of
+    column 2b - 1 for the west, at a height q in p..a, one way each; at each
+    later pair that white takes the black q or q + 1 (<= a) of column 2c and
+    leaves one white at a height q' at least that black's index, in
+    T(q, q') = [q' >= q] + [q' >= q + 1] ways.  So the entries are the
+    suffix sums, over q >= p, of T^n v for the weight v of where the walk
+    ends, and a step of T takes u to S(q) + S(q + 1) for the suffix sums S
+    of u: O(k a) additions for all a entries.
 
-    det A and adj(A) are taken by ``exactalg.adjugate``; A is nonsingular,
-    as det A counts AR(a, b) - SE a+1..b.  The sign is
-    (-1)^(k(k+1)/2), times -1 for each pair of a fixed beta and a gamma
-    after it, and, read from the alpha onward, times -1 for each gamma
-    before an SE beta between the alpha and the beta, which also negates
-    its r entry.  The entries come from ``_three_sided_row``, so those of A
-    and r leave out the gammas' 2^a.  All k gammas are labels of the
-    mirrored count, so its scale 2^(a(a-1)/2 + ak) over its divisor
-    (2^a)^k leaves the 2^(a(a-1)/2) that the entries leave out: the
-    bordered determinant is the entry itself, with no division.
+    An NW beta at pos <= k turns into SE s = b+1-pos, whose pair absorbs the
+    white, 2 ways for q < a and 1 for q = a, and leaves AR(a, s - 1) minus
+    NW a+1..s-1, which counts 2^a.  That weight is one step of T from 2^a at
+    q = a alone, after the b - s - 1 steps of the pairs between, so v is 2^a
+    at q = a and n = pos - 1, which gives 2^a for every alpha at s = b.  Any
+    other beta past SE k leaves AD(a) after all k pairs, minus the turned
+    beta, with the white beside NE q and NE q + 1: v(q) = e(q) + e(q + 1),
+    e(a + 1) = 0, for the diamond entry e(q) of the turned beta and NE q, and
+    n = k - 1.
 
-    The entries depend only on the host and the two positions, so they are
-    kept per host, for the 32 latest hosts: A, c, det A, adj(A) and the sign
-    are built once per host, and a beta's entries once per host and beta,
-    for at most 2b betas.
+    The rows are memoized, for the 1,024 latest (a, b, beta): the counts
+    over one host ask for the same rows again, and recomputing them took
+    about 8% of the four-sided benchmark's counts per second (Python 3.11,
+    one core).
     """
     k = b - a
-    fixed = [DefectSpec("SE", a + i) for i in range(1, k + 1)]
-    gammas = [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
-    cols = gammas + [DefectSpec("NE", a + 1 - p) for p in range(1, a + 1)]  # SW 1..a, mirrored
-    block = [_three_sided_row(a, b, None, f, cols) for f in fixed]
-    det_a, adj = adjugate([[-x for x in entries[:k]] for entries in block])
-    c = list(zip(*(entries[k:] for entries in block)))  # per SW alpha
-    later = sum(perimeter_index(a, b, g) > perimeter_index(a, b, f) for f in fixed for g in gammas)
-    block_sign = (-1) ** (k * (k + 1) // 2 + later)
-
-    @functools.lru_cache(maxsize=2 * b)
-    def row(beta: DefectSpec) -> tuple[int, ...]:
-        beta = DefectSpec(beta.side, b + 1 - beta.position)  # mirrored
-        # the gammas between the NE alpha and the beta: none for an NW beta
-        rank = perimeter_index(a, b, beta) if beta.side == "SE" else -1
-        signs = [-1 if perimeter_index(a, b, g) < rank else 1 for g in gammas]
-        entries = _three_sided_row(a, b, None, beta, cols)
-        r = list(map(mul, signs, entries))  # the k gamma entries, signed
-        w = [sum(map(mul, r, column)) for column in zip(*adj)]
-        sign = block_sign * (-1) ** signs.count(-1)
-        return tuple(sign * (e * det_a - sum(map(mul, w, c_alpha))) for e, c_alpha in zip(entries[k:], c))
-
-    return row
+    pos, nw = beta.position, beta.side == "NW"
+    if pos <= k:  # 0 for an SE beta, which the gammas force
+        v, steps = [0] * (a - 1) + [nw << a], pos - 1
+    else:
+        e = [ad_adjacent_sum(a, b + 1 - pos, q if nw else a + 1 - q) for q in range(1, a + 1)] + [0]
+        v, steps = list(map(add, e, e[1:])), k - 1
+    for _ in range(steps):
+        s = list(accumulate(reversed(v)))[::-1] + [0]
+        v = list(map(add, s, s[1:]))
+    return tuple(accumulate(reversed(v)))[::-1]
 
 
 def _balanced(config: DefectConfiguration) -> bool:
-    """Whether the colours balance; AR(a, b) has b - a more white cells than black, a gamma one more black."""
-    return len(config.betas) - len(config.alphas) == config.b - config.a - len(config.gammas)
+    """Whether the colours balance; AR(a, b) has b - a more white cells than black, a gamma one more black.
+
+    The string's length is taken by subtraction: ``len`` of a range stops at sys.maxsize.
+    """
+    gammas = config.gammas
+    return len(config.betas) - len(config.alphas) == config.b - config.a - (gammas.stop - gammas.start)
 
 
 def _pfaffian_count(config: DefectConfiguration) -> int:
     """The paper's count of a colour-balanced configuration: one Pfaffian over the gamma host.
 
     The gamma labels are the symmetric difference of the host's gammas
-    1..k and the configuration's: the g missing ones, removed black cells
-    that join the alphas' class, and the added ones past k, added black
-    cells that join the betas'.  The host's count is D = 2^(a(a+1)/2) = s 2^a
-    with s = 2^(a(a-1)/2).  Every entry is s times ``_three_sided_row``'s,
-    and an entry of a missing gamma 2^a times more, so the quotient takes
-    the rows with divisor 2^a and scale s 2^(ag).
+    1..k and the configuration's string, taken as intervals: the g missing
+    ones, removed black cells that join the alphas' class, and the added
+    ones past k, added black cells that join the betas'.  The host's count
+    is D = 2^(a(a+1)/2) = s 2^a with s = 2^(a(a-1)/2).  Every entry is s
+    times ``_three_sided_row``'s, and an entry of a missing gamma 2^a times
+    more, so the quotient takes the rows with divisor 2^a and scale s 2^(ag).
     """
-    a, b, alphas = config.a, config.b, config.alphas
+    a, b, kept = config.a, config.b, config.gammas
     k = b - a
-    # the gammas of 1..k the configuration does not keep, and those past k it adds
-    gammas = tuple(DefectSpec("SE", t, "gamma") for t in set(range(1, k + 1)) ^ set(config.gammas))
-    labels = sorted(config.betas + alphas + gammas, key=lambda d: perimeter_index(a, b, d))
-    sw = _sw_entries(a, b) if k and any(d.side == "SW" for d in alphas) else None
-    row = functools.partial(_three_sided_row, a, b, sw)
-    scale = 2 ** (a * (a - 1) // 2 + a * sum(d.position <= k for d in gammas))
+    # the gammas of 1..k that the string kept.start..kept.stop-1 leaves out, and those past k it adds
+    missing = [*range(1, min(k + 1, kept.start)), *range(kept.stop, k + 1)]
+    added = range(max(k + 1, kept.start), kept.stop)
+    gammas = tuple(DefectSpec("SE", t, "gamma") for t in (*missing, *added))
+    labels = sorted(config.betas + config.alphas + gammas, key=lambda d: perimeter_index(a, b, d))
+    row = functools.partial(_three_sided_row, a, b)
+    scale = 2 ** (a * (a - 1) // 2 + a * len(missing))
 
     def in_rows(d: DefectSpec) -> bool:  # the betas and the added gammas
         return d.kind == "beta" or d.kind == "gamma" and d.position > k
@@ -434,7 +419,7 @@ def _formula_count(config: DefectConfiguration) -> int:
     a, b, gammas = config.a, config.b, config.gammas
     k = b - a
     removed = sorted((d.side, d.position) for d in config.betas + config.alphas)
-    if not removed and gammas == tuple(range(1, k + 1)):
+    if not removed and gammas == range(1, k + 1):
         return count_aztec_diamond(a)  # AD(a) plus its gammas; balance forces k = 0 without them
     if gammas:
         raise OutOfScopeConfigurationError("no closed form for this augmented family")
@@ -444,7 +429,7 @@ def _formula_count(config: DefectConfiguration) -> int:
         kept = [p for p in range(1, b + 1) if ("SE", p) not in removed]
         return count_ar_kept_se(a, b, kept)
     if k == 0 and len(config.betas) == 1 and len(config.alphas) == 1:
-        return _three_sided_row(a, a, None, config.betas[0], config.alphas)[0] << a * (a - 1) // 2
+        return _three_sided_row(a, a, config.betas[0], config.alphas)[0] << a * (a - 1) // 2
     if sides <= {"SE", "NW"}:
         se = sorted(p for s, p in removed if s == "SE")
         nw = [p for s, p in removed if s == "NW"]

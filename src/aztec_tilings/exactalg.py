@@ -12,8 +12,6 @@ one step, Bareiss's two-step method from the same paper: the multipliers are
 entry takes 3 products and 1 division for the two columns, against 4 and 2.
 On the 8 x 8 to 20 x 20 blocks of the benchmark's large Pfaffians it takes
 about 0.7x the time of one-step elimination (Python 3.11, one core).
-``adjugate`` continues the one-step elimination above each pivot
-(fraction-free Gauss-Jordan) to take a determinant and the adjugate together.
 
 ``determinant_sparse`` takes a matrix as sparse rows.  On a banded matrix it
 touches only rows inside the band: O(n w^2) operations on minors for
@@ -31,17 +29,17 @@ from .errors import InternalInconsistencyError, InvalidMatrixError, exact_quotie
 Matrix = Sequence[Sequence[int]]
 
 
-def _bareiss(a: list[list[int]], jordan: bool) -> int:
-    """Reduce the rows of a, n of them and at least n wide, in place by Bareiss's steps.
+def _bareiss(a: list[list[int]]) -> int:
+    """Reduce the n x n matrix a in place by Bareiss's steps.
 
     Returns the sign of the row swaps, or 0 when a pivot column of the
-    leading n x n block has no nonzero entry left.  A zero pivot is replaced
-    by the first row below it with a nonzero entry in its column.  The plain
-    elimination clears below pivots 0..n-2, so a[-1][n-1] ends as the
-    determinant up to that sign.
+    matrix has no nonzero entry left.  A zero pivot is replaced by the first
+    row below it with a nonzero entry in its column.  The elimination clears
+    below pivots 0..n-2, so a[-1][-1] ends as the determinant up to that
+    sign.
 
-    Where a row is left below rows k and k+1, the plain elimination takes
-    pivots k and k+1 in one step if their block's minor
+    Where a row is left below rows k and k+1, the elimination takes pivots
+    k and k+1 in one step if their block's minor
     c0 = (a_kk a_k+1,k+1 - a_k,k+1 a_k+1,k) / p_prev is nonzero.  Row i then
     becomes (c0 a_ij + c1 a_k+1,j + c2 a_kj) / p_prev, with
     c1 = (a_ik a_k,k+1 - a_i,k+1 a_kk) / p_prev and
@@ -52,14 +50,13 @@ def _bareiss(a: list[list[int]], jordan: bool) -> int:
     that 3 x 3 determinant is p_prev^2 times the minor on rows and columns
     0..k+1 plus i and j, so the division is exact too; c0 is the next
     p_prev.  A singular block (c0 = 0) falls back to the one-step update, as
-    does the last column and every step with ``jordan``, which clears above
-    each pivot too.  Only the columns right of the pivots are updated, which
-    is all a caller reads.
+    does the last column.  Only the columns right of the pivots are updated,
+    which is all a caller reads.
     """
     n = len(a)
     sign = p_prev = 1
     k = 0
-    while k < (n if jordan else n - 1):
+    while k < n - 1:
         pivot_row = next((i for i in range(k, n) if a[i][k]), None)
         if pivot_row is None:
             return 0
@@ -68,20 +65,18 @@ def _bareiss(a: list[list[int]], jordan: bool) -> int:
             sign = -sign
         rk = rk1 = a[k]
         c0, step = rk[k], 1
-        if not jordan and k + 2 < n:
+        if k + 2 < n:
             block = exact_quotient(c0 * a[k + 1][k + 1] - rk[k + 1] * a[k + 1][k], p_prev, "Bareiss block")
             if block:
                 c0, step, rk1 = block, 2, a[k + 1]
-        for i in range(0 if jordan else k + step, n):
-            if i == k:
-                continue
+        for i in range(k + step, n):
             row_i = a[i]
             if step == 2:
                 c1 = exact_quotient(row_i[k] * rk[k + 1] - row_i[k + 1] * rk[k], p_prev, "Bareiss c1")
                 c2 = exact_quotient(row_i[k + 1] * rk1[k] - row_i[k] * rk1[k + 1], p_prev, "Bareiss c2")
             else:
                 c1, c2 = 0, -row_i[k]
-            for j in range(k + step, len(rk)):
+            for j in range(k + step, n):
                 q, r = divmod(c0 * row_i[j] + c1 * rk1[j] + c2 * rk[j], p_prev)
                 if r:
                     raise InternalInconsistencyError(
@@ -94,37 +89,16 @@ def _bareiss(a: list[list[int]], jordan: bool) -> int:
     return sign
 
 
-def _square_copy(m: Matrix) -> list[list[int]]:
-    """A copy of m as lists; raises ``InvalidMatrixError`` unless m is square."""
-    if any(len(row) != len(m) for row in m):
-        raise InvalidMatrixError("matrix is not square")
-    return [list(row) for row in m]
-
-
 def determinant(m: Matrix) -> int:
     """Determinant of a square integer matrix by Bareiss's fraction-free elimination.
 
-    A copy of the matrix is reduced by ``_bareiss``.
+    A copy of the matrix is reduced by ``_bareiss``.  Raises
+    ``InvalidMatrixError`` unless m is square.
     """
-    a = _square_copy(m)
-    return _bareiss(a, False) * a[-1][-1] if a else 1
-
-
-def adjugate(m: Matrix) -> tuple[int, list[list[int]]]:
-    """(det m, adj m) of a nonsingular square integer matrix, by fraction-free Gauss-Jordan.
-
-    ``_bareiss`` reduces [m | I] clearing every pivot's column above the
-    pivot as well as below, so the right half ends as adj(m) up to the sign
-    of the row swaps, and the last pivot as det(m): O(n^3) operations on
-    minors, against n^2 determinants of size n - 1 by cofactors.  Raises
-    ``InvalidMatrixError`` for a singular matrix.
-    """
-    n = len(m)
-    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(_square_copy(m))]
-    sign = _bareiss(a, True)
-    if not sign:
-        raise InvalidMatrixError("matrix is singular")
-    return sign * a[-1][n - 1] if a else 1, [[sign * x for x in row[n:]] for row in a]
+    if any(len(row) != len(m) for row in m):
+        raise InvalidMatrixError("matrix is not square")
+    a = [list(row) for row in m]
+    return _bareiss(a) * a[-1][-1] if a else 1
 
 
 def determinant_sparse(rows: Sequence[dict[int, int]]) -> int:

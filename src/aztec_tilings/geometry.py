@@ -162,35 +162,37 @@ class DefectConfiguration:
     """AR(a, b) plus a string of gamma squares under the SE side, minus boundary defects.
 
     ``betas`` are beta-class and ``alphas`` alpha-class ``DefectSpec``s,
-    distinct and in range; ``gammas`` are consecutive SE positions inside
-    1..b.  The three are tuples, and a, b and the gammas ints.  All of it is
-    checked here, each defect once, by arithmetic; cells are built only by
-    ``region``.  An ``InvalidDefectError`` names the defect at fault in its
-    ``defect``.
+    distinct and in range, in tuples; ``gammas`` are consecutive SE positions
+    inside 1..b, given as a tuple of ints or a range and kept as a range, so
+    a string costs the same whatever its length.  a and b are ints.  All of
+    it is checked here, each defect once, by arithmetic; cells are built only
+    by ``region``.  An ``InvalidDefectError`` names the defect at fault in
+    its ``defect``.
     """
 
     a: int
     b: int
     betas: tuple[DefectSpec, ...] = ()
     alphas: tuple[DefectSpec, ...] = ()
-    gammas: tuple[int, ...] = ()
+    gammas: range | tuple[int, ...] = range(0)
 
     def __post_init__(self) -> None:
         a, b, gammas = self.a, self.b, self.gammas
-        if not all(type(x) is tuple for x in (self.betas, self.alphas, gammas)):
-            raise InvalidConfigurationError("betas, alphas and gammas must be tuples")
-        if not all(type(x) is int for x in (a, b, *gammas)):
+        if not all(type(x) is tuple for x in (self.betas, self.alphas)) or type(gammas) not in (tuple, range):
+            raise InvalidConfigurationError("betas and alphas must be tuples, gammas a tuple or a range")
+        if not all(type(x) is int for x in (a, b, *(gammas if type(gammas) is tuple else ()))):
             raise InvalidParameterError(f"a, b and the gammas must be ints, got {a!r}, {b!r}, {gammas!r}")
         if not 1 <= a <= b:
             raise InvalidParameterError(f"need 1 <= a <= b, got a={a}, b={b}")
-        if gammas:
-            first, last = gammas[0], gammas[-1]
-            if first < 1 or last > b:
-                raise InvalidParameterError(
-                    f"gamma string {first}..{last} does not fit along the SE side (1..{b})"
-                )
-            if gammas != tuple(range(first, last + 1)):
-                raise InvalidParameterError(f"gamma squares must form one string, got {gammas}")
+        first, last = (gammas[0], gammas[-1]) if gammas else (1, 0)
+        string = range(first, last + 1)
+        if gammas != (string if type(gammas) is range else tuple(string)):
+            raise InvalidParameterError(f"gamma squares must form one string, got {gammas}")
+        if first < 1 or last > b:
+            raise InvalidParameterError(
+                f"gamma string {first}..{last} does not fit along the SE side (1..{b})"
+            )
+        object.__setattr__(self, "gammas", string)
         if any(d.kind != "beta" for d in self.betas):
             raise InvalidConfigurationError("betas must be beta-class defects")
         if any(d.kind != "alpha" for d in self.alphas):

@@ -172,7 +172,7 @@ def _verify_ciucu(max_a: int, max_b: int, trials: int, rng: random.Random) -> It
 
 def _compare(label: str, config: DefectConfiguration) -> Check:
     """The ``pfaffian`` count against the dp count; an error from the package fails the check."""
-    label = f"{label} a={config.a} b={config.b} gammas={config.gammas} {config.betas}/{config.alphas}"
+    label = f"{label} a={config.a} b={config.b} gammas={tuple(config.gammas)} {config.betas}/{config.alphas}"
     want = count_tilings_dp(config.region())
     try:
         got = count_configuration(config, "pfaffian")

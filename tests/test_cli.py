@@ -1,11 +1,11 @@
 """Command-line interface: parsing, engines, rendering, verify suites."""
 
-import functools
 import json
 import os
 import random
 import subprocess
 import sys
+import time
 from decimal import Decimal
 
 import pytest
@@ -23,7 +23,7 @@ def run_cli(capsys, *argv):
 def test_parse_plain_diamond():
     config = parse_region_spec("AD n=3")
     assert (config.a, config.b) == (3, 3)
-    assert config.betas == () and config.alphas == () and config.gammas == ()
+    assert config.betas == () and config.alphas == () and config.gammas == range(0)
 
 
 def test_parse_rectangle_with_removals():
@@ -34,7 +34,7 @@ def test_parse_rectangle_with_removals():
 
 def test_parse_gamma_augmented():
     config = parse_region_spec("AR a=4 b=9 gamma=5 remove=SE:3,NE:1")
-    assert config.gammas == (1, 2, 3, 4, 5)
+    assert config.gammas == range(1, 6)
     assert len(config.betas) == 1 and len(config.alphas) == 1
 
 
@@ -155,6 +155,25 @@ def test_count_pfaffian(capsys):
     assert code == 0
     want = run_cli(capsys, "count", "AR a=2 b=3 remove=SE:1,NW:2,NE:1,SW:2")[1]
     assert out == want
+
+
+def test_count_sw_alpha_over_a_long_host_is_quick(capsys):
+    # the (beta, SW alpha) entries take O(k a) additions per beta; as a bordered
+    # determinant over a k x k block they took O(k^3): 2.0 s at b = 202 and
+    # 330 s here (Python 3.11, one core)
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "count", "AR a=2 b=1002 gamma=999 remove=SW:1,SE:1001,NW:3")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "80\n")
+
+
+@pytest.mark.parametrize("gamma", [10**9, 10**19])  # the second is past sys.maxsize
+def test_count_of_a_long_gamma_string_is_quick(capsys, gamma):
+    # the string is a range end to end; as a tuple, 4 * 10^5 squares took 90 MiB
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "count", f"AR a=1 b={gamma + 1} gamma={gamma}")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (0, "2\n")
 
 
 def test_count_json_schema(capsys):
@@ -332,9 +351,6 @@ def test_verify_fault_injection_detected(capsys, monkeypatch):
         return [value + 1 if value else value for value in original(*args)]
 
     monkeypatch.setattr(condensation, "_three_sided_row", off_by_one)
-    # a fresh memo, so the host entries built under the fault go with it
-    fresh = functools.lru_cache(maxsize=32)(condensation._sw_entries.__wrapped__)
-    monkeypatch.setattr(condensation, "_sw_entries", fresh)
     code, out, _ = run_cli(capsys, "verify", "mt", "--trials", "5", "--seed", "1")
     assert code == 3
     assert "first counterexample" in out

@@ -126,6 +126,19 @@ def test_gamma_string_must_fit_and_be_one_string():
         DefectConfiguration(2, 3, gammas=(1, 3))
 
 
+def test_gamma_string_is_kept_as_a_range():
+    # a tuple or a range in, a range kept, so a string costs the same whatever its length
+    assert DefectConfiguration(2, 5, gammas=(2, 3)).gammas == range(2, 4)
+    assert DefectConfiguration(2, 5, gammas=range(2, 4)) == DefectConfiguration(2, 5, gammas=(2, 3))
+    assert DefectConfiguration(2, 5).gammas == DefectConfiguration(2, 5, gammas=()).gammas == range(0)
+    b = 10**9 + 1
+    assert len(DefectConfiguration(1, b, gammas=range(1, b))) == 2 * b + 1 + b + (b - 1)
+    with pytest.raises(InvalidParameterError, match="one string"):
+        DefectConfiguration(2, 5, gammas=range(1, 5, 2))
+    with pytest.raises(InvalidParameterError, match="does not fit"):
+        DefectConfiguration(2, 5, gammas=range(0, 3))
+
+
 def test_configuration_rejects_bad_sides_and_kinds():
     with pytest.raises(InvalidParameterError):
         DefectConfiguration(3, 2)
