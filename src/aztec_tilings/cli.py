@@ -171,8 +171,8 @@ def decimal_digits(n: int) -> str:
 
 def cmd_count(args: argparse.Namespace) -> int:
     config = parse_region_spec(args.spec)
-    if args.engine == "brute" and len(config) > (limit := _cell_limit()):
-        raise OutOfScopeConfigurationError(f"{len(config)} cells exceeds the brute-force limit {limit}")
+    if args.engine == "brute" and config.size > (limit := _cell_limit()):
+        raise OutOfScopeConfigurationError(f"{config.size} cells exceeds the brute-force limit {limit}")
     start = time.monotonic()
     if args.engine == "dp":
         # counted here so that patching cli.count_tilings_dp, as the benchmark's

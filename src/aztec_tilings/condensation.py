@@ -403,7 +403,7 @@ def _pfaffian_count(config: DefectConfiguration) -> int:
     # the gammas of 1..k that the string kept.start..kept.stop-1 leaves out, and those past k it adds
     missing = [*range(1, min(k + 1, kept.start)), *range(kept.stop, k + 1)]
     added = range(max(k + 1, kept.start), kept.stop)
-    gammas = tuple(DefectSpec("SE", t, "gamma") for t in (*missing, *added))
+    gammas = tuple(DefectSpec("gamma", t) for t in (*missing, *added))
     labels = sorted(config.betas + config.alphas + gammas, key=lambda d: perimeter_index(a, b, d))
     row = functools.partial(_three_sided_row, a, b)
     scale = 2 ** (a * (a - 1) // 2 + a * len(missing))

@@ -47,8 +47,6 @@ def count_matchings_brute(region: Region) -> int:
         while stack:
             v = stack & -stack
             stack ^= v
-            if comp & v:
-                continue
             comp |= v
             stack |= adj_bits[v.bit_length() - 1] & mask & ~comp
         return comp

@@ -13,9 +13,10 @@ odd and black when u is even.  Boundary positions:
 
 NW and SE positions count from the west and south corners, NE from the north
 corner, SW from the south corner.  Gamma cells are the extra squares glued
-under the SE staircase; position 1 sits in the south-corner notch, so a string
-starting there forces the staircase reduction of the augmented rectangle down
-to a diamond.
+under the SE staircase, addressed by a side of their own; position 1 sits in
+the south-corner notch, so a string starting there forces the staircase
+reduction of the augmented rectangle down to a diamond.  A defect's class
+follows from its side: beta on NW and SE, alpha on NE and SW, gamma below SE.
 
 A configuration, AR(a, b) plus a gamma string minus beta and alpha defects,
 is described only by numbers: ``DefectConfiguration`` holds a, b, the defect
@@ -27,14 +28,13 @@ code that needs cells.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidConfigurationError, InvalidDefectError, InvalidParameterError
 
-SIDES = ("NW", "NE", "SE", "SW")
-WHITE_SIDES = ("NW", "SE")
-BLACK_SIDES = ("NE", "SW")
+SIDES = ("NW", "NE", "SE", "SW")  # the rectangle's boundary, where a spec removes cells
+CLASS = {"NW": "beta", "SE": "beta", "NE": "alpha", "SW": "alpha", "gamma": "gamma"}
 
 
 class Cell(NamedTuple):
@@ -50,35 +50,25 @@ def is_white(cell: Cell) -> bool:
 
 @dataclass(frozen=True)
 class DefectSpec:
-    """Address of a boundary defect: side, 1-based position, defect class.
+    """Address of a boundary defect: a side, one of ``CLASS``'s keys, and a 1-based position.
 
-    ``kind`` is "beta" for removed white cells (NW/SE sides), "alpha" for
-    removed black cells (NE/SW sides) and "gamma" for the added black cells
-    under the SE side.  When omitted it is inferred from the side.
+    The side fixes the defect class ``kind``, set from ``CLASS``: "beta" for
+    removed white cells (NW/SE sides), "alpha" for removed black cells
+    (NE/SW sides) and "gamma" for the added black cells under the SE side.
     """
 
     side: str
     position: int
-    kind: str = ""
+    kind: str = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.side not in SIDES:
+        if self.side not in CLASS:
             raise InvalidDefectError(f"unknown side {self.side!r}")
         if type(self.position) is not int:  # a bool is not a position either
             raise InvalidDefectError(f"position must be an int, got {self.position!r}")
         if self.position < 1:
             raise InvalidDefectError(f"position must be >= 1, got {self.position}")
-        if not self.kind:
-            inferred = "beta" if self.side in WHITE_SIDES else "alpha"
-            object.__setattr__(self, "kind", inferred)
-        if self.kind == "beta" and self.side not in WHITE_SIDES:
-            raise InvalidDefectError(f"beta defects address white cells, not side {self.side}")
-        if self.kind == "alpha" and self.side not in BLACK_SIDES:
-            raise InvalidDefectError(f"alpha defects address black cells, not side {self.side}")
-        if self.kind == "gamma" and self.side != "SE":
-            raise InvalidDefectError("gamma squares sit along the SE side")
-        if self.kind not in ("alpha", "beta", "gamma"):
-            raise InvalidDefectError(f"unknown defect class {self.kind!r}")
+        object.__setattr__(self, "kind", CLASS[self.side])
 
 
 @dataclass(frozen=True)
@@ -116,17 +106,16 @@ def make_aztec_rectangle(a: int, b: int) -> Region:
 
 def _check_position(a: int, b: int, spec: DefectSpec) -> None:
     """Raise ``InvalidDefectError`` unless the address is on AR(a, b), or on its gamma string."""
-    length = a if spec.side in BLACK_SIDES else b
+    length = a if spec.kind == "alpha" else b
     if spec.position > length:
-        name = "gamma" if spec.kind == "gamma" else spec.side
-        raise InvalidDefectError(f"{name} position {spec.position} out of range 1..{length}", spec)
+        raise InvalidDefectError(f"{spec.side} position {spec.position} out of range 1..{length}", spec)
 
 
 def boundary_cell(a: int, b: int, spec: DefectSpec) -> Cell:
     """The cell of AR(a, b), or of its gamma string, that a defect address names."""
     _check_position(a, b, spec)
     side, pos = spec.side, spec.position
-    if spec.kind == "gamma":
+    if side == "gamma":
         return Cell(2 * pos - 2, 2 * a + 1)
     if side == "NW":
         return Cell(2 * pos - 1, 0)
@@ -149,8 +138,8 @@ def perimeter_index(a: int, b: int, spec: DefectSpec) -> int:
     side, pos = spec.side, spec.position
     if side == "SW":
         return a - pos
-    if side == "SE":
-        u = 2 * pos - 2 if spec.kind == "gamma" else 2 * pos - 1
+    if side == "SE" or side == "gamma":
+        u = 2 * pos - 2 if side == "gamma" else 2 * pos - 1
         return a + (2 * u if u else 3)
     if side == "NE":
         return 2 * a + 4 * b - pos
@@ -204,14 +193,15 @@ class DefectConfiguration:
                 raise InvalidDefectError("duplicate defect", spec)
             seen.add((spec.side, spec.position))
 
-    def __len__(self) -> int:
-        """The number of cells of ``region()``."""
-        a, b = self.a, self.b
-        return 2 * a * b + a + b + len(self.gammas) - len(self.betas) - len(self.alphas)
+    @property
+    def size(self) -> int:
+        """The number of cells of ``region()``, by arithmetic: ``len`` would stop at sys.maxsize."""
+        a, b, gammas = self.a, self.b, self.gammas
+        return 2 * a * b + a + b + gammas.stop - gammas.start - len(self.betas) - len(self.alphas)
 
     def region(self) -> Region:
         """The counted cell set: AR(a, b) plus the gamma squares minus the defects."""
         a, b = self.a, self.b
-        gammas = {boundary_cell(a, b, DefectSpec("SE", t, "gamma")) for t in self.gammas}
+        gammas = {boundary_cell(a, b, DefectSpec("gamma", t)) for t in self.gammas}
         gone = {boundary_cell(a, b, d) for d in self.betas + self.alphas}
         return Region((make_aztec_rectangle(a, b).cells | gammas) - gone)

@@ -157,7 +157,7 @@ def _verify_ciucu(max_a: int, max_b: int, trials: int, rng: random.Random) -> It
         kk = rng.randint(1, 2)
         verts = [hcycle[i] for i in sorted(rng.sample(range(len(hcycle)), 2 * kk))]
         # the host minus its forced domino {gamma 1, SE 1}: colour-balanced, with tilings
-        forced = {boundary_cell(a, a + 1, DefectSpec("SE", 1, kind)) for kind in ("beta", "gamma")}
+        forced = {boundary_cell(a, a + 1, DefectSpec(side, 1)) for side in ("SE", "gamma")}
         base_cells = host.cells - forced
         direct = count_tilings_dp(Region.from_cells(base_cells ^ set(verts)))
         try:

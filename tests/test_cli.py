@@ -210,6 +210,19 @@ def test_brute_cell_limit_exit_2(capsys, monkeypatch):
     assert (code, out) == (0, "64\n")
 
 
+def test_brute_cell_limit_past_sys_maxsize_exit_2():
+    # the size is taken by arithmetic, so a region past sys.maxsize cells is refused, not a traceback
+    b = 10**19
+    proc = subprocess.run(
+        [sys.executable, "-m", "aztec_tilings.cli", "count", f"AR a=1 b={b}", "--engine", "brute"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), AZTEC_ORACLE_CELL_LIMIT=""),
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {3 * b + 1} cells exceeds the brute-force limit {cli.DEFAULT_CELL_LIMIT}\n"
+
+
 def test_malformed_cell_limit_exit_1(capsys, monkeypatch):
     # only ASCII digits, as for a spec INT; int() alone would read "1_0" as 10
     for raw in ("forty", "-1", "1_0", "+5", " 7", "\uff11\uff10"):

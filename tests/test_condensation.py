@@ -428,7 +428,7 @@ def test_three_sided_entries_match_engine():
             host = DefectConfiguration(a, a + k, gammas=tuple(range(1, k + 1))).region()
             deltas = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, a + k + 1)]
             deltas += [DefectSpec(s, p) for s in ("NE", "SW")[: 1 if k else 2] for p in range(1, a + 1)]
-            deltas += [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
+            deltas += [DefectSpec("gamma", t) for t in range(1, k + 1)]
             for x, y in itertools.combinations(deltas, 2):
                 want = direct_count(host, (boundary_cell(a, a + k, x), boundary_cell(a, a + k, y)))
                 if (x.kind == "beta") == (y.kind == "beta"):
@@ -506,7 +506,7 @@ def test_three_sided_mixed_entries_match_kasteleyn_at_larger_order():
             host = DefectConfiguration(a, b, gammas=tuple(range(1, k + 1))).region()
             betas = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
             others = [DefectSpec(s, p) for s in ("NE", "SW")[: 1 if k else 2] for p in range(1, a + 1)]
-            others += [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
+            others += [DefectSpec("gamma", t) for t in range(1, k + 1)]
             for x, y in itertools.product(betas, others):
                 gone = {boundary_cell(a, b, x), boundary_cell(a, b, y)}
                 want = count_tilings_kasteleyn(Region.from_cells(host.cells - gone))
@@ -649,6 +649,23 @@ def test_formula_counts_one_nw_defect_with_no_se_block():
             assert count_configuration(cfg, "formula") == count_configuration(cfg, "kasteleyn"), (a, i)
 
 
+def test_formula_counts_se_nw_pairs_by_their_closed_form(monkeypatch):
+    # AR(a, a+2) minus SE i and NW j is count_ar_se_nw_defects' family
+    calls = []
+    real = condensation.count_ar_se_nw_defects
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(condensation, "count_ar_se_nw_defects", spy)
+    for a in range(1, 5):
+        for i, j in itertools.product(range(1, a + 3), repeat=2):
+            cfg = _config(a, a + 2, [("SE", i), ("NW", j)], [])
+            assert count_configuration(cfg, "formula") == count_configuration(cfg, "kasteleyn"), (a, i, j)
+            assert calls.pop() == (a, i, j)
+
+
 def test_diamond_counter_single_pair_is_formula():
     got = count_configuration(_config(2, 2, [("SE", 2)], [("NE", 2)]), "pfaffian")
     assert got == count_ad_adjacent_defects(2, 2, 2) == 6
@@ -697,7 +714,7 @@ def test_count_configuration_engines_agree(a, k, data):
     nb = n + k - g
     betas = data.draw(st.lists(st.sampled_from(whites), min_size=nb, max_size=nb, unique=True))
     cfg = DefectConfiguration(a, b, tuple(betas), tuple(alphas), gammas)
-    cells = len(cfg)
+    cells = cfg.size
     counts = {}
     for engine in ENGINES:
         if engine == "brute" and cells > 30:

@@ -50,7 +50,7 @@ def test_perimeter_index_matches_boundary_cycle(a, k):
     plain = make_aztec_rectangle(a, b)
     sides = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
     sides += [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
-    gammas = [DefectSpec("SE", t, "gamma") for t in range(1, k + 1)]
+    gammas = [DefectSpec("gamma", t) for t in range(1, k + 1)]
     augmented = DefectConfiguration(a, b, gammas=tuple(range(1, k + 1))).region()
     for host, specs in ((plain, sides), (augmented, sides + gammas)):
         rank = {c: i for i, c in enumerate(boundary_cycle(host))}

@@ -86,27 +86,43 @@ def test_boundary_cell_injective_with_stated_colors(side, count):
         boundary_cell(4, 10, DefectSpec(side, count + 1))
 
 
-def test_defect_spec_color_constraints():
-    with pytest.raises(InvalidDefectError):
-        DefectSpec("NE", 1, "beta")
-    with pytest.raises(InvalidDefectError):
-        DefectSpec("NW", 1, "alpha")
-    with pytest.raises(InvalidDefectError):
-        DefectSpec("NW", 1, "gamma")
+def test_defect_class_follows_from_side():
+    kinds = {side: DefectSpec(side, 1).kind for side in ("NW", "SE", "NE", "SW", "gamma")}
+    assert kinds == {"NW": "beta", "SE": "beta", "NE": "alpha", "SW": "alpha", "gamma": "gamma"}
+    assert DefectSpec("gamma", 3).kind == "gamma"
+    # the class is derived, never passed, so a side and a class cannot disagree
+    with pytest.raises(TypeError):
+        DefectSpec("SE", 1, "gamma")
+    with pytest.raises(TypeError):
+        DefectSpec("NE", 1, kind="beta")
+    with pytest.raises(InvalidDefectError, match="unknown side"):
+        DefectSpec("S", 1)
+    # still a field: repr (which the verify labels print), equality and hash see it
+    assert repr(DefectSpec("NW", 3)) == "DefectSpec(side='NW', position=3, kind='beta')"
+    assert DefectSpec("SE", 2) == DefectSpec("SE", 2) != DefectSpec("gamma", 2)
+    assert len({DefectSpec("SE", 2), DefectSpec("SE", 2), DefectSpec("gamma", 2)}) == 2
+
+
+def test_gamma_side_addresses_the_squares_under_se():
+    cells = [boundary_cell(4, 9, DefectSpec("gamma", t)) for t in range(1, 10)]
+    assert cells == [Cell(2 * t - 2, 9) for t in range(1, 10)]
+    assert not any(map(is_white, cells))
+    with pytest.raises(InvalidDefectError, match="gamma position 10 out of range 1..9"):
+        boundary_cell(4, 9, DefectSpec("gamma", 10))
 
 
 def test_configuration_without_defects_is_the_rectangle():
     config = DefectConfiguration(2, 4)
     assert config.region().cells == make_aztec_rectangle(2, 4).cells
-    assert len(config) == len(config.region())
+    assert config.size == len(config.region())
 
 
 def test_gamma_squares_cells_and_balance():
     config = DefectConfiguration(4, 9, gammas=(1, 2, 3, 4, 5))
     region = config.region()
-    assert len(region) == len(config) == 2 * 4 * 9 + 4 + 9 + 5
+    assert len(region) == config.size == 2 * 4 * 9 + 4 + 9 + 5
     assert region.color_counts() == (45, 45)
-    gammas = {boundary_cell(4, 9, DefectSpec("SE", t, "gamma")) for t in range(1, 6)}
+    gammas = {boundary_cell(4, 9, DefectSpec("gamma", t)) for t in range(1, 6)}
     assert region.cells - make_aztec_rectangle(4, 9).cells == gammas
 
 
@@ -132,7 +148,9 @@ def test_gamma_string_is_kept_as_a_range():
     assert DefectConfiguration(2, 5, gammas=range(2, 4)) == DefectConfiguration(2, 5, gammas=(2, 3))
     assert DefectConfiguration(2, 5).gammas == DefectConfiguration(2, 5, gammas=()).gammas == range(0)
     b = 10**9 + 1
-    assert len(DefectConfiguration(1, b, gammas=range(1, b))) == 2 * b + 1 + b + (b - 1)
+    assert DefectConfiguration(1, b, gammas=range(1, b)).size == 2 * b + 1 + b + (b - 1)
+    b = 10**19  # past sys.maxsize, where len() of the string would raise
+    assert DefectConfiguration(1, b, gammas=range(1, b)).size == 2 * b + 1 + b + (b - 1)
     with pytest.raises(InvalidParameterError, match="one string"):
         DefectConfiguration(2, 5, gammas=range(1, 5, 2))
     with pytest.raises(InvalidParameterError, match="does not fit"):
@@ -151,7 +169,7 @@ def test_configuration_rejects_bad_sides_and_kinds():
 def test_configuration_region_removes_defects():
     config = DefectConfiguration(2, 3, (DefectSpec("SE", 1), DefectSpec("SE", 2)))
     smaller = config.region()
-    assert len(smaller) == len(config) == 15
+    assert len(smaller) == config.size == 15
     assert smaller.color_counts() == (7, 8)
     assert DefectConfiguration(2, 3, (DefectSpec("SE", 1),)).region().color_counts() == (8, 8)
 

@@ -9,7 +9,8 @@ once in src/aztec_tilings/MODULE, and runs ``python -m pytest -x -q`` there,
 less the test that checks this table against the source, which any planted
 fault would fail.  A failing test kills the fault.  The unchanged copy runs
 first and must pass.  Prints one line per run with the seconds it took and
-the test that killed the fault, and exits 1 if any fault survived or a run
+the test that killed the fault, or the test module that no longer collects
+under it, and exits 1 if any fault survived or a run
 ended otherwise (a collection error, say), 2 for an unknown name or a stale
 old text.  Stdlib only; the suite itself needs pytest and hypothesis.
 """
@@ -58,6 +59,48 @@ FAULTS = (
      "entries.append(sw_row[p - 1])", "entries.append(sw_row[p - 1] + 1)"),
     ("the balance test removed", "condensation.py",
      "return _pfaffian_count(config) if _balanced(config) else 0", "return _pfaffian_count(config)"),
+    ("SE t - 1 replaced by SE t + 1 in an added gamma's row", "condensation.py",
+     "for s in (pos - 1, pos) if s", "for s in (pos + 1, pos) if s"),
+    # one fault per entry zone of _three_sided_row
+    ("NW reversal off by one against NE", "condensation.py",
+     "a + 1 - p if nw else p) if pos > k", "a - p if nw else p) if pos > k"),
+    ("NW reversal off by one against a k = 0 SW alpha", "condensation.py",
+     "p if nw else a + 1 - p))", "p + 1 if nw else a + 1 - p))"),
+    ("+1 on every (beta, NE alpha) entry", "condensation.py",
+     "a + 1 - p if nw else p) if pos > k", "a + 1 - p if nw else p) + 1 if pos > k"),
+    ("(beta, NE alpha) forcing zero made 1", "condensation.py",
+     "if pos > k else 0)", "if pos > k else 1)"),
+    ("+1 on every (beta, gamma) entry", "condensation.py",
+     "pos - p + 1) if p <= pos", "pos - p + 1) + 1 if p <= pos"),
+    ("(beta, gamma) forcing zero made 1", "condensation.py",
+     "if p <= pos else 0)", "if p <= pos else 1)"),
+    ("NW and SE gamma sums swapped", "condensation.py",
+     "gamma_sum = ar_gamma_nw_sum if nw else ar_gamma_se_sum",
+     "gamma_sum = ar_gamma_se_sum if nw else ar_gamma_nw_sum"),
+    # one fault per formulas helper
+    ("binomial_ext's zero below d = 0 made 1", "formulas.py",
+     "if d < 0:\n        return 0", "if d < 0:\n        return 1"),
+    ("ar_gamma_se_sum's j <= k zone made 2", "formulas.py",
+     "if j <= k:\n        return 1", "if j <= k:\n        return 2"),
+    ("ar_gamma_se_sum's second binomial shifted", "formulas.py",
+     "math.comb(j - 2 - m, k - 1 - m)", "math.comb(j - 1 - m, k - 1 - m)"),
+    ("ar_se_block_nw_sum runs one term long", "formulas.py",
+     "range(1, min(k - 1, i - 1) + 1)", "range(1, min(k, i - 1) + 1)"),
+    ("ar_gamma_nw_sum drops its last shifted copy", "formulas.py",
+     "for m in range(min(k - 1, i - 1) + 1)", "for m in range(min(k - 1, i - 1))"),
+    ("ad_adjacent_sum weights its second column too", "formulas.py",
+     "_ad_column(a, j - 1, 1)", "_ad_column(a, j - 1, 2)"),
+    ("_ad_column's binomial off by one", "formulas.py",
+     "math.comb(a - 1 - m, x - m)", "math.comb(a - m, x - m)"),
+    # the two memo faults
+    ("the diamond memo keyed by (a, min(i, j))", "formulas.py",
+     "    return sum(map(mul, _ad_column(a, i - 1, 2), _ad_column(a, j - 1, 1)))\n",
+     "    key, entry = (a, min(i, j)), sum(map(mul, _ad_column(a, i - 1, 2), _ad_column(a, j - 1, 1)))\n"
+     "    return MEMO.setdefault(key, entry)\n\n\nMEMO: dict = {}\n"),
+    ("the diamond memo given maxsize=None", "formulas.py",
+     "@functools.lru_cache(maxsize=4096)", "@functools.lru_cache(maxsize=None)"),
+    # the side -> class table of DefectSpec
+    ("SE mapped to alpha", "geometry.py", '"SE": "beta"', '"SE": "alpha"'),
 )
 
 
@@ -71,7 +114,7 @@ def occurrences(root: Path, module: str, old: str) -> int:
 
 
 def run_suite(fault: tuple[str, str, str, str] | None) -> tuple[int, float, str]:
-    """The exit code, seconds and first failed test of ``pytest -x -q`` on a copy with the fault planted."""
+    """The exit code, seconds and first failed test or module of ``pytest -x -q`` on a faulted copy."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for item in COPIED:
@@ -88,7 +131,7 @@ def run_suite(fault: tuple[str, str, str, str] | None) -> tuple[int, float, str]
         command += ["--deselect", TABLE_TEST]
         proc = subprocess.run(command, cwd=root, capture_output=True, text=True)
         seconds = time.perf_counter() - start
-    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith("FAILED ")]
+    failed = [line.split()[1] for line in proc.stdout.splitlines() if line.startswith(("FAILED ", "ERROR "))]
     return proc.returncode, seconds, failed[0] if failed else ""
 
 
