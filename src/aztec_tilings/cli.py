@@ -24,12 +24,14 @@ of a suite from ``verify.SUITES`` into one report line.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
 import os
 import random
 import re
+import shutil
 import sys
 import time
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
@@ -256,8 +258,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+# argparse's own default width, read once: HelpFormatter() alone queries the
+# terminal, and building the parser makes 14 of them
+HELP_FORMATTER = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors raise ``SpecError`` rather than exit 2."""
+    """An argument parser whose usage errors raise ``SpecError`` rather than exit 2.
+
+    Every ``_Parser``, the subparsers that argparse makes of its class among
+    them, formats with ``HELP_FORMATTER``.
+    """
+
+    __init__ = functools.partialmethod(argparse.ArgumentParser.__init__, formatter_class=HELP_FORMATTER)
 
     def error(self, message: str) -> NoReturn:
         raise SpecError(message)

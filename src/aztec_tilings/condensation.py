@@ -119,8 +119,6 @@ def _validate_cyclic(cycle: Sequence[Cell], chosen: Sequence[Cell]) -> None:
     if len(set(idx)) != len(idx):
         raise InvalidOrderError("face vertices must be distinct")
     n = len(idx)
-    if n <= 2:
-        return
     descents = sum(1 for t in range(n) if idx[t] > idx[(t + 1) % n])
     ascents = n - descents
     if descents > 1 and ascents > 1:

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 import time
@@ -300,6 +301,45 @@ def test_help_exits_0(capsys):
         main(["count", "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: aztec-tilings count")
+
+
+def test_commands_read_the_terminal_size_only_at_import(capsys, monkeypatch):
+    # argparse's HelpFormatter() queries the terminal, and building the parser
+    # makes 14 of them; the width is read once, when cli is imported
+    calls, get_terminal_size = [], shutil.get_terminal_size
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return get_terminal_size(*args, **kwargs)
+
+    monkeypatch.setattr(shutil, "get_terminal_size", counting)
+    assert run_cli(capsys, "count", "AD n=2") == (0, "8\n", "")
+    assert run_cli(capsys, "render", "AD n=1")[0] == 0
+    assert calls == []
+
+
+def _help(command, columns):
+    proc = subprocess.run(
+        [sys.executable, "-m", "aztec_tilings.cli", command, "--help"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, COLUMNS=str(columns), PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0
+    return proc.stdout.splitlines()
+
+
+def test_columns_at_process_start_sets_the_help_wrap():
+    # argparse wraps at COLUMNS - 2 but breaks usage only between its groups,
+    # so the --engine group, which needs 80 columns where it is indented, stays whole
+    engine = " " * len("usage: aztec-tilings count ") + f"[--engine {{{','.join(condensation.ENGINES)}}}]"
+    narrow = _help("count", 60)
+    assert narrow[0] == "usage: aztec-tilings count [-h]"
+    assert [line for line in narrow if len(line) > 58] == [engine]
+    assert max(map(len, _help("verify", 60))) <= 58
+    wide = _help("count", 200)
+    assert wide[0].startswith("usage: aztec-tilings count [-h] [--engine") and wide[0].endswith(" spec")
+    assert wide[1] == ""
 
 
 def test_four_sided_spec_without_a_tileable_base_counts_0(capsys):

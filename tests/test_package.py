@@ -143,3 +143,13 @@ def test_cli_transcripts_digest_every_engine_format_and_cell_limit(monkeypatch):
 def test_cli_transcripts_run_every_verify_suite():
     tool = _cli_transcripts()
     assert [argv[:2] for argv in tool.VERIFY] == [["verify", suite] for suite in SUITES]
+
+
+def test_cli_transcripts_run_the_root_and_every_command_help():
+    tool = _cli_transcripts()
+    assert tool.HELP[0] == ["--help"]
+    lines = [tool.run(argv, None).split(" | ") for argv in tool.HELP]
+    assert [line[:3] for line in lines] == [
+        [" ".join(argv), "AZTEC_ORACLE_CELL_LIMIT unset", "exit=0"] for argv in tool.HELP
+    ]
+    assert len({line[3] for line in lines}) == len(lines)  # each prints its own help

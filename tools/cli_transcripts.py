@@ -11,10 +11,13 @@ each is rendered once and counted under every engine in ``ENGINES``, in ``dec`` 
 ``json`` format, with AZTEC_ORACLE_CELL_LIMIT unset and set to 20.  Then every
 suite in ``aztec_tilings.verify.SUITES``, the table the ``verify`` command
 reads, runs through ``cli.main``: ``formulas`` with its defaults, the others
-with fixed seeded flags.  Each line holds the argv, the cell-limit setting,
-the exit code and the sha256 of stdout followed by stderr, with the
-``millis`` field of JSON output zeroed.  Diffing the output of two checkouts
-shows whether a change altered any transcript.  Stdlib only.
+with fixed seeded flags.  Last, ``--help`` runs for the root and for each
+command; argparse wraps help at the terminal width (COLUMNS when set), so
+those lines compare only between runs in one environment.  Each line holds
+the argv, the cell-limit setting, the exit code and the sha256 of stdout
+followed by stderr, with the ``millis`` field of JSON output zeroed.  Diffing
+the output of two checkouts shows whether a change altered any transcript.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ MALFORMED = ("", "AD", "AX n=3", "AD x=3", "AD n=zero", "AD n=0", "AR a=3", "AR 
              "AD n=\uff12", "AD n=" + "9" * 4400)
 SEEDED = ["--max-a", "6", "--max-b", "9", "--trials", "400", "--seed", "11"]
 VERIFY = [["verify", suite] + ([] if suite == "formulas" else SEEDED) for suite in SUITES]
+HELP = [["--help"]] + [[command, "--help"] for command in ("count", "verify", "render")]
 _MILLIS = re.compile(r'"millis": \d+')
 
 
@@ -115,7 +119,7 @@ def spec_lines(specs: Iterable[str]) -> Iterator[str]:
 def main() -> None:
     for line in spec_lines(seeded_specs()):
         print(line)
-    for argv in VERIFY:
+    for argv in VERIFY + HELP:
         print(run(argv, None))
 
 

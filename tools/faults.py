@@ -101,6 +101,10 @@ FAULTS = (
      "@functools.lru_cache(maxsize=4096)", "@functools.lru_cache(maxsize=None)"),
     # the side -> class table of DefectSpec
     ("SE mapped to alpha", "geometry.py", '"SE": "beta"', '"SE": "alpha"'),
+    # the help width, read once at import
+    ("help formatter reads the terminal per formatter", "cli.py",
+     "functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)",
+     "argparse.HelpFormatter"),
 )
 
 
