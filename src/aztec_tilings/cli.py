@@ -259,7 +259,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 # argparse's own default width, read once: HelpFormatter() alone queries the
-# terminal, and building the parser makes 14 of them
+# terminal, and building the full parser makes 14 of them
 HELP_FORMATTER = functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)
 
 
@@ -281,38 +281,49 @@ def integer(text: str) -> int:
     return _int(text, 0, text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {"count": cmd_count, "verify": cmd_verify, "render": cmd_render}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The root parser with the subparser of ``command`` alone, or of every command when it is None.
+
+    ``main`` names the command when its first argument is one, so a command
+    call builds one subparser rather than all of ``COMMANDS``; a root-level
+    call (``--help``, no arguments, an unknown command, a leading option or
+    ``--``) takes the full parser, whose usage and help list every command.
+    """
     parser = _Parser(
         prog="aztec-tilings",
         description="Exact domino-tiling counts for Aztec diamonds and rectangles with defects.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_count = sub.add_parser("count", help="count tilings of a region spec")
-    p_count.add_argument("spec")
-    p_count.add_argument("--engine", choices=ENGINES, default=ENGINES[0])
-    p_count.add_argument("--format", choices=("dec", "json"), default="dec")
-    p_count.set_defaults(func=cmd_count)
+    if command in (None, "count"):
+        p_count = sub.add_parser("count", help="count tilings of a region spec")
+        p_count.add_argument("spec")
+        p_count.add_argument("--engine", choices=ENGINES, default=ENGINES[0])
+        p_count.add_argument("--format", choices=("dec", "json"), default="dec")
 
-    p_verify = sub.add_parser("verify", help="run a cross-verification suite")
-    p_verify.add_argument("suite", choices=SUITES)
-    p_verify.add_argument("--max-a", type=integer, default=3, dest="max_a")
-    p_verify.add_argument("--max-b", type=integer, default=5, dest="max_b")
-    p_verify.add_argument("--seed", type=integer, default=0)
-    p_verify.add_argument("--trials", type=integer, default=100)
-    p_verify.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        p_verify = sub.add_parser("verify", help="run a cross-verification suite")
+        p_verify.add_argument("suite", choices=SUITES)
+        p_verify.add_argument("--max-a", type=integer, default=3, dest="max_a")
+        p_verify.add_argument("--max-b", type=integer, default=5, dest="max_b")
+        p_verify.add_argument("--seed", type=integer, default=0)
+        p_verify.add_argument("--trials", type=integer, default=100)
 
-    p_render = sub.add_parser("render", help="ASCII checkerboard rendering of a region spec")
-    p_render.add_argument("spec")
-    p_render.set_defaults(func=cmd_render)
+    if command in (None, "render"):
+        p_render = sub.add_parser("render", help="ASCII checkerboard rendering of a region spec")
+        p_render.add_argument("spec")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command; the only place where an error becomes a message and an exit code."""
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+        return COMMANDS[args.command](args)
     except (SpecError, OutOfScopeConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, SpecError) else 2

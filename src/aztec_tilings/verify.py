@@ -51,6 +51,7 @@ from .formulas import (
     count_aztec_diamond,
 )
 from .geometry import (
+    Cell,
     DefectConfiguration,
     DefectSpec,
     Region,
@@ -114,20 +115,17 @@ def _verify_formulas(
 
 
 def _verify_kuo(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iterator[Check]:
-    pool: list[Region] = []
+    pool: list[tuple[Region, tuple[Cell, ...]]] = []  # each region with its outer face, walked once
     for a in range(2, max_a + 1):
         sw, ne = DefectSpec("SW", a), DefectSpec("NE", a)
-        pool.append(make_aztec_rectangle(a, a))
-        pool.append(DefectConfiguration(a, a, alphas=(sw,)).region())
-        pool.append(DefectConfiguration(a, a, alphas=(sw, ne)).region())
+        for region in (make_aztec_rectangle(a, a), DefectConfiguration(a, a, alphas=(sw,)).region(),
+                       DefectConfiguration(a, a, alphas=(sw, ne)).region()):
+            pool.append((region, boundary_cycle(region)))
     done = 0
     attempts = 0
     while done < trials and attempts < trials * 200:
         attempts += 1
-        region = pool[rng.randrange(len(pool))]
-        cycle = boundary_cycle(region)
-        if len(cycle) < 4:
-            continue
+        region, cycle = pool[rng.randrange(len(pool))]
         quad = [cycle[i] for i in sorted(rng.sample(range(len(cycle)), 4))]
         first_white = is_white(quad[0])
         pattern = "".join("A" if is_white(c) == first_white else "B" for c in quad)

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, engines, rendering, verify suites."""
 
+import argparse
 import json
 import os
 import random
@@ -304,8 +305,8 @@ def test_help_exits_0(capsys):
 
 
 def test_commands_read_the_terminal_size_only_at_import(capsys, monkeypatch):
-    # argparse's HelpFormatter() queries the terminal, and building the parser
-    # makes 14 of them; the width is read once, when cli is imported
+    # argparse's HelpFormatter() queries the terminal, and the full parser makes
+    # 14 of them, a count's parser 6; the width is read once, when cli is imported
     calls, get_terminal_size = [], shutil.get_terminal_size
 
     def counting(*args, **kwargs):
@@ -316,6 +317,34 @@ def test_commands_read_the_terminal_size_only_at_import(capsys, monkeypatch):
     assert run_cli(capsys, "count", "AD n=2") == (0, "8\n", "")
     assert run_cli(capsys, "render", "AD n=1")[0] == 0
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["count", "AD n=2"], ["count"]),
+        (["verify", "kuo", "--max-a", "2", "--trials", "1"], ["verify"]),
+        (["render", "AD n=1"], ["render"]),
+        (["--help"], ["count", "verify", "render"]),
+        ([], ["count", "verify", "render"]),
+        (["frobnicate"], ["count", "verify", "render"]),
+    ],
+)
+def test_a_command_call_builds_only_its_subparser(capsys, monkeypatch, argv, built):
+    # root-level calls take the full parser, so their usage lists every command
+    added, add_parser = [], argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        added.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    try:
+        main(argv)
+    except SystemExit:  # --help
+        pass
+    capsys.readouterr()
+    assert added == built
 
 
 def _help(command, columns):

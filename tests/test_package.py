@@ -153,3 +153,11 @@ def test_cli_transcripts_run_the_root_and_every_command_help():
         [" ".join(argv), "AZTEC_ORACLE_CELL_LIMIT unset", "exit=0"] for argv in tool.HELP
     ]
     assert len({line[3] for line in lines}) == len(lines)  # each prints its own help
+
+
+def test_cli_transcripts_pin_the_root_level_and_command_usage_errors():
+    # the calls that take the full parser, then command calls failing in their one subparser
+    tool = _cli_transcripts()
+    codes = [tool.run(argv, None).split(" | ")[2] for argv in tool.SHAPES]
+    assert codes == ["exit=0" if argv == ["-h", "count"] else "exit=1" for argv in tool.SHAPES]
+    assert {"count", "verify", "render"} <= {argv[0] for argv in tool.SHAPES if argv}

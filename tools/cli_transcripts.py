@@ -11,9 +11,12 @@ each is rendered once and counted under every engine in ``ENGINES``, in ``dec`` 
 ``json`` format, with AZTEC_ORACLE_CELL_LIMIT unset and set to 20.  Then every
 suite in ``aztec_tilings.verify.SUITES``, the table the ``verify`` command
 reads, runs through ``cli.main``: ``formulas`` with its defaults, the others
-with fixed seeded flags.  Last, ``--help`` runs for the root and for each
+with fixed seeded flags.  Then ``--help`` runs for the root and for each
 command; argparse wraps help at the terminal width (COLUMNS when set), so
-those lines compare only between runs in one environment.  Each line holds
+those lines compare only between runs in one environment.  Last, ``SHAPES``
+runs: the calls that ``cli.main`` parses with the full parser (no arguments,
+an unknown command, a leading option or ``--``) and command calls that end in
+a usage error of their one subparser.  Each line holds
 the argv, the cell-limit setting, the exit code and the sha256 of stdout
 followed by stderr, with the ``millis`` field of JSON output zeroed.  Diffing
 the output of two checkouts shows whether a change altered any transcript.
@@ -45,6 +48,9 @@ MALFORMED = ("", "AD", "AX n=3", "AD x=3", "AD n=zero", "AD n=0", "AR a=3", "AR 
 SEEDED = ["--max-a", "6", "--max-b", "9", "--trials", "400", "--seed", "11"]
 VERIFY = [["verify", suite] + ([] if suite == "formulas" else SEEDED) for suite in SUITES]
 HELP = [["--help"]] + [[command, "--help"] for command in ("count", "verify", "render")]
+SHAPES = [[], ["frobnicate"], ["-h", "count"], ["--", "count", "AD n=2"],
+          ["count"], ["verify"], ["count", "AD n=2", "--engine", "nope"], ["count", "AD n=2", "--bogus"],
+          ["render", "AD n=1", "extra"]]
 _MILLIS = re.compile(r'"millis": \d+')
 
 
@@ -119,7 +125,7 @@ def spec_lines(specs: Iterable[str]) -> Iterator[str]:
 def main() -> None:
     for line in spec_lines(seeded_specs()):
         print(line)
-    for argv in VERIFY + HELP:
+    for argv in VERIFY + HELP + SHAPES:
         print(run(argv, None))
 
 

@@ -105,6 +105,12 @@ FAULTS = (
     ("help formatter reads the terminal per formatter", "cli.py",
      "functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)",
      "argparse.HelpFormatter"),
+    # a command call builds the root and its own subparser, a root-level call all of them
+    ("a command call builds every subparser", "cli.py",
+     'sub = parser.add_subparsers(dest="command", required=True)\n',
+     'sub = parser.add_subparsers(dest="command", required=True)\n    command = None\n'),
+    ("a root-level call builds one subparser", "cli.py",
+     "argv[0] if argv and argv[0] in COMMANDS else None", 'argv[0] if argv and argv[0] in COMMANDS else "count"'),
 )
 
 
