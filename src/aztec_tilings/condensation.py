@@ -16,6 +16,8 @@ alternating-product identity that drives its induction.  Kuo's four local
 identities are its four-vertex case: ``check_kuo_identity`` checks a
 pattern's hypotheses on the region G, then checks the alternating identity
 on the four cells with base G, or with base G - w for the AAAB pattern.
+These checks read a host's outer face through ``outer_face``, a bounded
+memo, so each host is walked once however many checks it serves.
 
 The defect counters specialize condensation to Aztec rectangles, and
 ``count_configuration``'s ``pfaffian`` engine is their one entry point: it
@@ -100,13 +102,19 @@ def _cells_count(cells: Iterable[Cell]) -> int:
     return count_tilings_dp(Region.from_cells(cells))
 
 
+@functools.lru_cache(maxsize=64)
+def outer_face(host: Region) -> tuple[Cell, ...]:
+    """``boundary_cycle(host)``, walked once for each of the last 64 hosts asked for."""
+    return boundary_cycle(host)
+
+
 def _checked_base(host: Region, base_vertices: Iterable[Cell], face: Sequence[Cell]) -> set[Cell]:
     """The base as a set, checked to lie in the host, with the face cells
     checked to be in cyclic order on the host's outer face."""
     base = set(base_vertices)
     if not base <= host.cells:
         raise InvalidParameterError(f"cells not in host: {sorted(base - host.cells)}")
-    _validate_cyclic(boundary_cycle(host), face)
+    _validate_cyclic(outer_face(host), face)
     return base
 
 

@@ -3,8 +3,10 @@
 A region is its own dual graph: cells are vertices, and two cells are adjacent
 (a domino covers both) when |du| = |dv| = 1.  ``count_matchings_brute`` is the
 auditable oracle: it counts perfect matchings of that graph, branching on the
-lowest unmatched cell in (v, u) order, factoring over connected components and
-memoizing on the remaining cell bitmask.  ``count_tilings_dp`` is the sweep:
+lowest unmatched cell in (v, u) order and memoizing on the remaining cell
+bitmask, which that order keeps to a profile state about one row wide:
+about 0.11 ms for 26 cells, 1 ms for AD(6) (84 cells) and 40 ms for AD(10),
+where the sweep takes 1.7 ms and 70 ms.  ``count_tilings_dp`` is the sweep:
 every edge joins cells in consecutive diagonal columns (constant u), so a
 sweep over columns with a bit profile of cells already matched from the left
 counts tilings in time exponential only in the column length: about 0.5 s for
@@ -27,50 +29,43 @@ def count_matchings_brute(region: Region) -> int:
     """Number of perfect matchings of the region's dual graph, i.e. of tilings.
 
     Returns 1 for the empty region and 0 when no perfect matching exists
-    (in particular for odd cell counts).
+    (in particular for odd cell counts).  The recursion matches the lowest
+    unmatched cell in (v, u) order with each free neighbour and memoizes on
+    the bitmask of unmatched cells.  Every cell before the lowest one is
+    matched, and that cell's partners all lie in the next row up (v + 1), so
+    a mask is a profile state: the cells past the lowest one less those
+    already matched from behind it, all within one row's width of it.
+    Splitting a mask into connected components would cost a walk over it at
+    every memo miss and buys nothing.  About 0.11 ms for 26 cells, 0.19 ms for
+    36, 1 ms for AD(6) (84 cells), 5 ms for AD(8) and 40 ms for AD(10)
+    (Python 3.11, one core).
     """
     cells = sorted(region.cells, key=lambda c: (c.v, c.u))
-    index = {c: i for i, c in enumerate(cells)}
     n = len(cells)
+    if n % 2:  # every step matches two cells, so an even mask stays even
+        return 0
+    index = {c: i for i, c in enumerate(cells)}
     adj_bits = [0] * n
-    for i, c in enumerate(cells):
+    for i, (u, v) in enumerate(cells):
         for dv in (-1, 1):  # each edge once, from its cell with the smaller u
-            j = index.get(Cell(c.u + 1, c.v + dv))
+            j = index.get((u + 1, v + dv))
             if j is not None:
                 adj_bits[i] |= 1 << j
                 adj_bits[j] |= 1 << i
     memo: dict[int, int] = {0: 1}
 
-    def component(mask: int, seed: int) -> int:
-        comp = 0
-        stack = 1 << seed
-        while stack:
-            v = stack & -stack
-            stack ^= v
-            comp |= v
-            stack |= adj_bits[v.bit_length() - 1] & mask & ~comp
-        return comp
-
     def rec(mask: int) -> int:
         cached = memo.get(mask)
         if cached is not None:
             return cached
-        if mask.bit_count() % 2 == 1:
-            memo[mask] = 0
-            return 0
         v = (mask & -mask).bit_length() - 1
-        comp = component(mask, v)
-        if comp != mask:
-            total = rec(comp) * rec(mask ^ comp)
-            memo[mask] = total
-            return total
-        total = 0
-        rest = mask & ~(1 << v)
+        rest = mask ^ (1 << v)
         nbrs = adj_bits[v] & rest
+        total = 0
         while nbrs:
             wbit = nbrs & -nbrs
             nbrs ^= wbit
-            total += rec(rest & ~wbit)
+            total += rec(rest ^ wbit)
         memo[mask] = total
         return total
 

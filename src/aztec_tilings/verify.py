@@ -35,9 +35,9 @@ from .condensation import (
     condensation_count,
     condensation_count_symdiff,
     count_configuration,
+    outer_face,
 )
 from .counting import count_matchings_brute, count_tilings_dp
-from .dualgraph import boundary_cycle
 from .errors import AztecError, CondensationInapplicableError, InvalidConfigurationError
 from .formulas import (
     count_ad_adjacent_defects,
@@ -51,7 +51,6 @@ from .formulas import (
     count_aztec_diamond,
 )
 from .geometry import (
-    Cell,
     DefectConfiguration,
     DefectSpec,
     Region,
@@ -115,17 +114,17 @@ def _verify_formulas(
 
 
 def _verify_kuo(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iterator[Check]:
-    pool: list[tuple[Region, tuple[Cell, ...]]] = []  # each region with its outer face, walked once
+    pool: list[Region] = []
     for a in range(2, max_a + 1):
         sw, ne = DefectSpec("SW", a), DefectSpec("NE", a)
-        for region in (make_aztec_rectangle(a, a), DefectConfiguration(a, a, alphas=(sw,)).region(),
-                       DefectConfiguration(a, a, alphas=(sw, ne)).region()):
-            pool.append((region, boundary_cycle(region)))
+        pool += (make_aztec_rectangle(a, a), DefectConfiguration(a, a, alphas=(sw,)).region(),
+                 DefectConfiguration(a, a, alphas=(sw, ne)).region())
     done = 0
     attempts = 0
     while done < trials and attempts < trials * 200:
         attempts += 1
-        region, cycle = pool[rng.randrange(len(pool))]
+        region = pool[rng.randrange(len(pool))]
+        cycle = outer_face(region)
         quad = [cycle[i] for i in sorted(rng.sample(range(len(cycle)), 4))]
         first_white = is_white(quad[0])
         pattern = "".join("A" if is_white(c) == first_white else "B" for c in quad)
@@ -141,7 +140,7 @@ def _verify_ciucu(max_a: int, max_b: int, trials: int, rng: random.Random) -> It
     for _ in range(trials):
         a = rng.randint(2, max_a)
         region = make_aztec_rectangle(a, a)
-        cycle = boundary_cycle(region)
+        cycle = outer_face(region)
         k = rng.randint(1, 3)
         verts = [cycle[i] for i in sorted(rng.sample(range(len(cycle)), 2 * k))]
         direct = count_tilings_dp(Region.from_cells(region.cells - set(verts)))
@@ -149,7 +148,7 @@ def _verify_ciucu(max_a: int, max_b: int, trials: int, rng: random.Random) -> It
         yield got == direct, f"condensation a={a} verts={verts} {got}!={direct}"
 
         host = DefectConfiguration(a, a + 1, gammas=(1,)).region()
-        hcycle = boundary_cycle(host)
+        hcycle = outer_face(host)
         kk = rng.randint(1, 2)
         verts = [hcycle[i] for i in sorted(rng.sample(range(len(hcycle)), 2 * kk))]
         # the host minus its forced domino {gamma 1, SE 1}: colour-balanced, with tilings

@@ -1,5 +1,7 @@
 """Engine correctness: brute-force oracle vs transfer-matrix sweep vs Kasteleyn determinant."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -77,6 +79,27 @@ def test_color_imbalance_is_zero():
     region = make_aztec_rectangle(2, 4)
     assert count_tilings_dp(region) == 0
     assert count_matchings_brute(region) == 0
+
+
+def test_brute_matches_kasteleyn_past_the_cli_cell_limit():
+    # the CLI runs brute on at most 36 cells; the library oracle takes larger regions too
+    rng = random.Random(30)
+    configs = []
+    for a in (4, 5, 6):  # one defect on each side: 36, 56 and 80 cells
+        for _ in range(2):
+            defects = [DefectSpec(s, rng.randint(1, a)) for s in ("NW", "SE", "NE", "SW")]
+            configs.append(DefectConfiguration(a, a, tuple(defects[:2]), tuple(defects[2:])))
+    configs.append(DefectConfiguration(6, 6))  # 84 cells
+    # AR(4, 6) with gammas 2..4, one past k = 2, so an alpha balances: 58 cells
+    configs.append(DefectConfiguration(4, 6, alphas=(DefectSpec("NE", rng.randint(1, 4)),), gammas=(2, 3, 4)))
+    sizes = []
+    for config in configs:
+        region = config.region()
+        sizes.append(len(region))
+        assert count_matchings_brute(region) == count_tilings_kasteleyn(region) > 0, config
+    assert min(sizes) == 36 and max(sizes) == 84, sizes
+    odd = DefectConfiguration(5, 5, alphas=(DefectSpec("NE", 3),)).region()  # 59 cells
+    assert count_matchings_brute(odd) == count_tilings_kasteleyn(odd) == 0
 
 
 @settings(max_examples=60, deadline=None)

@@ -16,7 +16,7 @@ from aztec_tilings.verify import SUITES
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 CODE_LINES = TOOLS / "code_lines.py"
-CODE_LINE_CEILING = 1123
+CODE_LINE_CEILING = 1110
 
 
 def test_star_import_resolves_every_export():
@@ -47,7 +47,9 @@ def test_every_module_level_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert {"formulas.ad_adjacent_sum", "formulas._ad_column", "condensation._sw_row"} <= caches.keys()
+    assert {
+        "formulas.ad_adjacent_sum", "formulas._ad_column", "condensation._sw_row", "condensation.outer_face"
+    } <= caches.keys()
     assert all(maxsize is not None for maxsize in caches.values()), caches
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from aztec_tilings import cli, verify
+from aztec_tilings import cli, condensation, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -35,3 +35,17 @@ def test_verify_does_not_import_cli():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
+
+
+@pytest.mark.parametrize("suite, hosts", [("kuo", 6), ("ciucu", 4)])
+def test_kuo_and_ciucu_walk_each_host_once(monkeypatch, suite, hosts):
+    # kuo's pool holds AD(a), AD(a) - SW a and AD(a) - SW a - NE a; ciucu's hosts are
+    # AD(a) and AR(a, a + 1) + gamma 1; a = 2, 3 for both.  Each check reads the
+    # host's outer face again, through condensation.outer_face's memo
+    walks = []
+    walk = condensation.boundary_cycle
+    monkeypatch.setattr(condensation, "boundary_cycle", lambda region: walks.append(region) or walk(region))
+    condensation.outer_face.cache_clear()
+    checks = list(verify.SUITES[suite](3, 5, 40, random.Random(5)))
+    assert len(checks) >= 40 and all(ok for ok, _ in checks)
+    assert len(walks) == len(set(walks)) == hosts

@@ -111,6 +111,14 @@ FAULTS = (
      'sub = parser.add_subparsers(dest="command", required=True)\n    command = None\n'),
     ("a root-level call builds one subparser", "cli.py",
      "argv[0] if argv and argv[0] in COMMANDS else None", 'argv[0] if argv and argv[0] in COMMANDS else "count"'),
+    # the brute-force oracle: the lowest unmatched cell against each free neighbour
+    ("brute branches only on the lowest cell's first neighbour", "counting.py",
+     "            nbrs ^= wbit\n", "            nbrs = 0\n"),
+    ("brute adjacency misses the (u + 1, v - 1) edge", "counting.py",
+     "for dv in (-1, 1):  # each edge once", "for dv in (1,):  # each edge once"),
+    # the outer-face memo that condensation and verify share
+    ("the outer-face memo given maxsize=None", "condensation.py",
+     "@functools.lru_cache(maxsize=64)", "@functools.lru_cache(maxsize=None)"),
 )
 
 
