@@ -322,8 +322,7 @@ def _three_sided_row(a: int, b: int, beta: DefectSpec, cols: Sequence[DefectSpec
         rows = (_three_sided_row(a, b, DefectSpec("SE", s), cols) for s in (pos - 1, pos) if s)
         return list(map(sum, zip(*rows)))
     gamma_sum = ar_gamma_nw_sum if nw else ar_gamma_se_sum
-    sw_row = _sw_row(a, b, beta) if k and any(y.side == "SW" for y in cols) else ()
-    entries = []
+    entries, sw_row = [], ()
     for y in cols:
         p = y.position
         if y.kind == "gamma":
@@ -331,6 +330,7 @@ def _three_sided_row(a: int, b: int, beta: DefectSpec, cols: Sequence[DefectSpec
         elif y.side == "NE":
             entries.append(ad_adjacent_sum(a, pos - k, a + 1 - p if nw else p) if pos > k else 0)
         elif k:
+            sw_row = sw_row or _sw_row(a, b, beta)
             entries.append(sw_row[p - 1])
         else:
             entries.append(ad_adjacent_sum(a, a + 1 - pos, p if nw else a + 1 - p))

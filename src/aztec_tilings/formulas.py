@@ -101,8 +101,13 @@ def count_ar_gamma_se_defect(a: int, k: int, j: int) -> int:
     return 2 ** (a * (a + 1) // 2) * ar_gamma_se_sum(a, k, j)
 
 
+@functools.lru_cache(maxsize=2048)
 def ar_gamma_se_sum(a: int, k: int, j: int) -> int:
-    """``count_ar_gamma_se_defect(a, k, j)`` / 2^(a(a+1)/2), unchecked."""
+    """``count_ar_gamma_se_defect(a, k, j)`` / 2^(a(a+1)/2), unchecked.
+
+    Memoized, like ``ar_gamma_nw_sum``: the counts over one host ask for the
+    same entries again.
+    """
     if j <= k:
         return 1
     return sum(math.comb(a + k - 1 - m, j - 1 - m) * math.comb(j - 2 - m, k - 1 - m) for m in range(k))
@@ -152,8 +157,9 @@ def count_ar_gamma_nw_defect(a: int, k: int, i: int) -> int:
     return 2 ** (a * (a + 1) // 2) * ar_gamma_nw_sum(a, k, i)
 
 
+@functools.lru_cache(maxsize=2048)
 def ar_gamma_nw_sum(a: int, k: int, i: int) -> int:
-    """``count_ar_gamma_nw_defect(a, k, i)`` / 2^(a(a+1)/2), unchecked."""
+    """``count_ar_gamma_nw_defect(a, k, i)`` / 2^(a(a+1)/2), unchecked and memoized."""
     return sum(ar_se_block_nw_sum(a, k - m, i - m) for m in range(min(k - 1, i - 1) + 1))
 
 

@@ -497,6 +497,33 @@ def test_pfaffian_matches_kasteleyn_on_seeded_draws():
     assert nonzero > 200
 
 
+def _mirror(config):
+    """The reflection that trades NW and SE: alphas keep their side and reverse their positions."""
+    a, flip = config.a, {"NW": "SE", "SE": "NW"}
+    return DefectConfiguration(
+        a, config.b,
+        tuple(DefectSpec(flip[d.side], d.position) for d in config.betas),
+        tuple(DefectSpec(d.side, a + 1 - d.position) for d in config.alphas),
+    )
+
+
+def test_pfaffian_counts_a_configuration_and_its_mirror_alike():
+    # the mirror goes through other labels, other entry zones and another perimeter order
+    rng = random.Random(31)
+    nonzero = 0
+    for _ in range(150):
+        a, k = rng.randint(1, 6), rng.randint(0, 3)
+        b = a + k
+        whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
+        blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
+        n = rng.randint(0, min(4, 2 * a))
+        cfg = DefectConfiguration(a, b, tuple(rng.sample(whites, n + k)), tuple(rng.sample(blacks, n)))
+        count = count_configuration(cfg, "pfaffian")
+        assert count_configuration(_mirror(cfg), "pfaffian") == count, cfg
+        nonzero += count > 0
+    assert nonzero > 100
+
+
 def test_three_sided_mixed_entries_match_kasteleyn_at_larger_order():
     # past the DP's reach above: every beta against every alpha and gamma;
     # k = 1 is left out to keep the test under a second

@@ -47,13 +47,73 @@ def test_brute_diamond_of_order_two():
     assert count_matchings_brute(Region.from_cells([Cell(0, 1), Cell(1, 2)])) == 1
 
 
-def test_two_by_three_block():
-    # 2x3 block of cells has the classic three brick tilings
-    cells = [Cell(x + y + 1, x - y) for x in range(3) for y in range(2)]
-    assert len(set(cells)) == 6
-    region = Region.from_cells(cells)
-    assert count_matchings_brute(region) == 3
-    assert count_tilings_dp(region) == 3
+def _box(m, n):
+    """The m x n box of ordinary squares, cells (x + y + 1, x - y)."""
+    return Region.from_cells(Cell(x + y + 1, x - y) for x in range(m) for y in range(n))
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize(
+    "region, count, by_brute",
+    [
+        pytest.param(Region.from_cells([Cell(0, -1), Cell(1, -2)]), 1, True, id="domino-at-v=-2"),
+        # the 2 x L box has F(L + 1) brick tilings, the classic three for the 2 x 3 block
+        pytest.param(_box(2, 3), 3, True, id="2x3"),
+        pytest.param(_box(2, 20), _fibonacci(21), True, id="2x20"),
+        # the recursive oracle raises RecursionError on 2,400 cells
+        pytest.param(_box(2, 1200), _fibonacci(1201), False, id="2x1200"),
+    ],
+)
+def test_two_by_three_block(region, count, by_brute):
+    # no configuration's region has a cell at v < 0, so only these hold dp to any cell set
+    assert min(c.v for c in region.cells) <= -2
+    assert count_tilings_dp(region) == count
+    if by_brute:
+        assert count_matchings_brute(region) == count
+
+
+# the 8 maps (u, v) -> (+-u, +-v), (+-v, +-u); each keeps u + v odd, so it maps cells
+# to cells and domino slots to domino slots, and so does a translation with du + dv even
+LATTICE_MAPS = [
+    lambda u, v, su=su, sv=sv, swap=swap: (sv * v, su * u) if swap else (su * u, sv * v)
+    for su in (1, -1) for sv in (1, -1) for swap in (False, True)
+]
+
+
+def test_counts_are_invariant_under_the_lattice_symmetries():
+    rng = random.Random(31)
+    nonzero = 0
+    for _ in range(60):
+        a = rng.randint(1, 4)
+        cells = make_aztec_rectangle(a, rng.randint(a, 7)).cells
+        whites = sorted(c for c in cells if c.u % 2)
+        blacks = sorted(c for c in cells if c.u % 2 == 0)
+        r = rng.randint(0, 2)  # a cut that balances the colours, then 0-4 cells more
+        cut = rng.sample(whites, len(whites) - len(blacks) + r) + rng.sample(blacks, r)
+        region = Region.from_cells(cells - set(cut))
+        count = count_matchings_brute(region)
+        engines = [count_tilings_dp, count_matchings_brute]
+        try:
+            count_tilings_kasteleyn(region)
+            engines.append(count_tilings_kasteleyn)  # the region and its images are hole-free
+        except OutOfScopeConfigurationError:
+            pass
+        nonzero += count > 0
+        for lattice_map in LATTICE_MAPS:
+            image = [lattice_map(u, v) for u, v in region.cells]
+            # translate the image so that it starts at u, v in -4..0, reaching v = -2 often
+            du = rng.randint(-4, 0) - min(u for u, _ in image)
+            dv = rng.randint(-4, 0) - min(v for _, v in image)
+            dv -= (du + dv) % 2
+            moved = Region.from_cells(Cell(u + du, v + dv) for u, v in image)
+            assert [engine(moved) for engine in engines] == [count] * len(engines), sorted(moved.cells)
+    assert nonzero > 30
 
 
 def test_dp_anchors():

@@ -119,6 +119,16 @@ FAULTS = (
     # the outer-face memo that condensation and verify share
     ("the outer-face memo given maxsize=None", "condensation.py",
      "@functools.lru_cache(maxsize=64)", "@functools.lru_cache(maxsize=None)"),
+    # the profile sweep: each uncovered cell's two partners, and a covered cell's shift
+    ("the sweep's (u + 1, v - 1) partner dropped", "counting.py",
+     "for d in (width - 1, width + 1)", "for d in (width + 1,)"),
+    ("a covered cell's bit kept instead of shifted out", "counting.py",
+     "m = mask >> gap", "m = mask"),
+    # the Kasteleyn determinant: its vertical-slot signs and the pivot permutation's sign
+    ("kasteleyn's vertical-slot sign made +1", "counting.py",
+     "sign = -1 if (u + v - 1) // 2 % 2 else 1", "sign = 1"),
+    ("determinant_sparse's permutation sign dropped", "exactalg.py",
+     "return sign * p", "return p"),
 )
 
 
