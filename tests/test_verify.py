@@ -49,3 +49,32 @@ def test_kuo_and_ciucu_walk_each_host_once(monkeypatch, suite, hosts):
     checks = list(verify.SUITES[suite](3, 5, 40, random.Random(5)))
     assert len(checks) >= 40 and all(ok for ok, _ in checks)
     assert len(walks) == len(set(walks)) == hosts
+
+
+def _mt_draws(monkeypatch, max_a, max_b, trials, seed):
+    """The configurations ``verify mt`` draws, with both of its counts stubbed out."""
+    drawn = []
+    monkeypatch.setattr(verify, "count_configuration", lambda config, engine: drawn.append(config) or 0)
+    monkeypatch.setattr(verify, "count_tilings_dp", lambda region: 0)
+    assert all(ok for ok, _ in verify.SUITES["mt"](max_a, max_b, trials, random.Random(seed)))
+    assert len(drawn) == trials
+    for c in drawn:
+        assert c.a <= max_a and c.b <= max_b
+        assert len(c.betas) - len(c.alphas) == c.b - c.a - len(c.gammas)  # the colours balance
+    return drawn
+
+
+def test_mt_draws_reach_the_whole_defect_space(monkeypatch):
+    # each corner of the space drawn often at the CLI's defaults: k = b - a >= 3 needs b past a + 2
+    families = {
+        "k >= 3": lambda c, k, g: k >= 3,
+        "an SW alpha with k > 0 and gammas": lambda c, k, g: k and g and "SW" in {d.side for d in c.alphas},
+        "added gammas past k, starting past 1": lambda c, k, g: g and g[0] > 1 and g[-1] > k,
+        "k = 0 with gammas": lambda c, k, g: not k and g,
+    }
+    drawn = _mt_draws(monkeypatch, 3, 5, 100, 0)  # verify mt's defaults
+    for name, family in families.items():
+        assert sum(bool(family(c, c.b - c.a, c.gammas)) for c in drawn) >= 11, name
+    # a string that misses both a head and a tail of 1..k, at the transcripts' seeded call
+    drawn = _mt_draws(monkeypatch, 6, 9, 400, 11)
+    assert sum(bool(c.gammas) and 1 < c.gammas[0] and c.gammas[-1] < c.b - c.a for c in drawn) >= 11

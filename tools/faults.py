@@ -129,6 +129,18 @@ FAULTS = (
      "sign = -1 if (u + v - 1) // 2 % 2 else 1", "sign = 1"),
     ("determinant_sparse's permutation sign dropped", "exactalg.py",
      "return sign * p", "return p"),
+    # a joining row of determinant_sparse, scaled by the previous pivot
+    ("determinant_sparse's joining row left unscaled", "exactalg.py",
+     "{c: x * p_prev for c, x in rows[i].items()}", "{c: x for c, x in rows[i].items()}"),
+    # the outer-face walk's right-hand rule: right, straight, left, back
+    ("boundary_cycle turns left first", "dualgraph.py",
+     "for h in range(heading - 1, heading + 3)", "for h in range(heading + 1, heading - 3, -1)"),
+    # gamma 1 hangs off the cut vertex SE 1, so it ranks right after SE 1
+    ("perimeter_index ranks gamma 1 before SE 1", "geometry.py",
+     "2 * u if u else 3", "2 * u if u else 1"),
+    # gamma=k keeps gammas 1..k
+    ("the spec parser drops gamma k", "cli.py",
+     "gammas = range(1, k + 1)", "gammas = range(1, k)"),
 )
 
 
