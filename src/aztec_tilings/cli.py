@@ -17,31 +17,36 @@ engine.
 The commands only parse, call the library and print; they raise on error.
 ``main`` is the one place that turns an error into a message and an exit
 code: ``SpecError``, argparse's usage errors among them, exits 1, and
-``OutOfScopeConfigurationError`` exits 2.  ``cmd_verify`` folds the checks
-of a suite from ``verify.SUITES`` into one report line.
+``OutOfScopeConfigurationError`` exits 2.  ``cmd_count`` counts the ``dp``
+engine as ``count_tilings_dp`` on ``config.region()`` and every other engine
+as one ``count_configuration`` call.  ``cmd_verify`` folds the checks of a
+suite from ``verify.SUITES`` into one report line.
+
+The parser is built on every call, but a command call builds only the root
+and that command's subparser, and a root-level call (``--help``, no
+arguments, an unknown command, a leading option or ``--``) every subparser.
+The help width is read from the terminal once, at import.  A call imports
+only what it runs: ``verify``, ``hashlib`` and ``random`` where the verify
+subparser is built or run, ``json`` for ``--format json``, and ``decimal``
+for counts of 640 digits or more.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import itertools
-import json
 import os
-import random
 import re
 import shutil
 import sys
 import time
-from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 from typing import NoReturn, Sequence
 
 from .condensation import ENGINES, count_configuration
 from .counting import count_tilings_dp
 from .errors import AztecError, InvalidDefectError, OutOfScopeConfigurationError
 from .geometry import SIDES, DefectConfiguration, DefectSpec, boundary_cell, is_white
-from .verify import SUITES
 
 DEFAULT_CELL_LIMIT = 36
 
@@ -143,17 +148,24 @@ def _cell_limit() -> int:
     return int(raw)
 
 
+STR_SAFE = 10 ** (sys.int_info.str_digits_check_threshold - 1)  # the least 640-digit int; no limit refuses less
 DIRECT_BITS = 4096  # Decimal(n), quadratic in the bits, is fast enough below this
 
 
 def decimal_digits(n: int) -> str:
     """The decimal digits of n >= 0 in subquadratic time, past sys.get_int_max_str_digits() too.
 
-    str(n) refuses more digits than that limit (4,300 by default, which AD(169)
-    exceeds), and Decimal(n) converts exactly but in quadratic time.  Past
-    DIRECT_BITS, n = hi 2^w + lo with w half its bits, and the halves are
-    joined in exact Decimal arithmetic, whose large products are subquadratic.
+    Below STR_SAFE it is str(n), which no setting of that limit refuses, and
+    ``decimal`` is imported only past it.  str(n) refuses more digits than the
+    limit (4,300 by default, which AD(169) exceeds), and Decimal(n) converts
+    exactly but in quadratic time.  Past DIRECT_BITS, n = hi 2^w + lo with w
+    half its bits, and the halves are joined in exact Decimal arithmetic, whose
+    large products are subquadratic.
     """
+    if n < STR_SAFE:
+        return str(n)
+    from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
+
     if n.bit_length() <= DIRECT_BITS:
         return str(Decimal(n))
     powers: dict[int, Decimal] = {}
@@ -185,6 +197,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     millis = int((time.monotonic() - start) * 1000)
     digits = decimal_digits(count)
     if args.format == "json":
+        import json
+
         payload = {
             "region": args.spec.strip(),
             "engine": args.engine,
@@ -239,6 +253,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise SpecError(f"--max-b {args.max_b}: need at least --max-a {args.max_a}")
     if args.suite in ("kuo", "ciucu", "mt") and args.trials < 1:
         raise SpecError(f"--trials {args.trials}: need at least 1")
+    import hashlib
+    import random
+
+    from .verify import SUITES
+
     checks = failures = 0
     first_failure = ""
     samples = hashlib.sha256()
@@ -301,10 +320,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     if command in (None, "count"):
         p_count = sub.add_parser("count", help="count tilings of a region spec")
         p_count.add_argument("spec")
-        p_count.add_argument("--engine", choices=ENGINES, default=ENGINES[0])
+        p_count.add_argument("--engine", choices=ENGINES, default=ENGINES[0], metavar="ENGINE",
+                             help=f"one of {', '.join(ENGINES)} (default {ENGINES[0]})")
         p_count.add_argument("--format", choices=("dec", "json"), default="dec")
 
     if command in (None, "verify"):
+        from .verify import SUITES
+
         p_verify = sub.add_parser("verify", help="run a cross-verification suite")
         p_verify.add_argument("suite", choices=SUITES)
         p_verify.add_argument("--max-a", type=integer, default=3, dest="max_a")

@@ -31,9 +31,9 @@ from .geometry import Cell, Region
 def count_matchings_brute(region: Region) -> int:
     """Number of perfect matchings of the region's dual graph, i.e. of tilings.
 
-    Returns 1 for the empty region and 0 when no perfect matching exists
-    (in particular for odd cell counts).  A forward pass over the cells in
-    (v, u) order keeps one dict per cell i, mapping each bitmask of
+    Returns 1 for the empty region and 0 when no perfect matching exists, at
+    once when the white cells are not half of them.  A forward pass over the
+    cells in (v, u) order keeps one dict per cell i, mapping each bitmask of
     unmatched cells whose lowest one is i to its number of ways.  Cell i is
     matched with each free neighbour, and the ways go to the dict of the new
     lowest cell, or of n when no cell is left.  Every cell before the lowest
@@ -46,7 +46,7 @@ def count_matchings_brute(region: Region) -> int:
     """
     cells = sorted(region.cells, key=lambda c: (c.v, c.u))
     n = len(cells)
-    if n % 2:  # every step matches two cells, so an even mask stays even
+    if 2 * sum(u % 2 for u, _ in cells) != n:  # every matched pair has one white cell
         return 0
     index = {c: i for i, c in enumerate(cells)}
     adj_bits = [0] * n

@@ -24,11 +24,19 @@ addresses and the gamma positions, and checks each of them once, by
 arithmetic, building no cell.  A ``Region`` is only a cell set;
 ``make_aztec_rectangle`` and ``DefectConfiguration.region`` build one for the
 code that needs cells.
+
+``Cell``, ``DefectSpec``, ``Region`` and ``DefectConfiguration`` are named
+tuples, immutable and hashed by their fields; ``DefectSpec`` and
+``DefectConfiguration`` check their arguments in ``__new__``.  Dataclasses
+would generate their methods at every import, about 2 ms on one Xeon core
+under Python 3.11.7.  Like any tuple these values index, iterate, order
+and compare equal to a plain tuple of their fields; ``len(region)`` is its
+number of cells, and ``_make`` and ``_replace`` skip the checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidConfigurationError, InvalidDefectError, InvalidParameterError
@@ -48,31 +56,31 @@ def is_white(cell: Cell) -> bool:
     return cell.u % 2 == 1
 
 
-@dataclass(frozen=True)
-class DefectSpec:
+class DefectSpec(namedtuple("DefectSpec", "side position kind")):
     """Address of a boundary defect: a side, one of ``CLASS``'s keys, and a 1-based position.
 
-    The side fixes the defect class ``kind``, set from ``CLASS``: "beta" for
-    removed white cells (NW/SE sides), "alpha" for removed black cells
-    (NE/SW sides) and "gamma" for the added black cells under the SE side.
+    Built as ``DefectSpec(side, position)``; the side fixes the defect class
+    ``kind``, set from ``CLASS``: "beta" for removed white cells (NW/SE
+    sides), "alpha" for removed black cells (NE/SW sides) and "gamma" for the
+    added black cells under the SE side.
     """
 
-    side: str
-    position: int
-    kind: str = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.side not in CLASS:
-            raise InvalidDefectError(f"unknown side {self.side!r}")
-        if type(self.position) is not int:  # a bool is not a position either
-            raise InvalidDefectError(f"position must be an int, got {self.position!r}")
-        if self.position < 1:
-            raise InvalidDefectError(f"position must be >= 1, got {self.position}")
-        object.__setattr__(self, "kind", CLASS[self.side])
+    def __new__(cls, side: str, position: int) -> DefectSpec:
+        if side not in CLASS:
+            raise InvalidDefectError(f"unknown side {side!r}")
+        if type(position) is not int:  # a bool is not a position either
+            raise InvalidDefectError(f"position must be an int, got {position!r}")
+        if position < 1:
+            raise InvalidDefectError(f"position must be >= 1, got {position}")
+        return super().__new__(cls, side, position, CLASS[side])
+
+    def __getnewargs__(self) -> tuple[str, int]:  # copy and pickle call __new__ with these
+        return self.side, self.position
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(NamedTuple):
     """An immutable finite set of cells."""
 
     cells: frozenset[Cell]
@@ -146,8 +154,7 @@ def perimeter_index(a: int, b: int, spec: DefectSpec) -> int:
     return 2 * a + 5 * b - pos
 
 
-@dataclass(frozen=True)
-class DefectConfiguration:
+class DefectConfiguration(namedtuple("DefectConfiguration", "a b betas alphas gammas")):
     """AR(a, b) plus a string of gamma squares under the SE side, minus boundary defects.
 
     ``betas`` are beta-class and ``alphas`` alpha-class ``DefectSpec``s,
@@ -159,15 +166,11 @@ class DefectConfiguration:
     its ``defect``.
     """
 
-    a: int
-    b: int
-    betas: tuple[DefectSpec, ...] = ()
-    alphas: tuple[DefectSpec, ...] = ()
-    gammas: range | tuple[int, ...] = range(0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        a, b, gammas = self.a, self.b, self.gammas
-        if not all(type(x) is tuple for x in (self.betas, self.alphas)) or type(gammas) not in (tuple, range):
+    def __new__(cls, a: int, b: int, betas: tuple[DefectSpec, ...] = (), alphas: tuple[DefectSpec, ...] = (),
+                gammas: range | tuple[int, ...] = range(0)) -> DefectConfiguration:
+        if not all(type(x) is tuple for x in (betas, alphas)) or type(gammas) not in (tuple, range):
             raise InvalidConfigurationError("betas and alphas must be tuples, gammas a tuple or a range")
         if not all(type(x) is int for x in (a, b, *(gammas if type(gammas) is tuple else ()))):
             raise InvalidParameterError(f"a, b and the gammas must be ints, got {a!r}, {b!r}, {gammas!r}")
@@ -181,21 +184,21 @@ class DefectConfiguration:
             raise InvalidParameterError(
                 f"gamma string {first}..{last} does not fit along the SE side (1..{b})"
             )
-        object.__setattr__(self, "gammas", string)
-        if any(d.kind != "beta" for d in self.betas):
+        if any(d.kind != "beta" for d in betas):
             raise InvalidConfigurationError("betas must be beta-class defects")
-        if any(d.kind != "alpha" for d in self.alphas):
+        if any(d.kind != "alpha" for d in alphas):
             raise InvalidConfigurationError("alphas must be alpha-class defects")
         seen: set[tuple[str, int]] = set()  # the side fixes the kind
-        for spec in self.betas + self.alphas:
+        for spec in betas + alphas:
             _check_position(a, b, spec)
             if (spec.side, spec.position) in seen:
                 raise InvalidDefectError("duplicate defect", spec)
             seen.add((spec.side, spec.position))
+        return super().__new__(cls, a, b, betas, alphas, string)
 
     @property
     def size(self) -> int:
-        """The number of cells of ``region()``, by arithmetic: ``len`` would stop at sys.maxsize."""
+        """The number of cells of ``region()``, by arithmetic: its ``len`` would stop at sys.maxsize."""
         a, b, gammas = self.a, self.b, self.gammas
         return 2 * a * b + a + b + gammas.stop - gammas.start - len(self.betas) - len(self.alphas)
 

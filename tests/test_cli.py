@@ -9,11 +9,12 @@ import subprocess
 import sys
 import time
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from aztec_tilings import cli, condensation, geometry, make_aztec_rectangle, verify
-from aztec_tilings.cli import DIRECT_BITS, SUITES, decimal_digits, main, parse_region_spec, SpecError
+from aztec_tilings.cli import DIRECT_BITS, decimal_digits, main, parse_region_spec, SpecError
 
 
 def run_cli(capsys, *argv):
@@ -133,6 +134,19 @@ def test_decimal_digits_split_matches_direct_conversion():
     for bits in (0, 1, DIRECT_BITS, DIRECT_BITS + 1, 2 * DIRECT_BITS + 1, 5 * DIRECT_BITS + 3):
         for n in (2**bits, 2**bits - 1, rng.getrandbits(bits + 1) | 1):
             assert decimal_digits(n) == str(Decimal(n)), (bits, n.bit_length())
+
+
+def test_decimal_digits_under_the_lowest_str_digit_limit():
+    # str(n) is taken only below 640 digits, which no limit refuses; past them Decimal converts
+    n = 3**2100 + 1  # 1,002 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
+    try:
+        digits = [decimal_digits(m) for m in (n, cli.STR_SAFE - 1, cli.STR_SAFE)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert digits == [str(Decimal(m)) for m in (n, cli.STR_SAFE - 1, cli.STR_SAFE)]
+    assert [len(d) for d in digits] == [1002, 639, 640]
 
 
 def test_count_brute(capsys):
@@ -359,16 +373,36 @@ def _help(command, columns):
 
 
 def test_columns_at_process_start_sets_the_help_wrap():
-    # argparse wraps at COLUMNS - 2 but breaks usage only between its groups,
-    # so the --engine group, which needs 80 columns where it is indented, stays whole
-    engine = " " * len("usage: aztec-tilings count ") + f"[--engine {{{','.join(condensation.ENGINES)}}}]"
+    # argparse wraps at COLUMNS - 2, breaking usage only between its groups
     narrow = _help("count", 60)
-    assert narrow[0] == "usage: aztec-tilings count [-h]"
-    assert [line for line in narrow if len(line) > 58] == [engine]
-    assert max(map(len, _help("verify", 60))) <= 58
+    indent = " " * len("usage: aztec-tilings count ")
+    assert narrow[:2] == ["usage: aztec-tilings count [-h] [--engine ENGINE]", indent + "[--format {dec,json}]"]
     wide = _help("count", 200)
-    assert wide[0].startswith("usage: aztec-tilings count [-h] [--engine") and wide[0].endswith(" spec")
+    assert wide[0] == "usage: aztec-tilings count [-h] [--engine ENGINE] [--format {dec,json}] spec"
     assert wide[1] == ""
+
+
+@pytest.mark.parametrize("command", ["count", "verify", "render"])
+def test_help_fits_a_60_column_terminal(command):
+    # the --engine choices go in its help text, which wraps, rather than in the usage group, which does not
+    lines = _help(command, 60)
+    assert max(map(len, lines)) <= 58, [line for line in lines if len(line) > 58]
+    if command == "count":
+        text = " ".join(" ".join(lines).split())
+        assert f"one of {', '.join(condensation.ENGINES)} (default auto)" in text
+
+
+def test_a_count_call_loads_neither_verify_nor_unused_stdlib():
+    # a count runs no suite, hashes nothing, prints dec and a count of fewer than 640 digits
+    code = (
+        "import sys; from aztec_tilings.cli import main; main(['count', 'AD n=6 remove=SE:2,NE:3']); "
+        "print(*sorted({'aztec_tilings.verify', 'dataclasses', 'hashlib', 'json', 'decimal'} & set(sys.modules)))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src)
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1900544\n\n", "")
 
 
 def test_four_sided_spec_without_a_tileable_base_counts_0(capsys):
@@ -443,7 +477,7 @@ def test_verify_ciucu_symdiff_fault_injection_detected(capsys, monkeypatch):
     monkeypatch.setattr(condensation, "_pfaffian_quotient", lambda *args: original(*args) + 1)
     code, out, _ = run_cli(capsys, "verify", "ciucu", "--trials", "20", "--seed", "1")
     assert code == 3
-    checks = SUITES["ciucu"](3, 5, 20, random.Random(1))
+    checks = verify.SUITES["ciucu"](3, 5, 20, random.Random(1))
     assert any(not ok and text.startswith("symdiff") for ok, text in checks)
 
 

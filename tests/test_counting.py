@@ -1,6 +1,7 @@
 """Engine correctness: brute-force oracle vs transfer-matrix sweep vs Kasteleyn determinant."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -138,6 +139,17 @@ def test_color_imbalance_is_zero():
     region = make_aztec_rectangle(2, 4)
     assert count_tilings_dp(region) == 0
     assert count_matchings_brute(region) == 0
+
+
+@pytest.mark.parametrize("count", [count_tilings_dp, count_matchings_brute])
+def test_unbalanced_colours_count_0_before_any_sweep(count):
+    # AD(14) less two white cells: 418 cells, an even number, two more black than white;
+    # each engine's colour test answers at once, where a sweep of it takes about 0.3 s
+    region = DefectConfiguration(14, 14, (DefectSpec("NW", 1), DefectSpec("SE", 14))).region()
+    assert len(region) == 418 and region.color_counts() == (208, 210)
+    start = time.perf_counter()
+    assert count(region) == 0
+    assert time.perf_counter() - start < 0.05
 
 
 def test_brute_matches_kasteleyn_past_the_cli_cell_limit():

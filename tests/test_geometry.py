@@ -1,5 +1,8 @@
 """Region construction, addressing and defect configurations."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,6 +104,13 @@ def test_defect_class_follows_from_side():
     assert repr(DefectSpec("NW", 3)) == "DefectSpec(side='NW', position=3, kind='beta')"
     assert DefectSpec("SE", 2) == DefectSpec("SE", 2) != DefectSpec("gamma", 2)
     assert len({DefectSpec("SE", 2), DefectSpec("SE", 2), DefectSpec("gamma", 2)}) == 2
+
+
+def test_values_copy_and_pickle_through_their_checks():
+    # each value is rebuilt by its constructor, which takes a DefectSpec's side and position only
+    config = DefectConfiguration(2, 4, (DefectSpec("SE", 1),), (DefectSpec("NE", 2),), (2, 3))
+    for value in (DefectSpec("NW", 3), config, config.region()):
+        assert copy.copy(value) == copy.deepcopy(value) == pickle.loads(pickle.dumps(value)) == value
 
 
 def test_gamma_side_addresses_the_squares_under_se():

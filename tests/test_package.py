@@ -16,7 +16,7 @@ from aztec_tilings.verify import SUITES
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 CODE_LINES = TOOLS / "code_lines.py"
-CODE_LINE_CEILING = 1082
+CODE_LINE_CEILING = 1080
 
 
 def test_star_import_resolves_every_export():

@@ -26,8 +26,21 @@ def test_suite_folds_to_the_report_main_prints(capsys, monkeypatch, suite):
     assert capsys.readouterr().out == f"suite={suite} checks={len(checks)} failures=0 samples={samples}\n"
 
 
-def test_cli_reads_the_library_suite_table():
-    assert cli.SUITES is verify.SUITES
+def test_cli_reads_the_library_suite_table(capsys, monkeypatch):
+    # cli imports verify only to build and run the verify command, then looks each suite up there
+    calls = []
+
+    def stub(*args):
+        calls.append(args[:3])
+        return iter([(True, "first"), (False, "second")])
+
+    monkeypatch.setitem(verify.SUITES, "stub", stub)
+    assert cli.main(["verify", "stub", "--max-a", "2", "--max-b", "4", "--trials", "7"]) == 3
+    samples = hashlib.sha256(b"first\nsecond\n").hexdigest()[:12]
+    assert capsys.readouterr().out == (
+        f"suite=stub checks=2 failures=1 samples={samples}\nfirst counterexample: second\n"
+    )
+    assert calls == [(2, 4, 7)]
 
 
 def test_verify_does_not_import_cli():
