@@ -12,14 +12,15 @@ Exit codes: 0 success, 1 usage, parse or semantic error, 2 spec outside the
 engine's scope (``formula`` off its families, ``brute`` past the cell limit),
 3 verification failure.
 AZTEC_ORACLE_CELL_LIMIT (ASCII digits, default 36) bounds the brute-force
-engine.
+engine of ``count``.
 
 The commands only parse, call the library and print; they raise on error.
 ``main`` is the one place that turns an error into a message and an exit
 code: ``SpecError``, argparse's usage errors among them, exits 1, and
 ``OutOfScopeConfigurationError`` exits 2.  ``cmd_count`` counts the ``dp``
-engine as ``count_tilings_dp`` on ``config.region()`` and every other engine
-as one ``count_configuration`` call.  ``cmd_verify`` folds the checks of a
+engine as ``count_tilings_dp`` on ``config.region()``, after the same
+colour-balance test as ``count_configuration``, and every other engine as one
+``count_configuration`` call.  ``cmd_verify`` folds the checks of a
 suite from ``verify.SUITES`` into one report line.
 
 The parser is built on every call, but a command call builds only the root
@@ -41,7 +42,7 @@ import re
 import shutil
 import sys
 import time
-from typing import NoReturn, Sequence
+from collections.abc import Sequence
 
 from .condensation import ENGINES, count_configuration
 from .counting import count_tilings_dp
@@ -166,8 +167,6 @@ def decimal_digits(n: int) -> str:
         return str(n)
     from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, localcontext
 
-    if n.bit_length() <= DIRECT_BITS:
-        return str(Decimal(n))
     powers: dict[int, Decimal] = {}
 
     def convert(m: int, bits: int) -> Decimal:
@@ -190,8 +189,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     start = time.monotonic()
     if args.engine == "dp":
         # counted here so that patching cli.count_tilings_dp, as the benchmark's
-        # fault-injection test does, reaches every dp count
-        count = count_tilings_dp(config.region())
+        # fault-injection test does, reaches every dp count; 0 first when the colours do not balance
+        count = count_tilings_dp(config.region()) if config.balanced else 0
     else:
         count = count_configuration(config, args.engine)
     millis = int((time.monotonic() - start) * 1000)
@@ -261,9 +260,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = failures = 0
     first_failure = ""
     samples = hashlib.sha256()
-    # only formulas runs the brute-force oracle, so only it reads the cell limit
-    bound = {"brute_limit": min(_cell_limit(), 30)} if args.suite == "formulas" else {}
-    suite = SUITES[args.suite](args.max_a, args.max_b, args.trials, random.Random(args.seed), **bound)
+    suite = SUITES[args.suite](args.max_a, args.max_b, args.trials, random.Random(args.seed))
     for ok, description in suite:
         checks += 1
         samples.update(description.encode() + b"\n")
@@ -291,7 +288,7 @@ class _Parser(argparse.ArgumentParser):
 
     __init__ = functools.partialmethod(argparse.ArgumentParser.__init__, formatter_class=HELP_FORMATTER)
 
-    def error(self, message: str) -> NoReturn:
+    def error(self, message: str):  # never returns
         raise SpecError(message)
 
 

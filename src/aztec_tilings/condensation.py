@@ -21,16 +21,16 @@ memo, so each host is walked once however many checks it serves.
 
 The defect counters specialize condensation to Aztec rectangles, and
 ``count_configuration``'s ``pfaffian`` engine is their one entry point: it
-returns 0 when the colours do not balance, and otherwise counts the
-configuration as one Pfaffian whose host H is the gamma-augmented rectangle
-AR(a, b) plus gammas 1..k, k = b - a, with tiling count the pure power of
-two 2^(a(a+1)/2).  Its labels are the betas, the alphas on both black sides,
-the gammas of 1..k the configuration does not keep and the gammas past k it
-adds, all of them cells on the outer face of H with the added gammas glued
-on (Kuo, Applications of graphical condensation, 2004; Ciucu's
-symmetric-difference condensation, 2015, with base H).  The entries are
-defined in one place, ``_three_sided_row``, a row at a time: a beta's, or an
-added gamma's, which is the sum of two beta rows by the forcing lemma.
+counts a colour-balanced configuration as one Pfaffian whose host H is the
+gamma-augmented rectangle AR(a, b) plus gammas 1..k, k = b - a, with tiling
+count the pure power of two 2^(a(a+1)/2).  Its labels are the betas, the
+alphas on both black sides, the gammas of 1..k the configuration does not
+keep and the gammas past k it adds, all of them cells on the outer face of
+H with the added gammas glued on (Kuo, Applications of graphical
+condensation, 2004; Ciucu's symmetric-difference condensation, 2015, with
+base H).  The entries are defined in one place, ``_three_sided_row``, a row
+at a time: a beta's, or an added gamma's, which is the sum of two beta rows
+by the forcing lemma.
 Every entry but one family collapses to a closed form from the
 formulas module; the entries are taken as the closed forms' unscaled integer
 sums, without the power of two they share, 2^(a(a-1)/2), or the further
@@ -43,10 +43,12 @@ count takes only the numbers of a configuration and builds no cells; defects
 are put in boundary order by ``geometry.perimeter_index``.  It counts every
 ``DefectConfiguration`` and refuses none.
 
-``count_configuration`` picks the counter for a configuration: the Kasteleyn
-determinant, the DP sweep or the brute-force oracle on ``config.region()``, a
-closed form, or the Pfaffian count.  The default, ``auto``, is another name
-for the Pfaffian count, the paper's route; no error is caught.
+``count_configuration`` gives 0 for a configuration whose colours do not
+balance, by ``DefectConfiguration.balanced`` alone, and otherwise picks its
+counter: the Kasteleyn determinant, the DP sweep or the brute-force oracle on
+``config.region()``, a closed form, or the Pfaffian count.  The default,
+``auto``, is another name for the Pfaffian count, the paper's route; no error
+is caught.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
 ``InternalInconsistencyError`` unless the quotient is a nonnegative integer.
@@ -64,9 +66,9 @@ the row class.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable, Iterable, Sequence
 from itertools import accumulate
 from operator import add
-from typing import Callable, Iterable, Sequence, TypeVar
 
 from .counting import count_matchings_brute, count_tilings_dp, count_tilings_kasteleyn
 from .dualgraph import boundary_cycle
@@ -84,14 +86,13 @@ from .formulas import (
     ad_adjacent_sum,
     ar_gamma_nw_sum,
     ar_gamma_se_sum,
+    count_ad_adjacent_defects,
     count_ar_kept_se,
     count_ar_se_block_nw_defect,
     count_ar_se_nw_defects,
     count_aztec_diamond,
 )
-from .geometry import Cell, DefectConfiguration, DefectSpec, Region, is_white, perimeter_index
-
-T = TypeVar("T")
+from .geometry import Cell, DefectConfiguration, DefectSpec, Region, boundary_cell, is_white, perimeter_index
 
 KUO_SURPLUS = {"AABB": 0, "AAAA": 2, "ABAB": 0, "AAAB": 1}  # #A - #B each pattern needs
 # the counters count_configuration picks from; the first is the default
@@ -133,10 +134,15 @@ def _validate_cyclic(cycle: Sequence[Cell], chosen: Sequence[Cell]) -> None:
         raise InvalidOrderError(f"{chosen} is not in cyclic order on the outer face")
 
 
-def _bipartite_pfaffian(
-    labels: Sequence[T], in_rows: Callable[[T], bool], row: Callable[[T, list[T]], list[int]]
+def _pfaffian_quotient(
+    labels: Sequence,
+    in_rows: Callable[..., bool],
+    row: Callable[..., list[int]],
+    divisor: int,
+    what: str,
+    scale: int = 1,
 ) -> int:
-    """Pf[(m(x, y))] over labels in cyclic order, for a matrix that ``in_rows`` splits.
+    """scale Pf[(m(x, y))] / divisor^(h-1) over 2h labels in cyclic order, for a matrix that ``in_rows`` splits.
 
     m(x, y), x before y, must be 0 when ``in_rows`` puts x and y in the same
     class; only the other entries are computed, one row label at a time:
@@ -145,10 +151,18 @@ def _bipartite_pfaffian(
     [[0, B], [-B^T, 0]] for an h x h block B, whose entry (x, y) is m(x, y),
     or -m(y, x) for a column y before x.  So Pf = (-1)^(s + h(h-1)/2) det B,
     where s counts the pairs of a column label followed by a row label, which
-    the listing swaps.  Classes of unequal size give 0.
+    the listing swaps.  Classes of unequal size give 0, and no labels give
+    scale * divisor.
+
+    Entries that all share a factor s can be passed divided by it: with
+    scale = s and divisor D / s the quotient is Pf[(s m)] / D^(h-1), the same
+    rational, so the exactness check is the same.  The entries of one label,
+    its row and its column, can likewise be passed divided by a factor t,
+    with t in scale, as the Pfaffian is linear in them.  The quotient is a
+    tiling count, so it must be a nonnegative integer.
     """
-    rows: list[tuple[int, T]] = []  # a row label and the number of columns before it
-    cols: list[T] = []
+    rows = []  # (the number of columns before it, a row label)
+    cols = []
     swaps = 0
     for x in labels:
         if in_rows(x):
@@ -163,33 +177,10 @@ def _bipartite_pfaffian(
     for before, x in rows:
         entries = row(x, cols)
         block.append([-e for e in entries[:before]] + entries[before:])
-    return (-1) ** (swaps + h * (h - 1) // 2) * determinant(block)
-
-
-def _pfaffian_quotient(
-    labels: Sequence[T],
-    in_rows: Callable[[T], bool],
-    row: Callable[[T, list[T]], list[int]],
-    divisor: int,
-    what: str,
-    scale: int = 1,
-) -> int:
-    """scale Pf[(m(x, y))] / divisor^(k-1) over 2k labels in cyclic order.
-
-    The Pfaffian is ``_bipartite_pfaffian``'s, with its rows from ``row``, so
-    entries within a class of ``in_rows`` must be 0.  Entries that all share
-    a factor s can be passed divided by it: with scale = s and divisor D / s
-    the quotient is Pf[(s m)] / D^(k-1), the same rational, so the exactness
-    check is the same.  The entries of one label, its row and its column,
-    can likewise be passed divided by a factor t, with t in scale, as the
-    Pfaffian is linear in them.  The quotient is a tiling count, so it must
-    be a nonnegative integer.
-    """
-    pf = scale * _bipartite_pfaffian(labels, in_rows, row)
-    power = len(labels) // 2 - 1  # -1 for no labels: the count is scale * divisor
-    value = exact_quotient(pf, divisor**power, what) if power >= 0 else pf * divisor
+    pf = (-1) ** (swaps + h * (h - 1) // 2) * determinant(block)
+    value = exact_quotient(scale * pf * divisor, divisor**h, what)
     if value < 0:
-        raise InternalInconsistencyError(f"{what}: negative Pfaffian {pf}")
+        raise InternalInconsistencyError(f"{what}: negative Pfaffian {pf:#x}")  # hex: no digit limit
     return value
 
 
@@ -301,7 +292,7 @@ def _three_sided_row(a: int, b: int, beta: DefectSpec, cols: Sequence[DefectSpec
     """The entries of a beta against alphas and gammas over the gamma host, / 2^(a(a-1)/2).
 
     Entry y is the count of the host minus the beta and y: the only pairs
-    ``_bipartite_pfaffian`` asks for, since a same-colour pair's count is 0.
+    ``_pfaffian_quotient`` asks for, since a same-colour pair's count is 0.
     A gamma's entry is also divided by 2^a.  An added gamma t past k takes
     the beta's place: the host plus gamma t minus y pairs gamma t with one
     of its two neighbours, SE t - 1 (none when t = 1) and SE t, so its row
@@ -384,15 +375,6 @@ def _sw_row(a: int, b: int, beta: DefectSpec) -> tuple[int, ...]:
     return tuple(accumulate(reversed(v)))[::-1]
 
 
-def _balanced(config: DefectConfiguration) -> bool:
-    """Whether the colours balance; AR(a, b) has b - a more white cells than black, a gamma one more black.
-
-    The string's length is taken by subtraction: ``len`` of a range stops at sys.maxsize.
-    """
-    gammas = config.gammas
-    return len(config.betas) - len(config.alphas) == config.b - config.a - (gammas.stop - gammas.start)
-
-
 def _pfaffian_count(config: DefectConfiguration) -> int:
     """The paper's count of a colour-balanced configuration: one Pfaffian over the gamma host.
 
@@ -435,7 +417,13 @@ def _formula_count(config: DefectConfiguration) -> int:
         kept = [p for p in range(1, b + 1) if ("SE", p) not in removed]
         return count_ar_kept_se(a, b, kept)
     if k == 0 and len(config.betas) == 1 and len(config.alphas) == 1:
-        return _three_sided_row(a, a, config.betas[0], config.alphas)[0] << a * (a - 1) // 2
+        # AD(a) is the box 0 <= u, v <= 2a, whose flips of u and of v keep every colour: flip
+        # u if the alpha is on SW (u = 0) and v if the beta is on NW (v = 0), so they land on
+        # NE j = Cell(2a, 2j - 1) and SE i = Cell(2i - 1, 2a)
+        beta, alpha = (boundary_cell(a, a, d) for d in config.betas + config.alphas)
+        u = 2 * a - beta.u if alpha.u == 0 else beta.u
+        v = 2 * a - alpha.v if beta.v == 0 else alpha.v
+        return count_ad_adjacent_defects(a, (u + 1) // 2, (v + 1) // 2)
     if sides <= {"SE", "NW"}:
         se = sorted(p for s, p in removed if s == "SE")
         nw = [p for s, p in removed if s == "NW"]
@@ -449,23 +437,26 @@ def _formula_count(config: DefectConfiguration) -> int:
 def count_configuration(config: DefectConfiguration, engine: str = "auto") -> int:
     """Tilings of the configuration's region minus its defects, by one engine.
 
+    Every engine gives 0 when the colours do not balance, from
+    ``config.balanced`` alone, before any label or cell is built.
     ``pfaffian`` and ``auto``, the default and another name for it, count
-    every configuration by one Pfaffian over the gamma host, 0 when the
-    colours do not balance.  ``kasteleyn`` (the determinant, polynomial),
-    ``dp`` (the sweep, exponential in the order) and ``brute`` (the matching
-    oracle, exponential) count any configuration, since every
-    configuration's region is hole-free.  ``formula`` covers the closed-form
-    families, gives 0 when the colours do not balance and raises
-    ``OutOfScopeConfigurationError`` outside its families.
+    every configuration by one Pfaffian over the gamma host.  ``kasteleyn``
+    (the determinant, polynomial), ``dp`` (the sweep, exponential in the
+    order) and ``brute`` (the matching oracle, exponential) count any
+    configuration, since every configuration's region is hole-free.
+    ``formula`` covers the closed-form families and raises
+    ``OutOfScopeConfigurationError`` outside them.
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
+    if not config.balanced:
+        return 0
     if engine in ("auto", "pfaffian"):
-        return _pfaffian_count(config) if _balanced(config) else 0
+        return _pfaffian_count(config)
     if engine == "kasteleyn":
         return count_tilings_kasteleyn(config.region())
     if engine == "dp":
         return count_tilings_dp(config.region())
     if engine == "brute":
         return count_matchings_brute(config.region())
-    return _formula_count(config) if _balanced(config) else 0
+    return _formula_count(config)

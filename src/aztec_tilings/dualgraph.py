@@ -11,7 +11,7 @@ condensation identities work on the cell sets directly.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import UnsupportedRegionError
 from .geometry import Cell, Region

@@ -22,7 +22,7 @@ core).
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import InternalInconsistencyError, InvalidMatrixError, exact_quotient
 

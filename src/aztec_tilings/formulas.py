@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sequence
 from operator import mul
-from typing import Sequence
 
 from .errors import InvalidParameterError, exact_quotient
 

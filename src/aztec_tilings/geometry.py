@@ -21,23 +21,23 @@ follows from its side: beta on NW and SE, alpha on NE and SW, gamma below SE.
 A configuration, AR(a, b) plus a gamma string minus beta and alpha defects,
 is described only by numbers: ``DefectConfiguration`` holds a, b, the defect
 addresses and the gamma positions, and checks each of them once, by
-arithmetic, building no cell.  A ``Region`` is only a cell set;
+arithmetic, building no cell; its ``size`` and its colour balance,
+``balanced``, are arithmetic too.  A ``Region`` is only a cell set;
 ``make_aztec_rectangle`` and ``DefectConfiguration.region`` build one for the
 code that needs cells.
 
-``Cell``, ``DefectSpec``, ``Region`` and ``DefectConfiguration`` are named
-tuples, immutable and hashed by their fields; ``DefectSpec`` and
-``DefectConfiguration`` check their arguments in ``__new__``.  Dataclasses
-would generate their methods at every import, about 2 ms on one Xeon core
-under Python 3.11.7.  Like any tuple these values index, iterate, order
-and compare equal to a plain tuple of their fields; ``len(region)`` is its
-number of cells, and ``_make`` and ``_replace`` skip the checks.
+``Cell``, ``DefectSpec``, ``Region`` and ``DefectConfiguration`` are
+``collections.namedtuple`` classes, immutable and hashed by their fields;
+``DefectSpec`` and ``DefectConfiguration`` check their arguments in
+``__new__``.  Like any tuple these values index, iterate, order and compare
+equal to a plain tuple of their fields; ``len(region)`` is its number of
+cells, and ``_make`` and ``_replace`` skip the checks.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Iterable, NamedTuple
+from collections.abc import Iterable
 
 from .errors import InvalidConfigurationError, InvalidDefectError, InvalidParameterError
 
@@ -45,11 +45,10 @@ SIDES = ("NW", "NE", "SE", "SW")  # the rectangle's boundary, where a spec remov
 CLASS = {"NW": "beta", "SE": "beta", "NE": "alpha", "SW": "alpha", "gamma": "gamma"}
 
 
-class Cell(NamedTuple):
+class Cell(namedtuple("Cell", "u v")):
     """A unit lattice square in diagonal coordinates; u + v must be odd."""
 
-    u: int
-    v: int
+    __slots__ = ()
 
 
 def is_white(cell: Cell) -> bool:
@@ -80,10 +79,10 @@ class DefectSpec(namedtuple("DefectSpec", "side position kind")):
         return self.side, self.position
 
 
-class Region(NamedTuple):
-    """An immutable finite set of cells."""
+class Region(namedtuple("Region", "cells")):
+    """An immutable finite set of cells, a frozenset in ``cells``."""
 
-    cells: frozenset[Cell]
+    __slots__ = ()
 
     @staticmethod
     def from_cells(cells: Iterable[Cell]) -> Region:
@@ -201,6 +200,15 @@ class DefectConfiguration(namedtuple("DefectConfiguration", "a b betas alphas ga
         """The number of cells of ``region()``, by arithmetic: its ``len`` would stop at sys.maxsize."""
         a, b, gammas = self.a, self.b, self.gammas
         return 2 * a * b + a + b + gammas.stop - gammas.start - len(self.betas) - len(self.alphas)
+
+    @property
+    def balanced(self) -> bool:
+        """Whether ``region()`` has as many white cells as black, by arithmetic; else it has no tiling.
+
+        AR(a, b) has b - a more white cells than black, and a gamma adds one black.
+        """
+        gammas = self.gammas
+        return len(self.betas) - len(self.alphas) == self.b - self.a - (gammas.stop - gammas.start)
 
     def region(self) -> Region:
         """The counted cell set: AR(a, b) plus the gamma squares minus the defects."""

@@ -6,7 +6,7 @@ state of ``rng``; a failed check is yielded, never raised.
 
 - ``formulas``: every closed form on its small-parameter grid against the DP
   sweep, and against the brute-force oracle on regions of at most
-  ``brute_limit`` cells, a keyword argument of this suite alone.
+  ``BRUTE_CELLS`` cells.
 - ``kuo``: Kuo's four local identities on random quadruples of outer-face
   cells of AD(2..max_a), plain, minus the black cell SW a, or minus SW a
   and NE a.
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 from .condensation import (
     check_face_alternating_identity,
@@ -60,16 +60,15 @@ from .geometry import (
 )
 
 Check = tuple[bool, str]  # (passed, description)
+BRUTE_CELLS = 30  # the largest region that ``formulas`` also counts by the brute-force oracle
 
 
-def _verify_formulas(
-    max_a: int, max_b: int, trials: int, rng: random.Random, *, brute_limit: int
-) -> Iterator[Check]:
+def _verify_formulas(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iterator[Check]:
     def check(config: DefectConfiguration, expected: int, label: str) -> Check:
         region = config.region()
         dp = count_tilings_dp(region)
         ok = dp == expected
-        if ok and len(region) <= brute_limit:
+        if ok and len(region) <= BRUTE_CELLS:
             ok = count_matchings_brute(region) == expected
         return ok, f"{label}: formula={expected} dp={dp}"
 

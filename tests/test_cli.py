@@ -113,6 +113,18 @@ def test_count_dp_goes_through_the_cli_binding(capsys, monkeypatch):
     assert run_cli(capsys, "count", "AD n=4", "--engine", "dp") == (0, "12345\n", "")
 
 
+def test_count_of_an_unbalanced_spec_builds_no_region(capsys, monkeypatch):
+    # 10^5 - 3 white cells too many: dp prints 0 from the colour test alone, and brute
+    # still tests its cell limit first, so it exits 2 as before
+    monkeypatch.delenv("AZTEC_ORACLE_CELL_LIMIT", raising=False)
+    spec = "AR a=1 b=100000 remove=SE:1,SE:2"
+    start = time.perf_counter()
+    assert run_cli(capsys, "count", spec, "--engine", "dp") == (0, "0\n", "")
+    assert time.perf_counter() - start < 0.05
+    refused = "error: 299999 cells exceeds the brute-force limit 36\n"
+    assert run_cli(capsys, "count", spec, "--engine", "brute") == (2, "", refused)
+
+
 @pytest.mark.parametrize("fmt", ["dec", "json"])
 def test_count_past_the_int_str_digit_limit(capsys, fmt):
     # 2^14365 has 4,325 digits, more than Python's default limit of 4,300
@@ -243,10 +255,11 @@ def test_malformed_cell_limit_exit_1(capsys, monkeypatch):
     # only ASCII digits, as for a spec INT; int() alone would read "1_0" as 10
     for raw in ("forty", "-1", "1_0", "+5", " 7", "\uff11\uff10"):
         monkeypatch.setenv("AZTEC_ORACLE_CELL_LIMIT", raw)
-        for argv in (("count", "AD n=3", "--engine", "brute"), ("verify", "formulas")):
-            code, out, err = run_cli(capsys, *argv)
-            assert (code, out) == (1, ""), (raw, argv)
-            assert "AZTEC_ORACLE_CELL_LIMIT" in err
+        code, out, err = run_cli(capsys, "count", "AD n=3", "--engine", "brute")
+        assert (code, out) == (1, ""), raw
+        assert "AZTEC_ORACLE_CELL_LIMIT" in err
+    # the limit bounds count --engine brute alone: verify formulas has its own, fixed bound
+    assert run_cli(capsys, "verify", "formulas", "--max-a", "2", "--max-b", "3")[0] == 0
 
 
 def test_formula_unrecognized_exit_2(capsys):
@@ -396,7 +409,7 @@ def test_a_count_call_loads_neither_verify_nor_unused_stdlib():
     # a count runs no suite, hashes nothing, prints dec and a count of fewer than 640 digits
     code = (
         "import sys; from aztec_tilings.cli import main; main(['count', 'AD n=6 remove=SE:2,NE:3']); "
-        "print(*sorted({'aztec_tilings.verify', 'dataclasses', 'hashlib', 'json', 'decimal'} & set(sys.modules)))"
+        "print(*sorted({'aztec_tilings.verify', 'dataclasses', 'hashlib', 'json', 'decimal', 'typing'} & set(sys.modules)))"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run(

@@ -29,7 +29,7 @@ from aztec_tilings import (
     make_aztec_rectangle,
 )
 from aztec_tilings import condensation, exactalg
-from aztec_tilings.condensation import _bipartite_pfaffian, _pfaffian_quotient
+from aztec_tilings.condensation import _pfaffian_quotient
 from aztec_tilings.errors import (
     CondensationInapplicableError,
     InternalInconsistencyError,
@@ -90,10 +90,11 @@ def _rows(entries):
     return lambda x, cols: [entries.get(min(x, y) + max(x, y), 0) for y in cols]
 
 
-@pytest.mark.parametrize("entry,divisor", [(-1, 1), (1, 2)])
+@pytest.mark.parametrize("entry,divisor", [(-1, 1), (1, 2), pytest.param(-(10**5000), 1, id="-10**5000-1")])
 def test_pfaffian_quotient_rejects_impossible_tiling_count(entry, divisor):
     # four labels, rows a and c: Pf = m_ab m_cd - m_ac m_bd + m_ad m_bc = entry,
-    # and the quotient is Pf / divisor^1
+    # and the quotient is Pf / divisor^1; a Pfaffian past the int-to-str digit
+    # limit is still reported, not turned into a ValueError by its message
     entries = {"ab": entry, "cd": 1}
     with pytest.raises(InternalInconsistencyError):
         _pfaffian_quotient("abcd", "ac".__contains__, _rows(entries), divisor, "test")
@@ -142,7 +143,9 @@ def test_bipartite_pfaffian_sign_rule():
 
         want = pfaffian(matrix)
         assert want == pfaffian_expand_first_row(matrix)
-        assert _bipartite_pfaffian(range(m), classes.__getitem__, row) == want, classes
+        # divisor 1 leaves scale Pf, and scale -1 makes a negative Pfaffian a count
+        scale = -1 if want < 0 else 1
+        assert _pfaffian_quotient(range(m), classes.__getitem__, row, 1, "test", scale) == scale * want, classes
 
 
 def test_symdiff_reduces_to_deletion():
@@ -421,7 +424,7 @@ def _row_entry(a, b, x, y):
 def test_three_sided_entries_match_engine():
     # every mixed Pfaffian entry, times 2^(a(a-1)/2) and a gamma's also times
     # 2^a, is the engine count of the gamma host minus two cells; a same-class
-    # pair counts 0, which _bipartite_pfaffian relies on when it never asks
+    # pair counts 0, which _pfaffian_quotient relies on when it never asks
     # for that entry
     for a in range(1, 6):
         for k in range(4):
@@ -544,9 +547,15 @@ def test_pfaffian_counts_unbalanced_as_zero(monkeypatch):
     # one beta and one alpha on AR(2,3) leave one white cell too many
     cfg = _config(2, 3, [("SE", 1)], [("NE", 1)])
     assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") == 0
-    # AR(1, 10^5) has 10^5 - 1 white cells too many: 0 before any of its labels is built
+    # AR(1, 10^5) minus SE 1 and SE 2 has 10^5 - 3 white cells too many: every
+    # engine counts 0 before any label or cell is built
+    cfg = _config(1, 10**5, [("SE", 1), ("SE", 2)], [])
     monkeypatch.setattr(condensation, "DefectSpec", None)
-    assert count_configuration(DefectConfiguration(1, 10**5), "pfaffian") == 0
+    monkeypatch.setattr(DefectConfiguration, "region", None)
+    for engine in ENGINES:
+        start = time.perf_counter()
+        assert count_configuration(cfg, engine) == 0, engine
+        assert time.perf_counter() - start < 0.05, engine
 
 
 def _diamond_sides(a):
@@ -568,7 +577,12 @@ def test_three_sided_agrees_with_diamond_counter():
         assert count_configuration(cfg, "pfaffian") == want
 
 
-def test_diamond_normal_form_exhaustive():
+def test_diamond_normal_form_exhaustive(monkeypatch):
+    # formula counts every one-pair diamond by count_ad_adjacent_defects, not by the Pfaffian's rows
+    def refused(*args):
+        raise AssertionError("formula asked for a Pfaffian row")
+
+    monkeypatch.setattr(condensation, "_three_sided_row", refused)
     for a in range(1, 6):
         whites, blacks = _diamond_sides(a)
         for beta in whites:

@@ -15,10 +15,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.mark.parametrize("suite", sorted(verify.SUITES))
-def test_suite_folds_to_the_report_main_prints(capsys, monkeypatch, suite):
-    monkeypatch.delenv("AZTEC_ORACLE_CELL_LIMIT", raising=False)  # main's bound: min(36, 30)
-    bound = {"brute_limit": 30} if suite == "formulas" else {}
-    checks = list(verify.SUITES[suite](3, 5, 20, random.Random(4), **bound))
+def test_suite_folds_to_the_report_main_prints(capsys, suite):
+    checks = list(verify.SUITES[suite](3, 5, 20, random.Random(4)))
     samples = hashlib.sha256("".join(text + "\n" for _, text in checks).encode()).hexdigest()[:12]
     assert checks and all(ok for ok, _ in checks)
     argv = ["verify", suite, "--max-a", "3", "--max-b", "5", "--trials", "20", "--seed", "4"]

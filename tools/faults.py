@@ -3,9 +3,10 @@
     python3 tools/faults.py [NAME ...]
 
 ``FAULTS`` lists (name, module, old text, new text).  For each fault, or only
-the named ones, the script copies src/, tests/, tools/ and pyproject.toml
-into a temporary directory, replaces the old text, which must occur exactly
-once in src/aztec_tilings/MODULE, and runs ``python -m pytest -x -q`` there,
+the named ones, the script copies src/, tests/, tools/, pyproject.toml and
+README.md into a temporary directory, replaces the old text, which must
+occur exactly once in src/aztec_tilings/MODULE, and runs
+``python -m pytest -x -q`` there,
 less the test that checks this table against the source, which any planted
 fault would fail.  A failing test kills the fault.  The unchanged copy runs
 first and must pass.  Prints one line per run with the seconds it took and
@@ -25,7 +26,7 @@ import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "tools", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "pyproject.toml", "README.md")
 TABLE_TEST = "tests/test_package.py::test_every_catalogued_fault_names_text_of_todays_source"
 
 FAULTS = (
@@ -47,7 +48,7 @@ FAULTS = (
     # the quotient and the Pfaffian's block
     ("2^(a g) dropped from the quotient's scale", "condensation.py",
      "scale = 2 ** (a * (a - 1) // 2 + a * len(missing))", "scale = 2 ** (a * (a - 1) // 2)"),
-    ("column sign flip of _bipartite_pfaffian reversed", "condensation.py",
+    ("column sign flip of _pfaffian_quotient reversed", "condensation.py",
      "[-e for e in entries[:before]] + entries[before:]",
      "entries[:before] + [-e for e in entries[before:]]"),
     # an added gamma t's row is the sum of the rows of SE t - 1 and SE t
@@ -58,7 +59,7 @@ FAULTS = (
     ("+1 on every (beta, SW alpha) entry", "condensation.py",
      "entries.append(sw_row[p - 1])", "entries.append(sw_row[p - 1] + 1)"),
     ("the balance test removed", "condensation.py",
-     "return _pfaffian_count(config) if _balanced(config) else 0", "return _pfaffian_count(config)"),
+     "    if not config.balanced:\n        return 0\n", ""),
     ("SE t - 1 replaced by SE t + 1 in an added gamma's row", "condensation.py",
      "for s in (pos - 1, pos) if s", "for s in (pos + 1, pos) if s"),
     # one fault per entry zone of _three_sided_row
@@ -143,6 +144,14 @@ FAULTS = (
     # gamma 1 hangs off the cut vertex SE 1, so it ranks right after SE 1
     ("perimeter_index ranks gamma 1 before SE 1", "geometry.py",
      "2 * u if u else 3", "2 * u if u else 1"),
+    # the dp branch of cmd_count tests the colours before it builds the region
+    ("the dp branch's balance test removed", "cli.py",
+     "count_tilings_dp(config.region()) if config.balanced else 0", "count_tilings_dp(config.region())"),
+    # formula's one-pair diamond: flip u for an SW alpha and v for an NW beta
+    ("formula's u flip keyed to the beta", "condensation.py",
+     "u = 2 * a - beta.u if alpha.u == 0 else beta.u", "u = 2 * a - beta.u if beta.v == 0 else beta.u"),
+    ("formula's v flip dropped", "condensation.py",
+     "v = 2 * a - alpha.v if beta.v == 0 else alpha.v", "v = alpha.v"),
     # gamma=k keeps gammas 1..k
     ("the spec parser drops gamma k", "cli.py",
      "gammas = range(1, k + 1)", "gammas = range(1, k)"),
