@@ -10,9 +10,8 @@ from .condensation import (
     condensation_count_symdiff,
     count_configuration,
 )
-from .counting import count_matchings_brute, count_tilings_dp, count_tilings_kasteleyn
+from .counting import count_matchings_brute, count_tilings_dp, count_tilings_paths
 from .dualgraph import boundary_cycle
-from .exactalg import determinant_sparse
 from .formulas import (
     binomial_ext,
     count_ad_adjacent_defects,
@@ -62,8 +61,7 @@ __all__ = [
     "count_configuration",
     "count_matchings_brute",
     "count_tilings_dp",
-    "count_tilings_kasteleyn",
-    "determinant_sparse",
+    "count_tilings_paths",
     "is_white",
     "make_aztec_rectangle",
 ]

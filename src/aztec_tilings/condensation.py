@@ -45,7 +45,7 @@ are put in boundary order by ``geometry.perimeter_index``.  It counts every
 
 ``count_configuration`` gives 0 for a configuration whose colours do not
 balance, by ``DefectConfiguration.balanced`` alone, and otherwise picks its
-counter: the Kasteleyn determinant, the DP sweep or the brute-force oracle on
+counter: the path determinant, the DP sweep or the brute-force oracle on
 ``config.region()``, a closed form, or the Pfaffian count.  The default,
 ``auto``, is another name for the Pfaffian count, the paper's route; no error
 is caught.
@@ -70,7 +70,7 @@ from collections.abc import Callable, Iterable, Sequence
 from itertools import accumulate
 from operator import add
 
-from .counting import count_matchings_brute, count_tilings_dp, count_tilings_kasteleyn
+from .counting import count_matchings_brute, count_tilings_dp, count_tilings_paths
 from .dualgraph import boundary_cycle
 from .errors import (
     CondensationInapplicableError,
@@ -96,7 +96,7 @@ from .geometry import Cell, DefectConfiguration, DefectSpec, Region, boundary_ce
 
 KUO_SURPLUS = {"AABB": 0, "AAAA": 2, "ABAB": 0, "AAAB": 1}  # #A - #B each pattern needs
 # the counters count_configuration picks from; the first is the default
-ENGINES = ("auto", "kasteleyn", "dp", "brute", "formula", "pfaffian")
+ENGINES = ("auto", "paths", "dp", "brute", "formula", "pfaffian")
 
 
 def _cells_count(cells: Iterable[Cell]) -> int:
@@ -440,10 +440,12 @@ def count_configuration(config: DefectConfiguration, engine: str = "auto") -> in
     Every engine gives 0 when the colours do not balance, from
     ``config.balanced`` alone, before any label or cell is built.
     ``pfaffian`` and ``auto``, the default and another name for it, count
-    every configuration by one Pfaffian over the gamma host.  ``kasteleyn``
-    (the determinant, polynomial), ``dp`` (the sweep, exponential in the
-    order) and ``brute`` (the matching oracle, exponential) count any
-    configuration, since every configuration's region is hole-free.
+    every configuration by one Pfaffian over the gamma host.  ``paths``
+    (the determinant of lattice-path counts, polynomial), ``dp`` (the
+    sweep, exponential in the order) and ``brute`` (the matching oracle,
+    exponential) count any configuration, since every configuration's
+    region is hole-free.  ``paths`` shares only ``exactalg.determinant``
+    with ``pfaffian``, and ``dp`` shares no code with either.
     ``formula`` covers the closed-form families and raises
     ``OutOfScopeConfigurationError`` outside them.
     """
@@ -453,8 +455,8 @@ def count_configuration(config: DefectConfiguration, engine: str = "auto") -> in
         return 0
     if engine in ("auto", "pfaffian"):
         return _pfaffian_count(config)
-    if engine == "kasteleyn":
-        return count_tilings_kasteleyn(config.region())
+    if engine == "paths":
+        return count_tilings_paths(config.region())
     if engine == "dp":
         return count_tilings_dp(config.region())
     if engine == "brute":

@@ -9,13 +9,23 @@ one row wide.  ``count_tilings_dp`` is the sweep: every edge joins cells on
 consecutive lines of constant u, and on consecutive lines of constant v, so a
 sweep cell by cell along the lines of the shorter kind, with a bit profile of
 the cells already covered ahead, counts tilings in time exponential only in
-that line's length.  On one Intel Xeon core under Python 3.11.7 the oracle
-takes 1.2 ms for AD(6) (84 cells) and 28 ms for AD(10), and the sweep 0.5 ms,
-16 ms and, for AD(14), 0.29 s.  ``count_tilings_kasteleyn`` is the fast engine
-for hole-free regions, which every Aztec configuration is: |det K| of the
-banded Kasteleyn matrix, fraction-free elimination inside the band, about
-0.26 s for AD(30) and 1.2 s for AD(40) on the same core.  All three use exact
-arithmetic only.
+that line's length.  ``count_tilings_paths`` is the polynomial engine for
+hole-free regions, which every Aztec configuration is: a tiling is a family
+of vertex-disjoint lattice paths, one line pair at a time along the lines of
+the kind that has fewer, and the count is one determinant of path counts
+(Lindstrom; Gessel and Viennot).  All three use exact arithmetic only.
+
+The engines share no code with one another.  ``count_tilings_paths`` and the
+Pfaffian count of ``condensation`` share only ``exactalg.determinant``,
+which the tests hold to a ``Fraction`` elimination of their own, and
+``count_tilings_dp`` shares no code with either, so each checks the others.
+
+Best of 5 on one core of a shared 2 vCPU Intel Xeon under Python 3.11.7
+(load on the host moves these by up to 2x): the oracle takes 0.7, 5 and
+28 ms for AD(6), AD(8) and AD(10); the sweep 2.5, 13 and 66 ms for AD(8),
+AD(10) and AD(12), and 0.29 to 0.57 s for AD(14); the paths count 1.4 and
+3.6 ms for AD(10) and AD(14), 19 to 24 ms for AD(30) and 34 to 46 ms for
+AD(40).
 """
 
 from __future__ import annotations
@@ -24,7 +34,7 @@ from operator import sub
 
 from .dualgraph import component_count
 from .errors import OutOfScopeConfigurationError
-from .exactalg import determinant_sparse
+from .exactalg import determinant
 from .geometry import Cell, Region
 
 
@@ -41,8 +51,8 @@ def count_matchings_brute(region: Region) -> int:
     (v + 1), so a mask is a profile state: the cells past the lowest one less
     those already matched from behind it, all within one row's width of it.
     No recursion, so the depth does not grow with the cells: a 2 x 1,200 box
-    (2,400 cells) takes 13 ms.  About 1.2 ms for AD(6) (84 cells), 6 ms for
-    AD(8) and 28 ms for AD(10) (Python 3.11, one core).
+    (2,400 cells) takes 14 ms, AD(6) (84 cells) 0.7 ms and AD(10) 28 ms, on
+    the host of the module's timings.
     """
     cells = sorted(region.cells, key=lambda c: (c.v, c.u))
     n = len(cells)
@@ -87,8 +97,8 @@ def count_tilings_dp(region: Region) -> int:
     already covered: a covered cell only shifts the mask, an uncovered one
     takes each free partner on the next line, width - 1 or width + 1 keys
     ahead.  The cost is exponential in the shorter line's length and linear
-    in the cells: AD(8), AD(10) and AD(12) take 2.5, 16 and 59 ms on one Intel
-    Xeon core under Python 3.11.7.
+    in the cells: AD(8), AD(10) and AD(12) take 2.5, 13 and 66 ms on the host
+    of the module's timings.
     """
     cells = region.cells
     if 2 * sum(u % 2 for u, _ in cells) != len(cells):  # every domino has one white cell
@@ -131,36 +141,55 @@ def _require_hole_free(cells: frozenset[Cell], edges: int) -> None:
     )
     if edges != len(cells) - component_count(cells) + full:
         raise OutOfScopeConfigurationError(
-            "the kasteleyn engine counts hole-free regions; this region has a hole"
+            "the paths engine counts hole-free regions; this region has a hole"
         )
 
 
-def count_tilings_kasteleyn(region: Region) -> int:
-    """Exact tiling count of a hole-free region as |det K| of its Kasteleyn matrix.
+def count_tilings_paths(region: Region) -> int:
+    """Exact tiling count of a hole-free region as a determinant of path counts.
 
-    K has a row per white and a column per black cell, both in (u, v) order,
-    so K is banded.  A horizontal domino slot (du == dv) has weight 1 and a
-    vertical one weight (-1)^x, x = (u + v - 1) // 2 the column of the white
-    cell; every unit-square face then has two vertical slots in adjacent
-    columns, so each face's weights multiply to -1, which is Kasteleyn's
-    condition for a face of four edges, and |det K| counts the tilings of a
-    region whose bounded faces are all unit squares (Kasteleyn, Physica 27,
-    1961; Kenyon, Lectures on dimers, arXiv:0910.3129).  Any other region
-    raises ``OutOfScopeConfigurationError``.
+    Lines of constant u, or of constant v when there are fewer of those,
+    carry the cells, and each even line x is paired with the odd line
+    x + 1 into a strip; a cell (x, y) sits at place y, and the places of a
+    strip's two lines interleave into runs of consecutive places.  A domino
+    joining two strips has one cell on the odd line of the lower one; the
+    others join consecutive places of one run.  A path steps up its run one
+    place at a time, and from an odd line it may step instead, by +-1, to
+    the even line of the next strip.  A run whose foot is on the odd line
+    starts a path there (a source); a run whose top is on the even line ends
+    one there (a sink).  In a tiling, the cells of a run on cross-strip
+    dominoes alternate between entering from below, on the even line, and
+    leaving upward, on the odd line; a path goes up from each entering cell,
+    or a source, to the next leaving cell, or a sink, and every other cell
+    pairs off along the run.  Conversely, vertex-disjoint paths from the
+    sources to the sinks leave stretches of even length to pair off, so the
+    tilings are the families of such paths, and their number is |det| of
+    the sources x sinks matrix of path counts (Lindstrom, Bull.
+    LMS 5, 1973; Gessel and Viennot, Adv. Math. 58, 1985), or 0 when the
+    sources and sinks are not as many.  Any region with a hole raises
+    ``OutOfScopeConfigurationError``, since around a hole a family may join
+    its sources to its sinks in another order.
     """
     cells = region.cells
-    white = sorted(c for c in cells if c.u % 2 == 1)
-    if 2 * len(white) != len(cells):
+    swap = len({v for _, v in cells}) < len({u for u, _ in cells})  # fewer lines of constant v
+    order = sorted(((v, u) if swap else (u, v) for u, v in cells), key=lambda c: (c[0] // 2, c[1]))
+    index = {c: i for i, c in enumerate(order)}
+    steps = []  # the places a path steps to from each cell: up its run, or to the next strip
+    for x, y in order:
+        ahead = ((x - 1, y + 1), (x + 1, y - 1), (x + 1, y + 1)) if x % 2 else ((x + 1, y + 1),)
+        steps.append([index[c] for c in ahead if c in index])
+    _require_hole_free(cells, sum(map(len, steps)))  # the steps are the region's edges, each once
+    sources = [i for i, (x, y) in enumerate(order) if x % 2 and (x - 1, y - 1) not in index]
+    sinks = [i for i, (x, y) in enumerate(order) if not x % 2 and (x + 1, y + 1) not in index]
+    if len(sources) != len(sinks):
         return 0
-    column = {c: j for j, c in enumerate(sorted(c for c in cells if c.u % 2 == 0))}
     rows = []
-    for u, v in white:
-        sign = -1 if (u + v - 1) // 2 % 2 else 1
-        row = {}
-        for du, dv in ((-1, -1), (-1, 1), (1, -1), (1, 1)):
-            j = column.get((u + du, v + dv))
-            if j is not None:
-                row[j] = 1 if du == dv else sign
-        rows.append(row)
-    _require_hole_free(cells, sum(map(len, rows)))
-    return abs(determinant_sparse(rows))
+    for source in sources:  # one forward pass, in an order that puts every step ahead
+        ways = [0] * len(order)
+        ways[source] = 1
+        for i in range(source, len(order)):
+            if w := ways[i]:
+                for j in steps[i]:
+                    ways[j] += w
+        rows.append([ways[sink] for sink in sinks])
+    return abs(determinant(rows))

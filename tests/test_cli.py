@@ -277,15 +277,15 @@ def test_formula_unrecognized_exit_2(capsys):
 
 
 def test_pfaffian_counts_gamma_specs_past_b_minus_a(capsys):
-    # once refused: a gamma string past SE position b - a, counted as kasteleyn does
+    # once refused: a gamma string past SE position b - a, counted as paths does
     for spec, count in (
         ("AR a=2 b=3 gamma=2 remove=NE:1", "2\n"),  # gamma 2 past b - a = 1
         ("AD n=3 gamma=1 remove=SW:2", "32\n"),  # gamma 1 on a diamond
         ("AR a=2 b=4 gamma=4 remove=NE:1,NE:2", "1\n"),  # the string runs to b
     ):
-        kasteleyn = run_cli(capsys, "count", spec, "--engine", "kasteleyn")
-        assert run_cli(capsys, "count", spec, "--engine", "pfaffian") == kasteleyn == (0, count, ""), spec
-        assert run_cli(capsys, "count", spec) == kasteleyn
+        paths = run_cli(capsys, "count", spec, "--engine", "paths")
+        assert run_cli(capsys, "count", spec, "--engine", "pfaffian") == paths == (0, count, ""), spec
+        assert run_cli(capsys, "count", spec) == paths
 
 
 def test_pfaffian_counts_sw_alphas_with_gammas(capsys):
@@ -294,17 +294,17 @@ def test_pfaffian_counts_sw_alphas_with_gammas(capsys):
         "AR a=2 b=4 gamma=1 remove=SE:2,SE:3,SW:1",
         "AR a=2 b=4 gamma=1 remove=SE:2,SE:3,SE:4,NE:1,SW:1",
     ):
-        kasteleyn = run_cli(capsys, "count", spec, "--engine", "kasteleyn")
-        assert run_cli(capsys, "count", spec, "--engine", "pfaffian") == kasteleyn, spec
-        assert kasteleyn[0] == 0 and kasteleyn[1] != "0\n", spec
+        paths = run_cli(capsys, "count", spec, "--engine", "paths")
+        assert run_cli(capsys, "count", spec, "--engine", "pfaffian") == paths, spec
+        assert paths[0] == 0 and paths[1] != "0\n", spec
 
 
 def test_pfaffian_counts_in_scope_gamma_specs(capsys):
     # NE alphas and the gamma string inside 1..b-a; the last two do not balance, so 0
     for spec in ("AR a=2 b=4 gamma=2 remove=SE:3,NE:1", "AR a=2 b=4 gamma=2", "AR a=2 b=4 gamma=1"):
-        kasteleyn = run_cli(capsys, "count", spec, "--engine", "kasteleyn")
-        assert run_cli(capsys, "count", spec, "--engine", "pfaffian") == kasteleyn, spec
-        assert kasteleyn[0] == 0, spec
+        paths = run_cli(capsys, "count", spec, "--engine", "paths")
+        assert run_cli(capsys, "count", spec, "--engine", "pfaffian") == paths, spec
+        assert paths[0] == 0, spec
 
 
 @pytest.mark.parametrize(
@@ -322,6 +322,12 @@ def test_usage_errors_exit_1(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error: ")
+
+
+def test_count_engine_kasteleyn_is_an_invalid_choice(capsys):
+    code, out, err = run_cli(capsys, "count", "AD n=2", "--engine", "kasteleyn")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: argument --engine: invalid choice: 'kasteleyn'")
 
 
 def test_help_exits_0(capsys):
@@ -421,7 +427,7 @@ def test_a_count_call_loads_neither_verify_nor_unused_stdlib():
 def test_four_sided_spec_without_a_tileable_base_counts_0(capsys):
     # no 4-subset of the betas leaves a tileable AR(1, 5), so the spec has no tiling
     spec = "AR a=1 b=5 remove=NW:1,NW:2,NW:3,SE:1,SE:2,SE:3,NE:1,SW:1"
-    for engine in ("pfaffian", "auto", "kasteleyn"):
+    for engine in ("pfaffian", "auto", "paths"):
         assert run_cli(capsys, "count", spec, "--engine", engine) == (0, "0\n", ""), engine
 
 

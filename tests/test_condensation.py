@@ -24,7 +24,7 @@ from aztec_tilings import (
     count_configuration,
     count_ad_adjacent_defects,
     count_tilings_dp,
-    count_tilings_kasteleyn,
+    count_tilings_paths,
     is_white,
     make_aztec_rectangle,
 )
@@ -320,10 +320,10 @@ GAMMAS_PAST_K = (
 
 def test_pfaffian_counts_gammas_past_b_minus_a_as_kasteleyn_does():
     counts = [count_configuration(cfg, "pfaffian") for cfg in GAMMAS_PAST_K]
-    assert counts == [count_configuration(cfg, "kasteleyn") for cfg in GAMMAS_PAST_K] == [10, 2, 32, 8, 48]
+    assert counts == [count_configuration(cfg, "paths") for cfg in GAMMAS_PAST_K] == [10, 2, 32, 8, 48]
     # AR(2,3) + gamma 1 minus SE 3, NW 2, NE 1 has one white cell fewer than black
     cfg = _config(2, 3, [("SE", 3), ("NW", 2)], [("NE", 1)], gammas=(1,))
-    assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") == 0
+    assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "paths") == 0
 
 
 def test_pfaffian_counts_sw_alphas_with_gammas_as_kasteleyn_does():
@@ -332,7 +332,7 @@ def test_pfaffian_counts_sw_alphas_with_gammas_as_kasteleyn_does():
         _config(2, 4, [("SE", 2), ("SE", 3)], [("SW", 1)], (1,)),
         _config(2, 4, [("SE", 2), ("SE", 3), ("SE", 4)], [("NE", 1), ("SW", 1)], (1,)),
     ):
-        assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") > 0, cfg
+        assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "paths") > 0, cfg
 
 
 def test_pfaffian_counts_gamma_configurations_as_kasteleyn_does():
@@ -350,7 +350,7 @@ def test_pfaffian_counts_gamma_configurations_as_kasteleyn_does():
         alphas = tuple(DefectSpec("NE", p) for p in rng.sample(range(1, a + 1), n))
         betas = tuple(rng.sample(whites, n + k - g))
         cfg = DefectConfiguration(a, b, betas, alphas, tuple(range(first, first + g)))
-        want = count_tilings_kasteleyn(cfg.region())
+        want = count_tilings_paths(cfg.region())
         assert count_configuration(cfg, "pfaffian") == want, cfg
         nonzero += want > 0
     assert nonzero > 150
@@ -372,7 +372,7 @@ def test_pfaffian_counts_gamma_strings_past_b_minus_a_as_kasteleyn_does():
         alphas = tuple(rng.sample(blacks, rng.randint(max(0, surplus), 2 * a)))
         betas = tuple(rng.sample(whites, len(alphas) - surplus))
         cfg = DefectConfiguration(a, b, betas, alphas, tuple(range(first, last + 1)))
-        want = count_tilings_kasteleyn(cfg.region())
+        want = count_tilings_paths(cfg.region())
         assert count_configuration(cfg, "pfaffian") == want, cfg
         kinds.update({"nonzero": want > 0, "past b - a": last > k, "past 1": first > 1, "k = 0": k == 0})
         kinds.update({side: any(d.side == side for d in alphas) for side in ("NE", "SW")})
@@ -450,7 +450,7 @@ def test_sw_entries_match_engine():
             alphas = [boundary_cell(a, b, DefectSpec("SW", p)) for p in range(1, a + 1)]
             for beta in [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]:
                 cells = host.cells - {boundary_cell(a, b, beta)}
-                want = [count_tilings_kasteleyn(Region(cells - {alpha})) for alpha in alphas]
+                want = [count_tilings_paths(Region(cells - {alpha})) for alpha in alphas]
                 assert [e << a * (a - 1) // 2 for e in condensation._sw_row(a, b, beta)] == want, (a, k, beta)
                 assert not any(want) or beta.side == "NW" or beta.position > k
 
@@ -465,7 +465,7 @@ def test_a_fault_planted_after_the_memos_are_warm_still_fails(monkeypatch):
         _config(6, 6, [("SE", 2), ("NW", 4)], [("NE", 3), ("SW", 5)]),
         _config(6, 6, [("SE", 1), ("SE", 5), ("NW", 3)], [("NE", 2), ("SW", 1), ("SW", 6)]),
     ]
-    want = [count_configuration(cfg, "kasteleyn") for cfg in specs]
+    want = [count_configuration(cfg, "paths") for cfg in specs]
     assert [count_configuration(cfg, "pfaffian") for cfg in specs] == want
     original = condensation._three_sided_row
 
@@ -494,7 +494,7 @@ def test_pfaffian_matches_kasteleyn_on_seeded_draws():
         alphas = tuple(rng.sample(blacks, n))
         betas = tuple(rng.sample(whites, n + k - g))
         cfg = DefectConfiguration(a, b, betas, alphas, tuple(range(first, first + g)))
-        want = count_configuration(cfg, "kasteleyn")
+        want = count_configuration(cfg, "paths")
         assert count_configuration(cfg, "pfaffian") == want, cfg
         nonzero += want > 0
     assert nonzero > 200
@@ -539,14 +539,14 @@ def test_three_sided_mixed_entries_match_kasteleyn_at_larger_order():
             others += [DefectSpec("gamma", t) for t in range(1, k + 1)]
             for x, y in itertools.product(betas, others):
                 gone = {boundary_cell(a, b, x), boundary_cell(a, b, y)}
-                want = count_tilings_kasteleyn(Region.from_cells(host.cells - gone))
+                want = count_tilings_paths(Region.from_cells(host.cells - gone))
                 assert _row_entry(a, b, x, y) == want, (a, k, x, y)
 
 
 def test_pfaffian_counts_unbalanced_as_zero(monkeypatch):
     # one beta and one alpha on AR(2,3) leave one white cell too many
     cfg = _config(2, 3, [("SE", 1)], [("NE", 1)])
-    assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "kasteleyn") == 0
+    assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "paths") == 0
     # AR(1, 10^5) minus SE 1 and SE 2 has 10^5 - 3 white cells too many: every
     # engine counts 0 before any label or cell is built
     cfg = _config(1, 10**5, [("SE", 1), ("SE", 2)], [])
@@ -652,7 +652,7 @@ def test_pfaffian_counts_every_beta_subset_of_small_rectangles():
             for s in itertools.combinations(cells, k):
                 cfg = DefectConfiguration(a, b, s)
                 count = count_configuration(cfg, "pfaffian")
-                assert count == count_tilings_kasteleyn(cfg.region()), (a, b, s)
+                assert count == count_tilings_paths(cfg.region()), (a, b, s)
                 zeros += count == 0
     assert zeros > 0
 
@@ -665,7 +665,7 @@ def test_four_sided_spec_without_a_passing_subset_counts_0_quickly():
     start = time.perf_counter()
     count = count_configuration(cfg)
     assert time.perf_counter() - start < 1.0
-    assert count == count_configuration(cfg, "kasteleyn") == 0
+    assert count == count_configuration(cfg, "paths") == 0
 
 
 def test_four_sided_counts_every_beta_set_of_a_thin_rectangle():
@@ -677,7 +677,7 @@ def test_four_sided_counts_every_beta_set_of_a_thin_rectangle():
     for betas in itertools.combinations(whites, 6):
         cfg = _config(1, 5, betas, alphas)
         count = count_configuration(cfg, "pfaffian")
-        assert count == count_configuration(cfg, "kasteleyn"), betas
+        assert count == count_configuration(cfg, "paths"), betas
         zeros += count == 0
     assert zeros > 0
 
@@ -687,7 +687,7 @@ def test_formula_counts_one_nw_defect_with_no_se_block():
     for a in range(1, 6):
         for i in range(1, a + 2):
             cfg = _config(a, a + 1, [("NW", i)], [])
-            assert count_configuration(cfg, "formula") == count_configuration(cfg, "kasteleyn"), (a, i)
+            assert count_configuration(cfg, "formula") == count_configuration(cfg, "paths"), (a, i)
 
 
 def test_formula_counts_se_nw_pairs_by_their_closed_form(monkeypatch):
@@ -703,7 +703,7 @@ def test_formula_counts_se_nw_pairs_by_their_closed_form(monkeypatch):
     for a in range(1, 5):
         for i, j in itertools.product(range(1, a + 3), repeat=2):
             cfg = _config(a, a + 2, [("SE", i), ("NW", j)], [])
-            assert count_configuration(cfg, "formula") == count_configuration(cfg, "kasteleyn"), (a, i, j)
+            assert count_configuration(cfg, "formula") == count_configuration(cfg, "paths"), (a, i, j)
             assert calls.pop() == (a, i, j)
 
 
@@ -790,7 +790,7 @@ def test_kasteleyn_matches_pfaffian_four_sided(a, k, data):
     alphas += [("SW", p) for p in data.draw(st.lists(st.integers(1, a), min_size=sw, max_size=sw, unique=True))]
     betas = [("SE", p) for p in se] + [("NW", p) for p in nw]
     cfg = _config(a, b, betas, alphas)
-    assert count_configuration(cfg, "kasteleyn") == count_configuration(cfg, "pfaffian")
+    assert count_configuration(cfg, "paths") == count_configuration(cfg, "pfaffian")
 
 
 def _seeded_diamond(rng, a, per_side):
@@ -805,10 +805,21 @@ def test_kasteleyn_matches_pfaffian_at_large_order():
         _config(24, 24, [("SE", 3), ("NW", 8)], [("NE", 5), ("SW", 2)]),
         _config(18, 21, [("SE", 1), ("SE", 5), ("SE", 9), ("NW", 2), ("NW", 7)], [("NE", 3), ("SW", 4)]),
         _seeded_diamond(random.Random(16), 16, 4),  # an 8 x 8 block
+        _seeded_diamond(random.Random(40), 40, 10),  # a 20 x 20 block, and paths' 40 x 40 matrix
     ):
-        kasteleyn = count_configuration(cfg, "kasteleyn")
-        assert kasteleyn == count_configuration(cfg, "pfaffian") > 0
-        assert count_configuration(cfg) == kasteleyn
+        paths = count_configuration(cfg, "paths")
+        assert paths == count_configuration(cfg, "pfaffian") > 0
+        assert count_configuration(cfg) == paths
+
+
+def test_paths_takes_the_fewer_lines():
+    # AR(2, 1002) with gammas 2..1001 spans 6 lines of constant v and 2,005 of
+    # constant u: paths on the v lines is a few sources, on the u lines about 1,000
+    cfg = _config(2, 1002, [("SE", 1)], [("SW", 1)], range(2, 1002))
+    start = time.perf_counter()
+    count = count_configuration(cfg, "paths")
+    assert time.perf_counter() - start < 2.0
+    assert count == count_configuration(cfg, "pfaffian") > 0
 
 
 def test_pfaffian_block_at_benchmark_size_matches_fraction_elimination(monkeypatch):
@@ -824,8 +835,8 @@ def test_pfaffian_block_at_benchmark_size_matches_fraction_elimination(monkeypat
 
 def test_auto_counts_gamma_specs_by_pfaffian_alone(monkeypatch):
     # no gamma spec reaches the determinant, in 1..b-a or past it
-    want = [count_configuration(cfg, "kasteleyn") for cfg in GAMMAS_PAST_K]
-    monkeypatch.setattr(condensation, "count_tilings_kasteleyn", None)
+    want = [count_configuration(cfg, "paths") for cfg in GAMMAS_PAST_K]
+    monkeypatch.setattr(condensation, "count_tilings_paths", None)
     for cfg, count in zip(GAMMAS_PAST_K, want):
         assert count_configuration(cfg) == count_configuration(cfg, "pfaffian") == count, cfg
     cfg = _config(2, 4, [("SE", 3)], [("NE", 1)], (1, 2))
@@ -838,6 +849,6 @@ def test_auto_does_not_mask_an_inconsistent_pfaffian(monkeypatch):
 
     monkeypatch.setattr(condensation, "_pfaffian_quotient", inconsistent)
     cfg = _config(3, 3, [("SE", 1)], [("NE", 2)])
-    assert count_configuration(cfg, "kasteleyn") == count_ad_adjacent_defects(3, 1, 2)
+    assert count_configuration(cfg, "paths") == count_ad_adjacent_defects(3, 1, 2)
     with pytest.raises(InternalInconsistencyError, match="injected"):
         count_configuration(cfg)

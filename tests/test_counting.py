@@ -1,4 +1,4 @@
-"""Engine correctness: brute-force oracle vs transfer-matrix sweep vs Kasteleyn determinant."""
+"""Engine correctness: brute-force oracle vs profile sweep vs path determinant."""
 
 import random
 import time
@@ -13,7 +13,7 @@ from aztec_tilings import (
     Region,
     count_matchings_brute,
     count_tilings_dp,
-    count_tilings_kasteleyn,
+    count_tilings_paths,
     make_aztec_rectangle,
 )
 from aztec_tilings.errors import OutOfScopeConfigurationError
@@ -22,16 +22,16 @@ from aztec_tilings.errors import OutOfScopeConfigurationError
 def test_empty_graph_counts_one():
     assert count_matchings_brute(Region.from_cells([])) == 1
     assert count_tilings_dp(Region.from_cells([])) == 1
-    assert count_tilings_kasteleyn(Region.from_cells([])) == 1
+    assert count_tilings_paths(Region.from_cells([])) == 1
 
 
 def test_kasteleyn_diamonds_and_rectangles():
     for n in range(1, 11):
-        assert count_tilings_kasteleyn(make_aztec_rectangle(n, n)) == 2 ** (n * (n + 1) // 2)
+        assert count_tilings_paths(make_aztec_rectangle(n, n)) == 2 ** (n * (n + 1) // 2)
     # m x n boxes of ordinary squares, cells (x + y + 1, x - y); 4 x 5 has 95 tilings
     for m, n, count in ((2, 3, 3), (4, 4, 36), (4, 5, 95), (6, 6, 6728), (3, 7, 0)):
         region = Region.from_cells(Cell(x + y + 1, x - y) for x in range(m) for y in range(n))
-        assert count_tilings_kasteleyn(region) == count
+        assert count_tilings_paths(region) == count
 
 
 def test_kasteleyn_refuses_a_region_with_a_hole():
@@ -39,7 +39,7 @@ def test_kasteleyn_refuses_a_region_with_a_hole():
     region = Region.from_cells(make_aztec_rectangle(4, 4).cells - {Cell(4, 3), Cell(3, 4)})
     assert count_tilings_dp(region) > 0
     with pytest.raises(OutOfScopeConfigurationError, match="hole"):
-        count_tilings_kasteleyn(region)
+        count_tilings_paths(region)
 
 
 def test_brute_diamond_of_order_two():
@@ -100,8 +100,8 @@ def test_counts_are_invariant_under_the_lattice_symmetries():
         count = count_matchings_brute(region)
         engines = [count_tilings_dp, count_matchings_brute]
         try:
-            count_tilings_kasteleyn(region)
-            engines.append(count_tilings_kasteleyn)  # the region and its images are hole-free
+            count_tilings_paths(region)
+            engines.append(count_tilings_paths)  # the region and its images are hole-free
         except OutOfScopeConfigurationError:
             pass
         nonzero += count > 0
@@ -167,10 +167,10 @@ def test_brute_matches_kasteleyn_past_the_cli_cell_limit():
     for config in configs:
         region = config.region()
         sizes.append(len(region))
-        assert count_matchings_brute(region) == count_tilings_kasteleyn(region) > 0, config
+        assert count_matchings_brute(region) == count_tilings_paths(region) > 0, config
     assert min(sizes) == 36 and max(sizes) == 84, sizes
     odd = DefectConfiguration(5, 5, alphas=(DefectSpec("NE", 3),)).region()  # 59 cells
-    assert count_matchings_brute(odd) == count_tilings_kasteleyn(odd) == 0
+    assert count_matchings_brute(odd) == count_tilings_paths(odd) == 0
 
 
 @settings(max_examples=60, deadline=None)
@@ -207,4 +207,4 @@ def test_kasteleyn_matches_dp_on_configurations(a, k, data):
     alphas = data.draw(st.lists(st.sampled_from(blacks), min_size=n, max_size=n, unique=True))
     betas = data.draw(st.lists(st.sampled_from(whites), min_size=n_betas, max_size=n_betas, unique=True))
     region = DefectConfiguration(a, b, tuple(betas), tuple(alphas), tuple(range(start, start + g))).region()
-    assert count_tilings_kasteleyn(region) == count_tilings_dp(region)
+    assert count_tilings_paths(region) == count_tilings_dp(region)

@@ -130,14 +130,16 @@ FAULTS = (
      "if 2 * sum(u % 2 for u, _ in cells) != len(cells):", "if False:"),
     ("count_matchings_brute's colour test removed", "counting.py",
      "if 2 * sum(u % 2 for u, _ in cells) != n:", "if False:"),
-    # the Kasteleyn determinant: its vertical-slot signs and the pivot permutation's sign
-    ("kasteleyn's vertical-slot sign made +1", "counting.py",
-     "sign = -1 if (u + v - 1) // 2 % 2 else 1", "sign = 1"),
-    ("determinant_sparse's permutation sign dropped", "exactalg.py",
-     "return sign * p", "return p"),
-    # a joining row of determinant_sparse, scaled by the previous pivot
-    ("determinant_sparse's joining row left unscaled", "exactalg.py",
-     "{c: x * p_prev for c, x in rows[i].items()}", "{c: x for c, x in rows[i].items()}"),
+    # the path determinant: its sources, its sinks, the steps to the next strip and the lines it takes
+    ("paths' sources at a run's top", "counting.py",
+     "x % 2 and (x - 1, y - 1) not in index", "x % 2 and (x - 1, y + 1) not in index"),
+    ("paths' sinks at a run's foot", "counting.py",
+     "not x % 2 and (x + 1, y + 1) not in index", "not x % 2 and (x + 1, y - 1) not in index"),
+    ("paths' step to place y - 1 of the next strip dropped", "counting.py",
+     "(x + 1, y - 1), (x + 1, y + 1)) if x % 2", "(x + 1, y + 1)) if x % 2"),
+    ("paths takes the lines that are more", "counting.py",
+     "len({v for _, v in cells}) < len({u for u, _ in cells})",
+     "len({v for _, v in cells}) > len({u for u, _ in cells})"),
     # the outer-face walk's right-hand rule: right, straight, left, back
     ("boundary_cycle turns left first", "dualgraph.py",
      "for h in range(heading - 1, heading + 3)", "for h in range(heading + 1, heading - 3, -1)"),
