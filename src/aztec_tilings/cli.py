@@ -9,10 +9,10 @@ sensitive), e.g. "AR a=4 b=7 remove=SE:2,SE:4,SE:7".  ``gamma=k`` glues the
 string of k extra squares under the SE side starting at the south corner.
 
 Exit codes: 0 success, 1 usage, parse or semantic error, 2 spec outside the
-engine's scope (``formula`` off its families, ``brute`` past the cell limit),
-3 verification failure.
-AZTEC_ORACLE_CELL_LIMIT (ASCII digits, default 36) bounds the brute-force
-engine of ``count``.
+engine's scope, as the library rules it (``formula`` off its families,
+``brute`` past ``condensation.BRUTE_CELLS`` cells), 3 verification failure.
+Apart from the help width (``COLUMNS``, through ``shutil.get_terminal_size``),
+the package reads no environment variable.
 
 The commands only parse, call the library and print; they raise on error.
 ``main`` is the one place that turns an error into a message and an exit
@@ -20,7 +20,8 @@ code: ``SpecError``, argparse's usage errors among them, exits 1, and
 ``OutOfScopeConfigurationError`` exits 2.  ``cmd_count`` counts the ``dp``
 engine as ``count_tilings_dp`` on ``config.region()``, after the same
 colour-balance test as ``count_configuration``, and every other engine as one
-``count_configuration`` call.  ``cmd_verify`` folds the checks of a
+``count_configuration`` call, which owns the engine rules: the default,
+``pfaffian``, and ``brute``'s cell bound among them.  ``cmd_verify`` folds the checks of a
 suite from ``verify.SUITES`` into one report line.
 
 The parser is built on every call, but a command call builds only the root
@@ -37,7 +38,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import os
 import re
 import shutil
 import sys
@@ -48,8 +48,6 @@ from .condensation import ENGINES, count_configuration
 from .counting import count_tilings_dp
 from .errors import AztecError, InvalidDefectError, OutOfScopeConfigurationError
 from .geometry import SIDES, DefectConfiguration, DefectSpec, boundary_cell, is_white
-
-DEFAULT_CELL_LIMIT = 36
 
 
 class SpecError(ValueError):
@@ -140,15 +138,6 @@ def parse_region_spec(text: str) -> DefectConfiguration:
     return config
 
 
-def _cell_limit() -> int:
-    raw = os.environ.get("AZTEC_ORACLE_CELL_LIMIT", "")
-    if not raw:
-        return DEFAULT_CELL_LIMIT
-    if not re.fullmatch(r"[0-9]+", raw):
-        raise SpecError(f"AZTEC_ORACLE_CELL_LIMIT={raw!r} is not a nonnegative integer")
-    return int(raw)
-
-
 STR_SAFE = 10 ** (sys.int_info.str_digits_check_threshold - 1)  # the least 640-digit int; no limit refuses less
 DIRECT_BITS = 4096  # Decimal(n), quadratic in the bits, is fast enough below this
 
@@ -184,8 +173,6 @@ def decimal_digits(n: int) -> str:
 
 def cmd_count(args: argparse.Namespace) -> int:
     config = parse_region_spec(args.spec)
-    if args.engine == "brute" and config.size > (limit := _cell_limit()):
-        raise OutOfScopeConfigurationError(f"{config.size} cells exceeds the brute-force limit {limit}")
     start = time.monotonic()
     if args.engine == "dp":
         # counted here so that patching cli.count_tilings_dp, as the benchmark's
@@ -312,7 +299,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         prog="aztec-tilings",
         description="Exact domino-tiling counts for Aztec diamonds and rectangles with defects.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # with prog given, argparse formats no usage line to learn the subcommands' prefix
+    sub = parser.add_subparsers(prog=parser.prog, dest="command", required=True)
 
     if command in (None, "count"):
         p_count = sub.add_parser("count", help="count tilings of a region spec")

@@ -45,10 +45,11 @@ are put in boundary order by ``geometry.perimeter_index``.  It counts every
 
 ``count_configuration`` gives 0 for a configuration whose colours do not
 balance, by ``DefectConfiguration.balanced`` alone, and otherwise picks its
-counter: the path determinant, the DP sweep or the brute-force oracle on
-``config.region()``, a closed form, or the Pfaffian count.  The default,
-``auto``, is another name for the Pfaffian count, the paper's route; no error
-is caught.
+counter: the Pfaffian count, the paper's route and the default, the path
+determinant, the DP sweep or the brute-force oracle on ``config.region()``,
+or a closed form.  It owns every engine rule: ``brute`` past ``BRUTE_CELLS``
+cells and ``formula`` off its families raise
+``OutOfScopeConfigurationError``, and no error is caught.
 
 Every counter divides in ``_pfaffian_quotient``, which raises
 ``InternalInconsistencyError`` unless the quotient is a nonnegative integer.
@@ -96,7 +97,8 @@ from .geometry import Cell, DefectConfiguration, DefectSpec, Region, boundary_ce
 
 KUO_SURPLUS = {"AABB": 0, "AAAA": 2, "ABAB": 0, "AAAB": 1}  # #A - #B each pattern needs
 # the counters count_configuration picks from; the first is the default
-ENGINES = ("auto", "paths", "dp", "brute", "formula", "pfaffian")
+ENGINES = ("pfaffian", "paths", "dp", "brute", "formula")
+BRUTE_CELLS = 36  # the largest configuration the brute-force engine counts
 
 
 def _cells_count(cells: Iterable[Cell]) -> int:
@@ -358,9 +360,7 @@ def _sw_row(a: int, b: int, beta: DefectSpec) -> tuple[int, ...]:
     n = k - 1.
 
     The rows are memoized, for the 1,024 latest (a, b, beta): the counts
-    over one host ask for the same rows again, and recomputing them took
-    about 8% of the four-sided benchmark's counts per second (Python 3.11,
-    one core).
+    over one host ask for the same rows again.
     """
     k = b - a
     pos, nw = beta.position, beta.side == "NW"
@@ -434,31 +434,34 @@ def _formula_count(config: DefectConfiguration) -> int:
     raise OutOfScopeConfigurationError("no closed form for this family")
 
 
-def count_configuration(config: DefectConfiguration, engine: str = "auto") -> int:
+def count_configuration(config: DefectConfiguration, engine: str = "pfaffian") -> int:
     """Tilings of the configuration's region minus its defects, by one engine.
 
     Every engine gives 0 when the colours do not balance, from
     ``config.balanced`` alone, before any label or cell is built.
-    ``pfaffian`` and ``auto``, the default and another name for it, count
-    every configuration by one Pfaffian over the gamma host.  ``paths``
-    (the determinant of lattice-path counts, polynomial), ``dp`` (the
-    sweep, exponential in the order) and ``brute`` (the matching oracle,
-    exponential) count any configuration, since every configuration's
-    region is hole-free.  ``paths`` shares only ``exactalg.determinant``
-    with ``pfaffian``, and ``dp`` shares no code with either.
-    ``formula`` covers the closed-form families and raises
-    ``OutOfScopeConfigurationError`` outside them.
+    ``pfaffian``, the default, counts every configuration by one Pfaffian
+    over the gamma host.  ``paths`` (the determinant of lattice-path counts,
+    polynomial) and ``dp`` (the sweep, exponential in the order) count any
+    configuration, since every configuration's region is hole-free, and
+    ``brute`` (the matching oracle, exponential) any of at most
+    ``BRUTE_CELLS`` cells; past that it raises
+    ``OutOfScopeConfigurationError`` before any cell is built.  ``paths``
+    shares only ``exactalg.determinant`` with ``pfaffian``, and ``dp``
+    shares no code with either.  ``formula`` covers the closed-form families
+    and raises ``OutOfScopeConfigurationError`` outside them.
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")
     if not config.balanced:
         return 0
-    if engine in ("auto", "pfaffian"):
+    if engine == "pfaffian":
         return _pfaffian_count(config)
     if engine == "paths":
         return count_tilings_paths(config.region())
     if engine == "dp":
         return count_tilings_dp(config.region())
     if engine == "brute":
+        if config.size > BRUTE_CELLS:
+            raise OutOfScopeConfigurationError(f"{config.size} cells exceeds the brute-force limit {BRUTE_CELLS}")
         return count_matchings_brute(config.region())
     return _formula_count(config)

@@ -19,13 +19,6 @@ The engines share no code with one another.  ``count_tilings_paths`` and the
 Pfaffian count of ``condensation`` share only ``exactalg.determinant``,
 which the tests hold to a ``Fraction`` elimination of their own, and
 ``count_tilings_dp`` shares no code with either, so each checks the others.
-
-Best of 5 on one core of a shared 2 vCPU Intel Xeon under Python 3.11.7
-(load on the host moves these by up to 2x): the oracle takes 0.7, 5 and
-28 ms for AD(6), AD(8) and AD(10); the sweep 2.5, 13 and 66 ms for AD(8),
-AD(10) and AD(12), and 0.29 to 0.57 s for AD(14); the paths count 1.4 and
-3.6 ms for AD(10) and AD(14), 19 to 24 ms for AD(30) and 34 to 46 ms for
-AD(40).
 """
 
 from __future__ import annotations
@@ -50,9 +43,8 @@ def count_matchings_brute(region: Region) -> int:
     one is matched, and that cell's partners all lie in the next row up
     (v + 1), so a mask is a profile state: the cells past the lowest one less
     those already matched from behind it, all within one row's width of it.
-    No recursion, so the depth does not grow with the cells: a 2 x 1,200 box
-    (2,400 cells) takes 14 ms, AD(6) (84 cells) 0.7 ms and AD(10) 28 ms, on
-    the host of the module's timings.
+    No recursion, so the depth does not grow with the cells, and the cost is
+    exponential only in the width of a row.
     """
     cells = sorted(region.cells, key=lambda c: (c.v, c.u))
     n = len(cells)
@@ -97,8 +89,7 @@ def count_tilings_dp(region: Region) -> int:
     already covered: a covered cell only shifts the mask, an uncovered one
     takes each free partner on the next line, width - 1 or width + 1 keys
     ahead.  The cost is exponential in the shorter line's length and linear
-    in the cells: AD(8), AD(10) and AD(12) take 2.5, 13 and 66 ms on the host
-    of the module's timings.
+    in the cells.
     """
     cells = region.cells
     if 2 * sum(u % 2 for u, _ in cells) != len(cells):  # every domino has one white cell

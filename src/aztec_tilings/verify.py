@@ -5,8 +5,7 @@ Each suite in ``SUITES`` takes ``(max_a, max_b, trials, rng)`` and yields
 state of ``rng``; a failed check is yielded, never raised.
 
 - ``formulas``: every closed form on its small-parameter grid against the DP
-  sweep, and against the brute-force oracle on regions of at most
-  ``BRUTE_CELLS`` cells.
+  sweep and against the lattice-path determinant.
 - ``kuo``: Kuo's four local identities on random quadruples of outer-face
   cells of AD(2..max_a), plain, minus the black cell SW a, or minus SW a
   and NE a.
@@ -37,7 +36,7 @@ from .condensation import (
     count_configuration,
     outer_face,
 )
-from .counting import count_matchings_brute, count_tilings_dp
+from .counting import count_tilings_dp, count_tilings_paths
 from .errors import AztecError, InvalidConfigurationError
 from .formulas import (
     count_ad_adjacent_defects,
@@ -60,16 +59,13 @@ from .geometry import (
 )
 
 Check = tuple[bool, str]  # (passed, description)
-BRUTE_CELLS = 30  # the largest region that ``formulas`` also counts by the brute-force oracle
 
 
 def _verify_formulas(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iterator[Check]:
     def check(config: DefectConfiguration, expected: int, label: str) -> Check:
         region = config.region()
         dp = count_tilings_dp(region)
-        ok = dp == expected
-        if ok and len(region) <= BRUTE_CELLS:
-            ok = count_matchings_brute(region) == expected
+        ok = dp == expected and count_tilings_paths(region) == expected
         return ok, f"{label}: formula={expected} dp={dp}"
 
     def se(positions: Iterable[int]) -> tuple[DefectSpec, ...]:

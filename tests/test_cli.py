@@ -113,16 +113,14 @@ def test_count_dp_goes_through_the_cli_binding(capsys, monkeypatch):
     assert run_cli(capsys, "count", "AD n=4", "--engine", "dp") == (0, "12345\n", "")
 
 
-def test_count_of_an_unbalanced_spec_builds_no_region(capsys, monkeypatch):
-    # 10^5 - 3 white cells too many: dp prints 0 from the colour test alone, and brute
-    # still tests its cell limit first, so it exits 2 as before
-    monkeypatch.delenv("AZTEC_ORACLE_CELL_LIMIT", raising=False)
+def test_count_of_an_unbalanced_spec_builds_no_region(capsys):
+    # 10^5 - 3 white cells too many: dp and brute print 0 from the colour test alone,
+    # which comes before brute's cell bound
     spec = "AR a=1 b=100000 remove=SE:1,SE:2"
-    start = time.perf_counter()
-    assert run_cli(capsys, "count", spec, "--engine", "dp") == (0, "0\n", "")
-    assert time.perf_counter() - start < 0.05
-    refused = "error: 299999 cells exceeds the brute-force limit 36\n"
-    assert run_cli(capsys, "count", spec, "--engine", "brute") == (2, "", refused)
+    for engine in ("dp", "brute"):
+        start = time.perf_counter()
+        assert run_cli(capsys, "count", spec, "--engine", engine) == (0, "0\n", ""), engine
+        assert time.perf_counter() - start < 0.05, engine
 
 
 @pytest.mark.parametrize("fmt", ["dec", "json"])
@@ -210,7 +208,7 @@ def test_count_json_schema(capsys):
     payload = json.loads(out)
     assert list(payload) == ["region", "engine", "count", "millis"]
     assert payload["region"] == "AD n=4"
-    assert payload["engine"] == "auto"
+    assert payload["engine"] == "pfaffian"
     assert payload["count"] == "1024"
     assert isinstance(payload["millis"], int)
 
@@ -228,38 +226,25 @@ def test_engines_agree_on_gamma_spec(capsys):
     assert dp == brute
 
 
-def test_brute_cell_limit_exit_2(capsys, monkeypatch):
-    monkeypatch.setenv("AZTEC_ORACLE_CELL_LIMIT", "10")
-    code, _, err = run_cli(capsys, "count", "AD n=3", "--engine", "brute")
-    assert code == 2
-    assert "exceeds" in err
-    monkeypatch.setenv("AZTEC_ORACLE_CELL_LIMIT", "40")
-    code, out, _ = run_cli(capsys, "count", "AD n=3", "--engine", "brute")
-    assert (code, out) == (0, "64\n")
+def test_brute_cell_limit_exit_2(capsys):
+    # the bound is the library's, condensation.BRUTE_CELLS; AD(4) has 40 cells, AD(3) 24
+    refused = "error: 40 cells exceeds the brute-force limit 36\n"
+    assert run_cli(capsys, "count", "AD n=4", "--engine", "brute") == (2, "", refused)
+    assert run_cli(capsys, "count", "AD n=3", "--engine", "brute") == (0, "64\n", "")
 
 
 def test_brute_cell_limit_past_sys_maxsize_exit_2():
-    # the size is taken by arithmetic, so a region past sys.maxsize cells is refused, not a traceback
-    b = 10**19
+    # the size is taken by arithmetic, so a balanced region past sys.maxsize cells is refused,
+    # not a traceback: AR(1, b) has 3b + 1 cells and its b - 1 gammas make 4b = 2^64
+    b = 2**62
     proc = subprocess.run(
-        [sys.executable, "-m", "aztec_tilings.cli", "count", f"AR a=1 b={b}", "--engine", "brute"],
+        [sys.executable, "-m", "aztec_tilings.cli", "count", f"AR a=1 b={b} gamma={b - 1}", "--engine", "brute"],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path), AZTEC_ORACLE_CELL_LIMIT=""),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == f"error: {3 * b + 1} cells exceeds the brute-force limit {cli.DEFAULT_CELL_LIMIT}\n"
-
-
-def test_malformed_cell_limit_exit_1(capsys, monkeypatch):
-    # only ASCII digits, as for a spec INT; int() alone would read "1_0" as 10
-    for raw in ("forty", "-1", "1_0", "+5", " 7", "\uff11\uff10"):
-        monkeypatch.setenv("AZTEC_ORACLE_CELL_LIMIT", raw)
-        code, out, err = run_cli(capsys, "count", "AD n=3", "--engine", "brute")
-        assert (code, out) == (1, ""), raw
-        assert "AZTEC_ORACLE_CELL_LIMIT" in err
-    # the limit bounds count --engine brute alone: verify formulas has its own, fixed bound
-    assert run_cli(capsys, "verify", "formulas", "--max-a", "2", "--max-b", "3")[0] == 0
+    assert proc.stderr == f"error: {2**64} cells exceeds the brute-force limit {condensation.BRUTE_CELLS}\n"
 
 
 def test_formula_unrecognized_exit_2(capsys):
@@ -325,9 +310,11 @@ def test_usage_errors_exit_1(capsys, argv):
 
 
 def test_count_engine_kasteleyn_is_an_invalid_choice(capsys):
-    code, out, err = run_cli(capsys, "count", "AD n=2", "--engine", "kasteleyn")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: argument --engine: invalid choice: 'kasteleyn'")
+    # neither the deleted engine nor the deleted second name of pfaffian
+    for engine in ("kasteleyn", "auto"):
+        code, out, err = run_cli(capsys, "count", "AD n=2", "--engine", engine)
+        assert (code, out) == (1, ""), engine
+        assert err.startswith(f"error: argument --engine: invalid choice: '{engine}'"), engine
 
 
 def test_help_exits_0(capsys):
@@ -408,7 +395,7 @@ def test_help_fits_a_60_column_terminal(command):
     assert max(map(len, lines)) <= 58, [line for line in lines if len(line) > 58]
     if command == "count":
         text = " ".join(" ".join(lines).split())
-        assert f"one of {', '.join(condensation.ENGINES)} (default auto)" in text
+        assert f"one of {', '.join(condensation.ENGINES)} (default pfaffian)" in text
 
 
 def test_a_count_call_loads_neither_verify_nor_unused_stdlib():
@@ -427,7 +414,7 @@ def test_a_count_call_loads_neither_verify_nor_unused_stdlib():
 def test_four_sided_spec_without_a_tileable_base_counts_0(capsys):
     # no 4-subset of the betas leaves a tileable AR(1, 5), so the spec has no tiling
     spec = "AR a=1 b=5 remove=NW:1,NW:2,NW:3,SE:1,SE:2,SE:3,NE:1,SW:1"
-    for engine in ("pfaffian", "auto", "paths"):
+    for engine in ("pfaffian", "paths"):
         assert run_cli(capsys, "count", spec, "--engine", engine) == (0, "0\n", ""), engine
 
 

@@ -548,7 +548,7 @@ def test_pfaffian_counts_unbalanced_as_zero(monkeypatch):
     cfg = _config(2, 3, [("SE", 1)], [("NE", 1)])
     assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "paths") == 0
     # AR(1, 10^5) minus SE 1 and SE 2 has 10^5 - 3 white cells too many: every
-    # engine counts 0 before any label or cell is built
+    # engine counts 0 before any label or cell is built, brute before its cell bound
     cfg = _config(1, 10**5, [("SE", 1), ("SE", 2)], [])
     monkeypatch.setattr(condensation, "DefectSpec", None)
     monkeypatch.setattr(DefectConfiguration, "region", None)
@@ -758,12 +758,11 @@ def test_count_configuration_engines_agree(a, k, data):
     cells = cfg.size
     counts = {}
     for engine in ENGINES:
-        if engine == "brute" and cells > 30:
-            continue
         try:
             counts[engine] = count_configuration(cfg, engine)
         except OutOfScopeConfigurationError:
-            assert engine == "formula"  # every other engine counts every configuration
+            # every other engine counts every configuration, brute any of at most BRUTE_CELLS cells
+            assert engine == "formula" or engine == "brute" and cells > condensation.BRUTE_CELLS
     assert all(type(c) is int for c in counts.values()), counts
     assert len({(type(c), c) for c in counts.values()}) == 1, counts
 
@@ -833,7 +832,7 @@ def test_pfaffian_block_at_benchmark_size_matches_fraction_elimination(monkeypat
     assert exactalg.determinant(block) == determinant(block) != 0
 
 
-def test_auto_counts_gamma_specs_by_pfaffian_alone(monkeypatch):
+def test_default_counts_gamma_specs_by_pfaffian_alone(monkeypatch):
     # no gamma spec reaches the determinant, in 1..b-a or past it
     want = [count_configuration(cfg, "paths") for cfg in GAMMAS_PAST_K]
     monkeypatch.setattr(condensation, "count_tilings_paths", None)
@@ -843,7 +842,7 @@ def test_auto_counts_gamma_specs_by_pfaffian_alone(monkeypatch):
     assert count_configuration(cfg) == count_configuration(cfg, "pfaffian") == 2
 
 
-def test_auto_does_not_mask_an_inconsistent_pfaffian(monkeypatch):
+def test_default_does_not_mask_an_inconsistent_pfaffian(monkeypatch):
     def inconsistent(*args):
         raise InternalInconsistencyError("injected")
 
@@ -852,3 +851,21 @@ def test_auto_does_not_mask_an_inconsistent_pfaffian(monkeypatch):
     assert count_configuration(cfg, "paths") == count_ad_adjacent_defects(3, 1, 2)
     with pytest.raises(InternalInconsistencyError, match="injected"):
         count_configuration(cfg)
+
+
+def test_brute_engine_owns_its_cell_bound(monkeypatch):
+    # the bound is tested before any cell is built, so past it the oracle is never called
+    calls = []
+    oracle = condensation.count_matchings_brute
+    monkeypatch.setattr(condensation, "count_matchings_brute", lambda region: calls.append(len(region)) or oracle(region))
+    with pytest.raises(OutOfScopeConfigurationError, match="^40 cells exceeds the brute-force limit 36$"):
+        count_configuration(DefectConfiguration(4, 4), "brute")
+    assert calls == []
+    # AD(4) minus two betas and two alphas has BRUTE_CELLS cells, which brute still counts
+    cfg = _config(4, 4, [("SE", 1), ("NW", 2)], [("NE", 1), ("SW", 3)])
+    assert cfg.size == condensation.BRUTE_CELLS == 36
+    assert count_configuration(cfg, "brute") == count_configuration(cfg, "pfaffian") > 0
+    assert calls == [36]
+    # an unbalanced configuration of any size counts 0 before the bound is asked
+    assert count_configuration(DefectConfiguration(1, 300000), "brute") == 0
+    assert calls == [36]

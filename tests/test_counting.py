@@ -152,8 +152,8 @@ def test_unbalanced_colours_count_0_before_any_sweep(count):
     assert time.perf_counter() - start < 0.05
 
 
-def test_brute_matches_kasteleyn_past_the_cli_cell_limit():
-    # the CLI runs brute on at most 36 cells; the library oracle takes larger regions too
+def test_brute_oracle_matches_paths_past_the_engine_cell_limit():
+    # the brute engine counts at most 36 cells; the oracle itself takes larger regions too
     rng = random.Random(30)
     configs = []
     for a in (4, 5, 6):  # one defect on each side: 36, 56 and 80 cells

@@ -212,7 +212,7 @@ def test_configuration_errors_name_the_defect_at_fault():
 
 @pytest.mark.parametrize("defects", [[DefectSpec("SE", 1), DefectSpec("SE", 2)], {DefectSpec("SE", 1)}])
 def test_configuration_takes_only_tuples(defects):
-    # a list used to pass here, count by kasteleyn, dp and brute, and crash the pfaffian route
+    # a list used to pass here, count by the region engines, and crash the pfaffian route
     alphas = (DefectSpec("NE", 2),)
     with pytest.raises(InvalidConfigurationError, match="tuples"):
         DefectConfiguration(3, 4, defects, alphas)
@@ -225,7 +225,7 @@ def test_configuration_takes_only_tuples(defects):
 
 @pytest.mark.parametrize("position", [2.5, 2.0, True, False, "2", None])
 def test_defect_position_must_be_an_int(position):
-    # 2.5 used to pass and count 0 by kasteleyn, dp and brute; True counted as position 1
+    # 2.5 used to pass and count 0 by the region engines; True counted as position 1
     with pytest.raises(InvalidDefectError, match="must be an int"):
         DefectSpec("SE", position)
 

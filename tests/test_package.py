@@ -4,7 +4,6 @@ import ast
 import hashlib
 import importlib
 import importlib.util
-import os
 import pkgutil
 import re
 import subprocess
@@ -18,7 +17,7 @@ from aztec_tilings.verify import SUITES
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
 CODE_LINES = TOOLS / "code_lines.py"
-CODE_LINE_CEILING = 1045
+CODE_LINE_CEILING = 1034
 
 
 def test_star_import_resolves_every_export():
@@ -134,30 +133,25 @@ def test_cli_transcripts_seeded_specs_are_distinct():
     assert len(set(specs)) == len(specs)
 
 
-def test_cli_transcripts_digest_every_engine_format_and_cell_limit(monkeypatch):
+def test_cli_transcripts_digest_every_engine_and_format():
     tool = _cli_transcripts()
-    monkeypatch.setenv("AZTEC_ORACLE_CELL_LIMIT", "7")
-    lines = list(tool.spec_lines(["AD n=3", "AD n=0"]))
-    assert os.environ["AZTEC_ORACLE_CELL_LIMIT"] == "7"  # restored after every run
-    assert len(lines) == 2 * (1 + len(ENGINES) * 2 * 2)
+    lines = list(tool.spec_lines(["AD n=3", "AD n=0", "AD n=4"]))
+    assert len(lines) == 3 * (1 + len(ENGINES) * 2)
     runs = {}
     for line in lines:
-        argv, setting, code, digest = line.split(" | ")
-        runs[argv, setting] = (code, digest)
-    unset, twenty = "AZTEC_ORACLE_CELL_LIMIT unset", "AZTEC_ORACLE_CELL_LIMIT=20"
+        argv, code, digest = line.split(" | ")
+        runs[argv] = (code, digest)
     diamond = "  .#\n .#.#\n.#.#.#\n#.#.#.\n #.#.\n  #.\n"
-    assert runs["render 'AD n=3'", unset] == ("exit=0", _sha(diamond))
+    assert runs["render 'AD n=3'"] == ("exit=0", _sha(diamond))
     for engine in ENGINES:
-        assert runs[f"count 'AD n=3' --engine {engine} --format dec", unset] == ("exit=0", _sha("64\n"))
-        json_run = runs[f"count 'AD n=3' --engine {engine} --format json", twenty]
-        if engine != "brute":
-            payload = f'{{"region": "AD n=3", "engine": "{engine}", "count": "64", "millis": 0}}\n'
-            assert json_run == ("exit=0", _sha(payload))
+        assert runs[f"count 'AD n=3' --engine {engine} --format dec"] == ("exit=0", _sha("64\n"))
+        payload = f'{{"region": "AD n=3", "engine": "{engine}", "count": "64", "millis": 0}}\n'
+        assert runs[f"count 'AD n=3' --engine {engine} --format json"] == ("exit=0", _sha(payload))
         for fmt in ("dec", "json"):
-            for setting in (unset, twenty):
-                assert runs[f"count 'AD n=0' --engine {engine} --format {fmt}", setting][0] == "exit=1"
-    # AD(3) has 24 cells: over a limit of 20, under the default 36
-    assert runs["count 'AD n=3' --engine brute --format json", twenty][0] == "exit=2"
+            assert runs[f"count 'AD n=0' --engine {engine} --format {fmt}"][0] == "exit=1"
+    # AD(4) has 40 cells, over the brute-force engine's 36
+    refused = _sha("error: 40 cells exceeds the brute-force limit 36\n")
+    assert runs["count 'AD n=4' --engine brute --format json"] == ("exit=2", refused)
 
 
 def test_cli_transcripts_run_every_verify_suite():
@@ -168,16 +162,14 @@ def test_cli_transcripts_run_every_verify_suite():
 def test_cli_transcripts_run_the_root_and_every_command_help():
     tool = _cli_transcripts()
     assert tool.HELP[0] == ["--help"]
-    lines = [tool.run(argv, None).split(" | ") for argv in tool.HELP]
-    assert [line[:3] for line in lines] == [
-        [" ".join(argv), "AZTEC_ORACLE_CELL_LIMIT unset", "exit=0"] for argv in tool.HELP
-    ]
-    assert len({line[3] for line in lines}) == len(lines)  # each prints its own help
+    lines = [tool.run(argv).split(" | ") for argv in tool.HELP]
+    assert [line[:2] for line in lines] == [[" ".join(argv), "exit=0"] for argv in tool.HELP]
+    assert len({line[2] for line in lines}) == len(lines)  # each prints its own help
 
 
 def test_cli_transcripts_pin_the_root_level_and_command_usage_errors():
     # the calls that take the full parser, then command calls failing in their one subparser
     tool = _cli_transcripts()
-    codes = [tool.run(argv, None).split(" | ")[2] for argv in tool.SHAPES]
+    codes = [tool.run(argv).split(" | ")[1] for argv in tool.SHAPES]
     assert codes == ["exit=0" if argv == ["-h", "count"] else "exit=1" for argv in tool.SHAPES]
     assert {"count", "verify", "render"} <= {argv[0] for argv in tool.SHAPES if argv}

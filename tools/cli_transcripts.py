@@ -5,21 +5,20 @@
 Calls ``aztec_tilings.cli.main`` in-process, so the package that PYTHONPATH
 selects is the one exercised.  The runs are a fixed, seeded list of region
 specs (AD/AR with a <= 4 and b - a <= 3, some with a gamma string of up to b
-squares, strings past SE position b - a among them, some
-colour-unbalanced), then one malformed spec for every spec-parse message;
-each is rendered once and counted under every engine in ``ENGINES``, in ``dec`` and
-``json`` format, with AZTEC_ORACLE_CELL_LIMIT unset and set to 20.  Then every
-suite in ``aztec_tilings.verify.SUITES``, the table the ``verify`` command
-reads, runs through ``cli.main``: ``formulas`` with its defaults, the others
-with fixed seeded flags.  Then ``--help`` runs for the root and for each
-command; argparse wraps help at the terminal width (COLUMNS when set), so
+squares, strings past SE position b - a among them, some colour-unbalanced),
+then one malformed spec for every spec-parse message; each is rendered once
+and counted under every engine in ``ENGINES``, in ``dec`` and ``json`` format.
+Then every suite in ``aztec_tilings.verify.SUITES``, the table the ``verify``
+command reads, runs through ``cli.main``: ``formulas`` with its defaults, the
+others with fixed seeded flags.  Then ``--help`` runs for the root and for
+each command; argparse wraps help at the terminal width (COLUMNS when set), so
 those lines compare only between runs in one environment.  Last, ``SHAPES``
 runs: the calls that ``cli.main`` parses with the full parser (no arguments,
 an unknown command, a leading option or ``--``) and command calls that end in
-a usage error of their one subparser.  Each line holds
-the argv, the cell-limit setting, the exit code and the sha256 of stdout
-followed by stderr, with the ``millis`` field of JSON output zeroed.  Diffing
-the output of two checkouts shows whether a change altered any transcript.
+a usage error of their one subparser.  Each line holds the argv, the exit code
+and the sha256 of stdout followed by stderr, with the ``millis`` field of JSON
+output zeroed.  Diffing the output of two checkouts shows whether a change
+altered any transcript.
 Stdlib only.
 """
 
@@ -28,7 +27,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
-import os
 import random
 import re
 import shlex
@@ -38,8 +36,6 @@ from aztec_tilings.cli import main as cli_main
 from aztec_tilings.condensation import ENGINES
 from aztec_tilings.verify import SUITES
 
-LIMIT_VAR = "AZTEC_ORACLE_CELL_LIMIT"
-LIMITS = (None, "20")
 MALFORMED = ("", "AD", "AX n=3", "AD x=3", "AD n=zero", "AD n=0", "AR a=3", "AR a=3 b=2",
              "AD n=2 gamma=-1", "AR a=2 b=3 gamma=5", "AD n=2 remove=SE", "AD n=2 remove=SE:x",
              "AD n=2 remove=SE:0", "AD n=2 remove=SE:9", "AD n=2 remove=XX:1",
@@ -88,11 +84,8 @@ def seeded_specs() -> list[str]:
     return specs + list(MALFORMED)
 
 
-def run(argv: list[str], limit: str | None) -> str:
-    """One digest line for ``cli.main(argv)`` with the cell limit set to ``limit``."""
-    saved = os.environ.pop(LIMIT_VAR, None)
-    if limit is not None:
-        os.environ[LIMIT_VAR] = limit
+def run(argv: list[str]) -> str:
+    """One digest line for ``cli.main(argv)``."""
     out, err = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -102,31 +95,25 @@ def run(argv: list[str], limit: str | None) -> str:
     except Exception as exc:  # an uncaught error is an outcome too
         code = f"raised:{type(exc).__name__}"
         err.write(str(exc))
-    finally:
-        os.environ.pop(LIMIT_VAR, None)
-        if saved is not None:
-            os.environ[LIMIT_VAR] = saved
     digest = hashlib.sha256((_MILLIS.sub('"millis": 0', out.getvalue()) + err.getvalue()).encode())
-    setting = f"{LIMIT_VAR}={limit}" if limit is not None else f"{LIMIT_VAR} unset"
-    return f"{shlex.join(argv)} | {setting} | exit={code} | {digest.hexdigest()}"
+    return f"{shlex.join(argv)} | exit={code} | {digest.hexdigest()}"
 
 
 def spec_lines(specs: Iterable[str]) -> Iterator[str]:
     """Digest lines for every spec: one ``render``, then ``count`` under every
-    engine, format and cell limit."""
+    engine and format."""
     for spec in specs:
-        yield run(["render", spec], None)
+        yield run(["render", spec])
         for engine in ENGINES:
             for fmt in ("dec", "json"):
-                for limit in LIMITS:
-                    yield run(["count", spec, "--engine", engine, "--format", fmt], limit)
+                yield run(["count", spec, "--engine", engine, "--format", fmt])
 
 
 def main() -> None:
     for line in spec_lines(seeded_specs()):
         print(line)
     for argv in VERIFY + HELP + SHAPES:
-        print(run(argv, None))
+        print(run(argv))
 
 
 if __name__ == "__main__":

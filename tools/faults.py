@@ -108,8 +108,8 @@ FAULTS = (
      "argparse.HelpFormatter"),
     # a command call builds the root and its own subparser, a root-level call all of them
     ("a command call builds every subparser", "cli.py",
-     'sub = parser.add_subparsers(dest="command", required=True)\n',
-     'sub = parser.add_subparsers(dest="command", required=True)\n    command = None\n'),
+     'sub = parser.add_subparsers(prog=parser.prog, dest="command", required=True)\n',
+     'sub = parser.add_subparsers(prog=parser.prog, dest="command", required=True)\n    command = None\n'),
     ("a root-level call builds one subparser", "cli.py",
      "argv[0] if argv and argv[0] in COMMANDS else None", 'argv[0] if argv and argv[0] in COMMANDS else "count"'),
     # the brute-force oracle: the lowest unmatched cell against each free neighbour
@@ -130,6 +130,9 @@ FAULTS = (
      "if 2 * sum(u % 2 for u, _ in cells) != len(cells):", "if False:"),
     ("count_matchings_brute's colour test removed", "counting.py",
      "if 2 * sum(u % 2 for u, _ in cells) != n:", "if False:"),
+    # the brute-force engine counts configurations of up to BRUTE_CELLS cells, that many included
+    ("the brute-force bound refuses BRUTE_CELLS cells", "condensation.py",
+     "if config.size > BRUTE_CELLS:", "if config.size >= BRUTE_CELLS:"),
     # the path determinant: its sources, its sinks, the steps to the next strip and the lines it takes
     ("paths' sources at a run's top", "counting.py",
      "x % 2 and (x - 1, y - 1) not in index", "x % 2 and (x - 1, y + 1) not in index"),
