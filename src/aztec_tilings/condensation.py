@@ -28,16 +28,18 @@ alphas on both black sides, the gammas of 1..k the configuration does not
 keep and the gammas past k it adds, all of them cells on the outer face of
 H with the added gammas glued on (Kuo, Applications of graphical
 condensation, 2004; Ciucu's symmetric-difference condensation, 2015, with
-base H).  The entries are defined in one place, ``_three_sided_row``, a row
-at a time: a beta's, or an added gamma's, which is the sum of two beta rows
-by the forcing lemma.
+base H).  The entries are defined in one place, ``_side_row``, a row label
+and a column side at a time: a beta's row, or an added gamma's, which is the
+sum of two beta rows by the forcing lemma, against NE 1..a, SW 1..a or the
+missing gammas 1..k.  Those rows are the one memo of the entries, bounded,
+and ``_three_sided_row`` gathers a Pfaffian row from them.
 Every entry but one family collapses to a closed form from the
 formulas module; the entries are taken as the closed forms' unscaled integer
 sums, without the power of two they share, 2^(a(a-1)/2), or the further
 2^a of the gamma columns, and the product of those powers is applied once,
 in the quotient.  The exception, a beta against an SW alpha when k > 0, is a
 sum over the ways a peeling of the host's column pairs carries one white
-cell west (``_sw_row``), O(k a) additions for a beta's a entries.
+cell west, O(k a) additions for a beta's a entries.
 At k = 0 the host is AD(a) itself and every entry is a closed form.  The
 count takes only the numbers of a configuration and builds no cells; defects
 are put in boundary order by ``geometry.perimeter_index``.  It counts every
@@ -290,17 +292,27 @@ def check_kuo_identity(
     return check_face_alternating_identity(region, base, quad)
 
 
-def _three_sided_row(a: int, b: int, beta: DefectSpec, cols: Sequence[DefectSpec]) -> list[int]:
-    """The entries of a beta against alphas and gammas over the gamma host, / 2^(a(a-1)/2).
+def _three_sided_row(a: int, b: int, label: DefectSpec, cols: Sequence[DefectSpec]) -> list[int]:
+    """A row label's entries against alphas and missing gammas over the gamma host, / 2^(a(a-1)/2).
 
-    Entry y is the count of the host minus the beta and y: the only pairs
-    ``_pfaffian_quotient`` asks for, since a same-colour pair's count is 0.
-    A gamma's entry is also divided by 2^a.  An added gamma t past k takes
-    the beta's place: the host plus gamma t minus y pairs gamma t with one
-    of its two neighbours, SE t - 1 (none when t = 1) and SE t, so its row
-    is the sum of those two betas' rows.  Alphas sit on the NE side unless
-    k = b - a is 0; otherwise the beta's entries against SW 1..a come from
-    ``_sw_row``.  The other pairs reduce, after the forced staircase strips,
+    A gather from ``_side_row``: entry y is the y.position-th entry of the
+    label's row against y's side, the only pairs ``_pfaffian_quotient`` asks
+    for, since a same-colour pair's count is 0.
+    """
+    return [_side_row(a, b, label, y.side)[y.position - 1] for y in cols]
+
+
+@functools.lru_cache(maxsize=2048)
+def _side_row(a: int, b: int, label: DefectSpec, side: str) -> tuple[int, ...]:
+    """A row label's entries against one column side over the gamma host, / 2^(a(a-1)/2).
+
+    The side is NE or SW, positions 1..a, or "gamma", the gammas 1..k,
+    k = b - a, and entry p is the count of the host minus the label and the
+    side's cell p.  A gamma's entry is also divided by 2^a.  An added gamma
+    t past k takes the beta's place: the host plus gamma t minus y pairs
+    gamma t with one of its two neighbours, SE t - 1 (none when t = 1) and
+    SE t, so its row is the sum of those two betas' rows.  A beta's pairs
+    other than SW ones at k > 0 reduce, after the forced staircase strips,
     to the two-defect diamond and one-defect rectangle families, whose
     counts carry 2^(a(a-1)/2) and 2^(a(a+1)/2): a (beta, alpha) entry is the
     diamond's unscaled sum, and a (beta, gamma) entry the rectangle's.  The
@@ -308,42 +320,18 @@ def _three_sided_row(a: int, b: int, beta: DefectSpec, cols: Sequence[DefectSpec
     that takes the beta to SE and the alpha to NE reverses positions along
     the beta's side when the alpha is on SW, and along the alpha's side when
     exactly one of "beta on NW" and "alpha on SW" holds.
-    """
-    k = b - a
-    pos, nw = beta.position, beta.side == "NW"
-    if beta.kind == "gamma":
-        rows = (_three_sided_row(a, b, DefectSpec("SE", s), cols) for s in (pos - 1, pos) if s)
-        return list(map(sum, zip(*rows)))
-    gamma_sum = ar_gamma_nw_sum if nw else ar_gamma_se_sum
-    entries, sw_row = [], ()
-    for y in cols:
-        p = y.position
-        if y.kind == "gamma":
-            entries.append(gamma_sum(a, k - p + 1, pos - p + 1) if p <= pos else 0)
-        elif y.side == "NE":
-            entries.append(ad_adjacent_sum(a, pos - k, a + 1 - p if nw else p) if pos > k else 0)
-        elif k:
-            sw_row = sw_row or _sw_row(a, b, beta)
-            entries.append(sw_row[p - 1])
-        else:
-            entries.append(ad_adjacent_sum(a, a + 1 - pos, p if nw else a + 1 - p))
-    return entries
 
-
-@functools.lru_cache(maxsize=1024)
-def _sw_row(a: int, b: int, beta: DefectSpec) -> tuple[int, ...]:
-    """The entries of a beta against SW 1..a over the gamma host, k = b - a > 0, / 2^(a(a-1)/2).
-
-    Gamma t's only neighbours are SE t - 1 and SE t, so a tiling of the host
-    minus a beta and an SW alpha p pairs gamma t with SE t for t = 1..k in
-    turn: the entry counts AR(a, b) - SE 1..k - beta - SW p, 0 for a beta in
-    SE 1..k.  Turn that region by 180 degrees, which keeps colours and sends
-    SW p to NE p, SE s to NW b+1-s and NW i to SE b+1-i, and peel its column
-    pairs (2c, 2c - 1) for c = b down to a + 1.  Without the hole at NE p
-    each pair is forced whole.  With it, the first pair leaves one white of
-    column 2b - 1 for the west, at a height q in p..a, one way each; at each
-    later pair that white takes the black q or q + 1 (<= a) of column 2c and
-    leaves one white at a height q' at least that black's index, in
+    A beta against SW 1..a at k > 0 is a walk.  Gamma t's only neighbours
+    are SE t - 1 and SE t, so a tiling of the host minus a beta and an SW
+    alpha p pairs gamma t with SE t for t = 1..k in turn: the entry counts
+    AR(a, b) - SE 1..k - beta - SW p, 0 for a beta in SE 1..k.  Turn that
+    region by 180 degrees, which keeps colours and sends SW p to NE p, SE s
+    to NW b+1-s and NW i to SE b+1-i, and peel its column pairs (2c, 2c - 1)
+    for c = b down to a + 1.  Without the hole at NE p each pair is forced
+    whole.  With it, the first pair leaves one white of column 2b - 1 for
+    the west, at a height q in p..a, one way each; at each later pair that
+    white takes the black q or q + 1 (<= a) of column 2c and leaves one
+    white at a height q' at least that black's index, in
     T(q, q') = [q' >= q] + [q' >= q + 1] ways.  So the entries are the
     suffix sums, over q >= p, of T^n v for the weight v of where the walk
     ends, and a step of T takes u to S(q) + S(q + 1) for the suffix sums S
@@ -359,11 +347,24 @@ def _sw_row(a: int, b: int, beta: DefectSpec) -> tuple[int, ...]:
     e(a + 1) = 0, for the diamond entry e(q) of the turned beta and NE q, and
     n = k - 1.
 
-    The rows are memoized, for the 1,024 latest (a, b, beta): the counts
-    over one host ask for the same rows again.
+    This is the one memo of the entries, for the 2,048 latest (a, b, label,
+    side): the counts over one host ask for the same rows again.  A host
+    has at most 3(2b + a) rows, 378 for AR(40, 43), so the memo holds every
+    row of a few such hosts at once, and the bound keeps a long run of
+    counts over many hosts from growing it past 2,048 rows of a ints.
     """
     k = b - a
-    pos, nw = beta.position, beta.side == "NW"
+    pos, nw = label.position, label.side == "NW"
+    if label.kind == "gamma":
+        rows = [_side_row(a, b, DefectSpec("SE", s), side) for s in (pos - 1, pos) if s]
+        return tuple(map(sum, zip(*rows)))
+    if side == "gamma":
+        gamma_sum = ar_gamma_nw_sum if nw else ar_gamma_se_sum
+        return tuple(gamma_sum(a, k - p + 1, pos - p + 1) if p <= pos else 0 for p in range(1, k + 1))
+    if side == "NE":
+        return tuple(ad_adjacent_sum(a, pos - k, a + 1 - p if nw else p) if pos > k else 0 for p in range(1, a + 1))
+    if not k:
+        return tuple(ad_adjacent_sum(a, a + 1 - pos, p if nw else a + 1 - p) for p in range(1, a + 1))
     if pos <= k:  # 0 for an SE beta, which the gammas force
         v, steps = [0] * (a - 1) + [nw << a], pos - 1
     else:

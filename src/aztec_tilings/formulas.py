@@ -13,7 +13,9 @@ three-sided Pfaffian uses keep that integer in one unscaled helper
 ``ar_gamma_nw_sum``), which takes positions the caller has already checked;
 the public ``count_*`` validates, then multiplies the helper by its power, so
 the condensation module can build its entries without the power and apply it
-once, in the quotient.
+once, in the quotient.  The helpers keep no memo: condensation memoizes the
+entries a row at a time.  The one cache here is ``_ad_column``'s, of the
+binomial columns that the diamond entries of one row share.
 
 Region conventions (see geometry): AR(a, b) has white cells 1..b on the NW
 and SE sides and black cells 1..a on the NE and SW sides; gamma squares are
@@ -101,13 +103,8 @@ def count_ar_gamma_se_defect(a: int, k: int, j: int) -> int:
     return 2 ** (a * (a + 1) // 2) * ar_gamma_se_sum(a, k, j)
 
 
-@functools.lru_cache(maxsize=2048)
 def ar_gamma_se_sum(a: int, k: int, j: int) -> int:
-    """``count_ar_gamma_se_defect(a, k, j)`` / 2^(a(a+1)/2), unchecked.
-
-    Memoized, like ``ar_gamma_nw_sum``: the counts over one host ask for the
-    same entries again.
-    """
+    """``count_ar_gamma_se_defect(a, k, j)`` / 2^(a(a+1)/2), unchecked."""
     if j <= k:
         return 1
     return sum(math.comb(a + k - 1 - m, j - 1 - m) * math.comb(j - 2 - m, k - 1 - m) for m in range(k))
@@ -157,9 +154,8 @@ def count_ar_gamma_nw_defect(a: int, k: int, i: int) -> int:
     return 2 ** (a * (a + 1) // 2) * ar_gamma_nw_sum(a, k, i)
 
 
-@functools.lru_cache(maxsize=2048)
 def ar_gamma_nw_sum(a: int, k: int, i: int) -> int:
-    """``count_ar_gamma_nw_defect(a, k, i)`` / 2^(a(a+1)/2), unchecked and memoized."""
+    """``count_ar_gamma_nw_defect(a, k, i)`` / 2^(a(a+1)/2), unchecked."""
     return sum(ar_se_block_nw_sum(a, k - m, i - m) for m in range(min(k - 1, i - 1) + 1))
 
 
@@ -179,18 +175,21 @@ def count_ad_adjacent_defects(a: int, i: int, j: int) -> int:
     return 2 ** (a * (a - 1) // 2) * ad_adjacent_sum(a, i, j)
 
 
-@functools.lru_cache(maxsize=4096)
 def ad_adjacent_sum(a: int, i: int, j: int) -> int:
     """``count_ad_adjacent_defects(a, i, j)`` / 2^(a(a-1)/2), unchecked.
 
-    Memoized: the counts over one host ask for the same (a, i, j) again, and
-    a miss still takes its two columns from ``_ad_column``'s cache, which
-    the entries of one cold count share.
+    Its two columns come from ``_ad_column``'s cache, which the entries of
+    one row share.
     """
     return sum(map(mul, _ad_column(a, i - 1, 2), _ad_column(a, j - 1, 1)))
 
 
 @functools.lru_cache(maxsize=512)
 def _ad_column(a: int, x: int, w: int) -> tuple[int, ...]:
-    """w^m C(a-1-m, x-m) for m = 0..x; a diamond count's entries share these columns."""
+    """w^m C(a-1-m, x-m) for m = 0..x, for the 512 latest (a, x, w).
+
+    A diamond row's entries share the beta's column, and its alphas' columns
+    are the same for every beta of the host; the bound keeps a long run over
+    many hosts from growing the cache.
+    """
     return tuple(w**m * math.comb(a - 1 - m, x - m) for m in range(x + 1))

@@ -451,13 +451,57 @@ def test_sw_entries_match_engine():
             for beta in [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]:
                 cells = host.cells - {boundary_cell(a, b, beta)}
                 want = [count_tilings_paths(Region(cells - {alpha})) for alpha in alphas]
-                assert [e << a * (a - 1) // 2 for e in condensation._sw_row(a, b, beta)] == want, (a, k, beta)
+                row = condensation._side_row(a, b, beta, "SW")
+                assert [e << a * (a - 1) // 2 for e in row] == want, (a, k, beta)
                 assert not any(want) or beta.side == "NW" or beta.position > k
 
 
+def test_row_memo_holds_the_closed_forms_and_a_recount_calls_no_formula(monkeypatch):
+    # warm the memo with counts that take every kind of row: betas and added gammas
+    # against NE, SW and missing gammas; every row it then holds must be the one
+    # taken afresh from the closed forms, and a recount must read only the memo
+    rng = random.Random(38)
+    specs = []
+    for _ in range(40):
+        a, k = rng.randint(1, 6), rng.randint(0, 3)
+        b = a + k
+        g = rng.randint(0, k)
+        first = rng.randint(1, b - g + 1)  # the kept string may run past k
+        whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
+        blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
+        n = rng.randint(0, min(3, a))
+        alphas = tuple(rng.sample(blacks, n))
+        betas = tuple(rng.sample(whites, n + k - g))
+        specs.append(DefectConfiguration(a, b, betas, alphas, tuple(range(first, first + g))))
+    memo = condensation._side_row
+    memo.cache_clear()
+    keys = set()
+    monkeypatch.setattr(condensation, "_side_row", lambda *key: keys.add(key) or memo(*key))
+    want = [count_configuration(cfg, "pfaffian") for cfg in specs]
+    monkeypatch.setattr(condensation, "_side_row", memo)
+    assert want == [count_configuration(cfg, "paths") for cfg in specs]
+    assert {(label.kind, side, a < b) for a, b, label, side in keys} >= {
+        ("beta", "NE", True), ("beta", "SW", True), ("beta", "SW", False),
+        ("beta", "gamma", True), ("gamma", "NE", True), ("gamma", "SW", True),
+    }
+    hits = memo.cache_info().hits
+    rows = {key: memo(*key) for key in keys}
+    assert memo.cache_info().hits == hits + len(keys)  # every row asked for is held
+    for key, row in rows.items():
+        assert row == memo.__wrapped__(*key), key
+
+    def refused(*args):
+        raise AssertionError("a recount called a formulas function")
+
+    for name, value in vars(condensation).items():
+        if getattr(value, "__module__", None) == "aztec_tilings.formulas":
+            monkeypatch.setattr(condensation, name, refused)
+    assert [count_configuration(cfg, "pfaffian") for cfg in specs] == want
+
+
 def test_a_fault_planted_after_the_memos_are_warm_still_fails(monkeypatch):
-    # a fault planted in _three_sided_row once the diamond entries below it are
-    # memoized must still change the counts, the (beta, SW alpha) ones among them
+    # a fault planted in _three_sided_row once the rows below it are memoized
+    # must still change the counts, the (beta, SW alpha) ones among them
     specs = [
         _config(4, 6, [("SE", 1), ("SE", 4), ("NW", 3)], [("SW", 2)]),
         _config(4, 6, [("SE", 3), ("SE", 5), ("NW", 2)], [("SW", 4)]),
@@ -621,9 +665,9 @@ def test_four_sided_all_sides_anchor():
 
 
 def test_pfaffian_takes_sw_entries_exactly_when_a_rectangle_has_sw_alphas(monkeypatch):
+    # the peeling walk, the one caller of accumulate, runs for SW columns when k > 0
     calls = []
-    original = condensation._sw_row
-    monkeypatch.setattr(condensation, "_sw_row", lambda *args: calls.append(args) or original(*args))
+    monkeypatch.setattr(condensation, "accumulate", lambda *args: calls.append(args) or itertools.accumulate(*args))
     rng = random.Random(18)
     with_sw = 0
     for _ in range(300):
@@ -634,6 +678,7 @@ def test_pfaffian_takes_sw_entries_exactly_when_a_rectangle_has_sw_alphas(monkey
         n = rng.randint(0, min(3, a))
         cfg = DefectConfiguration(a, b, tuple(rng.sample(whites, n + k)), tuple(rng.sample(blacks, n)))
         before = len(calls)
+        condensation._side_row.cache_clear()
         count = count_configuration(cfg, "pfaffian")
         sw = a < b and any(d.side == "SW" for d in cfg.alphas)
         assert (len(calls) > before) == sw, cfg

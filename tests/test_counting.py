@@ -25,7 +25,7 @@ def test_empty_graph_counts_one():
     assert count_tilings_paths(Region.from_cells([])) == 1
 
 
-def test_kasteleyn_diamonds_and_rectangles():
+def test_paths_diamonds_and_rectangles():
     for n in range(1, 11):
         assert count_tilings_paths(make_aztec_rectangle(n, n)) == 2 ** (n * (n + 1) // 2)
     # m x n boxes of ordinary squares, cells (x + y + 1, x - y); 4 x 5 has 95 tilings
@@ -34,7 +34,7 @@ def test_kasteleyn_diamonds_and_rectangles():
         assert count_tilings_paths(region) == count
 
 
-def test_kasteleyn_refuses_a_region_with_a_hole():
+def test_paths_refuses_a_region_with_a_hole():
     # AD(4) minus the domino slot (4, 3)-(3, 4) in its middle
     region = Region.from_cells(make_aztec_rectangle(4, 4).cells - {Cell(4, 3), Cell(3, 4)})
     assert count_tilings_dp(region) > 0
@@ -194,7 +194,7 @@ def test_no_negative_counts_after_deletion(cells):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 5), st.integers(0, 3), st.data())
-def test_kasteleyn_matches_dp_on_configurations(a, k, data):
+def test_paths_matches_dp_on_configurations(a, k, data):
     # defects on all four sides, a gamma string anywhere along SE or none,
     # colours balanced in most draws and off by one in the rest
     b = a + k

@@ -1,7 +1,6 @@
 """Closed-form evaluators against frozen oracle values and engine counts."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +19,6 @@ from aztec_tilings import (
     count_ar_se_block_removed,
     count_ar_se_nw_defects,
     count_aztec_diamond,
-    count_configuration,
     count_tilings_dp,
     make_aztec_rectangle,
 )
@@ -85,24 +83,6 @@ def test_gamma_se_defect_matches_its_3f2_statement():
                 hyp = pochhammer_sum((1, 1 - j, 1 - k), (2 - j, 1 - a - k), 1)
                 stated = 2 ** (a * (a + 1) // 2) * math.comb(a + k - 1, j - 1) * math.comb(j - 2, k - 1) * hyp
                 assert type(count) is int and count == stated, (a, k, j)
-
-
-def test_ad_adjacent_sum_memo_holds_the_sums():
-    # warm the memo with diamond counts, then every value it holds, and every
-    # one it computes afresh, must be the sum taken without it
-    rng = random.Random(22)
-    for a in range(1, 13):
-        for _ in range(4):
-            n = rng.randint(1, a)
-            betas = rng.sample([DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, a + 1)], n)
-            alphas = rng.sample([DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)], n)
-            count_configuration(DefectConfiguration(a, a, tuple(betas), tuple(alphas)), "pfaffian")
-    hits = ad_adjacent_sum.cache_info().hits
-    for a in range(1, 13):
-        for i in range(1, a + 1):
-            for j in range(1, a + 1):
-                assert ad_adjacent_sum(a, i, j) == ad_adjacent_sum.__wrapped__(a, i, j), (a, i, j)
-    assert ad_adjacent_sum.cache_info().hits > hits
 
 
 def test_unscaled_sums_times_their_power_are_the_counts():

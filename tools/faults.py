@@ -57,24 +57,24 @@ FAULTS = (
     ("added gammas put in the column class", "condensation.py",
      'return d.kind == "beta" or d.kind == "gamma" and d.position > k', 'return d.kind == "beta"'),
     ("+1 on every (beta, SW alpha) entry", "condensation.py",
-     "entries.append(sw_row[p - 1])", "entries.append(sw_row[p - 1] + 1)"),
+     "return tuple(accumulate(reversed(v)))[::-1]", "return tuple(e + 1 for e in accumulate(reversed(v)))[::-1]"),
     ("the balance test removed", "condensation.py",
      "    if not config.balanced:\n        return 0\n", ""),
     ("SE t - 1 replaced by SE t + 1 in an added gamma's row", "condensation.py",
      "for s in (pos - 1, pos) if s", "for s in (pos + 1, pos) if s"),
-    # one fault per entry zone of _three_sided_row
+    # one fault per entry zone of the row builder _side_row
     ("NW reversal off by one against NE", "condensation.py",
      "a + 1 - p if nw else p) if pos > k", "a - p if nw else p) if pos > k"),
     ("NW reversal off by one against a k = 0 SW alpha", "condensation.py",
-     "p if nw else a + 1 - p))", "p + 1 if nw else a + 1 - p))"),
+     "p if nw else a + 1 - p) for p", "p + 1 if nw else a + 1 - p) for p"),
     ("+1 on every (beta, NE alpha) entry", "condensation.py",
      "a + 1 - p if nw else p) if pos > k", "a + 1 - p if nw else p) + 1 if pos > k"),
     ("(beta, NE alpha) forcing zero made 1", "condensation.py",
-     "if pos > k else 0)", "if pos > k else 1)"),
+     "if pos > k else 0 for p", "if pos > k else 1 for p"),
     ("+1 on every (beta, gamma) entry", "condensation.py",
      "pos - p + 1) if p <= pos", "pos - p + 1) + 1 if p <= pos"),
     ("(beta, gamma) forcing zero made 1", "condensation.py",
-     "if p <= pos else 0)", "if p <= pos else 1)"),
+     "if p <= pos else 0 for p", "if p <= pos else 1 for p"),
     ("NW and SE gamma sums swapped", "condensation.py",
      "gamma_sum = ar_gamma_nw_sum if nw else ar_gamma_se_sum",
      "gamma_sum = ar_gamma_se_sum if nw else ar_gamma_nw_sum"),
@@ -93,13 +93,14 @@ FAULTS = (
      "_ad_column(a, j - 1, 1)", "_ad_column(a, j - 1, 2)"),
     ("_ad_column's binomial off by one", "formulas.py",
      "math.comb(a - 1 - m, x - m)", "math.comb(a - m, x - m)"),
-    # the two memo faults
-    ("the diamond memo keyed by (a, min(i, j))", "formulas.py",
-     "    return sum(map(mul, _ad_column(a, i - 1, 2), _ad_column(a, j - 1, 1)))\n",
-     "    key, entry = (a, min(i, j)), sum(map(mul, _ad_column(a, i - 1, 2), _ad_column(a, j - 1, 1)))\n"
-     "    return MEMO.setdefault(key, entry)\n\n\nMEMO: dict = {}\n"),
-    ("the diamond memo given maxsize=None", "formulas.py",
-     "@functools.lru_cache(maxsize=4096)", "@functools.lru_cache(maxsize=None)"),
+    # the two faults of the row memo: a key that leaves out the label's side, and no bound
+    ("the row memo keyed by (a, b, position, side)", "condensation.py",
+     "@functools.lru_cache(maxsize=2048)\ndef _side_row(",
+     "MEMO: dict = {}\n\n\n@functools.lru_cache(maxsize=2048)\n"
+     "@lambda f: lambda a, b, label, side: MEMO.setdefault((a, b, label.position, side), f(a, b, label, side))\n"
+     "def _side_row("),
+    ("the row memo given maxsize=None", "condensation.py",
+     "@functools.lru_cache(maxsize=2048)", "@functools.lru_cache(maxsize=None)"),
     # the side -> class table of DefectSpec
     ("SE mapped to alpha", "geometry.py", '"SE": "beta"', '"SE": "alpha"'),
     # the help width, read once at import
