@@ -86,7 +86,7 @@ from .errors import (
 )
 from .exactalg import determinant
 from .formulas import (
-    ad_adjacent_sum,
+    ad_adjacent_row,
     ar_gamma_nw_sum,
     ar_gamma_se_sum,
     count_ad_adjacent_defects,
@@ -295,11 +295,13 @@ def check_kuo_identity(
 def _three_sided_row(a: int, b: int, label: DefectSpec, cols: Sequence[DefectSpec]) -> list[int]:
     """A row label's entries against alphas and missing gammas over the gamma host, / 2^(a(a-1)/2).
 
-    A gather from ``_side_row``: entry y is the y.position-th entry of the
-    label's row against y's side, the only pairs ``_pfaffian_quotient`` asks
-    for, since a same-colour pair's count is 0.
+    A gather from ``_side_row``, which it asks once for each side among the
+    columns: entry y is the y.position-th entry of the label's row against
+    y's side, the only pairs ``_pfaffian_quotient`` asks for, since a
+    same-colour pair's count is 0.
     """
-    return [_side_row(a, b, label, y.side)[y.position - 1] for y in cols]
+    rows = {side: _side_row(a, b, label, side) for side in {y.side for y in cols}}
+    return [rows[y.side][y.position - 1] for y in cols]
 
 
 @functools.lru_cache(maxsize=2048)
@@ -316,10 +318,12 @@ def _side_row(a: int, b: int, label: DefectSpec, side: str) -> tuple[int, ...]:
     to the two-defect diamond and one-defect rectangle families, whose
     counts carry 2^(a(a-1)/2) and 2^(a(a+1)/2): a (beta, alpha) entry is the
     diamond's unscaled sum, and a (beta, gamma) entry the rectangle's.  The
-    diamond is AD(a) minus SE i and NE j: the colour-preserving symmetry
+    diamond is AD(a) minus SE i and NE j, and ``ad_adjacent_row`` gives a
+    beta's a entries, j = 1..a, at once: the colour-preserving symmetry
     that takes the beta to SE and the alpha to NE reverses positions along
-    the beta's side when the alpha is on SW, and along the alpha's side when
-    exactly one of "beta on NW" and "alpha on SW" holds.
+    the beta's side when the alpha is on SW, which picks i, and along the
+    alpha's side when exactly one of "beta on NW" and "alpha on SW" holds,
+    which reverses the row.
 
     A beta against SW 1..a at k > 0 is a walk.  Gamma t's only neighbours
     are SE t - 1 and SE t, so a tiling of the host minus a beta and an SW
@@ -345,7 +349,7 @@ def _side_row(a: int, b: int, label: DefectSpec, side: str) -> tuple[int, ...]:
     other beta past SE k leaves AD(a) after all k pairs, minus the turned
     beta, with the white beside NE q and NE q + 1: v(q) = e(q) + e(q + 1),
     e(a + 1) = 0, for the diamond entry e(q) of the turned beta and NE q, and
-    n = k - 1.
+    n = k - 1.  At k = 0 no pair is peeled, and the entries are e itself.
 
     This is the one memo of the entries, for the 2,048 latest (a, b, label,
     side): the counts over one host ask for the same rows again.  A host
@@ -362,14 +366,14 @@ def _side_row(a: int, b: int, label: DefectSpec, side: str) -> tuple[int, ...]:
         gamma_sum = ar_gamma_nw_sum if nw else ar_gamma_se_sum
         return tuple(gamma_sum(a, k - p + 1, pos - p + 1) if p <= pos else 0 for p in range(1, k + 1))
     if side == "NE":
-        return tuple(ad_adjacent_sum(a, pos - k, a + 1 - p if nw else p) if pos > k else 0 for p in range(1, a + 1))
-    if not k:
-        return tuple(ad_adjacent_sum(a, a + 1 - pos, p if nw else a + 1 - p) for p in range(1, a + 1))
+        return ad_adjacent_row(a, pos - k)[:: -1 if nw else 1] if pos > k else (0,) * a
     if pos <= k:  # 0 for an SE beta, which the gammas force
         v, steps = [0] * (a - 1) + [nw << a], pos - 1
     else:
-        e = [ad_adjacent_sum(a, b + 1 - pos, q if nw else a + 1 - q) for q in range(1, a + 1)] + [0]
-        v, steps = list(map(add, e, e[1:])), k - 1
+        e = ad_adjacent_row(a, b + 1 - pos)[:: 1 if nw else -1]
+        if not k:
+            return e
+        v, steps = list(map(add, e, e[1:] + (0,))), k - 1
     for _ in range(steps):
         s = list(accumulate(reversed(v)))[::-1] + [0]
         v = list(map(add, s, s[1:]))

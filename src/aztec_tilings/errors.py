@@ -22,7 +22,7 @@ class UnsupportedRegionError(AztecError, ValueError):
 
 
 class InvalidMatrixError(AztecError, ValueError):
-    """A matrix is not square, or a sparse row names a column outside it."""
+    """A matrix passed to ``exactalg.determinant`` is not square."""
 
 
 class CondensationInapplicableError(AztecError, ValueError):

@@ -8,14 +8,14 @@ one true division, in ``count_ar_kept_se``, is checked to be exact, so a
 convention bug cannot silently round.
 
 Every count is a power of two times an integer.  The families the
-three-sided Pfaffian uses keep that integer in one unscaled helper
-(``ad_adjacent_sum``, ``ar_gamma_se_sum``, ``ar_se_block_nw_sum``,
-``ar_gamma_nw_sum``), which takes positions the caller has already checked;
-the public ``count_*`` validates, then multiplies the helper by its power, so
-the condensation module can build its entries without the power and apply it
-once, in the quotient.  The helpers keep no memo: condensation memoizes the
-entries a row at a time.  The one cache here is ``_ad_column``'s, of the
-binomial columns that the diamond entries of one row share.
+three-sided Pfaffian uses keep that integer in an unscaled helper, which
+takes positions the caller has already checked: ``ar_gamma_se_sum``,
+``ar_se_block_nw_sum`` and ``ar_gamma_nw_sum`` one entry at a time, and
+``ad_adjacent_row`` a whole row of diamond entries in one pass.  The public
+``count_*`` validates, then multiplies by its power, so the condensation
+module can build its entries without the power and apply it once, in the
+quotient.  Nothing here keeps a memo: condensation memoizes the entries a
+row at a time.
 
 Region conventions (see geometry): AR(a, b) has white cells 1..b on the NW
 and SE sides and black cells 1..a on the NE and SW sides; gamma squares are
@@ -25,10 +25,8 @@ notch.  "AR(a, b) minus SE j" removes the SE cell at position j.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Sequence
-from operator import mul
 
 from .errors import InvalidParameterError, exact_quotient
 
@@ -166,30 +164,35 @@ def count_ad_adjacent_defects(a: int, i: int, j: int) -> int:
     2^(a(a-1)/2) C(a-1, i-1) C(a-1, j-1) 3F2[1, 1-i, 1-j; 1-a, 1-a; 2].
     Its m-th term is 2^m C(i-1, m) C(j-1, m) / C(a-1, m)^2, and with
     C(a-1, i-1) C(i-1, m) = C(a-1, m) C(a-1-m, i-1-m) the count is
-    2^(a(a-1)/2) sum_{m<min(i,j)} 2^m C(a-1-m, i-1-m) C(a-1-m, j-1-m),
-    the dot product of the cached columns for x = i-1 (weighted by 2^m) and
-    x = j-1; the entries of one diamond Pfaffian share those columns.
+    2^(a(a-1)/2) sum_{m<min(i,j)} 2^m C(a-1-m, i-1-m) C(a-1-m, j-1-m).
+    ``ad_adjacent_row`` takes the same sums a row at a time.
     """
     if not (1 <= i <= a and 1 <= j <= a):
         raise InvalidParameterError(f"positions must lie in 1..{a}, got i={i}, j={j}")
-    return 2 ** (a * (a - 1) // 2) * ad_adjacent_sum(a, i, j)
+    terms = (2**m * math.comb(a - 1 - m, i - 1 - m) * math.comb(a - 1 - m, j - 1 - m) for m in range(min(i, j)))
+    return 2 ** (a * (a - 1) // 2) * sum(terms)
 
 
-def ad_adjacent_sum(a: int, i: int, j: int) -> int:
-    """``count_ad_adjacent_defects(a, i, j)`` / 2^(a(a-1)/2), unchecked.
+def ad_adjacent_row(a: int, i: int) -> tuple[int, ...]:
+    """``count_ad_adjacent_defects(a, i, j)`` / 2^(a(a-1)/2) for j = 1..a, unchecked.
 
-    Its two columns come from ``_ad_column``'s cache, which the entries of
-    one row share.
+    Since C(a-1-m, j-1-m) is the coefficient of x^(j-1-m) in (1+x)^(a-1-m),
+    entry j is the coefficient of x^(j-1) in
+    P(x) = sum_{m<i} 2^m C(a-1-m, i-1-m) x^m (1+x)^(a-1-m).  Horner's rule
+    in 1 + x takes P with m rising: a times, multiply by 1 + x, then add
+    term m at x^m (zero for m >= i).  P is held as one int at x = 2^(2a),
+    a 2a-bit digit per coefficient, so multiplying by 1 + x is a shift and
+    an add, and the row is read off digit by digit.
+
+    No digit carries into the next.  A binomial C(n, d) is at most 2^n, so
+    term m adds at most 2^m 2^(2(a-1-m)) = 2^(2a-2-m) to a coefficient of
+    P, and every coefficient of P is below the sum of those over m >= 0,
+    2^(2a-1).  The partial sum after step m is
+    sum_{m'<=m} 2^m' C(a-1-m', i-1-m') x^m' (1+x)^(m-m'), whose
+    coefficients are at most P's, as C(n, d) grows with n and P's further
+    terms are nonnegative.
     """
-    return sum(map(mul, _ad_column(a, i - 1, 2), _ad_column(a, j - 1, 1)))
-
-
-@functools.lru_cache(maxsize=512)
-def _ad_column(a: int, x: int, w: int) -> tuple[int, ...]:
-    """w^m C(a-1-m, x-m) for m = 0..x, for the 512 latest (a, x, w).
-
-    A diamond row's entries share the beta's column, and its alphas' columns
-    are the same for every beta of the host; the bound keeps a long run over
-    many hosts from growing the cache.
-    """
-    return tuple(w**m * math.comb(a - 1 - m, x - m) for m in range(x + 1))
+    w, p = 2 * a, 0
+    for m in range(a):  # times 1 + x, plus term m, which is 0 for m >= i
+        p += (p << w) + (binomial_ext(a - 1 - m, i - 1 - m) << m << w * m)
+    return tuple(p >> w * t & (1 << w) - 1 for t in range(a))

@@ -318,7 +318,7 @@ GAMMAS_PAST_K = (
 )
 
 
-def test_pfaffian_counts_gammas_past_b_minus_a_as_kasteleyn_does():
+def test_pfaffian_counts_gammas_past_b_minus_a_as_paths_does():
     counts = [count_configuration(cfg, "pfaffian") for cfg in GAMMAS_PAST_K]
     assert counts == [count_configuration(cfg, "paths") for cfg in GAMMAS_PAST_K] == [10, 2, 32, 8, 48]
     # AR(2,3) + gamma 1 minus SE 3, NW 2, NE 1 has one white cell fewer than black
@@ -326,7 +326,7 @@ def test_pfaffian_counts_gammas_past_b_minus_a_as_kasteleyn_does():
     assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "paths") == 0
 
 
-def test_pfaffian_counts_sw_alphas_with_gammas_as_kasteleyn_does():
+def test_pfaffian_counts_sw_alphas_with_gammas_as_paths_does():
     # once refused: SW alphas with gammas, and alphas on both black sides with gammas
     for cfg in (
         _config(2, 4, [("SE", 2), ("SE", 3)], [("SW", 1)], (1,)),
@@ -335,7 +335,7 @@ def test_pfaffian_counts_sw_alphas_with_gammas_as_kasteleyn_does():
         assert count_configuration(cfg, "pfaffian") == count_configuration(cfg, "paths") > 0, cfg
 
 
-def test_pfaffian_counts_gamma_configurations_as_kasteleyn_does():
+def test_pfaffian_counts_gamma_configurations_as_paths_does():
     # AR(a, b) plus the gamma string, NE alphas: the three-sided Pfaffian over the
     # host AR(a, b) + gammas 1..k with the missing gammas among its labels
     rng = random.Random(16)
@@ -356,7 +356,7 @@ def test_pfaffian_counts_gamma_configurations_as_kasteleyn_does():
     assert nonzero > 150
 
 
-def test_pfaffian_counts_gamma_strings_past_b_minus_a_as_kasteleyn_does():
+def test_pfaffian_counts_gamma_strings_past_b_minus_a_as_paths_does():
     # a string ending past b - a or starting past 1, with alphas on both black
     # sides: the added gammas' rows are sums of two SE beta rows
     rng = random.Random(25)

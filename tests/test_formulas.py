@@ -23,7 +23,7 @@ from aztec_tilings import (
     make_aztec_rectangle,
 )
 from aztec_tilings.errors import InvalidParameterError
-from aztec_tilings.formulas import ad_adjacent_sum, ar_gamma_nw_sum, ar_gamma_se_sum, ar_se_block_nw_sum
+from aztec_tilings.formulas import ad_adjacent_row, ar_gamma_nw_sum, ar_gamma_se_sum, ar_se_block_nw_sum
 
 
 def gamma_se_region(a, k, j):
@@ -86,10 +86,8 @@ def test_gamma_se_defect_matches_its_3f2_statement():
 
 
 def test_unscaled_sums_times_their_power_are_the_counts():
+    # the diamond's unscaled row has its own test below
     for a in range(1, 11):
-        for i in range(1, a + 1):
-            for j in range(1, a + 1):
-                assert ad_adjacent_sum(a, i, j) << a * (a - 1) // 2 == count_ad_adjacent_defects(a, i, j)
         for k in range(1, 5):
             for pos in range(1, a + k + 1):
                 for unscaled, count in (
@@ -98,6 +96,18 @@ def test_unscaled_sums_times_their_power_are_the_counts():
                     (ar_gamma_nw_sum, count_ar_gamma_nw_defect),
                 ):
                     assert unscaled(a, k, pos) << a * (a + 1) // 2 == count(a, k, pos), (a, k, pos)
+
+
+def test_ad_adjacent_row_is_the_closed_form_entry_by_entry():
+    # one packed int with a 2a-bit digit per entry: each entry must stay below 2^(2a-1)
+    for a in (*range(1, 13), 40, 80):
+        power = a * (a - 1) // 2
+        for i in range(1, a + 1):
+            row = ad_adjacent_row(a, i)
+            assert len(row) == a, (a, i)
+            for j, entry in enumerate(row, 1):
+                assert entry << power == count_ad_adjacent_defects(a, i, j), (a, i, j)
+                assert 0 < entry < 2 ** (2 * a - 1), (a, i, j)
 
 
 def test_count_aztec_diamond():

@@ -48,7 +48,7 @@ def test_every_module_level_cache_is_bounded():
         for name, value in vars(module).items():
             if hasattr(value, "cache_info") and value.__module__ == module.__name__:
                 caches[f"{info.name}.{name}"] = value.cache_parameters()["maxsize"]
-    assert caches.keys() == {"formulas._ad_column", "condensation._side_row", "condensation.outer_face"}
+    assert caches.keys() == {"condensation._side_row", "condensation.outer_face"}
     assert all(maxsize is not None for maxsize in caches.values()), caches
 
 

@@ -37,7 +37,7 @@ FAULTS = (
     ("T's second term dropped", "condensation.py",
      "v = list(map(add, s, s[1:]))", "v = s[:-1]"),
     ("e(q + 1) dropped", "condensation.py",
-     "v, steps = list(map(add, e, e[1:])), k - 1", "v, steps = e[:-1], k - 1"),
+     "v, steps = list(map(add, e, e[1:] + (0,))), k - 1", "v, steps = e, k - 1"),
     # the two-step Bareiss multipliers
     ("c1 dropped in _bareiss", "exactalg.py",
      "c0 * row_i[j] + c1 * rk1[j] + c2 * rk[j]", "c0 * row_i[j] + c2 * rk[j]"),
@@ -63,14 +63,19 @@ FAULTS = (
     ("SE t - 1 replaced by SE t + 1 in an added gamma's row", "condensation.py",
      "for s in (pos - 1, pos) if s", "for s in (pos + 1, pos) if s"),
     # one fault per entry zone of the row builder _side_row
-    ("NW reversal off by one against NE", "condensation.py",
-     "a + 1 - p if nw else p) if pos > k", "a - p if nw else p) if pos > k"),
-    ("NW reversal off by one against a k = 0 SW alpha", "condensation.py",
-     "p if nw else a + 1 - p) for p", "p + 1 if nw else a + 1 - p) for p"),
+    ("NE row not reversed for an NW beta", "condensation.py",
+     "[:: -1 if nw else 1] if pos > k", "[::1] if pos > k"),
+    ("diamond index off by one against NE", "condensation.py",
+     "ad_adjacent_row(a, pos - k)", "ad_adjacent_row(a, pos - k + 1)"),
+    ("diamond index off by one against SW", "condensation.py",
+     "ad_adjacent_row(a, b + 1 - pos)", "ad_adjacent_row(a, b - pos)"),
+    ("SW diamond row not reversed for an SE beta", "condensation.py",
+     "[:: 1 if nw else -1]", "[::1]"),
     ("+1 on every (beta, NE alpha) entry", "condensation.py",
-     "a + 1 - p if nw else p) if pos > k", "a + 1 - p if nw else p) + 1 if pos > k"),
+     "ad_adjacent_row(a, pos - k)[:: -1 if nw else 1] if pos > k",
+     "tuple(e + 1 for e in ad_adjacent_row(a, pos - k)[:: -1 if nw else 1]) if pos > k"),
     ("(beta, NE alpha) forcing zero made 1", "condensation.py",
-     "if pos > k else 0 for p", "if pos > k else 1 for p"),
+     "if pos > k else (0,) * a", "if pos > k else (1,) * a"),
     ("+1 on every (beta, gamma) entry", "condensation.py",
      "pos - p + 1) if p <= pos", "pos - p + 1) + 1 if p <= pos"),
     ("(beta, gamma) forcing zero made 1", "condensation.py",
@@ -89,10 +94,10 @@ FAULTS = (
      "range(1, min(k - 1, i - 1) + 1)", "range(1, min(k, i - 1) + 1)"),
     ("ar_gamma_nw_sum drops its last shifted copy", "formulas.py",
      "for m in range(min(k - 1, i - 1) + 1)", "for m in range(min(k - 1, i - 1))"),
-    ("ad_adjacent_sum weights its second column too", "formulas.py",
-     "_ad_column(a, j - 1, 1)", "_ad_column(a, j - 1, 2)"),
-    ("_ad_column's binomial off by one", "formulas.py",
-     "math.comb(a - 1 - m, x - m)", "math.comb(a - m, x - m)"),
+    ("ad_adjacent_row drops the 2^m weight", "formulas.py",
+     "<< m << w * m", "<< w * m"),
+    ("ad_adjacent_row's slot too narrow for its entries", "formulas.py",
+     "w, p = 2 * a, 0", "w, p = a + 1, 0"),
     # the two faults of the row memo: a key that leaves out the label's side, and no bound
     ("the row memo keyed by (a, b, position, side)", "condensation.py",
      "@functools.lru_cache(maxsize=2048)\ndef _side_row(",
