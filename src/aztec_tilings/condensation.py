@@ -37,10 +37,11 @@ Every entry but one family collapses to a closed form from the
 formulas module; the entries are taken as the closed forms' unscaled integer
 sums, without the power of two they share, 2^(a(a-1)/2), or the further
 2^a of the gamma columns, and the product of those powers is applied once,
-in the quotient.  The exception, a beta against an SW alpha when k > 0, is a
-sum over the ways a peeling of the host's column pairs carries one white
-cell west, O(k a) additions for a beta's a entries.
-At k = 0 the host is AD(a) itself and every entry is a closed form.  The
+in the quotient.  The exception, a beta's row against the SW alphas, is
+one walk from one start row, the beta's diamond row or a constant, that
+sums the ways a peeling of the host's column pairs carries one white cell
+west, O(k a) additions for a beta's a entries.  At k = 0 the host is AD(a)
+itself, the walk takes no step and every entry is a closed form.  The
 count takes only the numbers of a configuration and builds no cells; defects
 are put in boundary order by ``geometry.perimeter_index``.  It counts every
 ``DefectConfiguration`` and refuses none.
@@ -95,7 +96,7 @@ from .formulas import (
     count_ar_se_nw_defects,
     count_aztec_diamond,
 )
-from .geometry import Cell, DefectConfiguration, DefectSpec, Region, boundary_cell, is_white, perimeter_index
+from .geometry import Cell, DefectConfiguration, DefectSpec, Region, is_white, perimeter_index
 
 KUO_SURPLUS = {"AABB": 0, "AAAA": 2, "ABAB": 0, "AAAB": 1}  # #A - #B each pattern needs
 # the counters count_configuration picks from; the first is the default
@@ -224,10 +225,10 @@ def check_face_alternating_identity(
     """Alternating-product identity behind the symdiff condensation induction.
 
     With a_1..a_2k in cyclic order on the host's outer face and G the host's
-    base_vertices (``InvalidParameterError`` otherwise), checks
+    base_vertices (``InvalidParameterError`` otherwise), checks the one
+    signed sum, the first-row expansion of the Pfaffian behind the quotient,
 
-        M(G) M(G + all) + sum_{l=2..k} M(G + {a_1, a_{2l-1}}) M(G + rest)
-            == sum_{l=1..k} M(G + {a_1, a_2l}) M(G + rest)
+        M(G) M(G + all) + sum_{j=1..2k-1} (-1)^j M(G + {a_1, a_{j+1}}) M(G + rest) == 0
 
     where rest is the complement of the pair within {a_1..a_2k}.
     """
@@ -240,16 +241,11 @@ def check_face_alternating_identity(
     def m_of(toggle: set[Cell]) -> int:
         return _cells_count(base ^ toggle)
 
-    k = len(verts) // 2
-    lhs = m_of(set()) * m_of(all_set)
-    for l in range(2, k + 1):
-        pair = {verts[0], verts[2 * l - 2]}
-        lhs += m_of(pair) * m_of(all_set - pair)
-    rhs = 0
-    for l in range(1, k + 1):
-        pair = {verts[0], verts[2 * l - 1]}
-        rhs += m_of(pair) * m_of(all_set - pair)
-    return lhs == rhs
+    total = m_of(set()) * m_of(all_set)
+    for j in range(1, len(verts)):
+        pair = {verts[0], verts[j]}
+        total += (-1) ** j * m_of(pair) * m_of(all_set - pair)
+    return total == 0
 
 
 def check_kuo_identity(
@@ -313,43 +309,48 @@ def _side_row(a: int, b: int, label: DefectSpec, side: str) -> tuple[int, ...]:
     side's cell p.  A gamma's entry is also divided by 2^a.  An added gamma
     t past k takes the beta's place: the host plus gamma t minus y pairs
     gamma t with one of its two neighbours, SE t - 1 (none when t = 1) and
-    SE t, so its row is the sum of those two betas' rows.  A beta's pairs
-    other than SW ones at k > 0 reduce, after the forced staircase strips,
-    to the two-defect diamond and one-defect rectangle families, whose
-    counts carry 2^(a(a-1)/2) and 2^(a(a+1)/2): a (beta, alpha) entry is the
-    diamond's unscaled sum, and a (beta, gamma) entry the rectangle's.  The
-    diamond is AD(a) minus SE i and NE j, and ``ad_adjacent_row`` gives a
-    beta's a entries, j = 1..a, at once: the colour-preserving symmetry
-    that takes the beta to SE and the alpha to NE reverses positions along
-    the beta's side when the alpha is on SW, which picks i, and along the
-    alpha's side when exactly one of "beta on NW" and "alpha on SW" holds,
-    which reverses the row.
+    SE t, so its row is the sum of those two betas' rows.  A beta's NE and
+    gamma pairs reduce, after the forced staircase strips, to the two-defect
+    diamond and one-defect rectangle families, whose counts carry
+    2^(a(a-1)/2) and 2^(a(a+1)/2): a (beta, alpha) entry is the diamond's
+    unscaled sum, and a (beta, gamma) entry the rectangle's.  The diamond is
+    AD(a) minus SE i and NE j, and ``ad_adjacent_row`` gives a beta's a
+    entries, j = 1..a, at once: the colour-preserving symmetry that takes
+    the beta to SE and the alpha to NE reverses positions along the beta's
+    side when the alpha is on SW, which picks i, and along the alpha's side
+    when exactly one of "beta on NW" and "alpha on SW" holds, which reverses
+    the row.
 
-    A beta against SW 1..a at k > 0 is a walk.  Gamma t's only neighbours
-    are SE t - 1 and SE t, so a tiling of the host minus a beta and an SW
-    alpha p pairs gamma t with SE t for t = 1..k in turn: the entry counts
-    AR(a, b) - SE 1..k - beta - SW p, 0 for a beta in SE 1..k.  Turn that
-    region by 180 degrees, which keeps colours and sends SW p to NE p, SE s
-    to NW b+1-s and NW i to SE b+1-i, and peel its column pairs (2c, 2c - 1)
-    for c = b down to a + 1.  Without the hole at NE p each pair is forced
-    whole.  With it, the first pair leaves one white of column 2b - 1 for
-    the west, at a height q in p..a, one way each; at each later pair that
-    white takes the black q or q + 1 (<= a) of column 2c and leaves one
-    white at a height q' at least that black's index, in
+    A beta against SW 1..a is a walk of n steps from one start row e.
+    Gamma t's only neighbours are SE t - 1 and SE t, so a tiling of the host
+    minus a beta and an SW alpha p pairs gamma t with SE t for t = 1..k in
+    turn: the entry counts AR(a, b) - SE 1..k - beta - SW p, 0 for a beta in
+    SE 1..k.  Turn that region by 180 degrees, which keeps colours and sends
+    SW p to NE p, SE s to NW b+1-s and NW i to SE b+1-i, and peel its column
+    pairs (2c, 2c - 1) for c = b down to a + 1.  Without the hole at NE p
+    each pair is forced whole.  With it, the first pair leaves one white of
+    column 2b - 1 for the west, at a height q in p..a, one way each; at each
+    later pair that white takes the black q or q + 1 (<= a) of column 2c and
+    leaves one white at a height q' at least that black's index, in
     T(q, q') = [q' >= q] + [q' >= q + 1] ways.  So the entries are the
-    suffix sums, over q >= p, of T^n v for the weight v of where the walk
-    ends, and a step of T takes u to S(q) + S(q + 1) for the suffix sums S
-    of u: O(k a) additions for all a entries.
+    suffix sums, over q >= p, of T^n d for the differences
+    d(q) = e(q) - e(q + 1), e(a + 1) = 0, of the start row e whose
+    differences weigh where the walk ends.  A step of T takes u to
+    S(q) + S(q + 1) for the suffix sums S of u, so the walk keeps the suffix
+    sums alone: n times, e becomes the suffix sums of e(q) + e(q + 1), O(n a)
+    additions for all a entries.
 
-    An NW beta at pos <= k turns into SE s = b+1-pos, whose pair absorbs the
+    A beta past SE k leaves AD(a) after all k pairs, minus the turned beta,
+    with the white beside NE q and NE q + 1: its weight e(q) + e(q + 1), for
+    the diamond entry e(q) of the turned beta and NE q, is one step of T
+    from the differences of the diamond row e, so n = k.  At k = 0 no pair
+    is peeled, n = 0, and the entries are the diamond row itself.  An NW
+    beta at pos <= k turns into SE s = b+1-pos, whose pair absorbs the
     white, 2 ways for q < a and 1 for q = a, and leaves AR(a, s - 1) minus
-    NW a+1..s-1, which counts 2^a.  That weight is one step of T from 2^a at
-    q = a alone, after the b - s - 1 steps of the pairs between, so v is 2^a
-    at q = a and n = pos - 1, which gives 2^a for every alpha at s = b.  Any
-    other beta past SE k leaves AD(a) after all k pairs, minus the turned
-    beta, with the white beside NE q and NE q + 1: v(q) = e(q) + e(q + 1),
-    e(a + 1) = 0, for the diamond entry e(q) of the turned beta and NE q, and
-    n = k - 1.  At k = 0 no pair is peeled, and the entries are e itself.
+    NW a+1..s-1, which counts 2^a.  That weight is one step of T from 2^a
+    at q = a alone, the differences of the constant row e = 2^a, after the
+    b - s - 1 steps of the pairs between, so n = pos - 1, which gives 2^a
+    for every alpha at s = b.  An SE beta at pos <= k starts from e = 0.
 
     This is the one memo of the entries, for the 2,048 latest (a, b, label,
     side): the counts over one host ask for the same rows again.  A host
@@ -368,16 +369,12 @@ def _side_row(a: int, b: int, label: DefectSpec, side: str) -> tuple[int, ...]:
     if side == "NE":
         return ad_adjacent_row(a, pos - k)[:: -1 if nw else 1] if pos > k else (0,) * a
     if pos <= k:  # 0 for an SE beta, which the gammas force
-        v, steps = [0] * (a - 1) + [nw << a], pos - 1
+        e, n = (nw << a,) * a, pos - 1
     else:
-        e = ad_adjacent_row(a, b + 1 - pos)[:: 1 if nw else -1]
-        if not k:
-            return e
-        v, steps = list(map(add, e, e[1:] + (0,))), k - 1
-    for _ in range(steps):
-        s = list(accumulate(reversed(v)))[::-1] + [0]
-        v = list(map(add, s, s[1:]))
-    return tuple(accumulate(reversed(v)))[::-1]
+        e, n = ad_adjacent_row(a, b + 1 - pos)[:: 1 if nw else -1], k
+    for _ in range(n):  # the suffix sums of e(q) + e(q + 1), e(a + 1) = 0: one step of T
+        e = tuple(accumulate(map(add, e[::-1], (0,) + e[:0:-1])))[::-1]
+    return e
 
 
 def _pfaffian_count(config: DefectConfiguration) -> int:
@@ -422,13 +419,14 @@ def _formula_count(config: DefectConfiguration) -> int:
         kept = [p for p in range(1, b + 1) if ("SE", p) not in removed]
         return count_ar_kept_se(a, b, kept)
     if k == 0 and len(config.betas) == 1 and len(config.alphas) == 1:
-        # AD(a) is the box 0 <= u, v <= 2a, whose flips of u and of v keep every colour: flip
-        # u if the alpha is on SW (u = 0) and v if the beta is on NW (v = 0), so they land on
-        # NE j = Cell(2a, 2j - 1) and SE i = Cell(2i - 1, 2a)
-        beta, alpha = (boundary_cell(a, a, d) for d in config.betas + config.alphas)
-        u = 2 * a - beta.u if alpha.u == 0 else beta.u
-        v = 2 * a - alpha.v if beta.v == 0 else alpha.v
-        return count_ad_adjacent_defects(a, (u + 1) // 2, (v + 1) // 2)
+        # the colour-preserving symmetries of AD(a) take the beta to SE i and the alpha to NE j:
+        # one reverses positions along the beta's side for an SW alpha, and one along the
+        # alpha's side when exactly one of "alpha on NE" and "beta on SE" holds
+        (beta,), (alpha,) = config.betas, config.alphas
+        ne = alpha.side == "NE"
+        i = beta.position if ne else a + 1 - beta.position
+        j = alpha.position if ne == (beta.side == "SE") else a + 1 - alpha.position
+        return count_ad_adjacent_defects(a, i, j)
     if sides <= {"SE", "NW"}:
         se = sorted(p for s, p in removed if s == "SE")
         nw = [p for s, p in removed if s == "NW"]

@@ -58,13 +58,13 @@ def boundary_cycle(region: Region | Iterable[Cell]) -> tuple[Cell, ...]:
         return (next(iter(cells)),)
 
     def move(cell: Cell, heading: int) -> tuple[int, Cell]:
-        # Right-hand rule: try right, straight, left, back in turn.
+        # Right-hand rule: try right, straight, left, back in turn.  Every cell of a connected
+        # region of two or more cells has a neighbour, so one of the four is taken.
         for h in range(heading - 1, heading + 3):
             du, dv = _STEPS[h % 4]
             nxt = Cell(cell.u + du, cell.v + dv)
             if nxt in cells:
                 return h % 4, nxt
-        raise UnsupportedRegionError("isolated cell inside a multi-cell region")
 
     walk: list[Cell] = []
     heading = 1  # N: from the leftmost-lowest start only E or N edges exist

@@ -41,26 +41,31 @@ def test_parse_gamma_augmented():
     assert len(config.betas) == 1 and len(config.alphas) == 1
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "AX n=3",
-        "AD x=3",
-        "AD n=zero",
-        "AR a=3",
-        "AR a=3 b=2",
-        "AD n=2 remove=SE:9",
-        "AD n=2 remove=XX:1",
-        "AD n=2 remove=SE:1,SE:1",
-        "AD n=2 extra=1",
-        "ad n=2",
-        "AD n=" + "9" * 4400,  # past Python's int-from-str digit limit
-    ],
-)
+BAD_SPECS = {  # a malformed spec and the start of its message, which names the token at fault
+    "": "empty region spec",
+    "AX n=3": "token 0 'AX': ",
+    "AD x=3": "token 1 'x=3': ",
+    "AD n=zero": "token 1 'n=zero': ",
+    "AR a=3": "token 0 'AR': ",
+    "AR a=3 b=2": "token 2 'b=2': ",
+    "AD n=2 remove=SE:9": "token 2 'SE:9': ",
+    "AD n=2 remove=XX:1": "token 2 'XX:1': ",
+    "AD n=2 remove=SE:1,SE:1": "token 2 'SE:1': ",
+    "AD n=2 extra=1": "token 2 'extra=1': ",
+    "ad n=2": "token 0 'ad': ",
+    "AD n=" + "9" * 4400: "token 1 'n=999",  # past Python's int-from-str digit limit
+    "AD": "token 0 'AD': missing n=INT",
+    "AD n=2 gamma=-1": "token 2 'gamma=-1': need gamma >= 0",
+    "AR a=2 b=3 gamma=5": "token 3 'gamma=5': gamma string 1..5 does not fit",
+    "AD n=2 remove=SE:0": "token 2 'SE:0': position must be >= 1",
+}
+
+
+@pytest.mark.parametrize("text", list(BAD_SPECS))
 def test_parse_rejects_bad_specs(text):
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError) as info:
         parse_region_spec(text)
+    assert str(info.value).startswith(BAD_SPECS[text])
 
 
 @pytest.mark.parametrize(

@@ -74,8 +74,15 @@ def test_condensation_rejects_bad_order():
     region = make_aztec_rectangle(3, 3)
     cycle = boundary_cycle(region)
     verts = [cycle[i] for i in (0, 8, 4, 11)]
-    with pytest.raises(InvalidOrderError):
+    with pytest.raises(InvalidOrderError, match="not in cyclic order"):
         condensation_count(region, verts)
+    # a cell off the outer face, a repeated one, and an odd number of them
+    with pytest.raises(InvalidOrderError, match=re.escape(f"{Cell(3, 2)} is not on the outer face")):
+        condensation_count(region, [cycle[0], Cell(3, 2)])
+    with pytest.raises(InvalidOrderError, match="^face vertices must be distinct$"):
+        condensation_count(region, [cycle[0], cycle[0]])
+    with pytest.raises(InvalidOrderError, match="^need an even number of face vertices$"):
+        condensation_count_symdiff(region, region.cells, cycle[:3])
 
 
 def test_condensation_rejects_zero_base():
@@ -191,6 +198,9 @@ def test_alternating_identity_trivial_and_random():
     region = make_aztec_rectangle(2, 2)
     cycle = boundary_cycle(region)
     assert check_face_alternating_identity(region, set(region.cells), [cycle[0], cycle[4]])
+    for verts in ([], cycle[:3]):
+        with pytest.raises(InvalidOrderError, match="^need a nonempty even vertex list$"):
+            check_face_alternating_identity(region, region.cells, verts)
     rng = random.Random(5)
     for _ in range(30):
         k = rng.randint(1, 3)
@@ -275,6 +285,8 @@ def test_kuo_rejects_wrong_hypotheses():
     wrong = next(p for p in ("AAAA", "AABB", "ABAB", "AAAB") if p != actual)
     with pytest.raises(InvalidConfigurationError):
         check_kuo_identity(wrong, region, *quad)
+    with pytest.raises(InvalidConfigurationError, match="^w, x, y, z must be distinct$"):
+        check_kuo_identity("AABB", region, quad[0], quad[0], quad[2], quad[3])
     # the cells' own pattern, on a balanced region that misses its colour surplus
     for pattern in ("AAAB", "AAAA"):
         quad = next(
@@ -521,7 +533,7 @@ def test_a_fault_planted_after_the_memos_are_warm_still_fails(monkeypatch):
         assert count_configuration(cfg, "pfaffian") != count, cfg
 
 
-def test_pfaffian_matches_kasteleyn_on_seeded_draws():
+def test_pfaffian_matches_paths_on_seeded_draws():
     # the routes through the (beta, SW alpha) entries: alphas on both black sides,
     # SW alphas keeping gammas, and alphas on both sides keeping gammas
     rng = random.Random(21)
@@ -571,7 +583,7 @@ def test_pfaffian_counts_a_configuration_and_its_mirror_alike():
     assert nonzero > 100
 
 
-def test_three_sided_mixed_entries_match_kasteleyn_at_larger_order():
+def test_three_sided_mixed_entries_match_paths_at_larger_order():
     # past the DP's reach above: every beta against every alpha and gamma;
     # k = 1 is left out to keep the test under a second
     for a in (6, 7):
@@ -665,11 +677,14 @@ def test_four_sided_all_sides_anchor():
 
 
 def test_pfaffian_takes_sw_entries_exactly_when_a_rectangle_has_sw_alphas(monkeypatch):
-    # the peeling walk, the one caller of accumulate, runs for SW columns when k > 0
-    calls = []
+    # the SW rows are asked for exactly when an SW alpha is a column, and their walk, the
+    # one caller of accumulate, takes its n = k or pos - 1 steps, so none at k = 0
+    sides, calls = [], []
+    side_row = condensation._side_row
+    monkeypatch.setattr(condensation, "_side_row", lambda *args: sides.append(args[3]) or side_row(*args))
     monkeypatch.setattr(condensation, "accumulate", lambda *args: calls.append(args) or itertools.accumulate(*args))
     rng = random.Random(18)
-    with_sw = 0
+    with_sw = walked = 0
     for _ in range(300):
         a, k = rng.randint(1, 4), rng.randint(0, 2)
         b = a + k
@@ -677,14 +692,16 @@ def test_pfaffian_takes_sw_entries_exactly_when_a_rectangle_has_sw_alphas(monkey
         blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
         n = rng.randint(0, min(3, a))
         cfg = DefectConfiguration(a, b, tuple(rng.sample(whites, n + k)), tuple(rng.sample(blacks, n)))
-        before = len(calls)
-        condensation._side_row.cache_clear()
+        before, sides[:] = len(calls), []
+        side_row.cache_clear()
         count = count_configuration(cfg, "pfaffian")
-        sw = a < b and any(d.side == "SW" for d in cfg.alphas)
-        assert (len(calls) > before) == sw, cfg
+        sw = any(d.side == "SW" for d in cfg.alphas)
+        assert ("SW" in sides) == sw, cfg
+        assert len(calls) == before or sw and k > 0, cfg
         assert count == count_tilings_dp(cfg.region()), cfg
         with_sw += sw
-    assert with_sw > 30
+        walked += len(calls) > before
+    assert with_sw > 30 and walked > 30
 
 
 def test_pfaffian_counts_every_beta_subset_of_small_rectangles():
@@ -819,7 +836,7 @@ def test_count_configuration_rejects_unknown_engine():
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(2, 12), st.integers(0, 3), st.data())
-def test_kasteleyn_matches_pfaffian_four_sided(a, k, data):
+def test_paths_matches_pfaffian_four_sided(a, k, data):
     # beyond the DP's reach; at least k betas on SE, as in the benchmark, so
     # the four-sided Pfaffian has a balanced sub-rectangle with a tiling
     b = a + k
@@ -844,7 +861,7 @@ def _seeded_diamond(rng, a, per_side):
     return _config(a, a, betas, alphas)
 
 
-def test_kasteleyn_matches_pfaffian_at_large_order():
+def test_paths_matches_pfaffian_at_large_order():
     for cfg in (
         _config(24, 24, [("SE", 3), ("NW", 8)], [("NE", 5), ("SW", 2)]),
         _config(18, 21, [("SE", 1), ("SE", 5), ("SE", 9), ("NW", 2), ("NW", 7)], [("NE", 3), ("SW", 4)]),

@@ -22,6 +22,11 @@ def test_boundary_cycle_diamond_order_one():
     assert len(cycle) == 4
 
 
+def test_boundary_cycle_of_no_cell_and_of_one_cell():
+    assert boundary_cycle(Region.from_cells([])) == ()
+    assert boundary_cycle([Cell(1, 0)]) == (Cell(1, 0),)
+
+
 def test_boundary_cycle_covers_pinched_rectangle():
     # the middle cell is a cut vertex of the dual and sits on the outer face
     cycle = boundary_cycle(make_aztec_rectangle(1, 2))

@@ -133,6 +133,10 @@ def test_count_ar_one_se_removed():
     assert count_ar_one_se_removed(2, 2) == 16
     region = DefectConfiguration(3, 4, (DefectSpec("SE", 3),)).region()
     assert count_ar_one_se_removed(3, 3) == 192 == count_tilings_dp(region)
+    assert count_ar_one_se_removed(2, 3) == 8
+    for i in (0, 4):
+        with pytest.raises(InvalidParameterError, match=rf"^need 1 <= i <= 3, got {i}$"):
+            count_ar_one_se_removed(2, i)
 
 
 def test_count_ar_se_block_removed():
@@ -141,6 +145,8 @@ def test_count_ar_se_block_removed():
     removed = tuple(DefectSpec("SE", p) for p in (2, 3, 4))
     region = DefectConfiguration(2, 5, removed).region()
     assert count_ar_se_block_removed(2, 5) == 32 == count_tilings_dp(region)
+    with pytest.raises(InvalidParameterError, match="^need b >= a, got a=3, b=2$"):
+        count_ar_se_block_removed(3, 2)
 
 
 def test_count_ar_gamma_se_defect_values():
@@ -149,12 +155,18 @@ def test_count_ar_gamma_se_defect_values():
     assert count_ar_gamma_se_defect(2, 2, 4) == 24
     # defect against the gamma string: forced collapse to the diamond count
     assert count_ar_gamma_se_defect(2, 2, 2) == 8
+    for k, j in ((0, 1), (2, 0), (2, 5)):
+        with pytest.raises(InvalidParameterError, match=rf"^need k >= 1 and 1 <= j <= {2 + k}, got k={k}, j={j}$"):
+            count_ar_gamma_se_defect(2, k, j)
 
 
 def test_count_ar_se_nw_defects_values():
     assert count_ar_se_nw_defects(1, 1, 2) == 2
     assert count_ar_se_nw_defects(1, 2, 2) == 4
     assert count_ar_se_nw_defects(3, 2, 3) == count_ar_se_nw_defects(3, 3, 2)
+    for i, j in ((0, 1), (1, 4), (4, 1)):
+        with pytest.raises(InvalidParameterError, match=rf"^positions must lie in 1\.\.3, got i={i}, j={j}$"):
+            count_ar_se_nw_defects(1, i, j)
 
 
 def test_count_ar_se_block_nw_defect_values():
@@ -162,6 +174,11 @@ def test_count_ar_se_block_nw_defect_values():
     for a, k in ((2, 1), (2, 2), (3, 3)):
         assert count_ar_se_block_nw_defect(a, k, 1) == count_aztec_diamond(a)
     assert count_ar_se_block_nw_defect(2, 1, 2) == 16
+    # it and its telescoped sum over the gamma string take the same arguments
+    for count in (count_ar_se_block_nw_defect, count_ar_gamma_nw_defect):
+        for k, i in ((0, 1), (2, 0), (2, 5)):
+            with pytest.raises(InvalidParameterError, match=rf"^need k >= 1 and 1 <= i <= {2 + k}, got k={k}, i={i}$"):
+                count(2, k, i)
 
 
 def test_count_ad_adjacent_defects_values():
@@ -169,6 +186,9 @@ def test_count_ad_adjacent_defects_values():
     assert count_ad_adjacent_defects(1, 1, 1) == 1
     # a zero numerator parameter truncates the series at the first term
     assert count_ad_adjacent_defects(3, 1, 2) == 2 ** 3 * binomial_ext(2, 1)
+    for i, j in ((0, 1), (1, 0), (3, 1), (1, 3)):
+        with pytest.raises(InvalidParameterError, match=rf"^positions must lie in 1\.\.2, got i={i}, j={j}$"):
+            count_ad_adjacent_defects(2, i, j)
 
 
 @given(st.integers(1, 4), st.data())

@@ -11,6 +11,7 @@ from aztec_tilings import (
     DefectConfiguration,
     DefectSpec,
     boundary_cell,
+    Region,
     is_white,
     make_aztec_rectangle,
 )
@@ -28,6 +29,12 @@ def test_diamond_sizes():
 def test_diamond_rejects_nonpositive_order():
     with pytest.raises(InvalidParameterError):
         make_aztec_rectangle(0, 0)
+
+
+def test_region_from_cells_takes_only_unit_cells():
+    assert Region.from_cells([(1, 0), Cell(0, 1)]).cells == {Cell(1, 0), Cell(0, 1)}
+    with pytest.raises(InvalidParameterError, match=r"^Cell\(u=1, v=1\) is not a unit cell: u \+ v must be odd$"):
+        Region.from_cells([Cell(1, 0), (1, 1)])
 
 
 def test_rectangle_matches_diamond():

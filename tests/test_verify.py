@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from aztec_tilings import cli, condensation, verify
+from aztec_tilings.errors import InternalInconsistencyError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -89,3 +90,14 @@ def test_mt_draws_reach_the_whole_defect_space(monkeypatch):
     # a string that misses both a head and a tail of 1..k, at the transcripts' seeded call
     drawn = _mt_draws(monkeypatch, 6, 9, 400, 11)
     assert sum(bool(c.gammas) and 1 < c.gammas[0] and c.gammas[-1] < c.b - c.a for c in drawn) >= 11
+
+
+def test_mt_reports_a_raising_pfaffian_as_a_failure(monkeypatch):
+    # an error from the counter under test is a failed check that names it, not a crash of the suite
+    def raising(config, engine):
+        raise InternalInconsistencyError("injected")
+
+    monkeypatch.setattr(verify, "count_configuration", raising)
+    checks = list(verify.SUITES["mt"](2, 3, 5, random.Random(1)))
+    assert len(checks) == 5
+    assert all(not ok and text.startswith("mt a=") and text.endswith(": injected") for ok, text in checks)

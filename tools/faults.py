@@ -31,13 +31,15 @@ TABLE_TEST = "tests/test_package.py::test_every_catalogued_fault_names_text_of_t
 
 FAULTS = (
     # the (beta, SW alpha) walk: an NW beta turned to SE s absorbs the white 2
-    # ways below the top and 1 at q = a, which is one step of T from q = a
+    # ways below the top and 1 at q = a, which is one step of T from the constant
+    # start row 2^a; the fault's weight 1 at every q is one step fewer from its suffix sums
     ("absorbed weight 2 made 1", "condensation.py",
-     "[0] * (a - 1) + [nw << a], pos - 1", "[nw << a] * a, pos - 2"),
+     "(nw << a,) * a, pos - 1", "tuple((a - q) * nw << a for q in range(a)), pos - 2"),
     ("T's second term dropped", "condensation.py",
-     "v = list(map(add, s, s[1:]))", "v = s[:-1]"),
-    ("e(q + 1) dropped", "condensation.py",
-     "v, steps = list(map(add, e, e[1:] + (0,))), k - 1", "v, steps = e, k - 1"),
+     "map(add, e[::-1], (0,) + e[:0:-1])", "iter(e[::-1])"),
+    # a beta past k walks one step from its diamond row for each of the k peeled pairs
+    ("the diamond start row walked k - 1 steps", "condensation.py",
+     "b + 1 - pos)[:: 1 if nw else -1], k", "b + 1 - pos)[:: 1 if nw else -1], k - 1"),
     # the two-step Bareiss multipliers
     ("c1 dropped in _bareiss", "exactalg.py",
      "c0 * row_i[j] + c1 * rk1[j] + c2 * rk[j]", "c0 * row_i[j] + c2 * rk[j]"),
@@ -57,7 +59,7 @@ FAULTS = (
     ("added gammas put in the column class", "condensation.py",
      'return d.kind == "beta" or d.kind == "gamma" and d.position > k', 'return d.kind == "beta"'),
     ("+1 on every (beta, SW alpha) entry", "condensation.py",
-     "return tuple(accumulate(reversed(v)))[::-1]", "return tuple(e + 1 for e in accumulate(reversed(v)))[::-1]"),
+     "    return e\n", "    return tuple(x + 1 for x in e)\n"),
     ("the balance test removed", "condensation.py",
      "    if not config.balanced:\n        return 0\n", ""),
     ("SE t - 1 replaced by SE t + 1 in an added gamma's row", "condensation.py",
@@ -158,11 +160,15 @@ FAULTS = (
     # the dp branch of cmd_count tests the colours before it builds the region
     ("the dp branch's balance test removed", "cli.py",
      "count_tilings_dp(config.region()) if config.balanced else 0", "count_tilings_dp(config.region())"),
-    # formula's one-pair diamond: flip u for an SW alpha and v for an NW beta
-    ("formula's u flip keyed to the beta", "condensation.py",
-     "u = 2 * a - beta.u if alpha.u == 0 else beta.u", "u = 2 * a - beta.u if beta.v == 0 else beta.u"),
-    ("formula's v flip dropped", "condensation.py",
-     "v = 2 * a - alpha.v if beta.v == 0 else alpha.v", "v = alpha.v"),
+    # formula's one-pair diamond: reverse i for an SW alpha, and j when exactly
+    # one of "alpha on NE" and "beta on SE" holds
+    ("formula's i flip keyed to the beta", "condensation.py",
+     "i = beta.position if ne else", 'i = beta.position if beta.side == "SE" else'),
+    ("formula's j flip dropped", "condensation.py",
+     'j = alpha.position if ne == (beta.side == "SE") else a + 1 - alpha.position', "j = alpha.position"),
+    # the alternating identity: M(G) M(G + all) plus the pair terms, a_{j+1} with sign (-1)^j
+    ("the alternating identity's pair signs flipped", "condensation.py",
+     "total += (-1) ** j * m_of", "total += (-1) ** (j + 1) * m_of"),
     # gamma=k keeps gammas 1..k
     ("the spec parser drops gamma k", "cli.py",
      "gammas = range(1, k + 1)", "gammas = range(1, k)"),
