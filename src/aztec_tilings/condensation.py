@@ -34,7 +34,8 @@ sum of two beta rows by the forcing lemma, against NE 1..a, SW 1..a or the
 missing gammas 1..k.  Those rows are the one memo of the entries, bounded,
 and ``_three_sided_row`` gathers a Pfaffian row from them.
 Every entry but one family collapses to a closed form from the
-formulas module; the entries are taken as the closed forms' unscaled integer
+formulas module, which gives a beta's row against NE or the missing gammas
+in one pass; the entries are taken as the closed forms' unscaled integer
 sums, without the power of two they share, 2^(a(a-1)/2), or the further
 2^a of the gamma columns, and the product of those powers is applied once,
 in the quotient.  The exception, a beta's row against the SW alphas, is
@@ -88,8 +89,8 @@ from .errors import (
 from .exactalg import determinant
 from .formulas import (
     ad_adjacent_row,
-    ar_gamma_nw_sum,
-    ar_gamma_se_sum,
+    ar_gamma_nw_row,
+    ar_gamma_se_row,
     count_ad_adjacent_defects,
     count_ar_kept_se,
     count_ar_se_block_nw_defect,
@@ -313,13 +314,15 @@ def _side_row(a: int, b: int, label: DefectSpec, side: str) -> tuple[int, ...]:
     gamma pairs reduce, after the forced staircase strips, to the two-defect
     diamond and one-defect rectangle families, whose counts carry
     2^(a(a-1)/2) and 2^(a(a+1)/2): a (beta, alpha) entry is the diamond's
-    unscaled sum, and a (beta, gamma) entry the rectangle's.  The diamond is
-    AD(a) minus SE i and NE j, and ``ad_adjacent_row`` gives a beta's a
-    entries, j = 1..a, at once: the colour-preserving symmetry that takes
-    the beta to SE and the alpha to NE reverses positions along the beta's
-    side when the alpha is on SW, which picks i, and along the alpha's side
-    when exactly one of "beta on NW" and "alpha on SW" holds, which reverses
-    the row.
+    unscaled sum, and a (beta, gamma) entry the rectangle's.  Every column
+    side is one row evaluator.  ``ar_gamma_nw_row`` or ``ar_gamma_se_row``
+    gives a beta's k gamma entries at once, by suffix or prefix sums, 0 past
+    the beta's position.  The diamond is AD(a) minus SE i and NE j, and
+    ``ad_adjacent_row`` gives a beta's a entries, j = 1..a, at once: the
+    colour-preserving symmetry that takes the beta to SE and the alpha to NE
+    reverses positions along the beta's side when the alpha is on SW, which
+    picks i, and along the alpha's side when exactly one of "beta on NW" and
+    "alpha on SW" holds, which reverses the row.
 
     A beta against SW 1..a is a walk of n steps from one start row e.
     Gamma t's only neighbours are SE t - 1 and SE t, so a tiling of the host
@@ -364,8 +367,7 @@ def _side_row(a: int, b: int, label: DefectSpec, side: str) -> tuple[int, ...]:
         rows = [_side_row(a, b, DefectSpec("SE", s), side) for s in (pos - 1, pos) if s]
         return tuple(map(sum, zip(*rows)))
     if side == "gamma":
-        gamma_sum = ar_gamma_nw_sum if nw else ar_gamma_se_sum
-        return tuple(gamma_sum(a, k - p + 1, pos - p + 1) if p <= pos else 0 for p in range(1, k + 1))
+        return (ar_gamma_nw_row if nw else ar_gamma_se_row)(a, k, pos)
     if side == "NE":
         return ad_adjacent_row(a, pos - k)[:: -1 if nw else 1] if pos > k else (0,) * a
     if pos <= k:  # 0 for an SE beta, which the gammas force

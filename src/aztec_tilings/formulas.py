@@ -9,13 +9,15 @@ convention bug cannot silently round.
 
 Every count is a power of two times an integer.  The families the
 three-sided Pfaffian uses keep that integer in an unscaled helper, which
-takes positions the caller has already checked: ``ar_gamma_se_sum``,
-``ar_se_block_nw_sum`` and ``ar_gamma_nw_sum`` one entry at a time, and
-``ad_adjacent_row`` a whole row of diamond entries in one pass.  The public
-``count_*`` validates, then multiplies by its power, so the condensation
-module can build its entries without the power and apply it once, in the
-quotient.  Nothing here keeps a memo: condensation memoizes the entries a
-row at a time.
+takes positions the caller has already checked and gives a beta's whole row
+of entries in one pass: ``ar_gamma_se_row`` and ``ar_gamma_nw_row`` against
+the gammas, by prefix and suffix sums, and ``ad_adjacent_row`` against a
+diamond side, by Horner's rule.  ``ar_se_block_nw_sum`` is the one
+per-entry helper, the block sum the NW row adds up.  The public ``count_*``
+validates, then multiplies by its power, so the condensation module can
+build its entries without the power and apply it once, in the quotient.
+Nothing here keeps a memo: condensation memoizes the entries a row at a
+time.
 
 Region conventions (see geometry): AR(a, b) has white cells 1..b on the NW
 and SE sides and black cells 1..a on the NE and SW sides; gamma squares are
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from itertools import accumulate
 
 from .errors import InvalidParameterError, exact_quotient
 
@@ -79,6 +82,13 @@ def count_ar_se_block_removed(a: int, b: int) -> int:
     return 2 ** (a * (a + 1) // 2) * binomial_ext(b - 1, a - 1)
 
 
+def _gamma_power(a: int, k: int, pos: int, name: str) -> int:
+    """2^(a(a+1)/2), the power a gamma family's count carries, once k and the position are checked."""
+    if k < 1 or not 1 <= pos <= a + k:
+        raise InvalidParameterError(f"need k >= 1 and 1 <= {name} <= {a + k}, got k={k}, {name}={pos}")
+    return 2 ** (a * (a + 1) // 2)
+
+
 def count_ar_gamma_se_defect(a: int, k: int, j: int) -> int:
     """Tilings of AR(a, a+k) with gamma squares at positions 2..k and SE cell j removed.
 
@@ -87,7 +97,8 @@ def count_ar_gamma_se_defect(a: int, k: int, j: int) -> int:
     Its m-th term is (j-1)/(j-1-m) C(k-1, m) / C(a+k-1, m), and with
     C(N, j-1) C(j-1, m) = C(N, m) C(N-m, j-1-m) the prefactor times that term
     is C(a+k-1-m, j-1-m) C(j-2-m, k-1-m), so the count is
-    2^(a(a+1)/2) sum_{m<k} C(a+k-1-m, j-1-m) C(j-2-m, k-1-m).
+    2^(a(a+1)/2) sum_{m<k} C(a+k-1-m, j-1-m) C(j-2-m, k-1-m), the first
+    entry of ``ar_gamma_se_row``.
     For j <= k the formula does not apply and the count is 2^(a(a+1)/2).
     Gamma t touches only SE cells t-1 and t, so with SE j gone each gamma is
     forced, working outward from j: onto SE t-1 for t <= j and onto SE t for
@@ -95,17 +106,22 @@ def count_ar_gamma_se_defect(a: int, k: int, j: int) -> int:
     AR(a, a+k) minus SE 1..k, whose kept positions k+1..a+k are consecutive,
     so ``count_ar_kept_se`` gives 2^(a(a+1)/2).
     """
-    b = a + k
-    if k < 1 or not 1 <= j <= b:
-        raise InvalidParameterError(f"need k >= 1 and 1 <= j <= {b}, got k={k}, j={j}")
-    return 2 ** (a * (a + 1) // 2) * ar_gamma_se_sum(a, k, j)
+    return _gamma_power(a, k, j, "j") * ar_gamma_se_row(a, k, j)[0]
 
 
-def ar_gamma_se_sum(a: int, k: int, j: int) -> int:
-    """``count_ar_gamma_se_defect(a, k, j)`` / 2^(a(a+1)/2), unchecked."""
-    if j <= k:
-        return 1
-    return sum(math.comb(a + k - 1 - m, j - 1 - m) * math.comb(j - 2 - m, k - 1 - m) for m in range(k))
+def ar_gamma_se_row(a: int, k: int, j: int) -> tuple[int, ...]:
+    """``count_ar_gamma_se_defect(a, k-p+1, j-p+1)`` / 2^(a(a+1)/2) for p = 1..k, 0 past j, unchecked.
+
+    The difference d = j - k is the same for every p.  For d <= 0 the entry
+    is 1 up to p = j.  For d > 0, with n = k-p-m, the sum over m is
+    sum_{n<k-p+1} C(a+n, a-d) C(n+d-1, d-1), so the row is the prefix sums
+    of those terms, read from the longest.
+    """
+    d = j - k
+    if d <= 0:
+        return (1,) * j + (0,) * (k - j)
+    terms = (math.comb(a + n, a - d) * math.comb(n + d - 1, d - 1) for n in range(k))
+    return tuple(accumulate(terms))[::-1]
 
 
 def count_ar_se_nw_defects(a: int, i: int, j: int) -> int:
@@ -126,16 +142,17 @@ def count_ar_se_block_nw_defect(a: int, k: int, i: int) -> int:
     with the sum restricted to m <= i - 1.  Reduces to the single-defect
     count for k = 1 and to 2^(a(a+1)/2) for i = 1.
     """
-    b = a + k
-    if k < 1 or not 1 <= i <= b:
-        raise InvalidParameterError(f"need k >= 1 and 1 <= i <= {b}, got k={k}, i={i}")
-    return 2 ** (a * (a + 1) // 2) * ar_se_block_nw_sum(a, k, i)
+    return _gamma_power(a, k, i, "i") * ar_se_block_nw_sum(a, k, i)
 
 
 def ar_se_block_nw_sum(a: int, k: int, i: int) -> int:
-    """``count_ar_se_block_nw_defect(a, k, i)`` / 2^(a(a+1)/2), unchecked."""
+    """``count_ar_se_block_nw_defect(a, k, i)`` / 2^(a(a+1)/2), unchecked.
+
+    C(a, a+m+1-i) is 0 unless i-1-a <= m <= i-1, so the sum takes at most
+    a + 1 terms.
+    """
     total = binomial_ext(a, i - 1)
-    for m in range(1, min(k - 1, i - 1) + 1):
+    for m in range(max(1, i - 1 - a), min(k - 1, i - 1) + 1):
         total += binomial_ext(a, a + m + 1 - i) * binomial_ext(a + m - 1, a - 1)
     return total
 
@@ -144,17 +161,22 @@ def count_ar_gamma_nw_defect(a: int, k: int, i: int) -> int:
     """Tilings of AR(a, a+k) with gamma squares at positions 2..k and NW cell i removed.
 
     The first gamma square can pair two ways, so this is the telescoped sum of
-    shifted copies of count_ar_se_block_nw_defect.
+    shifted copies of count_ar_se_block_nw_defect, the first entry of
+    ``ar_gamma_nw_row``.
     """
-    b = a + k
-    if k < 1 or not 1 <= i <= b:
-        raise InvalidParameterError(f"need k >= 1 and 1 <= i <= {b}, got k={k}, i={i}")
-    return 2 ** (a * (a + 1) // 2) * ar_gamma_nw_sum(a, k, i)
+    return _gamma_power(a, k, i, "i") * ar_gamma_nw_row(a, k, i)[0]
 
 
-def ar_gamma_nw_sum(a: int, k: int, i: int) -> int:
-    """``count_ar_gamma_nw_defect(a, k, i)`` / 2^(a(a+1)/2), unchecked."""
-    return sum(ar_se_block_nw_sum(a, k - m, i - m) for m in range(min(k - 1, i - 1) + 1))
+def ar_gamma_nw_row(a: int, k: int, i: int) -> tuple[int, ...]:
+    """``count_ar_gamma_nw_defect(a, k-p+1, i-p+1)`` / 2^(a(a+1)/2) for p = 1..k, 0 past i, unchecked.
+
+    Entry p telescopes ``ar_se_block_nw_sum(a, k-q+1, i-q+1)`` over
+    q = p..min(k, i), so the row is the suffix sums of those block sums,
+    O(k a) binomials for all k entries.
+    """
+    m = min(k, i)
+    blocks = (ar_se_block_nw_sum(a, k - q + 1, i - q + 1) for q in range(m, 0, -1))
+    return tuple(accumulate(blocks))[::-1] + (0,) * (k - m)
 
 
 def count_ad_adjacent_defects(a: int, i: int, j: int) -> int:

@@ -198,6 +198,18 @@ def test_count_sw_alpha_over_a_long_host_is_quick(capsys):
     assert (code, out) == (0, "80\n")
 
 
+def test_count_of_nw_betas_past_a_long_missing_gamma_string_is_quick(capsys):
+    # 200 NW betas past the 200 gammas the string leaves out, 3,640 cells: each
+    # beta's gamma row is one pass of suffix sums; entry by entry it took O(k^3)
+    # binomials a row, 195 s (Python 3.11, one core), where paths takes 0.4 s
+    spec = "AR a=4 b=404 gamma=200 remove=" + ",".join(f"NW:{p}" for p in range(205, 405))
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "count", spec)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (0, "1024\n")
+    assert run_cli(capsys, "count", spec, "--engine", "paths")[:2] == (0, "1024\n")
+
+
 @pytest.mark.parametrize("gamma", [10**9, 10**19])  # the second is past sys.maxsize
 def test_count_of_a_long_gamma_string_is_quick(capsys, gamma):
     # the string is a range end to end; as a tuple, 4 * 10^5 squares took 90 MiB

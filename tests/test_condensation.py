@@ -468,6 +468,24 @@ def test_sw_entries_match_engine():
                 assert not any(want) or beta.side == "NW" or beta.position > k
 
 
+def test_gamma_row_entries_count_their_regions():
+    # entry p of a beta's row against the missing gammas, times 2^(a(a-1)/2) and
+    # 2^a, is the paths count of the gamma host minus the beta and gamma p
+    entries = 0
+    for a in range(1, 5):
+        for k in range(1, 6):
+            b = a + k
+            host = DefectConfiguration(a, b, gammas=range(1, k + 1)).region()
+            gammas = [boundary_cell(a, b, DefectSpec("gamma", p)) for p in range(1, k + 1)]
+            for beta in [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]:
+                cells = host.cells - {boundary_cell(a, b, beta)}
+                want = [count_tilings_paths(Region(cells - {gamma})) for gamma in gammas]
+                row = condensation._side_row(a, b, beta, "gamma")
+                assert [e << a * (a - 1) // 2 + a for e in row] == want, (a, k, beta)
+                entries += len(row)
+    assert entries == 740
+
+
 def test_row_memo_holds_the_closed_forms_and_a_recount_calls_no_formula(monkeypatch):
     # warm the memo with counts that take every kind of row: betas and added gammas
     # against NE, SW and missing gammas; every row it then holds must be the one

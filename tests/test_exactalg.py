@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aztec_tilings import exactalg
-from aztec_tilings.errors import InvalidMatrixError, exact_quotient
+from aztec_tilings.errors import InternalInconsistencyError, InvalidMatrixError, exact_quotient
 from oracles import determinant, pfaffian, pfaffian_expand_first_row
 
 
@@ -218,6 +218,21 @@ def test_bareiss_two_step_after_a_swap_and_a_zero_column_after_it(monkeypatch):
     # column 2 = column 0 + column 1: it is 0 below the first two-step
     m = [[1, 2, 3, 4], [3, 4, 7, 1], [5, 6, 11, 2], [7, 1, 8, 3]]
     assert _pivot_blocks(monkeypatch, m) == (0, [-2])
+
+
+def test_bareiss_raises_when_an_entry_is_not_divisible_by_the_previous_pivot(monkeypatch):
+    # the leading block's minor is 5, so the first step clears columns 0 and 1;
+    # with that pivot one too large, the next step's division is inexact
+    m = [[2, 1, 0, 1], [1, 3, 1, 0], [0, 1, 4, 1], [1, 0, 1, 5]]
+    assert _pivot_blocks(monkeypatch, m) == (determinant(m), [5]) == (72, [5])
+
+    def block_off_by_one(x, d, what):
+        q = exact_quotient(x, d, what)
+        return q + 1 if what == "Bareiss block" else q
+
+    monkeypatch.setattr(exactalg, "exact_quotient", block_off_by_one)
+    with pytest.raises(InternalInconsistencyError, match="^Bareiss step 2: entry "):
+        exactalg.determinant(m)
 
 
 def test_sparse_determinant_reaches_hadamards_bound():

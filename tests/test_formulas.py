@@ -23,7 +23,7 @@ from aztec_tilings import (
     make_aztec_rectangle,
 )
 from aztec_tilings.errors import InvalidParameterError
-from aztec_tilings.formulas import ad_adjacent_row, ar_gamma_nw_sum, ar_gamma_se_sum, ar_se_block_nw_sum
+from aztec_tilings.formulas import ad_adjacent_row, ar_gamma_nw_row, ar_gamma_se_row, ar_se_block_nw_sum
 
 
 def gamma_se_region(a, k, j):
@@ -86,16 +86,32 @@ def test_gamma_se_defect_matches_its_3f2_statement():
 
 
 def test_unscaled_sums_times_their_power_are_the_counts():
-    # the diamond's unscaled row has its own test below
+    # a gamma row's first entry is its count's sum; the diamond's unscaled row
+    # and the rest of the gamma rows have their own tests below
     for a in range(1, 11):
         for k in range(1, 5):
             for pos in range(1, a + k + 1):
                 for unscaled, count in (
-                    (ar_gamma_se_sum, count_ar_gamma_se_defect),
+                    (lambda *args: ar_gamma_se_row(*args)[0], count_ar_gamma_se_defect),
                     (ar_se_block_nw_sum, count_ar_se_block_nw_defect),
-                    (ar_gamma_nw_sum, count_ar_gamma_nw_defect),
+                    (lambda *args: ar_gamma_nw_row(*args)[0], count_ar_gamma_nw_defect),
                 ):
                     assert unscaled(a, k, pos) << a * (a + 1) // 2 == count(a, k, pos), (a, k, pos)
+
+
+@pytest.mark.parametrize("row, count", [(ar_gamma_se_row, count_ar_gamma_se_defect),
+                                        (ar_gamma_nw_row, count_ar_gamma_nw_defect)])
+def test_gamma_rows_are_their_counts_down_the_diagonal(row, count):
+    # entry p of the row at (k, pos) is the count at (k-p+1, pos-p+1) over its
+    # power up to p = pos, and 0 past it
+    for a in range(1, 13):
+        power = a * (a + 1) // 2
+        counts = {(k, pos): count(a, k, pos) for k in range(1, 17) for pos in range(1, a + k + 1)}
+        assert all(value % 2**power == 0 for value in counts.values()), a
+        for k, pos in counts:
+            entries = row(a, k, pos)
+            want = [counts[k - p + 1, pos - p + 1] >> power if p <= pos else 0 for p in range(1, k + 1)]
+            assert list(entries) == want, (a, k, pos)
 
 
 def test_ad_adjacent_row_is_the_closed_form_entry_by_entry():

@@ -17,7 +17,7 @@ from aztec_tilings.verify import SUITES
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
 CODE_LINES = TOOLS / "code_lines.py"
-CODE_LINE_CEILING = 1014
+CODE_LINE_CEILING = 1013
 
 
 def test_star_import_resolves_every_export():
@@ -170,3 +170,9 @@ def test_cli_transcripts_pin_the_root_level_and_command_usage_errors():
     codes = [tool.run(argv).split(" | ")[1] for argv in tool.SHAPES]
     assert codes == ["exit=0" if argv == ["-h", "count"] else "exit=1" for argv in tool.SHAPES]
     assert {"count", "verify", "render"} <= {argv[0] for argv in tool.SHAPES if argv}
+
+
+def test_cli_transcripts_count_nw_betas_past_a_missing_gamma_string():
+    tool = _cli_transcripts()
+    (argv,) = tool.LONG
+    assert tool.run(argv).split(" | ")[1:] == ["exit=0", _sha("1024\n")]

@@ -12,13 +12,14 @@ Then every suite in ``aztec_tilings.verify.SUITES``, the table the ``verify``
 command reads, runs through ``cli.main``: ``formulas`` with its defaults, the
 others with fixed seeded flags.  Then ``--help`` runs for the root and for
 each command; argparse wraps help at the terminal width (COLUMNS when set), so
-those lines compare only between runs in one environment.  Last, ``SHAPES``
+those lines compare only between runs in one environment.  Then ``SHAPES``
 runs: the calls that ``cli.main`` parses with the full parser (no arguments,
 an unknown command, a leading option or ``--``) and command calls that end in
-a usage error of their one subparser.  Each line holds the argv, the exit code
-and the sha256 of stdout followed by stderr, with the ``millis`` field of JSON
-output zeroed.  Diffing the output of two checkouts shows whether a change
-altered any transcript.
+a usage error of their one subparser.  Last, ``LONG`` runs: one count of NW
+betas past a missing gamma string of 20 squares.  Each line holds the argv,
+the exit code and the sha256 of stdout followed by stderr, with the
+``millis`` field of JSON output zeroed.  Diffing the output of two checkouts
+shows whether a change altered any transcript.
 Stdlib only.
 """
 
@@ -47,6 +48,7 @@ HELP = [["--help"]] + [[command, "--help"] for command in ("count", "verify", "r
 SHAPES = [[], ["frobnicate"], ["-h", "count"], ["--", "count", "AD n=2"],
           ["count"], ["verify"], ["count", "AD n=2", "--engine", "nope"], ["count", "AD n=2", "--bogus"],
           ["render", "AD n=1", "extra"]]
+LONG = [["count", "AR a=4 b=44 gamma=20 remove=" + ",".join(f"NW:{p}" for p in range(25, 45))]]
 _MILLIS = re.compile(r'"millis": \d+')
 
 
@@ -112,7 +114,7 @@ def spec_lines(specs: Iterable[str]) -> Iterator[str]:
 def main() -> None:
     for line in spec_lines(seeded_specs()):
         print(line)
-    for argv in VERIFY + HELP + SHAPES:
+    for argv in VERIFY + HELP + SHAPES + LONG:
         print(run(argv))
 
 

@@ -79,23 +79,32 @@ FAULTS = (
     ("(beta, NE alpha) forcing zero made 1", "condensation.py",
      "if pos > k else (0,) * a", "if pos > k else (1,) * a"),
     ("+1 on every (beta, gamma) entry", "condensation.py",
-     "pos - p + 1) if p <= pos", "pos - p + 1) + 1 if p <= pos"),
-    ("(beta, gamma) forcing zero made 1", "condensation.py",
-     "if p <= pos else 0 for p", "if p <= pos else 1 for p"),
-    ("NW and SE gamma sums swapped", "condensation.py",
-     "gamma_sum = ar_gamma_nw_sum if nw else ar_gamma_se_sum",
-     "gamma_sum = ar_gamma_se_sum if nw else ar_gamma_nw_sum"),
+     "return (ar_gamma_nw_row if nw else ar_gamma_se_row)(a, k, pos)",
+     "return tuple(e + 1 for e in (ar_gamma_nw_row if nw else ar_gamma_se_row)(a, k, pos))"),
+    ("NW and SE gamma rows swapped", "condensation.py",
+     "ar_gamma_nw_row if nw else ar_gamma_se_row", "ar_gamma_se_row if nw else ar_gamma_nw_row"),
     # one fault per formulas helper
     ("binomial_ext's zero below d = 0 made 1", "formulas.py",
      "if d < 0:\n        return 0", "if d < 0:\n        return 1"),
-    ("ar_gamma_se_sum's j <= k zone made 2", "formulas.py",
-     "if j <= k:\n        return 1", "if j <= k:\n        return 2"),
-    ("ar_gamma_se_sum's second binomial shifted", "formulas.py",
-     "math.comb(j - 2 - m, k - 1 - m)", "math.comb(j - 1 - m, k - 1 - m)"),
+    # the gamma rows: the SE row's prefix sums and its d <= 0 zone, the NW row's
+    # suffix sums of block sums and its zeros past the beta
+    ("ar_gamma_se_row's d <= 0 zone made 2", "formulas.py",
+     "return (1,) * j", "return (2,) * j"),
+    ("ar_gamma_se_row's second binomial shifted", "formulas.py",
+     "math.comb(n + d - 1, d - 1)", "math.comb(n + d, d - 1)"),
+    ("ar_gamma_se_row's prefix sums dropped", "formulas.py",
+     "tuple(accumulate(terms))", "tuple(terms)"),
     ("ar_se_block_nw_sum runs one term long", "formulas.py",
-     "range(1, min(k - 1, i - 1) + 1)", "range(1, min(k, i - 1) + 1)"),
-    ("ar_gamma_nw_sum drops its last shifted copy", "formulas.py",
-     "for m in range(min(k - 1, i - 1) + 1)", "for m in range(min(k - 1, i - 1))"),
+     "min(k - 1, i - 1) + 1)", "min(k, i - 1) + 1)"),
+    ("ar_se_block_nw_sum starts one term late", "formulas.py",
+     "max(1, i - 1 - a)", "max(1, i - a)"),
+    ("ar_gamma_nw_row drops its deepest block", "formulas.py",
+     "(ar_se_block_nw_sum(a, k - q + 1, i - q + 1) for q",
+     "((q < m) * ar_se_block_nw_sum(a, k - q + 1, i - q + 1) for q"),
+    ("ar_gamma_nw_row's suffix sums dropped", "formulas.py",
+     "tuple(accumulate(blocks))", "tuple(blocks)"),
+    ("(NW beta, gamma) forcing zero made 1", "formulas.py",
+     "+ (0,) * (k - m)", "+ (1,) * (k - m)"),
     ("ad_adjacent_row drops the 2^m weight", "formulas.py",
      "<< m << w * m", "<< w * m"),
     ("ad_adjacent_row's slot too narrow for its entries", "formulas.py",
