@@ -316,8 +316,8 @@ def _side_row(a: int, b: int, label: DefectSpec, side: str) -> tuple[int, ...]:
     2^(a(a-1)/2) and 2^(a(a+1)/2): a (beta, alpha) entry is the diamond's
     unscaled sum, and a (beta, gamma) entry the rectangle's.  Every column
     side is one row evaluator.  ``ar_gamma_nw_row`` or ``ar_gamma_se_row``
-    gives a beta's k gamma entries at once, by suffix or prefix sums, 0 past
-    the beta's position.  The diamond is AD(a) minus SE i and NE j, and
+    gives a beta's k gamma entries at once, by binomial sums or prefix sums,
+    0 past the beta's position.  The diamond is AD(a) minus SE i and NE j, and
     ``ad_adjacent_row`` gives a beta's a entries, j = 1..a, at once: the
     colour-preserving symmetry that takes the beta to SE and the alpha to NE
     reverses positions along the beta's side when the alpha is on SW, which

@@ -7,17 +7,18 @@ each term rewritten as a product of binomials, so no term is a fraction.  The
 one true division, in ``count_ar_kept_se``, is checked to be exact, so a
 convention bug cannot silently round.
 
-Every count is a power of two times an integer.  The families the
-three-sided Pfaffian uses keep that integer in an unscaled helper, which
-takes positions the caller has already checked and gives a beta's whole row
-of entries in one pass: ``ar_gamma_se_row`` and ``ar_gamma_nw_row`` against
-the gammas, by prefix and suffix sums, and ``ad_adjacent_row`` against a
-diamond side, by Horner's rule.  ``ar_se_block_nw_sum`` is the one
-per-entry helper, the block sum the NW row adds up.  The public ``count_*``
-validates, then multiplies by its power, so the condensation module can
-build its entries without the power and apply it once, in the quotient.
-Nothing here keeps a memo: condensation memoizes the entries a row at a
-time.
+Every count is a power of two times an integer, and every power is taken
+from ``count_aztec_diamond``, which checks its order, so no count answers for
+a rectangle without rows.  The families the three-sided Pfaffian uses keep
+that integer in an unscaled helper, which takes positions the caller has
+already checked and gives a beta's whole row of entries in one pass:
+``ar_gamma_se_row`` against the gammas, by prefix sums,
+``ar_gamma_nw_row`` against them, one binomial sum per entry, and
+``ad_adjacent_row`` against a diamond side, by Horner's rule.  The public
+``count_*`` validates, then multiplies by its power, so the condensation
+module can build its entries without the power and apply it once, in the
+quotient.  Nothing here keeps a memo: condensation memoizes the entries a
+row at a time.
 
 Region conventions (see geometry): AR(a, b) has white cells 1..b on the NW
 and SE sides and black cells 1..a on the NE and SW sides; gamma squares are
@@ -44,9 +45,9 @@ def binomial_ext(c: int, d: int) -> int:
 
 
 def count_aztec_diamond(n: int) -> int:
-    """Tilings of the order-n diamond: 2^(n(n+1)/2)."""
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
+    """Tilings of the order-n diamond: 2^(n(n+1)/2), the power every other count carries."""
+    if type(n) is not int or n < 1:
+        raise InvalidParameterError(f"need an int n >= 1, got {n!r}")
     return 2 ** (n * (n + 1) // 2)
 
 
@@ -65,28 +66,28 @@ def count_ar_kept_se(a: int, b: int, kept: Sequence[int]) -> int:
         raise InvalidParameterError(f"kept positions must lie in 1..{b}")
     num = math.prod(s[j] - s[i] for i in range(a) for j in range(i + 1, a))
     den = math.prod(j - i for i in range(a) for j in range(i + 1, a))
-    return 2 ** (a * (a + 1) // 2) * exact_quotient(num, den, f"count_ar_kept_se({a}, {b}, {s})")
+    return count_aztec_diamond(a) * exact_quotient(num, den, f"count_ar_kept_se({a}, {b}, {s})")
 
 
 def count_ar_one_se_removed(a: int, i: int) -> int:
     """Tilings of AR(a, a+1) with the SE cell at position i removed."""
     if not 1 <= i <= a + 1:
         raise InvalidParameterError(f"need 1 <= i <= {a + 1}, got {i}")
-    return 2 ** (a * (a + 1) // 2) * binomial_ext(a, i - 1)
+    return count_aztec_diamond(a) * binomial_ext(a, i - 1)
 
 
 def count_ar_se_block_removed(a: int, b: int) -> int:
     """Tilings of AR(a, b) with SE positions 2..b-a+1 removed."""
     if b < a:
         raise InvalidParameterError(f"need b >= a, got a={a}, b={b}")
-    return 2 ** (a * (a + 1) // 2) * binomial_ext(b - 1, a - 1)
+    return count_aztec_diamond(a) * binomial_ext(b - 1, a - 1)
 
 
 def _gamma_power(a: int, k: int, pos: int, name: str) -> int:
     """2^(a(a+1)/2), the power a gamma family's count carries, once k and the position are checked."""
     if k < 1 or not 1 <= pos <= a + k:
         raise InvalidParameterError(f"need k >= 1 and 1 <= {name} <= {a + k}, got k={k}, {name}={pos}")
-    return 2 ** (a * (a + 1) // 2)
+    return count_aztec_diamond(a)
 
 
 def count_ar_gamma_se_defect(a: int, k: int, j: int) -> int:
@@ -128,7 +129,7 @@ def count_ar_se_nw_defects(a: int, i: int, j: int) -> int:
     """Tilings of AR(a, a+2) with SE cell i and NW cell j removed."""
     if not (1 <= i <= a + 2 and 1 <= j <= a + 2):
         raise InvalidParameterError(f"positions must lie in 1..{a + 2}, got i={i}, j={j}")
-    return 2 ** (a * (a + 1) // 2) * (
+    return count_aztec_diamond(a) * (
         binomial_ext(a, i - 2) * binomial_ext(a, j - 1)
         + binomial_ext(a, i - 1) * binomial_ext(a, j - 2)
     )
@@ -138,31 +139,24 @@ def count_ar_se_block_nw_defect(a: int, k: int, i: int) -> int:
     """Tilings of AR(a, a+k) with SE positions 2..k and NW cell i removed.
 
     Closed form obtained by unrolling the one-column peeling recursion:
-    2^(a(a+1)/2) [ C(a, i-1) + sum_{m=1}^{k-1} C(a, a+m+1-i) C(a+m-1, a-1) ]
-    with the sum restricted to m <= i - 1.  Reduces to the single-defect
-    count for k = 1 and to 2^(a(a+1)/2) for i = 1.
+    2^(a(a+1)/2) sum_{t=1}^{min(k, i)} C(a, i-t) C(a+t-2, a-1), whose
+    t = 1 term is C(a, i-1).  C(a, i-t) is 0 unless t >= i - a, so the sum
+    takes at most a + 1 terms.  Reduces to the single-defect count for k = 1
+    and to 2^(a(a+1)/2) for i = 1.
     """
-    return _gamma_power(a, k, i, "i") * ar_se_block_nw_sum(a, k, i)
-
-
-def ar_se_block_nw_sum(a: int, k: int, i: int) -> int:
-    """``count_ar_se_block_nw_defect(a, k, i)`` / 2^(a(a+1)/2), unchecked.
-
-    C(a, a+m+1-i) is 0 unless i-1-a <= m <= i-1, so the sum takes at most
-    a + 1 terms.
-    """
-    total = binomial_ext(a, i - 1)
-    for m in range(max(1, i - 1 - a), min(k - 1, i - 1) + 1):
-        total += binomial_ext(a, a + m + 1 - i) * binomial_ext(a + m - 1, a - 1)
-    return total
+    terms = (math.comb(a, i - t) * math.comb(a + t - 2, a - 1) for t in range(max(1, i - a), min(k, i) + 1))
+    return _gamma_power(a, k, i, "i") * sum(terms)
 
 
 def count_ar_gamma_nw_defect(a: int, k: int, i: int) -> int:
     """Tilings of AR(a, a+k) with gamma squares at positions 2..k and NW cell i removed.
 
-    The first gamma square can pair two ways, so this is the telescoped sum of
-    shifted copies of count_ar_se_block_nw_defect, the first entry of
-    ``ar_gamma_nw_row``.
+    The first gamma square can pair two ways, so this is the telescoped sum
+    of count_ar_se_block_nw_defect(a, k-q+1, i-q+1) over q = 1..min(k, i).
+    Summed over q by the hockey-stick identity,
+    sum_{m=0}^{M} C(a-1+m, a-1) = C(a+M, a), it is
+    2^(a(a+1)/2) sum_{t=1}^{min(k, i)} C(a, i-t) C(a+t-1, a), the first
+    entry of ``ar_gamma_nw_row``.
     """
     return _gamma_power(a, k, i, "i") * ar_gamma_nw_row(a, k, i)[0]
 
@@ -170,13 +164,13 @@ def count_ar_gamma_nw_defect(a: int, k: int, i: int) -> int:
 def ar_gamma_nw_row(a: int, k: int, i: int) -> tuple[int, ...]:
     """``count_ar_gamma_nw_defect(a, k-p+1, i-p+1)`` / 2^(a(a+1)/2) for p = 1..k, 0 past i, unchecked.
 
-    Entry p telescopes ``ar_se_block_nw_sum(a, k-q+1, i-q+1)`` over
-    q = p..min(k, i), so the row is the suffix sums of those block sums,
-    O(k a) binomials for all k entries.
+    Entry p is sum_{t=p}^{min(k, i)} C(a, i-t) C(a+t-p, a), the count's sum
+    at (k-p+1, i-p+1) with t shifted by p - 1.  Each entry takes at most
+    a + 1 terms, t >= i - a, all with nonnegative arguments.
     """
     m = min(k, i)
-    blocks = (ar_se_block_nw_sum(a, k - q + 1, i - q + 1) for q in range(m, 0, -1))
-    return tuple(accumulate(blocks))[::-1] + (0,) * (k - m)
+    return tuple(sum(math.comb(a, i - t) * math.comb(a + t - p, a) for t in range(max(p, i - a), m + 1))
+                 for p in range(1, m + 1)) + (0,) * (k - m)
 
 
 def count_ad_adjacent_defects(a: int, i: int, j: int) -> int:
@@ -192,7 +186,7 @@ def count_ad_adjacent_defects(a: int, i: int, j: int) -> int:
     if not (1 <= i <= a and 1 <= j <= a):
         raise InvalidParameterError(f"positions must lie in 1..{a}, got i={i}, j={j}")
     terms = (2**m * math.comb(a - 1 - m, i - 1 - m) * math.comb(a - 1 - m, j - 1 - m) for m in range(min(i, j)))
-    return 2 ** (a * (a - 1) // 2) * sum(terms)
+    return (count_aztec_diamond(a) >> a) * sum(terms)
 
 
 def ad_adjacent_row(a: int, i: int) -> tuple[int, ...]:

@@ -183,10 +183,10 @@ class DefectConfiguration(namedtuple("DefectConfiguration", "a b betas alphas ga
             raise InvalidParameterError(
                 f"gamma string {first}..{last} does not fit along the SE side (1..{b})"
             )
-        if any(d.kind != "beta" for d in betas):
-            raise InvalidConfigurationError("betas must be beta-class defects")
-        if any(d.kind != "alpha" for d in alphas):
-            raise InvalidConfigurationError("alphas must be alpha-class defects")
+        if any(type(d) is not DefectSpec or d.kind != "beta" for d in betas):
+            raise InvalidConfigurationError("betas must be beta-class DefectSpecs")
+        if any(type(d) is not DefectSpec or d.kind != "alpha" for d in alphas):
+            raise InvalidConfigurationError("alphas must be alpha-class DefectSpecs")
         seen: set[tuple[str, int]] = set()  # the side fixes the kind
         for spec in betas + alphas:
             _check_position(a, b, spec)

@@ -23,7 +23,8 @@ from aztec_tilings import (
     make_aztec_rectangle,
 )
 from aztec_tilings.errors import InvalidParameterError
-from aztec_tilings.formulas import ad_adjacent_row, ar_gamma_nw_row, ar_gamma_se_row, ar_se_block_nw_sum
+import aztec_tilings.formulas
+from aztec_tilings.formulas import ad_adjacent_row, ar_gamma_nw_row, ar_gamma_se_row
 
 
 def gamma_se_region(a, k, j):
@@ -85,18 +86,36 @@ def test_gamma_se_defect_matches_its_3f2_statement():
                 assert type(count) is int and count == stated, (a, k, j)
 
 
+def se_block_nw_sum_by_m(a, k, i):
+    """The SE-block NW sum as the peeling recursion unrolls it, term m = 0 apart:
+    C(a, i-1) + sum_{m=1}^{min(k-1, i-1)} C(a, a+m+1-i) C(a+m-1, a-1)."""
+    terms = (binomial_ext(a, a + m + 1 - i) * binomial_ext(a + m - 1, a - 1) for m in range(1, min(k, i)))
+    return binomial_ext(a, i - 1) + sum(terms)
+
+
 def test_unscaled_sums_times_their_power_are_the_counts():
-    # a gamma row's first entry is its count's sum; the diamond's unscaled row
-    # and the rest of the gamma rows have their own tests below
+    # a gamma row's first entry is its count's sum, and the SE-block count is
+    # the recursion's sum over m; the diamond's unscaled row and the rest of
+    # the gamma rows have their own tests below
     for a in range(1, 11):
         for k in range(1, 5):
             for pos in range(1, a + k + 1):
                 for unscaled, count in (
                     (lambda *args: ar_gamma_se_row(*args)[0], count_ar_gamma_se_defect),
-                    (ar_se_block_nw_sum, count_ar_se_block_nw_defect),
+                    (se_block_nw_sum_by_m, count_ar_se_block_nw_defect),
                     (lambda *args: ar_gamma_nw_row(*args)[0], count_ar_gamma_nw_defect),
                 ):
                     assert unscaled(a, k, pos) << a * (a + 1) // 2 == count(a, k, pos), (a, k, pos)
+
+
+def test_gamma_nw_count_telescopes_the_block_counts():
+    # the first gamma square pairs two ways, so each gamma NW count is the sum of
+    # the SE-block NW counts down the diagonal: the relation the two families share
+    for a in range(1, 11):
+        for k in range(1, 9):
+            for i in range(1, a + k + 1):
+                blocks = (count_ar_se_block_nw_defect(a, k - q + 1, i - q + 1) for q in range(1, min(k, i) + 1))
+                assert count_ar_gamma_nw_defect(a, k, i) == sum(blocks), (a, k, i)
 
 
 @pytest.mark.parametrize("row, count", [(ar_gamma_se_row, count_ar_gamma_se_defect),
@@ -183,6 +202,42 @@ def test_count_ar_se_nw_defects_values():
     for i, j in ((0, 1), (1, 4), (4, 1)):
         with pytest.raises(InvalidParameterError, match=rf"^positions must lie in 1\.\.3, got i={i}, j={j}$"):
             count_ar_se_nw_defects(1, i, j)
+
+
+# each public count with its order a and valid other arguments
+COUNTS_AT_ORDER = {
+    "count_aztec_diamond": count_aztec_diamond,
+    "count_ar_kept_se": lambda a: count_ar_kept_se(a, 3, list(range(1, a + 1))),
+    "count_ar_one_se_removed": lambda a: count_ar_one_se_removed(a, 1),
+    "count_ar_se_block_removed": lambda a: count_ar_se_block_removed(a, 3),
+    "count_ar_gamma_se_defect": lambda a: count_ar_gamma_se_defect(a, 5, 1),
+    "count_ar_se_nw_defects": lambda a: count_ar_se_nw_defects(a, 1, 2),
+    "count_ar_se_block_nw_defect": lambda a: count_ar_se_block_nw_defect(a, 5, 1),
+    "count_ar_gamma_nw_defect": lambda a: count_ar_gamma_nw_defect(a, 5, 1),
+    "count_ad_adjacent_defects": lambda a: count_ad_adjacent_defects(a, 1, 1),
+}
+
+
+def test_every_count_is_listed_at_its_order():
+    public = {name for name in vars(aztec_tilings.formulas) if name.startswith("count_")}
+    assert COUNTS_AT_ORDER.keys() == public
+    for name, count in COUNTS_AT_ORDER.items():
+        assert count(1) > 0 and count(2) > 0, name
+
+
+@pytest.mark.parametrize("name", sorted(COUNTS_AT_ORDER))
+@pytest.mark.parametrize("a", [0, -2])
+def test_every_count_refuses_a_rectangle_without_rows(name, a):
+    # each used to answer 1 at a = 0, and the gamma SE count 2 at a = -2
+    with pytest.raises(InvalidParameterError):
+        COUNTS_AT_ORDER[name](a)
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2"])
+def test_count_aztec_diamond_takes_only_a_positive_int(n):
+    # 2.0 used to give the float 8.0
+    with pytest.raises(InvalidParameterError, match=r"^need an int n >= 1, got "):
+        count_aztec_diamond(n)
 
 
 def test_count_ar_se_block_nw_defect_values():

@@ -183,6 +183,14 @@ def test_configuration_rejects_bad_sides_and_kinds():
         DefectConfiguration(2, 3, betas=(DefectSpec("NE", 1),))
 
 
+@pytest.mark.parametrize("field, defect", [("betas", ("NW", 1)), ("betas", ("NW", 1, "beta")),
+                                           ("alphas", ("NE", 1)), ("alphas", ("NE", 1, "alpha"))])
+def test_configuration_takes_only_defect_specs(field, defect):
+    # a plain tuple used to end in AttributeError: 'tuple' object has no attribute 'kind'
+    with pytest.raises(InvalidConfigurationError, match=f"^{field} must be [a-z]+-class DefectSpecs$"):
+        DefectConfiguration(2, 3, **{field: (defect,)})
+
+
 def test_configuration_region_removes_defects():
     config = DefectConfiguration(2, 3, (DefectSpec("SE", 1), DefectSpec("SE", 2)))
     smaller = config.region()

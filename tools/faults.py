@@ -86,23 +86,23 @@ FAULTS = (
     # one fault per formulas helper
     ("binomial_ext's zero below d = 0 made 1", "formulas.py",
      "if d < 0:\n        return 0", "if d < 0:\n        return 1"),
+    # the power every count takes from the diamond's, and its order test
+    ("count_aztec_diamond takes an order below 1", "formulas.py",
+     "if type(n) is not int or n < 1:", "if type(n) is not int:"),
     # the gamma rows: the SE row's prefix sums and its d <= 0 zone, the NW row's
-    # suffix sums of block sums and its zeros past the beta
+    # binomial sums, the block sum's, and the NW row's zeros past the beta
     ("ar_gamma_se_row's d <= 0 zone made 2", "formulas.py",
      "return (1,) * j", "return (2,) * j"),
     ("ar_gamma_se_row's second binomial shifted", "formulas.py",
      "math.comb(n + d - 1, d - 1)", "math.comb(n + d, d - 1)"),
     ("ar_gamma_se_row's prefix sums dropped", "formulas.py",
      "tuple(accumulate(terms))", "tuple(terms)"),
-    ("ar_se_block_nw_sum runs one term long", "formulas.py",
-     "min(k - 1, i - 1) + 1)", "min(k, i - 1) + 1)"),
-    ("ar_se_block_nw_sum starts one term late", "formulas.py",
-     "max(1, i - 1 - a)", "max(1, i - a)"),
-    ("ar_gamma_nw_row drops its deepest block", "formulas.py",
-     "(ar_se_block_nw_sum(a, k - q + 1, i - q + 1) for q",
-     "((q < m) * ar_se_block_nw_sum(a, k - q + 1, i - q + 1) for q"),
-    ("ar_gamma_nw_row's suffix sums dropped", "formulas.py",
-     "tuple(accumulate(blocks))", "tuple(blocks)"),
+    ("the SE-block NW sum drops its t = 1 term", "formulas.py",
+     "range(max(1, i - a), min(k, i) + 1)", "range(max(2, i - a), min(k, i) + 1)"),
+    ("the SE-block NW sum's second binomial shifted", "formulas.py",
+     "math.comb(a + t - 2, a - 1)", "math.comb(a + t - 1, a - 1)"),
+    ("ar_gamma_nw_row's second binomial shifted", "formulas.py",
+     "math.comb(a + t - p, a)", "math.comb(a + t - p - 1, a)"),
     ("(NW beta, gamma) forcing zero made 1", "formulas.py",
      "+ (0,) * (k - m)", "+ (1,) * (k - m)"),
     ("ad_adjacent_row drops the 2^m weight", "formulas.py",
@@ -119,6 +119,9 @@ FAULTS = (
      "@functools.lru_cache(maxsize=2048)", "@functools.lru_cache(maxsize=None)"),
     # the side -> class table of DefectSpec
     ("SE mapped to alpha", "geometry.py", '"SE": "beta"', '"SE": "alpha"'),
+    # a configuration takes only DefectSpecs
+    ("the betas' DefectSpec type test dropped", "geometry.py",
+     'type(d) is not DefectSpec or d.kind != "beta"', 'd.kind != "beta"'),
     # the help width, read once at import
     ("help formatter reads the terminal per formatter", "cli.py",
      "functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)",
