@@ -27,6 +27,9 @@ suite from ``verify.SUITES`` into one report line.
 The parser is built on every call, but a command call builds only the root
 and that command's subparser, and a root-level call (``--help``, no
 arguments, an unknown command, a leading option or ``--``) every subparser.
+The root's own ``-h`` is built on root-level calls alone: a command call's
+first token is its command, and argparse hands every later token, ``-h``
+too, to that command's subparser.
 The help width is read from the terminal once, at import.  A call imports
 only what it runs: ``verify``, ``hashlib`` and ``random`` where the verify
 subparser is built or run, ``json`` for ``--format json``, and ``decimal``
@@ -294,9 +297,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     call builds one subparser rather than all of ``COMMANDS``; a root-level
     call (``--help``, no arguments, an unknown command, a leading option or
     ``--``) takes the full parser, whose usage and help list every command.
+    Only the full parser has the root's ``-h``: with the command first, every
+    later token, ``-h`` too, goes to the command's subparser, so a command
+    call could never reach it.
     """
     parser = _Parser(
-        prog="aztec-tilings",
+        prog="aztec-tilings", add_help=command is None,
         description="Exact domino-tiling counts for Aztec diamonds and rectangles with defects.",
     )
     # with prog given, argparse formats no usage line to learn the subcommands' prefix

@@ -343,7 +343,7 @@ def test_help_exits_0(capsys):
 
 def test_commands_read_the_terminal_size_only_at_import(capsys, monkeypatch):
     # argparse's HelpFormatter() queries the terminal, and the full parser makes
-    # 14 of them, a count's parser 6; the width is read once, when cli is imported
+    # 14 of them, a count's parsers 4; the width is read once, when cli is imported
     calls, get_terminal_size = [], shutil.get_terminal_size
 
     def counting(*args, **kwargs):
@@ -356,26 +356,38 @@ def test_commands_read_the_terminal_size_only_at_import(capsys, monkeypatch):
     assert calls == []
 
 
+FULL_PARSER = ["-h", "count", "-h", "verify", "-h", "render", "-h"]
+
+
 @pytest.mark.parametrize(
     "argv, built",
     [
-        (["count", "AD n=2"], ["count"]),
-        (["verify", "kuo", "--max-a", "2", "--trials", "1"], ["verify"]),
-        (["render", "AD n=1"], ["render"]),
-        (["--help"], ["count", "verify", "render"]),
-        ([], ["count", "verify", "render"]),
-        (["frobnicate"], ["count", "verify", "render"]),
+        (["count", "AD n=2"], ["count", "-h"]),
+        (["verify", "kuo", "--max-a", "2", "--trials", "1"], ["verify", "-h"]),
+        (["render", "AD n=1"], ["render", "-h"]),
+        (["--help"], FULL_PARSER),
+        ([], FULL_PARSER),
+        (["frobnicate"], FULL_PARSER),
     ],
 )
 def test_a_command_call_builds_only_its_subparser(capsys, monkeypatch, argv, built):
-    # root-level calls take the full parser, so their usage lists every command
+    # root-level calls take the full parser, so their usage lists every command;
+    # each "-h" follows the subparser that builds it, and a leading one is the
+    # root's, which a command call never reaches and so does not build
     added, add_parser = [], argparse._SubParsersAction.add_parser
+    add_argument = argparse.ArgumentParser.add_argument
 
     def counting(self, name, **kwargs):
         added.append(name)
         return add_parser(self, name, **kwargs)
 
+    def helping(self, *args, **kwargs):
+        if "-h" in args:
+            added.append("-h")
+        return add_argument(self, *args, **kwargs)
+
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", helping)
     try:
         main(argv)
     except SystemExit:  # --help

@@ -132,6 +132,9 @@ FAULTS = (
      'sub = parser.add_subparsers(prog=parser.prog, dest="command", required=True)\n    command = None\n'),
     ("a root-level call builds one subparser", "cli.py",
      "argv[0] if argv and argv[0] in COMMANDS else None", 'argv[0] if argv and argv[0] in COMMANDS else "count"'),
+    # only a root-level call can reach the root's -h, so only the full parser builds it
+    ("the root parser builds -h on a command call", "cli.py",
+     "add_help=command is None", "add_help=True"),
     # the brute-force oracle: the lowest unmatched cell against each free neighbour
     ("brute branches only on the lowest cell's first neighbour", "counting.py",
      "            nbrs ^= wbit\n", "            nbrs = 0\n"),
