@@ -41,7 +41,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import re
 import shutil
 import sys
 import time
@@ -57,12 +56,14 @@ class SpecError(ValueError):
     """Parse or semantic error in a region spec or setting; message names the token."""
 
 
-INT = re.compile(r"-?[0-9]+")
-
-
 def _int(text: str, index: int, item: str) -> int:
-    """The spec grammar's INT, ASCII -?[0-9]+; int() alone would also take '1_0', '+2' or '２'."""
-    if not INT.fullmatch(text):
+    """The spec grammar's INT, ASCII -?[0-9]+, tested by str methods.
+
+    int() alone would also take '1_0', '+2' or '２', and ``isdigit`` alone
+    '٣' or '²', so the digits after at most one '-' must be ASCII too.
+    """
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise SpecError(f"token {index} {item!r}: {text!r} is not an integer")
     try:
         return int(text)

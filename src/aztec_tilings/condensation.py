@@ -32,7 +32,9 @@ base H).  The entries are defined in one place, ``_side_row``, a row label
 and a column side at a time: a beta's row, or an added gamma's, which is the
 sum of two beta rows by the forcing lemma, against NE 1..a, SW 1..a or the
 missing gammas 1..k.  Those rows are the one memo of the entries, bounded,
-and ``_three_sided_row`` gathers a Pfaffian row from them.
+and ``_three_sided_block`` gathers the Pfaffian's block from them: the
+columns, in perimeter order, come in runs of one side, and each row takes
+one ``_side_row`` lookup per run.
 Every entry but one family collapses to a closed form from the
 formulas module, which gives a beta's row against NE or the missing gammas
 in one pass; the entries are taken as the closed forms' unscaled integer
@@ -64,16 +66,16 @@ symmetric-difference count the cells whose toggle gains a white against
 those whose toggle loses one.  The Pfaffian is then, up to a sign fixed by
 how the classes interleave, the determinant of the block of mixed entries,
 taken by ``exactalg.determinant`` at half the dimension; only those entries
-are computed, by a row function that the caller passes, once per label of
-the row class.
+are computed, by a block function that the caller passes, in one call for
+all the labels of the row class against all those of the column class.
 """
 
 from __future__ import annotations
 
 import functools
 from collections.abc import Callable, Iterable, Sequence
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, groupby
+from operator import add, attrgetter, neg
 
 from .counting import count_matchings_brute, count_tilings_dp, count_tilings_paths
 from .dualgraph import boundary_cycle
@@ -143,7 +145,7 @@ def _validate_cyclic(cycle: Sequence[Cell], chosen: Sequence[Cell]) -> None:
 def _pfaffian_quotient(
     labels: Sequence,
     in_rows: Callable[..., bool],
-    row: Callable[..., list[int]],
+    entries: Callable[..., list[list[int]]],
     divisor: int,
     what: str,
     scale: int = 1,
@@ -151,13 +153,15 @@ def _pfaffian_quotient(
     """scale Pf[(m(x, y))] / divisor^(h-1) over 2h labels in cyclic order, for a matrix that ``in_rows`` splits.
 
     m(x, y), x before y, must be 0 when ``in_rows`` puts x and y in the same
-    class; only the other entries are computed, one row label at a time:
-    row(x, cols) lists m of x and each column label, in cyclic order, as if
-    x came first.  Listing the row class first makes the matrix
-    [[0, B], [-B^T, 0]] for an h x h block B, whose entry (x, y) is m(x, y),
-    or -m(y, x) for a column y before x.  So Pf = (-1)^(s + h(h-1)/2) det B,
-    where s counts the pairs of a column label followed by a row label, which
-    the listing swaps.  Classes of unequal size give 0, and no labels give
+    class; only the other entries are computed, by one call for the whole
+    block: entries(rows, cols) lists, for each row label x in cyclic order, a
+    new list of m of x and each column label, in cyclic order, as if x came
+    first.  Listing the row class first makes the matrix [[0, B], [-B^T, 0]]
+    for an h x h block B, whose entry (x, y) is m(x, y), or -m(y, x) for a
+    column y before x, so each row's entries of the columns before it are
+    negated in place.  Then Pf = (-1)^(s + h(h-1)/2) det B, where s counts
+    the pairs of a column label followed by a row label, which the listing
+    swaps.  Classes of unequal size give 0, and no labels give
     scale * divisor.
 
     Entries that all share a factor s can be passed divided by it: with
@@ -167,23 +171,20 @@ def _pfaffian_quotient(
     with t in scale, as the Pfaffian is linear in them.  The quotient is a
     tiling count, so it must be a nonnegative integer.
     """
-    rows = []  # (the number of columns before it, a row label)
-    cols = []
-    swaps = 0
+    rows, cols, before = [], [], []  # before: the number of columns ahead of each row label
     for x in labels:
         if in_rows(x):
-            rows.append((len(cols), x))
-            swaps += len(cols)
+            rows.append(x)
+            before.append(len(cols))
         else:
             cols.append(x)
     h = len(rows)
     if len(cols) != h:
         return 0
-    block = []
-    for before, x in rows:
-        entries = row(x, cols)
-        block.append([-e for e in entries[:before]] + entries[before:])
-    pf = (-1) ** (swaps + h * (h - 1) // 2) * determinant(block)
+    block = entries(rows, cols)
+    for n, row in zip(before, block):
+        row[:n] = map(neg, row[:n])
+    pf = (-1) ** (sum(before) + h * (h - 1) // 2) * determinant(block)
     value = exact_quotient(scale * pf * divisor, divisor**h, what)
     if value < 0:
         raise InternalInconsistencyError(f"{what}: negative Pfaffian {pf:#x}")  # hex: no digit limit
@@ -214,7 +215,7 @@ def condensation_count_symdiff(
     return _pfaffian_quotient(
         face_vertices,
         lambda x: is_white(x) != (x in base),
-        lambda x, cols: [_cells_count(base ^ {x, y}) for y in cols],
+        lambda rows, cols: [[_cells_count(base ^ {x, y}) for y in cols] for x in rows],
         base_count,
         "condensation",
     )
@@ -289,16 +290,22 @@ def check_kuo_identity(
     return check_face_alternating_identity(region, base, quad)
 
 
-def _three_sided_row(a: int, b: int, label: DefectSpec, cols: Sequence[DefectSpec]) -> list[int]:
-    """A row label's entries against alphas and missing gammas over the gamma host, / 2^(a(a-1)/2).
+def _three_sided_block(a: int, b: int, rows: Sequence[DefectSpec], cols: Sequence[DefectSpec]) -> list[list[int]]:
+    """The row labels' entries against alphas and missing gammas over the gamma host, / 2^(a(a-1)/2).
 
-    A gather from ``_side_row``, which it asks once for each side among the
-    columns: entry y is the y.position-th entry of the label's row against
-    y's side, the only pairs ``_pfaffian_quotient`` asks for, since a
-    same-colour pair's count is 0.
+    A gather from ``_side_row``.  The columns, in perimeter order, come in
+    runs of one side, SW alphas, missing gammas and NE alphas, and each row
+    takes one ``_side_row`` lookup per run and reads the run's positions off
+    it by one ``map``, a loop in C: entry y is the y.position-th entry of the
+    label's row against y's side.  These are the only pairs
+    ``_pfaffian_quotient`` asks for, since a same-colour pair's count is 0.
     """
-    rows = {side: _side_row(a, b, label, side) for side in {y.side for y in cols}}
-    return [rows[y.side][y.position - 1] for y in cols]
+    block = [[] for _ in rows]
+    for side, run in groupby(cols, attrgetter("side")):
+        at = [y.position - 1 for y in run]
+        for x, row in zip(rows, block):
+            row += map(_side_row(a, b, x, side).__getitem__, at)
+    return block
 
 
 @functools.lru_cache(maxsize=2048)
@@ -387,7 +394,7 @@ def _pfaffian_count(config: DefectConfiguration) -> int:
     ones, removed black cells that join the alphas' class, and the added
     ones past k, added black cells that join the betas'.  The host's count
     is D = 2^(a(a+1)/2) = s 2^a with s = 2^(a(a-1)/2).  Every entry is s
-    times ``_three_sided_row``'s, and an entry of a missing gamma 2^a times
+    times ``_three_sided_block``'s, and an entry of a missing gamma 2^a times
     more, so the quotient takes the rows with divisor 2^a and scale s 2^(ag).
     """
     a, b, kept = config.a, config.b, config.gammas
@@ -396,14 +403,14 @@ def _pfaffian_count(config: DefectConfiguration) -> int:
     missing = [*range(1, min(k + 1, kept.start)), *range(kept.stop, k + 1)]
     added = range(max(k + 1, kept.start), kept.stop)
     gammas = tuple(DefectSpec("gamma", t) for t in (*missing, *added))
-    labels = sorted(config.betas + config.alphas + gammas, key=lambda d: perimeter_index(a, b, d))
-    row = functools.partial(_three_sided_row, a, b)
+    labels = sorted(config.betas + config.alphas + gammas, key=functools.partial(perimeter_index, a, b))
+    block = functools.partial(_three_sided_block, a, b)
     scale = 2 ** (a * (a - 1) // 2 + a * len(missing))
 
     def in_rows(d: DefectSpec) -> bool:  # the betas and the added gammas
         return d.kind == "beta" or d.kind == "gamma" and d.position > k
 
-    return _pfaffian_quotient(labels, in_rows, row, 2**a, "Pfaffian count", scale)
+    return _pfaffian_quotient(labels, in_rows, block, 2**a, "Pfaffian count", scale)
 
 
 def _formula_count(config: DefectConfiguration) -> int:

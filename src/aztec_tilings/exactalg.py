@@ -44,7 +44,9 @@ def _bareiss(a: list[list[int]]) -> int:
     is p_prev times a minor of the input, so c0, c1 and c2 are exact, and
     that 3 x 3 determinant is p_prev^2 times the minor on rows and columns
     0..k+1 plus i and j, so the division is exact too; c0 is the next
-    p_prev.  A singular block (c0 = 0) falls back to the one-step update, as
+    p_prev.  Each division is checked: the block's minor by
+    ``errors.exact_quotient``, c1 and c2 by one test of their two
+    remainders, and each entry's by its own.  A singular block (c0 = 0) falls back to the one-step update, as
     does the last column.  Only the columns right of the pivots are updated,
     which is all a caller reads.
     """
@@ -67,17 +69,18 @@ def _bareiss(a: list[list[int]]) -> int:
         for i in range(k + step, n):
             row_i = a[i]
             if step == 2:
-                c1 = exact_quotient(row_i[k] * rk[k + 1] - row_i[k + 1] * rk[k], p_prev, "Bareiss c1")
-                c2 = exact_quotient(row_i[k + 1] * rk1[k] - row_i[k] * rk1[k + 1], p_prev, "Bareiss c2")
+                c1, r1 = divmod(row_i[k] * rk[k + 1] - row_i[k + 1] * rk[k], p_prev)
+                c2, r2 = divmod(row_i[k + 1] * rk1[k] - row_i[k] * rk1[k + 1], p_prev)
+                if r1 or r2:
+                    raise InternalInconsistencyError(f"Bareiss step {k}: a multiplier of row {i} is not "
+                                                     f"divisible by the previous pivot {p_prev:#x}")
             else:
                 c1, c2 = 0, -row_i[k]
             for j in range(k + step, n):
                 q, r = divmod(c0 * row_i[j] + c1 * rk1[j] + c2 * rk[j], p_prev)
                 if r:
-                    raise InternalInconsistencyError(
-                        f"Bareiss step {k}: entry ({i}, {j}) "
-                        f"is not divisible by the previous pivot {p_prev:#x}"
-                    )
+                    raise InternalInconsistencyError(f"Bareiss step {k}: entry ({i}, {j}) is not "
+                                                     f"divisible by the previous pivot {p_prev:#x}")
                 row_i[j] = q
         p_prev = c0
         k += step

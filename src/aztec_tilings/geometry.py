@@ -29,9 +29,11 @@ code that needs cells.
 ``Cell``, ``DefectSpec``, ``Region`` and ``DefectConfiguration`` are
 ``collections.namedtuple`` classes, immutable and hashed by their fields;
 ``DefectSpec`` and ``DefectConfiguration`` check their arguments in
-``__new__``.  Like any tuple these values index, iterate, order and compare
-equal to a plain tuple of their fields; ``len(region)`` is its number of
-cells, and ``_make`` and ``_replace`` skip the checks.
+``__new__`` and build the tuple by ``tuple.__new__``, without the frame of
+the namedtuple's generated ``__new__``.  Like any tuple these values
+index, iterate, order and compare equal to a plain tuple of their fields;
+``len(region)`` is its number of cells, and ``_make`` and ``_replace``
+skip the checks.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class DefectSpec(namedtuple("DefectSpec", "side position kind")):
             raise InvalidDefectError(f"position must be an int, got {position!r}")
         if position < 1:
             raise InvalidDefectError(f"position must be >= 1, got {position}")
-        return super().__new__(cls, side, position, CLASS[side])
+        return tuple.__new__(cls, (side, position, CLASS[side]))
 
     def __getnewargs__(self) -> tuple[str, int]:  # copy and pickle call __new__ with these
         return self.side, self.position
@@ -160,9 +162,10 @@ class DefectConfiguration(namedtuple("DefectConfiguration", "a b betas alphas ga
     distinct and in range, in tuples; ``gammas`` are consecutive SE positions
     inside 1..b, given as a tuple of ints or a range and kept as a range, so
     a string costs the same whatever its length.  a and b are ints.  All of
-    it is checked here, each defect once, by arithmetic; cells are built only
-    by ``region``.  An ``InvalidDefectError`` names the defect at fault in
-    its ``defect``.
+    it is checked here, each defect once, by arithmetic, in one pass that
+    tests its class, its range and that it is new; cells are built only by
+    ``region``.  An ``InvalidDefectError`` names the defect at fault in its
+    ``defect``.
     """
 
     __slots__ = ()
@@ -183,17 +186,16 @@ class DefectConfiguration(namedtuple("DefectConfiguration", "a b betas alphas ga
             raise InvalidParameterError(
                 f"gamma string {first}..{last} does not fit along the SE side (1..{b})"
             )
-        if any(type(d) is not DefectSpec or d.kind != "beta" for d in betas):
-            raise InvalidConfigurationError("betas must be beta-class DefectSpecs")
-        if any(type(d) is not DefectSpec or d.kind != "alpha" for d in alphas):
-            raise InvalidConfigurationError("alphas must be alpha-class DefectSpecs")
-        seen: set[tuple[str, int]] = set()  # the side fixes the kind
-        for spec in betas + alphas:
-            _check_position(a, b, spec)
-            if (spec.side, spec.position) in seen:
-                raise InvalidDefectError("duplicate defect", spec)
-            seen.add((spec.side, spec.position))
-        return super().__new__(cls, a, b, betas, alphas, string)
+        seen: set[DefectSpec] = set()  # equal specs have equal sides and positions: the side fixes the kind
+        for kind, length, specs in (("beta", b, betas), ("alpha", a, alphas)):
+            for d in specs:
+                if type(d) is not DefectSpec or d.kind != kind:
+                    raise InvalidConfigurationError(f"{kind}s must be {kind}-class DefectSpecs")
+                if d.position > length or d in seen:
+                    _check_position(a, b, d)  # raises when out of range
+                    raise InvalidDefectError("duplicate defect", d)
+                seen.add(d)
+        return tuple.__new__(cls, (a, b, betas, alphas, string))
 
     @property
     def size(self) -> int:

@@ -75,10 +75,14 @@ def test_parse_rejects_bad_specs(text):
         ("AD n=+2 remove=SE:0_1", "token 1 'n=+2'"),
         ("AD n=2 remove=SE:0_1", "token 2 'SE:0_1'"),
         ("AD n=\uff12", "token 1 'n=\uff12'"),
+        ("AD n=-", "token 1 'n=-'"),
+        ("AD n=--1", "token 1 'n=--1'"),
+        ("AD n=\u0663", "token 1 'n=\u0663'"),
     ],
 )
 def test_spec_integers_are_ascii_digits(capsys, spec, token):
-    # int() would read these as 10, 2, 1 and 2
+    # int() would read the first four as 10, 2, 1 and 2, and the last as 3;
+    # a lone or doubled minus sign has no digits after the one "-" the grammar allows
     code, out, err = run_cli(capsys, "render", spec)
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {token}: ") and err.endswith(" is not an integer\n")
@@ -496,12 +500,12 @@ def test_verify_suites_pass(capsys, suite):
 
 
 def test_verify_fault_injection_detected(capsys, monkeypatch):
-    original = condensation._three_sided_row
+    original = condensation._three_sided_block
 
     def off_by_one(*args):
-        return [value + 1 if value else value for value in original(*args)]
+        return [[value + 1 if value else value for value in row] for row in original(*args)]
 
-    monkeypatch.setattr(condensation, "_three_sided_row", off_by_one)
+    monkeypatch.setattr(condensation, "_three_sided_block", off_by_one)
     code, out, _ = run_cli(capsys, "verify", "mt", "--trials", "5", "--seed", "1")
     assert code == 3
     assert "first counterexample" in out

@@ -39,6 +39,7 @@ from aztec_tilings.errors import (
     InvalidParameterError,
     OutOfScopeConfigurationError,
 )
+from aztec_tilings.geometry import perimeter_index
 from oracles import determinant, pfaffian, pfaffian_expand_first_row
 
 
@@ -92,9 +93,9 @@ def test_condensation_rejects_zero_base():
         condensation_count(region, [cycle[0], cycle[1]])
 
 
-def _rows(entries):
-    """Row function of the labelled entries m(x, y) = entries[xy], x before y in the alphabet."""
-    return lambda x, cols: [entries.get(min(x, y) + max(x, y), 0) for y in cols]
+def _block(entries):
+    """Block function of the labelled entries m(x, y) = entries[xy], x before y in the alphabet."""
+    return lambda rows, cols: [[entries.get(min(x, y) + max(x, y), 0) for y in cols] for x in rows]
 
 
 @pytest.mark.parametrize("entry,divisor", [(-1, 1), (1, 2), pytest.param(-(10**5000), 1, id="-10**5000-1")])
@@ -104,7 +105,7 @@ def test_pfaffian_quotient_rejects_impossible_tiling_count(entry, divisor):
     # limit is still reported, not turned into a ValueError by its message
     entries = {"ab": entry, "cd": 1}
     with pytest.raises(InternalInconsistencyError):
-        _pfaffian_quotient("abcd", "ac".__contains__, _rows(entries), divisor, "test")
+        _pfaffian_quotient("abcd", "ac".__contains__, _block(entries), divisor, "test")
 
 
 def test_pfaffian_quotient_scale_covers_only_its_own_factor():
@@ -112,7 +113,7 @@ def test_pfaffian_quotient_scale_covers_only_its_own_factor():
     entries = {"ab": 1, "cd": 1}
 
     def quotient(divisor, scale):
-        return _pfaffian_quotient("abcd", "ac".__contains__, _rows(entries), divisor, "test", scale)
+        return _pfaffian_quotient("abcd", "ac".__contains__, _block(entries), divisor, "test", scale)
 
     with pytest.raises(InternalInconsistencyError):
         quotient(4, 2)
@@ -120,12 +121,12 @@ def test_pfaffian_quotient_scale_covers_only_its_own_factor():
         quotient(2, 3)
     assert quotient(2, 6) == 3
     assert quotient(4, 4) == 1
-    assert _pfaffian_quotient("", bool, None, 4, "test", 8) == 32  # no labels: scale * divisor
+    assert _pfaffian_quotient("", bool, _block({}), 4, "test", 8) == 32  # no labels: scale * divisor
 
 
 def test_bipartite_pfaffian_sign_rule():
-    # random interleavings of two classes, some of unequal sizes; rows are
-    # asked for only against the other class, and each entry they hold is
+    # random interleavings of two classes, some of unequal sizes; the block is
+    # asked for only against the other class, and each entry it holds is
     # read on a mixed pair, earlier label first
     rng = random.Random(14)
     for _ in range(300):
@@ -145,14 +146,14 @@ def test_bipartite_pfaffian_sign_rule():
             assert x < y and classes[x] != classes[y]
             return matrix[x][y]
 
-        def row(x, cols):
-            return [entry(min(x, y), max(x, y)) for y in cols]
+        def block(rows, cols):
+            return [[entry(min(x, y), max(x, y)) for y in cols] for x in rows]
 
         want = pfaffian(matrix)
         assert want == pfaffian_expand_first_row(matrix)
         # divisor 1 leaves scale Pf, and scale -1 makes a negative Pfaffian a count
         scale = -1 if want < 0 else 1
-        assert _pfaffian_quotient(range(m), classes.__getitem__, row, 1, "test", scale) == scale * want, classes
+        assert _pfaffian_quotient(range(m), classes.__getitem__, block, 1, "test", scale) == scale * want, classes
 
 
 def test_symdiff_reduces_to_deletion():
@@ -429,7 +430,7 @@ def _row_entry(a, b, x, y):
     It is the beta's row entry times 2^(a(a-1)/2), and a gamma's also times 2^a.
     """
     beta, other = (x, y) if x.kind == "beta" else (y, x)
-    entry = condensation._three_sided_row(a, b, beta, [other])[0]
+    [[entry]] = condensation._three_sided_block(a, b, [beta], [other])
     return entry << a * (a - 1) // 2 + (a if other.kind == "gamma" else 0)
 
 
@@ -486,6 +487,49 @@ def test_gamma_row_entries_count_their_regions():
     assert entries == 740
 
 
+def test_gathered_block_holds_each_side_row_entry(monkeypatch):
+    # entry (x, y) of the block the Pfaffian eliminates is entry y.position of
+    # row x's row against y's side, negated where column y precedes row x on the
+    # perimeter; the draws take every column side, kept gamma strings that start
+    # past 1 or run past k, whose added gammas are rows, and k = 0 hosts
+    gather = condensation._three_sided_block
+    blocks = []
+
+    def recorded(*args):
+        blocks.append((args, gather(*args)))
+        return blocks[-1][1]
+
+    monkeypatch.setattr(condensation, "_three_sided_block", recorded)
+    rng = random.Random(44)
+    sides, shapes = set(), set()
+    for _ in range(300):
+        a, k = rng.randint(1, 5), rng.randint(0, 3)
+        b = a + k
+        g = rng.randint(0, min(b, k + 2))
+        first = rng.randint(1, b - g + 1)
+        whites = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
+        blacks = [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
+        n = rng.randint(max(0, g - k), min(3, a))
+        cfg = DefectConfiguration(
+            a, b, tuple(rng.sample(whites, n + k - g)), tuple(rng.sample(blacks, n)), tuple(range(first, first + g))
+        )
+        blocks.clear()
+        count_configuration(cfg, "pfaffian")
+        [((_, _, rows, cols), block)] = blocks
+        assert len(block) == len(rows) == len(cols), cfg
+        for x, row in zip(rows, block):
+            assert len(row) == len(cols), (cfg, x)
+            for y, entry in zip(cols, row):
+                want = condensation._side_row(a, b, x, y.side)[y.position - 1]
+                before = perimeter_index(a, b, y) < perimeter_index(a, b, x)
+                assert entry == (-want if before else want), (cfg, x, y)
+        sides.update(y.side for y in cols)
+        shapes.update(("k = 0",) * (k == 0) + ("added gamma row",) * any(x.side == "gamma" for x in rows))
+        shapes.update(("string past 1",) * (first > 1 and g > 0))
+    assert sides == {"SW", "NE", "gamma"}
+    assert shapes == {"k = 0", "added gamma row", "string past 1"}
+
+
 def test_row_memo_holds_the_closed_forms_and_a_recount_calls_no_formula(monkeypatch):
     # warm the memo with counts that take every kind of row: betas and added gammas
     # against NE, SW and missing gammas; every row it then holds must be the one
@@ -530,7 +574,7 @@ def test_row_memo_holds_the_closed_forms_and_a_recount_calls_no_formula(monkeypa
 
 
 def test_a_fault_planted_after_the_memos_are_warm_still_fails(monkeypatch):
-    # a fault planted in _three_sided_row once the rows below it are memoized
+    # a fault planted in _three_sided_block once the rows below it are memoized
     # must still change the counts, the (beta, SW alpha) ones among them
     specs = [
         _config(4, 6, [("SE", 1), ("SE", 4), ("NW", 3)], [("SW", 2)]),
@@ -541,12 +585,12 @@ def test_a_fault_planted_after_the_memos_are_warm_still_fails(monkeypatch):
     ]
     want = [count_configuration(cfg, "paths") for cfg in specs]
     assert [count_configuration(cfg, "pfaffian") for cfg in specs] == want
-    original = condensation._three_sided_row
+    original = condensation._three_sided_block
 
     def off_by_one(*args):
-        return [value + 1 if value else value for value in original(*args)]
+        return [[value + 1 if value else value for value in row] for row in original(*args)]
 
-    monkeypatch.setattr(condensation, "_three_sided_row", off_by_one)
+    monkeypatch.setattr(condensation, "_three_sided_block", off_by_one)
     for cfg, count in zip(specs, want):
         assert count_configuration(cfg, "pfaffian") != count, cfg
 
@@ -656,7 +700,7 @@ def test_diamond_normal_form_exhaustive(monkeypatch):
     def refused(*args):
         raise AssertionError("formula asked for a Pfaffian row")
 
-    monkeypatch.setattr(condensation, "_three_sided_row", refused)
+    monkeypatch.setattr(condensation, "_three_sided_block", refused)
     for a in range(1, 6):
         whites, blacks = _diamond_sides(a)
         for beta in whites:

@@ -235,6 +235,25 @@ def test_bareiss_raises_when_an_entry_is_not_divisible_by_the_previous_pivot(mon
         exactalg.determinant(m)
 
 
+def test_bareiss_raises_when_a_multiplier_is_not_divisible_by_the_previous_pivot(monkeypatch):
+    # n = 5 takes two two-steps; with the first block's minor one too large, the
+    # second block's minor still divides by it, but c1 (first matrix) or c2
+    # (second matrix, with c1 exact) does not
+    for m, blocks in (
+        ([[1, 0, 1, 1, 0], [0, 1, 0, 1, 0], [1, 0, 0, 1, 0], [0, 2, 0, 0, 1], [1, 1, 1, 0, 0]], [1, 2]),
+        ([[2, 1, 1, 0, 0], [0, 1, 1, 2, 0], [0, 0, 1, 0, 1], [0, 1, 0, 0, 0], [2, 1, 0, 0, 0]], [2, -4]),
+    ):
+        assert _pivot_blocks(monkeypatch, m) == (determinant(m), blocks) != (0, blocks)
+
+        def block_off_by_one(x, d, what):
+            q = exact_quotient(x, d, what)
+            return q + 1 if what == "Bareiss block" else q
+
+        monkeypatch.setattr(exactalg, "exact_quotient", block_off_by_one)
+        with pytest.raises(InternalInconsistencyError, match="^Bareiss step 2: a multiplier of row 4 "):
+            exactalg.determinant(m)
+
+
 def test_sparse_determinant_reaches_hadamards_bound():
     # k copies of the 4x4 Hadamard matrix: rows of four entries +-1 and
     # |det| = 2^n, Hadamard's bound for such rows

@@ -44,15 +44,19 @@ FAULTS = (
     ("c1 dropped in _bareiss", "exactalg.py",
      "c0 * row_i[j] + c1 * rk1[j] + c2 * rk[j]", "c0 * row_i[j] + c2 * rk[j]"),
     ("c2's sign flipped in _bareiss", "exactalg.py",
-     "c2 = exact_quotient(row_i[k + 1]", "c2 = -exact_quotient(row_i[k + 1]"),
+     "c2, r2 = divmod(row_i[k + 1] * rk1[k] - row_i[k] * rk1[k + 1], p_prev)",
+     "c2, r2 = divmod(row_i[k] * rk1[k + 1] - row_i[k + 1] * rk1[k], p_prev)"),
+    ("a multiplier remainder ignored in _bareiss", "exactalg.py", "if r1 or r2:", "if r1:"),
     ("p_prev left behind in _bareiss", "exactalg.py",
      "        p_prev = c0\n", "        pass\n"),
     # the quotient and the Pfaffian's block
     ("2^(a g) dropped from the quotient's scale", "condensation.py",
      "scale = 2 ** (a * (a - 1) // 2 + a * len(missing))", "scale = 2 ** (a * (a - 1) // 2)"),
     ("column sign flip of _pfaffian_quotient reversed", "condensation.py",
-     "[-e for e in entries[:before]] + entries[before:]",
-     "entries[:before] + [-e for e in entries[before:]]"),
+     "row[:n] = map(neg, row[:n])", "row[n:] = map(neg, row[n:])"),
+    # the gather: one _side_row lookup per run of one column side, read at the run's positions
+    ("a side run drops its last position", "condensation.py",
+     "[y.position - 1 for y in run]", "[y.position - 1 for y in run][:-1]"),
     # an added gamma t's row is the sum of the rows of SE t - 1 and SE t
     ("SE t - 1 dropped from an added gamma's row", "condensation.py",
      "for s in (pos - 1, pos) if s", "for s in (pos,) if s"),
@@ -119,9 +123,14 @@ FAULTS = (
      "@functools.lru_cache(maxsize=2048)", "@functools.lru_cache(maxsize=None)"),
     # the side -> class table of DefectSpec
     ("SE mapped to alpha", "geometry.py", '"SE": "beta"', '"SE": "alpha"'),
-    # a configuration takes only DefectSpecs
-    ("the betas' DefectSpec type test dropped", "geometry.py",
-     'type(d) is not DefectSpec or d.kind != "beta"', 'd.kind != "beta"'),
+    # a configuration takes only DefectSpecs of each tuple's class, each once
+    ("the DefectSpec type test dropped", "geometry.py",
+     "type(d) is not DefectSpec or d.kind != kind", "d.kind != kind"),
+    ("the duplicate check keyed on the side alone", "geometry.py",
+     "d in seen:\n" + " " * 20 + "_check_position(a, b, d)  # raises when out of range\n" + " " * 20
+     + 'raise InvalidDefectError("duplicate defect", d)\n' + " " * 16 + "seen.add(d)",
+     "d.side in seen:\n" + " " * 20 + "_check_position(a, b, d)  # raises when out of range\n" + " " * 20
+     + 'raise InvalidDefectError("duplicate defect", d)\n' + " " * 16 + "seen.add(d.side)"),
     # the help width, read once at import
     ("help formatter reads the terminal per formatter", "cli.py",
      "functools.partial(argparse.HelpFormatter, width=shutil.get_terminal_size().columns - 2)",
@@ -184,6 +193,9 @@ FAULTS = (
     # the alternating identity: M(G) M(G + all) plus the pair terms, a_{j+1} with sign (-1)^j
     ("the alternating identity's pair signs flipped", "condensation.py",
      "total += (-1) ** j * m_of", "total += (-1) ** (j + 1) * m_of"),
+    # the spec grammar's INT is ASCII -?[0-9]+
+    ("the spec integer test takes any digit", "cli.py",
+     "digits.isascii() and digits.isdigit()", "digits.isdigit()"),
     # gamma=k keeps gammas 1..k
     ("the spec parser drops gamma k", "cli.py",
      "gammas = range(1, k + 1)", "gammas = range(1, k)"),
