@@ -16,8 +16,10 @@ alternating-product identity that drives its induction.  Kuo's four local
 identities are its four-vertex case: ``check_kuo_identity`` checks a
 pattern's hypotheses on the region G, then checks the alternating identity
 on the four cells with base G, or with base G - w for the AAAB pattern.
-These checks read a host's outer face through ``outer_face``, a bounded
-memo, so each host is walked once however many checks it serves.
+These checks read a host's outer face through ``dualgraph.boundary_cycle``,
+a bounded memo, so each host is walked once however many checks it serves.
+A face list that is odd, repeats a cell, leaves the outer face or is out of
+cyclic order raises ``InvalidParameterError``.
 
 The defect counters specialize condensation to Aztec rectangles, and
 ``count_configuration``'s ``pfaffian`` engine is their one entry point: it
@@ -83,7 +85,6 @@ from .errors import (
     CondensationInapplicableError,
     InternalInconsistencyError,
     InvalidConfigurationError,
-    InvalidOrderError,
     InvalidParameterError,
     OutOfScopeConfigurationError,
     exact_quotient,
@@ -111,19 +112,13 @@ def _cells_count(cells: Iterable[Cell]) -> int:
     return count_tilings_dp(Region.from_cells(cells))
 
 
-@functools.lru_cache(maxsize=64)
-def outer_face(host: Region) -> tuple[Cell, ...]:
-    """``boundary_cycle(host)``, walked once for each of the last 64 hosts asked for."""
-    return boundary_cycle(host)
-
-
 def _checked_base(host: Region, base_vertices: Iterable[Cell], face: Sequence[Cell]) -> set[Cell]:
     """The base as a set, checked to lie in the host, with the face cells
     checked to be in cyclic order on the host's outer face."""
     base = set(base_vertices)
     if not base <= host.cells:
         raise InvalidParameterError(f"cells not in host: {sorted(base - host.cells)}")
-    _validate_cyclic(outer_face(host), face)
+    _validate_cyclic(boundary_cycle(host), face)
     return base
 
 
@@ -132,14 +127,14 @@ def _validate_cyclic(cycle: Sequence[Cell], chosen: Sequence[Cell]) -> None:
     try:
         idx = [pos[c] for c in chosen]
     except KeyError as exc:
-        raise InvalidOrderError(f"{exc.args[0]} is not on the outer face") from None
+        raise InvalidParameterError(f"{exc.args[0]} is not on the outer face") from None
     if len(set(idx)) != len(idx):
-        raise InvalidOrderError("face vertices must be distinct")
+        raise InvalidParameterError("face vertices must be distinct")
     n = len(idx)
     descents = sum(1 for t in range(n) if idx[t] > idx[(t + 1) % n])
     ascents = n - descents
     if descents > 1 and ascents > 1:
-        raise InvalidOrderError(f"{chosen} is not in cyclic order on the outer face")
+        raise InvalidParameterError(f"{chosen} is not in cyclic order on the outer face")
 
 
 def _pfaffian_quotient(
@@ -204,7 +199,7 @@ def condensation_count_symdiff(
     Raises ``InvalidParameterError`` when a base vertex lies outside the host.
     """
     if len(face_vertices) % 2 == 1:
-        raise InvalidOrderError("need an even number of face vertices")
+        raise InvalidParameterError("need an even number of face vertices")
     base = _checked_base(host, base_vertices, face_vertices)
     base_count = _cells_count(base)
     if base_count == 0:
@@ -236,7 +231,7 @@ def check_face_alternating_identity(
     """
     verts = list(face_vertices)
     if len(verts) % 2 == 1 or not verts:
-        raise InvalidOrderError("need a nonempty even vertex list")
+        raise InvalidParameterError("need a nonempty even vertex list")
     base = _checked_base(host, base_vertices, verts)
     all_set = set(verts)
 
@@ -425,7 +420,7 @@ def _formula_count(config: DefectConfiguration) -> int:
     sides = {s for s, _ in removed}
     if sides == {"SE"}:
         # colour balance guarantees exactly a kept positions
-        kept = [p for p in range(1, b + 1) if ("SE", p) not in removed]
+        kept = sorted(set(range(1, b + 1)).difference(p for _, p in removed))
         return count_ar_kept_se(a, b, kept)
     if k == 0 and len(config.betas) == 1 and len(config.alphas) == 1:
         # the colour-preserving symmetries of AD(a) take the beta to SE i and the alpha to NE j:
@@ -437,7 +432,7 @@ def _formula_count(config: DefectConfiguration) -> int:
         j = alpha.position if ne == (beta.side == "SE") else a + 1 - alpha.position
         return count_ad_adjacent_defects(a, i, j)
     if sides <= {"SE", "NW"}:
-        se = sorted(p for s, p in removed if s == "SE")
+        se = [p for s, p in removed if s == "SE"]
         nw = [p for s, p in removed if s == "NW"]
         if k == 2 and len(se) == 1 and len(nw) == 1:
             return count_ar_se_nw_defects(a, se[0], nw[0])

@@ -4,16 +4,19 @@ A region is its own dual graph: its cells are the vertices, and cells (u, v)
 and (u', v') are adjacent exactly when |u - u'| = |v - v'| = 1, i.e. when the
 unit squares share a lattice edge and a domino can cover both.  In ordinary
 coordinates the cell centers differ by a unit step, so the graph is a plane
-graph with the obvious 4-neighbour embedding.  ``boundary_cycle`` walks its
-outer face and ``component_count`` counts its components; the counters and
-condensation identities work on the cell sets directly.
+graph with the obvious 4-neighbour embedding.  ``boundary_cycle`` walks the
+outer face of a ``Region`` and is a bounded memo, so each of the last 64
+regions asked for is walked once; ``component_count`` counts the components
+of any cell set.  The counters and condensation identities work on the cell
+sets directly.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable
 
-from .errors import UnsupportedRegionError
+from .errors import InvalidParameterError
 from .geometry import Cell, Region
 
 # E, N, W, S in center coordinates; heading h turns left to h + 1 and right to h - 1 (mod 4)
@@ -41,17 +44,19 @@ def component_count(cells: Iterable[Cell]) -> int:
     return components
 
 
-def boundary_cycle(region: Region | Iterable[Cell]) -> tuple[Cell, ...]:
-    """Cells on the outer face of the dual graph, counterclockwise.
+@functools.lru_cache(maxsize=64)
+def boundary_cycle(region: Region) -> tuple[Cell, ...]:
+    """Cells on the outer face of the region's dual graph, counterclockwise.
 
     The walk follows the plane embedding with the right-hand rule, starting
     from the cell whose center is leftmost (then lowest).  Cut vertices are
     visited more than once by the face walk; only the first visit is kept, so
-    every boundary cell appears exactly once.
+    every boundary cell appears exactly once.  The last 64 regions walked are
+    remembered; a disconnected region raises ``InvalidParameterError``.
     """
-    cells = set(region.cells) if isinstance(region, Region) else set(region)
+    cells = region.cells
     if component_count(cells) > 1:
-        raise UnsupportedRegionError("boundary cycle needs a connected region")
+        raise InvalidParameterError("boundary cycle needs a connected region")
     if not cells:
         return ()
     if len(cells) == 1:

@@ -1,4 +1,8 @@
-"""Exception types shared across the package, and its one checked exact division."""
+"""Exception types shared across the package, and its one checked exact division.
+
+A malformed argument raises ``InvalidParameterError``, or
+``InvalidDefectError``, which names the defect, when it is a defect address.
+"""
 
 
 class AztecError(Exception):
@@ -6,7 +10,7 @@ class AztecError(Exception):
 
 
 class InvalidParameterError(AztecError, ValueError):
-    """A numeric or structural argument is out of its allowed range."""
+    """An argument is malformed or out of range: a number, a cell, a matrix, a region or a face list."""
 
 
 class InvalidDefectError(AztecError, ValueError):
@@ -17,20 +21,8 @@ class InvalidDefectError(AztecError, ValueError):
         self.defect = defect
 
 
-class UnsupportedRegionError(AztecError, ValueError):
-    """The region does not satisfy an operation's structural requirements."""
-
-
-class InvalidMatrixError(AztecError, ValueError):
-    """A matrix passed to ``exactalg.determinant`` is not square."""
-
-
 class CondensationInapplicableError(AztecError, ValueError):
     """The base graph has no perfect matching, so the quotient is undefined."""
-
-
-class InvalidOrderError(AztecError, ValueError):
-    """Vertices were not given in cyclic order on a face."""
 
 
 class InvalidConfigurationError(AztecError, ValueError):

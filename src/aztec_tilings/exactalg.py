@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from .errors import InternalInconsistencyError, InvalidMatrixError, exact_quotient
+from .errors import InternalInconsistencyError, InvalidParameterError, exact_quotient
 
 Matrix = Sequence[Sequence[int]]
 
@@ -91,10 +91,10 @@ def determinant(m: Matrix) -> int:
     """Determinant of a square integer matrix by Bareiss's fraction-free elimination.
 
     A copy of the matrix is reduced by ``_bareiss``.  Raises
-    ``InvalidMatrixError`` unless m is square.
+    ``InvalidParameterError`` unless m is square.
     """
     if any(len(row) != len(m) for row in m):
-        raise InvalidMatrixError("matrix is not square")
+        raise InvalidParameterError("matrix is not square")
     a = [list(row) for row in m]
     return _bareiss(a) * a[-1][-1] if a else 1
 

@@ -48,7 +48,7 @@ CLASS = {"NW": "beta", "SE": "beta", "NE": "alpha", "SW": "alpha", "gamma": "gam
 
 
 class Cell(namedtuple("Cell", "u v")):
-    """A unit lattice square in diagonal coordinates; u + v must be odd."""
+    """A unit lattice square in diagonal coordinates; u and v are ints and u + v is odd."""
 
     __slots__ = ()
 
@@ -90,8 +90,8 @@ class Region(namedtuple("Region", "cells")):
     def from_cells(cells: Iterable[Cell]) -> Region:
         cells = frozenset(Cell(u, v) for u, v in cells)
         for c in cells:
-            if (c.u + c.v) % 2 == 0:
-                raise InvalidParameterError(f"{c} is not a unit cell: u + v must be odd")
+            if type(c.u) is not int or type(c.v) is not int or (c.u + c.v) % 2 == 0:
+                raise InvalidParameterError(f"{c} is not a unit cell: u and v must be ints with u + v odd")
         return Region(cells)
 
     def __len__(self) -> int:

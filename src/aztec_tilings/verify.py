@@ -34,9 +34,9 @@ from .condensation import (
     condensation_count,
     condensation_count_symdiff,
     count_configuration,
-    outer_face,
 )
 from .counting import count_tilings_dp, count_tilings_paths
+from .dualgraph import boundary_cycle
 from .errors import AztecError, InvalidConfigurationError
 from .formulas import (
     count_ad_adjacent_defects,
@@ -49,14 +49,7 @@ from .formulas import (
     count_ar_se_nw_defects,
     count_aztec_diamond,
 )
-from .geometry import (
-    DefectConfiguration,
-    DefectSpec,
-    Region,
-    boundary_cell,
-    is_white,
-    make_aztec_rectangle,
-)
+from .geometry import DefectConfiguration, DefectSpec, Region, is_white
 
 Check = tuple[bool, str]  # (passed, description)
 
@@ -112,14 +105,14 @@ def _verify_kuo(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iter
     pool: list[Region] = []
     for a in range(2, max_a + 1):
         sw, ne = DefectSpec("SW", a), DefectSpec("NE", a)
-        pool += (make_aztec_rectangle(a, a), DefectConfiguration(a, a, alphas=(sw,)).region(),
+        pool += (DefectConfiguration(a, a).region(), DefectConfiguration(a, a, alphas=(sw,)).region(),
                  DefectConfiguration(a, a, alphas=(sw, ne)).region())
     done = 0
     attempts = 0
     while done < trials and attempts < trials * 200:
         attempts += 1
         region = pool[rng.randrange(len(pool))]
-        cycle = outer_face(region)
+        cycle = boundary_cycle(region)
         quad = [cycle[i] for i in sorted(rng.sample(range(len(cycle)), 4))]
         first_white = is_white(quad[0])
         pattern = "".join("A" if is_white(c) == first_white else "B" for c in quad)
@@ -134,8 +127,8 @@ def _verify_kuo(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iter
 def _verify_ciucu(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iterator[Check]:
     for _ in range(trials):
         a = rng.randint(2, max_a)
-        region = make_aztec_rectangle(a, a)
-        cycle = outer_face(region)
+        region = DefectConfiguration(a, a).region()
+        cycle = boundary_cycle(region)
         k = rng.randint(1, 3)
         verts = [cycle[i] for i in sorted(rng.sample(range(len(cycle)), 2 * k))]
         direct = count_tilings_dp(Region.from_cells(region.cells - set(verts)))
@@ -143,13 +136,12 @@ def _verify_ciucu(max_a: int, max_b: int, trials: int, rng: random.Random) -> It
         yield got == direct, f"condensation a={a} verts={verts} {got}!={direct}"
 
         host = DefectConfiguration(a, a + 1, gammas=(1,)).region()
-        hcycle = outer_face(host)
+        hcycle = boundary_cycle(host)
         kk = rng.randint(1, 2)
         verts = [hcycle[i] for i in sorted(rng.sample(range(len(hcycle)), 2 * kk))]
-        # the host minus its forced domino {gamma 1, SE 1} is AR(a, a + 1) minus SE 1, with
-        # 2^(a(a+1)/2) tilings: never 0, so the symmetric-difference quotient always applies
-        forced = {boundary_cell(a, a + 1, DefectSpec(side, 1)) for side in ("SE", "gamma")}
-        base_cells = host.cells - forced
+        # the base, AR(a, a + 1) minus SE 1, is the host minus its forced domino {gamma 1, SE 1},
+        # with 2^(a(a+1)/2) tilings: never 0, so the symmetric-difference quotient always applies
+        base_cells = DefectConfiguration(a, a + 1, (DefectSpec("SE", 1),)).region().cells
         direct = count_tilings_dp(Region.from_cells(base_cells ^ set(verts)))
         got = condensation_count_symdiff(host, base_cells, verts)
         yield got == direct, f"symdiff a={a} verts={verts} {got}!={direct}"

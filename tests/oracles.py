@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from aztec_tilings.errors import InternalInconsistencyError, InvalidMatrixError
+from aztec_tilings.errors import InternalInconsistencyError, InvalidParameterError
 
 Matrix = Sequence[Sequence[int]]
 
@@ -22,15 +22,15 @@ Matrix = Sequence[Sequence[int]]
 def _check_skew(m: Matrix) -> None:
     n = len(m)
     if any(len(row) != n for row in m):
-        raise InvalidMatrixError("matrix is not square")
+        raise InvalidParameterError("matrix is not square")
     if n % 2 == 1:
-        raise InvalidMatrixError(f"Pfaffian needs even dimension, got {n}")
+        raise InvalidParameterError(f"Pfaffian needs even dimension, got {n}")
     for i in range(n):
         if m[i][i] != 0:
-            raise InvalidMatrixError(f"nonzero diagonal entry at ({i}, {i})")
+            raise InvalidParameterError(f"nonzero diagonal entry at ({i}, {i})")
         for j in range(i + 1, n):
             if m[i][j] != -m[j][i]:
-                raise InvalidMatrixError(f"entries ({i},{j}) and ({j},{i}) are not opposite")
+                raise InvalidParameterError(f"entries ({i},{j}) and ({j},{i}) are not opposite")
 
 
 def pfaffian(m: Matrix) -> int:

@@ -12,7 +12,7 @@ from aztec_tilings import (
     make_aztec_rectangle,
 )
 from aztec_tilings.dualgraph import component_count
-from aztec_tilings.errors import UnsupportedRegionError
+from aztec_tilings.errors import InvalidParameterError
 from aztec_tilings.geometry import perimeter_index
 
 
@@ -24,7 +24,7 @@ def test_boundary_cycle_diamond_order_one():
 
 def test_boundary_cycle_of_no_cell_and_of_one_cell():
     assert boundary_cycle(Region.from_cells([])) == ()
-    assert boundary_cycle([Cell(1, 0)]) == (Cell(1, 0),)
+    assert boundary_cycle(Region.from_cells([Cell(1, 0)])) == (Cell(1, 0),)
 
 
 def test_boundary_cycle_covers_pinched_rectangle():
@@ -64,7 +64,7 @@ def test_perimeter_index_matches_boundary_cycle(a, k):
 
 
 def test_boundary_cycle_rejects_disconnected():
-    with pytest.raises(UnsupportedRegionError):
+    with pytest.raises(InvalidParameterError, match="^boundary cycle needs a connected region$"):
         boundary_cycle(Region.from_cells([Cell(0, 1), Cell(4, 1)]))
 
 

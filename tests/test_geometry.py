@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -33,8 +34,16 @@ def test_diamond_rejects_nonpositive_order():
 
 def test_region_from_cells_takes_only_unit_cells():
     assert Region.from_cells([(1, 0), Cell(0, 1)]).cells == {Cell(1, 0), Cell(0, 1)}
-    with pytest.raises(InvalidParameterError, match=r"^Cell\(u=1, v=1\) is not a unit cell: u \+ v must be odd$"):
+    with pytest.raises(InvalidParameterError, match=r"^Cell\(u=1, v=1\) is not a unit cell: u and v must be ints with u \+ v odd$"):
         Region.from_cells([Cell(1, 0), (1, 1)])
+
+
+@pytest.mark.parametrize("cell", [(0.5, 0.5), (2.0, 1.0), (1.0, 2), (True, False), (0, True)])
+def test_region_from_cells_takes_only_int_coordinates(cell):
+    # (0.5, 0.5) passes the parity test, and (2.0, 1.0) would reach the sweep's shifts
+    message = re.escape(f"{Cell(*cell)} is not a unit cell: u and v must be ints with u + v odd")
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        Region.from_cells([(3, 2), cell])
 
 
 def test_rectangle_matches_diamond():

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from aztec_tilings import cli, condensation, verify
+from aztec_tilings import cli, verify
+from aztec_tilings.dualgraph import boundary_cycle
 from aztec_tilings.errors import InternalInconsistencyError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -50,17 +51,15 @@ def test_verify_does_not_import_cli():
 
 
 @pytest.mark.parametrize("suite, hosts", [("kuo", 6), ("ciucu", 4)])
-def test_kuo_and_ciucu_walk_each_host_once(monkeypatch, suite, hosts):
+def test_kuo_and_ciucu_walk_each_host_once(suite, hosts):
     # kuo's pool holds AD(a), AD(a) - SW a and AD(a) - SW a - NE a; ciucu's hosts are
     # AD(a) and AR(a, a + 1) + gamma 1; a = 2, 3 for both.  Each check reads the
-    # host's outer face again, through condensation.outer_face's memo
-    walks = []
-    walk = condensation.boundary_cycle
-    monkeypatch.setattr(condensation, "boundary_cycle", lambda region: walks.append(region) or walk(region))
-    condensation.outer_face.cache_clear()
+    # host's outer face again, through boundary_cycle's memo
+    boundary_cycle.cache_clear()
     checks = list(verify.SUITES[suite](3, 5, 40, random.Random(5)))
     assert len(checks) >= 40 and all(ok for ok, _ in checks)
-    assert len(walks) == len(set(walks)) == hosts
+    info = boundary_cycle.cache_info()
+    assert info.misses == info.currsize == hosts and info.hits >= 40
 
 
 def _mt_draws(monkeypatch, max_a, max_b, trials, seed):

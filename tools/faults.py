@@ -150,7 +150,7 @@ FAULTS = (
     ("brute adjacency misses the (u + 1, v - 1) edge", "counting.py",
      "for dv in (-1, 1):  # each edge once", "for dv in (1,):  # each edge once"),
     # the outer-face memo that condensation and verify share
-    ("the outer-face memo given maxsize=None", "condensation.py",
+    ("the outer-face memo given maxsize=None", "dualgraph.py",
      "@functools.lru_cache(maxsize=64)", "@functools.lru_cache(maxsize=None)"),
     # the profile sweep: each uncovered cell's two partners, and a covered cell's shift
     ("the sweep's (u + 1, v - 1) partner dropped", "counting.py",
@@ -193,6 +193,15 @@ FAULTS = (
     # the alternating identity: M(G) M(G + all) plus the pair terms, a_{j+1} with sign (-1)^j
     ("the alternating identity's pair signs flipped", "condensation.py",
      "total += (-1) ** j * m_of", "total += (-1) ** (j + 1) * m_of"),
+    # ciucu's symmetric-difference base is AR(a, a + 1) minus SE 1, the gamma host less its forced domino
+    ("ciucu's base keeps SE 1", "verify.py",
+     'DefectConfiguration(a, a + 1, (DefectSpec("SE", 1),))', "DefectConfiguration(a, a + 1, ())"),
+    # a cell's coordinates are ints, bools excluded, with an odd sum
+    ("Region.from_cells takes any coordinates", "geometry.py",
+     "if type(c.u) is not int or type(c.v) is not int or (c.u + c.v) % 2 == 0:", "if (c.u + c.v) % 2 == 0:"),
+    # formula's SE-only family keeps the positions no SE beta removes
+    ("formula's kept positions skip one SE beta", "condensation.py",
+     ".difference(p for _, p in removed)", ".difference(p for _, p in removed[1:])"),
     # the spec grammar's INT is ASCII -?[0-9]+
     ("the spec integer test takes any digit", "cli.py",
      "digits.isascii() and digits.isdigit()", "digits.isdigit()"),
