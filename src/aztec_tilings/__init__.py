@@ -13,7 +13,6 @@ from .condensation import (
 from .counting import count_matchings_brute, count_tilings_dp, count_tilings_paths
 from .dualgraph import boundary_cycle
 from .formulas import (
-    binomial_ext,
     count_ad_adjacent_defects,
     count_ar_gamma_nw_defect,
     count_ar_gamma_se_defect,
@@ -24,15 +23,7 @@ from .formulas import (
     count_ar_se_nw_defects,
     count_aztec_diamond,
 )
-from .geometry import (
-    Cell,
-    DefectConfiguration,
-    DefectSpec,
-    Region,
-    boundary_cell,
-    is_white,
-    make_aztec_rectangle,
-)
+from .geometry import Cell, DefectConfiguration, DefectSpec, Region, boundary_cell, is_white
 
 __version__ = "0.1.0"
 
@@ -42,7 +33,6 @@ __all__ = [
     "DefectSpec",
     "ENGINES",
     "Region",
-    "binomial_ext",
     "boundary_cell",
     "boundary_cycle",
     "check_face_alternating_identity",
@@ -63,5 +53,4 @@ __all__ = [
     "count_tilings_dp",
     "count_tilings_paths",
     "is_white",
-    "make_aztec_rectangle",
 ]

@@ -82,7 +82,6 @@ from operator import add, attrgetter, neg
 from .counting import count_matchings_brute, count_tilings_dp, count_tilings_paths
 from .dualgraph import boundary_cycle
 from .errors import (
-    CondensationInapplicableError,
     InternalInconsistencyError,
     InvalidConfigurationError,
     InvalidParameterError,
@@ -196,14 +195,16 @@ def condensation_count_symdiff(
 ) -> int:
     """Count M(G + {a_1..a_2k}) where G is the host's base_vertices and + toggles.
 
-    Raises ``InvalidParameterError`` when a base vertex lies outside the host.
+    Raises ``InvalidParameterError`` when a base vertex lies outside the host,
+    and ``InvalidConfigurationError`` when M(G) = 0, as the quotient then
+    divides by 0.
     """
     if len(face_vertices) % 2 == 1:
         raise InvalidParameterError("need an even number of face vertices")
     base = _checked_base(host, base_vertices, face_vertices)
     base_count = _cells_count(base)
     if base_count == 0:
-        raise CondensationInapplicableError("M(G) = 0")
+        raise InvalidConfigurationError("M(G) = 0")
     # M(G) != 0 makes G colour-balanced.  Toggling a row-class cell (a white
     # one added or a black one removed) raises #white - #black by 1 and toggling
     # any other lowers it by 1, so within a class G + {x, y} is unbalanced: M = 0

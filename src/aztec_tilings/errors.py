@@ -2,6 +2,9 @@
 
 A malformed argument raises ``InvalidParameterError``, or
 ``InvalidDefectError``, which names the defect, when it is a defect address.
+Well-formed arguments that miss the hypotheses of a condensation identity
+raise ``InvalidConfigurationError``: ``check_kuo_identity``'s pattern and
+colour counts, and ``condensation_count_symdiff``'s M(G) != 0.
 """
 
 
@@ -21,12 +24,8 @@ class InvalidDefectError(AztecError, ValueError):
         self.defect = defect
 
 
-class CondensationInapplicableError(AztecError, ValueError):
-    """The base graph has no perfect matching, so the quotient is undefined."""
-
-
 class InvalidConfigurationError(AztecError, ValueError):
-    """A defect configuration violates the hypotheses of the identity."""
+    """Well-formed arguments violate the hypotheses of a condensation identity: Kuo's pattern, or M(G) != 0."""
 
 
 class OutOfScopeConfigurationError(AztecError, ValueError):

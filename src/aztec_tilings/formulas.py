@@ -5,7 +5,9 @@ arithmetic only: powers of two, binomials, their sums and products.  The two
 counts the literature states with a terminating 3F2 are summed term by term,
 each term rewritten as a product of binomials, so no term is a fraction.  The
 one true division, in ``count_ar_kept_se``, is checked to be exact, so a
-convention bug cannot silently round.
+convention bug cannot silently round.  Every binomial's upper index is
+nonnegative; where the lower one may fall below 0 the private ``_comb``
+gives 0 there, and elsewhere ``math.comb`` is called directly.
 
 Every count is a power of two times an integer, and every power is taken
 from ``count_aztec_diamond``, which checks its order, so no count answers for
@@ -35,13 +37,9 @@ from itertools import accumulate
 from .errors import InvalidParameterError, exact_quotient
 
 
-def binomial_ext(c: int, d: int) -> int:
-    """Generalized binomial: c(c-1)...(c-d+1)/d! for d >= 0, else 0."""
-    if d < 0:
-        return 0
-    if c >= 0:
-        return math.comb(c, d)
-    return (-1) ** d * math.comb(d - c - 1, d)
+def _comb(c: int, d: int) -> int:
+    """C(c, d) for c >= 0, and 0 for d < 0, where ``math.comb`` would raise."""
+    return math.comb(c, d) if d >= 0 else 0
 
 
 def count_aztec_diamond(n: int) -> int:
@@ -73,14 +71,14 @@ def count_ar_one_se_removed(a: int, i: int) -> int:
     """Tilings of AR(a, a+1) with the SE cell at position i removed."""
     if not 1 <= i <= a + 1:
         raise InvalidParameterError(f"need 1 <= i <= {a + 1}, got {i}")
-    return count_aztec_diamond(a) * binomial_ext(a, i - 1)
+    return count_aztec_diamond(a) * math.comb(a, i - 1)
 
 
 def count_ar_se_block_removed(a: int, b: int) -> int:
     """Tilings of AR(a, b) with SE positions 2..b-a+1 removed."""
     if b < a:
         raise InvalidParameterError(f"need b >= a, got a={a}, b={b}")
-    return count_aztec_diamond(a) * binomial_ext(b - 1, a - 1)
+    return count_aztec_diamond(a) * math.comb(b - 1, a - 1)
 
 
 def _gamma_power(a: int, k: int, pos: int, name: str) -> int:
@@ -129,10 +127,7 @@ def count_ar_se_nw_defects(a: int, i: int, j: int) -> int:
     """Tilings of AR(a, a+2) with SE cell i and NW cell j removed."""
     if not (1 <= i <= a + 2 and 1 <= j <= a + 2):
         raise InvalidParameterError(f"positions must lie in 1..{a + 2}, got i={i}, j={j}")
-    return count_aztec_diamond(a) * (
-        binomial_ext(a, i - 2) * binomial_ext(a, j - 1)
-        + binomial_ext(a, i - 1) * binomial_ext(a, j - 2)
-    )
+    return count_aztec_diamond(a) * (_comb(a, i - 2) * _comb(a, j - 1) + _comb(a, i - 1) * _comb(a, j - 2))
 
 
 def count_ar_se_block_nw_defect(a: int, k: int, i: int) -> int:
@@ -210,5 +205,5 @@ def ad_adjacent_row(a: int, i: int) -> tuple[int, ...]:
     """
     w, p = 2 * a, 0
     for m in range(a):  # times 1 + x, plus term m, which is 0 for m >= i
-        p += (p << w) + (binomial_ext(a - 1 - m, i - 1 - m) << m << w * m)
+        p += (p << w) + (_comb(a - 1 - m, i - 1 - m) << m << w * m)
     return tuple(p >> w * t & (1 << w) - 1 for t in range(a))

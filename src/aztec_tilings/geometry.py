@@ -23,8 +23,8 @@ is described only by numbers: ``DefectConfiguration`` holds a, b, the defect
 addresses and the gamma positions, and checks each of them once, by
 arithmetic, building no cell; its ``size`` and its colour balance,
 ``balanced``, are arithmetic too.  A ``Region`` is only a cell set;
-``make_aztec_rectangle`` and ``DefectConfiguration.region`` build one for the
-code that needs cells.
+``DefectConfiguration.region`` builds one for the code that needs cells, and
+``DefectConfiguration(a, b).region()`` is AR(a, b) itself.
 
 ``Cell``, ``DefectSpec``, ``Region`` and ``DefectConfiguration`` are
 ``collections.namedtuple`` classes, immutable and hashed by their fields;
@@ -41,7 +41,7 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .errors import InvalidConfigurationError, InvalidDefectError, InvalidParameterError
+from .errors import InvalidDefectError, InvalidParameterError
 
 SIDES = ("NW", "NE", "SE", "SW")  # the rectangle's boundary, where a spec removes cells
 CLASS = {"NW": "beta", "SE": "beta", "NE": "alpha", "SW": "alpha", "gamma": "gamma"}
@@ -103,16 +103,6 @@ class Region(namedtuple("Region", "cells")):
         return white, len(self.cells) - white
 
 
-def make_aztec_rectangle(a: int, b: int) -> Region:
-    """Canonical Aztec rectangle with a cells on the SW side and b on the NW."""
-    if not 1 <= a <= b:
-        raise InvalidParameterError(f"need 1 <= a <= b, got a={a}, b={b}")
-    cells = frozenset(
-        Cell(u, v) for u in range(2 * b + 1) for v in range(2 * a + 1) if (u + v) % 2 == 1
-    )
-    return Region(cells)
-
-
 def _check_position(a: int, b: int, spec: DefectSpec) -> None:
     """Raise ``InvalidDefectError`` unless the address is on AR(a, b), or on its gamma string."""
     length = a if spec.kind == "alpha" else b
@@ -165,7 +155,7 @@ class DefectConfiguration(namedtuple("DefectConfiguration", "a b betas alphas ga
     it is checked here, each defect once, by arithmetic, in one pass that
     tests its class, its range and that it is new; cells are built only by
     ``region``.  An ``InvalidDefectError`` names the defect at fault in its
-    ``defect``.
+    ``defect``; any other malformed argument raises ``InvalidParameterError``.
     """
 
     __slots__ = ()
@@ -173,7 +163,7 @@ class DefectConfiguration(namedtuple("DefectConfiguration", "a b betas alphas ga
     def __new__(cls, a: int, b: int, betas: tuple[DefectSpec, ...] = (), alphas: tuple[DefectSpec, ...] = (),
                 gammas: range | tuple[int, ...] = range(0)) -> DefectConfiguration:
         if not all(type(x) is tuple for x in (betas, alphas)) or type(gammas) not in (tuple, range):
-            raise InvalidConfigurationError("betas and alphas must be tuples, gammas a tuple or a range")
+            raise InvalidParameterError("betas and alphas must be tuples, gammas a tuple or a range")
         if not all(type(x) is int for x in (a, b, *(gammas if type(gammas) is tuple else ()))):
             raise InvalidParameterError(f"a, b and the gammas must be ints, got {a!r}, {b!r}, {gammas!r}")
         if not 1 <= a <= b:
@@ -190,7 +180,7 @@ class DefectConfiguration(namedtuple("DefectConfiguration", "a b betas alphas ga
         for kind, length, specs in (("beta", b, betas), ("alpha", a, alphas)):
             for d in specs:
                 if type(d) is not DefectSpec or d.kind != kind:
-                    raise InvalidConfigurationError(f"{kind}s must be {kind}-class DefectSpecs")
+                    raise InvalidParameterError(f"{kind}s must be {kind}-class DefectSpecs")
                 if d.position > length or d in seen:
                     _check_position(a, b, d)  # raises when out of range
                     raise InvalidDefectError("duplicate defect", d)
@@ -213,8 +203,9 @@ class DefectConfiguration(namedtuple("DefectConfiguration", "a b betas alphas ga
         return len(self.betas) - len(self.alphas) == self.b - self.a - (gammas.stop - gammas.start)
 
     def region(self) -> Region:
-        """The counted cell set: AR(a, b) plus the gamma squares minus the defects."""
+        """The counted cell set: AR(a, b), the module docstring's box, plus the gamma squares minus the defects."""
         a, b = self.a, self.b
-        gammas = {boundary_cell(a, b, DefectSpec("gamma", t)) for t in self.gammas}
-        gone = {boundary_cell(a, b, d) for d in self.betas + self.alphas}
-        return Region((make_aztec_rectangle(a, b).cells | gammas) - gone)
+        cells = {Cell(u, v) for u in range(2 * b + 1) for v in range(2 * a + 1) if (u + v) % 2 == 1}
+        cells.update(boundary_cell(a, b, DefectSpec("gamma", t)) for t in self.gammas)
+        cells.difference_update(boundary_cell(a, b, d) for d in self.betas + self.alphas)
+        return Region(frozenset(cells))

@@ -49,7 +49,7 @@ from .formulas import (
     count_ar_se_nw_defects,
     count_aztec_diamond,
 )
-from .geometry import DefectConfiguration, DefectSpec, Region, is_white
+from .geometry import Cell, DefectConfiguration, DefectSpec, Region, is_white
 
 Check = tuple[bool, str]  # (passed, description)
 
@@ -125,9 +125,15 @@ def _verify_kuo(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iter
 
 
 def _verify_ciucu(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iterator[Check]:
+    built: dict[int, tuple[Region, Region, frozenset[Cell]]] = {}  # an order's regions, on its first draw
     for _ in range(trials):
         a = rng.randint(2, max_a)
-        region = DefectConfiguration(a, a).region()
+        if a not in built:
+            # the base, AR(a, a + 1) minus SE 1, is the host minus its forced domino {gamma 1, SE 1},
+            # with 2^(a(a+1)/2) tilings: never 0, so the symmetric-difference quotient always applies
+            built[a] = (DefectConfiguration(a, a).region(), DefectConfiguration(a, a + 1, gammas=(1,)).region(),
+                        DefectConfiguration(a, a + 1, (DefectSpec("SE", 1),)).region().cells)
+        region, host, base_cells = built[a]
         cycle = boundary_cycle(region)
         k = rng.randint(1, 3)
         verts = [cycle[i] for i in sorted(rng.sample(range(len(cycle)), 2 * k))]
@@ -135,13 +141,9 @@ def _verify_ciucu(max_a: int, max_b: int, trials: int, rng: random.Random) -> It
         got = condensation_count(region, verts)
         yield got == direct, f"condensation a={a} verts={verts} {got}!={direct}"
 
-        host = DefectConfiguration(a, a + 1, gammas=(1,)).region()
         hcycle = boundary_cycle(host)
         kk = rng.randint(1, 2)
         verts = [hcycle[i] for i in sorted(rng.sample(range(len(hcycle)), 2 * kk))]
-        # the base, AR(a, a + 1) minus SE 1, is the host minus its forced domino {gamma 1, SE 1},
-        # with 2^(a(a+1)/2) tilings: never 0, so the symmetric-difference quotient always applies
-        base_cells = DefectConfiguration(a, a + 1, (DefectSpec("SE", 1),)).region().cells
         direct = count_tilings_dp(Region.from_cells(base_cells ^ set(verts)))
         got = condensation_count_symdiff(host, base_cells, verts)
         yield got == direct, f"symdiff a={a} verts={verts} {got}!={direct}"

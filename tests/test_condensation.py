@@ -26,12 +26,10 @@ from aztec_tilings import (
     count_tilings_dp,
     count_tilings_paths,
     is_white,
-    make_aztec_rectangle,
 )
 from aztec_tilings import condensation, exactalg
 from aztec_tilings.condensation import _pfaffian_quotient
 from aztec_tilings.errors import (
-    CondensationInapplicableError,
     InternalInconsistencyError,
     InvalidConfigurationError,
     InvalidDefectError,
@@ -47,21 +45,21 @@ def direct_count(region, gone):
 
 
 def test_condensation_two_vertices_is_direct_count():
-    region = make_aztec_rectangle(2, 2)
+    region = DefectConfiguration(2, 2).region()
     cycle = boundary_cycle(region)
     verts = [cycle[0], cycle[3]]
     assert condensation_count(region, verts) == direct_count(region, verts)
 
 
 def test_condensation_four_vertices_diamond():
-    region = make_aztec_rectangle(2, 2)
+    region = DefectConfiguration(2, 2).region()
     cycle = boundary_cycle(region)
     verts = [cycle[i] for i in (0, 2, 5, 9)]
     assert condensation_count(region, verts) == direct_count(region, verts)
 
 
 def test_condensation_orientation_and_rotation_invariance():
-    region = make_aztec_rectangle(3, 3)
+    region = DefectConfiguration(3, 3).region()
     cycle = boundary_cycle(region)
     verts = [cycle[i] for i in (1, 4, 8, 11)]
     want = direct_count(region, verts)
@@ -71,7 +69,7 @@ def test_condensation_orientation_and_rotation_invariance():
 
 
 def test_condensation_rejects_bad_order():
-    region = make_aztec_rectangle(3, 3)
+    region = DefectConfiguration(3, 3).region()
     cycle = boundary_cycle(region)
     verts = [cycle[i] for i in (0, 8, 4, 11)]
     with pytest.raises(InvalidParameterError, match="not in cyclic order"):
@@ -86,9 +84,9 @@ def test_condensation_rejects_bad_order():
 
 
 def test_condensation_rejects_zero_base():
-    region = make_aztec_rectangle(1, 2)  # unbalanced, M = 0
+    region = DefectConfiguration(1, 2).region()  # unbalanced, M = 0
     cycle = boundary_cycle(region)
-    with pytest.raises(CondensationInapplicableError):
+    with pytest.raises(InvalidConfigurationError):
         condensation_count(region, [cycle[0], cycle[1]])
 
 
@@ -156,7 +154,7 @@ def test_bipartite_pfaffian_sign_rule():
 
 
 def test_symdiff_reduces_to_deletion():
-    region = make_aztec_rectangle(2, 2)
+    region = DefectConfiguration(2, 2).region()
     cycle = boundary_cycle(region)
     verts = [cycle[i] for i in (0, 2, 5, 9)]
     cells = set(region.cells)
@@ -181,7 +179,7 @@ def test_symdiff_adds_gamma_cells_back():
 
 def test_base_outside_host_is_rejected():
     # AD(1) plus a domino far away: the base is not part of the host
-    host = make_aztec_rectangle(1, 1)
+    host = DefectConfiguration(1, 1).region()
     stray = [Cell(10, 11), Cell(11, 12)]
     base = host.cells | set(stray)
     face = list(boundary_cycle(host)[:2])
@@ -195,7 +193,7 @@ def test_base_outside_host_is_rejected():
 
 
 def test_alternating_identity_trivial_and_random():
-    region = make_aztec_rectangle(2, 2)
+    region = DefectConfiguration(2, 2).region()
     cycle = boundary_cycle(region)
     assert check_face_alternating_identity(region, set(region.cells), [cycle[0], cycle[4]])
     for verts in ([], cycle[:3]):
@@ -228,7 +226,7 @@ def _quad_of_pattern(region, pattern, rng):
 @pytest.mark.parametrize("pattern", ["AABB", "ABAB"])
 def test_kuo_balanced_patterns(pattern):
     rng = random.Random(17)
-    region = make_aztec_rectangle(3, 3)
+    region = DefectConfiguration(3, 3).region()
     for _ in range(25):
         quad = _quad_of_pattern(region, pattern, rng)
         assert quad is not None
@@ -237,7 +235,7 @@ def test_kuo_balanced_patterns(pattern):
 
 def test_kuo_surplus_patterns():
     rng = random.Random(23)
-    diamond = make_aztec_rectangle(3, 3)
+    diamond = DefectConfiguration(3, 3).region()
     blacks = sorted(c for c in diamond.cells if not is_white(c))
     one_off = Region.from_cells(diamond.cells - {blacks[0]})
     two_off = Region.from_cells(diamond.cells - {blacks[0], blacks[-1]})
@@ -257,7 +255,7 @@ KUO_PLANTS = {"AABB": ("wz", "xy"), "AAAA": ("wy", "xz"), "ABAB": ("", "wxyz"), 
 def test_kuo_check_fails_on_a_planted_count(monkeypatch, pattern):
     # one count off by 1, in a product whose other factor is nonzero, must break the identity
     surplus = condensation.KUO_SURPLUS[pattern]
-    diamond = make_aztec_rectangle(3, 3)
+    diamond = DefectConfiguration(3, 3).region()
     blacks = sorted(c for c in diamond.cells if not is_white(c))
     region = Region.from_cells(diamond.cells - set((blacks[0], blacks[-1])[:surplus]))
     plant, partner = KUO_PLANTS[pattern]
@@ -278,7 +276,7 @@ def test_kuo_check_fails_on_a_planted_count(monkeypatch, pattern):
 
 
 def test_kuo_rejects_wrong_hypotheses():
-    region = make_aztec_rectangle(2, 2)
+    region = DefectConfiguration(2, 2).region()
     cycle = boundary_cycle(region)
     quad = [cycle[i] for i in (0, 1, 2, 3)]
     actual = "".join("A" if is_white(c) == is_white(quad[0]) else "B" for c in quad)

@@ -14,7 +14,6 @@ from aztec_tilings import (
     count_matchings_brute,
     count_tilings_dp,
     count_tilings_paths,
-    make_aztec_rectangle,
 )
 from aztec_tilings.errors import OutOfScopeConfigurationError
 
@@ -27,7 +26,7 @@ def test_empty_graph_counts_one():
 
 def test_paths_diamonds_and_rectangles():
     for n in range(1, 11):
-        assert count_tilings_paths(make_aztec_rectangle(n, n)) == 2 ** (n * (n + 1) // 2)
+        assert count_tilings_paths(DefectConfiguration(n, n).region()) == 2 ** (n * (n + 1) // 2)
     # m x n boxes of ordinary squares, cells (x + y + 1, x - y); 4 x 5 has 95 tilings
     for m, n, count in ((2, 3, 3), (4, 4, 36), (4, 5, 95), (6, 6, 6728), (3, 7, 0)):
         region = Region.from_cells(Cell(x + y + 1, x - y) for x in range(m) for y in range(n))
@@ -36,15 +35,15 @@ def test_paths_diamonds_and_rectangles():
 
 def test_paths_refuses_a_region_with_a_hole():
     # AD(4) minus the domino slot (4, 3)-(3, 4) in its middle
-    region = Region.from_cells(make_aztec_rectangle(4, 4).cells - {Cell(4, 3), Cell(3, 4)})
+    region = Region.from_cells(DefectConfiguration(4, 4).region().cells - {Cell(4, 3), Cell(3, 4)})
     assert count_tilings_dp(region) > 0
     with pytest.raises(OutOfScopeConfigurationError, match="hole"):
         count_tilings_paths(region)
 
 
 def test_brute_diamond_of_order_two():
-    assert count_matchings_brute(make_aztec_rectangle(2, 2)) == 8
-    assert count_matchings_brute(make_aztec_rectangle(1, 1)) == 2
+    assert count_matchings_brute(DefectConfiguration(2, 2).region()) == 8
+    assert count_matchings_brute(DefectConfiguration(1, 1).region()) == 2
     assert count_matchings_brute(Region.from_cells([Cell(0, 1), Cell(1, 2)])) == 1
 
 
@@ -91,7 +90,7 @@ def test_counts_are_invariant_under_the_lattice_symmetries():
     nonzero = 0
     for _ in range(60):
         a = rng.randint(1, 4)
-        cells = make_aztec_rectangle(a, rng.randint(a, 7)).cells
+        cells = DefectConfiguration(a, rng.randint(a, 7)).region().cells
         whites = sorted(c for c in cells if c.u % 2)
         blacks = sorted(c for c in cells if c.u % 2 == 0)
         r = rng.randint(0, 2)  # a cut that balances the colours, then 0-4 cells more
@@ -117,7 +116,7 @@ def test_counts_are_invariant_under_the_lattice_symmetries():
 
 
 def test_dp_anchors():
-    assert count_tilings_dp(make_aztec_rectangle(4, 4)) == 1024
+    assert count_tilings_dp(DefectConfiguration(4, 4).region()) == 1024
     region = DefectConfiguration(2, 3, (DefectSpec("SE", 2),)).region()
     assert count_tilings_dp(region) == 16
     region = DefectConfiguration(1, 2, (DefectSpec("SE", 2),)).region()
@@ -136,7 +135,7 @@ def test_odd_cell_count_is_zero():
 
 
 def test_color_imbalance_is_zero():
-    region = make_aztec_rectangle(2, 4)
+    region = DefectConfiguration(2, 4).region()
     assert count_tilings_dp(region) == 0
     assert count_matchings_brute(region) == 0
 
@@ -174,7 +173,7 @@ def test_brute_oracle_matches_paths_past_the_engine_cell_limit():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sets(st.sampled_from(sorted(make_aztec_rectangle(3, 5).cells)), max_size=18))
+@given(st.sets(st.sampled_from(sorted(DefectConfiguration(3, 5).region().cells)), max_size=18))
 def test_engines_agree_on_random_subregions(cells):
     region = Region.from_cells(cells)
     assert count_tilings_dp(region) == count_matchings_brute(region)
@@ -182,10 +181,10 @@ def test_engines_agree_on_random_subregions(cells):
 
 @settings(max_examples=25, deadline=None)
 @given(
-    st.sets(st.sampled_from(sorted(make_aztec_rectangle(2, 4).cells)), min_size=2, max_size=6)
+    st.sets(st.sampled_from(sorted(DefectConfiguration(2, 4).region().cells)), min_size=2, max_size=6)
 )
 def test_no_negative_counts_after_deletion(cells):
-    base = make_aztec_rectangle(2, 4).cells
+    base = DefectConfiguration(2, 4).region().cells
     region = Region.from_cells(base - cells)
     value = count_tilings_dp(region)
     assert value >= 0

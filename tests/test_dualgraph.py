@@ -9,7 +9,6 @@ from aztec_tilings import (
     Region,
     boundary_cell,
     boundary_cycle,
-    make_aztec_rectangle,
 )
 from aztec_tilings.dualgraph import component_count
 from aztec_tilings.errors import InvalidParameterError
@@ -17,8 +16,8 @@ from aztec_tilings.geometry import perimeter_index
 
 
 def test_boundary_cycle_diamond_order_one():
-    cycle = boundary_cycle(make_aztec_rectangle(1, 1))
-    assert set(cycle) == set(make_aztec_rectangle(1, 1).cells)
+    cycle = boundary_cycle(DefectConfiguration(1, 1).region())
+    assert set(cycle) == set(DefectConfiguration(1, 1).region().cells)
     assert len(cycle) == 4
 
 
@@ -29,13 +28,13 @@ def test_boundary_cycle_of_no_cell_and_of_one_cell():
 
 def test_boundary_cycle_covers_pinched_rectangle():
     # the middle cell is a cut vertex of the dual and sits on the outer face
-    cycle = boundary_cycle(make_aztec_rectangle(1, 2))
+    cycle = boundary_cycle(DefectConfiguration(1, 2).region())
     assert len(cycle) == 7
 
 
 def test_boundary_cycle_orders_side_cells():
     """The outer-face walk keeps the 8 side cells of AD(2) in ring order."""
-    region = make_aztec_rectangle(2, 2)
+    region = DefectConfiguration(2, 2).region()
     cycle = boundary_cycle(region)
     assert len(cycle) == len(set(cycle))
     ring = [
@@ -52,7 +51,7 @@ def test_boundary_cycle_orders_side_cells():
 def test_perimeter_index_matches_boundary_cycle(a, k):
     """Sorting addresses by perimeter_index reproduces the outer-face walk order."""
     b = a + k
-    plain = make_aztec_rectangle(a, b)
+    plain = DefectConfiguration(a, b).region()
     sides = [DefectSpec(s, p) for s in ("NW", "SE") for p in range(1, b + 1)]
     sides += [DefectSpec(s, p) for s in ("NE", "SW") for p in range(1, a + 1)]
     gammas = [DefectSpec("gamma", t) for t in range(1, k + 1)]
@@ -70,10 +69,10 @@ def test_boundary_cycle_rejects_disconnected():
 
 def test_component_count():
     assert component_count([]) == 0
-    assert component_count(make_aztec_rectangle(3, 3).cells) == 1
+    assert component_count(DefectConfiguration(3, 3).region().cells) == 1
     # (0, 1) and (1, 2) share an edge; (4, 1) touches neither
     assert component_count([Cell(0, 1), Cell(1, 2), Cell(4, 1)]) == 2
     # SE 1 of AD(2), Cell(1, 4), has the two neighbours (0, 3) and (2, 3)
-    diamond = make_aztec_rectangle(2, 2).cells
+    diamond = DefectConfiguration(2, 2).region().cells
     assert component_count(diamond - {Cell(0, 3)}) == 1
     assert component_count(diamond - {Cell(0, 3), Cell(2, 3)}) == 2

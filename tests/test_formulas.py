@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from aztec_tilings import (
     DefectConfiguration,
     DefectSpec,
-    binomial_ext,
     count_ad_adjacent_defects,
     count_ar_gamma_nw_defect,
     count_ar_gamma_se_defect,
@@ -20,11 +19,10 @@ from aztec_tilings import (
     count_ar_se_nw_defects,
     count_aztec_diamond,
     count_tilings_dp,
-    make_aztec_rectangle,
 )
 from aztec_tilings.errors import InvalidParameterError
 import aztec_tilings.formulas
-from aztec_tilings.formulas import ad_adjacent_row, ar_gamma_nw_row, ar_gamma_se_row
+from aztec_tilings.formulas import _comb, ad_adjacent_row, ar_gamma_nw_row, ar_gamma_se_row
 
 
 def gamma_se_region(a, k, j):
@@ -35,19 +33,17 @@ def gamma_nw_region(a, k, i):
     return DefectConfiguration(a, a + k, (DefectSpec("NW", i),), gammas=tuple(range(2, k + 1))).region()
 
 
-def test_binomial_ext_values():
-    assert binomial_ext(5, 2) == 10
-    assert binomial_ext(3, -1) == 0
-    assert binomial_ext(-2, 2) == 3
-    assert binomial_ext(-1, 3) == -1
-    assert binomial_ext(0, 0) == 1
+def test_comb_values():
+    assert _comb(5, 2) == 10
+    assert _comb(3, -1) == 0
+    assert _comb(0, 0) == 1
 
 
-def test_binomial_ext_matches_product_definition():
-    for c in range(-10, 16):
+def test_comb_matches_product_definition():
+    for c in range(16):
         for d in range(-2, 16):
             want = Fraction(math.prod(c - t for t in range(d)), math.factorial(d)) if d >= 0 else 0
-            assert binomial_ext(c, d) == want, (c, d)
+            assert _comb(c, d) == want, (c, d)
 
 
 def pochhammer_sum(numerator, denominator, z):
@@ -89,8 +85,8 @@ def test_gamma_se_defect_matches_its_3f2_statement():
 def se_block_nw_sum_by_m(a, k, i):
     """The SE-block NW sum as the peeling recursion unrolls it, term m = 0 apart:
     C(a, i-1) + sum_{m=1}^{min(k-1, i-1)} C(a, a+m+1-i) C(a+m-1, a-1)."""
-    terms = (binomial_ext(a, a + m + 1 - i) * binomial_ext(a + m - 1, a - 1) for m in range(1, min(k, i)))
-    return binomial_ext(a, i - 1) + sum(terms)
+    terms = (_comb(a, a + m + 1 - i) * math.comb(a + m - 1, a - 1) for m in range(1, min(k, i)))
+    return math.comb(a, i - 1) + sum(terms)
 
 
 def test_unscaled_sums_times_their_power_are_the_counts():
@@ -148,7 +144,7 @@ def test_ad_adjacent_row_is_the_closed_form_entry_by_entry():
 def test_count_aztec_diamond():
     assert count_aztec_diamond(1) == 2
     assert count_aztec_diamond(3) == 64
-    assert count_aztec_diamond(5) == 32768 == count_tilings_dp(make_aztec_rectangle(5, 5))
+    assert count_aztec_diamond(5) == 32768 == count_tilings_dp(DefectConfiguration(5, 5).region())
     with pytest.raises(InvalidParameterError):
         count_aztec_diamond(0)
 
@@ -256,7 +252,7 @@ def test_count_ad_adjacent_defects_values():
     assert count_ad_adjacent_defects(2, 2, 2) == 6
     assert count_ad_adjacent_defects(1, 1, 1) == 1
     # a zero numerator parameter truncates the series at the first term
-    assert count_ad_adjacent_defects(3, 1, 2) == 2 ** 3 * binomial_ext(2, 1)
+    assert count_ad_adjacent_defects(3, 1, 2) == 2 ** 3 * math.comb(2, 1)
     for i, j in ((0, 1), (1, 0), (3, 1), (1, 3)):
         with pytest.raises(InvalidParameterError, match=rf"^positions must lie in 1\.\.2, got i={i}, j={j}$"):
             count_ad_adjacent_defects(2, i, j)

@@ -14,22 +14,21 @@ from aztec_tilings import (
     boundary_cell,
     Region,
     is_white,
-    make_aztec_rectangle,
 )
-from aztec_tilings.errors import InvalidConfigurationError, InvalidDefectError, InvalidParameterError
+from aztec_tilings.errors import InvalidDefectError, InvalidParameterError
 
 
 def test_diamond_sizes():
-    assert len(make_aztec_rectangle(1, 1)) == 4
-    assert len(make_aztec_rectangle(3, 3)) == 24
-    region = make_aztec_rectangle(2, 2)
+    assert len(DefectConfiguration(1, 1).region()) == 4
+    assert len(DefectConfiguration(3, 3).region()) == 24
+    region = DefectConfiguration(2, 2).region()
     assert len(region) == 12
     assert region.color_counts() == (6, 6)
 
 
 def test_diamond_rejects_nonpositive_order():
-    with pytest.raises(InvalidParameterError):
-        make_aztec_rectangle(0, 0)
+    with pytest.raises(InvalidParameterError, match=r"^need 1 <= a <= b, got a=0, b=0$"):
+        DefectConfiguration(0, 0)
 
 
 def test_region_from_cells_takes_only_unit_cells():
@@ -56,25 +55,25 @@ def test_rectangle_matches_diamond():
             for y in range(1 - 2 * n, 2 * n, 2)
             if abs(x - 2 * n) + abs(y) <= 2 * n
         }
-        assert make_aztec_rectangle(n, n).cells == want
+        assert DefectConfiguration(n, n).region().cells == want
 
 
 def test_rectangle_sizes():
-    assert len(make_aztec_rectangle(4, 10)) == 94
-    region = make_aztec_rectangle(1, 2)
+    assert len(DefectConfiguration(4, 10).region()) == 94
+    region = DefectConfiguration(1, 2).region()
     assert len(region) == 7
     assert region.color_counts() == (4, 3)
 
 
 def test_rectangle_rejects_a_greater_than_b():
-    with pytest.raises(InvalidParameterError):
-        make_aztec_rectangle(3, 2)
+    with pytest.raises(InvalidParameterError, match=r"^need 1 <= a <= b, got a=3, b=2$"):
+        DefectConfiguration(3, 2)
 
 
 @given(st.integers(1, 6), st.integers(0, 5))
 def test_rectangle_counts_and_balance(a, extra):
     b = a + extra
-    region = make_aztec_rectangle(a, b)
+    region = DefectConfiguration(a, b).region()
     assert len(region) == 2 * a * b + a + b
     white, black = region.color_counts()
     assert white - black == b - a
@@ -88,14 +87,14 @@ def test_boundary_cell_conventions():
 
 
 def test_se_positions_are_the_v_2a_whites():
-    region = make_aztec_rectangle(4, 10)
+    region = DefectConfiguration(4, 10).region()
     cells = [boundary_cell(4, 10, DefectSpec("SE", s)) for s in range(1, 11)]
     assert cells == sorted(c for c in region.cells if c.v == 8 and is_white(c))
 
 
 @pytest.mark.parametrize("side,count", [("NW", 10), ("SE", 10), ("NE", 4), ("SW", 4)])
 def test_boundary_cell_injective_with_stated_colors(side, count):
-    region = make_aztec_rectangle(4, 10)
+    region = DefectConfiguration(4, 10).region()
     cells = [boundary_cell(4, 10, DefectSpec(side, p)) for p in range(1, count + 1)]
     assert len(set(cells)) == count
     assert set(cells) <= region.cells
@@ -138,8 +137,9 @@ def test_gamma_side_addresses_the_squares_under_se():
 
 
 def test_configuration_without_defects_is_the_rectangle():
+    # AR(a, b) is the box 0 <= u <= 2b, 0 <= v <= 2a of the geometry docstring, restricted to odd u + v
     config = DefectConfiguration(2, 4)
-    assert config.region().cells == make_aztec_rectangle(2, 4).cells
+    assert config.region().cells == {(u, v) for u in range(9) for v in range(5) if (u + v) % 2 == 1}
     assert config.size == len(config.region())
 
 
@@ -149,7 +149,7 @@ def test_gamma_squares_cells_and_balance():
     assert len(region) == config.size == 2 * 4 * 9 + 4 + 9 + 5
     assert region.color_counts() == (45, 45)
     gammas = {boundary_cell(4, 9, DefectSpec("gamma", t)) for t in range(1, 6)}
-    assert region.cells - make_aztec_rectangle(4, 9).cells == gammas
+    assert region.cells - DefectConfiguration(4, 9).region().cells == gammas
 
 
 @given(st.integers(1, 5), st.integers(1, 4))
@@ -186,9 +186,9 @@ def test_gamma_string_is_kept_as_a_range():
 def test_configuration_rejects_bad_sides_and_kinds():
     with pytest.raises(InvalidParameterError):
         DefectConfiguration(3, 2)
-    with pytest.raises(InvalidConfigurationError):
+    with pytest.raises(InvalidParameterError, match="^alphas must be alpha-class DefectSpecs$"):
         DefectConfiguration(2, 3, alphas=(DefectSpec("SE", 1),))
-    with pytest.raises(InvalidConfigurationError):
+    with pytest.raises(InvalidParameterError, match="^betas must be beta-class DefectSpecs$"):
         DefectConfiguration(2, 3, betas=(DefectSpec("NE", 1),))
 
 
@@ -196,7 +196,7 @@ def test_configuration_rejects_bad_sides_and_kinds():
                                            ("alphas", ("NE", 1)), ("alphas", ("NE", 1, "alpha"))])
 def test_configuration_takes_only_defect_specs(field, defect):
     # a plain tuple used to end in AttributeError: 'tuple' object has no attribute 'kind'
-    with pytest.raises(InvalidConfigurationError, match=f"^{field} must be [a-z]+-class DefectSpecs$"):
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be [a-z]+-class DefectSpecs$"):
         DefectConfiguration(2, 3, **{field: (defect,)})
 
 
@@ -209,7 +209,7 @@ def test_configuration_region_removes_defects():
 
 
 def test_configuration_region_named_cells():
-    region = make_aztec_rectangle(4, 7)
+    region = DefectConfiguration(4, 7).region()
     removed = DefectConfiguration(4, 7, tuple(DefectSpec("SE", p) for p in (2, 4, 7))).region()
     assert len(removed) == len(region) - 3
     gone = {boundary_cell(4, 7, DefectSpec("SE", p)) for p in (2, 4, 7)}
@@ -238,11 +238,11 @@ def test_configuration_errors_name_the_defect_at_fault():
 def test_configuration_takes_only_tuples(defects):
     # a list used to pass here, count by the region engines, and crash the pfaffian route
     alphas = (DefectSpec("NE", 2),)
-    with pytest.raises(InvalidConfigurationError, match="tuples"):
+    with pytest.raises(InvalidParameterError, match="tuples"):
         DefectConfiguration(3, 4, defects, alphas)
-    with pytest.raises(InvalidConfigurationError, match="tuples"):
+    with pytest.raises(InvalidParameterError, match="tuples"):
         DefectConfiguration(3, 4, alphas=list(alphas))
-    with pytest.raises(InvalidConfigurationError, match="tuples"):
+    with pytest.raises(InvalidParameterError, match="tuples"):
         DefectConfiguration(3, 5, gammas=[1])
     assert hash(DefectConfiguration(3, 4, tuple(defects), alphas))
 

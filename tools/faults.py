@@ -88,8 +88,8 @@ FAULTS = (
     ("NW and SE gamma rows swapped", "condensation.py",
      "ar_gamma_nw_row if nw else ar_gamma_se_row", "ar_gamma_se_row if nw else ar_gamma_nw_row"),
     # one fault per formulas helper
-    ("binomial_ext's zero below d = 0 made 1", "formulas.py",
-     "if d < 0:\n        return 0", "if d < 0:\n        return 1"),
+    ("_comb's zero below d = 0 made 1", "formulas.py",
+     "if d >= 0 else 0", "if d >= 0 else 1"),
     # the power every count takes from the diamond's, and its order test
     ("count_aztec_diamond takes an order below 1", "formulas.py",
      "if type(n) is not int or n < 1:", "if type(n) is not int:"),
@@ -121,6 +121,9 @@ FAULTS = (
      "def _side_row("),
     ("the row memo given maxsize=None", "condensation.py",
      "@functools.lru_cache(maxsize=2048)", "@functools.lru_cache(maxsize=None)"),
+    # a configuration's region is the AR(a, b) box 0 <= u <= 2b, 0 <= v <= 2a, odd u + v
+    ("the box drops its NE column u = 2b", "geometry.py",
+     "for u in range(2 * b + 1)", "for u in range(2 * b)"),
     # the side -> class table of DefectSpec
     ("SE mapped to alpha", "geometry.py", '"SE": "beta"', '"SE": "alpha"'),
     # a configuration takes only DefectSpecs of each tuple's class, each once
