@@ -17,9 +17,7 @@ from .formulas import (
     count_ar_gamma_nw_defect,
     count_ar_gamma_se_defect,
     count_ar_kept_se,
-    count_ar_one_se_removed,
     count_ar_se_block_nw_defect,
-    count_ar_se_block_removed,
     count_ar_se_nw_defects,
     count_aztec_diamond,
 )
@@ -43,9 +41,7 @@ __all__ = [
     "count_ar_gamma_nw_defect",
     "count_ar_gamma_se_defect",
     "count_ar_kept_se",
-    "count_ar_one_se_removed",
     "count_ar_se_block_nw_defect",
-    "count_ar_se_block_removed",
     "count_ar_se_nw_defects",
     "count_aztec_diamond",
     "count_configuration",

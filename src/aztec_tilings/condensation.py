@@ -94,6 +94,8 @@ from .formulas import (
     ar_gamma_nw_row,
     ar_gamma_se_row,
     count_ad_adjacent_defects,
+    count_ar_gamma_nw_defect,
+    count_ar_gamma_se_defect,
     count_ar_kept_se,
     count_ar_se_block_nw_defect,
     count_ar_se_nw_defects,
@@ -410,13 +412,29 @@ def _pfaffian_count(config: DefectConfiguration) -> int:
 
 
 def _formula_count(config: DefectConfiguration) -> int:
-    """Closed-form count of a colour-balanced configuration in a recognized family."""
+    """Closed-form count of a colour-balanced configuration in one of the formulas module's families.
+
+    This is the one map from a configuration to its closed form: AR(a, b)
+    plus gammas 1..k, k = b - a, and no defect (``count_aztec_diamond``);
+    SE cells alone removed (``count_ar_kept_se``, which takes one SE cell off
+    AR(a, a + 1) and the SE block 2..k + 1 too); gammas 2..k and one SE or NW
+    cell removed (``count_ar_gamma_se_defect``, ``count_ar_gamma_nw_defect``);
+    AD(a) minus one beta and one alpha (``count_ad_adjacent_defects``);
+    AR(a, a + 2) minus one SE and one NW cell (``count_ar_se_nw_defects``);
+    and AR(a, a + k) minus SE 2..k and one NW cell
+    (``count_ar_se_block_nw_defect``).  Every other gamma string and every
+    other family raises ``OutOfScopeConfigurationError``.
+    """
     a, b, gammas = config.a, config.b, config.gammas
     k = b - a
     removed = sorted((d.side, d.position) for d in config.betas + config.alphas)
     if not removed and gammas == range(1, k + 1):
         return count_aztec_diamond(a)  # AD(a) plus its gammas; balance forces k = 0 without them
     if gammas:
+        if gammas == range(2, k + 1) and len(config.betas) == 1:  # balance leaves no alpha
+            (beta,) = config.betas
+            family = count_ar_gamma_se_defect if beta.side == "SE" else count_ar_gamma_nw_defect
+            return family(a, k, beta.position)
         raise OutOfScopeConfigurationError("no closed form for this augmented family")
     sides = {s for s, _ in removed}
     if sides == {"SE"}:
@@ -455,8 +473,10 @@ def count_configuration(config: DefectConfiguration, engine: str = "pfaffian") -
     ``BRUTE_CELLS`` cells; past that it raises
     ``OutOfScopeConfigurationError`` before any cell is built.  ``paths``
     shares only ``exactalg.determinant`` with ``pfaffian``, and ``dp``
-    shares no code with either.  ``formula`` covers the closed-form families
-    and raises ``OutOfScopeConfigurationError`` outside them.
+    shares no code with either.  ``formula`` is the one map from a
+    configuration to its closed form, over the families ``_formula_count``
+    lists, the two gamma-augmented ones among them, and raises
+    ``OutOfScopeConfigurationError`` outside them.
     """
     if engine not in ENGINES:
         raise InvalidParameterError(f"unknown engine {engine!r}, expected one of {ENGINES}")

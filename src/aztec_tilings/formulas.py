@@ -22,6 +22,12 @@ module can build its entries without the power and apply it once, in the
 quotient.  Nothing here keeps a memo: condensation memoizes the entries a
 row at a time.
 
+Each public count is one family, and ``condensation``'s ``formula`` engine
+is the one place that maps a configuration to its family.
+``count_ar_kept_se`` is the whole SE-only family: with kept = all but i on
+AR(a, a+1) it is 2^(a(a+1)/2) C(a, i-1), and with kept = {1, b-a+2..b},
+the SE block 2..b-a+1 removed, it is 2^(a(a+1)/2) C(b-1, a-1).
+
 Region conventions (see geometry): AR(a, b) has white cells 1..b on the NW
 and SE sides and black cells 1..a on the NE and SW sides; gamma squares are
 the black cells glued under the SE side, position 1 in the south-corner
@@ -65,20 +71,6 @@ def count_ar_kept_se(a: int, b: int, kept: Sequence[int]) -> int:
     num = math.prod(s[j] - s[i] for i in range(a) for j in range(i + 1, a))
     den = math.prod(j - i for i in range(a) for j in range(i + 1, a))
     return count_aztec_diamond(a) * exact_quotient(num, den, f"count_ar_kept_se({a}, {b}, {s})")
-
-
-def count_ar_one_se_removed(a: int, i: int) -> int:
-    """Tilings of AR(a, a+1) with the SE cell at position i removed."""
-    if not 1 <= i <= a + 1:
-        raise InvalidParameterError(f"need 1 <= i <= {a + 1}, got {i}")
-    return count_aztec_diamond(a) * math.comb(a, i - 1)
-
-
-def count_ar_se_block_removed(a: int, b: int) -> int:
-    """Tilings of AR(a, b) with SE positions 2..b-a+1 removed."""
-    if b < a:
-        raise InvalidParameterError(f"need b >= a, got a={a}, b={b}")
-    return count_aztec_diamond(a) * math.comb(b - 1, a - 1)
 
 
 def _gamma_power(a: int, k: int, pos: int, name: str) -> int:

@@ -811,6 +811,15 @@ def test_formula_counts_one_nw_defect_with_no_se_block():
             assert count_configuration(cfg, "formula") == count_configuration(cfg, "paths"), (a, i)
 
 
+def test_formula_counts_the_gamma_families():
+    # gammas 2..k and one SE or NW cell removed; no other gamma string has a closed form
+    cfg = DefectConfiguration(3, 7, (DefectSpec("SE", 5),), gammas=range(2, 5))
+    assert count_configuration(cfg, "formula") == 2176 == count_configuration(cfg, "paths")
+    shifted = DefectConfiguration(3, 7, (DefectSpec("SE", 5),), gammas=range(3, 6))
+    with pytest.raises(OutOfScopeConfigurationError, match="^no closed form for this augmented family$"):
+        count_configuration(shifted, "formula")
+
+
 def test_formula_counts_se_nw_pairs_by_their_closed_form(monkeypatch):
     # AR(a, a+2) minus SE i and NW j is count_ar_se_nw_defects' family
     calls = []

@@ -13,11 +13,10 @@ from aztec_tilings import (
     count_ar_gamma_nw_defect,
     count_ar_gamma_se_defect,
     count_ar_kept_se,
-    count_ar_one_se_removed,
     count_ar_se_block_nw_defect,
-    count_ar_se_block_removed,
     count_ar_se_nw_defects,
     count_aztec_diamond,
+    count_configuration,
     count_tilings_dp,
 )
 from aztec_tilings.errors import InvalidParameterError
@@ -25,12 +24,12 @@ import aztec_tilings.formulas
 from aztec_tilings.formulas import _comb, ad_adjacent_row, ar_gamma_nw_row, ar_gamma_se_row
 
 
-def gamma_se_region(a, k, j):
-    return DefectConfiguration(a, a + k, (DefectSpec("SE", j),), gammas=tuple(range(2, k + 1))).region()
+def gamma_se_config(a, k, j):
+    return DefectConfiguration(a, a + k, (DefectSpec("SE", j),), gammas=tuple(range(2, k + 1)))
 
 
-def gamma_nw_region(a, k, i):
-    return DefectConfiguration(a, a + k, (DefectSpec("NW", i),), gammas=tuple(range(2, k + 1))).region()
+def gamma_nw_config(a, k, i):
+    return DefectConfiguration(a, a + k, (DefectSpec("NW", i),), gammas=tuple(range(2, k + 1)))
 
 
 def test_comb_values():
@@ -160,28 +159,37 @@ def test_count_ar_kept_se():
 
 
 def test_count_ar_one_se_removed():
-    assert count_ar_one_se_removed(2, 1) == 8
-    assert count_ar_one_se_removed(2, 2) == 16
+    # AR(a, a + 1) minus SE i keeps every SE position but i
+    assert count_ar_kept_se(2, 3, (2, 3)) == 8
+    assert count_ar_kept_se(2, 3, (1, 3)) == 16
     region = DefectConfiguration(3, 4, (DefectSpec("SE", 3),)).region()
-    assert count_ar_one_se_removed(3, 3) == 192 == count_tilings_dp(region)
-    assert count_ar_one_se_removed(2, 3) == 8
-    for i in (0, 4):
-        with pytest.raises(InvalidParameterError, match=rf"^need 1 <= i <= 3, got {i}$"):
-            count_ar_one_se_removed(2, i)
+    assert count_ar_kept_se(3, 4, (1, 2, 4)) == 192 == count_tilings_dp(region)
+    assert count_ar_kept_se(2, 3, (1, 2)) == 8
 
 
 def test_count_ar_se_block_removed():
-    assert count_ar_se_block_removed(3, 3) == 64
-    assert count_ar_se_block_removed(2, 4) == 24
+    # AR(a, b) minus SE 2..b-a+1 keeps SE 1 and b-a+2..b
+    assert count_ar_kept_se(3, 3, (1, 2, 3)) == 64
+    assert count_ar_kept_se(2, 4, (1, 4)) == 24
     removed = tuple(DefectSpec("SE", p) for p in (2, 3, 4))
     region = DefectConfiguration(2, 5, removed).region()
-    assert count_ar_se_block_removed(2, 5) == 32 == count_tilings_dp(region)
-    with pytest.raises(InvalidParameterError, match="^need b >= a, got a=3, b=2$"):
-        count_ar_se_block_removed(3, 2)
+    assert count_ar_kept_se(2, 5, (1, 5)) == 32 == count_tilings_dp(region)
+
+
+def test_count_ar_kept_se_gives_the_one_se_and_se_block_counts():
+    # the two special cases the literature states on their own
+    for a in range(1, 9):
+        power = count_aztec_diamond(a)
+        for i in range(1, a + 2):
+            kept = [p for p in range(1, a + 2) if p != i]
+            assert count_ar_kept_se(a, a + 1, kept) == power * math.comb(a, i - 1), (a, i)
+        for b in range(a, a + 9):
+            kept = [1, *range(b - a + 2, b + 1)]
+            assert count_ar_kept_se(a, b, kept) == power * math.comb(b - 1, a - 1), (a, b)
 
 
 def test_count_ar_gamma_se_defect_values():
-    assert count_ar_gamma_se_defect(2, 1, 2) == count_ar_one_se_removed(2, 2)
+    assert count_ar_gamma_se_defect(2, 1, 2) == count_ar_kept_se(2, 3, (1, 3))
     assert count_ar_gamma_se_defect(2, 2, 3) == 40
     assert count_ar_gamma_se_defect(2, 2, 4) == 24
     # defect against the gamma string: forced collapse to the diamond count
@@ -204,8 +212,6 @@ def test_count_ar_se_nw_defects_values():
 COUNTS_AT_ORDER = {
     "count_aztec_diamond": count_aztec_diamond,
     "count_ar_kept_se": lambda a: count_ar_kept_se(a, 3, list(range(1, a + 1))),
-    "count_ar_one_se_removed": lambda a: count_ar_one_se_removed(a, 1),
-    "count_ar_se_block_removed": lambda a: count_ar_se_block_removed(a, 3),
     "count_ar_gamma_se_defect": lambda a: count_ar_gamma_se_defect(a, 5, 1),
     "count_ar_se_nw_defects": lambda a: count_ar_se_nw_defects(a, 1, 2),
     "count_ar_se_block_nw_defect": lambda a: count_ar_se_block_nw_defect(a, 5, 1),
@@ -269,14 +275,18 @@ def test_ad_adjacent_symmetry(a, data):
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
 def test_gamma_se_matches_engine(a, k, data):
     j = data.draw(st.integers(1, a + k))
-    assert count_ar_gamma_se_defect(a, k, j) == count_tilings_dp(gamma_se_region(a, k, j))
+    config = gamma_se_config(a, k, j)
+    assert count_ar_gamma_se_defect(a, k, j) == count_tilings_dp(config.region())
+    assert count_configuration(config, "formula") == count_configuration(config, "paths")
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.data())
 def test_gamma_nw_matches_engine(a, k, data):
     i = data.draw(st.integers(1, a + k))
-    assert count_ar_gamma_nw_defect(a, k, i) == count_tilings_dp(gamma_nw_region(a, k, i))
+    config = gamma_nw_config(a, k, i)
+    assert count_ar_gamma_nw_defect(a, k, i) == count_tilings_dp(config.region())
+    assert count_configuration(config, "formula") == count_configuration(config, "paths")
 
 
 @settings(max_examples=40, deadline=None)

@@ -17,7 +17,7 @@ from aztec_tilings.verify import SUITES
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
 CODE_LINES = TOOLS / "code_lines.py"
-CODE_LINE_CEILING = 972
+CODE_LINE_CEILING = 955
 
 
 def test_star_import_resolves_every_export():

@@ -3,6 +3,7 @@
 import hashlib
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,21 @@ def test_suite_folds_to_the_report_main_prints(capsys, suite):
     argv = ["verify", suite, "--max-a", "3", "--max-b", "5", "--trials", "20", "--seed", "4"]
     assert cli.main(argv) == 0
     assert capsys.readouterr().out == f"suite={suite} checks={len(checks)} failures=0 samples={samples}\n"
+
+
+def test_formulas_suite_stays_within_max_b():
+    # each label names its rectangle's width: b, n, a + k, or a plus its family's fixed k
+    fixed_k = {"one-se": 1, "se-nw": 2}
+    checks = list(verify.SUITES["formulas"](3, 3, 1, random.Random(0)))
+    assert checks and all(ok for ok, _ in checks)
+    labels = set()
+    for _, text in checks:
+        label, _, rest = text.partition(" ")
+        fields = {key: int(value) for key, value in re.findall(r"(\w+)=(\d+)", rest.split(":")[0])}
+        width = fields.get("b") or fields.get("n") or fields["a"] + fields.get("k", fixed_k.get(label, 0))
+        assert width <= 3, text
+        labels.add(label)
+    assert {"one-se", "se-block", "gamma-se"} <= labels
 
 
 def test_cli_reads_the_library_suite_table(capsys, monkeypatch):

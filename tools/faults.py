@@ -205,6 +205,12 @@ FAULTS = (
     # formula's SE-only family keeps the positions no SE beta removes
     ("formula's kept positions skip one SE beta", "condensation.py",
      ".difference(p for _, p in removed)", ".difference(p for _, p in removed[1:])"),
+    # formula's gamma families: the string 2..k with one SE cell removed, or one NW cell
+    ("formula's gamma SE and NW closed forms swapped", "condensation.py",
+     'family = count_ar_gamma_se_defect if beta.side == "SE" else count_ar_gamma_nw_defect',
+     'family = count_ar_gamma_nw_defect if beta.side == "SE" else count_ar_gamma_se_defect'),
+    ("formula's gamma string starts at 1", "condensation.py",
+     "if gammas == range(2, k + 1) and", "if gammas == range(1, k + 1) and"),
     # the spec grammar's INT is ASCII -?[0-9]+
     ("the spec integer test takes any digit", "cli.py",
      "digits.isascii() and digits.isdigit()", "digits.isdigit()"),
