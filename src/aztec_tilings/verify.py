@@ -5,10 +5,18 @@ Each suite in ``SUITES`` takes ``(max_a, max_b, trials, rng)`` and yields
 state of ``rng``; a failed check is yielded, never raised.
 
 - ``formulas``: the ``formula`` engine, ``count_configuration(config,
-  "formula")``, on each closed-form family's small-parameter grid with
-  b <= max_b, against the DP sweep and against the lattice-path
+  "formula")``, against the DP sweep and against the lattice-path
   determinant, so the engine's matching of a configuration to its family
-  is checked along with the closed form it picks.
+  is checked along with the closed form it picks.  Its grid, b <= max_b,
+  reaches every closed form the engine picks and holds each configuration
+  once: AD(n) (``diamond``); AR(a, b), b > a, keeping each a-subset of its
+  SE cells (``kept-se``, which holds one SE cell off AR(a, a + 1) and the
+  SE block 2..b - a + 1); AD(a) minus SE i and NE j (``ad-adjacent``);
+  AR(a, a + 2) minus SE i, i != 2, and NW j (``se-nw``); AR(a, a + k) minus
+  SE 2..k and NW i (``se-block-nw``, which holds SE 2 at k = 2); and, for
+  k >= 2, AR(a, a + k) plus gammas 2..k minus SE j or NW i (``gamma-se``,
+  ``gamma-nw``; at k = 1 the string is empty and they are ``kept-se`` and
+  ``se-block-nw``).
 - ``kuo``: Kuo's four local identities on random quadruples of outer-face
   cells of AD(2..max_a), plain, minus the black cell SW a, or minus SW a
   and NE a.
@@ -65,32 +73,24 @@ def _verify_formulas(max_a: int, max_b: int, trials: int, rng: random.Random) ->
                 config = DefectConfiguration(a, b, se(p for p in range(1, b + 1) if p not in kept))
                 yield check(config, f"kept-se a={a} b={b} s={kept}")
     for a in range(1, max_a + 1):
-        if a + 1 <= max_b:
-            for i in range(1, a + 2):
-                yield check(DefectConfiguration(a, a + 1, se([i])), f"one-se a={a} i={i}")
-        for b in range(a, max_b + 1):
-            yield check(DefectConfiguration(a, b, se(range(2, b - a + 2))), f"se-block a={a} b={b}")
         for i in range(1, a + 1):
             for j in range(1, a + 1):
                 config = DefectConfiguration(a, a, se([i]), (DefectSpec("NE", j),))
                 yield check(config, f"ad-adjacent a={a} i={i} j={j}")
         if a + 2 <= max_b:
-            for i in range(1, a + 3):
+            for i in (1, *range(3, a + 3)):  # SE 2 and NW j is se-block-nw at k = 2
                 for j in range(1, a + 3):
                     config = DefectConfiguration(a, a + 2, se([i]) + (DefectSpec("NW", j),))
                     yield check(config, f"se-nw a={a} i={i} j={j}")
         for k in range(1, max_b - a + 1):
             b = a + k
-            gammas = tuple(range(2, k + 1))
-            for j in range(1, b + 1):
-                config = DefectConfiguration(a, b, se([j]), gammas=gammas)
-                yield check(config, f"gamma-se a={a} k={k} j={j}")
+            gammas = range(2, k + 1)  # none at k = 1, where gamma-se is kept-se and gamma-nw se-block-nw
             for i in range(1, b + 1):
                 nw = (DefectSpec("NW", i),)
-                config = DefectConfiguration(a, b, se(range(2, k + 1)) + nw)
-                yield check(config, f"se-block-nw a={a} k={k} i={i}")
-                config = DefectConfiguration(a, b, nw, gammas=gammas)
-                yield check(config, f"gamma-nw a={a} k={k} i={i}")
+                yield check(DefectConfiguration(a, b, se(gammas) + nw), f"se-block-nw a={a} k={k} i={i}")
+                if gammas:
+                    yield check(DefectConfiguration(a, b, se([i]), gammas=gammas), f"gamma-se a={a} k={k} j={i}")
+                    yield check(DefectConfiguration(a, b, nw, gammas=gammas), f"gamma-nw a={a} k={k} i={i}")
 
 
 def _verify_kuo(max_a: int, max_b: int, trials: int, rng: random.Random) -> Iterator[Check]:

@@ -4,6 +4,7 @@ import ast
 import hashlib
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
 import subprocess
@@ -17,7 +18,7 @@ from aztec_tilings.verify import SUITES
 ROOT = Path(__file__).resolve().parent.parent
 TOOLS = ROOT / "tools"
 CODE_LINES = TOOLS / "code_lines.py"
-CODE_LINE_CEILING = 955
+CODE_LINE_CEILING = 947
 
 
 def test_star_import_resolves_every_export():
@@ -176,3 +177,13 @@ def test_cli_transcripts_count_nw_betas_past_a_missing_gamma_string():
     tool = _cli_transcripts()
     (argv,) = tool.LONG
     assert tool.run(argv).split(" | ")[1:] == ["exit=0", _sha("1024\n")]
+
+
+def test_latest_bench_file_lists_the_ladder_tools_rungs():
+    # tools/bench_ladder.py writes BENCH_<n>.json; the newest one must time the rungs the tool lists
+    tool = _tool("bench_ladder")
+    latest = max(ROOT.glob("BENCH_*.json"), key=lambda path: int(path.stem.split("_")[1]))
+    rungs = json.loads(latest.read_text())["rungs"]
+    assert [(rung["name"], rung["engine"]) for rung in rungs] == [(name, engine) for name, _, engine in tool.RUNGS]
+    assert all(rung["matches_check"] for rung in rungs)
+    assert all(tool.parse_region_spec(spec).balanced for _, spec, _ in tool.RUNGS)

@@ -1,5 +1,6 @@
 """The verify suites as a library: check generators that the CLI only folds and prints."""
 
+import collections
 import hashlib
 import os
 import random
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from aztec_tilings import cli, verify
+from aztec_tilings import cli, condensation, verify
 from aztec_tilings.dualgraph import boundary_cycle
 from aztec_tilings.errors import InternalInconsistencyError
 
@@ -29,7 +30,7 @@ def test_suite_folds_to_the_report_main_prints(capsys, suite):
 
 def test_formulas_suite_stays_within_max_b():
     # each label names its rectangle's width: b, n, a + k, or a plus its family's fixed k
-    fixed_k = {"one-se": 1, "se-nw": 2}
+    fixed_k = {"se-nw": 2}
     checks = list(verify.SUITES["formulas"](3, 3, 1, random.Random(0)))
     assert checks and all(ok for ok, _ in checks)
     labels = set()
@@ -39,7 +40,34 @@ def test_formulas_suite_stays_within_max_b():
         width = fields.get("b") or fields.get("n") or fields["a"] + fields.get("k", fixed_k.get(label, 0))
         assert width <= 3, text
         labels.add(label)
-    assert {"one-se", "se-block", "gamma-se"} <= labels
+    assert {"kept-se", "se-block-nw", "gamma-se"} <= labels
+
+
+def test_formulas_suite_reaches_every_closed_form(monkeypatch):
+    # the default suite sends a configuration to each closed form the formula engine can pick
+    forms = ("count_aztec_diamond", "count_ar_kept_se", "count_ar_gamma_se_defect", "count_ar_gamma_nw_defect",
+             "count_ad_adjacent_defects", "count_ar_se_nw_defects", "count_ar_se_block_nw_defect")
+    calls = collections.Counter()
+
+    def counted(name, form):
+        return lambda *args: calls.update([name]) or form(*args)
+
+    for name in forms:
+        monkeypatch.setattr(condensation, name, counted(name, getattr(condensation, name)))
+    assert all(ok for ok, _ in verify.SUITES["formulas"](3, 5, 1, random.Random(0)))
+    assert {name for name in forms if not calls[name]} == set()
+
+
+@pytest.mark.parametrize("max_a, max_b, checks", [(3, 5, 189), (5, 9, 1532)])
+def test_formulas_suite_checks_each_configuration_once(monkeypatch, max_a, max_b, checks):
+    # the families overlap (one SE cell off AR(a, a + 1) is kept-se, gammas 2..1 are none), and
+    # the suite walks each shared configuration in one family only; every count is stubbed to 0
+    calls = collections.Counter()
+    monkeypatch.setattr(verify, "count_configuration", lambda config, engine: calls.update([config]) or 0)
+    monkeypatch.setattr(verify, "count_tilings_dp", lambda region: 0)
+    monkeypatch.setattr(verify, "count_tilings_paths", lambda region: 0)
+    assert all(ok for ok, _ in verify.SUITES["formulas"](max_a, max_b, 1, random.Random(0)))
+    assert (sum(calls.values()), len(calls)) == (checks, checks)
 
 
 def test_cli_reads_the_library_suite_table(capsys, monkeypatch):

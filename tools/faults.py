@@ -3,17 +3,17 @@
     python3 tools/faults.py [NAME ...]
 
 ``FAULTS`` lists (name, module, old text, new text).  For each fault, or only
-the named ones, the script copies src/, tests/, tools/, pyproject.toml and
-README.md into a temporary directory, replaces the old text, which must
-occur exactly once in src/aztec_tilings/MODULE, and runs
-``python -m pytest -x -q`` there,
-less the test that checks this table against the source, which any planted
-fault would fail.  A failing test kills the fault.  The unchanged copy runs
-first and must pass.  Prints one line per run with the seconds it took and
-the test that killed the fault, or the test module that no longer collects
-under it, and exits 1 if any fault survived or a run
-ended otherwise (a collection error, say), 2 for an unknown name or a stale
-old text.  Stdlib only; the suite itself needs pytest and hypothesis.
+the named ones, the script copies src/, tests/, tools/, pyproject.toml,
+README.md and the BENCH_*.json records into a temporary directory, replaces
+the old text, which must occur exactly once in src/aztec_tilings/MODULE, and
+runs ``python -m pytest -x -q`` there, less the test that checks this table
+against the source, which any planted fault would fail.  A failing test
+kills the fault.  The unchanged copy runs first and must pass.  Prints one
+line per run with the seconds it took and the test that killed the fault, or
+the test module that no longer collects under it, and exits 1 if any fault
+survived or a run ended otherwise (a collection error, say), 2 for an
+unknown name or a stale old text.  Stdlib only; the suite itself needs
+pytest and hypothesis.
 """
 
 from __future__ import annotations
@@ -205,6 +205,9 @@ FAULTS = (
     # formula's SE-only family keeps the positions no SE beta removes
     ("formula's kept positions skip one SE beta", "condensation.py",
      ".difference(p for _, p in removed)", ".difference(p for _, p in removed[1:])"),
+    # verify formulas sends a configuration to every closed form: one family's loop dropped
+    ("verify formulas drops the gamma-nw family", "verify.py",
+     'yield check(DefectConfiguration(a, b, nw, gammas=gammas), f"gamma-nw a={a} k={k} i={i}")', "pass"),
     # formula's gamma families: the string 2..k with one SE cell removed, or one NW cell
     ("formula's gamma SE and NW closed forms swapped", "condensation.py",
      'family = count_ar_gamma_se_defect if beta.side == "SE" else count_ar_gamma_nw_defect',
@@ -233,7 +236,7 @@ def run_suite(fault: tuple[str, str, str, str] | None) -> tuple[int, float, str]
     """The exit code, seconds and first failed test or module of ``pytest -x -q`` on a faulted copy."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
-        for item in COPIED:
+        for item in COPIED + tuple(path.name for path in REPO.glob("BENCH_*.json")):
             if (REPO / item).is_dir():
                 shutil.copytree(REPO / item, root / item, ignore=shutil.ignore_patterns("__pycache__"))
             else:
